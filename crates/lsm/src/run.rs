@@ -255,10 +255,10 @@ impl Run {
     }
 
     /// Iterates the whole run for a merge: identical entries and identical
-    /// `IoStats` to [`iter`](Self::iter), but readahead is issued in
+    /// `IoStats` to [`iter`](Self::iter), but pages are fetched in
     /// multi-page batched submissions. Merges always consume every page,
-    /// so the wider window never over-reads; user-facing scans keep
-    /// [`iter`](Self::iter)'s at-most-one-prefetched-page promise.
+    /// so the window never over-reads; user-facing scans fetch one page at
+    /// a time, on demand, and read only pages they decode.
     pub fn iter_for_merge(self: &Arc<Self>) -> RunScanIter {
         let mut it = RunScanIter::new(Arc::clone(self), 0, None);
         it.batch = MERGE_SCAN_READAHEAD_PAGES;
@@ -432,22 +432,19 @@ impl RunBuilder {
     }
 }
 
-/// Pages per batched readahead submission when a merge drains a whole
-/// run via [`Run::iter_for_merge`]; user scans always run with a window
-/// of 1 (classic double buffering).
+/// Pages per batched submission when a merge drains a whole run via
+/// [`Run::iter_for_merge`]; user scans fetch one page at a time.
 const MERGE_SCAN_READAHEAD_PAGES: u32 = 8;
 
-/// Sequential scan over a run's entries with double-buffered readahead.
+/// Sequential scan over a run's entries.
 ///
 /// The first page read costs a seek + read; each subsequent page costs a
-/// sequential read only, matching Eq. 11's range-lookup cost model. On top
-/// of that model the scan keeps one page of readahead: installing page `i`
-/// as the current [`PageCursor`] immediately issues the sequential read
-/// for page `i+1`, so decode of the current page overlaps the next page's
-/// I/O. Total I/O counts are unchanged on any scan that consumes its page
-/// range (every page is still read exactly once, with exactly one seek);
-/// a scan dropped early may have prefetched at most one page it never
-/// decoded. (Merge scans opt into a wider batched window via
+/// sequential read only, matching Eq. 11's range-lookup cost model. A
+/// page is fetched when the cursor runs dry and not before: reads are
+/// synchronous, so fetching ahead would overlap nothing, and a bounded
+/// scan would pay for a page it never decodes. A scan therefore reads
+/// exactly the pages it decodes — one per run when dropped after its
+/// first entry. (Merge scans opt into an 8-page batched window via
 /// [`Run::iter_for_merge`]; they always consume the whole run.) The
 /// iterator holds an `Arc` to its run, so a run superseded mid-scan stays
 /// readable until the cursor drops.
@@ -455,15 +452,16 @@ pub struct RunScanIter {
     run: Arc<Run>,
     /// Streaming cursor over the current page.
     cursor: Option<PageCursor>,
-    /// Prefetched page bytes, fetched while the current page drains.
+    /// A merge's pages fetched and not yet decoded (user scans decode
+    /// each page as it arrives and leave this empty).
     window: std::collections::VecDeque<Bytes>,
     /// Next page number to fetch from disk.
     next_page: u32,
     started: bool,
     lo: Option<Bytes>,
     exhausted: bool,
-    /// Pages per readahead submission: 1 keeps the at-most-one-prefetched
-    /// page promise; merges widen it (every page gets consumed anyway).
+    /// Pages per submission: 1 for user scans (never read a page the scan
+    /// may not decode); merges widen it (every page gets consumed anyway).
     batch: u32,
 }
 
@@ -506,23 +504,13 @@ impl RunScanIter {
         Ok(page)
     }
 
-    /// Issues the next readahead submission into the window: one page for
-    /// user scans, up to `batch` pages in one batched backend call for
-    /// merges. Ledger-identical either way — the scan's first page pays
+    /// A merge's next submission into its empty window: up to `batch`
+    /// pages in one batched backend call. Ledger-identical to that many
+    /// [`fetch_page`](Self::fetch_page) calls — the scan's first page pays
     /// the seek, the rest are sequential, all streaming-admitted.
     fn fill_window(&mut self) -> Result<()> {
-        let count = self
-            .batch
-            .min(self.run.pages().saturating_sub(self.next_page));
-        if count == 0 {
-            return Ok(());
-        }
-        if count == 1 {
-            let page = self.fetch_page()?;
-            self.window.push_back(page);
-            return Ok(());
-        }
         let first = self.next_page;
+        let count = self.batch.min(self.run.pages() - first);
         let seek = !self.started;
         let reqs: Vec<(RunId, u32, bool)> = (first..first + count)
             .map(|p| (self.run.id(), p, seek && p == first))
@@ -532,6 +520,21 @@ impl RunScanIter {
         self.next_page += count;
         self.window.extend(pages);
         Ok(())
+    }
+
+    /// The next page to decode, or `None` past the run's last one.
+    fn take_page(&mut self) -> Result<Option<Bytes>> {
+        if self.window.is_empty() {
+            if self.exhausted || self.next_page >= self.run.pages() {
+                self.exhausted = true;
+                return Ok(None);
+            }
+            if self.batch == 1 {
+                return self.fetch_page().map(Some);
+            }
+            self.fill_window()?;
+        }
+        Ok(self.window.pop_front())
     }
 
     fn advance(&mut self) -> Result<Option<Entry>> {
@@ -555,23 +558,10 @@ impl RunScanIter {
                 }
                 self.cursor = None;
             }
-            if self.window.is_empty() {
-                if self.exhausted || self.next_page >= self.run.pages() {
-                    self.exhausted = true;
-                    return Ok(None);
-                }
-                self.fill_window()?;
-            }
-            let Some(page) = self.window.pop_front() else {
-                self.exhausted = true;
+            let Some(page) = self.take_page()? else {
                 return Ok(None);
             };
             self.cursor = Some(PageCursor::new(page)?);
-            if self.batch == 1 && self.window.is_empty() && self.next_page < self.run.pages() {
-                // Double buffer: the next page's read overlaps this page's
-                // decode (still one sequential read per page).
-                self.fill_window()?;
-            }
         }
     }
 }
@@ -802,6 +792,39 @@ mod tests {
             disk.run_pages(id).is_err(),
             "storage reclaimed after last reference"
         );
+    }
+
+    /// The same contract over run files, buffered and direct: the open
+    /// cursor pins the run (and its descriptor), the file goes with the
+    /// last reference.
+    #[test]
+    fn obsolete_run_file_reclaimed_on_last_drop() {
+        use monkey_storage::IoBackend;
+        for backend in [IoBackend::Buffered, IoBackend::Direct] {
+            let dir = std::env::temp_dir().join(format!(
+                "monkey-run-obsolete-{}-{}",
+                std::process::id(),
+                backend.name()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let disk = Disk::file_with(&dir, 4096, backend, None).unwrap();
+            let keys: Vec<String> = (0..400).map(|i| format!("key{i:04}")).collect();
+            let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+            let run = build(&disk, &refs, 10.0);
+            assert!(run.pages() > 1);
+            let file = dir.join(format!("{:016x}.run", run.id()));
+            let id = run.id();
+            let mut cursor = run.iter();
+            assert_eq!(cursor.next().unwrap().unwrap().key.as_ref(), b"key0000");
+            run.mark_obsolete();
+            drop(run);
+            assert!(file.exists(), "the cursor still holds the run");
+            assert_eq!(cursor.count(), 399, "every later page stays readable");
+            // (cursor dropped here)
+            assert!(!file.exists(), "storage reclaimed after last reference");
+            assert!(disk.run_pages(id).is_err());
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -21,9 +21,8 @@
 use crate::aligned::AlignedPool;
 use crate::backend::{Backend, RunId};
 use crate::error::{Result, StorageError};
+use crate::handles::{RunHandle, RunHandles};
 use bytes::Bytes;
-use parking_lot::RwLock;
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::os::unix::fs::FileExt;
@@ -129,15 +128,6 @@ impl BackendInfo {
     }
 }
 
-fn open_direct(path: &Path, write: bool) -> std::io::Result<File> {
-    let mut opts = OpenOptions::new();
-    opts.read(true).custom_flags(O_DIRECT);
-    if write {
-        opts.write(true).create_new(true);
-    }
-    opts.open(path)
-}
-
 /// Walks the alignment ladder for `dir`: open a probe file with
 /// `O_DIRECT`, then try reads of 512 and 4096 bytes. Returns the first
 /// granularity the filesystem accepts, or the reason none did.
@@ -151,7 +141,10 @@ pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, Strin
                 .map_err(|e| format!("probe write: {e}"))?;
             f.sync_all().map_err(|e| format!("probe sync: {e}"))?;
         }
-        let f = open_direct(&probe_path, false)
+        let f = OpenOptions::new()
+            .read(true)
+            .custom_flags(O_DIRECT)
+            .open(&probe_path)
             .map_err(|e| format!("O_DIRECT open rejected ({e}) — page cache it is"))?;
         let pool = AlignedPool::new(4096, 4096, 1);
         let mut buf = pool.acquire();
@@ -171,14 +164,13 @@ pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, Strin
 
 /// One file per run (same layout as the buffered backend — `<id>.run` in
 /// a directory, so the two backends are freely interchangeable over the
-/// same data), every handle opened with `O_DIRECT`.
+/// same data), every handle in the [`RunHandles`] table opened with
+/// `O_DIRECT`.
 pub struct DirectFileBackend {
-    dir: PathBuf,
     page_size: usize,
     align: usize,
     pool: AlignedPool,
-    /// Open write handles for runs under construction.
-    building: RwLock<HashMap<RunId, Arc<File>>>,
+    pub(crate) handles: RunHandles,
     /// Set when a runtime EINVAL forced a buffered retry (filesystem
     /// changed its mind after the probe — rare, but never fatal).
     degraded: AtomicBool,
@@ -214,11 +206,10 @@ impl DirectFileBackend {
             Err(e) => (None, Some(format!("io_uring unavailable: {e}"))),
         };
         Ok(Ok(Self {
-            dir,
             page_size,
             align,
             pool: AlignedPool::new(page_size, align.max(4096), POOL_MAX_FREE),
-            building: RwLock::new(HashMap::new()),
+            handles: RunHandles::new(dir, page_size, O_DIRECT),
             degraded: AtomicBool::new(false),
             #[cfg(all(feature = "uring", target_os = "linux"))]
             ring,
@@ -267,60 +258,34 @@ impl DirectFileBackend {
         self.pool.stats()
     }
 
-    fn path(&self, run: RunId) -> PathBuf {
-        self.dir.join(format!("{run:016x}.run"))
-    }
-
-    fn map_open_err(run: RunId, e: std::io::Error) -> StorageError {
-        if e.kind() == std::io::ErrorKind::NotFound {
-            StorageError::NotFound { run, page: None }
-        } else {
-            StorageError::Io(e)
-        }
-    }
-
-    fn open_read(&self, run: RunId) -> Result<File> {
-        open_direct(&self.path(run), false).map_err(|e| Self::map_open_err(run, e))
-    }
-
-    /// Remaining pages of `run` from `start`, bounded by the file length —
-    /// addressing past it is the same `NotFound` the buffered backend
-    /// reports.
-    fn check_range(&self, run: RunId, file: &File, start: u32, count: u32) -> Result<()> {
-        let have = (file.metadata()?.len() / self.page_size as u64) as u32;
-        if start + count > have {
-            return Err(StorageError::NotFound {
-                run,
-                page: Some(start.max(have)),
-            });
-        }
-        Ok(())
-    }
-
     /// One positioned page read into a pooled buffer. EINVAL (the
     /// filesystem reneging on the probe) retries through the page cache
     /// instead of failing the lookup.
-    fn pread_page(&self, file: &File, run: RunId, page_no: u32) -> Result<Bytes> {
+    fn pread_page(&self, handle: &RunHandle, run: RunId, page_no: u32) -> Result<Bytes> {
         let mut buf = self.pool.acquire();
-        let offset = page_no as u64 * self.page_size as u64;
-        match file.read_exact_at(buf.as_mut_slice(), offset) {
-            Ok(()) => Ok(buf.freeze(self.page_size)),
+        match handle.read_page(page_no, buf.as_mut_slice()) {
             Err(e) if e.raw_os_error() == Some(22) => {
                 self.degraded.store(true, Ordering::Relaxed);
-                let fallback =
-                    File::open(self.path(run)).map_err(|e| Self::map_open_err(run, e))?;
-                fallback.read_exact_at(buf.as_mut_slice(), offset)?;
-                Ok(buf.freeze(self.page_size))
+                // By path, so a run deleted since the lookup is `NotFound`
+                // here, as it is to every later read.
+                File::open(self.handles.path(run))
+                    .map_err(|e| RunHandles::not_found(run, e))?
+                    .read_exact_at(buf.as_mut_slice(), page_no as u64 * self.page_size as u64)?;
             }
-            Err(e) => Err(StorageError::Io(e)),
+            other => other?,
         }
+        Ok(buf.freeze(self.page_size))
     }
 
-    /// Batched reads of `(file-index, page_no)` pairs against `files`,
+    /// Batched reads of `(handle-index, page_no)` pairs against `files`,
     /// through the ring when it is available and uncontended, else a
-    /// `pread` loop. Shared by [`Backend::read_batch`] (one file) and
-    /// [`Backend::read_scattered`] (one file per run).
-    fn batched_read(&self, files: &[(RunId, &File)], reqs: &[(usize, u32)]) -> Result<Vec<Bytes>> {
+    /// `pread` loop. Shared by [`Backend::read_batch`] (one run) and
+    /// [`Backend::read_scattered`] (one handle per distinct run).
+    fn batched_read(
+        &self,
+        files: &[(RunId, Arc<RunHandle>)],
+        reqs: &[(usize, u32)],
+    ) -> Result<Vec<Bytes>> {
         #[cfg(all(feature = "uring", target_os = "linux"))]
         if let Some(ring) = &self.ring {
             // Contended ring (a concurrent merge's batch in flight): the
@@ -333,7 +298,7 @@ impl DirectFileBackend {
                     .iter()
                     .zip(bufs.iter_mut())
                     .map(|(&(fi, page_no), buf)| ReadOp {
-                        fd: files[fi].1.as_raw_fd(),
+                        fd: files[fi].1.file().as_raw_fd(),
                         offset: page_no as u64 * self.page_size as u64,
                         buf: buf.as_mut_slice().as_mut_ptr(),
                         len: self.page_size as u32,
@@ -352,9 +317,9 @@ impl DirectFileBackend {
                         // Short read or per-op errno (e.g. -EINVAL from a
                         // kernel without IORING_OP_READ): redo just this
                         // page through the plain path.
-                        let (run, file) = files[fi];
+                        let (run, handle) = &files[fi];
                         drop(buf);
-                        out.push(self.pread_page(file, run, page_no)?);
+                        out.push(self.pread_page(handle, *run, page_no)?);
                     }
                 }
                 return Ok(out);
@@ -362,8 +327,8 @@ impl DirectFileBackend {
         }
         reqs.iter()
             .map(|&(fi, page_no)| {
-                let (run, file) = files[fi];
-                self.pread_page(file, run, page_no)
+                let (run, handle) = &files[fi];
+                self.pread_page(handle, *run, page_no)
             })
             .collect()
     }
@@ -377,116 +342,78 @@ impl Backend for DirectFileBackend {
                 want: self.page_size,
             });
         }
-        let handle = {
-            let mut building = self.building.write();
-            match building.get(&run) {
-                Some(h) => Arc::clone(h),
-                None => {
-                    if page_no != 0 {
-                        return Err(StorageError::Corruption(format!(
-                            "run {run} is not under construction (page {page_no})"
-                        )));
-                    }
-                    let file = open_direct(&self.path(run), true)?;
-                    let h = Arc::new(file);
-                    building.insert(run, Arc::clone(&h));
-                    h
-                }
-            }
-        };
+        let handle = self.handles.for_append(run, page_no)?;
         // Bounce through an aligned buffer: the caller's page has no
         // alignment guarantee, O_DIRECT demands one.
         let mut buf = self.pool.acquire();
         buf.as_mut_slice().copy_from_slice(data);
-        let offset = page_no as u64 * self.page_size as u64;
-        match handle.write_all_at(buf.as_ref(), offset) {
-            Ok(()) => Ok(()),
+        match handle.write_page(page_no, buf.as_ref()) {
             Err(e) if e.raw_os_error() == Some(22) => {
                 self.degraded.store(true, Ordering::Relaxed);
-                let fallback = OpenOptions::new().write(true).open(self.path(run))?;
-                fallback.write_all_at(data, offset)?;
+                OpenOptions::new()
+                    .write(true)
+                    .open(self.handles.path(run))?
+                    .write_all_at(data, page_no as u64 * self.page_size as u64)?;
                 Ok(())
             }
-            Err(e) => Err(StorageError::Io(e)),
+            other => Ok(other?),
         }
     }
 
     fn seal(&self, run: RunId) -> Result<()> {
-        if let Some(h) = self.building.write().remove(&run) {
-            // O_DIRECT already put the data on the device; the fsync
-            // makes the file *metadata* (its length) durable.
-            h.sync_all()?;
-        }
-        Ok(())
+        // O_DIRECT already put the data on the device; the fsync makes
+        // the file *metadata* (its length) durable.
+        self.handles.seal(run)
     }
 
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        let file = self.open_read(run)?;
-        self.check_range(run, &file, page_no, 1)?;
-        self.pread_page(&file, run, page_no)
+        let handle = self.handles.get(run)?;
+        handle.check_range(run, page_no, 1)?;
+        self.pread_page(&handle, run, page_no)
     }
 
     fn read_batch(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
         if count == 0 {
             return Ok(Vec::new());
         }
-        let file = self.open_read(run)?;
-        self.check_range(run, &file, start, count)?;
+        let handle = self.handles.get(run)?;
+        handle.check_range(run, start, count)?;
         let reqs: Vec<(usize, u32)> = (start..start + count).map(|p| (0, p)).collect();
-        self.batched_read(&[(run, &file)], &reqs)
+        self.batched_read(&[(run, handle)], &reqs)
     }
 
     fn read_scattered(&self, reqs: &[(RunId, u32)]) -> Result<Vec<Bytes>> {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        // One open handle per distinct run, validated up front so a
-        // missing page fails before any device I/O is issued.
-        let mut files: Vec<(RunId, File)> = Vec::new();
-        let mut index: HashMap<RunId, usize> = HashMap::new();
+        // One handle per distinct run (a batch names a few runs at most),
+        // every address validated before any device I/O is issued.
+        let mut files: Vec<(RunId, Arc<RunHandle>)> = Vec::new();
         let mut flat: Vec<(usize, u32)> = Vec::with_capacity(reqs.len());
         for &(run, page_no) in reqs {
-            let fi = match index.get(&run) {
-                Some(&fi) => fi,
+            let fi = match files.iter().position(|(r, _)| *r == run) {
+                Some(fi) => fi,
                 None => {
-                    let file = self.open_read(run)?;
-                    files.push((run, file));
-                    index.insert(run, files.len() - 1);
+                    files.push((run, self.handles.get(run)?));
                     files.len() - 1
                 }
             };
-            self.check_range(run, &files[fi].1, page_no, 1)?;
+            files[fi].1.check_range(run, page_no, 1)?;
             flat.push((fi, page_no));
         }
-        let borrowed: Vec<(RunId, &File)> = files.iter().map(|(r, f)| (*r, f)).collect();
-        self.batched_read(&borrowed, &flat)
+        self.batched_read(&files, &flat)
     }
 
     fn pages(&self, run: RunId) -> Result<u32> {
-        let meta = std::fs::metadata(self.path(run)).map_err(|e| Self::map_open_err(run, e))?;
-        Ok((meta.len() / self.page_size as u64) as u32)
+        self.handles.get(run)?.pages()
     }
 
     fn delete(&self, run: RunId) -> Result<()> {
-        self.building.write().remove(&run);
-        std::fs::remove_file(self.path(run)).map_err(|e| Self::map_open_err(run, e))
+        self.handles.delete(run)
     }
 
     fn list(&self) -> Vec<RunId> {
-        let mut ids = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&self.dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let name = name.to_string_lossy();
-                if let Some(hex) = name.strip_suffix(".run") {
-                    if let Ok(id) = RunId::from_str_radix(hex, 16) {
-                        ids.push(id);
-                    }
-                }
-            }
-        }
-        ids.sort_unstable();
-        ids
+        self.handles.list()
     }
 }
 

@@ -1,0 +1,478 @@
+//! Run-handle table: the open descriptors of a directory's run files.
+//!
+//! Both file backends keep their runs as `<id>.run` files in a directory.
+//! A page read must cost one positional read on an already-open
+//! descriptor — no `open`, `fstat`, `lseek`, `close`, or path formatting —
+//! so every run's [`File`] and, once the run is sealed, its page count
+//! live here from the run's first append (or its first read after a
+//! reopen) until [`RunHandles::delete`].
+//!
+//! The hit path is a shared-lock map lookup plus an `Arc` clone. Readers
+//! keep the `Arc` across the read, so a concurrent delete never waits for
+//! them: it drops the table's reference, unlinks the file, and the last
+//! reader closes the descriptor (reading an unlinked inode is POSIX-safe).
+//! Run ids are never reused, so a leaked entry could only pin a
+//! descriptor, never alias another run's data.
+//!
+//! The tree's runs are few (`≤ (T−1)·L` per shard under tiering), but a
+//! key-value-separated store also seals one value-log run per buffer
+//! flush and reclaims them only offline, so live runs are *not* bounded.
+//! Resident descriptors therefore are: past [`RESIDENT_MAX`] open run
+//! files in the process, installing a handle drops some sealed run's
+//! entry from the same table, and that run's next read reopens it like a
+//! run found after a restart. Which entry goes is arbitrary — with a few
+//! dozen hot tree runs among hundreds of log runs, a tree run is rarely
+//! the one, and a miss costs one `open`.
+
+use crate::backend::RunId;
+use crate::error::{Result, StorageError};
+use parking_lot::{Mutex, RwLock};
+use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::{FileExt, OpenOptionsExt};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
+
+/// Run files the process keeps open across all its tables (every shard
+/// has one): half the usual 1024-descriptor soft limit, an order of
+/// magnitude above any tree's live runs. Not a knob — reads are correct
+/// at any value, and only a store with more live runs than this (value
+/// logs) ever reaches it.
+const RESIDENT_MAX: usize = 512;
+
+/// Run files currently open in this process.
+static OPEN_RUN_FILES: AtomicUsize = AtomicUsize::new(0);
+
+/// An open run file. Sealed runs are immutable, so their page count is
+/// fixed at seal (or at the first read after a reopen); a run still under
+/// construction is measured on every call.
+pub(crate) struct RunHandle {
+    file: File,
+    page_size: usize,
+    sealed_pages: OnceLock<u32>,
+}
+
+impl RunHandle {
+    /// The raw file, for submissions that bypass `read_page` (io_uring).
+    #[cfg(all(feature = "uring", target_os = "linux"))]
+    pub(crate) fn file(&self) -> &File {
+        &self.file
+    }
+
+    fn file_pages(&self) -> std::io::Result<u32> {
+        Ok((self.file.metadata()?.len() / self.page_size as u64) as u32)
+    }
+
+    /// Whole pages in the run.
+    pub(crate) fn pages(&self) -> Result<u32> {
+        match self.sealed_pages.get() {
+            Some(&pages) => Ok(pages),
+            None => Ok(self.file_pages()?),
+        }
+    }
+
+    /// `Ok` when pages `start..start + count` all exist; otherwise the
+    /// `NotFound` naming the first page that does not.
+    pub(crate) fn check_range(&self, run: RunId, start: u32, count: u32) -> Result<()> {
+        let have = self.pages()?;
+        if start as u64 + count as u64 > have as u64 {
+            return Err(StorageError::NotFound {
+                run,
+                page: Some(start.max(have)),
+            });
+        }
+        Ok(())
+    }
+
+    /// One positional read of page `page_no` into `buf` (one page long).
+    pub(crate) fn read_page(&self, page_no: u32, buf: &mut [u8]) -> std::io::Result<()> {
+        self.file
+            .read_exact_at(buf, page_no as u64 * self.page_size as u64)
+    }
+
+    /// One positional write of page `page_no`.
+    pub(crate) fn write_page(&self, page_no: u32, data: &[u8]) -> std::io::Result<()> {
+        self.file
+            .write_all_at(data, page_no as u64 * self.page_size as u64)
+    }
+}
+
+impl Drop for RunHandle {
+    fn drop(&mut self) {
+        OPEN_RUN_FILES.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The table itself: `RunId → Arc<RunHandle>` over one directory.
+pub(crate) struct RunHandles {
+    dir: PathBuf,
+    page_size: usize,
+    /// Extra `open(2)` flags for every run file (`O_DIRECT` or none).
+    open_flags: i32,
+    table: RwLock<HashMap<RunId, Arc<RunHandle>>>,
+    /// Serialises the two cold paths that pair a table update with a
+    /// directory operation — the lazy open of a run found on disk, and
+    /// delete — so an open that raced an unlink cannot install an entry
+    /// for a file that is already gone. Never taken on a table hit.
+    cold: Mutex<()>,
+    /// `open(2)` calls issued: the tests prove the warm read path issues
+    /// none.
+    #[cfg(test)]
+    opens: std::sync::atomic::AtomicU64,
+}
+
+impl RunHandles {
+    pub(crate) fn new(dir: PathBuf, page_size: usize, open_flags: i32) -> Self {
+        Self {
+            dir,
+            page_size,
+            open_flags,
+            table: RwLock::new(HashMap::new()),
+            cold: Mutex::new(()),
+            #[cfg(test)]
+            opens: Default::default(),
+        }
+    }
+
+    pub(crate) fn path(&self, run: RunId) -> PathBuf {
+        self.dir.join(format!("{run:016x}.run"))
+    }
+
+    pub(crate) fn not_found(run: RunId, e: std::io::Error) -> StorageError {
+        if e.kind() == std::io::ErrorKind::NotFound {
+            StorageError::NotFound { run, page: None }
+        } else {
+            StorageError::Io(e)
+        }
+    }
+
+    fn open(&self, run: RunId, create: bool) -> std::io::Result<RunHandle> {
+        #[cfg(test)]
+        self.opens.fetch_add(1, Ordering::Relaxed);
+        let mut opts = OpenOptions::new();
+        opts.read(true).custom_flags(self.open_flags);
+        if create {
+            opts.write(true).create_new(true);
+        }
+        let file = opts.open(self.path(run))?;
+        OPEN_RUN_FILES.fetch_add(1, Ordering::Relaxed);
+        Ok(RunHandle {
+            file,
+            page_size: self.page_size,
+            sealed_pages: OnceLock::new(),
+        })
+    }
+
+    /// Puts a freshly opened handle in the table. When the process is
+    /// over its budget of open run files, as many sealed entries leave the
+    /// table — possibly this one, which its caller still holds. A run
+    /// under construction always stays: its descriptor is the writer's.
+    fn install(&self, run: RunId, handle: RunHandle) -> Arc<RunHandle> {
+        let handle = Arc::new(handle);
+        let mut table = self.table.write();
+        table.insert(run, Arc::clone(&handle));
+        let over = OPEN_RUN_FILES
+            .load(Ordering::Relaxed)
+            .saturating_sub(RESIDENT_MAX);
+        let evict: Vec<RunId> = table
+            .iter()
+            .filter(|(_, h)| h.sealed_pages.get().is_some())
+            .map(|(&id, _)| id)
+            .take(over)
+            .collect();
+        for id in evict {
+            table.remove(&id);
+        }
+        handle
+    }
+
+    /// The handle to append page `page_no` of `run` through, creating the
+    /// file on page 0.
+    pub(crate) fn for_append(&self, run: RunId, page_no: u32) -> Result<Arc<RunHandle>> {
+        if let Some(handle) = self.table.read().get(&run) {
+            if handle.sealed_pages.get().is_some() {
+                return Err(StorageError::Corruption(format!(
+                    "run {run} is sealed (append of page {page_no})"
+                )));
+            }
+            return Ok(Arc::clone(handle));
+        }
+        if page_no != 0 {
+            return Err(StorageError::Corruption(format!(
+                "run {run} is not under construction (page {page_no})"
+            )));
+        }
+        Ok(self.install(run, self.open(run, true)?))
+    }
+
+    /// Makes a run under construction durable and fixes its page count.
+    pub(crate) fn seal(&self, run: RunId) -> Result<()> {
+        let Some(handle) = self.table.read().get(&run).cloned() else {
+            return Ok(());
+        };
+        if handle.sealed_pages.get().is_none() {
+            handle.file.sync_all()?;
+            let _ = handle.sealed_pages.set(handle.file_pages()?);
+        }
+        Ok(())
+    }
+
+    /// The handle to read `run` through. A sealed run with no entry — one
+    /// found on disk after a restart, or one whose entry went to the
+    /// descriptor budget — is opened here and stays open.
+    pub(crate) fn get(&self, run: RunId) -> Result<Arc<RunHandle>> {
+        if let Some(handle) = self.table.read().get(&run) {
+            return Ok(Arc::clone(handle));
+        }
+        let _cold = self.cold.lock();
+        if let Some(handle) = self.table.read().get(&run) {
+            return Ok(Arc::clone(handle));
+        }
+        // A run under construction is always in the table, so nothing
+        // appends to this one: whatever is on disk is the whole run.
+        let handle = self.open(run, false).map_err(|e| Self::not_found(run, e))?;
+        let _ = handle.sealed_pages.set(handle.file_pages()?);
+        Ok(self.install(run, handle))
+    }
+
+    /// Drops the table's handle, then unlinks the file.
+    pub(crate) fn delete(&self, run: RunId) -> Result<()> {
+        let _cold = self.cold.lock();
+        self.table.write().remove(&run);
+        std::fs::remove_file(self.path(run)).map_err(|e| Self::not_found(run, e))
+    }
+
+    /// Ids of the `.run` files in the directory, ascending.
+    pub(crate) fn list(&self) -> Vec<RunId> {
+        let mut ids: Vec<RunId> = std::fs::read_dir(&self.dir)
+            .into_iter()
+            .flatten()
+            .flatten()
+            .filter_map(|entry| {
+                let name = entry.file_name();
+                let hex = name.to_str()?.strip_suffix(".run")?;
+                RunId::from_str_radix(hex, 16).ok()
+            })
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[cfg(test)]
+    pub(crate) fn opens(&self) -> u64 {
+        self.opens.load(Ordering::Relaxed)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.table.read().len()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Backend, DirectFileBackend, FileBackend};
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    const PAGE: usize = 4096;
+
+    /// A file backend and the table inside it.
+    trait Tabled: Backend {
+        fn handles(&self) -> &RunHandles;
+    }
+    impl Tabled for FileBackend {
+        fn handles(&self) -> &RunHandles {
+            &self.handles
+        }
+    }
+    impl Tabled for DirectFileBackend {
+        fn handles(&self) -> &RunHandles {
+            &self.handles
+        }
+    }
+
+    fn tmp(name: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("monkey-handles-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        d
+    }
+
+    /// The buffered backend over `dir` and — where the filesystem accepts
+    /// `O_DIRECT` — the direct one over the same files.
+    fn open_both(dir: &std::path::Path) -> Vec<Box<dyn Tabled>> {
+        let mut both: Vec<Box<dyn Tabled>> = vec![Box::new(FileBackend::open(dir, PAGE).unwrap())];
+        match DirectFileBackend::open(dir, PAGE).unwrap() {
+            Ok(direct) => both.push(Box::new(direct)),
+            Err(reason) => eprintln!("direct half skipped: {reason}"),
+        }
+        both
+    }
+
+    fn page(run: RunId, page_no: u32) -> Vec<u8> {
+        vec![(run as u8).wrapping_mul(31).wrapping_add(page_no as u8); PAGE]
+    }
+
+    fn build(b: &dyn Tabled, run: RunId, pages: u32) {
+        for p in 0..pages {
+            b.append_page(run, p, &page(run, p)).unwrap();
+        }
+        b.seal(run).unwrap();
+    }
+
+    #[test]
+    fn warm_reads_open_nothing() {
+        let dir = tmp("warm");
+        for (i, b) in open_both(&dir).iter().enumerate() {
+            let (big, small) = (10 * i as u64 + 1, 10 * i as u64 + 2);
+            build(b.as_ref(), big, 8);
+            build(b.as_ref(), small, 3);
+            // Sealing installed both handles: that is all the warm-up.
+            assert_eq!(b.handles().opens(), 2, "one open per run, at creation");
+            for i in 0..10_000u32 {
+                let (run, pages) = if i % 3 == 0 { (small, 3) } else { (big, 8) };
+                let got = b.read_page(run, i % pages).unwrap();
+                assert_eq!(&got[..], &page(run, i % pages)[..]);
+            }
+            assert_eq!(b.read_batch(big, 2, 5).unwrap().len(), 5);
+            let scattered = b
+                .read_scattered(&[(small, 1), (big, 7), (small, 0)])
+                .unwrap();
+            assert_eq!(&scattered[1][..], &page(big, 7)[..]);
+            assert_eq!(b.pages(big).unwrap(), 8);
+            assert_eq!(b.handles().opens(), 2, "the warm read path opens nothing");
+            assert_eq!(b.handles().len(), 2);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn not_found_parity_buffered_vs_direct() {
+        let dir = tmp("parity");
+        for (i, b) in open_both(&dir).iter().enumerate() {
+            let run = 5 + i as u64;
+            build(b.as_ref(), run, 4);
+            let page_of = |e: StorageError| match e {
+                StorageError::NotFound { run: r, page } => (r, page),
+                other => panic!("expected NotFound, got {other:?}"),
+            };
+            assert_eq!(page_of(b.read_page(99, 0).unwrap_err()), (99, None));
+            assert_eq!(page_of(b.pages(99).unwrap_err()), (99, None));
+            assert_eq!(page_of(b.read_page(run, 4).unwrap_err()), (run, Some(4)));
+            assert_eq!(page_of(b.read_page(run, 40).unwrap_err()), (run, Some(40)));
+            assert_eq!(
+                page_of(b.read_batch(run, 2, 4).unwrap_err()),
+                (run, Some(4))
+            );
+            assert_eq!(
+                page_of(b.read_scattered(&[(run, 0), (run, 6)]).unwrap_err()),
+                (run, Some(6))
+            );
+            b.delete(run).unwrap();
+            assert_eq!(page_of(b.read_page(run, 0).unwrap_err()), (run, None));
+            assert_eq!(page_of(b.pages(run).unwrap_err()), (run, None));
+            assert_eq!(page_of(b.delete(run).unwrap_err()), (run, None));
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn run_under_construction_is_measured_not_cached() {
+        let dir = tmp("building");
+        for (i, b) in open_both(&dir).iter().enumerate() {
+            let run = 3 + i as u64;
+            b.append_page(run, 0, &page(run, 0)).unwrap();
+            assert_eq!(b.pages(run).unwrap(), 1);
+            b.append_page(run, 1, &page(run, 1)).unwrap();
+            assert_eq!(b.pages(run).unwrap(), 2, "length re-read while building");
+            assert_eq!(&b.read_page(run, 1).unwrap()[..], &page(run, 1)[..]);
+            assert!(matches!(
+                b.read_page(run, 2),
+                Err(StorageError::NotFound { page: Some(2), .. })
+            ));
+            b.seal(run).unwrap();
+            assert_eq!(b.pages(run).unwrap(), 2);
+            assert!(
+                b.append_page(run, 2, &page(run, 2)).is_err(),
+                "a sealed run's length is cached, so it must stay fixed"
+            );
+            assert_eq!(b.handles().opens(), 1);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn reopen_installs_handles_on_first_read() {
+        let dir = tmp("reopen");
+        build(&FileBackend::open(&dir, PAGE).unwrap(), 10, 6);
+        for b in open_both(&dir) {
+            let handles = b.handles();
+            assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
+            assert_eq!(b.list(), vec![10]);
+            let on_disk = std::fs::metadata(handles.path(10)).unwrap().len();
+            assert_eq!(b.pages(10).unwrap() as u64, on_disk / PAGE as u64);
+            assert_eq!((handles.len(), handles.opens()), (1, 1), "first use opens");
+            assert_eq!(&b.read_page(10, 5).unwrap()[..], &page(10, 5)[..]);
+            assert!(b.read_page(10, 6).is_err());
+            assert_eq!((handles.len(), handles.opens()), (1, 1), "then it is warm");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Readers hammer a run while it is deleted under them: every read
+    /// returns the run's bytes or `NotFound { page: None }`, and afterwards
+    /// the table holds no entry for the run — also when the readers' first
+    /// touch is the lazy open after a reopen.
+    #[test]
+    fn readers_racing_delete_see_right_bytes_and_leave_no_entry() {
+        const RUNS: u64 = 24;
+        const READERS: usize = 3;
+        let dir = tmp("race");
+        let seed = FileBackend::open(&dir, PAGE).unwrap();
+        for run in 0..RUNS {
+            build(&seed, run, 4);
+        }
+        drop(seed);
+        let both = open_both(&dir);
+        for (which, b) in both.iter().enumerate() {
+            // Each backend deletes its share of the runs: even ones cold
+            // (the first touch races the delete), odd ones warmed first.
+            for run in (0..RUNS).filter(|r| (r / 2) as usize % both.len() == which) {
+                if run % 2 == 1 {
+                    b.read_page(run, 0).unwrap();
+                }
+                let start = Barrier::new(READERS + 1);
+                let deleted = AtomicBool::new(false);
+                std::thread::scope(|s| {
+                    for t in 0..READERS {
+                        let (start, deleted) = (&start, &deleted);
+                        s.spawn(move || {
+                            start.wait();
+                            for p in t as u32.. {
+                                // Read the flag first: a read issued after
+                                // the delete returned must fail.
+                                let after = deleted.load(Ordering::Acquire);
+                                match b.read_page(run, p % 4) {
+                                    Ok(got) => {
+                                        assert!(!after, "run {run} read after its delete");
+                                        assert_eq!(&got[..], &page(run, p % 4)[..]);
+                                    }
+                                    Err(StorageError::NotFound { page: None, .. }) => break,
+                                    Err(e) => panic!("run {run}: {e:?}"),
+                                }
+                            }
+                        });
+                    }
+                    start.wait();
+                    b.delete(run).unwrap();
+                    deleted.store(true, Ordering::Release);
+                });
+                assert!(!b.handles().path(run).exists());
+            }
+            assert_eq!(b.handles().len(), 0, "no entry survives its run");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}

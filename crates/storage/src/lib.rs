@@ -35,6 +35,7 @@ pub mod uring;
 mod backend;
 mod direct;
 mod disk;
+mod handles;
 
 pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
 pub use backend::{Backend, FileBackend, MemBackend, RunId};
