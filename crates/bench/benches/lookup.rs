@@ -10,7 +10,7 @@
 use criterion::{criterion_group, Criterion};
 use monkey::FilterVariant;
 use monkey_bench::{load, ExpConfig, FilterKind};
-use monkey_lsm::page::{decode_page, search_page, PageBuilder, PageCursor};
+use monkey_lsm::page::{PageBuilder, PageCursor};
 use monkey_lsm::Entry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -120,10 +120,8 @@ fn telemetry_overhead(n: u64) {
     );
 }
 
-/// The page-probe step of a point lookup in isolation: the old
-/// materializing path (`decode_page` into a `Vec<Entry>` then binary
-/// search) against the zero-copy `PageCursor::search` that
-/// `Run::get_hashed` now uses. Same encoded page, same probe keys.
+/// The page-probe step of a point lookup in isolation: checksum verify
+/// plus the in-place `PageCursor::search` that `Run::get_hashed` uses.
 fn bench_page_probe(c: &mut Criterion) {
     let mut builder = PageBuilder::new(4096);
     let mut i = 0u32;
@@ -148,13 +146,6 @@ fn bench_page_probe(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
     let mut k = 0u32;
-    group.bench_function("decode_vec_then_search", |b| {
-        b.iter(|| {
-            k = (k + 7) % n;
-            let entries = decode_page(&page).expect("decode");
-            assert!(search_page(&entries, format!("key{k:06}").as_bytes()).is_some());
-        })
-    });
     group.bench_function("zero_copy_cursor", |b| {
         b.iter(|| {
             k = (k + 7) % n;

@@ -222,7 +222,7 @@ pub fn build_run_from_sorted(
     let mut builder = RunBuilder::new(Arc::clone(disk));
     tag_destination(disk, &builder, level);
     let run_id = builder.run_id();
-    for entry in entries {
+    for entry in &entries {
         if drop_tombstones && entry.is_tombstone() {
             continue;
         }

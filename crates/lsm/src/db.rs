@@ -26,7 +26,7 @@ use crate::compaction::{
 };
 use crate::entry::{Entry, EntryKind, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
-use crate::iter::{EntrySource, MergingIter, RangeIter};
+use crate::iter::{MergingIter, RangeIter, Source};
 use crate::level::{level_capacity_bytes, Version};
 use crate::manifest::{Manifest, ManifestState, RunRecord};
 use crate::memtable::Memtable;
@@ -1267,7 +1267,7 @@ impl Core {
         if let Some(hi) = hi {
             if hi <= lo {
                 // Empty (or inverted) interval: nothing to scan.
-                return Ok(RangeIter::new(MergingIter::new(Vec::new(), true)?, None)
+                return Ok(RangeIter::new(MergingIter::new(Vec::new()), None)
                     .with_value_log(None)
                     .with_telemetry(timer));
             }
@@ -1286,19 +1286,20 @@ impl Core {
                 Arc::clone(&shared.version),
             )
         };
-        let mut sources: Vec<EntrySource> =
+        // Youngest first: ties between equal versions go to the earlier source.
+        let mut sources: Vec<Source> =
             Vec::with_capacity(1 + immutables.len() + version.run_count());
-        sources.push(Box::new(buffered.into_iter().map(Ok)));
+        sources.push(buffered.into());
         for imm in immutables.iter().rev() {
-            sources.push(Box::new(imm.range(lo, hi).into_iter().map(Ok)));
+            sources.push(imm.range(lo, hi).into());
         }
         for level in version.levels() {
             for run in level.runs() {
-                sources.push(Box::new(run.iter_from(lo)));
+                sources.push(run.scan_from(lo)?.into());
             }
         }
         let hi = hi.map(Bytes::copy_from_slice);
-        Ok(RangeIter::new(MergingIter::new(sources, true)?, hi)
+        Ok(RangeIter::new(MergingIter::new(sources), hi)
             .with_value_log(core.vlog.clone())
             .with_telemetry(timer))
     }
@@ -1449,19 +1450,17 @@ impl Core {
             for run in level.runs() {
                 let mut count = 0u64;
                 let mut bytes = 0u64;
-                let mut prev: Option<bytes::Bytes> = None;
-                for item in run.iter() {
-                    let entry = item?; // checksum + decode verified here
-                    if let Some(prev) = &prev {
-                        if entry.key <= *prev {
-                            return Err(LsmError::Corruption(format!(
-                                "run {} at level {}: keys out of order",
-                                run.id(),
-                                idx + 1
-                            )));
-                        }
+                let mut prev: Option<Vec<u8>> = None;
+                let mut cursor = run.scan_from(b"")?; // checksums verified page by page
+                while let Some(entry) = cursor.page().entry() {
+                    if prev.as_deref().is_some_and(|prev| entry.key <= prev) {
+                        return Err(LsmError::Corruption(format!(
+                            "run {} at level {}: keys out of order",
+                            run.id(),
+                            idx + 1
+                        )));
                     }
-                    if !run.filter().contains(&entry.key) {
+                    if !run.filter().contains(entry.key) {
                         return Err(LsmError::Corruption(format!(
                             "run {} at level {}: filter false negative",
                             run.id(),
@@ -1470,11 +1469,16 @@ impl Core {
                     }
                     if entry.kind == EntryKind::IndirectPut {
                         // Dangling or corrupt value-log pointers surface here.
-                        self.resolve_value(&entry)?;
+                        self.resolve_value(
+                            &cursor.page().to_entry().expect("cursor is on an entry"),
+                        )?;
                     }
                     count += 1;
                     bytes += entry.encoded_len() as u64;
-                    prev = Some(entry.key);
+                    let prev = prev.get_or_insert_with(Vec::new);
+                    prev.clear();
+                    prev.extend_from_slice(entry.key);
+                    cursor.advance()?;
                 }
                 if count != run.entries() || bytes != run.bytes() {
                     return Err(LsmError::Corruption(format!(
@@ -1488,7 +1492,7 @@ impl Core {
                     )));
                 }
                 if let Some(last) = prev {
-                    if last != *run.max_key() {
+                    if *run.max_key() != last {
                         return Err(LsmError::Corruption(format!(
                             "run {} at level {}: max key mismatch",
                             run.id(),

@@ -100,6 +100,69 @@ impl Entry {
     }
 }
 
+/// One entry borrowed from where it lives — a page's bytes, a memtable
+/// vector. The merge kernel compares and filters these in place; an owned
+/// [`Entry`] is only built for what leaves the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EntryRef<'a> {
+    /// Application key.
+    pub key: &'a [u8],
+    /// Application value (empty for tombstones).
+    pub value: &'a [u8],
+    /// Global sequence number; larger = newer.
+    pub seq: u64,
+    /// Put or tombstone.
+    pub kind: EntryKind,
+}
+
+impl EntryRef<'_> {
+    /// True for tombstones.
+    pub fn is_tombstone(&self) -> bool {
+        self.kind == EntryKind::Delete
+    }
+
+    /// Encoded size on a page: fixed header plus key and value bytes.
+    pub fn encoded_len(&self) -> usize {
+        ENTRY_HEADER_LEN + self.key.len() + self.value.len()
+    }
+}
+
+impl<'a> From<&'a Entry> for EntryRef<'a> {
+    fn from(entry: &'a Entry) -> Self {
+        Self {
+            key: &entry.key,
+            value: &entry.value,
+            seq: entry.seq,
+            kind: entry.kind,
+        }
+    }
+}
+
+/// An entry that is read where it lies and can be handed out owned — what
+/// the merge kernel shows its consumers and [`RunBuilder`](crate::run::RunBuilder)
+/// consumes: every entry is copied from the borrowed view into the output
+/// page, and only the one key per page that outlives the page (its fence)
+/// is taken from the owned form.
+pub trait EntryView {
+    /// The entry, borrowed in place.
+    fn entry(&self) -> EntryRef<'_>;
+
+    /// The entry, owned without copying it: references on the buffers it
+    /// lies in (a memtable entry's own allocations; for an entry on a page,
+    /// the whole page, which stays alive as long as the key or value does).
+    fn to_entry(&self) -> Entry;
+}
+
+impl EntryView for Entry {
+    fn entry(&self) -> EntryRef<'_> {
+        self.into()
+    }
+
+    fn to_entry(&self) -> Entry {
+        self.clone()
+    }
+}
+
 /// Bytes of per-entry header on a page: key length (u16), value length
 /// (u32), sequence (u64), kind (u8).
 pub const ENTRY_HEADER_LEN: usize = 2 + 4 + 8 + 1;

@@ -1,26 +1,115 @@
-//! K-way merge iteration over runs and the buffer.
+//! K-way merge over runs and the buffer: one kernel for range lookups and
+//! merge (compaction) operations.
 //!
-//! Both range lookups and merge (compaction) operations consume multiple
-//! sorted sources at once. The merging iterator yields entries in internal
-//! order (key ascending); with deduplication enabled, only the newest
-//! version of each key survives — "only the entry from the most
-//! recently-created run is kept because it is the most up-to-date" (§2).
+//! Both consume several sorted sources at once and want the entries in
+//! internal order (key ascending) with only the newest version of each key
+//! surviving — "only the entry from the most recently-created run is kept
+//! because it is the most up-to-date" (§2). The kernel compares keys where
+//! they lie (page bytes, memtable vectors) and hands each surviving entry
+//! to its consumer **borrowed**; an owned entry is built once, by the
+//! consumer, for what it actually outputs.
 
-use crate::entry::Entry;
-use crate::error::Result;
+use crate::entry::{Entry, EntryRef, EntryView};
+use crate::error::{LsmError, Result};
+use crate::run::RunCursor;
 use bytes::Bytes;
 use std::cmp::Ordering;
 
-/// A boxed sorted source of entries.
-pub type EntrySource = Box<dyn Iterator<Item = Result<Entry>>>;
+/// One sorted input of a merge, positioned on its current entry. No source
+/// holds two versions of one key (memtables replace in place, runs are
+/// deduplicated when built).
+pub enum Source {
+    /// Entries already in memory, in key order: a memtable's share of a
+    /// scan, or the part of a straddled page a merge partition owns.
+    Entries {
+        /// The entries.
+        entries: Vec<Entry>,
+        /// Index of the current one.
+        pos: usize,
+    },
+    /// A cursor over pages of a run.
+    Run(RunCursor),
+}
+
+impl From<Vec<Entry>> for Source {
+    fn from(entries: Vec<Entry>) -> Self {
+        Self::Entries { entries, pos: 0 }
+    }
+}
+
+impl From<RunCursor> for Source {
+    fn from(cursor: RunCursor) -> Self {
+        Self::Run(cursor)
+    }
+}
+
+impl Source {
+    fn exhausted(&self) -> bool {
+        match self {
+            Self::Entries { entries, pos } => *pos >= entries.len(),
+            Self::Run(cursor) => cursor.page().remaining() == 0,
+        }
+    }
+
+    /// Key and sequence number of the current entry, borrowed in place;
+    /// `None` once exhausted.
+    #[inline]
+    fn head(&self) -> Option<(&[u8], u64)> {
+        match self {
+            Self::Entries { entries, pos } => entries.get(*pos).map(|e| (e.key.as_ref(), e.seq)),
+            Self::Run(cursor) => cursor.page().key().map(|key| (key, cursor.page().seq())),
+        }
+    }
+
+    fn advance(&mut self) -> Result<()> {
+        match self {
+            Self::Entries { pos, .. } => {
+                *pos += 1;
+                Ok(())
+            }
+            Self::Run(cursor) => cursor.advance(),
+        }
+    }
+
+    /// Exhausts the source without reading anything further.
+    fn close(&mut self) {
+        match self {
+            Self::Entries { entries, pos } => *pos = entries.len(),
+            Self::Run(cursor) => cursor.close(),
+        }
+    }
+}
+
+/// A source is viewed at its current entry.
+///
+/// # Panics
+/// When the source is exhausted.
+impl EntryView for Source {
+    #[inline]
+    fn entry(&self) -> EntryRef<'_> {
+        match self {
+            Self::Entries { entries, pos } => (&entries[*pos]).into(),
+            Self::Run(cursor) => cursor.page().entry().expect("source is not exhausted"),
+        }
+    }
+
+    fn to_entry(&self) -> Entry {
+        match self {
+            Self::Entries { entries, pos } => entries[*pos].clone(),
+            Self::Run(cursor) => cursor.page().to_entry().expect("source is not exhausted"),
+        }
+    }
+}
 
 /// Sentinel runner-up index: no live contender besides the winner.
 const NO_CONTENDER: usize = usize::MAX;
 
 /// A tournament tree of losers over `k` sources.
 ///
-/// Classic k-way merge structures pay `O(log k)` heap pops/pushes per
-/// entry. The loser tree replays only the winner's root path (`log k`
+/// The tree stores source *indices* only and compares the sources' current
+/// keys where they lie, so nothing moves in or out of it as the merge
+/// advances. Classic k-way merge structures pay `O(log k)` heap pops/pushes
+/// per entry. The loser tree replays only the winner's root path (`log k`
 /// comparisons), and — the case that dominates real merges, where one
 /// input run supplies a long stretch of consecutive keys — a *run
 /// detection* fast path keeps the same source winning with **one**
@@ -32,10 +121,9 @@ const NO_CONTENDER: usize = usize::MAX;
 /// Ordering is internal order plus a source-index tiebreak — (key asc,
 /// seq desc, source asc) — so the merge is fully deterministic, which the
 /// parallel partitioned merge relies on for byte-identical output.
+/// Exhausted sources (and the leaves padding `k` to a power of two) sort
+/// last.
 struct LoserTree {
-    /// Current head of each leaf; `None` = exhausted (sorts last).
-    /// Length is `p`, the leaf count padded to a power of two.
-    heads: Vec<Option<Entry>>,
     /// `losers[1..p]`: the losing leaf of the match played at each
     /// internal node. `losers[0]` is unused.
     losers: Vec<usize>,
@@ -46,88 +134,72 @@ struct LoserTree {
     /// Best leaf among the losers on the winner's path (the head the
     /// winner must beat to keep its crown without a replay).
     runner_up: usize,
+    /// The runner-up is an older version of the winner's key.
+    tie: bool,
+}
+
+#[inline]
+fn head(sources: &[Source], leaf: usize) -> Option<(&[u8], u64)> {
+    sources.get(leaf).and_then(Source::head)
+}
+
+/// Plays leaf `a`'s head against leaf `b`'s in internal order: whether `a`
+/// wins, and whether the two are versions of one key.
+#[inline]
+fn play(sources: &[Source], a: usize, b: usize) -> (bool, bool) {
+    match (head(sources, a), head(sources, b)) {
+        (Some((ka, sa)), Some((kb, sb))) => match ka.cmp(kb) {
+            Ordering::Less => (true, false),
+            Ordering::Greater => (false, false),
+            Ordering::Equal => (sa > sb || (sa == sb && a < b), true),
+        },
+        (Some(_), None) => (true, false),
+        (None, Some(_)) => (false, false),
+        (None, None) => (a < b, false),
+    }
 }
 
 impl LoserTree {
-    fn new(mut heads: Vec<Option<Entry>>) -> Self {
-        let p = heads.len().next_power_of_two().max(1);
-        heads.resize_with(p, || None);
+    fn new(sources: &[Source]) -> Self {
+        let p = sources.len().next_power_of_two();
         let mut tree = Self {
-            heads,
             losers: vec![0; p],
             p,
             winner: 0,
             runner_up: NO_CONTENDER,
+            tie: false,
         };
-        tree.rebuild();
+        tree.winner = tree.build(sources, 1);
+        tree.find_runner_up(sources);
+        tree.tie = tree.runner_up != NO_CONTENDER && play(sources, tree.winner, tree.runner_up).1;
         tree
     }
 
-    /// Does leaf `a`'s head beat leaf `b`'s in internal order?
-    #[inline]
-    fn beats(&self, a: usize, b: usize) -> bool {
-        match (&self.heads[a], &self.heads[b]) {
-            (Some(x), Some(y)) => match x.key.cmp(&y.key).then_with(|| y.seq.cmp(&x.seq)) {
-                Ordering::Less => true,
-                Ordering::Greater => false,
-                Ordering::Equal => a < b,
-            },
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => a < b,
+    /// Plays the tournament of the subtree under `node` (initial build),
+    /// returning its winning leaf.
+    fn build(&mut self, sources: &[Source], node: usize) -> usize {
+        if node >= self.p {
+            return node - self.p;
         }
+        let (a, b) = (
+            self.build(sources, 2 * node),
+            self.build(sources, 2 * node + 1),
+        );
+        let (win, lose) = if play(sources, a, b).0 {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.losers[node] = lose;
+        win
     }
 
-    /// Plays the full tournament bottom-up (initial build).
-    fn rebuild(&mut self) {
-        if self.p == 1 {
-            self.winner = 0;
-            self.runner_up = NO_CONTENDER;
-            return;
-        }
-        let p = self.p;
-        // winners[i] = winning leaf of the subtree rooted at node i.
-        let mut winners = vec![0usize; 2 * p];
-        for (i, w) in winners.iter_mut().enumerate().skip(p) {
-            *w = i - p;
-        }
-        for i in (1..p).rev() {
-            let (a, b) = (winners[2 * i], winners[2 * i + 1]);
-            let (win, lose) = if self.beats(a, b) { (a, b) } else { (b, a) };
-            winners[i] = win;
-            self.losers[i] = lose;
-        }
-        self.winner = winners[1];
-        self.recompute_runner_up();
-    }
-
-    /// Replays the winner's path after its head changed hands.
-    fn replay(&mut self) {
-        let p = self.p;
-        let mut winner = self.winner;
-        let mut node = (winner + p) >> 1;
-        while node >= 1 {
-            let loser = self.losers[node];
-            if self.beats(loser, winner) {
-                self.losers[node] = winner;
-                winner = loser;
-            }
-            node >>= 1;
-        }
-        self.winner = winner;
-        self.recompute_runner_up();
-    }
-
-    fn recompute_runner_up(&mut self) {
-        if self.p == 1 {
-            self.runner_up = NO_CONTENDER;
-            return;
-        }
+    fn find_runner_up(&mut self, sources: &[Source]) {
         let mut node = (self.winner + self.p) >> 1;
         let mut best = NO_CONTENDER;
         while node >= 1 {
             let cand = self.losers[node];
-            if best == NO_CONTENDER || self.beats(cand, best) {
+            if best == NO_CONTENDER || play(sources, cand, best).0 {
                 best = cand;
             }
             node >>= 1;
@@ -135,108 +207,123 @@ impl LoserTree {
         self.runner_up = best;
     }
 
-    /// The winning source index, or `None` when every source is exhausted.
-    fn winner_source(&self) -> Option<usize> {
-        self.heads[self.winner].is_some().then_some(self.winner)
-    }
-
-    /// Takes the winning entry; the caller must follow with
-    /// [`refill`](Self::refill) before the next take.
-    fn take_winner(&mut self) -> Entry {
-        self.heads[self.winner].take().expect("winner has a head")
-    }
-
-    /// Installs the winner source's next head and restores the tournament
-    /// invariant — by the 1-comparison fast path when the source is still
-    /// winning, by a root-path replay otherwise.
-    fn refill(&mut self, head: Option<Entry>) {
-        self.heads[self.winner] = head;
-        if self.runner_up == NO_CONTENDER {
-            return; // sole live contender: nothing can outrank it
+    /// Restores the tournament invariant after the winner's source moved
+    /// on — by the 1-match fast path when the source is still winning, by
+    /// a root-path replay otherwise.
+    fn refill(&mut self, sources: &[Source]) {
+        let (moved, rival) = (self.winner, self.runner_up);
+        if rival == NO_CONTENDER {
+            return; // sole contender: nothing can outrank it
         }
-        if self.beats(self.winner, self.runner_up) {
-            return; // run detected: same source keeps winning
+        let (wins, tie) = play(sources, moved, rival);
+        if wins {
+            self.tie = tie; // run detected: same source keeps winning
+            return;
         }
-        self.replay();
+        // Replay the path; the match against the rival is already played.
+        let mut winner = moved;
+        let mut node = (winner + self.p) >> 1;
+        while node >= 1 {
+            let loser = self.losers[node];
+            if (winner == moved && loser == rival) || play(sources, loser, winner).0 {
+                self.losers[node] = winner;
+                winner = loser;
+            }
+            node >>= 1;
+        }
+        self.winner = winner;
+        self.find_runner_up(sources);
+        self.tie = if (winner, self.runner_up) == (rival, moved) {
+            tie // the same two, the other way round
+        } else {
+            play(sources, winner, self.runner_up).1
+        };
     }
 }
 
-/// Merges any number of sorted entry sources through a [`LoserTree`].
+/// Merges any number of sorted [`Source`]s through a [`LoserTree`],
+/// yielding only the newest version (highest sequence number) of each key;
+/// older versions are stepped over.
+///
+/// Deduplication clones no key. Versions of one key come out adjacent,
+/// newest first, and each source holds at most one of them, so the only
+/// entry that can be a superseded version of the winner is the tree's
+/// runner-up: the match the tree plays between those two anyway, while
+/// both keys lie in place, also tells whether the next winner is
+/// superseded.
+///
+/// An I/O error while stepping a source does not cut the merge short: the
+/// entries the other sources are positioned on (already in memory) drain
+/// first, with no further reads, then the error surfaces, then the merge
+/// is over.
 pub struct MergingIter {
-    sources: Vec<EntrySource>,
+    sources: Vec<Source>,
     tree: LoserTree,
-    last_key: Option<Bytes>,
-    dedup: bool,
+    /// The current winner is an older version of the previous one's key.
+    superseded: bool,
     failed: bool,
-    // An error hit while refilling the tree: surfaced after the entries
-    // already buffered, so no data is silently dropped before the error.
-    pending_err: Option<crate::error::LsmError>,
+    pending_err: Option<LsmError>,
 }
 
 impl MergingIter {
-    /// Creates a merging iterator.
-    ///
-    /// With `dedup`, only the newest version (highest sequence number) of
-    /// each key is yielded; older versions are consumed silently.
-    pub fn new(mut sources: Vec<EntrySource>, dedup: bool) -> Result<Self> {
-        let mut heads = Vec::with_capacity(sources.len());
-        for source in sources.iter_mut() {
-            match source.next() {
-                Some(Ok(entry)) => heads.push(Some(entry)),
-                Some(Err(e)) => return Err(e),
-                None => heads.push(None),
-            }
-        }
-        Ok(Self {
+    /// Creates a merge over `sources`; ties between equal versions go to
+    /// the earlier source.
+    pub fn new(mut sources: Vec<Source>) -> Self {
+        // Exhausted sources cannot win or tie: leave them out of the tree.
+        sources.retain(|source| !source.exhausted());
+        Self {
+            tree: LoserTree::new(&sources),
             sources,
-            tree: LoserTree::new(heads),
-            last_key: None,
-            dedup,
+            superseded: false,
             failed: false,
             pending_err: None,
-        })
+        }
+    }
+
+    /// Steps to the next surviving entry and shows it to `visit` where it
+    /// lies — [`EntryView::entry`] borrows it, [`EntryView::to_entry`] owns
+    /// it — before its source moves on. Returns what `visit` made of it.
+    #[inline]
+    pub fn next_with<T>(&mut self, visit: impl FnOnce(&Source) -> T) -> Option<Result<T>> {
+        loop {
+            if self.failed {
+                return None;
+            }
+            let winner = self.tree.winner;
+            if self.sources.get(winner).is_none_or(Source::exhausted) {
+                self.failed = true;
+                return self.pending_err.take().map(Err);
+            }
+            if !std::mem::replace(&mut self.superseded, self.tree.tie) {
+                let seen = visit(&self.sources[winner]);
+                self.step(winner);
+                return Some(Ok(seen));
+            }
+            self.step(winner);
+        }
+    }
+
+    /// Moves the winner's source on and replays the tree.
+    fn step(&mut self, winner: usize) {
+        // After an error, stop reading: what the sources are positioned on
+        // drains first, then the error surfaces.
+        let source = &mut self.sources[winner];
+        if self.pending_err.is_some() {
+            source.close();
+        } else if let Err(e) = source.advance() {
+            self.pending_err = Some(e); // the failed source is exhausted
+        }
+        self.tree.refill(&self.sources);
     }
 }
 
+/// The merge as owned entries — for consumers that must keep them (a
+/// parallel merge worker's batches).
 impl Iterator for MergingIter {
     type Item = Result<Entry>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        loop {
-            let Some(src) = self.tree.winner_source() else {
-                if let Some(e) = self.pending_err.take() {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-                return None;
-            };
-            let entry = self.tree.take_winner();
-            // After an error, stop pulling sources: the heads already
-            // buffered drain first, then the error surfaces.
-            let head = if self.pending_err.is_none() {
-                match self.sources[src].next() {
-                    Some(Ok(e)) => Some(e),
-                    Some(Err(e)) => {
-                        self.pending_err = Some(e);
-                        None
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            };
-            self.tree.refill(head);
-            if self.dedup {
-                if self.last_key.as_ref() == Some(&entry.key) {
-                    continue; // superseded version
-                }
-                self.last_key = Some(entry.key.clone());
-            }
-            return Some(Ok(entry));
-        }
+        self.next_with(EntryView::to_entry)
     }
 }
 
@@ -364,47 +451,59 @@ impl Iterator for RangeIter {
                 return Some(Ok(pair));
             }
         };
+        /// What one merged entry means to the scan.
+        enum Seen {
+            PastHi,
+            Deleted,
+            Live(Entry),
+        }
+        let hi = self.hi.as_deref();
         loop {
-            let entry = match inner.next()? {
-                Ok(e) => e,
+            // Bounds and tombstones are judged on the borrowed entry; only
+            // a pair that goes to the caller is sliced out of its page.
+            let seen = inner.next_with(|source| {
+                let entry = source.entry();
+                if hi.is_some_and(|hi| entry.key >= hi) {
+                    Seen::PastHi
+                } else if entry.is_tombstone() {
+                    Seen::Deleted // deleted key: invisible to scans
+                } else {
+                    Seen::Live(source.to_entry())
+                }
+            });
+            let entry = match seen? {
+                Ok(Seen::Live(entry)) => entry,
+                Ok(Seen::Deleted) => continue,
+                Ok(Seen::PastHi) => {
+                    self.done = true;
+                    return None;
+                }
                 Err(e) => {
                     self.done = true;
                     return Some(Err(e));
                 }
             };
-            if let Some(hi) = &self.hi {
-                if entry.key >= *hi {
-                    self.done = true;
-                    return None;
-                }
-            }
-            if entry.is_tombstone() {
-                continue; // deleted key: invisible to scans
-            }
-            if entry.kind == crate::entry::EntryKind::IndirectPut {
+            let value = if entry.kind == crate::entry::EntryKind::IndirectPut {
                 let resolved = crate::vlog::ValuePointer::decode(&entry.value)
-                    .ok_or_else(|| {
-                        crate::error::LsmError::Corruption("malformed value-log pointer".into())
-                    })
+                    .ok_or_else(|| LsmError::Corruption("malformed value-log pointer".into()))
                     .and_then(|ptr| match &self.vlog {
                         Some(vlog) => vlog.get(ptr),
-                        None => Err(crate::error::LsmError::Corruption(
+                        None => Err(LsmError::Corruption(
                             "indirect entry in a store without a value log".into(),
                         )),
                     });
-                return match resolved {
-                    Ok(value) => {
-                        self.scanned += 1;
-                        Some(Ok((entry.key, value)))
-                    }
+                match resolved {
+                    Ok(value) => value,
                     Err(e) => {
                         self.done = true;
-                        Some(Err(e))
+                        return Some(Err(e));
                     }
-                };
-            }
+                }
+            } else {
+                entry.value
+            };
             self.scanned += 1;
-            return Some(Ok((entry.key, entry.value)));
+            return Some(Ok((entry.key, value)));
         }
     }
 }
@@ -413,83 +512,70 @@ impl Iterator for RangeIter {
 mod tests {
     use super::*;
 
-    fn src(entries: Vec<Entry>) -> EntrySource {
-        Box::new(entries.into_iter().map(Ok))
+    fn src(entries: Vec<Entry>) -> Source {
+        entries.into()
     }
 
     fn put(k: &str, v: &str, seq: u64) -> Entry {
         Entry::put(k.as_bytes().to_vec(), v.as_bytes().to_vec(), seq)
     }
 
+    fn pairs(it: MergingIter) -> Vec<(String, String)> {
+        it.map(|e| {
+            let e = e.unwrap();
+            (
+                String::from_utf8(e.key.to_vec()).unwrap(),
+                String::from_utf8(e.value.to_vec()).unwrap(),
+            )
+        })
+        .collect()
+    }
+
     #[test]
     fn merges_in_key_order() {
-        let it = MergingIter::new(
-            vec![
-                src(vec![put("a", "1", 1), put("c", "3", 3)]),
-                src(vec![put("b", "2", 2), put("d", "4", 4)]),
-            ],
-            false,
-        )
-        .unwrap();
-        let keys: Vec<String> = it
-            .map(|e| String::from_utf8(e.unwrap().key.to_vec()).unwrap())
-            .collect();
+        let it = MergingIter::new(vec![
+            src(vec![put("a", "1", 1), put("c", "3", 3)]),
+            src(vec![put("b", "2", 2), put("d", "4", 4)]),
+        ]);
+        let keys: Vec<String> = pairs(it).into_iter().map(|(k, _)| k).collect();
         assert_eq!(keys, vec!["a", "b", "c", "d"]);
     }
 
     #[test]
     fn dedup_keeps_newest_version() {
-        let it = MergingIter::new(
-            vec![
+        // The newer version wins whichever source holds it.
+        for newer_first in [true, false] {
+            let mut sources = vec![
                 src(vec![put("k", "new", 10)]),
                 src(vec![put("k", "old", 5)]),
-            ],
-            true,
-        )
-        .unwrap();
-        let got: Vec<Entry> = it.map(|e| e.unwrap()).collect();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].value.as_ref(), b"new");
+            ];
+            if !newer_first {
+                sources.reverse();
+            }
+            let got: Vec<Entry> = MergingIter::new(sources).map(|e| e.unwrap()).collect();
+            assert_eq!(got.len(), 1);
+            assert_eq!(got[0].value.as_ref(), b"new");
+        }
     }
 
     #[test]
-    fn without_dedup_all_versions_surface_newest_first() {
-        let it = MergingIter::new(
-            vec![
-                src(vec![put("k", "old", 5)]),
-                src(vec![put("k", "new", 10)]),
-            ],
-            false,
-        )
-        .unwrap();
-        let got: Vec<Entry> = it.map(|e| e.unwrap()).collect();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].seq, 10, "internal order: newest first among equals");
-        assert_eq!(got[1].seq, 5);
+    fn equal_versions_tie_break_to_the_earlier_source() {
+        let it = MergingIter::new(vec![
+            src(vec![put("k", "first", 7)]),
+            src(vec![put("k", "second", 7)]),
+        ]);
+        assert_eq!(pairs(it), vec![("k".into(), "first".into())]);
     }
 
     #[test]
     fn dedup_across_three_sources() {
-        let it = MergingIter::new(
-            vec![
-                src(vec![put("a", "a2", 20), put("b", "b1", 11)]),
-                src(vec![put("a", "a1", 10), put("c", "c1", 12)]),
-                src(vec![put("a", "a0", 1), put("b", "b0", 2)]),
-            ],
-            true,
-        )
-        .unwrap();
-        let got: Vec<(String, String)> = it
-            .map(|e| {
-                let e = e.unwrap();
-                (
-                    String::from_utf8(e.key.to_vec()).unwrap(),
-                    String::from_utf8(e.value.to_vec()).unwrap(),
-                )
-            })
-            .collect();
+        let it = MergingIter::new(vec![
+            src(vec![put("a", "a2", 20), put("b", "b1", 11)]),
+            src(vec![put("a", "a1", 10), put("c", "c1", 12)]),
+            src(vec![put("a", "a0", 1), put("b", "b0", 2)]),
+        ]);
         assert_eq!(
-            got,
+            pairs(it),
             vec![
                 ("a".into(), "a2".into()),
                 ("b".into(), "b1".into()),
@@ -499,25 +585,40 @@ mod tests {
     }
 
     #[test]
+    fn a_key_in_every_source_survives_once_at_every_width() {
+        // Chains of superseded versions longer than the tree is deep, at
+        // source counts on both sides of each power of two.
+        for k in 1..=9usize {
+            let sources = (0..k)
+                .map(|s| {
+                    src(vec![
+                        put("dup", &format!("v{s}"), (k - s) as u64),
+                        put(&format!("own{s}"), "x", 100),
+                    ])
+                })
+                .collect();
+            let got = pairs(MergingIter::new(sources));
+            assert_eq!(got.len(), k + 1, "{k} sources");
+            assert_eq!(got[0], ("dup".into(), "v0".into()), "{k} sources");
+        }
+    }
+
+    #[test]
     fn empty_sources_are_fine() {
-        let it = MergingIter::new(vec![src(vec![]), src(vec![])], true).unwrap();
-        assert_eq!(it.count(), 0);
-        let it = MergingIter::new(vec![], true).unwrap();
-        assert_eq!(it.count(), 0);
+        assert_eq!(MergingIter::new(vec![src(vec![]), src(vec![])]).count(), 0);
+        assert_eq!(MergingIter::new(vec![]).count(), 0);
+        let it = MergingIter::new(vec![src(vec![]), src(vec![put("a", "1", 1)])]);
+        assert_eq!(it.count(), 1);
     }
 
     #[test]
     fn range_iter_hides_tombstones_and_respects_bound() {
-        let inner = MergingIter::new(
-            vec![src(vec![
-                put("a", "1", 1),
-                Entry::tombstone(b"b".to_vec(), 2),
-                put("c", "3", 3),
-                put("d", "4", 4),
-            ])],
-            true,
-        )
-        .unwrap();
+        let inner = MergingIter::new(vec![src(vec![
+            put("a", "1", 1),
+            Entry::tombstone(b"b".to_vec(), 2),
+            put("c", "3", 3),
+            put("d", "4", 4),
+        ])]);
         let it = RangeIter::new(inner, Some(Bytes::from_static(b"d")));
         let keys: Vec<String> = it
             .map(|kv| String::from_utf8(kv.unwrap().0.to_vec()).unwrap())
@@ -526,18 +627,29 @@ mod tests {
     }
 
     #[test]
-    fn error_from_source_propagates_and_fuses() {
-        let bad: EntrySource = Box::new(
-            vec![
-                Ok(put("a", "1", 1)),
-                Err(crate::error::LsmError::Corruption("synthetic".into())),
-                Ok(put("z", "9", 9)),
-            ]
-            .into_iter(),
-        );
-        let mut it = MergingIter::new(vec![bad], true).unwrap();
-        assert!(it.next().unwrap().is_ok());
-        assert!(it.next().unwrap().is_err());
-        assert!(it.next().is_none(), "iterator fuses after error");
+    fn error_from_source_drains_positioned_entries_then_surfaces_and_fuses() {
+        use monkey_storage::{Backend, Disk, FaultKind, FlakyBackend, MemBackend};
+        use std::sync::Arc;
+        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
+        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
+        let entries: Vec<Entry> = (0..6)
+            .map(|i| put(&format!("k{i}"), "vvvvvvvv", i))
+            .collect();
+        let run = crate::compaction::build_run_from_sorted(&disk, entries, false, 1, 10.0)
+            .unwrap()
+            .unwrap();
+        assert!(run.pages() >= 3, "two entries a page");
+        let cursor = run.scan_from(b"").unwrap(); // page 0 is read here
+        backend.arm(0);
+        let mut it = MergingIter::new(vec![cursor.into(), src(vec![put("k1x", "mem", 9)])]);
+        let mut next_key = || it.next().map(|e| e.map(|e| e.key.to_vec()));
+        assert_eq!(next_key().unwrap().unwrap(), b"k0");
+        // Stepping past k1 hits the dead disk; k1 itself was already read,
+        // and so was the other source's head, which drains before the error.
+        assert_eq!(next_key().unwrap().unwrap(), b"k1");
+        assert_eq!(next_key().unwrap().unwrap(), b"k1x");
+        assert!(next_key().unwrap().is_err());
+        assert!(next_key().is_none(), "iterator fuses after error");
+        assert_eq!(backend.injected(), 1, "no reads after the failure");
     }
 }

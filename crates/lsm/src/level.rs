@@ -150,7 +150,7 @@ mod tests {
 
     fn tiny_run(disk: &Arc<Disk>, key: &str) -> Arc<Run> {
         let mut b = RunBuilder::new(Arc::clone(disk));
-        b.push(Entry::put(key.as_bytes().to_vec(), b"v".to_vec(), 0))
+        b.push(&Entry::put(key.as_bytes().to_vec(), b"v".to_vec(), 0))
             .unwrap();
         Arc::new(b.finish(10.0).unwrap().unwrap())
     }

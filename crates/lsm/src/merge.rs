@@ -25,10 +25,10 @@
 //!   page edge (a fence key) of a run, or *straddles* one page of it, and
 //!   straddled pages are pre-read once by the coordinator, which hands
 //!   the decoded entries to the adjacent partitions in memory. Page 0 of
-//!   each run is read with a seek (`read_page`) by whoever reads it —
-//!   coordinator or worker — and every other page with
-//!   `read_page_sequential`, so seeks == number of input runs and reads
-//!   == number of input pages, exactly as in the sequential merge.
+//!   each run is read with a seek by whoever reads it — coordinator or
+//!   worker — and every other page sequentially, so seeks == number of
+//!   input runs and reads == number of input pages, exactly as in the
+//!   sequential merge.
 //!
 //! # Failure
 //!
@@ -37,10 +37,10 @@
 //! written output run is deleted by `RunWriter`'s drop, the inputs are
 //! *not* marked obsolete, and the first error propagates to the caller.
 
-use crate::entry::Entry;
+use crate::entry::{Entry, EntryView};
 use crate::error::{LsmError, Result};
-use crate::iter::{EntrySource, MergingIter};
-use crate::page::{decode_page, PageCursor};
+use crate::iter::{MergingIter, Source};
+use crate::page::PageCursor;
 use crate::run::{FilterParams, Run, RunBuilder};
 use bytes::Bytes;
 use monkey_storage::Disk;
@@ -135,16 +135,20 @@ fn feed_merge(
         Vec::new()
     };
     if partitions.len() <= 1 {
-        let sources: Vec<EntrySource> = inputs
+        let sources = inputs
             .iter()
-            .map(|run| Box::new(run.iter_for_merge()) as EntrySource)
-            .collect();
-        for item in MergingIter::new(sources, true)? {
-            let entry: Entry = item?;
-            if drop_tombstones && entry.is_tombstone() {
-                continue;
+            .map(|run| run.merge_pages(0..run.pages()).map(Source::from))
+            .collect::<Result<Vec<_>>>()?;
+        let mut merged = MergingIter::new(sources);
+        // Each surviving entry goes from its input page straight into the
+        // output page; nothing owned is built in between.
+        while let Some(pushed) = merged.next_with(|source| {
+            if drop_tombstones && source.entry().is_tombstone() {
+                return Ok(());
             }
-            builder.push(entry)?;
+            builder.push(source)
+        }) {
+            pushed??;
         }
         return Ok(MergeReport {
             partitions: 1,
@@ -180,15 +184,15 @@ impl RunSlice {
         self.head.is_empty() && self.pages.is_empty() && self.tail.is_empty()
     }
 
-    fn into_source(self) -> EntrySource {
-        let range = PageRangeIter::new(self.run, self.pages);
-        Box::new(
-            self.head
-                .into_iter()
-                .map(Ok)
-                .chain(range)
-                .chain(self.tail.into_iter().map(Ok)),
-        )
+    /// Appends the slice's parts — disjoint and ascending, so the merge may
+    /// treat them as sources of their own — opening the page cursor.
+    fn open_into(self, sources: &mut Vec<Source>) -> Result<()> {
+        sources.push(self.head.into());
+        if !self.pages.is_empty() {
+            sources.push(self.run.merge_pages(self.pages)?.into());
+        }
+        sources.push(self.tail.into());
+        Ok(())
     }
 }
 
@@ -196,99 +200,6 @@ impl RunSlice {
 /// input order.
 struct Partition {
     slices: Vec<RunSlice>,
-}
-
-/// Pages per batched readahead submission on the merge path. One
-/// multi-page submission (a chained io_uring SQE batch on the direct
-/// backend, one scatter call elsewhere) replaces this many single-page
-/// round trips, while the window stays small enough that decode keeps
-/// overlapping I/O and memory stays bounded per run slice.
-const MERGE_READAHEAD_PAGES: u32 = 8;
-
-/// Batched readahead over a run's page range `[start, end)`: page 0 of
-/// the run costs a seek + read, every other page a sequential read —
-/// byte-identical `IoStats` to reading one page at a time — but pages are
-/// fetched [`MERGE_READAHEAD_PAGES`] at a time in one backend submission,
-/// and draining the window refills it so decode overlaps I/O. Every page
-/// in the range is read exactly once.
-struct PageRangeIter {
-    run: Arc<Run>,
-    next_page: u32,
-    end: u32,
-    cursor: Option<PageCursor>,
-    window: std::collections::VecDeque<Bytes>,
-    done: bool,
-}
-
-impl PageRangeIter {
-    fn new(run: Arc<Run>, pages: Range<u32>) -> Self {
-        Self {
-            run,
-            next_page: pages.start,
-            end: pages.end.max(pages.start),
-            cursor: None,
-            window: std::collections::VecDeque::new(),
-            done: false,
-        }
-    }
-
-    /// Issues the next readahead batch. Page 0 (wherever it is claimed)
-    /// carries the run's single seek; everything else is sequential.
-    /// Streaming admission throughout: merge inputs must not flush a
-    /// scan-resistant cache's protected segment.
-    fn fill_window(&mut self) -> Result<()> {
-        let count = MERGE_READAHEAD_PAGES.min(self.end.saturating_sub(self.next_page));
-        if count == 0 {
-            return Ok(());
-        }
-        let reqs: Vec<(monkey_storage::RunId, u32, bool)> = (self.next_page
-            ..self.next_page + count)
-            .map(|p| (self.run.id(), p, p == 0))
-            .collect();
-        let pages = self.run.disk().read_scattered(&reqs)?;
-        self.next_page += count;
-        self.window.extend(pages);
-        Ok(())
-    }
-
-    fn advance(&mut self) -> Result<Option<Entry>> {
-        loop {
-            if let Some(cursor) = &mut self.cursor {
-                if let Some(entry) = cursor.next_entry()? {
-                    return Ok(Some(entry));
-                }
-                self.cursor = None;
-            }
-            if self.window.is_empty() {
-                if self.done || self.next_page >= self.end {
-                    self.done = true;
-                    return Ok(None);
-                }
-                self.fill_window()?;
-            }
-            let Some(page) = self.window.pop_front() else {
-                self.done = true;
-                return Ok(None);
-            };
-            self.cursor = Some(PageCursor::new(page)?);
-        }
-    }
-}
-
-impl Iterator for PageRangeIter {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.advance() {
-            Err(e) => {
-                self.done = true;
-                self.cursor = None;
-                self.window.clear();
-                Some(Err(e))
-            }
-            Ok(next) => next.map(Ok),
-        }
-    }
 }
 
 /// Where one partition boundary cuts one run.
@@ -377,8 +288,12 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
             .collect();
         if !addrs.is_empty() {
             let pages = run.disk().read_scattered(&addrs)?;
-            for ((_, entries), page) in straddle.iter_mut().zip(&pages) {
-                *entries = decode_page(page)?;
+            for (entries, page) in straddle.values_mut().zip(pages) {
+                let mut cursor = PageCursor::new(page)?;
+                entries.reserve(cursor.remaining());
+                while let Some(entry) = cursor.next_entry()? {
+                    entries.push(entry);
+                }
             }
         }
         for (p, partition) in partitions.iter_mut().enumerate() {
@@ -468,7 +383,7 @@ fn feed_parallel(
             'drain: for batch in rx.iter() {
                 match batch {
                     Ok(entries) => {
-                        for entry in entries {
+                        for entry in &entries {
                             if let Err(e) = builder.push(entry) {
                                 first_err = Some(e);
                                 break 'drain;
@@ -523,18 +438,14 @@ fn merge_partition(
     abort: &AtomicBool,
     drop_tombstones: bool,
 ) {
-    let sources: Vec<EntrySource> = partition
-        .slices
-        .into_iter()
-        .map(RunSlice::into_source)
-        .collect();
-    let merged = match MergingIter::new(sources, true) {
-        Ok(m) => m,
-        Err(e) => {
+    let mut sources = Vec::with_capacity(3 * partition.slices.len());
+    for slice in partition.slices {
+        if let Err(e) = slice.open_into(&mut sources) {
             let _ = tx.send(Err(e));
             return;
         }
-    };
+    }
+    let merged = MergingIter::new(sources);
     let mut batch = Vec::with_capacity(BATCH_ENTRIES);
     for item in merged {
         match item {

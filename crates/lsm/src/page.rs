@@ -16,10 +16,11 @@
 //! that has fenced to the right page finds its key with a binary search in
 //! memory — the page read is the only I/O.
 
-use crate::entry::{Entry, EntryKind, ENTRY_HEADER_LEN};
+use crate::entry::{Entry, EntryKind, EntryRef, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
 use bytes::Bytes;
 use monkey_bloom::hash::xxh64;
+use std::ops::Range;
 
 const PAGE_SEED: u64 = 0x5041_4745_4D4F_4E4B; // "PAGEMONK"
 
@@ -31,11 +32,14 @@ pub fn max_entry_len(page_size: usize) -> usize {
     page_size.saturating_sub(PAGE_HEADER_LEN)
 }
 
-/// An in-construction page buffer.
+/// An in-construction page buffer. Entries arrive as borrowed views
+/// (`&Entry` converts) and are copied straight into the page.
 pub struct PageBuilder {
     buf: Vec<u8>,
     count: u16,
     page_size: usize,
+    /// Where the most recently pushed key sits in `buf`.
+    last_key: Range<usize>,
 }
 
 impl PageBuilder {
@@ -49,12 +53,13 @@ impl PageBuilder {
             buf,
             count: 0,
             page_size,
+            last_key: 0..0,
         }
     }
 
     /// Whether `entry` fits in the remaining space.
-    pub fn fits(&self, entry: &Entry) -> bool {
-        self.buf.len() + entry.encoded_len() <= self.page_size
+    pub fn fits<'a>(&self, entry: impl Into<EntryRef<'a>>) -> bool {
+        self.buf.len() + entry.into().encoded_len() <= self.page_size
     }
 
     /// Number of entries appended so far.
@@ -67,7 +72,8 @@ impl PageBuilder {
     /// Returns [`LsmError::EntryTooLarge`] if the entry can never fit in an
     /// empty page, [`LsmError::KeyTooLarge`] for keys over the u16 limit.
     /// Callers check [`fits`](Self::fits) first to close full pages.
-    pub fn push(&mut self, entry: &Entry) -> Result<()> {
+    pub fn push<'a>(&mut self, entry: impl Into<EntryRef<'a>>) -> Result<()> {
+        let entry = entry.into();
         if entry.key.len() > u16::MAX as usize {
             return Err(LsmError::KeyTooLarge(entry.key.len()));
         }
@@ -85,8 +91,9 @@ impl PageBuilder {
             .extend_from_slice(&(entry.value.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(&entry.seq.to_le_bytes());
         self.buf.push(entry.kind.to_byte());
-        self.buf.extend_from_slice(&entry.key);
-        self.buf.extend_from_slice(&entry.value);
+        self.last_key = self.buf.len()..self.buf.len() + entry.key.len();
+        self.buf.extend_from_slice(entry.key);
+        self.buf.extend_from_slice(entry.value);
         self.count += 1;
         self.buf[0..2].copy_from_slice(&self.count.to_le_bytes());
         Ok(())
@@ -95,6 +102,12 @@ impl PageBuilder {
     /// True when no entries have been appended.
     pub fn is_empty(&self) -> bool {
         self.count == 0
+    }
+
+    /// The key of the most recently appended entry, borrowed from the page
+    /// under construction (empty on an empty page).
+    pub fn last_key(&self) -> &[u8] {
+        &self.buf[self.last_key.clone()]
     }
 
     /// Pads to the page size, stamps the checksum, and returns the finished
@@ -110,6 +123,7 @@ impl PageBuilder {
         self.buf.extend_from_slice(&0u16.to_le_bytes());
         self.buf.extend_from_slice(&0u64.to_le_bytes());
         self.count = 0;
+        self.last_key = 0..0;
         page
     }
 }
@@ -133,147 +147,160 @@ fn verify_page(page: &Bytes) -> Result<usize> {
     Ok(count)
 }
 
-/// A streaming cursor over one encoded page: validates the checksum once,
-/// then yields entries lazily, without materializing a `Vec<Entry>` for
-/// the whole page. Entry keys/values are `Bytes` slices into the page
-/// buffer (refcount bumps, no copies).
+/// A cursor positioned on one entry of an encoded page. Opening it
+/// validates the checksum once; each step validates one entry header.
+/// The entry under the cursor is read **borrowed from the page bytes**
+/// ([`key`](Self::key), [`entry`](Self::entry)) — no `Bytes` refcount
+/// traffic, no copies — and only [`to_entry`](Self::to_entry) /
+/// [`next_entry`](Self::next_entry) build an owned [`Entry`], whose key
+/// and value are `Bytes` slices of the page buffer.
 ///
-/// Merge inputs and the point-lookup hot path use this; [`decode_page`]
-/// stays as the eager equivalent for compatibility and tests.
+/// Point lookups ([`search`](Self::search)), scans, merges and recovery
+/// all read pages through this one type.
 pub struct PageCursor {
     page: Bytes,
+    /// Offset of the current entry's header.
     off: usize,
-    /// Entries not yet yielded.
+    klen: usize,
+    vlen: usize,
+    seq: u64,
+    kind: EntryKind,
+    /// Entries from the current one on; 0 = past the end.
     remaining: usize,
-    /// Index of the next entry (for corruption messages).
-    index: usize,
 }
 
 impl PageCursor {
-    /// Opens a cursor, verifying the page header and checksum.
+    /// Opens a cursor on the page's first entry, verifying the page header
+    /// and checksum.
     pub fn new(page: Bytes) -> Result<Self> {
-        let count = verify_page(&page)?;
-        Ok(Self {
+        let remaining = verify_page(&page)?;
+        let mut cursor = Self {
             page,
-            off: PAGE_HEADER_LEN,
-            remaining: count,
-            index: 0,
-        })
+            ..Self::empty()
+        };
+        if remaining > 0 {
+            cursor.load(PAGE_HEADER_LEN)?;
+            cursor.remaining = remaining;
+        }
+        Ok(cursor)
     }
 
-    /// Entries not yet yielded.
+    /// A cursor over nothing (and holding nothing).
+    pub(crate) fn empty() -> Self {
+        Self {
+            page: Bytes::new(),
+            off: 0,
+            klen: 0,
+            vlen: 0,
+            seq: 0,
+            kind: EntryKind::Put,
+            remaining: 0,
+        }
+    }
+
+    /// Entries from the current one on.
     pub fn remaining(&self) -> usize {
         self.remaining
     }
 
-    /// Borrows the key of the next entry without decoding it — the probe
-    /// primitive of [`search`](Self::search): no `Bytes` refcount traffic,
-    /// no value slicing.
-    pub fn peek_key(&self) -> Result<Option<&[u8]>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let (klen, _) = self.header()?;
-        let start = self.off + ENTRY_HEADER_LEN;
-        Ok(Some(&self.page[start..start + klen]))
+    /// The current entry's key, borrowed from the page; `None` past the end.
+    #[inline]
+    pub fn key(&self) -> Option<&[u8]> {
+        (self.remaining > 0).then(|| &self.page[self.key_range()])
     }
 
-    /// Decodes the next entry and advances.
+    /// The current entry's sequence number (meaningless past the end).
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The current entry, borrowed from the page; `None` past the end.
+    #[inline]
+    pub fn entry(&self) -> Option<EntryRef<'_>> {
+        (self.remaining > 0).then(|| {
+            let body = &self.page[self.off + ENTRY_HEADER_LEN..][..self.klen + self.vlen];
+            let (key, value) = body.split_at(self.klen);
+            EntryRef {
+                key,
+                value,
+                seq: self.seq,
+                kind: self.kind,
+            }
+        })
+    }
+
+    /// The current entry, owned: key and value are slices sharing the
+    /// page buffer. `None` past the end.
+    pub fn to_entry(&self) -> Option<Entry> {
+        (self.remaining > 0).then(|| {
+            let key = self.key_range();
+            Entry {
+                value: self.page.slice(key.end..key.end + self.vlen),
+                key: self.page.slice(key),
+                seq: self.seq,
+                kind: self.kind,
+            }
+        })
+    }
+
+    /// Steps to the next entry, validating its header.
+    pub fn advance(&mut self) -> Result<()> {
+        if self.remaining > 1 {
+            self.load(self.key_range().end + self.vlen)?;
+        }
+        self.remaining = self.remaining.saturating_sub(1);
+        Ok(())
+    }
+
+    /// Returns the current entry, owned, and steps past it.
     pub fn next_entry(&mut self) -> Result<Option<Entry>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        let (klen, vlen) = self.header()?;
-        let off = self.off;
-        let seq = u64::from_le_bytes(self.page[off + 6..off + 14].try_into().unwrap());
-        let kind = EntryKind::from_byte(self.page[off + 14]).ok_or_else(|| {
-            LsmError::Corruption(format!("entry {} has bad kind byte", self.index))
-        })?;
-        let body = off + ENTRY_HEADER_LEN;
-        let key = self.page.slice(body..body + klen);
-        let value = self.page.slice(body + klen..body + klen + vlen);
-        self.advance(klen, vlen);
-        Ok(Some(Entry {
-            key,
-            value,
-            seq,
-            kind,
-        }))
-    }
-
-    /// Skips the next entry without decoding its body.
-    pub fn skip_entry(&mut self) -> Result<bool> {
-        if self.remaining == 0 {
-            return Ok(false);
-        }
-        let (klen, vlen) = self.header()?;
-        self.advance(klen, vlen);
-        Ok(true)
+        let entry = self.to_entry();
+        self.advance()?;
+        Ok(entry)
     }
 
     /// Finds the newest version of `key` in the page.
     ///
     /// Entries are in internal order (key asc, seq desc), so the scan
     /// compares key slices in place and stops as soon as it passes `key` —
-    /// the first match is the newest version, and nothing before or after
-    /// it is ever decoded into an owned [`Entry`].
+    /// the first match is the newest version, and it is the only entry
+    /// ever built into an owned [`Entry`].
     pub fn search(mut self, key: &[u8]) -> Result<Option<Entry>> {
-        while let Some(k) = self.peek_key()? {
+        while let Some(k) = self.key() {
             match k.cmp(key) {
-                std::cmp::Ordering::Less => {
-                    self.skip_entry()?;
-                }
-                std::cmp::Ordering::Equal => return self.next_entry(),
+                std::cmp::Ordering::Less => self.advance()?,
+                std::cmp::Ordering::Equal => return Ok(self.to_entry()),
                 std::cmp::Ordering::Greater => return Ok(None),
             }
         }
         Ok(None)
     }
 
-    /// Header of the next entry, bounds-checked: `(key_len, value_len)`.
-    fn header(&self) -> Result<(usize, usize)> {
-        let off = self.off;
-        if off + ENTRY_HEADER_LEN > self.page.len() {
-            return Err(LsmError::Corruption(format!(
-                "entry {} header truncated",
-                self.index
-            )));
-        }
-        let klen = u16::from_le_bytes(self.page[off..off + 2].try_into().unwrap()) as usize;
-        let vlen = u32::from_le_bytes(self.page[off + 2..off + 6].try_into().unwrap()) as usize;
+    #[inline]
+    fn key_range(&self) -> Range<usize> {
+        let start = self.off + ENTRY_HEADER_LEN;
+        start..start + self.klen
+    }
+
+    /// Positions the cursor on the entry whose header starts at `off`,
+    /// bounds-checking header and body against the page.
+    fn load(&mut self, off: usize) -> Result<()> {
+        let corrupt =
+            |what: &str| LsmError::Corruption(format!("entry at page offset {off} {what}"));
+        let Some(header) = self.page.get(off..off + ENTRY_HEADER_LEN) else {
+            return Err(corrupt("header truncated"));
+        };
+        let klen = u16::from_le_bytes(header[0..2].try_into().unwrap()) as usize;
+        let vlen = u32::from_le_bytes(header[2..6].try_into().unwrap()) as usize;
+        let seq = u64::from_le_bytes(header[6..14].try_into().unwrap());
+        let kind = EntryKind::from_byte(header[14]).ok_or_else(|| corrupt("has bad kind byte"))?;
         if off + ENTRY_HEADER_LEN + klen + vlen > self.page.len() {
-            return Err(LsmError::Corruption(format!(
-                "entry {} body truncated",
-                self.index
-            )));
+            return Err(corrupt("body truncated"));
         }
-        Ok((klen, vlen))
+        (self.off, self.klen, self.vlen, self.seq, self.kind) = (off, klen, vlen, seq, kind);
+        Ok(())
     }
-
-    fn advance(&mut self, klen: usize, vlen: usize) {
-        self.off += ENTRY_HEADER_LEN + klen + vlen;
-        self.remaining -= 1;
-        self.index += 1;
-    }
-}
-
-/// Decodes every entry of a page.
-pub fn decode_page(page: &Bytes) -> Result<Vec<Entry>> {
-    let mut cursor = PageCursor::new(page.clone())?;
-    let mut entries = Vec::with_capacity(cursor.remaining());
-    while let Some(entry) = cursor.next_entry()? {
-        entries.push(entry);
-    }
-    Ok(entries)
-}
-
-/// Binary-searches a decoded page for the newest version of `key`.
-///
-/// Entries are in internal order (key asc, seq desc), so the first entry
-/// with a matching key is the newest.
-pub fn search_page<'e>(entries: &'e [Entry], key: &[u8]) -> Option<&'e Entry> {
-    let idx = entries.partition_point(|e| e.key.as_ref() < key);
-    entries.get(idx).filter(|e| e.key.as_ref() == key)
 }
 
 #[cfg(test)]
@@ -284,31 +311,44 @@ mod tests {
         Entry::put(k.as_bytes().to_vec(), v.as_bytes().to_vec(), seq)
     }
 
+    fn page_of(entries: &[Entry], page_size: usize) -> Bytes {
+        let mut b = PageBuilder::new(page_size);
+        for e in entries {
+            assert!(b.fits(e));
+            b.push(e).unwrap();
+        }
+        Bytes::from(b.finish())
+    }
+
+    /// Every entry of a page, owned.
+    fn decode(page: Bytes) -> Result<Vec<Entry>> {
+        let mut cursor = PageCursor::new(page)?;
+        let mut entries = Vec::with_capacity(cursor.remaining());
+        while let Some(entry) = cursor.next_entry()? {
+            entries.push(entry);
+        }
+        Ok(entries)
+    }
+
     #[test]
     fn build_and_decode_roundtrip() {
-        let mut b = PageBuilder::new(256);
         let entries = vec![
             entry("alpha", "1", 10),
             entry("beta", "2", 11),
             entry("gamma", "", 12),
         ];
-        for e in &entries {
-            assert!(b.fits(e));
-            b.push(e).unwrap();
-        }
-        let page = Bytes::from(b.finish());
+        let page = page_of(&entries, 256);
         assert_eq!(page.len(), 256);
-        let decoded = decode_page(&page).unwrap();
-        assert_eq!(decoded, entries);
+        assert_eq!(decode(page).unwrap(), entries);
     }
 
     #[test]
     fn tombstones_roundtrip() {
-        let mut b = PageBuilder::new(128);
         let t = Entry::tombstone(b"dead".to_vec(), 99);
-        b.push(&t).unwrap();
-        let decoded = decode_page(&Bytes::from(b.finish())).unwrap();
-        assert_eq!(decoded, vec![t]);
+        assert_eq!(
+            decode(page_of(std::slice::from_ref(&t), 128)).unwrap(),
+            vec![t]
+        );
     }
 
     #[test]
@@ -337,112 +377,111 @@ mod tests {
     #[test]
     fn finish_resets_builder() {
         let mut b = PageBuilder::new(128);
+        assert_eq!(b.last_key(), b"");
         b.push(&entry("a", "1", 1)).unwrap();
+        assert_eq!(b.last_key(), b"a");
         let first = b.finish();
         assert!(b.is_empty());
+        assert_eq!(b.last_key(), b"");
         b.push(&entry("b", "2", 2)).unwrap();
         let second = b.finish();
         assert_ne!(first, second);
+        assert_eq!(decode(Bytes::from(second)).unwrap()[0].key.as_ref(), b"b");
+    }
+
+    #[test]
+    fn push_takes_borrowed_views() {
+        let mut b = PageBuilder::new(128);
+        let view = EntryRef {
+            key: b"k",
+            value: b"v",
+            seq: 3,
+            kind: EntryKind::Put,
+        };
+        assert!(b.fits(view));
+        b.push(view).unwrap();
         assert_eq!(
-            decode_page(&Bytes::from(second)).unwrap()[0].key.as_ref(),
-            b"b"
+            decode(Bytes::from(b.finish())).unwrap(),
+            vec![entry("k", "v", 3)]
         );
     }
 
     #[test]
-    fn decode_rejects_corrupt_pages() {
+    fn cursor_rejects_corrupt_pages() {
         // Count says 1 but no entry bytes follow.
         let mut page = vec![0u8; 64];
         page[0..2].copy_from_slice(&1u16.to_le_bytes());
         page.truncate(3);
-        assert!(decode_page(&Bytes::from(page)).is_err());
+        assert!(PageCursor::new(Bytes::from(page)).is_err());
 
         // Any single flipped bit in the payload trips the checksum.
-        let mut b = PageBuilder::new(64);
-        b.push(&entry("k", "v", 1)).unwrap();
-        let good = b.finish();
+        let good = page_of(&[entry("k", "v", 1)], 64).to_vec();
         for bit in [0usize, 7, 100, 300] {
             let mut page = good.clone();
             page[PAGE_HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
-            let err = decode_page(&Bytes::from(page)).unwrap_err();
+            let err = PageCursor::new(Bytes::from(page)).err().unwrap();
             assert!(err.to_string().contains("checksum"), "bit {bit}: {err}");
         }
 
-        // Bad kind byte.
-        let mut b = PageBuilder::new(64);
-        b.push(&entry("k", "v", 1)).unwrap();
-        let mut page = b.finish();
-        page[PAGE_HEADER_LEN + 14] = 9; // kind byte of first entry
-        assert!(decode_page(&Bytes::from(page)).is_err());
-
-        // Body length overflows the page.
-        let mut b = PageBuilder::new(64);
-        b.push(&entry("k", "v", 1)).unwrap();
-        let mut page = b.finish();
-        page[PAGE_HEADER_LEN + 2..PAGE_HEADER_LEN + 6].copy_from_slice(&10_000u32.to_le_bytes());
-        assert!(decode_page(&Bytes::from(page)).is_err());
-    }
-
-    #[test]
-    fn search_finds_newest_version() {
-        // Internal order: key asc, seq desc.
-        let entries = vec![
-            entry("a", "new", 9),
-            entry("a", "old", 3),
-            entry("b", "x", 5),
-        ];
-        assert_eq!(search_page(&entries, b"a").unwrap().value.as_ref(), b"new");
-        assert_eq!(search_page(&entries, b"b").unwrap().seq, 5);
-        assert!(search_page(&entries, b"c").is_none());
-        assert!(search_page(&entries, b"0").is_none());
+        // Past the checksum, every entry header is still bounds-checked:
+        // re-stamp pages whose first entry is malformed.
+        let restamp = |mut page: Vec<u8>| {
+            let sum = xxh64(
+                &page[PAGE_HEADER_LEN..],
+                PAGE_SEED ^ page[0] as u64 ^ ((page[1] as u64) << 8),
+            );
+            page[2..10].copy_from_slice(&sum.to_le_bytes());
+            Bytes::from(page)
+        };
+        let mut bad_kind = good.clone();
+        bad_kind[PAGE_HEADER_LEN + 14] = 9; // kind byte of first entry
+        let err = PageCursor::new(restamp(bad_kind)).err().unwrap();
+        assert!(err.to_string().contains("kind"), "{err}");
+        let mut long_body = good.clone();
+        long_body[PAGE_HEADER_LEN + 2..PAGE_HEADER_LEN + 6]
+            .copy_from_slice(&10_000u32.to_le_bytes());
+        let err = PageCursor::new(restamp(long_body)).err().unwrap();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        // A malformed *later* entry surfaces when the cursor steps onto it.
+        let two = page_of(&[entry("a", "1", 1), entry("b", "2", 2)], 64).to_vec();
+        let mut second_bad = two.clone();
+        second_bad[PAGE_HEADER_LEN + 17 + 14] = 9;
+        let mut cursor = PageCursor::new(restamp(second_bad)).unwrap();
+        assert_eq!(cursor.key(), Some(b"a".as_slice()));
+        assert!(cursor.advance().is_err());
     }
 
     #[test]
     fn empty_page_decodes_empty() {
-        let mut b = PageBuilder::new(32);
-        let page = Bytes::from(b.finish());
-        assert!(decode_page(&page).unwrap().is_empty());
+        let cursor = PageCursor::new(page_of(&[], 32)).unwrap();
+        assert_eq!(cursor.remaining(), 0);
+        assert!(cursor.key().is_none() && cursor.entry().is_none());
     }
 
     #[test]
-    fn cursor_streams_the_same_entries_decode_page_returns() {
-        let mut b = PageBuilder::new(256);
+    fn cursor_reads_entries_in_place_then_owned() {
         let entries = vec![
             entry("alpha", "1", 10),
             entry("beta", "2", 11),
             Entry::tombstone(b"gamma".to_vec(), 12),
         ];
-        for e in &entries {
-            b.push(e).unwrap();
-        }
-        let page = Bytes::from(b.finish());
-        let mut cursor = PageCursor::new(page.clone()).unwrap();
+        let mut cursor = PageCursor::new(page_of(&entries, 256)).unwrap();
         assert_eq!(cursor.remaining(), 3);
-        let mut streamed = Vec::new();
-        while let Some(e) = cursor.next_entry().unwrap() {
-            streamed.push(e);
+        for want in &entries {
+            // The borrowed view, the owned entry and the source all agree.
+            assert_eq!(cursor.key(), Some(want.key.as_ref()));
+            assert_eq!(cursor.entry(), Some(want.into()));
+            assert_eq!(cursor.to_entry().as_ref(), Some(want));
+            cursor.advance().unwrap();
         }
-        assert_eq!(streamed, decode_page(&page).unwrap());
         assert_eq!(cursor.remaining(), 0);
+        assert!(cursor.key().is_none() && cursor.to_entry().is_none());
+        cursor.advance().unwrap();
         assert!(cursor.next_entry().unwrap().is_none());
     }
 
     #[test]
-    fn cursor_peek_and_skip_do_not_decode() {
-        let mut b = PageBuilder::new(256);
-        b.push(&entry("a", "1", 1)).unwrap();
-        b.push(&entry("b", "2", 2)).unwrap();
-        let mut cursor = PageCursor::new(Bytes::from(b.finish())).unwrap();
-        assert_eq!(cursor.peek_key().unwrap(), Some(b"a".as_slice()));
-        assert!(cursor.skip_entry().unwrap());
-        assert_eq!(cursor.peek_key().unwrap(), Some(b"b".as_slice()));
-        assert_eq!(cursor.next_entry().unwrap().unwrap().key.as_ref(), b"b");
-        assert_eq!(cursor.peek_key().unwrap(), None);
-        assert!(!cursor.skip_entry().unwrap());
-    }
-
-    #[test]
-    fn cursor_search_matches_search_page() {
+    fn cursor_search_finds_newest_version() {
         // Internal order: key asc, seq desc — duplicates keep newest first.
         let entries = vec![
             entry("a", "new", 9),
@@ -450,38 +489,14 @@ mod tests {
             entry("b", "x", 5),
             entry("d", "y", 7),
         ];
-        let mut b = PageBuilder::new(256);
-        for e in &entries {
-            b.push(e).unwrap();
-        }
-        let page = Bytes::from(b.finish());
+        let page = page_of(&entries, 256);
         for probe in [b"a".as_slice(), b"b", b"c", b"d", b"0", b"z"] {
-            let eager = search_page(&entries, probe).cloned();
-            let streamed = PageCursor::new(page.clone())
+            let want = entries.iter().find(|e| e.key.as_ref() == probe);
+            let got = PageCursor::new(page.clone())
                 .unwrap()
                 .search(probe)
                 .unwrap();
-            assert_eq!(eager, streamed, "probe {probe:?}");
+            assert_eq!(want, got.as_ref(), "probe {probe:?}");
         }
-        assert_eq!(
-            PageCursor::new(page.clone())
-                .unwrap()
-                .search(b"a")
-                .unwrap()
-                .unwrap()
-                .seq,
-            9,
-            "newest version wins"
-        );
-    }
-
-    #[test]
-    fn cursor_rejects_corrupt_pages() {
-        let mut b = PageBuilder::new(64);
-        b.push(&entry("k", "v", 1)).unwrap();
-        let good = b.finish();
-        let mut bad = good.clone();
-        bad[PAGE_HEADER_LEN + 20] ^= 1;
-        assert!(PageCursor::new(Bytes::from(bad)).is_err(), "checksum trips");
     }
 }

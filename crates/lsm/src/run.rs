@@ -15,12 +15,13 @@
 //! underlying pages are reclaimed once the last reference (e.g. an open
 //! range cursor) drops.
 
-use crate::entry::Entry;
+use crate::entry::{Entry, EntryView};
 use crate::error::{LsmError, Result};
-use crate::page::{decode_page, PageBuilder, PageCursor};
+use crate::page::{PageBuilder, PageCursor};
 use bytes::Bytes;
 use monkey_bloom::{hash_pair, Filter, FilterVariant, HashPair};
 use monkey_storage::{Disk, RunId};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -81,21 +82,21 @@ impl RunLookup {
     }
 }
 
-/// Shortest separator `S` with `prev < S <= next` (both non-empty,
-/// `prev < next`): the shortest prefix of `next` that already exceeds
-/// `prev`. Fences store separators instead of full keys, which shrinks
+/// Length of the shortest separator `S` with `prev < S <= next` (both
+/// non-empty, `prev < next`): the shortest prefix of `next` that already
+/// exceeds `prev`. Fences store separators instead of full keys, which shrinks
 /// `M_pointers` when adjacent keys share long prefixes (LevelDB does the
 /// same). Correctness: an existing key `k <= prev` satisfies `k < S`
 /// (earlier pages) and `k >= next` satisfies `k >= S` (this page).
-fn shortest_separator(prev: &[u8], next: &Bytes) -> Bytes {
-    debug_assert!(prev < next.as_ref());
+fn shortest_separator(prev: &[u8], next: &[u8]) -> usize {
+    debug_assert!(prev < next);
     for i in 0..next.len() {
         if i >= prev.len() || next[i] > prev[i] {
-            return next.slice(..=i);
+            return i + 1;
         }
         debug_assert_eq!(next[i], prev[i], "keys must be sorted");
     }
-    next.clone()
+    next.len()
 }
 
 /// An immutable sorted run.
@@ -249,33 +250,34 @@ impl Run {
         })
     }
 
-    /// Iterates the whole run in key order.
-    pub fn iter(self: &Arc<Self>) -> RunScanIter {
-        RunScanIter::new(Arc::clone(self), 0, None)
-    }
-
-    /// Iterates the whole run for a merge: identical entries and identical
-    /// `IoStats` to [`iter`](Self::iter), but pages are fetched in
-    /// multi-page batched submissions. Merges always consume every page,
-    /// so the window never over-reads; user-facing scans fetch one page at
-    /// a time, on demand, and read only pages they decode.
-    pub fn iter_for_merge(self: &Arc<Self>) -> RunScanIter {
-        let mut it = RunScanIter::new(Arc::clone(self), 0, None);
-        it.batch = MERGE_SCAN_READAHEAD_PAGES;
-        it
-    }
-
-    /// Iterates entries with key `>= lo`, positioned via the fence pointers.
-    pub fn iter_from(self: &Arc<Self>, lo: &[u8]) -> RunScanIter {
-        if lo > self.max_key.as_ref() {
-            return RunScanIter::exhausted(Arc::clone(self));
-        }
-        let start_page = self.page_for(lo).unwrap_or(0);
-        RunScanIter::new(
-            Arc::clone(self),
-            start_page,
-            Some(Bytes::copy_from_slice(lo)),
+    /// Opens a scan cursor on the first entry with key `>= lo`, positioned
+    /// via the fence pointers; `lo` past the run's last key costs no I/O.
+    /// The scan reads one page at a time and only when the cursor runs dry
+    /// (see [`RunCursor`]).
+    pub fn scan_from(self: &Arc<Self>, lo: &[u8]) -> Result<RunCursor> {
+        let start = if lo > self.max_key.as_ref() {
+            self.pages
+        } else {
+            // Last page whose first key is <= lo; page 0 when lo precedes
+            // the run.
+            (self.fences.partition_point(|f| f.as_ref() <= lo) as u32).saturating_sub(1)
+        };
+        RunCursor::open(
+            &self.disk,
+            self.id,
+            Some(self),
+            start..self.pages,
+            1,
+            Some(lo),
         )
+    }
+
+    /// Opens a cursor over whole `pages` of the run for a merge: identical
+    /// entries and identical `IoStats` to a scan of those pages, fetched in
+    /// [`MERGE_READAHEAD_PAGES`]-page batched submissions.
+    pub(crate) fn merge_pages(self: &Arc<Self>, pages: Range<u32>) -> Result<RunCursor> {
+        let batch = MERGE_READAHEAD_PAGES;
+        RunCursor::open(&self.disk, self.id, Some(self), pages, batch, None)
     }
 }
 
@@ -300,6 +302,12 @@ impl std::fmt::Debug for Run {
 }
 
 /// Streaming builder: feed entries in internal order, get a sealed [`Run`].
+///
+/// Entries arrive as [`EntryView`]s and are copied once, from the borrowed
+/// view into the output page; the builder holds a key only where it must
+/// outlive its page — each page's fence (taken owned from the view), the
+/// last key of each flushed page (for the next fence's separator) and the
+/// run's max key at [`finish`](Self::finish).
 pub struct RunBuilder {
     disk: Arc<Disk>,
     writer: Option<monkey_storage::RunWriter>,
@@ -309,14 +317,11 @@ pub struct RunBuilder {
     /// these into the filter without re-hashing (and without keeping the
     /// key bytes alive).
     key_hashes: Vec<HashPair>,
-    first_in_page: bool,
     entries: u64,
     tombstones: u64,
     bytes: u64,
-    last_key: Option<Bytes>,
     /// Last key of the most recently flushed page (for fence separators).
-    prev_page_last: Option<Bytes>,
-    max_key: Bytes,
+    prev_page_last: Vec<u8>,
 }
 
 impl RunBuilder {
@@ -329,58 +334,53 @@ impl RunBuilder {
             page,
             fences: Vec::new(),
             key_hashes: Vec::new(),
-            first_in_page: true,
             entries: 0,
             tombstones: 0,
             bytes: 0,
-            last_key: None,
-            prev_page_last: None,
-            max_key: Bytes::new(),
+            prev_page_last: Vec::new(),
         }
     }
 
     /// Appends the next entry. Entries must arrive in strictly increasing
     /// key order with duplicate keys already resolved (one version per key).
-    pub fn push(&mut self, entry: Entry) -> Result<()> {
-        if let Some(last) = &self.last_key {
-            debug_assert!(
-                entry.key > *last,
-                "entries must be pushed in strictly increasing key order"
-            );
-        }
-        if !self.page.fits(&entry) && !self.page.is_empty() {
+    pub fn push(&mut self, view: &impl EntryView) -> Result<()> {
+        let entry = view.entry();
+        if !self.page.fits(entry) && !self.page.is_empty() {
             self.flush_page()?;
         }
-        if self.first_in_page {
+        let first_in_page = self.page.is_empty();
+        debug_assert!(
+            first_in_page || entry.key > self.page.last_key(),
+            "entries must be pushed in strictly increasing key order"
+        );
+        self.page.push(entry)?;
+        if first_in_page {
             // The first page fences with the true min key; later pages with
             // the shortest separator from the previous page's last key.
-            let fence = match &self.prev_page_last {
-                Some(prev) => shortest_separator(prev, &entry.key),
-                None => entry.key.clone(),
+            let len = if self.fences.is_empty() {
+                entry.key.len()
+            } else {
+                shortest_separator(&self.prev_page_last, entry.key)
             };
-            self.fences.push(fence);
-            self.first_in_page = false;
+            self.fences.push(view.to_entry().key.slice(..len));
         }
         self.bytes += entry.encoded_len() as u64;
         self.entries += 1;
         if entry.is_tombstone() {
             self.tombstones += 1;
         }
-        self.key_hashes.push(hash_pair(&entry.key));
-        self.max_key = entry.key.clone();
-        self.last_key = Some(entry.key.clone());
-        self.page.push(&entry)?;
+        self.key_hashes.push(hash_pair(entry.key));
         Ok(())
     }
 
     fn flush_page(&mut self) -> Result<()> {
+        self.prev_page_last.clear();
+        self.prev_page_last.extend_from_slice(self.page.last_key());
         let buf = self.page.finish();
         self.writer
             .as_mut()
             .expect("writer live until finish")
             .append(&buf)?;
-        self.first_in_page = true;
-        self.prev_page_last = self.last_key.clone();
         Ok(())
     }
 
@@ -405,9 +405,10 @@ impl RunBuilder {
         if self.entries == 0 {
             return Ok(None); // RunWriter drop cleans up storage
         }
-        if !self.page.is_empty() {
-            self.flush_page()?;
-        }
+        // Every push leaves its entry in the open page, so the run's last
+        // key is still there.
+        let max_key = Bytes::copy_from_slice(self.page.last_key());
+        self.flush_page()?;
         let writer = self.writer.take().expect("writer live until finish");
         let pages = writer.pages_written();
         let id = writer.seal()?;
@@ -423,7 +424,7 @@ impl RunBuilder {
             tombstones: self.tombstones,
             pages,
             fences: self.fences,
-            max_key: self.max_key,
+            max_key,
             filter,
             bytes: self.bytes,
             filter_bpe: params.bits_per_entry,
@@ -432,153 +433,158 @@ impl RunBuilder {
     }
 }
 
-/// Pages per batched submission when a merge drains a whole run via
-/// [`Run::iter_for_merge`]; user scans fetch one page at a time.
-const MERGE_SCAN_READAHEAD_PAGES: u32 = 8;
+/// Pages per batched submission wherever every page of a range is certain
+/// to be consumed — merge inputs and recovery. One multi-page submission
+/// (a chained io_uring SQE batch on the direct backend, one scatter call
+/// elsewhere) replaces this many single-page round trips, while the
+/// window stays small enough that memory stays bounded per cursor.
+pub(crate) const MERGE_READAHEAD_PAGES: u32 = 8;
 
-/// Sequential scan over a run's entries.
+/// The one page streamer: a cursor positioned on an entry of a run,
+/// stepping through a range of its pages. User scans, whole-run merges,
+/// partition slices of a parallel merge and recovery differ only in the
+/// page range, the batch width and the optional lower bound.
 ///
-/// The first page read costs a seek + read; each subsequent page costs a
-/// sequential read only, matching Eq. 11's range-lookup cost model. A
-/// page is fetched when the cursor runs dry and not before: reads are
-/// synchronous, so fetching ahead would overlap nothing, and a bounded
-/// scan would pay for a page it never decodes. A scan therefore reads
-/// exactly the pages it decodes — one per run when dropped after its
-/// first entry. (Merge scans opt into an 8-page batched window via
-/// [`Run::iter_for_merge`]; they always consume the whole run.) The
-/// iterator holds an `Arc` to its run, so a run superseded mid-scan stays
-/// readable until the cursor drops.
-pub struct RunScanIter {
-    run: Arc<Run>,
-    /// Streaming cursor over the current page.
-    cursor: Option<PageCursor>,
-    /// A merge's pages fetched and not yet decoded (user scans decode
-    /// each page as it arrives and leave this empty).
-    window: std::collections::VecDeque<Bytes>,
-    /// Next page number to fetch from disk.
+/// The entry under the cursor is read through [`page`](Self::page),
+/// borrowed from the page bytes; see [`PageCursor`].
+///
+/// The first page fetched with `seek` set costs a seek + read; every other
+/// page a sequential read only, matching Eq. 11's range-lookup cost model.
+/// At batch width 1 (user scans) a page is fetched when the cursor runs
+/// dry and not before: reads are synchronous, so fetching ahead would
+/// overlap nothing, and a bounded scan would pay for a page it never
+/// decodes. A scan therefore reads exactly the pages it decodes — one per
+/// run when dropped after its first entry. Wider batches are for callers
+/// that consume the whole range anyway. The cursor pins its [`Run`], so a
+/// run superseded mid-scan stays readable until the cursor drops.
+pub struct RunCursor {
+    disk: Arc<Disk>,
+    id: RunId,
+    _pin: Option<Arc<Run>>,
+    /// The page under the cursor (spent or empty once exhausted).
+    page: PageCursor,
+    /// Pages fetched and not yet decoded (empty at batch width 1).
+    window: std::vec::IntoIter<Bytes>,
+    /// Next page number to fetch from disk, up to `end`.
     next_page: u32,
-    started: bool,
-    lo: Option<Bytes>,
-    exhausted: bool,
-    /// Pages per submission: 1 for user scans (never read a page the scan
-    /// may not decode); merges widen it (every page gets consumed anyway).
+    end: u32,
     batch: u32,
+    /// The next fetch pays the seek.
+    seek: bool,
 }
 
-impl RunScanIter {
-    fn new(run: Arc<Run>, start_page: u32, lo: Option<Bytes>) -> Self {
-        Self {
-            run,
-            cursor: None,
-            window: std::collections::VecDeque::new(),
-            next_page: start_page,
-            started: false,
-            lo,
-            exhausted: false,
-            batch: 1,
-        }
-    }
-
-    fn exhausted(run: Arc<Run>) -> Self {
-        let mut it = Self::new(run, 0, None);
-        it.exhausted = true;
-        it
-    }
-
-    /// Reads the next page: a seek + read for the scan's first page, a
-    /// sequential read after that.
-    fn fetch_page(&mut self) -> Result<Bytes> {
-        let page = if self.started {
-            self.run
-                .disk
-                .read_page_sequential(self.run.id(), self.next_page)?
-        } else {
-            self.started = true;
-            // Scan admission: same seek+read accounting as a point read,
-            // but the cache treats the page as streaming.
-            self.run
-                .disk
-                .read_page_scan(self.run.id(), self.next_page)?
+impl RunCursor {
+    /// Opens a cursor over `pages` of run `id`, positioned on the first
+    /// entry with key `>= lo` (the first entry without `lo`).
+    fn open(
+        disk: &Arc<Disk>,
+        id: RunId,
+        pin: Option<&Arc<Run>>,
+        pages: Range<u32>,
+        batch: u32,
+        lo: Option<&[u8]>,
+    ) -> Result<Self> {
+        debug_assert!((1..=MERGE_READAHEAD_PAGES).contains(&batch));
+        let mut cursor = Self {
+            disk: Arc::clone(disk),
+            id,
+            _pin: pin.cloned(),
+            page: PageCursor::empty(),
+            window: Vec::new().into_iter(),
+            next_page: pages.start,
+            end: pages.end.max(pages.start),
+            batch,
+            // A scan seeks to wherever it starts; the slices a merge cuts a
+            // run into share the run's one seek, charged to page 0.
+            seek: batch == 1 || pages.start == 0,
         };
-        self.next_page += 1;
-        Ok(page)
+        cursor.settle()?;
+        if let Some(lo) = lo {
+            // Once one key qualifies, the rest of the run does too.
+            while cursor.page.key().is_some_and(|key| key < lo) {
+                cursor.advance()?;
+            }
+        }
+        Ok(cursor)
     }
 
-    /// A merge's next submission into its empty window: up to `batch`
-    /// pages in one batched backend call. Ledger-identical to that many
-    /// [`fetch_page`](Self::fetch_page) calls — the scan's first page pays
-    /// the seek, the rest are sequential, all streaming-admitted.
-    fn fill_window(&mut self) -> Result<()> {
-        let first = self.next_page;
-        let count = self.batch.min(self.run.pages() - first);
-        let seek = !self.started;
-        let reqs: Vec<(RunId, u32, bool)> = (first..first + count)
-            .map(|p| (self.run.id(), p, seek && p == first))
-            .collect();
-        let pages = self.run.disk.read_scattered(&reqs)?;
-        self.started = true;
-        self.next_page += count;
-        self.window.extend(pages);
+    /// The page cursor under this one, positioned on the current entry —
+    /// [`key`](PageCursor::key), [`entry`](PageCursor::entry) and
+    /// [`to_entry`](PageCursor::to_entry) read it; past the end
+    /// ([`remaining`](PageCursor::remaining) zero) the range is exhausted.
+    #[inline]
+    pub fn page(&self) -> &PageCursor {
+        &self.page
+    }
+
+    /// Number of the page under the cursor.
+    fn page_no(&self) -> u32 {
+        self.next_page - 1 - self.window.len() as u32
+    }
+
+    /// Steps to the next entry, fetching the next page when this one runs
+    /// dry. After an error the cursor is exhausted.
+    pub fn advance(&mut self) -> Result<()> {
+        let stepped = self.page.advance().and_then(|()| self.settle());
+        if stepped.is_err() {
+            self.close();
+        }
+        stepped
+    }
+
+    /// Exhausts the cursor, letting go of the pages it holds.
+    pub(crate) fn close(&mut self) {
+        self.page = PageCursor::empty();
+        self.window = Vec::new().into_iter();
+        self.next_page = self.end;
+    }
+
+    /// Leaves the cursor on an entry, or past the end of the range.
+    fn settle(&mut self) -> Result<()> {
+        while self.page.remaining() == 0 {
+            let Some(page) = self.take_page()? else {
+                return Ok(());
+            };
+            self.page = PageCursor::new(page)?;
+        }
         Ok(())
     }
 
-    /// The next page to decode, or `None` past the run's last one.
+    /// The next page to decode, or `None` past the range's last one.
     fn take_page(&mut self) -> Result<Option<Bytes>> {
-        if self.window.is_empty() {
-            if self.exhausted || self.next_page >= self.run.pages() {
-                self.exhausted = true;
-                return Ok(None);
-            }
-            if self.batch == 1 {
-                return self.fetch_page().map(Some);
-            }
-            self.fill_window()?;
+        if let Some(page) = self.window.next() {
+            return Ok(Some(page));
         }
-        Ok(self.window.pop_front())
-    }
-
-    fn advance(&mut self) -> Result<Option<Entry>> {
-        loop {
-            if let Some(cursor) = &mut self.cursor {
-                // Skip leading keys below `lo` without slicing entries out;
-                // once one key qualifies, the rest of the run does too.
-                if let Some(lo) = &self.lo {
-                    while let Some(key) = cursor.peek_key()? {
-                        if key >= lo.as_ref() {
-                            break;
-                        }
-                        cursor.skip_entry()?;
-                    }
-                    if cursor.peek_key()?.is_some() {
-                        self.lo = None;
-                    }
-                }
-                if let Some(entry) = cursor.next_entry()? {
-                    return Ok(Some(entry));
-                }
-                self.cursor = None;
-            }
-            let Some(page) = self.take_page()? else {
-                return Ok(None);
+        if self.next_page >= self.end {
+            return Ok(None);
+        }
+        let first = self.next_page;
+        let seek = std::mem::replace(&mut self.seek, false);
+        if self.batch == 1 {
+            self.next_page += 1;
+            // Scan admission: a seek is accounted like a point read's, but
+            // the cache treats every page of a scan as streaming.
+            let page = if seek {
+                self.disk.read_page_scan(self.id, first)?
+            } else {
+                self.disk.read_page_sequential(self.id, first)?
             };
-            self.cursor = Some(PageCursor::new(page)?);
+            return Ok(Some(page));
         }
-    }
-}
-
-impl Iterator for RunScanIter {
-    type Item = Result<Entry>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.advance() {
-            Err(e) => {
-                self.exhausted = true;
-                self.cursor = None;
-                self.window.clear();
-                Some(Err(e))
-            }
-            Ok(next) => next.map(Ok),
+        // One batched backend call, ledger-identical to that many single
+        // reads: the first page pays the seek (if any), the rest are
+        // sequential, all streaming-admitted.
+        let count = self.batch.min(self.end - first);
+        let mut reqs = [(self.id, 0, false); MERGE_READAHEAD_PAGES as usize];
+        for (req, page_no) in reqs.iter_mut().zip(first..first + count) {
+            *req = (self.id, page_no, seek && page_no == first);
         }
+        self.window = self
+            .disk
+            .read_scattered(&reqs[..count as usize])?
+            .into_iter();
+        self.next_page += count;
+        Ok(self.window.next())
     }
 }
 
@@ -596,29 +602,27 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     let mut entries = 0u64;
     let mut tombstones = 0u64;
     let mut bytes = 0u64;
-    let mut max_key = Bytes::new();
-    for page_no in 0..pages {
-        let page = if page_no == 0 {
-            disk.read_page_scan(id, page_no)?
-        } else {
-            disk.read_page_sequential(id, page_no)?
-        };
-        let decoded = decode_page(&page)?;
-        if decoded.is_empty() {
-            return Err(LsmError::Corruption(format!(
-                "run {id} page {page_no} is empty"
-            )));
+    let mut max_key = Vec::new();
+    let mut cursor = RunCursor::open(disk, id, None, 0..pages, MERGE_READAHEAD_PAGES, None)?;
+    while let Some(e) = cursor.page.entry() {
+        // The cursor steps over empty pages, which then never get a fence.
+        if cursor.page_no() as usize == fences.len() {
+            fences.push(cursor.page.to_entry().expect("cursor is on an entry").key);
         }
-        fences.push(decoded[0].key.clone());
-        for e in &decoded {
-            entries += 1;
-            if e.is_tombstone() {
-                tombstones += 1;
-            }
-            bytes += e.encoded_len() as u64;
-            key_hashes.push(hash_pair(&e.key));
-            max_key = e.key.clone();
+        entries += 1;
+        if e.is_tombstone() {
+            tombstones += 1;
         }
+        bytes += e.encoded_len() as u64;
+        key_hashes.push(hash_pair(e.key));
+        if fences.len() == pages as usize {
+            max_key.clear();
+            max_key.extend_from_slice(e.key);
+        }
+        cursor.advance()?;
+    }
+    if fences.len() != pages as usize {
+        return Err(LsmError::Corruption(format!("run {id} has an empty page")));
     }
     let mut filter = Filter::with_bits_per_entry(params.variant, entries, params.bits_per_entry);
     for pair in &key_hashes {
@@ -631,7 +635,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
         tombstones,
         pages,
         fences,
-        max_key,
+        max_key: Bytes::from(max_key),
         filter,
         bytes,
         filter_bpe: params.bits_per_entry,
@@ -646,7 +650,7 @@ mod tests {
     fn build(disk: &Arc<Disk>, keys: &[&str], bpe: f64) -> Arc<Run> {
         let mut b = RunBuilder::new(Arc::clone(disk));
         for (i, k) in keys.iter().enumerate() {
-            b.push(Entry::put(
+            b.push(&Entry::put(
                 k.as_bytes().to_vec(),
                 format!("v{i}").into_bytes(),
                 i as u64,
@@ -654,6 +658,16 @@ mod tests {
             .unwrap();
         }
         Arc::new(b.finish(bpe).unwrap().unwrap())
+    }
+
+    /// Everything from the cursor's position on, owned.
+    fn drain(mut cursor: RunCursor) -> Vec<Entry> {
+        let mut entries = Vec::new();
+        while let Some(entry) = cursor.page().to_entry() {
+            entries.push(entry);
+            cursor.advance().unwrap();
+        }
+        entries
     }
 
     #[test]
@@ -709,8 +723,9 @@ mod tests {
     fn tombstones_are_returned() {
         let disk = Disk::mem(256);
         let mut b = RunBuilder::new(Arc::clone(&disk));
-        b.push(Entry::put(b"a".to_vec(), b"1".to_vec(), 1)).unwrap();
-        b.push(Entry::tombstone(b"b".to_vec(), 2)).unwrap();
+        b.push(&Entry::put(b"a".to_vec(), b"1".to_vec(), 1))
+            .unwrap();
+        b.push(&Entry::tombstone(b"b".to_vec(), 2)).unwrap();
         let run = Arc::new(b.finish(10.0).unwrap().unwrap());
         assert_eq!(run.tombstones(), 1);
         let e = run.get(b"b").unwrap().unwrap();
@@ -732,7 +747,7 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let run = build(&disk, &refs, 10.0);
         disk.reset_io();
-        let got: Vec<Entry> = run.iter().map(|e| e.unwrap()).collect();
+        let got = drain(run.scan_from(b"").unwrap());
         assert_eq!(got.len(), 50);
         assert!(got.windows(2).all(|w| w[0].key < w[1].key));
         let io = disk.io();
@@ -747,7 +762,7 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let run = build(&disk, &refs, 10.0);
         disk.reset_io();
-        let got: Vec<Entry> = run.iter_from(b"key0040").map(|e| e.unwrap()).collect();
+        let got = drain(run.scan_from(b"key0040").unwrap());
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].key.as_ref(), b"key0040");
         assert!(
@@ -761,7 +776,7 @@ mod tests {
         let disk = Disk::mem(64);
         let run = build(&disk, &["a", "b"], 10.0);
         disk.reset_io();
-        assert_eq!(run.iter_from(b"zzz").count(), 0);
+        assert!(run.scan_from(b"zzz").unwrap().page().key().is_none());
         assert_eq!(disk.io().page_reads, 0);
     }
 
@@ -780,14 +795,13 @@ mod tests {
         let disk = Disk::mem(64);
         let run = build(&disk, &["a", "b", "c"], 10.0);
         let id = run.id();
-        let cursor = run.iter(); // second reference via Arc inside iter
+        let cursor = run.scan_from(b"").unwrap(); // pins the run
         run.mark_obsolete();
         drop(run);
         // Cursor still holds the run: storage must still be readable.
         assert!(disk.run_pages(id).is_ok());
-        let n = cursor.count();
-        assert_eq!(n, 3);
-        // (cursor dropped here)
+        assert_eq!(drain(cursor).len(), 3);
+        // (cursor dropped there)
         assert!(
             disk.run_pages(id).is_err(),
             "storage reclaimed after last reference"
@@ -814,13 +828,13 @@ mod tests {
             assert!(run.pages() > 1);
             let file = dir.join(format!("{:016x}.run", run.id()));
             let id = run.id();
-            let mut cursor = run.iter();
-            assert_eq!(cursor.next().unwrap().unwrap().key.as_ref(), b"key0000");
+            let cursor = run.scan_from(b"").unwrap();
+            assert_eq!(cursor.page().key(), Some(b"key0000".as_slice()));
             run.mark_obsolete();
             drop(run);
             assert!(file.exists(), "the cursor still holds the run");
-            assert_eq!(cursor.count(), 399, "every later page stays readable");
-            // (cursor dropped here)
+            assert_eq!(drain(cursor).len(), 400, "every later page stays readable");
+            // (cursor dropped there)
             assert!(!file.exists(), "storage reclaimed after last reference");
             assert!(disk.run_pages(id).is_err());
             std::fs::remove_dir_all(&dir).unwrap();
@@ -902,9 +916,9 @@ mod tests {
             ("key00019", "key00020"),
         ];
         for (prev, next) in cases {
-            let s = shortest_separator(prev.as_bytes(), &Bytes::copy_from_slice(next.as_bytes()));
-            assert!(prev.as_bytes() < s.as_ref(), "{prev} !< {s:?}");
-            assert!(s.as_ref() <= next.as_bytes(), "{s:?} !<= {next}");
+            let s = &next.as_bytes()[..shortest_separator(prev.as_bytes(), next.as_bytes())];
+            assert!(prev.as_bytes() < s, "{prev} !< {s:?}");
+            assert!(s <= next.as_bytes(), "{s:?} !<= {next}");
             assert!(s.len() <= next.len());
         }
     }
@@ -972,7 +986,7 @@ mod tests {
         let mut b = RunBuilder::new(Arc::clone(&disk));
         let keys: Vec<String> = (0..40).map(|i| format!("key{i:03}")).collect();
         for (i, k) in keys.iter().enumerate() {
-            b.push(Entry::put(
+            b.push(&Entry::put(
                 k.as_bytes().to_vec(),
                 format!("v{i}").into_bytes(),
                 i as u64,
@@ -1007,7 +1021,7 @@ mod tests {
         let disk = Disk::mem(64);
         let mut b = RunBuilder::new(Arc::clone(&disk));
         for (i, k) in ["a", "b", "c"].iter().enumerate() {
-            b.push(Entry::put(k.as_bytes().to_vec(), b"v".to_vec(), i as u64))
+            b.push(&Entry::put(k.as_bytes().to_vec(), b"v".to_vec(), i as u64))
                 .unwrap();
         }
         let original = b

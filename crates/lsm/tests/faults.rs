@@ -158,3 +158,41 @@ fn cache_masks_read_faults_for_hot_pages() {
         "cache hit needs no I/O"
     );
 }
+
+#[test]
+fn scan_yields_what_it_had_read_then_the_error_then_ends() {
+    // The merge kernel's error contract, seen through `Db::range`: a read
+    // that fails mid-scan does not swallow the entries already read, and
+    // the cursor does not outlive the error.
+    let (db, backend) = flaky_db(FaultKind::Reads);
+    for i in 0..40 {
+        db.put(format!("k{i:04}").into_bytes(), vec![b'v'; 32])
+            .unwrap();
+    }
+    db.flush().unwrap();
+    let disk = db.disk();
+    let runs = disk.list_runs();
+    assert_eq!(runs.len(), 1, "one flush, one run");
+    assert!(disk.run_pages(runs[0]).unwrap() >= 3);
+    let first_page =
+        monkey_lsm::page::PageCursor::new(disk.read_page(runs[0], 0).unwrap()).unwrap();
+    let on_first_page = first_page.remaining();
+    assert!(on_first_page >= 2);
+
+    backend.arm(1); // the run's first page reads; its second does not
+    let mut scan = db.range(b"", None).unwrap();
+    for i in 0..on_first_page {
+        let (key, _) = scan.next().unwrap().unwrap();
+        assert_eq!(key.as_ref(), format!("k{i:04}").as_bytes());
+    }
+    let err = scan.next().unwrap().unwrap_err();
+    assert!(
+        matches!(err, LsmError::Storage(_)),
+        "unexpected error {err}"
+    );
+    assert!(scan.next().is_none(), "the cursor fuses after the error");
+    assert_eq!(backend.injected(), 1, "and reads nothing more");
+
+    backend.disarm();
+    assert_eq!(db.range(b"", None).unwrap().count(), 40);
+}

@@ -1,8 +1,8 @@
 //! The read path, measured from outside: which pages a scan reads, and
 //! which descriptors the store holds while it runs.
 //!
-//! * A scan reads exactly the pages it decodes. `RunScanIter` fetches a
-//!   page when its cursor runs dry, never ahead of it, so a bounded
+//! * A scan reads exactly the pages it decodes. A scan's `RunCursor` fetches
+//!   a page when the one under it runs dry, never ahead of it, so a bounded
 //!   `Db::range` costs — per run — the pages holding a key the merge
 //!   inspected, plus one seek; the tests rebuild that set from the run
 //!   files themselves and hold `IoStats` to it on the in-memory disk and
@@ -15,7 +15,7 @@
 //!   once the store is dropped.
 
 use monkey::{Db, DbOptions, IoBackend, MergePolicy};
-use monkey_lsm::page::decode_page;
+use monkey_lsm::page::PageCursor;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -58,11 +58,13 @@ fn layout(db: &Db) -> Vec<Vec<Vec<Vec<u8>>>> {
         .map(|&run| {
             (0..disk.run_pages(run).unwrap())
                 .map(|p| {
-                    decode_page(&disk.read_page(run, p).unwrap())
-                        .unwrap()
-                        .into_iter()
-                        .map(|e| e.key.to_vec())
-                        .collect()
+                    let mut cursor = PageCursor::new(disk.read_page(run, p).unwrap()).unwrap();
+                    let mut keys = Vec::with_capacity(cursor.remaining());
+                    while let Some(key) = cursor.key() {
+                        keys.push(key.to_vec());
+                        cursor.advance().unwrap();
+                    }
+                    keys
                 })
                 .collect()
         })
@@ -88,7 +90,7 @@ fn expected_io(
     for (r, pages) in layout.iter().enumerate() {
         let max = pages.last().unwrap().last().unwrap();
         if lo > max.as_slice() {
-            cursors.push(None); // `iter_from` past the run: no I/O at all
+            cursors.push(None); // `scan_from` past the run: no I/O at all
             continue;
         }
         // Last page whose first key is <= lo, else page 0.

@@ -1,0 +1,169 @@
+//! The scan and merge paths' allocation budget, as exact counts.
+//!
+//! The merge kernel compares keys where they lie and builds an owned entry
+//! only for what it outputs, so its heap traffic is a function of the
+//! sources it opens and the pages it fetches — never of the entries it
+//! steps over or yields. A counting `#[global_allocator]` (this file is a
+//! test binary of its own) holds that:
+//!
+//! * a bounded `Db::range` allocates a fixed number of blocks for the scan
+//!   itself — whatever the number of runs — plus whatever the disk spends
+//!   fetching each page; a 200-entry scan costs a 100-entry scan plus its
+//!   extra page fetches, and nothing per entry;
+//! * a whole-run `merge_runs` allocates per page read and written, not per
+//!   entry merged.
+
+use monkey::{Db, DbOptions, MergePolicy};
+use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
+use monkey_lsm::Entry;
+use monkey_storage::Disk;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// Counts the calling thread's heap allocations (the two tests run on
+/// threads of their own).
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers to `System` for every operation; the count is a
+// const-initialised thread-local `Cell`, which allocates nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:06}").into_bytes()
+}
+
+/// What a scan allocates for itself, whatever it scans: the source vector,
+/// the loser tree's node array and the owned upper bound.
+const SCAN_BLOCKS: u64 = 3;
+
+/// A two-level leveled tree over `n` keys, empty memtable.
+fn two_level_store(opts: DbOptions, n: u32) -> Arc<Db> {
+    let db = Db::open(
+        opts.page_size(4096)
+            .buffer_capacity(64 * 1024)
+            .size_ratio(4)
+            .merge_policy(MergePolicy::Leveling)
+            .uniform_filters(8.0)
+            .shards(1)
+            .compaction_threads(1),
+    )
+    .unwrap();
+    for i in 0..n {
+        db.put(key((i * 7919) % n), vec![b'v'; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    let stats = db.stats();
+    let levels = stats.levels.iter().filter(|l| l.runs > 0).count();
+    assert_eq!((stats.runs, levels), (2, 2), "a run on each of two levels");
+    db
+}
+
+/// Allocations and page reads of one scan of `[lo, lo + entries)`, rows
+/// dropped as they arrive.
+fn scan(db: &Db, lo: u32, entries: u32) -> (u64, u64) {
+    let (lo, hi) = (key(lo), key(lo + entries));
+    db.reset_io();
+    let (allocs, rows) = allocs_in(|| db.range(&lo, Some(&hi)).unwrap().count());
+    assert_eq!(rows as u32, entries);
+    (allocs, db.io().page_reads)
+}
+
+#[test]
+fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
+    const N: u32 = 6000;
+    // The in-memory disk hands out the pages it stores: a fetch allocates
+    // nothing, so the scan's own blocks are all there is — for one entry
+    // or two thousand, over two runs.
+    let mem = two_level_store(DbOptions::in_memory(), N);
+    for entries in [1, 100, 200, 2000] {
+        let (allocs, pages) = scan(&mem, 1000, entries);
+        assert!(pages >= 2, "{entries} entries: both runs read");
+        assert_eq!(allocs, SCAN_BLOCKS, "{entries} entries over {pages} pages");
+    }
+
+    // A file-backed disk (buffered, or direct under `MONKEY_IO_BACKEND`)
+    // allocates for each page it reads; the scan adds its own blocks and
+    // nothing else.
+    let dir = std::env::temp_dir().join(format!("monkey-scan-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let file = two_level_store(DbOptions::at_path(&dir), N);
+    let disk = file.disk();
+    let run = disk.list_runs()[0];
+    disk.read_page(run, 0).unwrap(); // the run's handle is open from here on
+    let (per_fetch, _) = allocs_in(|| disk.read_page_sequential(run, 1).unwrap());
+    assert!(per_fetch >= 1);
+    let (short, short_pages) = scan(&file, 1000, 100);
+    let (long, long_pages) = scan(&file, 1000, 200);
+    assert!(long_pages > short_pages);
+    assert_eq!(short, SCAN_BLOCKS + short_pages * per_fetch);
+    assert_eq!(long, short + (long_pages - short_pages) * per_fetch);
+    drop(file);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_merge_allocates_per_page_not_per_entry() {
+    /// Two interleaved runs of `entries` entries in all, ~`value` bytes each.
+    fn merge_allocs(entries: u32, value: usize) -> (u64, u64) {
+        let disk = Disk::mem(4096);
+        let run_of = |parity: u32| {
+            let sorted: Vec<Entry> = (0..entries)
+                .filter(|i| i % 2 == parity)
+                .map(|i| Entry::put(key(i), vec![b'v'; value], (parity * entries + i) as u64))
+                .collect();
+            build_run_from_sorted(&disk, sorted, false, 1, 8.0)
+                .unwrap()
+                .unwrap()
+        };
+        let inputs = [run_of(0), run_of(1)];
+        disk.reset_io();
+        let (allocs, out) = allocs_in(|| merge_runs(&disk, &inputs, false, 2, 8.0).unwrap());
+        assert_eq!(out.unwrap().entries(), entries as u64);
+        let io = disk.io();
+        (allocs, io.page_reads + io.page_writes)
+    }
+    // The same pages, four times the entries: the count moves with the
+    // pages. (What grows with entries — the key-hash vector feeding the
+    // filter — doubles its way up in a handful of reallocations.)
+    let (few, few_pages) = merge_allocs(4_000, 384);
+    let (many, many_pages) = merge_allocs(16_000, 78);
+    assert!(
+        few_pages.abs_diff(many_pages) * 20 < few_pages,
+        "{few_pages} vs {many_pages} pages"
+    );
+    assert!(
+        many < few + few / 10 + 8,
+        "{many} allocations for 16 000 entries, {few} for 4 000, over ~{few_pages} pages each"
+    );
+    assert!(
+        few < 8 * few_pages,
+        "{few} allocations over {few_pages} pages"
+    );
+    assert!(many < 16_000 / 4, "{many} allocations for 16 000 entries");
+}
