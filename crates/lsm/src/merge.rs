@@ -42,7 +42,6 @@ use crate::error::{LsmError, Result};
 use crate::iter::{MergingIter, Source};
 use crate::page::PageCursor;
 use crate::run::{FilterParams, Run, RunBuilder};
-use bytes::Bytes;
 use monkey_storage::Disk;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -226,22 +225,19 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
     // the run that owns it. Each fence carries the weight of its one page;
     // walking them in key order and cutting every `total/want` pages
     // balances input pages per partition.
-    let mut fences: Vec<&Bytes> = inputs.iter().flat_map(|r| r.fences().iter()).collect();
+    let mut fences: Vec<&[u8]> = inputs.iter().flat_map(|r| r.fences().iter()).collect();
     fences.sort_unstable();
     let stride = total_pages as f64 / want as f64;
-    let mut boundaries: Vec<Bytes> = Vec::with_capacity(want - 1);
-    for (i, fence) in fences.iter().enumerate() {
+    // Boundaries borrow the fence keys of the inputs, which outlive the plan.
+    let mut boundaries: Vec<&[u8]> = Vec::with_capacity(want - 1);
+    for (i, &fence) in fences.iter().enumerate() {
         if boundaries.len() == want - 1 {
             break;
         }
         let consumed = (i + 1) as f64;
         let next_target = stride * (boundaries.len() + 1) as f64;
-        if consumed >= next_target
-            && boundaries
-                .last()
-                .is_none_or(|b| b.as_ref() < fence.as_ref())
-        {
-            boundaries.push((*fence).clone());
+        if consumed >= next_target && boundaries.last().is_none_or(|&b| b < fence) {
+            boundaries.push(fence);
         }
     }
     if boundaries.is_empty() {
@@ -256,14 +252,14 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
         let fences = run.fences();
         let cuts: Vec<Cut> = boundaries
             .iter()
-            .map(|b| {
-                let right_start = fences.partition_point(|f| f.as_ref() < b.as_ref()) as u32;
-                let left_end = if run.max_key().as_ref() < b.as_ref() {
+            .map(|&b| {
+                let right_start = fences.partition_point(|f| f < b) as u32;
+                let left_end = if run.max_key().as_ref() < b {
                     m
                 } else {
                     // Page q holds only keys < f_{q+1}; it is wholly left
-                    // of b when f_{q+1} <= b.
-                    fences[1..].partition_point(|f| f.as_ref() <= b.as_ref()) as u32
+                    // of b when f_{q+1} <= b — the fences <= b, less f_0.
+                    fences.partition_point(|f| f <= b).saturating_sub(1) as u32
                 };
                 debug_assert!(left_end <= right_start && right_start <= left_end + 1);
                 Cut {
@@ -297,8 +293,8 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
             }
         }
         for (p, partition) in partitions.iter_mut().enumerate() {
-            let lo = (p > 0).then(|| &boundaries[p - 1]);
-            let hi = (p + 1 < nparts).then(|| &boundaries[p]);
+            let lo = (p > 0).then(|| boundaries[p - 1]);
+            let hi = (p + 1 < nparts).then(|| boundaries[p]);
             let start = lo.map_or(0, |_| cuts[p - 1].right_start);
             let end = hi.map_or(m, |_| cuts[p].left_end);
             let straddler = |cut: &Cut| (cut.left_end < cut.right_start).then_some(cut.left_end);
@@ -311,9 +307,9 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
                 head = straddle[&s]
                     .iter()
                     .filter(|e| {
-                        e.key.as_ref() >= lo.as_ref()
+                        e.key.as_ref() >= lo
                             && (s_hi != Some(s)
-                                || e.key.as_ref() < hi.expect("s_hi implies a bound").as_ref())
+                                || e.key.as_ref() < hi.expect("s_hi implies a bound"))
                     })
                     .cloned()
                     .collect();
@@ -325,7 +321,7 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
                     let hi = hi.expect("s_hi implies an upper bound");
                     tail = straddle[&s]
                         .iter()
-                        .filter(|e| e.key.as_ref() < hi.as_ref())
+                        .filter(|e| e.key.as_ref() < hi)
                         .cloned()
                         .collect();
                 }
@@ -478,6 +474,7 @@ fn merge_partition(
 mod tests {
     use super::*;
     use crate::compaction::build_run_from_sorted;
+    use bytes::Bytes;
 
     fn put(k: &str, v: &str, seq: u64) -> Entry {
         Entry::put(k.as_bytes().to_vec(), v.as_bytes().to_vec(), seq)

@@ -34,10 +34,14 @@ pub fn max_entry_len(page_size: usize) -> usize {
 
 /// An in-construction page buffer. Entries arrive as borrowed views
 /// (`&Entry` converts) and are copied straight into the page.
+///
+/// The builder owns one page-sized buffer for its whole life: a finished
+/// page is lent out of it, and the next page is built over the same bytes.
 pub struct PageBuilder {
+    /// Always one page long; `buf[..len]` is the page so far.
     buf: Vec<u8>,
+    len: usize,
     count: u16,
-    page_size: usize,
     /// Where the most recently pushed key sits in `buf`.
     last_key: Range<usize>,
 }
@@ -46,20 +50,17 @@ impl PageBuilder {
     /// Starts an empty page of `page_size` bytes.
     pub fn new(page_size: usize) -> Self {
         assert!(page_size > PAGE_HEADER_LEN, "page too small: {page_size}");
-        let mut buf = Vec::with_capacity(page_size);
-        buf.extend_from_slice(&0u16.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // checksum patched in finish()
         Self {
-            buf,
+            buf: vec![0; page_size],
+            len: PAGE_HEADER_LEN, // count and checksum are stamped in finish()
             count: 0,
-            page_size,
             last_key: 0..0,
         }
     }
 
     /// Whether `entry` fits in the remaining space.
     pub fn fits<'a>(&self, entry: impl Into<EntryRef<'a>>) -> bool {
-        self.buf.len() + entry.into().encoded_len() <= self.page_size
+        self.len + entry.into().encoded_len() <= self.buf.len()
     }
 
     /// Number of entries appended so far.
@@ -78,24 +79,25 @@ impl PageBuilder {
             return Err(LsmError::KeyTooLarge(entry.key.len()));
         }
         let encoded = entry.encoded_len();
-        if encoded > max_entry_len(self.page_size) {
+        if encoded > max_entry_len(self.buf.len()) {
             return Err(LsmError::EntryTooLarge {
                 encoded,
-                max: max_entry_len(self.page_size),
+                max: max_entry_len(self.buf.len()),
             });
         }
         debug_assert!(self.fits(entry), "caller must close full pages first");
-        self.buf
-            .extend_from_slice(&(entry.key.len() as u16).to_le_bytes());
-        self.buf
-            .extend_from_slice(&(entry.value.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&entry.seq.to_le_bytes());
-        self.buf.push(entry.kind.to_byte());
-        self.last_key = self.buf.len()..self.buf.len() + entry.key.len();
-        self.buf.extend_from_slice(entry.key);
-        self.buf.extend_from_slice(entry.value);
+        let (header, body) = self.buf[self.len..self.len + encoded].split_at_mut(ENTRY_HEADER_LEN);
+        header[0..2].copy_from_slice(&(entry.key.len() as u16).to_le_bytes());
+        header[2..6].copy_from_slice(&(entry.value.len() as u32).to_le_bytes());
+        header[6..14].copy_from_slice(&entry.seq.to_le_bytes());
+        header[14] = entry.kind.to_byte();
+        let (key, value) = body.split_at_mut(entry.key.len());
+        key.copy_from_slice(entry.key);
+        value.copy_from_slice(entry.value);
+        let key_start = self.len + ENTRY_HEADER_LEN;
+        self.last_key = key_start..key_start + entry.key.len();
+        self.len += encoded;
         self.count += 1;
-        self.buf[0..2].copy_from_slice(&self.count.to_le_bytes());
         Ok(())
     }
 
@@ -110,18 +112,19 @@ impl PageBuilder {
         &self.buf[self.last_key.clone()]
     }
 
-    /// Pads to the page size, stamps the checksum, and returns the finished
-    /// page buffer, leaving the builder ready for the next page.
-    pub fn finish(&mut self) -> Vec<u8> {
-        let mut page = std::mem::replace(&mut self.buf, Vec::with_capacity(self.page_size));
-        page.resize(self.page_size, 0);
+    /// Pads to the page size, stamps count and checksum, and lends the
+    /// finished page, leaving the builder empty: the next
+    /// [`push`](Self::push) starts a new page over the same buffer.
+    pub fn finish(&mut self) -> &[u8] {
+        let page = &mut self.buf;
+        page[self.len..].fill(0);
+        page[0..2].copy_from_slice(&self.count.to_le_bytes());
         let checksum = xxh64(
             &page[PAGE_HEADER_LEN..],
             PAGE_SEED ^ page[0] as u64 ^ ((page[1] as u64) << 8),
         );
         page[2..10].copy_from_slice(&checksum.to_le_bytes());
-        self.buf.extend_from_slice(&0u16.to_le_bytes());
-        self.buf.extend_from_slice(&0u64.to_le_bytes());
+        self.len = PAGE_HEADER_LEN;
         self.count = 0;
         self.last_key = 0..0;
         page
@@ -317,7 +320,7 @@ mod tests {
             assert!(b.fits(e));
             b.push(e).unwrap();
         }
-        Bytes::from(b.finish())
+        Bytes::copy_from_slice(b.finish())
     }
 
     /// Every entry of a page, owned.
@@ -380,11 +383,11 @@ mod tests {
         assert_eq!(b.last_key(), b"");
         b.push(&entry("a", "1", 1)).unwrap();
         assert_eq!(b.last_key(), b"a");
-        let first = b.finish();
+        let first = b.finish().to_vec();
         assert!(b.is_empty());
         assert_eq!(b.last_key(), b"");
         b.push(&entry("b", "2", 2)).unwrap();
-        let second = b.finish();
+        let second = b.finish().to_vec();
         assert_ne!(first, second);
         assert_eq!(decode(Bytes::from(second)).unwrap()[0].key.as_ref(), b"b");
     }
@@ -401,7 +404,7 @@ mod tests {
         assert!(b.fits(view));
         b.push(view).unwrap();
         assert_eq!(
-            decode(Bytes::from(b.finish())).unwrap(),
+            decode(Bytes::copy_from_slice(b.finish())).unwrap(),
             vec![entry("k", "v", 3)]
         );
     }

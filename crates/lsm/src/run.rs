@@ -3,9 +3,10 @@
 //! A run is the paper's "sorted array flushed to secondary storage" (§2):
 //! entries packed into fixed-size pages, plus two in-memory structures:
 //!
-//! * **fence pointers** — the first key of every page, so a point lookup
-//!   finds the single page that can contain its key with an in-memory
-//!   binary search and reads it with **one** I/O;
+//! * **fence pointers** — a separator key for every page, kept together in
+//!   one contiguous [`FenceIndex`], so a point lookup finds the single page
+//!   that can contain its key with an in-memory binary search and reads it
+//!   with **one** I/O;
 //! * a **Bloom filter** over the run's keys, whose size is the knob Monkey
 //!   turns. A run built with zero filter bits carries the degenerate
 //!   always-positive filter (an "unfiltered" level in the paper's terms).
@@ -99,6 +100,92 @@ fn shortest_separator(prev: &[u8], next: &[u8]) -> usize {
     next.len()
 }
 
+/// The fence pointers of a run: one key per page, in page order, packed
+/// into a single arena with their end offsets beside it. The index owns
+/// its bytes — a fence is copied out of the page its key was read from, so
+/// it pins nothing — and a search walks two contiguous arrays.
+///
+/// Fence 0 is the run's smallest key in full; every later fence is the
+/// shortest separator between the previous page's last key and the page's
+/// first. [`RunBuilder`] and [`recover_run`] both build the index through
+/// [`push`](Self::push), so a run's fences — and the `M_pointers` they are
+/// priced at — are the same before and after a reopen.
+#[derive(Default)]
+pub(crate) struct FenceIndex {
+    /// The fence keys, back to back.
+    keys: Vec<u8>,
+    /// `ends[i]` is where fence `i` ends in `keys` (and fence `i + 1`
+    /// starts).
+    ends: Vec<u32>,
+}
+
+impl FenceIndex {
+    /// Appends the fence of the next page, whose first key is `first_key`
+    /// and whose predecessor page ends with `prev_page_last` (ignored for
+    /// page 0).
+    fn push(&mut self, prev_page_last: &[u8], first_key: &[u8]) -> Result<()> {
+        let len = if self.ends.is_empty() {
+            first_key.len()
+        } else {
+            shortest_separator(prev_page_last, first_key)
+        };
+        let end = u32::try_from(self.keys.len() + len).map_err(|_| {
+            LsmError::Io(std::io::Error::new(
+                std::io::ErrorKind::FileTooLarge,
+                "a run's fence keys exceed 4 GiB",
+            ))
+        })?;
+        self.keys.extend_from_slice(&first_key[..len]);
+        self.ends.push(end);
+        Ok(())
+    }
+
+    /// Gives back what growing the index over-reserved: from here on it
+    /// only gets searched.
+    fn seal(&mut self) {
+        self.keys.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Number of fences (pages).
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Fence `i`.
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.keys[start..self.ends[i] as usize]
+    }
+
+    /// The fences in page order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Number of leading fences for which `pred` holds (`pred` must hold
+    /// for a prefix of the fences, as for `slice::partition_point`).
+    #[inline]
+    pub(crate) fn partition_point(&self, pred: impl Fn(&[u8]) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if pred(self.get(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Bytes of heap the index holds.
+    fn heap_bytes(&self) -> usize {
+        self.keys.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
 /// An immutable sorted run.
 pub struct Run {
     disk: Arc<Disk>,
@@ -106,8 +193,10 @@ pub struct Run {
     entries: u64,
     tombstones: u64,
     pages: u32,
-    /// First key of each page; `fences[0]` is the run's min key.
-    fences: Vec<Bytes>,
+    /// One fence per page; fence 0 is the run's min key. Like `max_key`,
+    /// it owns its bytes: no field of a run may slice a page, or the page's
+    /// frame would live as long as the run.
+    fences: FenceIndex,
     max_key: Bytes,
     filter: Filter,
     /// Total encoded payload bytes (drives level capacity checks).
@@ -146,8 +235,8 @@ impl Run {
     }
 
     /// Smallest key in the run.
-    pub fn min_key(&self) -> &Bytes {
-        &self.fences[0]
+    pub fn min_key(&self) -> &[u8] {
+        self.fences.get(0)
     }
 
     /// Largest key in the run.
@@ -171,12 +260,17 @@ impl Run {
     }
 
     /// Main-memory footprint of the fence pointers in bits (key bytes plus
-    /// a pointer-sized slot per page) — `M_pointers` in the paper.
+    /// a pointer-sized slot per page) — `M_pointers` in the paper. An upper
+    /// bound on what the index really holds, see
+    /// [`fence_heap_bytes`](Self::fence_heap_bytes).
     pub fn fence_memory_bits(&self) -> u64 {
-        self.fences
-            .iter()
-            .map(|f| (f.len() + std::mem::size_of::<usize>()) as u64 * 8)
-            .sum()
+        let slots = self.fences.len() * std::mem::size_of::<usize>();
+        (self.fences.keys.len() + slots) as u64 * 8
+    }
+
+    /// Bytes of heap the fence index actually occupies.
+    pub fn fence_heap_bytes(&self) -> usize {
+        self.fences.heap_bytes()
     }
 
     /// Marks the run superseded: its pages are deleted when the last
@@ -185,9 +279,9 @@ impl Run {
         self.obsolete.store(true, Ordering::Release);
     }
 
-    /// First key of every page — the merge partitioner consults these to
+    /// The fence of every page — the merge partitioner consults these to
     /// cut the merged key space along page boundaries.
-    pub(crate) fn fences(&self) -> &[Bytes] {
+    pub(crate) fn fences(&self) -> &FenceIndex {
         &self.fences
     }
 
@@ -199,11 +293,11 @@ impl Run {
     /// The page that may contain `key`, or `None` when `key` is outside the
     /// run's key range (no I/O needed at all in that case).
     pub fn page_for(&self, key: &[u8]) -> Option<u32> {
-        if key < self.fences[0].as_ref() || key > self.max_key.as_ref() {
+        if key < self.fences.get(0) || key > self.max_key.as_ref() {
             return None;
         }
-        // Last page whose first key is <= key.
-        let idx = self.fences.partition_point(|f| f.as_ref() <= key);
+        // Last page whose fence is <= key.
+        let idx = self.fences.partition_point(|f| f <= key);
         Some((idx - 1) as u32)
     }
 
@@ -258,9 +352,9 @@ impl Run {
         let start = if lo > self.max_key.as_ref() {
             self.pages
         } else {
-            // Last page whose first key is <= lo; page 0 when lo precedes
-            // the run.
-            (self.fences.partition_point(|f| f.as_ref() <= lo) as u32).saturating_sub(1)
+            // Last page whose fence is <= lo; page 0 when lo precedes the
+            // run.
+            (self.fences.partition_point(|f| f <= lo) as u32).saturating_sub(1)
         };
         RunCursor::open(
             &self.disk,
@@ -304,15 +398,15 @@ impl std::fmt::Debug for Run {
 /// Streaming builder: feed entries in internal order, get a sealed [`Run`].
 ///
 /// Entries arrive as [`EntryView`]s and are copied once, from the borrowed
-/// view into the output page; the builder holds a key only where it must
-/// outlive its page — each page's fence (taken owned from the view), the
+/// view into the output page; the builder copies a key only where it must
+/// outlive its page — each page's fence (into the [`FenceIndex`]), the
 /// last key of each flushed page (for the next fence's separator) and the
 /// run's max key at [`finish`](Self::finish).
 pub struct RunBuilder {
     disk: Arc<Disk>,
     writer: Option<monkey_storage::RunWriter>,
     page: PageBuilder,
-    fences: Vec<Bytes>,
+    fences: FenceIndex,
     /// Hash pair of every key, computed once at push time; sealing inserts
     /// these into the filter without re-hashing (and without keeping the
     /// key bytes alive).
@@ -332,7 +426,7 @@ impl RunBuilder {
             writer: Some(disk.begin_run()),
             disk,
             page,
-            fences: Vec::new(),
+            fences: FenceIndex::default(),
             key_hashes: Vec::new(),
             entries: 0,
             tombstones: 0,
@@ -355,14 +449,7 @@ impl RunBuilder {
         );
         self.page.push(entry)?;
         if first_in_page {
-            // The first page fences with the true min key; later pages with
-            // the shortest separator from the previous page's last key.
-            let len = if self.fences.is_empty() {
-                entry.key.len()
-            } else {
-                shortest_separator(&self.prev_page_last, entry.key)
-            };
-            self.fences.push(view.to_entry().key.slice(..len));
+            self.fences.push(&self.prev_page_last, entry.key)?;
         }
         self.bytes += entry.encoded_len() as u64;
         self.entries += 1;
@@ -376,11 +463,10 @@ impl RunBuilder {
     fn flush_page(&mut self) -> Result<()> {
         self.prev_page_last.clear();
         self.prev_page_last.extend_from_slice(self.page.last_key());
-        let buf = self.page.finish();
         self.writer
             .as_mut()
             .expect("writer live until finish")
-            .append(&buf)?;
+            .append(self.page.finish())?;
         Ok(())
     }
 
@@ -417,6 +503,7 @@ impl RunBuilder {
         for pair in &self.key_hashes {
             filter.insert_hashed(*pair);
         }
+        self.fences.seal();
         Ok(Some(Run {
             disk: self.disk.clone(),
             id,
@@ -597,17 +684,26 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     if pages == 0 {
         return Err(LsmError::Corruption(format!("run {id} has no pages")));
     }
-    let mut fences = Vec::with_capacity(pages as usize);
+    let mut fences = FenceIndex::default();
     let mut key_hashes: Vec<HashPair> = Vec::new();
     let mut entries = 0u64;
     let mut tombstones = 0u64;
     let mut bytes = 0u64;
-    let mut max_key = Vec::new();
+    // Last key of the most recently finished page: the next fence's
+    // separator is cut against it, and at the end it is the run's max key.
+    let mut page_last = Vec::new();
     let mut cursor = RunCursor::open(disk, id, None, 0..pages, MERGE_READAHEAD_PAGES, None)?;
     while let Some(e) = cursor.page.entry() {
         // The cursor steps over empty pages, which then never get a fence.
         if cursor.page_no() as usize == fences.len() {
-            fences.push(cursor.page.to_entry().expect("cursor is on an entry").key);
+            // A separator only exists between ascending keys.
+            if fences.len() > 0 && e.key <= page_last.as_slice() {
+                return Err(LsmError::Corruption(format!(
+                    "run {id}: page {} starts at or below its predecessor's last key",
+                    cursor.page_no()
+                )));
+            }
+            fences.push(&page_last, e.key)?;
         }
         entries += 1;
         if e.is_tombstone() {
@@ -615,15 +711,16 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
         }
         bytes += e.encoded_len() as u64;
         key_hashes.push(hash_pair(e.key));
-        if fences.len() == pages as usize {
-            max_key.clear();
-            max_key.extend_from_slice(e.key);
+        if cursor.page.remaining() == 1 {
+            page_last.clear();
+            page_last.extend_from_slice(e.key);
         }
         cursor.advance()?;
     }
     if fences.len() != pages as usize {
         return Err(LsmError::Corruption(format!("run {id} has an empty page")));
     }
+    fences.seal();
     let mut filter = Filter::with_bits_per_entry(params.variant, entries, params.bits_per_entry);
     for pair in &key_hashes {
         filter.insert_hashed(*pair);
@@ -635,7 +732,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
         tombstones,
         pages,
         fences,
-        max_key: Bytes::from(max_key),
+        max_key: Bytes::from(page_last),
         filter,
         bytes,
         filter_bpe: params.bits_per_entry,
@@ -865,9 +962,28 @@ mod tests {
         assert_eq!(recovered.min_key(), original.min_key());
         assert_eq!(recovered.max_key(), original.max_key());
         assert_eq!(recovered.bytes(), original.bytes());
+        assert_eq!(recovered.fence_memory_bits(), original.fence_memory_bits());
         let rec = Arc::new(recovered);
         let e = rec.get(b"k015").unwrap().unwrap();
         assert_eq!(e.value.as_ref(), b"v15");
+    }
+
+    #[test]
+    fn recover_run_rejects_pages_out_of_key_order() {
+        let disk = Disk::mem(64);
+        let mut writer = disk.begin_run();
+        let mut page = PageBuilder::new(64);
+        for key in ["m", "a"] {
+            page.push(&Entry::put(key.as_bytes().to_vec(), b"v".to_vec(), 1))
+                .unwrap();
+            writer.append(page.finish()).unwrap();
+        }
+        let id = writer.seal().unwrap();
+        let err = recover_run(&disk, id, 8.0).unwrap_err();
+        assert!(
+            err.to_string().contains("page 1 starts at or below"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! alignment report a fallback reason instead of failing, so callers
 //! degrade to the buffered backend and surface the reason once.
 //!
-//! All buffers come from one [`AlignedPool`] and freeze into zero-copy
-//! [`Bytes`]; with the `uring` feature on Linux, batched reads submit
+//! All buffers are frames of the run-handle table's [`AlignedPool`] — the
+//! same frame path the buffered backend reads through, at the device's
+//! alignment — and freeze into zero-copy [`Bytes`]; with the `uring` feature on Linux, batched reads submit
 //! multi-SQE `io_uring` batches and fall back to `pread` loops when the
 //! ring is unavailable or contended.
 
-use crate::aligned::AlignedPool;
+use crate::aligned::{AlignedPool, PoolStats};
 use crate::backend::{Backend, RunId};
 use crate::error::{Result, StorageError};
 use crate::handles::{RunHandle, RunHandles};
@@ -45,9 +46,6 @@ const O_DIRECT: i32 = 0o40000;
 /// a full readahead batch, small enough to set up instantly.
 #[cfg(all(feature = "uring", target_os = "linux"))]
 const URING_DEPTH: u32 = 32;
-
-/// Idle aligned buffers kept for reuse.
-const POOL_MAX_FREE: usize = 64;
 
 /// Which physical I/O path the storage layer should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,7 +144,7 @@ pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, Strin
             .custom_flags(O_DIRECT)
             .open(&probe_path)
             .map_err(|e| format!("O_DIRECT open rejected ({e}) — page cache it is"))?;
-        let pool = AlignedPool::new(4096, 4096, 1);
+        let pool = AlignedPool::new(4096, 4096);
         let mut buf = pool.acquire();
         for align in [512usize, 4096] {
             match f.read_at(&mut buf.as_mut_slice()[..align], 0) {
@@ -169,7 +167,6 @@ pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, Strin
 pub struct DirectFileBackend {
     page_size: usize,
     align: usize,
-    pool: AlignedPool,
     pub(crate) handles: RunHandles,
     /// Set when a runtime EINVAL forced a buffered retry (filesystem
     /// changed its mind after the probe — rare, but never fatal).
@@ -208,8 +205,7 @@ impl DirectFileBackend {
         Ok(Ok(Self {
             page_size,
             align,
-            pool: AlignedPool::new(page_size, align.max(4096), POOL_MAX_FREE),
-            handles: RunHandles::new(dir, page_size, O_DIRECT),
+            handles: RunHandles::new(dir, page_size, O_DIRECT, align.max(4096)),
             degraded: AtomicBool::new(false),
             #[cfg(all(feature = "uring", target_os = "linux"))]
             ring,
@@ -253,16 +249,11 @@ impl DirectFileBackend {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Buffer-pool counters (tests assert recycling actually happens).
-    pub fn pool_stats(&self) -> crate::aligned::PoolStats {
-        self.pool.stats()
-    }
-
     /// One positioned page read into a pooled buffer. EINVAL (the
     /// filesystem reneging on the probe) retries through the page cache
     /// instead of failing the lookup.
     fn pread_page(&self, handle: &RunHandle, run: RunId, page_no: u32) -> Result<Bytes> {
-        let mut buf = self.pool.acquire();
+        let mut buf = self.handles.frames().acquire();
         match handle.read_page(page_no, buf.as_mut_slice()) {
             Err(e) if e.raw_os_error() == Some(22) => {
                 self.degraded.store(true, Ordering::Relaxed);
@@ -292,8 +283,9 @@ impl DirectFileBackend {
             // pread loop below is always correct, so never wait.
             if let Some(mut ring) = ring.try_lock() {
                 use std::os::fd::AsRawFd;
-                let mut bufs: Vec<crate::aligned::AlignedBuf> =
-                    (0..reqs.len()).map(|_| self.pool.acquire()).collect();
+                let mut bufs: Vec<crate::aligned::AlignedBuf> = (0..reqs.len())
+                    .map(|_| self.handles.frames().acquire())
+                    .collect();
                 let mut ops: Vec<ReadOp> = reqs
                     .iter()
                     .zip(bufs.iter_mut())
@@ -345,7 +337,7 @@ impl Backend for DirectFileBackend {
         let handle = self.handles.for_append(run, page_no)?;
         // Bounce through an aligned buffer: the caller's page has no
         // alignment guarantee, O_DIRECT demands one.
-        let mut buf = self.pool.acquire();
+        let mut buf = self.handles.frames().acquire();
         buf.as_mut_slice().copy_from_slice(data);
         match handle.write_page(page_no, buf.as_ref()) {
             Err(e) if e.raw_os_error() == Some(22) => {
@@ -415,6 +407,10 @@ impl Backend for DirectFileBackend {
     fn list(&self) -> Vec<RunId> {
         self.handles.list()
     }
+
+    fn frame_stats(&self) -> Option<PoolStats> {
+        Some(self.handles.frames().stats())
+    }
 }
 
 #[cfg(test)]
@@ -475,7 +471,11 @@ mod tests {
         assert_eq!(&scattered[2][..], &pages[2][..]);
         assert!(!b.degraded(), "probe-validated ops must not degrade");
         // Reads recycled pool buffers once the Bytes dropped.
-        assert!(b.pool_stats().recycled > 0);
+        let frames = b.frame_stats().unwrap();
+        assert!(frames.recycled > 0);
+        assert_eq!(frames.outstanding, 7, "the batch of 4 and the 3 scattered");
+        drop((batch, scattered));
+        assert_eq!(b.frame_stats().unwrap().outstanding, 0);
         assert!(matches!(
             b.read_page(3, 6),
             Err(StorageError::NotFound {

@@ -5,6 +5,7 @@
 //! is counted; cache hits are recorded but are not I/Os. This is the
 //! boundary where the reproduction's measurements are taken.
 
+use crate::aligned::PoolStats;
 use crate::backend::{Backend, FileBackend, MemBackend, RunId};
 use crate::cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
 use crate::direct::{BackendInfo, DirectFileBackend, IoBackend};
@@ -433,6 +434,13 @@ impl Disk {
     /// What physically backs this disk, after fallback resolution.
     pub fn backend_info(&self) -> &BackendInfo {
         &self.info
+    }
+
+    /// Counters of the pool the backend's page frames come from, when it
+    /// reads into one (the file backends do; the in-memory disk hands out
+    /// the pages it stores).
+    pub fn frame_stats(&self) -> Option<PoolStats> {
+        self.backend.frame_stats()
     }
 
     /// Number of pages in a run.

@@ -24,8 +24,10 @@
 //! dozen hot tree runs among hundreds of log runs, a tree run is rarely
 //! the one, and a miss costs one `open`.
 
+use crate::aligned::AlignedPool;
 use crate::backend::RunId;
 use crate::error::{Result, StorageError};
+use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -110,6 +112,8 @@ pub(crate) struct RunHandles {
     page_size: usize,
     /// Extra `open(2)` flags for every run file (`O_DIRECT` or none).
     open_flags: i32,
+    /// Where every page read from these files lands.
+    frames: AlignedPool,
     table: RwLock<HashMap<RunId, Arc<RunHandle>>>,
     /// Serialises the two cold paths that pair a table update with a
     /// directory operation — the lazy open of a run found on disk, and
@@ -123,16 +127,32 @@ pub(crate) struct RunHandles {
 }
 
 impl RunHandles {
-    pub(crate) fn new(dir: PathBuf, page_size: usize, open_flags: i32) -> Self {
+    /// A table over `dir` whose files are opened with `open_flags` and
+    /// read into page frames aligned to `frame_align`.
+    pub(crate) fn new(dir: PathBuf, page_size: usize, open_flags: i32, frame_align: usize) -> Self {
         Self {
             dir,
             page_size,
             open_flags,
+            frames: AlignedPool::new(page_size, frame_align),
             table: RwLock::new(HashMap::new()),
             cold: Mutex::new(()),
             #[cfg(test)]
             opens: Default::default(),
         }
+    }
+
+    /// The pool this table's page frames come from.
+    pub(crate) fn frames(&self) -> &AlignedPool {
+        &self.frames
+    }
+
+    /// One positional read of page `page_no` into a frame from the pool:
+    /// no page-sized allocation, zeroing or copy once the pool is warm.
+    pub(crate) fn read_frame(&self, handle: &RunHandle, page_no: u32) -> std::io::Result<Bytes> {
+        let mut frame = self.frames.acquire();
+        handle.read_page(page_no, frame.as_mut_slice())?;
+        Ok(frame.freeze(self.page_size))
     }
 
     pub(crate) fn path(&self, run: RunId) -> PathBuf {

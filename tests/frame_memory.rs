@@ -1,0 +1,212 @@
+//! A page frame lives exactly as long as something is reading it.
+//!
+//! Both file backends read every page into a frame from one pool; the frame
+//! goes back to the pool when the last `Bytes` over it — a cursor, a row, a
+//! value handed to the caller — drops. Nothing the engine keeps for the
+//! life of a run (its fences, its key range, its filter) slices a page, so
+//! with no reader alive no frame is outstanding and the process holds what
+//! the paper's `M` says it holds: filters, fence pointers and the buffer.
+//!
+//! A counting `#[global_allocator]` (this file is a test binary of its own;
+//! its tests take turns) holds that, on a file-backed store — buffered, or
+//! direct under `MONKEY_IO_BACKEND=direct`:
+//!
+//! * after load + `flush` + `rebuild_filters`, and again after a reopen, the
+//!   pool reports zero frames outstanding and the heap's live bytes stay
+//!   within filters + fences + the pool's idle frames + a stated constant —
+//!   a small fraction of the data, which a page pinned per fence is not;
+//! * a burst of range scans that pins 4 096 pages of rows and lets them go
+//!   makes the same scans, run again, allocate no page-sized block at all.
+
+use monkey::{Db, DbOptions, MergePolicy};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
+
+const PAGE: usize = 4096;
+
+/// Heap bytes live right now, and page-sized blocks ever allocated — a
+/// bare page, or one with a reference-count header in front.
+struct Counting;
+
+static LIVE: AtomicI64 = AtomicI64::new(0);
+static PAGE_SIZED: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    LIVE.fetch_add(size as i64, Relaxed);
+    if (PAGE..PAGE + 64).contains(&size) {
+        PAGE_SIZED.fetch_add(1, Relaxed);
+    }
+}
+
+// SAFETY: defers to `System` for every operation; the counters are plain
+// atomics, which allocate nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        count(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The counters are process-wide: one test at a time.
+static TURN: Mutex<()> = Mutex::new(());
+
+fn key(i: u32) -> Vec<u8> {
+    format!("key{i:06}").into_bytes()
+}
+
+fn options(dir: &std::path::Path) -> DbOptions {
+    DbOptions::at_path(dir)
+        .page_size(PAGE)
+        .buffer_capacity(256 * 1024)
+        .size_ratio(4)
+        .merge_policy(MergePolicy::Leveling)
+        .uniform_filters(8.0)
+        .shards(1)
+        .compaction_threads(1)
+}
+
+fn temp_dir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("monkey-frames-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A store of `n` keys with 100-byte values, everything on disk.
+fn load(dir: &std::path::Path, n: u32) -> Arc<Db> {
+    let db = Db::open(options(dir)).unwrap();
+    for i in 0..n {
+        db.put(key((i * 7919) % n), vec![b'v'; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    db
+}
+
+/// What the engine may hold beyond filters, fences and idle frames with an
+/// empty buffer and nobody reading: the WAL and manifest writers, the
+/// run-handle table, the tree's bookkeeping (3.3 KiB when this was written).
+const RESIDENT_SLACK: i64 = 64 << 10;
+
+/// Holds the store to its memory account: no frame out, and the heap grown
+/// since `base` by no more than `M_filters + M_pointers`, the pool's idle
+/// frames and the slack.
+fn assert_memory_is_accounted(db: &Db, base: i64, data_bytes: i64, when: &str) {
+    let frames = db
+        .disk()
+        .frame_stats()
+        .expect("a file disk reads into a pool");
+    assert_eq!(frames.outstanding, 0, "{when}: {frames:?}");
+    let stats = db.stats();
+    let accounted = (stats.filter_bits + stats.fence_bits) as i64 / 8;
+    let idle = frames.idle as i64 * PAGE as i64;
+    let held = LIVE.load(Relaxed) - base;
+    assert!(
+        held <= accounted + idle + RESIDENT_SLACK,
+        "{when}: {held} bytes live; filters + fences are {accounted}, {idle} sit in idle frames"
+    );
+    // The bound means something: pinning the data's pages would break it.
+    assert!(accounted + idle + RESIDENT_SLACK < data_bytes / 2, "{when}");
+}
+
+#[test]
+fn no_frame_outlives_its_readers() {
+    let _turn = TURN.lock().unwrap();
+    const N: u32 = 80_000;
+    let dir = temp_dir("lifetime");
+    let base = LIVE.load(Relaxed);
+    let db = load(&dir, N);
+    let data_bytes = db.stats().levels.iter().map(|l| l.bytes).sum::<u64>() as i64;
+    assert!(data_bytes > 8 << 20, "{data_bytes} bytes of entries");
+    // Every run is streamed once more, page by page.
+    db.rebuild_filters().unwrap();
+    assert_memory_is_accounted(&db, base, data_bytes, "after rebuild_filters");
+
+    // Readers pin what they read, and only for as long as they hold it.
+    let value = db.get(&key(17)).unwrap().expect("key 17 was written");
+    let rows: Vec<_> = db
+        .range(&key(1000), Some(&key(1200)))
+        .unwrap()
+        .map(|row| row.unwrap())
+        .collect();
+    assert_eq!(rows.len(), 200);
+    let pinned = db.disk().frame_stats().unwrap().outstanding;
+    assert!(
+        pinned >= 3,
+        "a value and rows over two runs pin {pinned} frames"
+    );
+    drop((value, rows));
+    assert_eq!(db.disk().frame_stats().unwrap().outstanding, 0);
+
+    // Recovery streams every page of every run to rebuild fences and
+    // filters, and keeps none of them.
+    let fence_bits = db.stats().fence_bits;
+    drop(db);
+    let db = Db::open(options(&dir)).unwrap();
+    assert_eq!(
+        db.stats().fence_bits,
+        fence_bits,
+        "M_pointers across a reopen"
+    );
+    assert_memory_is_accounted(&db, base, data_bytes, "after reopen");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_released_burst_of_pages_is_reused_not_reallocated() {
+    let _turn = TURN.lock().unwrap();
+    const N: u32 = 40_000;
+    const BURST_PAGES: u64 = 4096;
+    let dir = temp_dir("burst");
+    let db = load(&dir, N);
+    // Scans of 200 entries, each pinning the pages its rows lie on, until
+    // the burst is out.
+    let burst = |db: &Db| {
+        let mut held = Vec::new();
+        let mut lo = 0;
+        while db.disk().frame_stats().unwrap().outstanding < BURST_PAGES {
+            let mut rows = Vec::with_capacity(200);
+            for row in db.range(&key(lo), Some(&key(lo + 200))).unwrap() {
+                rows.push(row.unwrap());
+            }
+            assert_eq!(rows.len(), 200);
+            held.push(rows);
+            lo = (lo + 200) % (N - 200);
+        }
+        held.len()
+    };
+    let scans = burst(&db);
+    let frames = db.disk().frame_stats().unwrap();
+    assert_eq!(frames.outstanding, 0, "the burst is released: {frames:?}");
+    assert!(
+        frames.idle >= BURST_PAGES,
+        "and kept for the next: {frames:?}"
+    );
+
+    let (page_sized, allocated) = (PAGE_SIZED.load(Relaxed), frames.allocated);
+    assert_eq!(burst(&db), scans);
+    assert_eq!(
+        PAGE_SIZED.load(Relaxed) - page_sized,
+        0,
+        "page-sized allocations over {scans} scans pinning {BURST_PAGES} pages"
+    );
+    assert_eq!(db.disk().frame_stats().unwrap().allocated, allocated);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
