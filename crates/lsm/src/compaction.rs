@@ -3,16 +3,21 @@
 //! Merging sort-merges a set of runs into one new run: duplicate keys keep
 //! only the newest version, and tombstones are dropped when the output
 //! lands on the **last** level (nothing deeper can hold a superseded
-//! version, so the tombstone has done its job). This is the machinery
-//! behind both merge policies; the placement logic lives in the `Db`.
+//! version, so the tombstone has done its job). A flush is the same
+//! operation with the buffer as the youngest input — "the buffer is
+//! sort-merged into Level 1" (§2) — so the two merge policies below start
+//! from the frozen memtable itself, not from a run written out of it. The
+//! kernel is [`merge`]; this module decides what it merges and where the
+//! output lands.
 
 use crate::entry::Entry;
 use crate::error::Result;
+use crate::iter::Source;
 use crate::level::{level_capacity_bytes, Version};
-use crate::merge::{merge_runs_with, tag_destination, MergeReport};
+use crate::merge::{merge, merge_runs_with, MergeReport};
 use crate::options::DbOptions;
-use crate::policy::FilterContext;
-use crate::run::{FilterParams, Run, RunBuilder};
+use crate::policy::{FilterContext, MergePolicy};
+use crate::run::{FilterParams, Run};
 use monkey_obs::{OpKind, Telemetry};
 use monkey_storage::Disk;
 use std::sync::Arc;
@@ -41,28 +46,6 @@ impl CascadeOutcome {
         self.max_threads = self.max_threads.max(report.threads);
         self.input_runs.extend(report.input_runs);
     }
-}
-
-/// Runs one merge through the partitioned merge engine, timing it into the
-/// `merge` latency histogram when telemetry is on.
-#[allow(clippy::too_many_arguments)]
-fn timed_merge(
-    disk: &Arc<Disk>,
-    inputs: &[Arc<Run>],
-    drop_tombstones: bool,
-    level: usize,
-    filter: FilterParams,
-    threads: usize,
-    telemetry: Option<&Telemetry>,
-    outcome: &mut CascadeOutcome,
-) -> Result<Option<Arc<Run>>> {
-    let started = telemetry.map(|_| Instant::now());
-    let (output, report) = merge_runs_with(disk, inputs, drop_tombstones, level, filter, threads)?;
-    if let (Some(t), Some(started)) = (telemetry, started) {
-        t.record_nanos(OpKind::Merge, started.elapsed().as_nanos() as u64);
-    }
-    outcome.absorb(report);
-    Ok(output)
 }
 
 /// Builds the filter parameters for a run of `run_entries` entries landing
@@ -96,102 +79,168 @@ pub(crate) fn filter_params_for(
     FilterParams::new(opts.filter_policy.bits_per_entry(&ctx), opts.filter_variant)
 }
 
-/// Leveling (§2): the arriving run sort-merges with the resident run of
-/// level 1; whenever a level exceeds its capacity, its (single) run moves
-/// down and merges with the next level's resident run. Mutates `version`
-/// in place — callers hand in a private, not-yet-published clone, so a
-/// failure part-way leaves the *published* tree untouched.
-pub(crate) fn install_leveling(
+/// Flushes the frozen memtable behind `buffer` (`buffer_entries` entries)
+/// into `version` and cascades it through the options' merge policy.
+/// Mutates `version` in place — callers hand in a private, not-yet-published
+/// clone, so a failure part-way leaves the *published* tree untouched, and
+/// no run the failed cascade built stays on storage.
+///
+/// Returns `false` when nothing of the buffer survived its own flush
+/// (tombstones only, over an empty tree): no run, no cascade.
+pub(crate) fn install_flush(
     disk: &Arc<Disk>,
     opts: &DbOptions,
     version: &mut Version,
-    run: Arc<Run>,
+    buffer: Source,
+    buffer_entries: u64,
     outcome: &mut CascadeOutcome,
     telemetry: Option<&Telemetry>,
-) -> Result<()> {
-    let mut carry = run;
-    let mut lvl = 1usize;
-    loop {
-        version.ensure_levels(lvl);
-        let deepest = version.deepest().max(lvl);
-        if !version.levels()[lvl - 1].is_empty() {
-            let mut inputs = vec![carry];
-            inputs.extend(version.levels_mut()[lvl - 1].take_all());
-            let drop_tombstones = lvl >= deepest;
-            let input_entries: u64 = inputs.iter().map(|r| r.entries()).sum();
-            let params = filter_params_for(opts, version, lvl, input_entries, 0);
-            outcome.merges += 1;
-            outcome.entries_rewritten += input_entries;
-            let merged = timed_merge(
-                disk,
-                &inputs,
-                drop_tombstones,
-                lvl,
-                params,
-                opts.compaction_threads,
-                telemetry,
-                outcome,
-            )?;
-            match merged {
-                Some(merged) => carry = merged,
-                None => return Ok(()), // merge annihilated everything
-            }
+) -> Result<bool> {
+    let mut cascade = Cascade {
+        disk,
+        opts,
+        telemetry,
+        outcome,
+        unconsumed: None,
+    };
+    let installed = match opts.merge_policy {
+        MergePolicy::Leveling => cascade.leveling(version, buffer, buffer_entries),
+        MergePolicy::Tiering => cascade.tiering(version, buffer, buffer_entries),
+    };
+    if installed.is_err() {
+        // A run is deleted when it drops obsolete, and only merging it away
+        // marks it: what this cascade built and did not get to merge would
+        // stay on storage with no version naming it.
+        if let Some(run) = &cascade.unconsumed {
+            run.mark_obsolete();
         }
-        version.levels_mut()[lvl - 1].push_youngest(carry);
-        let capacity = level_capacity_bytes(opts.buffer_capacity, opts.size_ratio, lvl);
-        if version.levels()[lvl - 1].bytes() <= capacity {
-            return Ok(());
-        }
-        // Over capacity: the run moves to the next level.
-        let mut moved = version.levels_mut()[lvl - 1].take_all();
-        debug_assert_eq!(moved.len(), 1);
-        carry = moved.pop().expect("level had a run");
-        lvl += 1;
     }
+    installed
 }
 
-/// Tiering (§2): runs accumulate at a level; the arrival of the `T`-th
-/// merges them all into a single run at the next level. Same private-clone
-/// contract as [`install_leveling`].
-pub(crate) fn install_tiering(
-    disk: &Arc<Disk>,
-    opts: &DbOptions,
-    version: &mut Version,
-    run: Arc<Run>,
-    outcome: &mut CascadeOutcome,
-    telemetry: Option<&Telemetry>,
-) -> Result<()> {
-    version.ensure_levels(1);
-    version.levels_mut()[0].push_youngest(run);
-    let t = opts.size_ratio;
-    let mut lvl = 1usize;
-    loop {
-        if version.levels()[lvl - 1].run_count() < t {
-            return Ok(());
-        }
-        let inputs = version.levels_mut()[lvl - 1].take_all();
-        // Tombstones can be dropped when nothing deeper than this level
-        // holds data: the merged run lands at lvl+1 as its deepest data.
-        let drop_tombstones = version.deepest() <= lvl;
-        let input_entries: u64 = inputs.iter().map(|r| r.entries()).sum();
-        let params = filter_params_for(opts, version, lvl + 1, input_entries, 0);
-        outcome.merges += 1;
-        outcome.entries_rewritten += input_entries;
-        let merged = timed_merge(
-            disk,
-            &inputs,
+/// One flush's trip through a merge policy.
+struct Cascade<'a> {
+    disk: &'a Arc<Disk>,
+    opts: &'a DbOptions,
+    telemetry: Option<&'a Telemetry>,
+    outcome: &'a mut CascadeOutcome,
+    /// The run this cascade built that no later step has merged away. Each
+    /// step's inputs include its predecessor's output, so there is one at
+    /// most.
+    unconsumed: Option<Arc<Run>>,
+}
+
+impl Cascade<'_> {
+    /// One step: sort-merges `head` — the buffer of `head_entries`
+    /// entries, where it is what arrives — and `inputs` into a run landing
+    /// at `level`, with the filter the policy gives a run of that size
+    /// there. `version` holds exactly the runs that will coexist with the
+    /// output (merge inputs have already been taken out of their levels).
+    ///
+    /// Counted and timed as a merge when runs are rewritten; the buffer
+    /// written out alone is the flush, not a merge.
+    fn step(
+        &mut self,
+        version: &Version,
+        head: Option<Source>,
+        head_entries: u64,
+        inputs: &[Arc<Run>],
+        drop_tombstones: bool,
+        level: usize,
+    ) -> Result<Option<Arc<Run>>> {
+        let input_entries = head_entries + inputs.iter().map(|r| r.entries()).sum::<u64>();
+        let params = filter_params_for(self.opts, version, level, input_entries, 0);
+        let rewrites = !inputs.is_empty();
+        let telemetry = self.telemetry.filter(|_| rewrites);
+        let started = telemetry.map(|_| Instant::now());
+        let threads = self.opts.compaction_threads;
+        let (output, report) = merge(
+            self.disk,
+            head,
+            inputs,
             drop_tombstones,
-            lvl + 1,
+            level,
             params,
-            opts.compaction_threads,
-            telemetry,
-            outcome,
+            threads,
         )?;
-        version.ensure_levels(lvl + 1);
-        if let Some(merged) = merged {
-            version.levels_mut()[lvl].push_youngest(merged);
+        if let (Some(t), Some(started)) = (telemetry, started) {
+            t.record_nanos(OpKind::Merge, started.elapsed().as_nanos() as u64);
         }
-        lvl += 1;
+        if rewrites {
+            self.outcome.merges += 1;
+            self.outcome.entries_rewritten += input_entries;
+            self.outcome.absorb(report);
+        }
+        self.unconsumed = output.clone();
+        Ok(output)
+    }
+
+    /// Leveling (§2): the buffer sort-merges with the resident run of
+    /// level 1; whenever a level exceeds its capacity, its (single) run
+    /// moves down and merges with the next level's resident run.
+    fn leveling(&mut self, version: &mut Version, buffer: Source, entries: u64) -> Result<bool> {
+        // What arrives at a level: the buffer at level 1, below it the run
+        // a full level sends down (`inputs[0]`, ahead of the resident run).
+        let mut head = Some(buffer);
+        let mut inputs: Vec<Arc<Run>> = Vec::new();
+        let mut lvl = 1usize;
+        loop {
+            version.ensure_levels(lvl);
+            let deepest = version.deepest().max(lvl);
+            inputs.extend(version.levels_mut()[lvl - 1].take_all());
+            let run = if head.is_none() && inputs.len() == 1 {
+                inputs.pop().expect("the run that moved down") // the level was empty
+            } else {
+                let flushed_alone = inputs.is_empty();
+                let head_entries = if head.is_some() { entries } else { 0 };
+                let drop_tombstones = lvl >= deepest;
+                let head = head.take();
+                match self.step(version, head, head_entries, &inputs, drop_tombstones, lvl)? {
+                    Some(run) => run,
+                    None => return Ok(!flushed_alone), // the merge annihilated everything
+                }
+            };
+            version.levels_mut()[lvl - 1].push_youngest(run);
+            let capacity =
+                level_capacity_bytes(self.opts.buffer_capacity, self.opts.size_ratio, lvl);
+            if version.levels()[lvl - 1].bytes() <= capacity {
+                return Ok(true);
+            }
+            // Over capacity: the run moves to the next level.
+            inputs = version.levels_mut()[lvl - 1].take_all();
+            debug_assert_eq!(inputs.len(), 1);
+            lvl += 1;
+        }
+    }
+
+    /// Tiering (§2): the buffer becomes the youngest run of level 1; runs
+    /// accumulate at a level, and the arrival of the `T`-th merges them all
+    /// into a single run at the next level.
+    fn tiering(&mut self, version: &mut Version, buffer: Source, entries: u64) -> Result<bool> {
+        version.ensure_levels(1);
+        // Tombstones can be dropped immediately only when the disk is empty.
+        let drop_tombstones = version.deepest() == 0;
+        let Some(run) = self.step(version, Some(buffer), entries, &[], drop_tombstones, 1)? else {
+            return Ok(false);
+        };
+        version.levels_mut()[0].push_youngest(run);
+        let t = self.opts.size_ratio;
+        let mut lvl = 1usize;
+        loop {
+            if version.levels()[lvl - 1].run_count() < t {
+                return Ok(true);
+            }
+            let inputs = version.levels_mut()[lvl - 1].take_all();
+            // Tombstones can be dropped when nothing deeper than this level
+            // holds data: the merged run lands at lvl+1 as its deepest data.
+            let drop_tombstones = version.deepest() <= lvl;
+            let merged = self.step(version, None, 0, &inputs, drop_tombstones, lvl + 1)?;
+            version.ensure_levels(lvl + 1);
+            if let Some(merged) = merged {
+                version.levels_mut()[lvl].push_youngest(merged);
+            }
+            lvl += 1;
+        }
     }
 }
 
@@ -208,10 +257,10 @@ pub fn merge_runs(
     merge_runs_with(disk, inputs, drop_tombstones, level, filter, 1).map(|(run, _)| run)
 }
 
-/// Builds a run directly from pre-sorted, pre-deduplicated entries (the
-/// buffer flush path: a memtable drain is already sorted and unique).
-/// `level` is the 1-based destination level for I/O attribution, exactly as
-/// in [`merge_runs`].
+/// Builds a run directly from pre-sorted, pre-deduplicated entries:
+/// [`merge`] of an in-memory head with no runs to merge it into. `level` is
+/// the 1-based destination level for I/O attribution, exactly as in
+/// [`merge_runs`].
 pub fn build_run_from_sorted(
     disk: &Arc<Disk>,
     entries: Vec<Entry>,
@@ -219,22 +268,16 @@ pub fn build_run_from_sorted(
     level: usize,
     filter: impl Into<FilterParams>,
 ) -> Result<Option<Arc<Run>>> {
-    let mut builder = RunBuilder::new(Arc::clone(disk));
-    tag_destination(disk, &builder, level);
-    let run_id = builder.run_id();
-    for entry in &entries {
-        if drop_tombstones && entry.is_tombstone() {
-            continue;
-        }
-        builder.push(entry)?;
-    }
-    let output = builder.finish(filter)?.map(Arc::new);
-    if output.is_none() {
-        if let Some(attr) = disk.attribution() {
-            attr.untag_run(run_id);
-        }
-    }
-    Ok(output)
+    merge(
+        disk,
+        Some(entries.into()),
+        &[],
+        drop_tombstones,
+        level,
+        filter,
+        1,
+    )
+    .map(|(run, _)| run)
 }
 
 #[cfg(test)]

@@ -21,9 +21,7 @@
 //! with a pointer swap, so `get`/`range` never block on compaction in
 //! either mode.
 
-use crate::compaction::{
-    build_run_from_sorted, filter_params_for, install_leveling, install_tiering, CascadeOutcome,
-};
+use crate::compaction::{install_flush, CascadeOutcome};
 use crate::entry::{Entry, EntryKind, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
 use crate::iter::{MergingIter, RangeIter, Source};
@@ -71,7 +69,10 @@ struct ImmutableMemtable {
 /// Writers hold the lock exclusively only for memtable inserts, rotations,
 /// and version pointer swaps — never across a flush or merge.
 struct Shared {
-    memtable: Memtable,
+    /// The active memtable. Behind an `Arc` like the frozen ones, so a scan
+    /// keeps a cursor on it without copying it out — through a rotation
+    /// and a flush, if it must.
+    memtable: Arc<Memtable>,
     next_seq: u64,
     /// Generation of the active memtable, starting at 1 and bumped at
     /// every rotation. A traced put records the generation it inserted
@@ -297,7 +298,7 @@ impl Core {
         shared.immutables.push_back(ImmutableMemtable {
             entries: frozen.len() as u64,
             bytes: frozen.bytes(),
-            memtable: Arc::new(frozen),
+            memtable: frozen,
             wal_segment: sealed,
             generation,
         });
@@ -422,11 +423,12 @@ impl Core {
         Ok(true)
     }
 
-    /// The flush stage: turn one frozen memtable into a run, cascade it
-    /// through the merge policy on a private clone of the current version,
-    /// publish the successor, persist the manifest, prune the WAL.
-    /// Caller holds `compaction_lock`; the shared lock is taken only for
-    /// the final pointer swap.
+    /// The flush stage: sort-merge one frozen memtable into the tree — it
+    /// is the youngest input of the merge policy's first step, read where
+    /// it lies — on a private clone of the current version, publish the
+    /// successor, persist the manifest, prune the WAL. Caller holds
+    /// `compaction_lock`; the shared lock is taken only for the final
+    /// pointer swap.
     fn flush_immutable(&self, imm: &ImmutableMemtable) -> Result<()> {
         let tel = self.telemetry.as_deref();
         let flush_started = match tel {
@@ -449,30 +451,25 @@ impl Core {
             // longer stall concurrent puts.
             vlog.sync()?;
         }
-        let entries = imm.memtable.to_sorted_entries();
         let base = Arc::clone(&self.shared.read().version);
         let mut working = (*base).clone();
-        // Tombstones can be dropped immediately only when the disk is empty.
-        let drop_tombstones = working.deepest() == 0;
-        let n = entries.len() as u64;
-        let params = filter_params_for(&self.opts, &working, 1, n, 0);
-        let run = build_run_from_sorted(&self.disk, entries, drop_tombstones, 1, params)?;
+        let mut outcome = CascadeOutcome::default();
+        let cascade_started = tel.and_then(|t| t.op_start(OpKind::Cascade));
+        let cascade_span = self.tracer.as_ref().map(|t| t.start(SpanKind::Cascade));
+        let cascaded = install_flush(
+            &self.disk,
+            &self.opts,
+            &mut working,
+            imm.memtable.cursor(None, None).into(),
+            imm.entries,
+            &mut outcome,
+            tel,
+        )?;
         self.compactions.flushes.fetch_add(1, Relaxed);
         self.compactions
             .bytes_flushed
             .fetch_add(imm.bytes as u64, Relaxed);
-        let mut outcome = CascadeOutcome::default();
-        if let Some(run) = run {
-            let cascade_started = tel.and_then(|t| t.op_start(OpKind::Cascade));
-            let cascade_span = self.tracer.as_ref().map(|t| t.start(SpanKind::Cascade));
-            match self.opts.merge_policy {
-                crate::policy::MergePolicy::Leveling => {
-                    install_leveling(&self.disk, &self.opts, &mut working, run, &mut outcome, tel)?
-                }
-                crate::policy::MergePolicy::Tiering => {
-                    install_tiering(&self.disk, &self.opts, &mut working, run, &mut outcome, tel)?
-                }
-            }
+        if cascaded {
             if let Some(t) = tel {
                 t.op_end(OpKind::Cascade, cascade_started);
                 t.event(EventKind::CascadeInstall {
@@ -784,7 +781,7 @@ impl Core {
         let core = Arc::new(Core {
             disk,
             shared: RwLock::new(Shared {
-                memtable,
+                memtable: Arc::new(memtable),
                 next_seq,
                 generation: 1,
                 immutables: VecDeque::new(),
@@ -868,7 +865,7 @@ impl Core {
         let core = Arc::new(Core {
             disk,
             shared: RwLock::new(Shared {
-                memtable: Memtable::new(),
+                memtable: Arc::default(),
                 next_seq: 0,
                 generation: 1,
                 immutables: VecDeque::new(),
@@ -1255,8 +1252,10 @@ impl Core {
     }
 
     /// Range scan over `[lo, hi)` (`hi = None` scans to the end). The
-    /// cursor owns snapshots of the relevant memtables and runs, so
-    /// concurrent writes and merges do not disturb it.
+    /// cursor shares ownership of the memtables and runs it reads, so
+    /// rotations, flushes and merges do not disturb it. Writes that reach
+    /// the active memtable while the scan runs may be seen by it: each key
+    /// it yields is a version at least as new as when the scan opened.
     fn range(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<RangeIter> {
         // The cursor's Drop records the whole scan's latency, not just
         // construction — the sample covers every page the scan touched.
@@ -1273,32 +1272,27 @@ impl Core {
             }
         }
         let core = self;
-        let (buffered, immutables, version) = {
+        // The one owned copy of the bound, shared by the memtable cursors
+        // and the scan itself.
+        let hi = hi.map(Bytes::copy_from_slice);
+        let (mut sources, version) = {
             let shared = core.shared.read();
-            let immutables: Vec<Arc<Memtable>> = shared
-                .immutables
-                .iter()
-                .map(|imm| Arc::clone(&imm.memtable))
-                .collect();
-            (
-                shared.memtable.range(lo, hi),
-                immutables,
-                Arc::clone(&shared.version),
-            )
+            let version = Arc::clone(&shared.version);
+            let mut sources: Vec<Source> =
+                Vec::with_capacity(1 + shared.immutables.len() + version.run_count());
+            // Youngest first: ties between equal versions go to the earlier
+            // source. The memtables are read where they lie.
+            sources.push(shared.memtable.cursor(Some(lo), hi.clone()).into());
+            for imm in shared.immutables.iter().rev() {
+                sources.push(imm.memtable.cursor(Some(lo), hi.clone()).into());
+            }
+            (sources, version)
         };
-        // Youngest first: ties between equal versions go to the earlier source.
-        let mut sources: Vec<Source> =
-            Vec::with_capacity(1 + immutables.len() + version.run_count());
-        sources.push(buffered.into());
-        for imm in immutables.iter().rev() {
-            sources.push(imm.range(lo, hi).into());
-        }
         for level in version.levels() {
             for run in level.runs() {
                 sources.push(run.scan_from(lo)?.into());
             }
         }
-        let hi = hi.map(Bytes::copy_from_slice);
         Ok(RangeIter::new(MergingIter::new(sources), hi)
             .with_value_log(core.vlog.clone())
             .with_telemetry(timer))

@@ -5,28 +5,35 @@
 //! internal order (key ascending) with only the newest version of each key
 //! surviving — "only the entry from the most recently-created run is kept
 //! because it is the most up-to-date" (§2). The kernel compares keys where
-//! they lie (page bytes, memtable vectors) and hands each surviving entry
+//! they lie (page bytes, memtable nodes) and hands each surviving entry
 //! to its consumer **borrowed**; an owned entry is built once, by the
 //! consumer, for what it actually outputs.
 
 use crate::entry::{Entry, EntryRef, EntryView};
 use crate::error::{LsmError, Result};
+use crate::memtable::MemtableCursor;
 use crate::run::RunCursor;
 use bytes::Bytes;
 use std::cmp::Ordering;
 
 /// One sorted input of a merge, positioned on its current entry. No source
 /// holds two versions of one key (memtables replace in place, runs are
-/// deduplicated when built).
+/// deduplicated when built). A memtable that is still taking writes shows
+/// each entry as it was when the cursor reached it, so the head a match
+/// was played on is the entry that gets visited.
 pub enum Source {
-    /// Entries already in memory, in key order: a memtable's share of a
-    /// scan, or the part of a straddled page a merge partition owns.
+    /// Entries already in a vector, in key order: the part of a straddled
+    /// page a merge partition owns, or a run to be built from sorted
+    /// entries.
     Entries {
         /// The entries.
         entries: Vec<Entry>,
         /// Index of the current one.
         pos: usize,
     },
+    /// A cursor over a memtable, read where it lies: the buffer's share of
+    /// a scan, or the buffer a flush merges into level 1.
+    Memtable(MemtableCursor),
     /// A cursor over pages of a run.
     Run(RunCursor),
 }
@@ -34,6 +41,12 @@ pub enum Source {
 impl From<Vec<Entry>> for Source {
     fn from(entries: Vec<Entry>) -> Self {
         Self::Entries { entries, pos: 0 }
+    }
+}
+
+impl From<MemtableCursor> for Source {
+    fn from(cursor: MemtableCursor) -> Self {
+        Self::Memtable(cursor)
     }
 }
 
@@ -45,10 +58,7 @@ impl From<RunCursor> for Source {
 
 impl Source {
     fn exhausted(&self) -> bool {
-        match self {
-            Self::Entries { entries, pos } => *pos >= entries.len(),
-            Self::Run(cursor) => cursor.page().remaining() == 0,
-        }
+        self.head().is_none()
     }
 
     /// Key and sequence number of the current entry, borrowed in place;
@@ -57,6 +67,7 @@ impl Source {
     fn head(&self) -> Option<(&[u8], u64)> {
         match self {
             Self::Entries { entries, pos } => entries.get(*pos).map(|e| (e.key.as_ref(), e.seq)),
+            Self::Memtable(cursor) => cursor.head(),
             Self::Run(cursor) => cursor.page().key().map(|key| (key, cursor.page().seq())),
         }
     }
@@ -67,7 +78,32 @@ impl Source {
                 *pos += 1;
                 Ok(())
             }
+            Self::Memtable(cursor) => {
+                cursor.advance();
+                Ok(())
+            }
             Self::Run(cursor) => cursor.advance(),
+        }
+    }
+
+    /// Upper bound on the entries still to come, where the source knows
+    /// one without reading ahead (a run cursor does not: the run does).
+    pub(crate) fn len_hint(&self) -> usize {
+        match self {
+            Self::Entries { entries, pos } => entries.len() - pos,
+            Self::Memtable(cursor) => cursor.len_hint(),
+            Self::Run(_) => 0,
+        }
+    }
+
+    /// The source's entries inside `[lo, hi)` as a source of their own —
+    /// how a partitioned merge cuts its head. Only a memtable is cut this
+    /// way (a new bounded cursor, nothing copied): runs are cut along
+    /// their pages, and nothing merges a vector of entries with runs.
+    pub(crate) fn slice(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Option<Source> {
+        match self {
+            Self::Memtable(cursor) => Some(Self::Memtable(cursor.slice(lo, hi))),
+            Self::Entries { .. } | Self::Run(_) => None,
         }
     }
 
@@ -75,6 +111,7 @@ impl Source {
     fn close(&mut self) {
         match self {
             Self::Entries { entries, pos } => *pos = entries.len(),
+            Self::Memtable(cursor) => cursor.close(),
             Self::Run(cursor) => cursor.close(),
         }
     }
@@ -89,6 +126,7 @@ impl EntryView for Source {
     fn entry(&self) -> EntryRef<'_> {
         match self {
             Self::Entries { entries, pos } => (&entries[*pos]).into(),
+            Self::Memtable(cursor) => cursor.entry(),
             Self::Run(cursor) => cursor.page().entry().expect("source is not exhausted"),
         }
     }
@@ -96,6 +134,7 @@ impl EntryView for Source {
     fn to_entry(&self) -> Entry {
         match self {
             Self::Entries { entries, pos } => entries[*pos].clone(),
+            Self::Memtable(cursor) => cursor.to_entry(),
             Self::Run(cursor) => cursor.page().to_entry().expect("source is not exhausted"),
         }
     }

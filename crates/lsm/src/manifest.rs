@@ -24,7 +24,8 @@
 use crate::error::{LsmError, Result};
 use crate::policy::MergePolicy;
 use monkey_bloom::FilterVariant;
-use std::io::Write;
+use std::fmt::Write as _;
+use std::io::Write as _;
 use std::path::PathBuf;
 
 /// One run's position in the tree.
@@ -80,23 +81,28 @@ impl Manifest {
 
     /// Atomically replaces the manifest with `state`.
     pub fn store(&self, state: &ManifestState) -> Result<()> {
+        // One buffer, formatted into in place: the manifest is rewritten
+        // on every flush, a line per run.
         let mut text = String::from("monkey-manifest v1\n");
-        text.push_str(&format!("seq {}\n", state.next_seq));
+        let infallible = "formatting into a String cannot fail";
+        writeln!(text, "seq {}", state.next_seq).expect(infallible);
         if let Some(policy) = state.policy {
-            text.push_str(&format!("policy {}\n", policy.name()));
+            writeln!(text, "policy {}", policy.name()).expect(infallible);
         }
         if let Some(ratio) = state.size_ratio {
-            text.push_str(&format!("ratio {ratio}\n"));
+            writeln!(text, "ratio {ratio}").expect(infallible);
         }
         for run in &state.runs {
-            text.push_str(&format!(
-                "run {} {} {} {} {}\n",
+            writeln!(
+                text,
+                "run {} {} {} {} {}",
                 run.id,
                 run.level,
                 run.age,
                 run.bits_per_entry,
                 run.flavor.name()
-            ));
+            )
+            .expect(infallible);
         }
         let tmp = self.path.with_extension("tmp");
         {

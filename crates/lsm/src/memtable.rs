@@ -3,17 +3,20 @@
 //! Updates go to the buffer without touching secondary storage; an update to
 //! a key already buffered replaces it **in place** so "only the latest one
 //! survives" (§2). When the buffer reaches its byte capacity
-//! `M_buffer = P·B·E`, the engine sorts its entries into a run and flushes.
+//! `M_buffer = P·B·E`, the engine sort-merges it into Level 1.
 //!
 //! The buffer is a concurrent skiplist: writers are serialized by the
-//! engine's shard lock anyway, but point reads, frozen-memtable scans, and
-//! the observatory's classification hooks traverse it **lock-free** — a
-//! `get` against the active buffer never waits behind a writer.
+//! engine's shard lock anyway, but point reads, scans, and the
+//! observatory's classification hooks traverse it **lock-free** — a `get`
+//! against the active buffer never waits behind a writer. It is already
+//! sorted, so nothing copies it out: a scan and the flush's merge each walk
+//! it in place through a [`MemtableCursor`].
 
-use crate::entry::{Entry, EntryKind, ENTRY_HEADER_LEN};
-use crate::skiplist::SkipList;
+use crate::entry::{Entry, EntryKind, EntryRef, EntryView, ENTRY_HEADER_LEN};
+use crate::skiplist::{Cursor, SkipList};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 struct Slot {
@@ -89,32 +92,85 @@ impl Memtable {
         self.bytes.load(Relaxed)
     }
 
-    /// Drains the buffer into a sorted entry vector (ready to become a run)
-    /// and resets it.
-    pub fn drain_sorted(&mut self) -> Vec<Entry> {
-        let entries = self.to_sorted_entries();
-        *self = Self::new();
-        entries
+    /// Opens a cursor on the first entry with key `>= lo` (the smallest
+    /// key without `lo`), ending before `hi` — which the cursor keeps, so
+    /// it comes owned (a scan shares its own copy of the bound). The
+    /// cursor shares ownership of the buffer, so it stays valid through a
+    /// rotation and a flush.
+    pub fn cursor(self: &Arc<Self>, lo: Option<&[u8]>, hi: Option<Bytes>) -> MemtableCursor {
+        // SAFETY: `list` is a field of the memtable the cursor's `Arc`
+        // keeps alive, and no method replaces it.
+        MemtableCursor(unsafe { Cursor::new(Arc::clone(self), &self.list, lo, hi) })
+    }
+}
+
+/// A cursor positioned on one entry of a memtable, walking it in key order
+/// without copying it out — what a scan and the flush's merge read the
+/// buffer through.
+///
+/// On a buffer that is still taking writes, the entry under the cursor is
+/// the version it held when the cursor stepped onto it — key, sequence
+/// number and value always belong together — and keys inserted ahead of
+/// the cursor are seen, keys inserted behind it are not.
+pub struct MemtableCursor(Cursor<Slot, Arc<Memtable>>);
+
+impl MemtableCursor {
+    /// Entries in the whole buffer: an upper bound on what is left.
+    pub(crate) fn len_hint(&self) -> usize {
+        self.0.owner().len()
     }
 
-    /// Clones the buffer into a sorted entry vector without consuming it —
-    /// used for frozen (immutable) memtables queued behind the active one,
-    /// which must stay readable until their flush completes. `Bytes` clones
-    /// are refcount bumps, not copies.
-    pub fn to_sorted_entries(&self) -> Vec<Entry> {
-        self.list
-            .iter()
-            .map(|(k, slot)| entry_of(k, slot))
-            .collect()
+    /// A new cursor over what this one has left inside `[lo, hi)`.
+    pub(crate) fn slice(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Self {
+        let table = self.0.owner();
+        let Some((here, _)) = self.head() else {
+            return table.cursor(None, Some(Bytes::new())); // nothing left: nothing in it
+        };
+        let lo = lo.map_or(here, |lo| lo.max(here));
+        let hi = match (hi, self.0.hi()) {
+            (Some(hi), Some(end)) if end.as_ref() <= hi => Some(end.clone()),
+            (Some(hi), _) => Some(Bytes::copy_from_slice(hi)),
+            (None, end) => end.cloned(),
+        };
+        table.cursor(Some(lo), hi)
     }
 
-    /// Sorted entries in `[lo, hi)` (hi = None means unbounded), cloned.
-    pub fn range(&self, lo: &[u8], hi: Option<&[u8]>) -> Vec<Entry> {
-        self.list
-            .iter_from(Some(lo))
-            .take_while(|(k, _)| hi.is_none_or(|h| k.as_ref() < h))
-            .map(|(k, slot)| entry_of(k, slot))
-            .collect()
+    /// Key and sequence number of the current entry; `None` once exhausted.
+    #[inline]
+    pub fn head(&self) -> Option<(&[u8], u64)> {
+        self.0.get().map(|(key, slot)| (key.as_ref(), slot.seq))
+    }
+
+    /// Steps to the next entry.
+    pub fn advance(&mut self) {
+        self.0.advance();
+    }
+
+    /// Exhausts the cursor.
+    pub(crate) fn close(&mut self) {
+        self.0.close();
+    }
+}
+
+/// A cursor is viewed at its current entry.
+///
+/// # Panics
+/// When the cursor is exhausted.
+impl EntryView for MemtableCursor {
+    #[inline]
+    fn entry(&self) -> EntryRef<'_> {
+        let (key, slot) = self.0.get().expect("cursor is not exhausted");
+        EntryRef {
+            key,
+            value: &slot.value,
+            seq: slot.seq,
+            kind: slot.kind,
+        }
+    }
+
+    fn to_entry(&self) -> Entry {
+        let (key, slot) = self.0.get().expect("cursor is not exhausted");
+        entry_of(key, slot)
     }
 }
 
@@ -171,37 +227,118 @@ mod tests {
         assert_eq!(m.bytes(), ENTRY_HEADER_LEN + 3 + 9);
     }
 
+    /// Every entry from the cursor's position on, owned.
+    fn drain(mut cursor: MemtableCursor) -> Vec<Entry> {
+        let mut entries = Vec::new();
+        while cursor.head().is_some() {
+            entries.push(cursor.to_entry());
+            cursor.advance();
+        }
+        entries
+    }
+
+    fn keys(entries: &[Entry]) -> Vec<&[u8]> {
+        entries.iter().map(|e| e.key.as_ref()).collect()
+    }
+
     #[test]
-    fn drain_sorted_returns_key_order_and_resets() {
-        let mut m = Memtable::new();
+    fn cursor_walks_in_key_order_and_outlives_its_handle() {
+        let m = Arc::new(Memtable::new());
         put(&m, "c", "3", 3);
         put(&m, "a", "1", 1);
         put(&m, "b", "2", 2);
-        let drained = m.drain_sorted();
-        let keys: Vec<&[u8]> = drained.iter().map(|e| e.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"a".as_ref(), b"b", b"c"]);
-        assert!(m.is_empty());
-        assert_eq!(m.bytes(), 0);
+        let cursor = m.cursor(None, None);
+        assert_eq!(cursor.head(), Some((b"a".as_ref(), 1)));
+        assert_eq!(cursor.entry().value, b"1");
+        drop(m); // the cursor owns its share of the buffer
+        let walked = drain(cursor);
+        assert_eq!(keys(&walked), vec![b"a".as_ref(), b"b", b"c"]);
+        assert_eq!(walked[2], Entry::put(&b"c"[..], &b"3"[..], 3));
     }
 
     #[test]
     fn range_bounds() {
-        let m = Memtable::new();
+        let m = Arc::new(Memtable::new());
         for k in ["a", "b", "c", "d"] {
             put(&m, k, "v", 1);
         }
-        let r = m.range(b"b", Some(b"d"));
-        let keys: Vec<&[u8]> = r.iter().map(|e| e.key.as_ref()).collect();
-        assert_eq!(keys, vec![b"b".as_ref(), b"c"]);
-        let r = m.range(b"c", None);
-        assert_eq!(r.len(), 2);
-        let r = m.range(b"x", None);
-        assert!(r.is_empty());
+        let r = drain(m.cursor(Some(b"b"), Some(Bytes::from_static(b"d"))));
+        assert_eq!(keys(&r), vec![b"b".as_ref(), b"c"]);
+        assert_eq!(drain(m.cursor(Some(b"c"), None)).len(), 2);
+        assert_eq!(
+            drain(m.cursor(None, Some(Bytes::from_static(b"c")))).len(),
+            2
+        );
+        assert!(drain(m.cursor(Some(b"x"), None)).is_empty());
+        assert!(drain(m.cursor(Some(b"b"), Some(Bytes::from_static(b"b")))).is_empty());
+    }
+
+    /// A value replaced in place while a cursor sits on its key must not
+    /// tear the entry: sequence number and value come from the one value
+    /// pointer the cursor loaded when it stepped there, whatever a writer
+    /// does between `head()` and `entry()`.
+    #[test]
+    fn cursor_never_tears_an_entry_a_writer_is_replacing() {
+        const KEYS: u64 = 64;
+        fn key(i: u64) -> Vec<u8> {
+            format!("key{i:03}").into_bytes()
+        }
+        /// Every version of a key carries its own sequence number as value.
+        fn version(i: u64, seq: u64) -> Entry {
+            Entry::put(key(i), seq.to_string().into_bytes(), seq)
+        }
+        let untorn = |cursor: &MemtableCursor, i: u64, seq: u64| {
+            let entry = cursor.entry();
+            assert_eq!((entry.key, entry.seq), (key(i).as_slice(), seq));
+            assert_eq!(entry.value, seq.to_string().as_bytes(), "torn entry");
+            assert_eq!(cursor.to_entry(), version(i, seq));
+        };
+        let m = Arc::new(Memtable::new());
+        for i in 0..KEYS {
+            m.insert(version(i, i));
+        }
+
+        // The interleaving itself, forced: the key under the cursor and the
+        // one ahead of it are replaced after `head()` was read.
+        let mut cursor = m.cursor(None, None);
+        for i in 0..KEYS {
+            // Key `i` was replaced while the cursor sat on key `i - 1`.
+            let seq = if i == 0 { 0 } else { KEYS + i };
+            assert_eq!(cursor.head(), Some((key(i).as_slice(), seq)));
+            m.insert(version(i, 2 * KEYS + i));
+            m.insert(version((i + 1) % KEYS, KEYS + (i + 1) % KEYS));
+            untorn(&cursor, i, seq); // what the cursor stepped onto, whole
+            assert_eq!(m.get(&key(i)).unwrap().seq, 2 * KEYS + i);
+            cursor.advance();
+        }
+        assert!(cursor.head().is_none());
+
+        // And against a real writer thread (CI's `tsan` job runs this).
+        let writer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                for round in 3..40 {
+                    for i in 0..KEYS {
+                        m.insert(version(i, round * KEYS + i));
+                    }
+                }
+            })
+        };
+        while !writer.is_finished() {
+            let mut cursor = m.cursor(None, None);
+            for i in 0..KEYS {
+                let (_, seq) = cursor.head().expect("keys are never removed");
+                std::thread::yield_now();
+                untorn(&cursor, i, seq);
+                cursor.advance();
+            }
+            assert!(cursor.head().is_none());
+        }
+        writer.join().unwrap();
     }
 
     #[test]
     fn concurrent_lock_free_reads_see_writes() {
-        use std::sync::Arc;
         let m = Arc::new(Memtable::new());
         let writer = {
             let m = Arc::clone(&m);
@@ -226,6 +363,6 @@ mod tests {
         }
         writer.join().unwrap();
         assert_eq!(m.len(), 500);
-        assert_eq!(m.to_sorted_entries().len(), 500);
+        assert_eq!(drain(m.cursor(None, None)).len(), 500);
     }
 }

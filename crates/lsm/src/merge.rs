@@ -1,11 +1,14 @@
 //! The partitioned parallel merge engine.
 //!
-//! A merge sort-merges a set of runs into one output run. Sequentially
-//! that is a single k-way merge; here the merged *key space* is first cut
-//! into disjoint key-range partitions along the input runs' existing
-//! fence pointers, the partitions are merged concurrently by a small
-//! worker pool, and the coordinator concatenates the partition outputs —
-//! in partition order — into one [`RunBuilder`].
+//! A merge sort-merges a set of runs — and, when it is a flush, the buffer
+//! as their youngest companion — into one output run: [`merge`] is the one
+//! function that writes runs. Sequentially that is a single k-way merge;
+//! here the merged *key space* is first cut into disjoint key-range
+//! partitions along the input runs' existing fence pointers (a memtable
+//! head is cut at the same keys, by opening one bounded cursor on it per
+//! partition), the partitions are merged concurrently by a small worker
+//! pool, and the coordinator concatenates the partition outputs — in
+//! partition order — into one [`RunBuilder`].
 //!
 //! # Byte identity
 //!
@@ -58,7 +61,9 @@ const CHANNEL_BATCHES: usize = 4;
 /// How a merge was executed, for telemetry gauges and trace lineage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeReport {
-    /// Key-range partitions the merge was cut into (1 = sequential).
+    /// Key-range partitions the merge was cut into (1 = sequential). A
+    /// memtable head does not make a merge sequential: it is sliced at the
+    /// partition boundaries like the runs are.
     pub partitions: u32,
     /// Worker threads that merged them (1 = sequential).
     pub threads: u32,
@@ -79,11 +84,15 @@ pub(crate) fn tag_destination(disk: &Disk, builder: &RunBuilder, level: usize) {
     }
 }
 
-/// Sort-merges `inputs` into a single new run landing at `level`, using up
-/// to `threads` worker threads (see the module docs; `threads == 1` is the
-/// fully sequential merge).
+/// Sort-merges `head` — an input that lives in memory: the buffer being
+/// flushed, or entries already sorted — and `inputs` into a single new run
+/// landing at `level`, using up to `threads` worker threads (see the module
+/// docs; `threads == 1` is the fully sequential merge). Every run the
+/// engine writes is written here: a flush into an empty level is the merge
+/// of a head with no inputs, a compaction the merge of inputs with no head.
 ///
-/// * Duplicate keys are resolved newest-wins (by sequence number).
+/// * `head` is younger than every input, `inputs` are youngest first.
+///   Duplicate keys are resolved newest-wins (by sequence number).
 /// * With `drop_tombstones`, tombstones are not written to the output.
 /// * Inputs are marked obsolete on success; their storage is reclaimed when
 ///   the last reference (e.g. a concurrent cursor) drops.
@@ -93,20 +102,26 @@ pub(crate) fn tag_destination(disk: &Disk, builder: &RunBuilder, level: usize) {
 ///
 /// Returns `None` when the merge produces no entries at all (e.g. only
 /// tombstones merged into the last level).
-pub fn merge_runs_with(
+pub fn merge(
     disk: &Arc<Disk>,
+    head: Option<Source>,
     inputs: &[Arc<Run>],
     drop_tombstones: bool,
     level: usize,
     filter: impl Into<FilterParams>,
     threads: usize,
 ) -> Result<(Option<Arc<Run>>, MergeReport)> {
-    debug_assert!(!inputs.is_empty());
+    debug_assert!(head.is_some() || !inputs.is_empty());
     debug_assert!(threads >= 1);
-    let mut builder = RunBuilder::new(Arc::clone(disk));
+    let expected = head.as_ref().map_or(0, Source::len_hint)
+        + inputs
+            .iter()
+            .map(|run| run.entries() as usize)
+            .sum::<usize>();
+    let mut builder = RunBuilder::with_entries(Arc::clone(disk), expected);
     tag_destination(disk, &builder, level);
     let run_id = builder.run_id();
-    let mut report = feed_merge(&mut builder, inputs, drop_tombstones, threads)?;
+    let mut report = feed_merge(&mut builder, head, inputs, drop_tombstones, threads)?;
     report.input_runs = inputs.iter().map(|r| r.id()).collect();
     let output = builder.finish(filter)?.map(Arc::new);
     if output.is_none() {
@@ -120,27 +135,43 @@ pub fn merge_runs_with(
     Ok((output, report))
 }
 
+/// [`merge`] of runs alone.
+pub fn merge_runs_with(
+    disk: &Arc<Disk>,
+    inputs: &[Arc<Run>],
+    drop_tombstones: bool,
+    level: usize,
+    filter: impl Into<FilterParams>,
+    threads: usize,
+) -> Result<(Option<Arc<Run>>, MergeReport)> {
+    merge(disk, None, inputs, drop_tombstones, level, filter, threads)
+}
+
 /// Streams the merged (deduped, optionally tombstone-dropped) entry
-/// sequence of `inputs` into `builder`, sequentially or partitioned.
+/// sequence of `head` and `inputs` into `builder`, sequentially or
+/// partitioned.
 fn feed_merge(
     builder: &mut RunBuilder,
+    head: Option<Source>,
     inputs: &[Arc<Run>],
     drop_tombstones: bool,
     threads: usize,
 ) -> Result<MergeReport> {
     let partitions = if threads > 1 {
-        plan_partitions(inputs, threads)?
+        plan_partitions(head.as_ref(), inputs, threads)?
     } else {
         Vec::new()
     };
     if partitions.len() <= 1 {
-        let sources = inputs
-            .iter()
-            .map(|run| run.merge_pages(0..run.pages()).map(Source::from))
-            .collect::<Result<Vec<_>>>()?;
+        let mut sources = Vec::with_capacity(1 + inputs.len());
+        sources.extend(head);
+        for run in inputs {
+            sources.push(run.merge_pages(0..run.pages())?.into());
+        }
         let mut merged = MergingIter::new(sources);
-        // Each surviving entry goes from its input page straight into the
-        // output page; nothing owned is built in between.
+        // Each surviving entry goes from where it lies — its input page,
+        // its memtable node — straight into the output page; nothing owned
+        // is built in between.
         while let Some(pushed) = merged.next_with(|source| {
             if drop_tombstones && source.entry().is_tombstone() {
                 return Ok(());
@@ -195,9 +226,10 @@ impl RunSlice {
     }
 }
 
-/// One key-range partition of the merge: a slice of every input run, in
-/// input order.
+/// One key-range partition of the merge: the head's entries inside the
+/// range, then a slice of every input run, in input order.
 struct Partition {
+    head: Option<Source>,
     slices: Vec<RunSlice>,
 }
 
@@ -214,8 +246,13 @@ struct Cut {
 /// Cuts the merged key space into up to `want` contiguous partitions along
 /// the input runs' fence keys, balancing input pages per partition, and
 /// pre-reads every straddled page (exactly once) to distribute its entries
-/// to the adjacent partitions.
-fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
+/// to the adjacent partitions. A head is cut at the same keys; one that
+/// cannot be ([`Source::slice`]) leaves the merge sequential — no plan.
+fn plan_partitions(
+    head: Option<&Source>,
+    inputs: &[Arc<Run>],
+    want: usize,
+) -> Result<Vec<Partition>> {
     let total_pages: u64 = inputs.iter().map(|r| r.pages() as u64).sum();
     let want = want.min(total_pages.max(1) as usize);
     if want <= 1 {
@@ -244,9 +281,19 @@ fn plan_partitions(inputs: &[Arc<Run>], want: usize) -> Result<Vec<Partition>> {
         return Ok(Vec::new());
     }
     let nparts = boundaries.len() + 1;
-    let mut partitions: Vec<Partition> = (0..nparts)
-        .map(|_| Partition { slices: Vec::new() })
-        .collect();
+    let mut partitions = Vec::with_capacity(nparts);
+    for p in 0..nparts {
+        let lo = (p > 0).then(|| boundaries[p - 1]);
+        let hi = (p + 1 < nparts).then(|| boundaries[p]);
+        let head = match head.map(|head| head.slice(lo, hi)) {
+            Some(None) => return Ok(Vec::new()), // a head that cannot be cut
+            slice => slice.flatten(),
+        };
+        partitions.push(Partition {
+            head,
+            slices: Vec::new(),
+        });
+    }
     for run in inputs {
         let m = run.pages();
         let fences = run.fences();
@@ -434,7 +481,8 @@ fn merge_partition(
     abort: &AtomicBool,
     drop_tombstones: bool,
 ) {
-    let mut sources = Vec::with_capacity(3 * partition.slices.len());
+    let mut sources = Vec::with_capacity(1 + 3 * partition.slices.len());
+    sources.extend(partition.head);
     for slice in partition.slices {
         if let Err(e) = slice.open_into(&mut sources) {
             let _ = tx.send(Err(e));
@@ -512,7 +560,7 @@ mod tests {
         let disk = Disk::mem(128);
         let inputs = keyed_runs(&disk, 3, 200);
         for want in 2..=8 {
-            let partitions = plan_partitions(&inputs, want).unwrap();
+            let partitions = plan_partitions(None, &inputs, want).unwrap();
             assert!(partitions.len() <= want);
             // Per run: whole-page ranges + straddle pages = all pages once.
             for run in &inputs {
@@ -626,6 +674,83 @@ mod tests {
         assert_eq!(seq.entries(), par.entries());
         assert_eq!(par.tombstones(), 0);
         assert_eq!(raw_pages(&d1, &seq), raw_pages(&d2, &par));
+    }
+
+    /// The flush's merge against the two steps it replaced: the buffer
+    /// written out as a run, that run merged with the resident one. Same
+    /// pages, same filter bits, same fences — at one thread and at four,
+    /// where the memtable is cut at the partition boundaries — and no page
+    /// of the buffer's is written or read on the way.
+    #[test]
+    fn memtable_head_merges_like_the_run_written_out_of_it() {
+        use crate::memtable::Memtable;
+        let buffered: Vec<Entry> = (0..400usize)
+            .map(|i| (i * 7919) % 1200)
+            .enumerate()
+            .map(|(n, k)| {
+                let key = format!("key{k:06}").into_bytes();
+                if n % 5 == 0 {
+                    Entry::tombstone(key, 10_000 + n as u64)
+                } else {
+                    Entry::put(key, format!("new-{n}").into_bytes(), 10_000 + n as u64)
+                }
+            })
+            .collect();
+        let resident = |disk: &Arc<Disk>| {
+            let entries = (0..600).map(|i| put(&format!("key{:06}", i * 2), "resident", i));
+            run_of(disk, entries.collect())
+        };
+        for (threads, drop_tombstones) in [(1, false), (1, true), (4, false), (4, true)] {
+            let old_disk = Disk::mem(128);
+            let mut sorted = buffered.clone();
+            sorted.sort_by(|a, b| a.key.cmp(&b.key));
+            let inputs = [resident(&old_disk), run_of(&old_disk, sorted)];
+            let inputs = [Arc::clone(&inputs[1]), Arc::clone(&inputs[0])]; // youngest first
+            let (old, _) =
+                merge_runs_with(&old_disk, &inputs, drop_tombstones, 1, 10.0, threads).unwrap();
+            let old = old.unwrap();
+
+            let new_disk = Disk::mem(128);
+            let resident = resident(&new_disk);
+            let resident_pages = resident.pages() as u64;
+            let memtable = Arc::new(Memtable::new());
+            for entry in &buffered {
+                memtable.insert(entry.clone());
+            }
+            new_disk.reset_io();
+            let head = memtable.cursor(None, None).into();
+            let (new, report) = merge(
+                &new_disk,
+                Some(head),
+                &[resident],
+                drop_tombstones,
+                1,
+                10.0,
+                threads,
+            )
+            .unwrap();
+            let (new, io) = (new.unwrap(), new_disk.io());
+            assert_eq!(report.partitions > 1, threads > 1, "{report:?}");
+            assert_eq!(
+                (io.page_reads, io.seeks, io.page_writes),
+                (resident_pages, 1, new.pages() as u64),
+                "the resident run read once, the output written once, nothing else"
+            );
+
+            assert_eq!(raw_pages(&old_disk, &old), raw_pages(&new_disk, &new));
+            let encoded = |run: &Run| {
+                let mut bits = Vec::new();
+                run.filter().encode(&mut bits);
+                bits
+            };
+            assert_eq!(encoded(&old), encoded(&new), "filter bits");
+            let fences = |run: &Run| run.fences().iter().map(<[u8]>::to_vec).collect::<Vec<_>>();
+            assert_eq!(fences(&old), fences(&new));
+            assert_eq!(
+                (old.entries(), old.tombstones(), old.bytes(), old.max_key()),
+                (new.entries(), new.tombstones(), new.bytes(), new.max_key())
+            );
+        }
     }
 
     #[test]

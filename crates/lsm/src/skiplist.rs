@@ -3,9 +3,9 @@
 //! The engine's write path is already serialized (every `put` holds the
 //! shard's write lock while it appends to the WAL and buffer), so this
 //! list optimizes for the other side: **readers never take a lock**.
-//! Point lookups, frozen-memtable scans, and the observatory's
-//! classification hooks all traverse the towers with `Acquire` loads
-//! while a writer may be splicing nodes in.
+//! Point lookups, the [`Cursor`]s scans and flushes walk the buffer with,
+//! and the observatory's classification hooks all traverse the towers with
+//! `Acquire` loads while a writer may be splicing nodes in.
 //!
 //! The usual skiplist hazards are sidestepped structurally rather than
 //! with epochs or hazard pointers:
@@ -192,15 +192,18 @@ impl<V> SkipList<V> {
         None
     }
 
-    /// Lock-free in-order walk of every entry from the first key `>= lo`
-    /// (or the front when `lo` is `None`). Entries spliced in while the
-    /// iterator is live may or may not be observed.
-    pub fn iter_from(&self, lo: Option<&[u8]>) -> Iter<'_, V> {
+    /// The last node with a key `< lo` (the head sentinel when there is
+    /// none, or without `lo`).
+    fn predecessor(&self, lo: Option<&[u8]>) -> *const Node<V> {
         let mut node: *const Node<V> = &*self.head;
         if let Some(lo) = lo {
             for lvl in (0..MAX_HEIGHT).rev() {
                 loop {
+                    // SAFETY: `node` is the sentinel or a published node;
+                    // neither is freed before the list drops.
                     let next = unsafe { (*node).next[lvl].load(Acquire) };
+                    // SAFETY: a non-null `next` was published by a Release
+                    // store after its key was initialised.
                     if next.is_null() || unsafe { (*next).key.as_ref() } >= lo {
                         break;
                     }
@@ -208,15 +211,15 @@ impl<V> SkipList<V> {
                 }
             }
         }
-        Iter {
-            next: unsafe { (*node).next[0].load(Acquire) },
-            _list: self,
-        }
+        node
     }
 
-    /// Lock-free in-order walk of every entry.
-    pub fn iter(&self) -> Iter<'_, V> {
-        self.iter_from(None)
+    /// A cursor borrowing the list, on the first key `>= lo` (the front
+    /// without `lo`) and ending before `hi`.
+    #[cfg(test)]
+    fn cursor(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Cursor<V, &Self> {
+        // SAFETY: the owner is a borrow of this very list.
+        unsafe { Cursor::new(self, self, lo, hi.map(Bytes::copy_from_slice)) }
     }
 }
 
@@ -235,23 +238,109 @@ impl<V> Drop for SkipList<V> {
     }
 }
 
-/// Level-0 walk; see [`SkipList::iter_from`].
-pub(crate) struct Iter<'a, V> {
-    next: *const Node<V>,
-    _list: &'a SkipList<V>,
+/// A lock-free in-order walk of a list's level 0, positioned on one entry
+/// at a time, that owns whatever keeps the list alive (`O`: a borrow of
+/// it, or an `Arc` of the structure it is a field of) — so it can outlive
+/// the scope it was opened in, be stored in a merge's source set, and move
+/// to a merge worker.
+///
+/// The value under the cursor is the one its node held when the cursor
+/// stepped onto it: a writer replacing the value in place meanwhile does
+/// not change what the cursor shows (the displaced allocation is retired,
+/// not freed). Nodes spliced in behind the cursor are not observed; ones
+/// spliced in ahead of it are.
+pub(crate) struct Cursor<V, O> {
+    owner: O,
+    /// The node under the cursor; null once exhausted.
+    node: *const Node<V>,
+    /// `node`'s value, loaded once when the cursor stepped onto it.
+    value: *const V,
+    /// Exclusive upper bound: the cursor is exhausted from the first key
+    /// `>= hi` on.
+    hi: Option<Bytes>,
 }
 
-impl<'a, V> Iterator for Iter<'a, V> {
-    type Item = (&'a Bytes, &'a V);
+// SAFETY: the pointers lead into the list `owner` keeps alive, where the
+// cursor only reads: keys are immutable once published, `next` and `value`
+// are atomics, and a value behind a loaded pointer is never written again.
+// That is shared access to `V` from the cursor's thread (`V: Sync`), next to
+// a writer that may drop displaced values when the list drops on whichever
+// thread lets go of it last (`V: Send`); the owner moves with the cursor.
+unsafe impl<V: Send + Sync, O: Send> Send for Cursor<V, O> {}
 
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next.is_null() {
+impl<V, O> Cursor<V, O> {
+    /// A cursor over `list` on the first key `>= lo` (the front without
+    /// `lo`), ending before `hi`.
+    ///
+    /// # Safety
+    /// `owner` must keep `list` alive — neither dropped nor replaced — for
+    /// as long as it exists itself.
+    pub(crate) unsafe fn new(
+        owner: O,
+        list: &SkipList<V>,
+        lo: Option<&[u8]>,
+        hi: Option<Bytes>,
+    ) -> Self {
+        let mut cursor = Self {
+            owner,
+            node: list.predecessor(lo),
+            value: ptr::null(),
+            hi,
+        };
+        cursor.advance();
+        cursor
+    }
+
+    /// What keeps the list alive.
+    pub(crate) fn owner(&self) -> &O {
+        &self.owner
+    }
+
+    /// The exclusive upper bound the cursor was opened with.
+    pub(crate) fn hi(&self) -> Option<&Bytes> {
+        self.hi.as_ref()
+    }
+
+    /// Key and value under the cursor; `None` once exhausted.
+    #[inline]
+    pub(crate) fn get(&self) -> Option<(&Bytes, &V)> {
+        if self.node.is_null() {
             return None;
         }
-        let node = self.next;
-        self.next = unsafe { (*node).next[0].load(Acquire) };
-        let value = unsafe { (*node).value.load(Acquire) };
-        Some(unsafe { (&(*node).key, &*value) })
+        // SAFETY: a non-null `node` is a published node of the list the
+        // owner keeps alive, and `value` was loaded from it: both live
+        // until the list drops, which is after `self` does.
+        Some(unsafe { (&(*self.node).key, &*self.value) })
+    }
+
+    /// Steps to the next entry. A no-op once exhausted.
+    pub(crate) fn advance(&mut self) {
+        if self.node.is_null() {
+            return;
+        }
+        // SAFETY: as in `get`; Acquire pairs with the Release splice, so a
+        // node seen here has its key, value and tower initialised.
+        let next = unsafe { (*self.node).next[0].load(Acquire) };
+        let past_hi = |next: *const Node<V>| {
+            // SAFETY: `next` is non-null here, hence a published node.
+            let key = unsafe { (*next).key.as_ref() };
+            self.hi.as_deref().is_some_and(|hi| key >= hi)
+        };
+        if next.is_null() || past_hi(next) {
+            self.close();
+        } else {
+            self.node = next;
+            // SAFETY: as above. The value pointer is read once per
+            // position, so key, value and whatever else `V` carries come
+            // from one version of the entry.
+            self.value = unsafe { (*next).value.load(Acquire) };
+        }
+    }
+
+    /// Exhausts the cursor.
+    pub(crate) fn close(&mut self) {
+        self.node = ptr::null();
+        self.value = ptr::null();
     }
 }
 
@@ -262,6 +351,16 @@ mod tests {
 
     fn b(s: &str) -> Bytes {
         Bytes::copy_from_slice(s.as_bytes())
+    }
+
+    /// Every key from the cursor's position on.
+    fn keys<V, O>(mut cursor: Cursor<V, O>) -> Vec<String> {
+        let mut keys = Vec::new();
+        while let Some((key, _)) = cursor.get() {
+            keys.push(String::from_utf8(key.to_vec()).unwrap());
+            cursor.advance();
+        }
+        keys
     }
 
     #[test]
@@ -282,11 +381,15 @@ mod tests {
         for (i, k) in ["d", "a", "c", "b", "e"].iter().enumerate() {
             list.insert(b(k), i as u32);
         }
-        let keys: Vec<&Bytes> = list.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![&b("a"), &b("b"), &b("c"), &b("d"), &b("e")]);
-        let from_c: Vec<&Bytes> = list.iter_from(Some(b"c")).map(|(k, _)| k).collect();
-        assert_eq!(from_c, vec![&b("c"), &b("d"), &b("e")]);
-        assert_eq!(list.iter_from(Some(b"z")).count(), 0);
+        assert_eq!(keys(list.cursor(None, None)), ["a", "b", "c", "d", "e"]);
+        assert_eq!(keys(list.cursor(Some(b"c"), None)), ["c", "d", "e"]);
+        assert_eq!(keys(list.cursor(Some(b"bb"), Some(b"e"))), ["c", "d"]);
+        assert_eq!(keys(list.cursor(None, Some(b"a"))), [""; 0]);
+        assert_eq!(keys(list.cursor(Some(b"z"), None)), [""; 0]);
+        let mut spent = list.cursor(Some(b"e"), None);
+        spent.advance();
+        spent.advance();
+        assert!(spent.get().is_none(), "advancing past the end stays there");
     }
 
     #[test]
@@ -296,10 +399,9 @@ mod tests {
             list.insert(b(&format!("key{:05}", (i * 7919) % 2000)), i);
         }
         assert_eq!(list.len(), 2000);
-        let keys: Vec<Vec<u8>> = list.iter().map(|(k, _)| k.to_vec()).collect();
-        let mut sorted = keys.clone();
-        sorted.sort();
-        assert_eq!(keys, sorted);
+        let keys = keys(list.cursor(None, None));
+        assert_eq!(keys.len(), 2000);
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]
@@ -320,13 +422,11 @@ mod tests {
                             hits += 1;
                         }
                     }
-                    let mut prev: Option<Vec<u8>> = None;
-                    for (k, _) in list.iter() {
-                        if let Some(p) = &prev {
-                            assert!(k.as_ref() > p.as_slice(), "iteration out of order");
-                        }
-                        prev = Some(k.to_vec());
-                    }
+                    let walked = keys(list.cursor(None, None));
+                    assert!(
+                        walked.windows(2).all(|pair| pair[0] < pair[1]),
+                        "iteration out of order"
+                    );
                 }
                 hits
             }));

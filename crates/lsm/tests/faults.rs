@@ -7,6 +7,14 @@ use monkey_storage::{Backend, BlockCache, Disk, FaultKind, FlakyBackend, MemBack
 use std::sync::Arc;
 
 fn flaky_db(kind: FaultKind) -> (Arc<Db>, Arc<FlakyBackend<MemBackend>>) {
+    flaky_db_with(kind, MergePolicy::Leveling, 2)
+}
+
+fn flaky_db_with(
+    kind: FaultKind,
+    policy: MergePolicy,
+    size_ratio: usize,
+) -> (Arc<Db>, Arc<FlakyBackend<MemBackend>>) {
     let backend = FlakyBackend::new(MemBackend::new(), kind);
     let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 256, None);
     // Build options whose storage we bypass: open an in-memory Db, then
@@ -14,8 +22,8 @@ fn flaky_db(kind: FaultKind) -> (Arc<Db>, Arc<FlakyBackend<MemBackend>>) {
     let opts = DbOptions::in_memory()
         .page_size(256)
         .buffer_capacity(512)
-        .size_ratio(2)
-        .merge_policy(MergePolicy::Leveling)
+        .size_ratio(size_ratio)
+        .merge_policy(policy)
         .uniform_filters(8.0);
     let db = Db::open_with_disk(opts, disk).unwrap();
     (db, backend)
@@ -125,6 +133,74 @@ fn failed_merge_does_not_leak_runs() {
         "no leaked storage: {live_after} live vs {} tracked (was {live_before}/{runs_before})",
         stats.runs
     );
+}
+
+/// A cascade that fails after an earlier step of the same flush sealed a
+/// run must not leave that run behind: no version names it, so nothing
+/// would ever delete it. Walks a fault through **every** page write of a
+/// flush whose cascade merges on more than one level.
+#[test]
+fn failed_cascade_leaks_no_run_at_any_write_index() {
+    const BATCH: usize = 8; // under one buffer: only `flush` rotates
+    let key = |i: usize| format!("k{:04}", (i * 37) % 1000).into_bytes();
+    let put_batch = |db: &Db, batch: usize| {
+        for i in batch * BATCH..(batch + 1) * BATCH {
+            db.put(key(i), vec![b'v'; 32]).unwrap();
+        }
+    };
+    let check = |db: &Db, puts: usize, when: &str| {
+        let (live, tracked) = (db.disk().list_runs().len(), db.stats().runs);
+        assert_eq!(live, tracked, "{when}: {live} run files for {tracked} runs");
+        for i in 0..puts {
+            assert!(db.get(&key(i)).unwrap().is_some(), "{when}: key {i} lost");
+        }
+    };
+    for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
+        // Dry run: the first flush that merges on two levels or more.
+        let (db, _) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
+        let mut batches = 0;
+        loop {
+            put_batch(&db, batches);
+            batches += 1;
+            let merges = db.compaction_stats().merges;
+            db.flush().unwrap();
+            if db.compaction_stats().merges >= merges + 2 {
+                break;
+            }
+        }
+        let mut failures = 0;
+        for allowed in 0.. {
+            let (db, backend) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
+            for batch in 0..batches {
+                if batch > 0 {
+                    db.flush().unwrap();
+                }
+                put_batch(&db, batch);
+            }
+            let merges = db.compaction_stats().merges;
+            backend.arm(allowed);
+            if db.flush().is_ok() {
+                assert!(db.compaction_stats().merges >= merges + 2, "a cascade");
+                break; // the fault has walked off the end of the cascade
+            }
+            failures += 1;
+            backend.disarm();
+            // The published tree is untouched, the frozen memtable still
+            // answers for what it holds, and every file is a tracked run's.
+            check(
+                &db,
+                batches * BATCH,
+                &format!("{policy:?}, fault at write {allowed}"),
+            );
+            db.flush().unwrap();
+            check(
+                &db,
+                batches * BATCH,
+                &format!("{policy:?}, retry after {allowed}"),
+            );
+        }
+        assert!(failures >= 6, "{policy:?}: only {failures} write indices");
+    }
 }
 
 #[test]

@@ -24,6 +24,27 @@ pub trait Backend: Send + Sync + 'static {
     /// append. Pages arrive in order `0, 1, 2, ...`.
     fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> Result<()>;
 
+    /// Appends an extent — a whole number of `page_size`-byte pages, the
+    /// first of them page `first_page` — to a run being built.
+    ///
+    /// Semantically identical to one [`append_page`] per page, in order: a
+    /// failure part-way leaves the pages before it appended. Backends
+    /// override it to write the extent in one transfer.
+    ///
+    /// [`append_page`]: Backend::append_page
+    fn append_pages(
+        &self,
+        run: RunId,
+        first_page: u32,
+        data: &[u8],
+        page_size: usize,
+    ) -> Result<()> {
+        for (page_no, page) in (first_page..).zip(data.chunks(page_size)) {
+            self.append_page(run, page_no, page)?;
+        }
+        Ok(())
+    }
+
     /// Seals a run: no further appends; data is durable after this returns.
     fn seal(&self, run: RunId) -> Result<()>;
 
@@ -182,14 +203,25 @@ impl FileBackend {
 
 impl Backend for FileBackend {
     fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> Result<()> {
-        if data.len() != self.page_size {
+        self.append_pages(run, page_no, data, self.page_size)
+    }
+
+    /// One positional write for the whole extent.
+    fn append_pages(
+        &self,
+        run: RunId,
+        first_page: u32,
+        data: &[u8],
+        page_size: usize,
+    ) -> Result<()> {
+        if page_size != self.page_size || data.is_empty() || !data.len().is_multiple_of(page_size) {
             return Err(StorageError::BadPageSize {
                 got: data.len(),
                 want: self.page_size,
             });
         }
-        let handle = self.handles.for_append(run, page_no)?;
-        handle.write_page(page_no, data)?;
+        let handle = self.handles.for_append(run, first_page)?;
+        handle.write_pages(first_page, data)?;
         Ok(())
     }
 

@@ -339,7 +339,7 @@ impl Backend for DirectFileBackend {
         // alignment guarantee, O_DIRECT demands one.
         let mut buf = self.handles.frames().acquire();
         buf.as_mut_slice().copy_from_slice(data);
-        match handle.write_page(page_no, buf.as_ref()) {
+        match handle.write_pages(page_no, buf.as_ref()) {
             Err(e) if e.raw_os_error() == Some(22) => {
                 self.degraded.store(true, Ordering::Relaxed);
                 OpenOptions::new()

@@ -499,21 +499,36 @@ impl RunWriter {
         self.pages
     }
 
-    /// Appends one page. The buffer must be exactly one page long; the run
-    /// builder in the LSM crate pads the final page.
-    pub fn append(&mut self, page: &[u8]) -> Result<()> {
-        if page.len() != self.disk.page_size {
+    /// Appends an extent: one page, or any whole number of them back to
+    /// back (the run builder in the LSM crate pads the final page). Each
+    /// page is counted and attributed as a write of its own; the backend
+    /// receives the extent in one call, timed — when sampled — as one. On
+    /// failure some of the extent's pages may have reached the backend:
+    /// the writer deletes the partial run when it is dropped.
+    pub fn append(&mut self, pages: &[u8]) -> Result<()> {
+        let page_size = self.disk.page_size;
+        if pages.is_empty() || !pages.len().is_multiple_of(page_size) {
             return Err(StorageError::BadPageSize {
-                got: page.len(),
-                want: self.disk.page_size,
+                got: pages.len(),
+                want: page_size,
             });
         }
-        let started = self.disk.io_start(IoOp::WritePage);
-        self.disk.backend.append_page(self.id, self.pages, page)?;
+        let count = (pages.len() / page_size) as u32;
+        // Every page ticks the sampling gate so op counts stay exact; the
+        // first sampled one carries the timing of the whole call.
+        let mut started = None;
+        for _ in 0..count {
+            started = started.or(self.disk.io_start(IoOp::WritePage));
+        }
+        self.disk
+            .backend
+            .append_pages(self.id, self.pages, pages, page_size)?;
         self.disk.io_end(IoOp::WritePage, self.id, started);
-        self.disk.stats.add_writes(1);
-        self.disk.attr_write(self.id);
-        self.pages += 1;
+        self.disk.stats.add_writes(count as u64);
+        for _ in 0..count {
+            self.disk.attr_write(self.id);
+        }
+        self.pages += count;
         Ok(())
     }
 
@@ -533,8 +548,10 @@ impl RunWriter {
 impl Drop for RunWriter {
     fn drop(&mut self) {
         // An abandoned writer (error path mid-merge) must not leak a
-        // half-built run.
-        if !self.sealed && self.pages > 0 {
+        // half-built run — nor the leading pages of an extent that failed
+        // part-way, which `pages` does not count. A run that never got a
+        // page does not exist, and the delete says so.
+        if !self.sealed {
             let _ = self.disk.backend.delete(self.id);
         }
     }
@@ -926,6 +943,131 @@ mod tests {
             w.append(&[0u8; 32]),
             Err(StorageError::BadPageSize { got: 32, want: 64 })
         ));
+        // An extent is a whole number of pages, and at least one.
+        assert!(matches!(
+            w.append(&[0u8; 96]),
+            Err(StorageError::BadPageSize { got: 96, want: 64 })
+        ));
+        assert!(matches!(
+            w.append(&[]),
+            Err(StorageError::BadPageSize { got: 0, want: 64 })
+        ));
+        assert_eq!(w.pages_written(), 0);
+    }
+
+    /// The three disks a run can be written to, over `dir` (direct falls
+    /// back to buffered where the filesystem refuses `O_DIRECT`).
+    fn every_disk(dir: &Path, page_size: usize) -> Vec<Arc<Disk>> {
+        let _ = std::fs::remove_dir_all(dir);
+        vec![
+            Disk::mem(page_size),
+            Disk::file_with(dir.join("buffered"), page_size, IoBackend::Buffered, None).unwrap(),
+            Disk::file_with(dir.join("direct"), page_size, IoBackend::Direct, None).unwrap(),
+        ]
+    }
+
+    #[test]
+    fn extents_read_back_like_single_page_appends() {
+        const PAGE: usize = 4096;
+        let dir = std::env::temp_dir().join(format!("monkey-extents-{}", std::process::id()));
+        // Page `p` of the run `pages` pages long: distinct in every page.
+        let content = |p: usize| -> Vec<u8> { (0..PAGE).map(|i| (p * 31 + i) as u8).collect() };
+        for disk in every_disk(&dir, PAGE) {
+            for pages in [1usize, 63, 64, 65, 200] {
+                let all: Vec<u8> = (0..pages).flat_map(content).collect();
+                // One extent, then the same pages in two extents cut off
+                // any extent boundary a backend might care about.
+                for cut in [pages, pages / 3] {
+                    disk.reset_io();
+                    let mut w = disk.begin_run();
+                    let (first, rest) = all.split_at(cut * PAGE);
+                    for extent in [first, rest] {
+                        if !extent.is_empty() {
+                            w.append(extent).unwrap();
+                        }
+                    }
+                    assert_eq!(w.pages_written() as usize, pages);
+                    assert_eq!(disk.io().page_writes as usize, pages, "a write per page");
+                    let extents = w.seal().unwrap();
+
+                    let mut w = disk.begin_run();
+                    for p in 0..pages {
+                        w.append(&content(p)).unwrap();
+                    }
+                    let singles = w.seal().unwrap();
+
+                    assert_eq!(disk.run_pages(extents).unwrap() as usize, pages);
+                    for p in 0..pages as u32 {
+                        let (a, b) = (disk.read_page(extents, p), disk.read_page(singles, p));
+                        assert_eq!(a.unwrap(), b.unwrap(), "page {p} of {pages}");
+                    }
+                    disk.delete_run(extents).unwrap();
+                    disk.delete_run(singles).unwrap();
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_page_append_is_readable_before_seal() {
+        // The value log reads pages of its open run: whatever buffering
+        // there is sits above the writer, never inside it.
+        let dir = std::env::temp_dir().join(format!("monkey-open-run-{}", std::process::id()));
+        for disk in every_disk(&dir, 4096) {
+            let mut w = disk.begin_run();
+            w.append(&page(&disk, 7)).unwrap();
+            assert_eq!(disk.read_page(w.id(), 0).unwrap()[..], page(&disk, 7)[..]);
+            w.append(&page(&disk, 8)).unwrap();
+            assert_eq!(disk.read_page(w.id(), 1).unwrap()[0], 8);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn failed_extent_is_counted_per_page_and_leaves_no_partial_run() {
+        use crate::faults::{FaultKind, FlakyBackend};
+        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
+        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
+        let attr = Arc::new(IoAttribution::new());
+        let lat = Arc::new(IoLatency::new());
+        disk.attach_attribution(Arc::clone(&attr));
+        disk.attach_io_latency(Arc::clone(&lat));
+        let extent = vec![5u8; 8 * 64];
+
+        // The fault budget is per page: an 8-page extent dies on its
+        // fourth page, the first extent of the run or a later one.
+        for extents_before in [0u32, 2] {
+            backend.disarm();
+            let mut w = disk.begin_run();
+            attr.tag_run(w.id(), 1);
+            for _ in 0..extents_before {
+                w.append(&extent).unwrap();
+            }
+            let (id, written) = (w.id(), disk.io().page_writes);
+            backend.arm(3);
+            assert!(w.append(&extent).is_err());
+            assert_eq!(w.pages_written(), extents_before * 8, "appended pages only");
+            assert_eq!(
+                disk.io().page_writes,
+                written,
+                "a failed extent is not counted"
+            );
+            assert_eq!(
+                disk.run_pages(id).unwrap(),
+                extents_before * 8 + 3,
+                "the pages ahead of the fault did reach the backend"
+            );
+            drop(w);
+            assert!(
+                disk.list_runs().is_empty(),
+                "partial run deleted with its writer"
+            );
+        }
+        // The sampling gate ticks per page attempted, attribution per page
+        // appended.
+        assert_eq!(lat.op_count(IoOp::WritePage), 2 * 8 + 2 * 8);
+        assert_eq!(attr.snapshot()[1].writes, 2 * 8);
     }
 
     #[test]

@@ -93,10 +93,11 @@ impl RunHandle {
             .read_exact_at(buf, page_no as u64 * self.page_size as u64)
     }
 
-    /// One positional write of page `page_no`.
-    pub(crate) fn write_page(&self, page_no: u32, data: &[u8]) -> std::io::Result<()> {
+    /// One positional write of the whole pages in `data`, the first of
+    /// them page `first_page`.
+    pub(crate) fn write_pages(&self, first_page: u32, data: &[u8]) -> std::io::Result<()> {
         self.file
-            .write_all_at(data, page_no as u64 * self.page_size as u64)
+            .write_all_at(data, first_page as u64 * self.page_size as u64)
     }
 }
 
@@ -207,8 +208,8 @@ impl RunHandles {
         handle
     }
 
-    /// The handle to append page `page_no` of `run` through, creating the
-    /// file on page 0.
+    /// The handle to append `run`'s pages from `page_no` on through,
+    /// creating the file on page 0.
     pub(crate) fn for_append(&self, run: RunId, page_no: u32) -> Result<Arc<RunHandle>> {
         if let Some(handle) = self.table.read().get(&run) {
             if handle.sealed_pages.get().is_some() {
