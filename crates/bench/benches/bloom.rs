@@ -98,12 +98,8 @@ fn bench_variant_probe(c: &mut Criterion) {
     group.finish();
 }
 
-/// Seed probe path vs the current one, isolated at the filter level. The
-/// seed hashed the key on every probe and reduced positions with `%`; the
-/// current path hashes once upstream and reduces with the multiply-shift
-/// fast range. A legacy-format filter (decoded without the format magic)
-/// still probes with `%`, giving an honest reproduction of the old cost on
-/// identical bits.
+/// What hashing once upstream buys, isolated at the filter level: a probe
+/// that hashes its key against one handed the engine's precomputed pair.
 fn bench_probe_scheme(c: &mut Criterion) {
     let mut group = c.benchmark_group("probe_scheme");
     group
@@ -114,20 +110,8 @@ fn bench_probe_scheme(c: &mut Criterion) {
     for i in 0..n {
         filter.insert(&i.to_le_bytes());
     }
-    let mut buf = Vec::new();
-    filter.encode(&mut buf);
-    // Strip the 4-byte format magic: the remainder is a valid legacy
-    // stream, and decoding it yields a filter that probes with `%`.
-    let (legacy, _) = BloomFilter::decode(&buf[4..]).expect("legacy layout");
     let keys: Vec<[u8; 8]> = (n..n + 4096).map(|i| i.to_le_bytes()).collect();
     let pairs: Vec<_> = keys.iter().map(|k| hash_pair(k)).collect();
-    let mut i = 0usize;
-    group.bench_function("seed_hash_plus_modulus", |b| {
-        b.iter(|| {
-            i = (i + 1) & 4095;
-            legacy.contains(&keys[i])
-        })
-    });
     let mut i = 0usize;
     group.bench_function("fastrange_keyed", |b| {
         b.iter(|| {

@@ -340,7 +340,7 @@ fn main() {
     if advise {
         // Measure the query phase only: advising on the bulk load would
         // just tell the operator to optimize for blind writes.
-        db.telemetry().expect("telemetry is on").reset();
+        db.reset_telemetry();
     }
 
     let mix = OpMix::new(0.40, 0.40, 0.01, 0.19).with_selectivity(0.002);

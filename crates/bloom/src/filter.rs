@@ -3,40 +3,25 @@
 //!
 //! # On-disk format
 //!
-//! The legacy encoding (format v0) was `hashes: u32 | entries: u64 | bits`,
-//! with probe positions reduced by `%`. The current encoding prefixes a
-//! magic `u32 >= 0xFFFF_FF00` whose low byte carries the filter *flavor*:
+//! An encoded filter is a magic `u32` whose low byte carries the filter
+//! *flavor*, then `hashes: u32 | entries: u64 | bits`:
 //!
 //! ```text
 //! 0xFFFF_FF00  standard flat filter, fast-range probe reduction
 //! 0xFFFF_FF01  cache-line-blocked filter
 //! ```
 //!
-//! A legacy stream is recognized by its first `u32` being a plausible hash
-//! count (far below the magic range) and decodes to a filter that keeps the
-//! legacy `%` reduction, so its persisted bits remain findable. Legacy
-//! filters also re-encode in the legacy layout — the format of a filter is
-//! sticky until the filter is rebuilt from its keys.
+//! A stream that opens with neither magic is not a filter.
 
 use crate::bits::BitVec;
 use crate::blocked::BlockedBloomFilter;
-use crate::hash::{hash_pair, probe, probe_legacy, HashPair};
+use crate::hash::{hash_pair, probe, HashPair};
 use crate::math;
 
 /// Format magic of the standard flat filter with fast-range probes.
 pub(crate) const MAGIC_STANDARD: u32 = 0xFFFF_FF00;
 /// Format magic of the cache-line-blocked filter.
 pub(crate) const MAGIC_BLOCKED: u32 = 0xFFFF_FF01;
-
-/// How a flat filter reduces a 64-bit probe hash to a bit position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeScheme {
-    /// Lemire multiply-shift fast range — the current format.
-    FastRange,
-    /// 64-bit `%` — filters decoded from the pre-magic format keep this so
-    /// their bits stay findable; a rebuild upgrades them.
-    Legacy,
-}
 
 /// A Bloom filter over byte-string keys.
 ///
@@ -53,7 +38,6 @@ pub struct BloomFilter {
     bits: BitVec,
     hashes: u32,
     entries: u64,
-    scheme: ProbeScheme,
 }
 
 impl BloomFilter {
@@ -73,15 +57,6 @@ impl BloomFilter {
         BloomFilterBuilder::new(expected_entries).fpr(fpr).build()
     }
 
-    /// Bit position of probe `i` under this filter's probe scheme.
-    #[inline]
-    fn position(&self, pair: HashPair, i: u32, nbits: usize) -> usize {
-        match self.scheme {
-            ProbeScheme::FastRange => probe(pair, i, nbits),
-            ProbeScheme::Legacy => probe_legacy(pair, i, nbits),
-        }
-    }
-
     /// Inserts a pre-hashed key.
     pub fn insert_hashed(&mut self, pair: HashPair) {
         self.entries += 1;
@@ -89,8 +64,7 @@ impl BloomFilter {
             return;
         }
         for i in 0..self.hashes {
-            let pos = self.position(pair, i, self.bits.len());
-            self.bits.set(pos);
+            self.bits.set(probe(pair, i, self.bits.len()));
         }
     }
 
@@ -104,18 +78,13 @@ impl BloomFilter {
         if self.bits.is_empty() {
             return true; // degenerate filter: always a (possible) positive
         }
-        (0..self.hashes).all(|i| self.bits.get(self.position(pair, i, self.bits.len())))
+        (0..self.hashes).all(|i| self.bits.get(probe(pair, i, self.bits.len())))
     }
 
     /// Tests a key. `false` means the key is definitely absent; `true` means
     /// it may be present.
     pub fn contains(&self, key: &[u8]) -> bool {
         self.contains_hashed(hash_pair(key))
-    }
-
-    /// The probe reduction this filter was built (or decoded) with.
-    pub fn probe_scheme(&self) -> ProbeScheme {
-        self.scheme
     }
 
     /// Number of bits in the filter's bit array.
@@ -145,49 +114,31 @@ impl BloomFilter {
         math::false_positive_rate(self.bits.len() as f64, self.entries as f64)
     }
 
-    /// Serializes the filter. Fast-range filters write the current magic-
-    /// prefixed format; legacy-scheme filters re-encode in the legacy layout
-    /// (no magic) so a decode→encode round trip is byte-faithful.
+    /// Serializes the filter, magic first.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        if self.scheme == ProbeScheme::FastRange {
-            out.extend_from_slice(&MAGIC_STANDARD.to_le_bytes());
-        }
+        out.extend_from_slice(&MAGIC_STANDARD.to_le_bytes());
         out.extend_from_slice(&self.hashes.to_le_bytes());
         out.extend_from_slice(&self.entries.to_le_bytes());
         self.bits.encode(out);
     }
 
-    /// Deserializes a filter produced by [`encode`](Self::encode) — either
-    /// format generation. Returns the filter and bytes consumed, or `None`
-    /// on truncated input or a non-flat flavor magic.
+    /// Deserializes a filter produced by [`encode`](Self::encode). Returns
+    /// the filter and bytes consumed, or `None` on truncated input or any
+    /// other leading word than the flat filter's magic.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
-        if buf.len() < 4 {
+        if buf.len() < 16 || buf[..4] != MAGIC_STANDARD.to_le_bytes() {
             return None;
         }
-        let head = u32::from_le_bytes(buf[..4].try_into().unwrap());
-        let (scheme, body, skip) = if head >= MAGIC_STANDARD {
-            if head != MAGIC_STANDARD {
-                return None; // some other flavor (e.g. blocked)
-            }
-            (ProbeScheme::FastRange, &buf[4..], 4)
-        } else {
-            // Legacy format v0: the first u32 is the hash count itself.
-            (ProbeScheme::Legacy, buf, 0)
-        };
-        if body.len() < 12 {
-            return None;
-        }
-        let hashes = u32::from_le_bytes(body[..4].try_into().unwrap());
-        let entries = u64::from_le_bytes(body[4..12].try_into().unwrap());
-        let (bits, used) = BitVec::decode(&body[12..])?;
+        let hashes = u32::from_le_bytes(buf[4..8].try_into().unwrap());
+        let entries = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+        let (bits, used) = BitVec::decode(&buf[16..])?;
         Some((
             Self {
                 bits,
                 hashes,
                 entries,
-                scheme,
             },
-            skip + 12 + used,
+            16 + used,
         ))
     }
 }
@@ -257,7 +208,6 @@ impl BloomFilterBuilder {
             bits: BitVec::new(self.total_bits),
             hashes,
             entries: 0,
-            scheme: ProbeScheme::FastRange,
         }
     }
 }
@@ -297,7 +247,7 @@ impl FilterVariant {
 /// switch variants per database without touching the lookup path.
 #[derive(Debug, Clone)]
 pub enum Filter {
-    /// Flat filter (standard layout, or a decoded legacy-format filter).
+    /// Flat filter.
     Standard(BloomFilter),
     /// Cache-line-blocked filter.
     Blocked(BlockedBloomFilter),
@@ -407,8 +357,8 @@ impl Filter {
         }
     }
 
-    /// Deserializes any filter format generation: blocked magic, standard
-    /// magic, or the legacy magic-less layout.
+    /// Deserializes either flavor, told apart by the magic; `None` for a
+    /// stream that opens with neither.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
         if buf.len() < 4 {
             return None;
@@ -549,7 +499,6 @@ mod tests {
     #[test]
     fn new_filters_use_fast_range_and_magic_format() {
         let f = BloomFilter::with_bits_per_entry(10, 10.0);
-        assert_eq!(f.probe_scheme(), ProbeScheme::FastRange);
         let mut buf = Vec::new();
         f.encode(&mut buf);
         assert_eq!(
@@ -558,54 +507,9 @@ mod tests {
         );
     }
 
-    /// Builds the byte stream a pre-bump store would have persisted: no
-    /// magic, bits set with the `%` probe reduction.
-    fn legacy_stream(keys: &[Vec<u8>], nbits: usize, hashes: u32) -> Vec<u8> {
-        use crate::hash::{hash_pair, probe_legacy};
-        let mut bits = crate::bits::BitVec::new(nbits);
-        for k in keys {
-            let pair = hash_pair(k);
-            for i in 0..hashes {
-                bits.set(probe_legacy(pair, i, nbits));
-            }
-        }
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&hashes.to_le_bytes());
-        buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-        bits.encode(&mut buf);
-        buf
-    }
-
-    #[test]
-    fn legacy_format_decodes_with_legacy_probe_scheme() {
-        let present = keys(500, 7);
-        let buf = legacy_stream(&present, 5000, 7);
-        let (f, used) = BloomFilter::decode(&buf).unwrap();
-        assert_eq!(used, buf.len());
-        assert_eq!(f.probe_scheme(), ProbeScheme::Legacy);
-        assert_eq!(f.inserted(), 500);
-        for k in &present {
-            assert!(f.contains(k), "legacy bits must stay findable");
-        }
-    }
-
-    #[test]
-    fn legacy_filter_reencodes_byte_faithfully() {
-        let buf = legacy_stream(&keys(100, 2), 1000, 5);
-        let (f, _) = BloomFilter::decode(&buf).unwrap();
-        let mut out = Vec::new();
-        f.encode(&mut out);
-        assert_eq!(out, buf, "decode→encode of a legacy filter is identity");
-    }
-
     #[test]
     fn filter_enum_decodes_every_generation() {
-        // Legacy flat.
-        let legacy = legacy_stream(&keys(50, 1), 500, 5);
-        let (f, used) = Filter::decode(&legacy).unwrap();
-        assert_eq!(used, legacy.len());
-        assert_eq!(f.variant(), FilterVariant::Standard);
-        // Current flat.
+        // Flat.
         let mut flat = Vec::new();
         BloomFilter::with_bits_per_entry(50, 10.0).encode(&mut flat);
         assert!(matches!(

@@ -137,9 +137,8 @@ pub fn fast_range(h: u64, n: u64) -> u64 {
 
 /// Returns the bit position of probe `i` within a filter of `nbits` bits.
 ///
-/// Uses the fast-range reduction; this is the scheme of the current filter
-/// format. Filters decoded from the pre-bump format keep [`probe_legacy`] so
-/// their persisted bits remain findable.
+/// Uses the fast-range reduction — part of the filter format: the bits a
+/// filter was built with are found again only by the same reduction.
 #[inline]
 pub fn probe(pair: HashPair, i: u32, nbits: usize) -> usize {
     debug_assert!(nbits > 0);
@@ -147,15 +146,6 @@ pub fn probe(pair: HashPair, i: u32, nbits: usize) -> usize {
         pair.h1.wrapping_add((i as u64).wrapping_mul(pair.h2)),
         nbits as u64,
     ) as usize
-}
-
-/// The original probe reduction (64-bit `%`). Part of the legacy on-disk
-/// filter format: a filter encoded without a format magic was built with
-/// this scheme and must keep probing with it.
-#[inline]
-pub fn probe_legacy(pair: HashPair, i: u32, nbits: usize) -> usize {
-    debug_assert!(nbits > 0);
-    (pair.h1.wrapping_add((i as u64).wrapping_mul(pair.h2)) % nbits as u64) as usize
 }
 
 #[cfg(test)]
@@ -282,39 +272,5 @@ mod tests {
         let n = 1_000u64;
         assert!(fast_range(u64::MAX / 2, n).abs_diff(n / 2) <= 1);
         assert!(fast_range(u64::MAX / 4, n).abs_diff(n / 4) <= 1);
-    }
-
-    #[test]
-    fn probe_legacy_is_the_modulus_reduction() {
-        let pair = hash_pair(b"pinned");
-        for i in 0..8 {
-            let expect = (pair.h1.wrapping_add((i as u64).wrapping_mul(pair.h2)) % 1000) as usize;
-            assert_eq!(probe_legacy(pair, i, 1000), expect);
-        }
-    }
-
-    #[test]
-    fn probe_and_legacy_probe_disagree_in_general() {
-        // The two reductions are different maps; if they ever coincided for
-        // all inputs the legacy decode path would be untested dead code.
-        let nbits = 1013; // not a power of two
-        let differs = (0..100u32).any(|i| {
-            let pair = hash_pair(&i.to_le_bytes());
-            probe(pair, 0, nbits) != probe_legacy(pair, 0, nbits)
-        });
-        assert!(differs);
-    }
-
-    #[test]
-    fn probe_legacy_within_bounds_and_spread() {
-        let pair = hash_pair(b"some key");
-        let nbits = 1000;
-        let mut positions = std::collections::HashSet::new();
-        for i in 0..20 {
-            let p = probe_legacy(pair, i, nbits);
-            assert!(p < nbits);
-            positions.insert(p);
-        }
-        assert!(positions.len() >= 15);
     }
 }

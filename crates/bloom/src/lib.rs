@@ -44,5 +44,5 @@ mod filter;
 
 pub use bits::BitVec;
 pub use blocked::BlockedBloomFilter;
-pub use filter::{BloomFilter, BloomFilterBuilder, Filter, FilterVariant, ProbeScheme};
+pub use filter::{BloomFilter, BloomFilterBuilder, Filter, FilterVariant};
 pub use hash::{hash_pair, HashPair};

@@ -1,6 +1,8 @@
 //! Property-based tests for the Bloom filter crate.
 
-use monkey_bloom::{hash_pair, math, BitVec, BlockedBloomFilter, BloomFilter, BloomFilterBuilder};
+use monkey_bloom::{
+    hash_pair, math, BitVec, BlockedBloomFilter, BloomFilter, BloomFilterBuilder, Filter,
+};
 use proptest::prelude::*;
 
 proptest! {
@@ -39,6 +41,30 @@ proptest! {
         for k in &keys {
             prop_assert!(g.contains(k));
         }
+    }
+
+    /// A stream that opens with neither flavor's magic is not a filter,
+    /// whatever follows — a plausible hash count, an entry count and a bit
+    /// vector included: `None`, never a panic.
+    #[test]
+    fn magicless_stream_is_not_a_filter(
+        head in 0u32..0xFFFF_FF00,
+        tail in proptest::collection::vec(any::<u8>(), 0..256),
+        keys in 0u64..50,
+    ) {
+        let mut random = head.to_le_bytes().to_vec();
+        random.extend_from_slice(&tail);
+        prop_assert!(Filter::decode(&random).is_none());
+        prop_assert!(Filter::decode(&random[..random.len().min(3)]).is_none());
+        // A well-formed filter with its magic cut off.
+        let mut f = BloomFilter::with_bits_per_entry(keys.max(1), 10.0);
+        for k in 0..keys {
+            f.insert(&k.to_le_bytes());
+        }
+        let mut encoded = Vec::new();
+        f.encode(&mut encoded);
+        prop_assert!(Filter::decode(&encoded[4..]).is_none());
+        prop_assert!(Filter::decode(&encoded).is_some());
     }
 
     /// BitVec set/get agree with a model `Vec<bool>`.

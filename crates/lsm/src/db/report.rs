@@ -1,0 +1,346 @@
+//! Stat and report assembly: each shard's engine snapshots its own
+//! counters, and the store's view is those snapshots folded together with
+//! the `merge` that lives beside each type. One shard or many, the path is
+//! the same — a fold over one element hands that element back.
+
+use super::engine::Core;
+use crate::level::level_capacity_bytes;
+use crate::stats::{
+    CompactionStats, DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats,
+};
+use monkey_obs::{
+    drift_flag, HistogramSnapshot, IoBackendReport, IoLatencyReport, LevelIoSnapshot,
+    LevelLookupSnapshot, LevelReport, OpKind, OpLatencyReport, ShardBreakdown, Telemetry,
+    TelemetryReport, TelemetrySnapshot, WindowRates, IO_OPS, MAX_LEVELS, OP_KINDS,
+};
+use monkey_storage::BackendInfo;
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+
+/// Folds per-shard snapshots into the store's with the type's own `merge`.
+/// The first snapshot is the seed, so a store of one shard reports that
+/// shard's snapshot as it is; `None` only for no snapshots at all.
+pub(super) fn merged<T>(parts: impl Iterator<Item = T>, merge: impl Fn(&mut T, &T)) -> Option<T> {
+    parts.reduce(|mut total, part| {
+        merge(&mut total, &part);
+        total
+    })
+}
+
+/// Lifts `merge` to tables indexed by level slot (slot 0 = unattributed),
+/// which every hub sizes alike.
+fn by_slot<T>(merge: impl Fn(&mut T, &T)) -> impl Fn(&mut Vec<T>, &Vec<T>) {
+    move |total, part| {
+        for (slot, other) in total.iter_mut().zip(part) {
+            merge(slot, other);
+        }
+    }
+}
+
+impl Core {
+    /// Counters of the point-lookup fast path since open. With telemetry
+    /// on, the engine-wide totals are the sums of the per-level telemetry
+    /// table (the hot path writes only there); otherwise they come from
+    /// the engine's own global counters.
+    pub(super) fn lookup_stats(&self) -> LookupStats {
+        let l = &self.lookups;
+        let key_hashes = l.key_hashes.load(Relaxed);
+        match self.telemetry.as_deref() {
+            Some(t) => {
+                let levels = t.level_lookups();
+                LookupStats {
+                    key_hashes,
+                    filter_probes: levels.iter().map(|s| s.filter_probes).sum(),
+                    filter_negatives: levels.iter().map(|s| s.filter_negatives).sum(),
+                    filter_false_positives: levels.iter().map(|s| s.filter_false_positives).sum(),
+                }
+            }
+            None => LookupStats {
+                key_hashes,
+                filter_probes: l.filter_probes.load(Relaxed),
+                filter_negatives: l.filter_negatives.load(Relaxed),
+                filter_false_positives: l.filter_false_positives.load(Relaxed),
+            },
+        }
+    }
+
+    /// Counters of the write pipeline since open: stall events and time,
+    /// deferred worker failures, and WAL group-commit batching.
+    pub(super) fn pipeline_stats(&self) -> PipelineStats {
+        let p = &self.pipeline;
+        let wal = self.wal.stats();
+        PipelineStats {
+            stalls: p.stalls.load(Relaxed),
+            stall_micros: p.stall_micros.load(Relaxed),
+            background_errors: p.background_errors.load(Relaxed),
+            wal_group_commits: wal.group_commits,
+            wal_batched_appends: wal.batched_appends,
+            wal_syncs: wal.syncs,
+        }
+    }
+
+    /// Instantaneous levels of the write pipeline (see [`PipelineGauges`]
+    /// for why these are kept apart from the counters).
+    pub(super) fn pipeline_gauges(&self) -> PipelineGauges {
+        PipelineGauges {
+            immutable_queue_depth: self.shared.read().immutables.len(),
+            stalled_writers: self.pipeline.active_stalls.load(Relaxed) as usize,
+        }
+    }
+
+    /// Maintenance-work counters since open.
+    pub(super) fn compaction_stats(&self) -> CompactionStats {
+        let c = &self.compactions;
+        CompactionStats {
+            flushes: c.flushes.load(Relaxed),
+            merges: c.merges.load(Relaxed),
+            entries_rewritten: c.entries_rewritten.load(Relaxed),
+            last_merge_partitions: c.last_merge_partitions.load(Relaxed),
+            last_merge_threads: c.last_merge_threads.load(Relaxed),
+        }
+    }
+
+    /// Structural and memory statistics.
+    pub(super) fn stats(&self) -> DbStats {
+        let (buffer_entries, buffer_bytes, immutable_entries, version) = {
+            let shared = self.shared.read();
+            (
+                shared.memtable.len() as u64,
+                shared.memtable.bytes() as u64,
+                shared.immutables.iter().map(|i| i.entries).sum::<u64>(),
+                Arc::clone(&shared.version),
+            )
+        };
+        let mut levels = Vec::with_capacity(version.depth());
+        let mut filter_bits = 0u64;
+        let mut fence_bits = 0u64;
+        let mut fpr_total = 0.0f64;
+        for (idx, level) in version.levels().iter().enumerate() {
+            let mut level_filter_bits = 0u64;
+            let mut fpr_sum = 0.0f64;
+            for run in level.runs() {
+                level_filter_bits += run.filter().memory_bits() as u64;
+                fence_bits += run.fence_memory_bits();
+                fpr_sum += run.filter().theoretical_fpr();
+            }
+            filter_bits += level_filter_bits;
+            fpr_total += fpr_sum;
+            levels.push(LevelStats {
+                level: idx + 1,
+                runs: level.run_count(),
+                entries: level.entries(),
+                bytes: level.bytes(),
+                capacity_bytes: level_capacity_bytes(
+                    self.opts.buffer_capacity,
+                    self.opts.size_ratio,
+                    idx + 1,
+                ),
+                filter_bits: level_filter_bits,
+                fpr_sum,
+            });
+        }
+        DbStats {
+            buffer_entries,
+            buffer_bytes,
+            buffer_capacity: self.opts.buffer_capacity as u64,
+            disk_entries: version.disk_entries(),
+            runs: version.run_count(),
+            levels,
+            filter_bits,
+            fence_bits,
+            expected_zero_result_lookup_ios: fpr_total,
+            lookups: self.lookup_stats(),
+            immutable_entries,
+            pipeline: self.pipeline_stats(),
+            pipeline_gauges: self.pipeline_gauges(),
+        }
+    }
+
+    /// Cuts one observatory window: snapshots the engine's monotone
+    /// counters and folds the delta against the previous snapshot into the
+    /// windowed series. Returns the closed window's rates, or `None` when
+    /// telemetry is off or this was the baseline (first) snapshot.
+    pub(super) fn observatory_tick(&self) -> Option<WindowRates> {
+        let (t, series) = match (&self.telemetry, &self.series) {
+            (Some(t), Some(s)) => (t, s),
+            _ => return None,
+        };
+        let snapshot = TelemetrySnapshot {
+            at_micros: t.now_micros(),
+            gets: t.op_count(OpKind::Get),
+            puts: t.op_count(OpKind::Put),
+            ranges: t.op_count(OpKind::Range),
+            bytes_flushed: self.compactions.bytes_flushed.load(Relaxed),
+            entries_rewritten: self.compactions.entries_rewritten.load(Relaxed),
+            stalls: self.pipeline.stalls.load(Relaxed),
+            stall_micros: self.pipeline.stall_micros.load(Relaxed),
+            level_io: t.attribution().snapshot(),
+        };
+        series.record(snapshot)
+    }
+}
+
+/// Renders the storage layer's backend identity for telemetry reports.
+fn io_backend_report(info: &BackendInfo) -> IoBackendReport {
+    IoBackendReport {
+        requested: info.requested.name().to_string(),
+        kind: info.kind.to_string(),
+        align: info.align as u64,
+        fallback: info.fallback.clone(),
+    }
+}
+
+/// Assembles the store's telemetry report from its shards: latency
+/// histograms, per-level tables and counters merge, the event and span
+/// rings are drained into one timeline each, and the model's expectations
+/// are taken over all shards' runs. `None` unless telemetry is on.
+pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
+    let hubs: Vec<&Telemetry> = cores
+        .iter()
+        .map(|c| c.telemetry.as_deref())
+        .collect::<Option<_>>()?;
+    let per_shard: Vec<DbStats> = cores.iter().map(|c| c.stats()).collect();
+    let summed = merged(per_shard.iter().cloned(), DbStats::merge)?;
+    let compactions = merged(
+        cores.iter().map(|c| c.compaction_stats()),
+        CompactionStats::merge,
+    )?;
+    let op_count = |k: OpKind| hubs.iter().map(|h| h.op_count(k)).sum::<u64>();
+
+    let ops = OP_KINDS
+        .iter()
+        .filter_map(|&k| {
+            let hist = merged(hubs.iter().map(|h| h.hist(k)), HistogramSnapshot::merge)?;
+            Some(OpLatencyReport::from_snapshot(k.name(), op_count(k), &hist))
+        })
+        .collect();
+    let level_lookups = merged(
+        hubs.iter().map(|h| h.level_lookups()),
+        by_slot(LevelLookupSnapshot::merge),
+    )?;
+    let io = merged(
+        hubs.iter().map(|h| h.attribution().snapshot()),
+        by_slot(LevelIoSnapshot::merge),
+    )?;
+
+    let levels = summed
+        .levels
+        .iter()
+        .map(|l| {
+            let slot = l.level.min(MAX_LEVELS);
+            let lookups = level_lookups[slot];
+            // The mean of the per-run FPRs over every shard's runs at the
+            // level is the expected false positives per *negative* probe —
+            // the comparable quantity to the merged measured rate, since
+            // each negative probe lands on exactly one shard's runs.
+            let allocated_fpr = if l.runs > 0 {
+                l.fpr_sum / l.runs as f64
+            } else {
+                0.0
+            };
+            let measured_fpr = lookups.measured_fpr();
+            // A level whose runs merged away keeps its probe history
+            // but has no allocation left to drift from.
+            let drift = if l.runs > 0 {
+                drift_flag(measured_fpr, allocated_fpr, lookups.negative_trials())
+            } else {
+                None
+            };
+            LevelReport {
+                level: l.level,
+                runs: l.runs,
+                entries: l.entries,
+                io: io[slot],
+                allocated_fpr,
+                measured_fpr,
+                drift,
+                lookups,
+            }
+        })
+        .collect();
+
+    // Backend-op latency rows, merged per (op, level); ops with no backend
+    // calls anywhere are omitted.
+    let io_lat = IO_OPS
+        .iter()
+        .filter_map(|&op| {
+            let count: u64 = hubs.iter().map(|h| h.io_latency().op_count(op)).sum();
+            let levels = merged(
+                hubs.iter().map(|h| h.io_latency().snapshot(op)),
+                by_slot(HistogramSnapshot::merge),
+            )?;
+            (count > 0).then(|| IoLatencyReport::from_level_hists(op.name(), count, &levels))
+        })
+        .collect();
+
+    let mut events: Vec<_> = hubs.iter().flat_map(|h| h.drain_events()).collect();
+    events.sort_by_key(|e| (e.ts_micros, e.seq));
+    // Each shard's tracer has its own clock origin, but they were all
+    // created at open, so sorting by start keeps the timeline coherent.
+    let tracers: Vec<_> = cores.iter().filter_map(|c| c.tracer.as_deref()).collect();
+    let mut spans: Vec<_> = tracers.iter().flat_map(|tr| tr.drain_spans()).collect();
+    spans.sort_by_key(|s| (s.start_micros, s.shard, s.id));
+
+    let stats = summed.per_lookup(cores.len());
+    Some(TelemetryReport {
+        uptime_micros: hubs.iter().map(|h| h.now_micros()).max()?,
+        ops,
+        levels,
+        unattributed_io: io[0],
+        io: io_lat,
+        expected_zero_result_lookup_ios: stats.expected_zero_result_lookup_ios,
+        measured_zero_result_lookup_ios: stats.lookups.measured_zero_result_lookup_ios(),
+        lookups: stats.lookups.key_hashes,
+        immutable_queue_depth: stats.pipeline_gauges.immutable_queue_depth as u64,
+        stalled_writers: stats.pipeline_gauges.stalled_writers as u64,
+        last_merge_partitions: compactions.last_merge_partitions,
+        last_merge_threads: compactions.last_merge_threads,
+        events,
+        events_dropped: hubs.iter().map(|h| h.events_dropped()).sum(),
+        shards: breakdown(cores, &hubs, &per_shard, op_count(OpKind::Range)),
+        spans,
+        spans_started: tracers.iter().map(|tr| tr.spans_started()).sum(),
+        spans_dropped: tracers.iter().map(|tr| tr.spans_dropped()).sum(),
+        recorder_bytes: tracers.iter().map(|tr| tr.recorder_bytes()).sum(),
+        // Every shard opens with the same backend options against the
+        // same filesystem, so the first speaks for the store.
+        io_backend: Some(io_backend_report(cores.first()?.disk.backend_info())),
+    })
+}
+
+/// How the store's traffic and data split across its shards, one row each.
+/// A store in one piece has nothing to break down — its row would repeat
+/// the report's totals — and gets no rows. `ranges` is the store's scan
+/// count on every row: a scan opens a cursor on each shard.
+fn breakdown(
+    cores: &[&Core],
+    hubs: &[&Telemetry],
+    per_shard: &[DbStats],
+    ranges: u64,
+) -> Vec<ShardBreakdown> {
+    if cores.len() < 2 {
+        return Vec::new();
+    }
+    cores
+        .iter()
+        .zip(hubs)
+        .zip(per_shard)
+        .enumerate()
+        .map(|(shard, ((core, hub), stats))| {
+            let io = core.disk.io();
+            ShardBreakdown {
+                shard,
+                gets: hub.op_count(OpKind::Get),
+                puts: hub.op_count(OpKind::Put),
+                ranges,
+                disk_entries: stats.disk_entries,
+                buffer_bytes: stats.buffer_bytes,
+                immutable_queue_depth: stats.pipeline_gauges.immutable_queue_depth as u64,
+                stalled_writers: stats.pipeline_gauges.stalled_writers as u64,
+                page_reads: io.page_reads,
+                page_writes: io.page_writes,
+                cache_hits: io.cache_hits,
+            }
+        })
+        .collect()
+}

@@ -412,8 +412,16 @@ impl RangeIter {
 
     /// Merges per-shard cursors into one globally-sorted cursor. Because
     /// the shard router partitions by key, the children's keyspaces are
-    /// disjoint — no deduplication is needed, only a min-head merge.
-    pub(crate) fn fanout(mut children: Vec<RangeIter>) -> Result<Self> {
+    /// disjoint — no deduplication is needed, only a min-head merge. A
+    /// store of one shard gets that shard's cursor back as it is: there is
+    /// nothing to merge it with, and nothing is allocated to find that out.
+    pub(crate) fn fanout(
+        mut children: impl ExactSizeIterator<Item = Result<RangeIter>>,
+    ) -> Result<Self> {
+        if children.len() == 1 {
+            return children.next().expect("one child");
+        }
+        let mut children = children.collect::<Result<Vec<_>>>()?;
         let mut heads = Vec::with_capacity(children.len());
         for child in children.iter_mut() {
             heads.push(child.next().transpose()?);
@@ -437,8 +445,10 @@ impl RangeIter {
         self
     }
 
-    /// Attaches a telemetry hub and the scan's (sampled) start instant;
-    /// the range latency sample lands when the cursor is dropped.
+    /// Attaches a telemetry hub and the scan's (sampled) start instant.
+    /// When the cursor is dropped the hub gets the scan's latency sample
+    /// and one range lookup with the pairs this cursor yielded — so it is
+    /// attached to the cursor the caller holds, never to a shard's child.
     pub(crate) fn with_telemetry(
         mut self,
         timer: Option<(

@@ -68,7 +68,7 @@ mod db;
 mod error;
 mod options;
 
-pub use db::{AdviceProvider, CompactionStats, Db};
+pub use db::{AdviceProvider, Db};
 pub use entry::{Entry, EntryKind};
 pub use error::{LsmError, Result};
 pub use iter::RangeIter;
@@ -86,6 +86,6 @@ pub use monkey_storage::{BackendInfo, CachePolicy, CacheStats, IoBackend};
 pub use options::DbOptions;
 pub use policy::{FilterContext, FilterPolicy, MergePolicy, UniformFilterPolicy};
 pub use run::{FilterParams, Run, RunLookup};
-pub use stats::{DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats};
+pub use stats::{CompactionStats, DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats};
 pub use vlog::{ValueLog, ValuePointer};
 pub use wal::{SyncStats, WalStats, WalSyncCoordinator};

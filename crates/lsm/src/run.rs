@@ -419,7 +419,7 @@ pub struct RunBuilder {
     /// Hash pair of every key, computed once at push time; sealing inserts
     /// these into the filter without re-hashing (and without keeping the
     /// key bytes alive).
-    key_hashes: Vec<HashPair>,
+    key_hashes: KeyHashes,
     entries: u64,
     tombstones: u64,
     bytes: u64,
@@ -435,7 +435,7 @@ impl RunBuilder {
 
     /// Starts building a run of at most `expected_entries` entries: room
     /// for the key hashes feeding the filter is reserved up front, up to
-    /// [`KEY_HASH_RESERVE_MAX`].
+    /// one [`KEY_HASH_CHUNK`].
     pub fn with_entries(disk: Arc<Disk>, expected_entries: usize) -> Self {
         let page_size = disk.page_size();
         let extent_pages = (WRITE_EXTENT_BYTES / page_size).max(1);
@@ -445,7 +445,7 @@ impl RunBuilder {
             page: PageBuilder::new(page_size),
             extent: Vec::with_capacity(extent_pages * page_size),
             fences: FenceIndex::default(),
-            key_hashes: Vec::with_capacity(expected_entries.min(KEY_HASH_RESERVE_MAX)),
+            key_hashes: KeyHashes::with_entries(expected_entries),
             entries: 0,
             tombstones: 0,
             bytes: 0,
@@ -529,7 +529,7 @@ impl RunBuilder {
         let id = writer.seal()?;
         let mut filter =
             Filter::with_bits_per_entry(params.variant, self.entries, params.bits_per_entry);
-        for pair in &self.key_hashes {
+        for pair in self.key_hashes.0.iter().flatten() {
             filter.insert_hashed(*pair);
         }
         self.fences.seal();
@@ -556,14 +556,33 @@ impl RunBuilder {
 /// window stays small enough that memory stays bounded per cursor.
 pub(crate) const MERGE_READAHEAD_PAGES: u32 = 8;
 
-/// Most key hashes a [`RunBuilder`] reserves room for up front (1 MiB of
-/// them). That covers every flush and level-1 merge exactly, and leaves a
-/// large merge two or three doublings — which the allocator does in place
-/// at that size — instead of sixteen. The inputs' entry count is only an
-/// upper bound on a merge's output, and reserving all of it for a merge
-/// whose inputs overlap (6.4 MB on the ledger's last level, 4 MB of it
-/// filled) measured 2 MiB more peak RSS on `ingest` than not reserving.
-const KEY_HASH_RESERVE_MAX: usize = 1 << 16;
+/// Key hashes per chunk of a [`KeyHashes`]: 1 MiB of them, which holds
+/// every flush and level-1 merge in one chunk.
+const KEY_HASH_CHUNK: usize = 1 << 16;
+
+/// The hash pair of every key pushed, held until the seal knows the count
+/// that sizes the filter — in equal chunks, not in one vector: a vector
+/// doubling at 2 MiB holds the old and the new buffer at once unless the
+/// allocator can extend it in place, and whether it can depends on what
+/// else is on the heap at that moment (the ledger's `ingest` peaked at 18
+/// or at 21 MiB from one run to the next). A chunk is never copied and a
+/// freed one fits the next request exactly. Never empty.
+struct KeyHashes(Vec<Vec<HashPair>>);
+
+impl KeyHashes {
+    fn with_entries(expected_entries: usize) -> Self {
+        Self(vec![Vec::with_capacity(
+            expected_entries.min(KEY_HASH_CHUNK),
+        )])
+    }
+
+    fn push(&mut self, pair: HashPair) {
+        if self.0.last().is_some_and(|c| c.len() == KEY_HASH_CHUNK) {
+            self.0.push(Vec::with_capacity(KEY_HASH_CHUNK));
+        }
+        self.0.last_mut().expect("never empty").push(pair);
+    }
+}
 
 /// Bytes of finished pages a [`RunBuilder`] gathers before it writes them:
 /// the write side's counterpart of the read windows above. A run's pages
@@ -730,7 +749,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
         return Err(LsmError::Corruption(format!("run {id} has no pages")));
     }
     let mut fences = FenceIndex::default();
-    let mut key_hashes: Vec<HashPair> = Vec::new();
+    let mut key_hashes = KeyHashes::with_entries(0);
     let mut entries = 0u64;
     let mut tombstones = 0u64;
     let mut bytes = 0u64;
@@ -767,7 +786,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     }
     fences.seal();
     let mut filter = Filter::with_bits_per_entry(params.variant, entries, params.bits_per_entry);
-    for pair in &key_hashes {
+    for pair in key_hashes.0.iter().flatten() {
         filter.insert_hashed(*pair);
     }
     Ok(Run {
@@ -810,6 +829,32 @@ mod tests {
             cursor.advance().unwrap();
         }
         entries
+    }
+
+    #[test]
+    fn key_hashes_cross_a_chunk_without_moving_or_losing_one() {
+        let pair = |i: usize| hash_pair(&(i as u64).to_le_bytes());
+        let mut hashes = KeyHashes::with_entries(usize::MAX);
+        let first = hashes.0[0].as_ptr();
+        for i in 0..KEY_HASH_CHUNK + 3 {
+            hashes.push(pair(i));
+        }
+        assert_eq!(hashes.0.len(), 2);
+        assert_eq!(hashes.0[0].as_ptr(), first, "a full chunk stays put");
+        assert_eq!(hashes.0[1].capacity(), KEY_HASH_CHUNK);
+        assert!(hashes
+            .0
+            .iter()
+            .flatten()
+            .copied()
+            .eq((0..KEY_HASH_CHUNK + 3).map(pair)));
+        // Unknown count (recovery): grows to one chunk, then adds chunks.
+        let mut hashes = KeyHashes::with_entries(0);
+        (0..KEY_HASH_CHUNK + 1).for_each(|i| hashes.push(pair(i)));
+        assert_eq!(
+            hashes.0.iter().map(Vec::len).collect::<Vec<_>>(),
+            [KEY_HASH_CHUNK, 1]
+        );
     }
 
     #[test]

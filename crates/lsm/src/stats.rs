@@ -26,6 +26,18 @@ pub struct LevelStats {
     pub fpr_sum: f64,
 }
 
+impl LevelStats {
+    /// Adds the same level of another shard's tree.
+    fn merge(&mut self, other: &LevelStats) {
+        self.runs += other.runs;
+        self.entries += other.entries;
+        self.bytes += other.bytes;
+        self.capacity_bytes += other.capacity_bytes;
+        self.filter_bits += other.filter_bits;
+        self.fpr_sum += other.fpr_sum;
+    }
+}
+
 /// Snapshot of the whole database's structure.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DbStats {
@@ -107,6 +119,56 @@ pub struct PipelineGauges {
     pub stalled_writers: usize,
 }
 
+impl PipelineStats {
+    /// Counter-wise sum across shards.
+    pub fn merge(&mut self, other: &PipelineStats) {
+        self.stalls += other.stalls;
+        self.stall_micros += other.stall_micros;
+        self.background_errors += other.background_errors;
+        self.wal_group_commits += other.wal_group_commits;
+        self.wal_batched_appends += other.wal_batched_appends;
+        self.wal_syncs += other.wal_syncs;
+    }
+}
+
+impl PipelineGauges {
+    /// Sum across shards: the store's backlog and its stalled writers.
+    pub fn merge(&mut self, other: &PipelineGauges) {
+        self.immutable_queue_depth += other.immutable_queue_depth;
+        self.stalled_writers += other.stalled_writers;
+    }
+}
+
+/// A snapshot of the engine's maintenance work since open.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CompactionStats {
+    /// Buffer flushes performed.
+    pub flushes: u64,
+    /// Merge operations performed (leveling merges and tiering merges).
+    pub merges: u64,
+    /// Entries read-and-rewritten by merges — divided by the number of
+    /// user updates this is the engine's measured write amplification in
+    /// entries (the quantity Eq. 10 models in I/Os).
+    pub entries_rewritten: u64,
+    /// Key-range partitions of the most recent merge (1 = sequential;
+    /// 0 = no merge has run yet).
+    pub last_merge_partitions: u64,
+    /// Worker threads of the most recent merge (0 = no merge yet).
+    pub last_merge_threads: u64,
+}
+
+impl CompactionStats {
+    /// Counters sum across shards; the `last_merge_*` gauges keep the
+    /// widest merge any shard ran.
+    pub fn merge(&mut self, other: &CompactionStats) {
+        self.flushes += other.flushes;
+        self.merges += other.merges;
+        self.entries_rewritten += other.entries_rewritten;
+        self.last_merge_partitions = self.last_merge_partitions.max(other.last_merge_partitions);
+        self.last_merge_threads = self.last_merge_threads.max(other.last_merge_threads);
+    }
+}
+
 /// Observed counters of the point-lookup fast path. Where
 /// [`DbStats::expected_zero_result_lookup_ios`] is the *model's* prediction
 /// of `R`, these are the *measured* quantities: `filter_false_positives /
@@ -128,6 +190,14 @@ pub struct LookupStats {
 }
 
 impl LookupStats {
+    /// Counter-wise sum across shards.
+    pub fn merge(&mut self, other: &LookupStats) {
+        self.key_hashes += other.key_hashes;
+        self.filter_probes += other.filter_probes;
+        self.filter_negatives += other.filter_negatives;
+        self.filter_false_positives += other.filter_false_positives;
+    }
+
     /// Measured wasted I/Os per point lookup — the empirical counterpart
     /// of [`DbStats::expected_zero_result_lookup_ios`] when the workload
     /// is all zero-result lookups. `0.0` before any lookup ran.
@@ -141,6 +211,42 @@ impl LookupStats {
 }
 
 impl DbStats {
+    /// Folds another shard's snapshot into this one: every term sums,
+    /// level by level where the trees differ in depth. That includes the
+    /// false-positive-rate terms — see [`per_lookup`](Self::per_lookup).
+    pub fn merge(&mut self, other: &DbStats) {
+        self.buffer_entries += other.buffer_entries;
+        self.buffer_bytes += other.buffer_bytes;
+        self.buffer_capacity += other.buffer_capacity;
+        for theirs in &other.levels {
+            match self.levels.get_mut(theirs.level - 1) {
+                Some(mine) => mine.merge(theirs),
+                None => self.levels.push(theirs.clone()),
+            }
+        }
+        self.disk_entries += other.disk_entries;
+        self.runs += other.runs;
+        self.filter_bits += other.filter_bits;
+        self.fence_bits += other.fence_bits;
+        self.expected_zero_result_lookup_ios += other.expected_zero_result_lookup_ios;
+        self.lookups.merge(&other.lookups);
+        self.immutable_entries += other.immutable_entries;
+        self.pipeline.merge(&other.pipeline);
+        self.pipeline_gauges.merge(&other.pipeline_gauges);
+    }
+
+    /// Turns the false-positive-rate terms summed over `shards` snapshots
+    /// into what one point lookup expects: it probes exactly one shard, so
+    /// the mean across them.
+    pub fn per_lookup(mut self, shards: usize) -> DbStats {
+        let n = shards as f64;
+        for level in &mut self.levels {
+            level.fpr_sum /= n;
+        }
+        self.expected_zero_result_lookup_ios /= n;
+        self
+    }
+
     /// Number of non-empty disk levels.
     pub fn occupied_levels(&self) -> usize {
         self.levels.iter().filter(|l| l.runs > 0).count()
@@ -191,6 +297,66 @@ mod tests {
         assert_eq!(s.occupied_levels(), 2);
         assert_eq!(s.depth(), 3, "empty middle level does not hide depth");
         assert_eq!(DbStats::default().depth(), 0);
+    }
+
+    #[test]
+    fn merged_stats_sum_level_by_level_and_average_the_fpr_terms() {
+        let shallow = DbStats {
+            levels: vec![level(1, 1)],
+            runs: 1,
+            disk_entries: 10,
+            expected_zero_result_lookup_ios: 0.01,
+            ..Default::default()
+        };
+        let deep = DbStats {
+            levels: vec![level(1, 2), level(2, 1)],
+            runs: 3,
+            disk_entries: 30,
+            expected_zero_result_lookup_ios: 0.03,
+            ..Default::default()
+        };
+        // Whichever side is deeper, and a lone shard is left as it is.
+        for (mut total, other) in [(shallow.clone(), &deep), (deep.clone(), &shallow)] {
+            total.merge(other);
+            assert_eq!((total.runs, total.disk_entries), (4, 40));
+            let capacities: Vec<u64> = total.levels.iter().map(|l| l.capacity_bytes).collect();
+            assert_eq!(capacities, [2000, 1000], "a level's budget is per shard");
+            for l in &mut total.levels {
+                l.capacity_bytes = 1000;
+            }
+            assert_eq!(total.levels, vec![level(1, 3), level(2, 1)]);
+            let mean = total.per_lookup(2);
+            assert!((mean.expected_zero_result_lookup_ios - 0.02).abs() < 1e-12);
+            assert!((mean.levels[0].fpr_sum - 0.015).abs() < 1e-12);
+            assert_eq!(mean.levels[0].runs, 3, "only the FPR terms are means");
+        }
+        assert_eq!(deep.clone().per_lookup(1), deep);
+    }
+
+    #[test]
+    fn merged_compaction_stats_keep_the_widest_merge() {
+        let mut total = CompactionStats {
+            flushes: 2,
+            merges: 1,
+            entries_rewritten: 10,
+            last_merge_partitions: 4,
+            last_merge_threads: 2,
+        };
+        total.merge(&CompactionStats {
+            flushes: 3,
+            merges: 2,
+            entries_rewritten: 5,
+            last_merge_partitions: 1,
+            last_merge_threads: 3,
+        });
+        assert_eq!(
+            (total.flushes, total.merges, total.entries_rewritten),
+            (5, 3, 15)
+        );
+        assert_eq!(
+            (total.last_merge_partitions, total.last_merge_threads),
+            (4, 3)
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! drained in order under the file lock, so the on-disk record order
 //! always matches sequence order.
 //!
-//! Record wire format (unchanged from the single-file log):
+//! Record wire format:
 //!
 //! ```text
 //! [u64 checksum][u8 kind][u64 seq][u16 key_len][u32 val_len][key][value]
@@ -30,9 +30,7 @@
 //!
 //! where the checksum is XXH64 over the bytes that follow it. Replay stops
 //! at the first torn or corrupt record — everything before it is
-//! recovered, which is the standard contract for a crash mid-append. A
-//! pre-segmentation `wal.log` file is replayed as segment 0, so old stores
-//! recover unchanged.
+//! recovered, which is the standard contract for a crash mid-append.
 
 use crate::entry::{Entry, EntryKind};
 use crate::error::{LsmError, Result};
@@ -48,7 +46,6 @@ use std::sync::Condvar;
 use std::sync::{Arc, OnceLock};
 
 const WAL_SEED: u64 = 0x57414C5F4D4F4E4B; // "WAL_MONK"
-const LEGACY_FILE: &str = "wal.log";
 
 /// Lifetime counters of the group-commit protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -273,11 +270,8 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("wal-{id:06}.log"))
 }
 
-/// Parses a directory entry name into a segment id (`wal.log` ⇒ 0).
+/// Parses a directory entry name into a segment id.
 fn segment_id_of(name: &str) -> Option<u64> {
-    if name == LEGACY_FILE {
-        return Some(0);
-    }
     name.strip_prefix("wal-")?
         .strip_suffix(".log")?
         .parse()
@@ -330,21 +324,14 @@ impl Wal {
             .filter_map(|e| segment_id_of(&e.file_name().to_string_lossy()))
             .collect();
         ids.sort_unstable();
-        ids.dedup(); // wal.log and wal-000000.log are both segment 0
         let mut entries = Vec::new();
         for &id in &ids {
-            let path = if id == 0 && !segment_path(&dir, 0).exists() {
-                dir.join(LEGACY_FILE)
-            } else {
-                segment_path(&dir, id)
-            };
-            let buf = std::fs::read(&path)?;
+            let buf = std::fs::read(segment_path(&dir, id))?;
             let (mut seg_entries, clean) = replay(&buf);
             entries.append(&mut seg_entries);
             if !clean {
                 // A torn/corrupt record: nothing after it (including later
-                // segments) can be trusted — same contract as the
-                // single-file log.
+                // segments) can be trusted.
                 break;
             }
         }
@@ -589,9 +576,8 @@ impl Wal {
         Ok(Some(sealed))
     }
 
-    /// Deletes every segment with id ≤ `id` (including a legacy
-    /// `wal.log`, which is segment 0) — called after the memtable those
-    /// segments covered has been flushed into a durable run.
+    /// Deletes every segment with id ≤ `id` — called after the memtable
+    /// those segments covered has been flushed into a durable run.
     pub fn prune_upto(&self, id: u64) -> Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
@@ -788,11 +774,10 @@ mod tests {
     }
 
     #[test]
-    fn legacy_single_file_log_replays_as_segment_zero() {
-        let dir = tmp("legacy");
-        // Write a record in the old single-file format (same record wire
-        // format, file named wal.log).
-        let entry = Entry::put(b"old-store".to_vec(), b"v".to_vec(), 7);
+    fn a_file_named_wal_log_is_not_a_segment() {
+        let dir = tmp("notseg");
+        // A well-formed record under a name no engine ever wrote.
+        let entry = Entry::put(b"stray".to_vec(), b"v".to_vec(), 7);
         let mut body = vec![entry.kind.to_byte()];
         body.extend_from_slice(&entry.seq.to_le_bytes());
         body.extend_from_slice(&(entry.key.len() as u16).to_le_bytes());
@@ -801,15 +786,17 @@ mod tests {
         body.extend_from_slice(&entry.value);
         let mut file_bytes = xxh64(&body, WAL_SEED).to_le_bytes().to_vec();
         file_bytes.extend_from_slice(&body);
-        std::fs::write(dir.join(LEGACY_FILE), &file_bytes).unwrap();
+        std::fs::write(dir.join("wal.log"), &file_bytes).unwrap();
 
         let (wal, replayed) = Wal::open(&dir, false).unwrap();
-        assert_eq!(replayed.len(), 1);
-        assert_eq!(replayed[0].key.as_ref(), b"old-store");
-        // Pruning past segment 0 removes the legacy file.
+        assert!(
+            replayed.is_empty(),
+            "only wal-NNNNNN.log files are replayed"
+        );
+        // ... and pruning leaves what is not the log's alone.
         let sealed = wal.seal_current().unwrap().unwrap();
         wal.prune_upto(sealed).unwrap();
-        assert!(!dir.join(LEGACY_FILE).exists());
+        assert!(dir.join("wal.log").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

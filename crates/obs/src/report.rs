@@ -282,9 +282,8 @@ pub struct TelemetryReport {
     /// Per-shard gauges; empty on a single-shard store (whose report and
     /// renderings stay byte-identical to the pre-shard engine).
     pub shards: Vec<ShardBreakdown>,
-    /// Finished trace spans (a copy of the span ring, oldest first;
-    /// multi-shard reports merge-sort by start time). Empty when tracing
-    /// is off.
+    /// Finished trace spans (a copy of every shard's span ring, in order
+    /// of start time). Empty when tracing is off.
     pub spans: Vec<Span>,
     /// Spans started since tracing began (`monkey_trace_spans_total`).
     pub spans_started: u64,

@@ -184,6 +184,37 @@ impl WindowRates {
             level_io,
         }
     }
+
+    /// Folds another shard's window into this one, giving the store's: the
+    /// window spans both, throughputs and the stall ratio sum, `write_amp`
+    /// is the mean weighted by each side's update rate.
+    pub fn merge(&mut self, other: &WindowRates) {
+        self.start_micros = self.start_micros.min(other.start_micros);
+        self.end_micros = self.end_micros.max(other.end_micros);
+        self.span_secs = self.span_secs.max(other.span_secs);
+        let puts = self.puts_per_sec + other.puts_per_sec;
+        self.write_amp = if puts > 0.0 {
+            (self.write_amp * self.puts_per_sec + other.write_amp * other.puts_per_sec) / puts
+        } else {
+            0.0
+        };
+        self.ops_per_sec += other.ops_per_sec;
+        self.gets_per_sec += other.gets_per_sec;
+        self.puts_per_sec = puts;
+        self.ranges_per_sec += other.ranges_per_sec;
+        self.bytes_flushed_per_sec += other.bytes_flushed_per_sec;
+        self.stall_ratio += other.stall_ratio;
+        if self.level_io.len() < other.level_io.len() {
+            self.level_io
+                .resize(other.level_io.len(), LevelIoRates::default());
+        }
+        for (slot, rates) in self.level_io.iter_mut().zip(&other.level_io) {
+            slot.reads_per_sec += rates.reads_per_sec;
+            slot.writes_per_sec += rates.writes_per_sec;
+            slot.read_bytes_per_sec += rates.read_bytes_per_sec;
+            slot.write_bytes_per_sec += rates.write_bytes_per_sec;
+        }
+    }
 }
 
 /// Exponentially weighted moving average with a fixed smoothing factor.
@@ -360,6 +391,29 @@ mod tests {
         assert!(s.record(snap(0, 0, 0)).is_none());
         assert!(s.is_empty());
         assert!(s.smoothed().is_none());
+    }
+
+    #[test]
+    fn merged_windows_sum_rates_and_weight_write_amp_by_updates() {
+        let window = |puts: u64, rewritten: u64| {
+            let s = WindowedSeries::new(8, DEFAULT_EWMA_ALPHA);
+            s.record(snap(0, 0, 0));
+            s.record(TelemetrySnapshot {
+                entries_rewritten: rewritten,
+                ..snap(1_000_000, 100, puts)
+            })
+            .unwrap()
+        };
+        let mut store = window(300, 600); // write_amp 2 over 300 updates
+        store.merge(&window(100, 0)); // write_amp 0 over 100
+        assert_eq!(store.gets_per_sec, 200.0);
+        assert_eq!(store.puts_per_sec, 400.0);
+        assert_eq!(store.ops_per_sec, 600.0);
+        assert_eq!(store.write_amp, 1.5);
+        assert_eq!(store.span_secs, 1.0, "the shards' windows overlap");
+        let mut idle = window(0, 0);
+        idle.merge(&window(0, 0));
+        assert_eq!(idle.write_amp, 0.0, "no updates anywhere: 0, not NaN");
     }
 
     #[test]

@@ -91,6 +91,14 @@ impl IoSnapshot {
         }
     }
 
+    /// Counter-wise sum — a store's I/O across its shards' disks.
+    pub fn merge(&mut self, other: &IoSnapshot) {
+        self.page_reads += other.page_reads;
+        self.page_writes += other.page_writes;
+        self.seeks += other.seeks;
+        self.cache_hits += other.cache_hits;
+    }
+
     /// Total I/Os: reads plus writes (seeks are attributes of those I/Os,
     /// not extra transfers).
     pub fn total_ios(&self) -> u64 {

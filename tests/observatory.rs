@@ -11,16 +11,17 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Duration;
 
+fn observed_options() -> DbOptions {
+    DbOptions::in_memory()
+        .page_size(1024)
+        .buffer_capacity(16 << 10)
+        .size_ratio(4)
+        .merge_policy(MergePolicy::Leveling)
+        .telemetry(true)
+}
+
 fn observed_db() -> Arc<Db> {
-    Db::open(
-        DbOptions::in_memory()
-            .page_size(1024)
-            .buffer_capacity(16 << 10)
-            .size_ratio(4)
-            .merge_policy(MergePolicy::Leveling)
-            .telemetry(true),
-    )
-    .unwrap()
+    Db::open(observed_options()).unwrap()
 }
 
 fn run_trace(db: &Db, ops: &[Op]) {
@@ -43,9 +44,17 @@ fn run_trace(db: &Db, ops: &[Op]) {
 /// Tentpole acceptance: drive a synthetic workload with a known `OpMix`
 /// ground truth; the characterizer's measured `(r, v, q, w)` must land
 /// within ±0.02 of it, and `OpMix::from_measured` must close the loop.
+///
+/// On one shard and on four: a scan that fans out over four shards is still
+/// one range lookup, so `q` — and with it the total — is what was issued.
 #[test]
 fn measured_mix_converges_to_ground_truth() {
-    let db = observed_db();
+    for shards in [1, 4] {
+        measured_mix_converges_on(Db::open(observed_options().shards(shards)).unwrap());
+    }
+}
+
+fn measured_mix_converges_on(db: Arc<Db>) {
     let keys = KeySpace::with_entry_size(4000, 64);
     let tb = TraceBuilder::new(keys);
     let mut rng = StdRng::seed_from_u64(9);
@@ -53,7 +62,7 @@ fn measured_mix_converges_to_ground_truth() {
     // Load phase: all updates. Reset the characterizer afterwards so the
     // measurement covers only the query phase with the known mix.
     run_trace(&db, &tb.load_phase(&mut rng));
-    db.telemetry().unwrap().reset();
+    db.reset_telemetry();
 
     let truth = OpMix::new(0.30, 0.35, 0.05, 0.30).with_selectivity(0.002);
     run_trace(&db, &tb.query_phase(&truth, 10_000, &mut rng));
@@ -179,7 +188,7 @@ fn zipf_read_heavy_recommends_bigger_t_than_write_heavy() {
         .unwrap();
         let tb = TraceBuilder::new(keys);
         run_trace(&db, &tb.load_phase(&mut rng));
-        db.telemetry().unwrap().reset();
+        db.reset_telemetry();
         for i in 0..6_000u64 {
             let rank = zipf.sample(&mut rng);
             if (i as f64 / 6_000.0) < read_fraction {

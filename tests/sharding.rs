@@ -494,6 +494,272 @@ fn sharded_telemetry_report_has_per_shard_breakdown() {
     assert!(!report.to_json().contains("\"shards\""));
 }
 
+/// Replays the golden trace with telemetry on, then a fixed query phase
+/// (hits, misses, two scans), and renders what the store says about itself
+/// that does not depend on a clock: the values, and the shapes of the
+/// Prometheus and JSON renderings.
+fn views(shards: usize, tag: &str) -> (String, Vec<String>, String) {
+    let dir = temp_dir(tag);
+    let db = Db::open(golden_options(&dir).telemetry(true).shards(shards)).unwrap();
+    for op in golden_trace() {
+        match op {
+            Op::Put(k, v) => db.put(k.into_bytes(), v).unwrap(),
+            Op::Delete(k) => db.delete(k.into_bytes()).unwrap(),
+            Op::Flush => db.flush().unwrap(),
+        }
+    }
+    db.flush().unwrap();
+    for i in (0..700usize).step_by(3) {
+        db.get(format!("key{i:06}").as_bytes()).unwrap();
+    }
+    let scanned = db.range(b"key000100", Some(b"key000140")).unwrap().count();
+    assert_eq!(scanned, 37);
+    db.range(b"key000480", None).unwrap().count();
+    let report = db.telemetry_report().unwrap();
+    let mut values = format!(
+        "{:?}\n{:?}\n{:?}\n",
+        db.stats(),
+        db.compaction_stats(),
+        db.lookup_stats()
+    );
+    for l in &report.levels {
+        values.push_str(&format!(
+            "L{} runs={} entries={} {:?} {:?} allocated_fpr={:?}\n",
+            l.level, l.runs, l.entries, l.lookups, l.io, l.allocated_fpr
+        ));
+    }
+    for op in &report.ops {
+        values.push_str(&format!("{}={} ", op.op, op.ops));
+    }
+    values.push_str(&format!(
+        "\nshards.is_empty()={}\n",
+        report.shards.is_empty()
+    ));
+    let shapes = (
+        prometheus_shape(&report.to_prometheus()),
+        json_shape(&report.to_json()),
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+    (values, shapes.0, shapes.1)
+}
+
+/// Metric names with their label keys, values stripped, in first-seen order.
+fn prometheus_shape(text: &str) -> Vec<String> {
+    let mut seen: Vec<String> = Vec::new();
+    for line in text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.is_empty())
+    {
+        let series = line.rsplit_once(' ').unwrap().0;
+        let shape = match series.split_once('{') {
+            Some((name, labels)) => {
+                let keys: Vec<&str> = labels
+                    .trim_end_matches('}')
+                    .split("\",")
+                    .map(|kv| kv.split_once('=').unwrap().0)
+                    .collect();
+                format!("{name}{{{}}}", keys.join(","))
+            }
+            None => series.to_string(),
+        };
+        if !seen.contains(&shape) {
+            seen.push(shape);
+        }
+    }
+    seen
+}
+
+/// Object keys of a JSON document, values stripped, in first-seen order.
+fn json_shape(text: &str) -> String {
+    let mut seen: Vec<&str> = Vec::new();
+    let mut rest = text;
+    while let Some(start) = rest.find('"') {
+        let tail = &rest[start + 1..];
+        let end = tail.find('"').unwrap();
+        if tail[end + 1..].starts_with(':') && !seen.contains(&&tail[..end]) {
+            seen.push(&tail[..end]);
+        }
+        rest = &tail[end + 1..];
+    }
+    seen.join(" ")
+}
+
+/// What the store reports after [`views`] on one shard, clocks aside — as
+/// the engine's single-shard path (its own `Core::stats` and
+/// `Core::telemetry_report`, since deleted) reported it at the commit
+/// before one path served every shard count. One shard through the merged
+/// path must say the same, to the bit of every `f64`.
+const ONE_SHARD_VALUES: &str = concat!(
+    "DbStats { buffer_entries: 0, buffer_bytes: 0, buffer_capacity: 2048, levels: ",
+    "[LevelStats { level: 1, runs: 1, entries: 70, bytes: 3098, capacity_bytes: ",
+    "6144, filter_bits: 576, fpr_sum: 0.02141584712068372 }, LevelStats { level: ",
+    "2, runs: 0, entries: 0, bytes: 0, capacity_bytes: 18432, filter_bits: 0, ",
+    "fpr_sum: 0.0 }, LevelStats { level: 3, runs: 1, entries: 479, bytes: 22042, ",
+    "capacity_bytes: 55296, filter_bits: 3840, fpr_sum: 0.02141584712068372 }], ",
+    "disk_entries: 549, runs: 2, filter_bits: 4416, fence_bits: 14968, ",
+    "expected_zero_result_lookup_ios: 0.04283169424136744, lookups: LookupStats { ",
+    "key_hashes: 234, filter_probes: 303, filter_negatives: 140, ",
+    "filter_false_positives: 3 }, immutable_entries: 0, pipeline: PipelineStats { ",
+    "stalls: 0, stall_micros: 0, background_errors: 0, wal_group_commits: 1500, ",
+    "wal_batched_appends: 1500, wal_syncs: 34 }, pipeline_gauges: PipelineGauges { ",
+    "immutable_queue_depth: 0, stalled_writers: 0 } }\n",
+    "CompactionStats { flushes: 34, merges: 32, entries_rewritten: 7005, ",
+    "last_merge_partitions: 1, last_merge_threads: 1 }\n",
+    "LookupStats { key_hashes: 234, filter_probes: 303, filter_negatives: 140, ",
+    "filter_false_positives: 3 }\n",
+    "L1 runs=1 entries=70 LevelLookupSnapshot { filter_probes: 159, ",
+    "filter_negatives: 133, filter_false_positives: 3, lookup_page_reads: 26 } ",
+    "LevelIoSnapshot { reads: 600, writes: 680, read_bytes: 153600, write_bytes: ",
+    "174080, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
+    "L2 runs=0 entries=0 LevelLookupSnapshot { filter_probes: 0, filter_negatives: ",
+    "0, filter_false_positives: 0, lookup_page_reads: 0 } LevelIoSnapshot { reads: ",
+    "453, writes: 447, read_bytes: 115968, write_bytes: 114432, cache_hits: 0, ",
+    "cache_hit_bytes: 0 } allocated_fpr=0.0\n",
+    "L3 runs=1 entries=479 LevelLookupSnapshot { filter_probes: 144, ",
+    "filter_negatives: 7, filter_false_positives: 0, lookup_page_reads: 137 } ",
+    "LevelIoSnapshot { reads: 337, writes: 194, read_bytes: 86272, write_bytes: ",
+    "49664, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
+    "get=234 put=1500 range=2 flush=34 cascade=34 merge=0 \n",
+    "shards.is_empty()=true\n",
+);
+
+/// Metric names and label keys of the one-shard Prometheus rendering, from
+/// the same commit.
+const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
+    "monkey_build_info{version}",
+    "monkey_uptime_micros",
+    "monkey_ops_total{op}",
+    "monkey_op_latency_micros{op,quantile}",
+    "monkey_op_latency_micros_max{op}",
+    "monkey_op_latency_samples{op}",
+    "monkey_io_ops_total{op,backend}",
+    "monkey_io_latency_micros{op,level,quantile,backend}",
+    "monkey_io_latency_micros_max{op,level,backend}",
+    "monkey_io_latency_samples{op,level,backend}",
+    "monkey_io_cache_mode_ratio{op,backend}",
+    "monkey_io_mode_threshold_micros{op,backend}",
+    "monkey_io_backend_info{requested,kind,align}",
+    "monkey_level_filter_probes_total{level}",
+    "monkey_level_filter_false_positives_total{level}",
+    "monkey_level_lookup_page_reads_total{level}",
+    "monkey_level_reads_total{level}",
+    "monkey_level_writes_total{level}",
+    "monkey_level_read_bytes_total{level}",
+    "monkey_level_write_bytes_total{level}",
+    "monkey_level_cache_hits_total{level}",
+    "monkey_level_cache_hit_bytes_total{level}",
+    "monkey_level_allocated_fpr{level}",
+    "monkey_level_measured_fpr{level}",
+    "monkey_level_fpr_drift{level}",
+    "monkey_zero_result_lookup_ios{source}",
+    "monkey_immutable_queue_depth",
+    "monkey_stalled_writers",
+    "monkey_last_merge_partitions",
+    "monkey_last_merge_threads",
+    "monkey_events_dropped_total",
+    "monkey_trace_spans_total",
+    "monkey_trace_spans_dropped_total",
+    "monkey_recorder_bytes",
+];
+
+/// What a store of several shards adds, after `monkey_last_merge_threads`.
+const SHARD_ROWS_PROMETHEUS_SHAPE: &[&str] = &[
+    "monkey_shard_gets_total{shard}",
+    "monkey_shard_puts_total{shard}",
+    "monkey_shard_ranges_total{shard}",
+    "monkey_shard_disk_entries{shard}",
+    "monkey_shard_buffer_bytes{shard}",
+    "monkey_shard_immutable_queue_depth{shard}",
+    "monkey_shard_stalled_writers{shard}",
+    "monkey_shard_page_reads_total{shard}",
+    "monkey_shard_page_writes_total{shard}",
+    "monkey_shard_cache_hits_total{shard}",
+];
+
+/// Object keys of the one-shard JSON rendering, in first-seen order.
+const ONE_SHARD_JSON_SHAPE: &str = concat!(
+    "uptime_micros ops op sampled mean_micros p50_micros p90_micros p99_micros ",
+    "p999_micros max_micros levels level runs entries filter_probes ",
+    "filter_negatives filter_false_positives lookup_page_reads io reads writes ",
+    "read_bytes write_bytes cache_hits cache_hit_bytes allocated_fpr measured_fpr ",
+    "drifted unattributed_io cache_mode_ratio mode_threshold_micros ",
+    "expected_zero_result_lookup_ios measured_zero_result_lookup_ios lookups ",
+    "events seq ts_micros shard event fields records bytes merges deepest_level ",
+    "duration_micros events_dropped immutable_queue_depth stalled_writers ",
+    "last_merge_partitions last_merge_threads spans spans_started spans_dropped ",
+    "recorder_bytes io_backend requested kind align",
+);
+
+/// The keys a per-shard breakdown adds (those not seen earlier in the
+/// document), after `last_merge_threads`.
+const SHARD_ROWS_JSON_SHAPE: &str =
+    " shards gets puts ranges disk_entries buffer_bytes page_reads page_writes";
+
+#[test]
+fn one_shard_through_the_merged_path_reports_what_the_single_path_did() {
+    let (values, prometheus, json) = views(1, "views1");
+    assert_eq!(values, ONE_SHARD_VALUES);
+    assert_eq!(prometheus, ONE_SHARD_PROMETHEUS_SHAPE);
+    assert_eq!(json, ONE_SHARD_JSON_SHAPE);
+}
+
+#[test]
+fn four_shards_render_the_same_shape_plus_the_breakdown_rows() {
+    let (values, prometheus, json) = views(4, "views4");
+    // The two scans of the query phase are two range lookups, not eight.
+    assert!(values.contains(" range=2 "), "{values}");
+    assert!(values.ends_with("shards.is_empty()=false\n"));
+    let mut expected: Vec<&str> = ONE_SHARD_PROMETHEUS_SHAPE.to_vec();
+    let at = expected
+        .iter()
+        .position(|&row| row == "monkey_last_merge_threads")
+        .unwrap();
+    expected.splice(at + 1..at + 1, SHARD_ROWS_PROMETHEUS_SHAPE.iter().copied());
+    assert_eq!(prometheus, expected);
+    assert_eq!(
+        json,
+        ONE_SHARD_JSON_SHAPE.replace(
+            "last_merge_threads",
+            &format!("last_merge_threads{SHARD_ROWS_JSON_SHAPE}")
+        )
+    );
+}
+
+/// The `SHARDS` meta is what says a root directory is split into shards.
+/// With the meta gone the shard directories are still there to say so: the
+/// store must refuse to open, not come up empty at the root with every
+/// acknowledged write out of sight.
+#[test]
+fn shard_directories_without_their_meta_refuse_to_open() {
+    let dir = temp_dir("lostmeta");
+    {
+        let db = Db::open(golden_options(&dir).shards(4)).unwrap();
+        for i in 0..200usize {
+            db.put(format!("key{i:06}").into_bytes(), b"acknowledged".to_vec())
+                .unwrap();
+        }
+    }
+    std::fs::remove_file(dir.join("SHARDS")).unwrap();
+    for requested in [1, 4] {
+        match Db::open(golden_options(&dir).shards(requested)) {
+            Err(monkey::LsmError::Corruption(why)) => assert!(why.contains("SHARDS"), "{why}"),
+            Err(other) => panic!("wrong error: {other}"),
+            Ok(_) => panic!("opened a store whose shard count is lost"),
+        }
+    }
+    assert!(
+        !dir.join("MANIFEST").exists(),
+        "nothing was laid down at the root"
+    );
+    // Put back, the store is whole again.
+    std::fs::write(dir.join("SHARDS"), "4\n").unwrap();
+    let db = Db::open(golden_options(&dir)).unwrap();
+    assert_eq!(contents(&db).len(), 200);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Arbitrary recorded op traces: replaying on `shards = 1` is fully
 /// deterministic (identical disk image both runs — the property the
 /// pinned golden relies on), and hash-partitioning the same trace across

@@ -294,6 +294,41 @@ fn flight_recorder_decodes_after_simulated_crash() {
     std::fs::remove_dir_all(&crashed).unwrap();
 }
 
+/// A delete is a write like any other: its span is a put span carrying the
+/// same links — the WAL group commit that made the tombstone durable and
+/// the memtable generation it landed in — so a traced delete can be joined
+/// to its commit and its flush exactly as a put can.
+#[test]
+fn a_traced_delete_links_its_commit_and_generation_like_a_put() {
+    let d = dir("delete");
+    let db = Db::open(opts(&d).shards(1)).unwrap();
+    db.put(b"doomed".to_vec(), b"v".to_vec()).unwrap();
+    db.delete(b"doomed".to_vec()).unwrap();
+    let report = db.telemetry_report().unwrap();
+    let writes: Vec<&Span> = report
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::Put)
+        .collect();
+    let [put, delete] = writes[..] else {
+        panic!("one span per write, got {}", writes.len());
+    };
+    assert_eq!(put.links.len(), 2);
+    assert_eq!(delete.links.len(), 2);
+    let commits: Vec<u64> = report
+        .spans
+        .iter()
+        .filter(|s| s.kind == SpanKind::WalCommit)
+        .map(|s| s.links[0])
+        .collect();
+    assert!(put.links[0] >= 1 && delete.links[0] == put.links[0] + 1);
+    assert!(commits.contains(&delete.links[0]), "{commits:?}");
+    assert_eq!(delete.links[1], put.links[1], "same memtable generation");
+    assert_eq!(report.ops.iter().find(|o| o.op == "put").unwrap().ops, 2);
+    drop(db);
+    std::fs::remove_dir_all(&d).unwrap();
+}
+
 /// Sampling is a deterministic modulus, not a coin flip: period 1 records
 /// every put, period 4 exactly a quarter of them.
 #[test]
