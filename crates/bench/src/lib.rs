@@ -1,5 +1,5 @@
-//! Shared harness for the experiment binaries (one per paper table/figure;
-//! see `src/bin/`).
+//! Shared harness for the experiments of [`figures`] (one registry row per
+//! paper table/figure) and the Criterion benches.
 //!
 //! Every experiment follows the paper's protocol (§5): build a store at a
 //! given design point, bulk-load `N` uniformly-distributed entries in
@@ -10,8 +10,9 @@
 //! the testbed substitution).
 
 pub mod dashboard;
+pub mod figures;
 
-use monkey::{Db, DbOptions, DbOptionsExt, FilterVariant, MergePolicy};
+use monkey::{Db, DbOptions, DbOptionsExt, FilterVariant, IoBackend, MergePolicy};
 use monkey_storage::{DeviceModel, IoSnapshot};
 use monkey_workload::{KeySpace, TemporalSampler};
 use rand::rngs::StdRng;
@@ -109,7 +110,10 @@ impl ExpConfig {
         self
     }
 
-    /// Builds the engine options for this configuration.
+    /// Builds the engine options for this configuration. `shards`,
+    /// `compaction_threads` and `io_backend` are set explicitly because
+    /// their defaults read `MONKEY_*` environment variables, which must not
+    /// change a figure.
     pub fn options(&self) -> DbOptions {
         let base = if self.cache_bytes > 0 {
             DbOptions::in_memory_cached(self.cache_bytes)
@@ -122,7 +126,10 @@ impl ExpConfig {
             .size_ratio(self.size_ratio)
             .merge_policy(self.policy)
             .filter_variant(self.variant)
-            .telemetry(self.telemetry);
+            .telemetry(self.telemetry)
+            .shards(1)
+            .compaction_threads(1)
+            .io_backend(IoBackend::Buffered);
         match self.filters {
             FilterKind::None => base.uniform_filters(0.0),
             FilterKind::Uniform(bpe) => base.uniform_filters(bpe),
@@ -154,12 +161,7 @@ pub struct LoadedDb {
 pub fn load(cfg: &ExpConfig, seed: u64) -> LoadedDb {
     let db = Db::open(cfg.options()).expect("open");
     let keys = cfg.key_space();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let order = keys.shuffled_indices(&mut rng);
-    for &i in &order {
-        db.put(keys.existing_key(i), keys.value_for(i))
-            .expect("put");
-    }
+    let order = fill(&db, &keys, &mut StdRng::seed_from_u64(seed));
     db.rebuild_filters().expect("rebuild filters");
     db.reset_io();
     LoadedDb {
@@ -167,6 +169,17 @@ pub fn load(cfg: &ExpConfig, seed: u64) -> LoadedDb {
         keys,
         insertion_order: order,
     }
+}
+
+/// Puts every entry of `keys` once, in an order `rng` shuffles; returns
+/// that order.
+pub fn fill(db: &Db, keys: &KeySpace, rng: &mut StdRng) -> Vec<u64> {
+    let order = keys.shuffled_indices(rng);
+    for &i in &order {
+        db.put(keys.existing_key(i), keys.value_for(i))
+            .expect("put");
+    }
+    order
 }
 
 /// An I/O measurement over a batch of operations.
@@ -210,6 +223,20 @@ pub fn zero_result_lookups(loaded: &LoadedDb, n: u64, seed: u64) -> Measurement 
     })
 }
 
+/// Non-zero-result lookups of the keys whose indices `next_index` draws.
+pub fn existing_lookups(
+    loaded: &LoadedDb,
+    n: u64,
+    mut next_index: impl FnMut() -> u64,
+) -> Measurement {
+    measure(&loaded.db, &DeviceModel::disk(), n, || {
+        for _ in 0..n {
+            let key = loaded.keys.existing_key(next_index());
+            assert!(loaded.db.get(&key).expect("get").is_some(), "must exist");
+        }
+    })
+}
+
 /// Non-zero-result lookups with temporal locality `c` (Figure 11(D)):
 /// recency rank sampled by the paper's coefficient, mapped through the
 /// actual insertion order.
@@ -217,14 +244,10 @@ pub fn existing_lookups_temporal(loaded: &LoadedDb, c: f64, n: u64, seed: u64) -
     let mut rng = StdRng::seed_from_u64(seed);
     let sampler = TemporalSampler::new(loaded.keys.entries, c);
     let order = &loaded.insertion_order;
-    measure(&loaded.db, &DeviceModel::disk(), n, || {
-        for _ in 0..n {
-            let rank = sampler.sample_rank(&mut rng) as usize;
-            // rank 0 = most recently inserted = last position.
-            let idx = order[order.len() - 1 - rank];
-            let key = loaded.keys.existing_key(idx);
-            assert!(loaded.db.get(&key).expect("get").is_some(), "must exist");
-        }
+    existing_lookups(loaded, n, || {
+        let rank = sampler.sample_rank(&mut rng) as usize;
+        // rank 0 = most recently inserted = last position.
+        order[order.len() - 1 - rank]
     })
 }
 
@@ -338,16 +361,6 @@ pub fn emit_bench_artifact(file_name: &str, section: &str, value_json: &str) {
         .join(",\n");
     std::fs::write(&path, format!("{{\n{body}\n}}\n"))
         .unwrap_or_else(|e| panic!("write {file_name}: {e}"));
-}
-
-/// Prints a CSV header line.
-pub fn csv_header(cols: &[&str]) {
-    println!("{}", cols.join(","));
-}
-
-/// Prints one CSV row.
-pub fn csv_row(values: &[String]) {
-    println!("{}", values.join(","));
 }
 
 /// Formats a float compactly for CSV.

@@ -197,7 +197,6 @@ impl Db {
         }
         let split = |total: usize| total.div_ceil(n).max(opts.page_size);
         shard.buffer_capacity = split(opts.buffer_capacity);
-        shard.stall_threshold = opts.stall_threshold.map(split);
         shard.storage = match &opts.storage {
             StorageConfig::Memory => StorageConfig::Memory,
             StorageConfig::MemoryCached(bytes) => StorageConfig::MemoryCached(split(*bytes)),

@@ -252,13 +252,7 @@ impl Core {
 
     /// Whether a rotation fits under the backpressure bounds.
     fn room_to_rotate(&self, shared: &Shared) -> bool {
-        if shared.immutables.len() >= self.opts.max_immutable_memtables {
-            return false;
-        }
-        match self.opts.stall_threshold {
-            Some(limit) => shared.immutables.iter().map(|i| i.bytes).sum::<usize>() < limit,
-            None => true,
-        }
+        shared.immutables.len() < self.opts.max_immutable_memtables
     }
 
     /// Post-insert capacity check. Consumes the write guard: the inline
@@ -668,8 +662,8 @@ impl Core {
                     StorageConfig::Directory(dir) if manifest.is_some() => {
                         Some(FlightRecorder::open(
                             dir,
-                            opts.recorder_segment_bytes,
-                            opts.recorder_max_segments,
+                            monkey_obs::DEFAULT_RECORDER_SEGMENT_BYTES,
+                            monkey_obs::DEFAULT_RECORDER_MAX_SEGMENTS,
                         )?)
                     }
                     _ => None,

@@ -73,10 +73,6 @@ pub struct DbOptions {
     /// How many full (immutable) memtables may queue behind the active one
     /// before puts stall waiting for the flush stage to catch up (≥ 1).
     pub max_immutable_memtables: usize,
-    /// Optional harder backpressure bound: stall puts once the *bytes*
-    /// queued in immutable memtables reach this limit, even if the count
-    /// limit has not been hit. `None` bounds by count only.
-    pub stall_threshold: Option<usize>,
     /// Record engine telemetry: latency histograms, per-level I/O
     /// attribution, and the structured event timeline, exposed through
     /// `Db::telemetry_report()`. Off by default; when off, the only cost
@@ -109,7 +105,7 @@ pub struct DbOptions {
     /// partitioned into this many independent engines behind the `Db`
     /// facade — each with its own memtable, WAL, immutable queue, and
     /// flush/merge pipeline — and the memory budgets (`buffer_capacity`,
-    /// `stall_threshold`, block cache) are split across them per §4.4.
+    /// block cache) are split across them per §4.4.
     /// Default 1: the single-shard engine, byte-identical on disk to the
     /// pre-shard code path (every figure and model comparison runs there).
     pub shards: usize,
@@ -123,14 +119,6 @@ pub struct DbOptions {
     /// Sample one operation span out of every this many operations (≥ 1;
     /// 1 traces everything — deterministic, for tests).
     pub trace_sample_period: u64,
-    /// Flight-recorder segment size in bytes. Spans and events spill into
-    /// an on-disk ring of CRC-framed `obs-NNNNNN.log` segments (durable
-    /// stores only) so the last seconds before a crash can be decoded by
-    /// `monkey-stats --flight-recorder`.
-    pub recorder_segment_bytes: u64,
-    /// How many recorder segments are retained before the oldest is
-    /// deleted (the ring's size cap is roughly `segment_bytes × max`).
-    pub recorder_max_segments: usize,
     /// Serve the observability plane over HTTP on this address (e.g.
     /// `"127.0.0.1:9184"`; requires [`DbOptions::telemetry`] for the
     /// report endpoints). The embedded server answers `GET /metrics`
@@ -190,7 +178,6 @@ impl DbOptions {
             value_separation: None,
             background_compaction: false,
             max_immutable_memtables: 2,
-            stall_threshold: None,
             telemetry: false,
             observatory_interval: None,
             observatory_retention: 128,
@@ -210,8 +197,6 @@ impl DbOptions {
                 .unwrap_or(1),
             tracing: false,
             trace_sample_period: monkey_obs::DEFAULT_TRACE_SAMPLE_PERIOD,
-            recorder_segment_bytes: monkey_obs::DEFAULT_RECORDER_SEGMENT_BYTES,
-            recorder_max_segments: monkey_obs::DEFAULT_RECORDER_MAX_SEGMENTS,
             obs_listen: None,
             shard_index: 0,
         }
@@ -309,14 +294,6 @@ impl DbOptions {
         self
     }
 
-    /// Stalls puts once the queued immutable memtables hold at least this
-    /// many bytes (a harder bound than the count limit).
-    pub fn stall_threshold(mut self, bytes: usize) -> Self {
-        assert!(bytes > 0);
-        self.stall_threshold = Some(bytes);
-        self
-    }
-
     /// Enables engine telemetry (see [`DbOptions::telemetry`]).
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
@@ -390,16 +367,6 @@ impl DbOptions {
         self.obs_listen = Some(addr);
         self
     }
-
-    /// Sets the flight-recorder segment size and retained segment count
-    /// (see [`DbOptions::recorder_segment_bytes`]).
-    pub fn recorder_limits(mut self, segment_bytes: u64, max_segments: usize) -> Self {
-        assert!(segment_bytes > 0, "recorder segment size must be positive");
-        assert!(max_segments >= 1, "at least one recorder segment required");
-        self.recorder_segment_bytes = segment_bytes;
-        self.recorder_max_segments = max_segments;
-        self
-    }
 }
 
 impl std::fmt::Debug for DbOptions {
@@ -418,7 +385,6 @@ impl std::fmt::Debug for DbOptions {
             .field("value_separation", &self.value_separation)
             .field("background_compaction", &self.background_compaction)
             .field("max_immutable_memtables", &self.max_immutable_memtables)
-            .field("stall_threshold", &self.stall_threshold)
             .field("telemetry", &self.telemetry)
             .field("observatory_interval", &self.observatory_interval)
             .field("observatory_retention", &self.observatory_retention)
@@ -427,8 +393,6 @@ impl std::fmt::Debug for DbOptions {
             .field("shards", &self.shards)
             .field("tracing", &self.tracing)
             .field("trace_sample_period", &self.trace_sample_period)
-            .field("recorder_segment_bytes", &self.recorder_segment_bytes)
-            .field("recorder_max_segments", &self.recorder_max_segments)
             .field("obs_listen", &self.obs_listen)
             .finish()
     }
@@ -500,14 +464,9 @@ mod tests {
         let o = DbOptions::in_memory();
         assert!(!o.background_compaction, "sync mode is the default");
         assert_eq!(o.max_immutable_memtables, 2);
-        assert_eq!(o.stall_threshold, None);
-        let o = o
-            .background_compaction(true)
-            .max_immutable_memtables(4)
-            .stall_threshold(1 << 20);
+        let o = o.background_compaction(true).max_immutable_memtables(4);
         assert!(o.background_compaction);
         assert_eq!(o.max_immutable_memtables, 4);
-        assert_eq!(o.stall_threshold, Some(1 << 20));
     }
 
     #[test]
@@ -576,13 +535,6 @@ mod tests {
         let o = o.tracing(true).trace_sample_period(1);
         assert!(o.tracing);
         assert_eq!(o.trace_sample_period, 1);
-    }
-
-    #[test]
-    fn recorder_limits_knob() {
-        let o = DbOptions::in_memory().recorder_limits(4096, 2);
-        assert_eq!(o.recorder_segment_bytes, 4096);
-        assert_eq!(o.recorder_max_segments, 2);
     }
 
     #[test]

@@ -1,16 +1,3 @@
 #!/usr/bin/env bash
 # Regenerates every table and figure of the paper into results/*.csv.
-set -e
-cd "$(dirname "$0")"
-BINS="fig01_systems fig04_design_space fig06_fpr_assignment fig07_lookup_vs_memory \
-      fig08_pareto fig09_memory_allocation fig10_tuner_trace table1_asymptotics \
-      fig11a_data_volume fig11b_entry_size fig11c_bits_per_entry fig11d_temporal_locality \
-      fig11e_pareto fig11f_navigation fig12_cache appc_autotune \
-      range_cost ablation_allocation ablation_hash_count ablation_page_size \
-      zipfian_cache kv_separation"
-mkdir -p results
-for bin in $BINS; do
-    echo ">>> $bin"
-    cargo run --quiet --release -p monkey-bench --bin "$bin" >"results/$bin.csv" 2>"results/$bin.log"
-done
-echo "done: results/*.csv"
+cd "$(dirname "$0")" && exec cargo run --quiet --release -p monkey-bench --bin figures -- "$@"
