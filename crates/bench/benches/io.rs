@@ -1,5 +1,5 @@
-//! Raw-speed I/O backend benchmarks: what the `O_DIRECT` (+ io_uring)
-//! backend and WAL fsync batching buy on real files.
+//! I/O backend benchmarks: what the `O_DIRECT` backend costs and what WAL
+//! fsync coalescing buys on real files.
 //!
 //! Three measurements, each emitted into the repo-root `BENCH_io.json`
 //! artifact:
@@ -10,19 +10,18 @@
 //!    which is the whole point — the direct row is the device-true
 //!    number the paper's lookup-cost figures want.
 //! 2. **Merge throughput** — sustained load pushing merge cascades, per
-//!    backend, exercising the batched readahead path (`read_scattered`
-//!    windows of 8 pages per submission, io_uring when compiled in).
+//!    backend: the price of the direct path (one synchronous device read
+//!    per input page, one aligned write per output page).
 //! 3. **Syncs-per-commit** — saturating concurrent writers on a sharded
-//!    store with `wal_sync_each_append`, fsync batching on vs off. With
-//!    batching on, group commits coalesce onto shared fsync epochs and
-//!    the ratio drops below 1; off, every group commit pays its own.
+//!    store with `wal_sync_each_append`. Group commits coalesce onto
+//!    shared fsync epochs and the ratio drops below the 1 that a sync per
+//!    group commit would read.
 //!
-//! Rows record the *active* backend kind (`buffered`, `direct`,
-//! `direct+uring`) plus any fallback reason, so an artifact produced on
-//! a filesystem without `O_DIRECT` support is self-describing.
+//! Rows record the *active* backend kind (`buffered`, `direct`) plus any
+//! fallback reason, so an artifact produced on a filesystem without
+//! `O_DIRECT` support is self-describing.
 
 use monkey::{Db, DbOptions, DbOptionsExt, IoBackend, MergePolicy};
-use std::sync::Arc;
 use std::time::Instant;
 
 const VALUE_LEN: usize = 64;
@@ -111,8 +110,7 @@ fn cold_read_latency(n: usize, reads: usize) {
 }
 
 /// Sustained puts driving merge cascades: throughput of the whole write
-/// pipeline — memtable flush, batched-readahead merges, run builds — per
-/// backend.
+/// pipeline — memtable flush, merges, run builds — per backend.
 fn merge_throughput(n: usize) {
     println!("\nmerge_throughput ({n} puts through cascaded merges):");
     let mut rows = Vec::new();
@@ -157,57 +155,47 @@ fn merge_throughput(n: usize) {
 }
 
 /// Saturating writers on a sharded store with fsync-per-append: physical
-/// syncs per group commit, fsync batching on vs off. (Coalescing needs
-/// overlapping committers, so on a single-core runner the on-row is
-/// scheduling-limited — flagged accordingly.)
+/// syncs per group commit. (Coalescing needs overlapping committers, so on
+/// a single-core runner the ratio is scheduling-limited — flagged
+/// accordingly.)
 fn syncs_per_commit(threads: usize, per_thread: usize) {
     println!(
         "\nsyncs_per_commit ({threads} writers x {per_thread} puts, 4 shards, fsync per append):"
     );
-    let round = |batching: bool| -> (u64, u64, f64) {
-        let dir = tempdir(&format!("sync-{batching}"));
-        let db = Arc::new(
-            Db::open(
-                DbOptions::at_path(&dir)
-                    .page_size(4096)
-                    .buffer_capacity(4 << 20)
-                    .wal_sync_each_append(true)
-                    .wal_fsync_batching(batching)
-                    .shards(4),
-            )
-            .unwrap(),
-        );
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let db = Arc::clone(&db);
-                scope.spawn(move || {
-                    for i in 0..per_thread {
-                        let seq = t * per_thread + i;
-                        db.put(format!("key{seq:09}").into_bytes(), vec![b'v'; 24])
-                            .unwrap();
-                    }
-                });
-            }
-        });
-        let stats = db.pipeline_stats();
-        let ratio = stats.wal_syncs as f64 / stats.wal_group_commits.max(1) as f64;
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
-        (stats.wal_syncs, stats.wal_group_commits, ratio)
-    };
-    let (syncs_on, commits_on, ratio_on) = round(true);
-    let (syncs_off, commits_off, ratio_off) = round(false);
-    println!("  batching on:  {ratio_on:.3} syncs/commit ({syncs_on} syncs / {commits_on} group commits)");
-    println!("  batching off: {ratio_off:.3} syncs/commit ({syncs_off} syncs / {commits_off} group commits)");
+    let dir = tempdir("sync");
+    let db = Db::open(
+        DbOptions::at_path(&dir)
+            .page_size(4096)
+            .buffer_capacity(4 << 20)
+            .wal_sync_each_append(true)
+            .shards(4),
+    )
+    .unwrap();
+    std::thread::scope(|scope| {
+        for t in 0..threads {
+            let db = &db;
+            scope.spawn(move || {
+                for i in 0..per_thread {
+                    let seq = t * per_thread + i;
+                    db.put(format!("key{seq:09}").into_bytes(), vec![b'v'; 24])
+                        .unwrap();
+                }
+            });
+        }
+    });
+    let stats = db.pipeline_stats();
+    let (syncs, commits) = (stats.wal_syncs, stats.wal_group_commits);
+    let ratio = syncs as f64 / commits.max(1) as f64;
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+    println!("  {ratio:.3} syncs/commit ({syncs} syncs / {commits} group commits)");
     monkey_bench::emit_bench_artifact(
         "BENCH_io.json",
         "syncs_per_commit",
         &format!(
             "{{\"threads\": {threads}, \"puts_per_thread\": {per_thread}, \"shards\": 4, \
-             \"batching_on\": {{\"syncs\": {syncs_on}, \"group_commits\": {commits_on}, \
-             \"syncs_per_commit\": {ratio_on:.3}}}, \
-             \"batching_off\": {{\"syncs\": {syncs_off}, \"group_commits\": {commits_off}, \
-             \"syncs_per_commit\": {ratio_off:.3}}}{}}}",
+             \"syncs\": {syncs}, \"group_commits\": {commits}, \
+             \"syncs_per_commit\": {ratio:.3}{}}}",
             monkey_bench::single_core_flag()
         ),
     );

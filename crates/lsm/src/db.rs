@@ -52,9 +52,9 @@ pub struct Db {
     /// [`Db::set_advice_provider`]; without one the endpoint reports the
     /// measured workload with `"advice": null`.
     advice_provider: OnceLock<AdviceProvider>,
-    /// The cross-shard WAL fsync coordinator, when fsync batching is on
-    /// for a durable store — kept here so [`Db::wal_sync_stats`] can
-    /// report global coalescing (tickets vs. physical syncs).
+    /// The cross-shard WAL fsync coordinator of a durable store that
+    /// syncs each append — kept here so [`Db::wal_sync_stats`] can report
+    /// global coalescing (tickets vs. physical syncs).
     sync_coord: Option<Arc<WalSyncCoordinator>>,
     shards: Vec<Shard>,
 }
@@ -89,8 +89,7 @@ impl Db {
         // group commits collapse into shared sync epochs (the batching is
         // an optimization over *when* fsyncs run, never whether — each
         // commit still returns only after its bytes are synced).
-        let sync_coord = (opts.wal_fsync_batching
-            && opts.wal_sync_each_append
+        let sync_coord = (opts.wal_sync_each_append
             && matches!(opts.storage, StorageConfig::Directory(_)))
         .then(WalSyncCoordinator::new);
         Self::assemble(opts, n, None, sync_coord)
@@ -375,7 +374,7 @@ impl Db {
     }
 
     /// Global WAL fsync-coalescing counters (tickets issued vs. physical
-    /// syncs performed), when fsync batching is active on this store.
+    /// syncs performed), on a directory store that syncs each append.
     /// `syncs / tickets` is the store-wide syncs-per-commit ratio; under
     /// concurrent writers it drops below 1.
     pub fn wal_sync_stats(&self) -> Option<SyncStats> {

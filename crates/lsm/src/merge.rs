@@ -43,7 +43,6 @@
 use crate::entry::{Entry, EntryView};
 use crate::error::{LsmError, Result};
 use crate::iter::{MergingIter, Source};
-use crate::page::PageCursor;
 use crate::run::{FilterParams, Run, RunBuilder};
 use monkey_storage::Disk;
 use std::collections::BTreeMap;
@@ -315,28 +314,20 @@ fn plan_partitions(
                 }
             })
             .collect();
-        // Pre-read each straddled page once, in ascending page order.
+        // Pre-read each straddled page once, in ascending page order — page
+        // 0 carries the run's seek, as it does for a worker's slice.
         let mut straddle: BTreeMap<u32, Vec<Entry>> = BTreeMap::new();
         for cut in &cuts {
             if cut.left_end < cut.right_start {
                 straddle.entry(cut.left_end).or_default();
             }
         }
-        // One batched submission per run covers every straddled page
-        // (addresses are distinct BTreeMap keys, ascending): same ledger
-        // as reading them one at a time — page 0 carries the seek.
-        let addrs: Vec<(monkey_storage::RunId, u32, bool)> = straddle
-            .keys()
-            .map(|&page_no| (run.id(), page_no, page_no == 0))
-            .collect();
-        if !addrs.is_empty() {
-            let pages = run.disk().read_scattered(&addrs)?;
-            for (entries, page) in straddle.values_mut().zip(pages) {
-                let mut cursor = PageCursor::new(page)?;
-                entries.reserve(cursor.remaining());
-                while let Some(entry) = cursor.next_entry()? {
-                    entries.push(entry);
-                }
+        for (&page_no, entries) in &mut straddle {
+            let mut cursor = run.merge_pages(page_no..page_no + 1)?;
+            entries.reserve(cursor.page().remaining());
+            while let Some(entry) = cursor.page().to_entry() {
+                entries.push(entry);
+                cursor.advance()?;
             }
         }
         for (p, partition) in partitions.iter_mut().enumerate() {

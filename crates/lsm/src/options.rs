@@ -40,24 +40,18 @@ pub struct DbOptions {
     /// the honest — worse — FPR model charged to expected lookup I/O).
     pub filter_variant: FilterVariant,
     /// fsync the WAL on every append (durable but slow) instead of on
-    /// flush boundaries.
+    /// flush boundaries. On a directory store the fsyncs of concurrent
+    /// group commits — across shards too, which share one sync coordinator
+    /// — coalesce: a commit whose records are already written rides the
+    /// in-flight fsync instead of issuing its own, and still does not
+    /// return before its records are synced.
     pub wal_sync_each_append: bool,
-    /// Coalesce WAL `fsync`s across group-commit batches (and across
-    /// shards, which share one sync coordinator): a commit whose records
-    /// are already written piggybacks on the one in-flight fsync instead
-    /// of issuing its own, cutting syncs-per-commit below 1 under load.
-    /// Only meaningful with [`DbOptions::wal_sync_each_append`]; on by
-    /// default — durability semantics are identical, commits still do not
-    /// return before their records are fsynced.
-    pub wal_fsync_batching: bool,
     /// Physical I/O path for run pages on durable stores
     /// ([`StorageConfig::Directory`]): buffered `pread`/`pwrite` (the
-    /// historical default), `O_DIRECT` (device-true latencies, page cache
-    /// bypassed), or `Auto` (direct where the filesystem supports it,
-    /// silently buffered elsewhere). A `Direct` request that cannot be
-    /// honored (tmpfs, misaligned page size) falls back to buffered and
-    /// surfaces a one-time `IoBackendFallback` event plus the
-    /// `monkey_io_backend_info` gauge.
+    /// historical default) or `O_DIRECT` (device-true latencies, page cache
+    /// bypassed). A `Direct` request that cannot be honored (tmpfs,
+    /// misaligned page size) falls back to buffered and surfaces a one-time
+    /// `IoBackendFallback` event plus the `monkey_io_backend_info` gauge.
     pub io_backend: IoBackend,
     /// Key-value separation (WiscKey, §6 of the paper): values of at least
     /// this many bytes live in an append-only value log and the tree
@@ -168,12 +162,10 @@ impl DbOptions {
             filter_policy: Arc::new(UniformFilterPolicy::new(10.0)),
             filter_variant: FilterVariant::Standard,
             wal_sync_each_append: false,
-            wal_fsync_batching: true,
-            // Same motivation as the thread/shard overrides below: CI runs
-            // the whole suite device-true with MONKEY_IO_BACKEND=direct.
-            io_backend: std::env::var("MONKEY_IO_BACKEND")
-                .ok()
-                .and_then(|v| IoBackend::parse(&v))
+            // The three env overrides let CI (and ad-hoc experiments) run
+            // the whole suite device-true, under a parallel merge engine or
+            // sharded without touching every call site that builds options.
+            io_backend: env_override("MONKEY_IO_BACKEND", IoBackend::parse)
                 .unwrap_or(IoBackend::Buffered),
             value_separation: None,
             background_compaction: false,
@@ -182,19 +174,9 @@ impl DbOptions {
             observatory_interval: None,
             observatory_retention: 128,
             cache_policy: CachePolicy::Lru,
-            // The env override lets CI (and ad-hoc experiments) run the
-            // whole suite under a parallel merge engine without touching
-            // every call site that builds options.
-            compaction_threads: std::env::var("MONKEY_COMPACTION_THREADS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
+            compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
                 .unwrap_or(1),
-            shards: std::env::var("MONKEY_SHARDS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n >= 1)
-                .unwrap_or(1),
+            shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
             tracing: false,
             trace_sample_period: monkey_obs::DEFAULT_TRACE_SAMPLE_PERIOD,
             obs_listen: None,
@@ -256,13 +238,6 @@ impl DbOptions {
     /// Enables fsync-per-append WAL durability.
     pub fn wal_sync_each_append(mut self, on: bool) -> Self {
         self.wal_sync_each_append = on;
-        self
-    }
-
-    /// Enables or disables cross-batch WAL fsync coalescing (see
-    /// [`DbOptions::wal_fsync_batching`]).
-    pub fn wal_fsync_batching(mut self, on: bool) -> Self {
-        self.wal_fsync_batching = on;
         self
     }
 
@@ -369,6 +344,24 @@ impl DbOptions {
     }
 }
 
+/// The value of the `MONKEY_*` variable `name`, which overrides a default:
+/// `None` when it is unset. Whole CI jobs run under these, and a job whose
+/// override quietly fell back to the default would pass green without
+/// testing what it names — so a value `parse` refuses is a panic that names
+/// the variable and the value.
+fn env_override<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+    let value = std::env::var_os(name)?;
+    let value = value.to_string_lossy();
+    let parsed = parse(&value);
+    assert!(parsed.is_some(), "{name}={value:?} is not a value it takes");
+    parsed
+}
+
+/// Parses a count of threads or shards.
+fn at_least_one(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|&n| n >= 1)
+}
+
 impl std::fmt::Debug for DbOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DbOptions")
@@ -380,7 +373,6 @@ impl std::fmt::Debug for DbOptions {
             .field("filter_policy", &self.filter_policy.name())
             .field("filter_variant", &self.filter_variant)
             .field("wal_sync_each_append", &self.wal_sync_each_append)
-            .field("wal_fsync_batching", &self.wal_fsync_batching)
             .field("io_backend", &self.io_backend.name())
             .field("value_separation", &self.value_separation)
             .field("background_compaction", &self.background_compaction)
@@ -561,17 +553,28 @@ mod tests {
     fn io_backend_knob() {
         // Not asserting the default here: CI runs the suite with
         // MONKEY_IO_BACKEND set, which base() honors by design.
-        let o = DbOptions::in_memory();
-        assert!(o.wal_fsync_batching, "fsync batching is the default");
-        let o = o.io_backend(IoBackend::Direct).wal_fsync_batching(false);
+        let o = DbOptions::in_memory().io_backend(IoBackend::Direct);
         assert_eq!(o.io_backend, IoBackend::Direct);
-        assert!(!o.wal_fsync_batching);
-        assert_eq!(
-            DbOptions::in_memory()
-                .io_backend(IoBackend::Auto)
-                .io_backend,
-            IoBackend::Auto
-        );
+    }
+
+    /// A child process — this test binary, running one test that builds
+    /// options — under each override set to a value it does not take.
+    #[test]
+    fn unparseable_override_fails_naming_variable_and_value() {
+        for (name, value) in [
+            ("MONKEY_IO_BACKEND", "dirct"),
+            ("MONKEY_COMPACTION_THREADS", "four"),
+            ("MONKEY_SHARDS", "0"),
+        ] {
+            let child = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", "options::tests::defaults_are_leveldb_like"])
+                .env(name, value)
+                .output()
+                .unwrap();
+            let said = String::from_utf8_lossy(&child.stdout);
+            assert!(!child.status.success(), "{name}={value} ran on the default");
+            assert!(said.contains(&format!("{name}={value:?}")), "{said}");
+        }
     }
 
     #[test]

@@ -285,11 +285,6 @@ impl Run {
         &self.fences
     }
 
-    /// The disk the run's pages live on (merge workers read through it).
-    pub(crate) fn disk(&self) -> &Arc<Disk> {
-        &self.disk
-    }
-
     /// The page that may contain `key`, or `None` when `key` is outside the
     /// run's key range (no I/O needed at all in that case).
     pub fn page_for(&self, key: &[u8]) -> Option<u32> {
@@ -356,22 +351,24 @@ impl Run {
             // run.
             (self.fences.partition_point(|f| f <= lo) as u32).saturating_sub(1)
         };
+        // A scan seeks to wherever it starts.
         RunCursor::open(
             &self.disk,
             self.id,
             Some(self),
             start..self.pages,
-            1,
+            true,
             Some(lo),
         )
     }
 
-    /// Opens a cursor over whole `pages` of the run for a merge: identical
-    /// entries and identical `IoStats` to a scan of those pages, fetched in
-    /// [`MERGE_READAHEAD_PAGES`]-page batched submissions.
+    /// Opens a cursor over whole `pages` of the run for a merge. The slices
+    /// a partitioned merge cuts a run into share the run's one seek, charged
+    /// to whoever reads page 0, so a merge counts a seek per input run and a
+    /// read per input page however it is cut.
     pub(crate) fn merge_pages(self: &Arc<Self>, pages: Range<u32>) -> Result<RunCursor> {
-        let batch = MERGE_READAHEAD_PAGES;
-        RunCursor::open(&self.disk, self.id, Some(self), pages, batch, None)
+        let seek = pages.start == 0;
+        RunCursor::open(&self.disk, self.id, Some(self), pages, seek, None)
     }
 }
 
@@ -549,13 +546,6 @@ impl RunBuilder {
     }
 }
 
-/// Pages per batched submission wherever every page of a range is certain
-/// to be consumed — merge inputs and recovery. One multi-page submission
-/// (a chained io_uring SQE batch on the direct backend, one scatter call
-/// elsewhere) replaces this many single-page round trips, while the
-/// window stays small enough that memory stays bounded per cursor.
-pub(crate) const MERGE_READAHEAD_PAGES: u32 = 8;
-
 /// Key hashes per chunk of a [`KeyHashes`]: 1 MiB of them, which holds
 /// every flush and level-1 merge in one chunk.
 const KEY_HASH_CHUNK: usize = 1 << 16;
@@ -584,70 +574,62 @@ impl KeyHashes {
     }
 }
 
-/// Bytes of finished pages a [`RunBuilder`] gathers before it writes them:
-/// the write side's counterpart of the read windows above. A run's pages
-/// are certain to be written and nobody reads them before the seal, so the
-/// only bound is memory — one buffer of this size per builder — and at
-/// 4 KiB pages one write replaces 64.
+/// Bytes of finished pages a [`RunBuilder`] gathers before it writes them.
+/// A run's pages are certain to be written and nobody reads them before the
+/// seal, so the only bound is memory — one buffer of this size per builder
+/// — and at 4 KiB pages one write replaces 64.
 pub(crate) const WRITE_EXTENT_BYTES: usize = 256 << 10;
 
 /// The one page streamer: a cursor positioned on an entry of a run,
 /// stepping through a range of its pages. User scans, whole-run merges,
 /// partition slices of a parallel merge and recovery differ only in the
-/// page range, the batch width and the optional lower bound.
+/// page range, who pays the seek and the optional lower bound.
 ///
 /// The entry under the cursor is read through [`page`](Self::page),
 /// borrowed from the page bytes; see [`PageCursor`].
 ///
 /// The first page fetched with `seek` set costs a seek + read; every other
 /// page a sequential read only, matching Eq. 11's range-lookup cost model.
-/// At batch width 1 (user scans) a page is fetched when the cursor runs
-/// dry and not before: reads are synchronous, so fetching ahead would
-/// overlap nothing, and a bounded scan would pay for a page it never
-/// decodes. A scan therefore reads exactly the pages it decodes — one per
-/// run when dropped after its first entry. Wider batches are for callers
-/// that consume the whole range anyway. The cursor pins its [`Run`], so a
-/// run superseded mid-scan stays readable until the cursor drops.
+/// A page is fetched when the cursor runs dry and not before: reads are
+/// synchronous, so fetching ahead would overlap nothing, a bounded scan
+/// would pay for a page it never decodes, and a merge would pin frames no
+/// budget counts. A cursor therefore reads exactly the pages it decodes —
+/// one per run for a scan dropped after its first entry — and holds one
+/// frame. The cursor pins its [`Run`], so a run superseded mid-scan stays
+/// readable until the cursor drops.
 pub struct RunCursor {
     disk: Arc<Disk>,
     id: RunId,
     _pin: Option<Arc<Run>>,
     /// The page under the cursor (spent or empty once exhausted).
     page: PageCursor,
-    /// Pages fetched and not yet decoded (empty at batch width 1).
-    window: std::vec::IntoIter<Bytes>,
     /// Next page number to fetch from disk, up to `end`.
     next_page: u32,
     end: u32,
-    batch: u32,
     /// The next fetch pays the seek.
     seek: bool,
 }
 
 impl RunCursor {
     /// Opens a cursor over `pages` of run `id`, positioned on the first
-    /// entry with key `>= lo` (the first entry without `lo`).
+    /// entry with key `>= lo` (the first entry without `lo`). With `seek`
+    /// the first fetch is charged a seek.
     fn open(
         disk: &Arc<Disk>,
         id: RunId,
         pin: Option<&Arc<Run>>,
         pages: Range<u32>,
-        batch: u32,
+        seek: bool,
         lo: Option<&[u8]>,
     ) -> Result<Self> {
-        debug_assert!((1..=MERGE_READAHEAD_PAGES).contains(&batch));
         let mut cursor = Self {
             disk: Arc::clone(disk),
             id,
             _pin: pin.cloned(),
             page: PageCursor::empty(),
-            window: Vec::new().into_iter(),
             next_page: pages.start,
             end: pages.end.max(pages.start),
-            batch,
-            // A scan seeks to wherever it starts; the slices a merge cuts a
-            // run into share the run's one seek, charged to page 0.
-            seek: batch == 1 || pages.start == 0,
+            seek,
         };
         cursor.settle()?;
         if let Some(lo) = lo {
@@ -670,7 +652,7 @@ impl RunCursor {
 
     /// Number of the page under the cursor.
     fn page_no(&self) -> u32 {
-        self.next_page - 1 - self.window.len() as u32
+        self.next_page - 1
     }
 
     /// Steps to the next entry, fetching the next page when this one runs
@@ -683,10 +665,9 @@ impl RunCursor {
         stepped
     }
 
-    /// Exhausts the cursor, letting go of the pages it holds.
+    /// Exhausts the cursor, letting go of the page it holds.
     pub(crate) fn close(&mut self) {
         self.page = PageCursor::empty();
-        self.window = Vec::new().into_iter();
         self.next_page = self.end;
     }
 
@@ -703,39 +684,19 @@ impl RunCursor {
 
     /// The next page to decode, or `None` past the range's last one.
     fn take_page(&mut self) -> Result<Option<Bytes>> {
-        if let Some(page) = self.window.next() {
-            return Ok(Some(page));
-        }
         if self.next_page >= self.end {
             return Ok(None);
         }
-        let first = self.next_page;
-        let seek = std::mem::replace(&mut self.seek, false);
-        if self.batch == 1 {
-            self.next_page += 1;
-            // Scan admission: a seek is accounted like a point read's, but
-            // the cache treats every page of a scan as streaming.
-            let page = if seek {
-                self.disk.read_page_scan(self.id, first)?
-            } else {
-                self.disk.read_page_sequential(self.id, first)?
-            };
-            return Ok(Some(page));
-        }
-        // One batched backend call, ledger-identical to that many single
-        // reads: the first page pays the seek (if any), the rest are
-        // sequential, all streaming-admitted.
-        let count = self.batch.min(self.end - first);
-        let mut reqs = [(self.id, 0, false); MERGE_READAHEAD_PAGES as usize];
-        for (req, page_no) in reqs.iter_mut().zip(first..first + count) {
-            *req = (self.id, page_no, seek && page_no == first);
-        }
-        self.window = self
-            .disk
-            .read_scattered(&reqs[..count as usize])?
-            .into_iter();
-        self.next_page += count;
-        Ok(self.window.next())
+        let page_no = self.next_page;
+        self.next_page += 1;
+        // Scan admission: a seek is accounted like a point read's, but the
+        // cache treats every page of a scan as streaming.
+        let page = if std::mem::replace(&mut self.seek, false) {
+            self.disk.read_page_scan(self.id, page_no)?
+        } else {
+            self.disk.read_page_sequential(self.id, page_no)?
+        };
+        Ok(Some(page))
     }
 }
 
@@ -756,7 +717,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     // Last key of the most recently finished page: the next fence's
     // separator is cut against it, and at the end it is the run's max key.
     let mut page_last = Vec::new();
-    let mut cursor = RunCursor::open(disk, id, None, 0..pages, MERGE_READAHEAD_PAGES, None)?;
+    let mut cursor = RunCursor::open(disk, id, None, 0..pages, true, None)?;
     while let Some(e) = cursor.page.entry() {
         // The cursor steps over empty pages, which then never get a fence.
         if cursor.page_no() as usize == fences.len() {

@@ -16,8 +16,8 @@
 //! log2 buckets keep both modes visible, and [`mode_split`] infers the
 //! boundary between them from the histogram's bimodality — reporting
 //! the fast-mode occupancy (`monkey_io_cache_mode_ratio`) and the
-//! threshold, which is the baseline ROADMAP item 3 (O_DIRECT/io_uring)
-//! needs to prove it actually reaches the device.
+//! threshold, which is the baseline the `O_DIRECT` backend needs to prove
+//! it actually reaches the device.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

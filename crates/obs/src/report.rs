@@ -233,10 +233,10 @@ pub struct ShardBreakdown {
 /// buffered numbers from device-true `O_DIRECT` numbers at a glance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoBackendReport {
-    /// What the options asked for (`"buffered"`, `"direct"`, `"auto"`).
+    /// What the options asked for (`"buffered"`, `"direct"`).
     pub requested: String,
-    /// What is actually running (`"buffered"`, `"direct"`,
-    /// `"direct+uring"`, `"mem"`, `"custom"`).
+    /// What is actually running (`"buffered"`, `"direct"`, `"mem"`,
+    /// `"custom"`).
     pub kind: String,
     /// Logical-block alignment the backend discovered for the data
     /// directory, in bytes; 0 when alignment is not a concept (buffered,
@@ -1526,14 +1526,14 @@ mod tests {
         ));
         // No fallback → no fallback label or key.
         r.io_backend = Some(IoBackendReport {
-            requested: "auto".to_string(),
-            kind: "direct+uring".to_string(),
+            requested: "direct".to_string(),
+            kind: "direct".to_string(),
             align: 4096,
             fallback: None,
         });
         let text = r.to_prometheus();
         assert!(text.contains(
-            "monkey_io_backend_info{requested=\"auto\",kind=\"direct+uring\",align=\"4096\"} 1"
+            "monkey_io_backend_info{requested=\"direct\",kind=\"direct\",align=\"4096\"} 1"
         ));
         assert!(!r.to_json().contains("\"fallback\""));
     }

@@ -1,7 +1,7 @@
 //! The page-frame pool: where every page read from a run file lands.
 //!
 //! A page frame lives exactly as long as something is reading it, and then
-//! goes back to the engine, not to malloc. Both file backends read into
+//! goes back to the engine, not to malloc. The file backend reads into
 //! [`AlignedBuf`]s drawn from an [`AlignedPool`]: a frame is allocated
 //! (zeroed) once, frozen into a zero-copy [`Bytes`] when a read lands in
 //! it, and returned to the pool's free list when the last clone of that

@@ -6,11 +6,14 @@
 //! LSM-tree contract: "the runs at Level 1 and higher are immutable" (§2).
 
 use crate::aligned::PoolStats;
+use crate::direct::{discover_alignment, EINVAL, O_DIRECT};
 use crate::error::{Result, StorageError};
 use crate::handles::RunHandles;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
+use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 
 /// Identifier of a run within a backend. Monotonically increasing; never
@@ -50,30 +53,6 @@ pub trait Backend: Send + Sync + 'static {
 
     /// Reads one page of a sealed (or in-construction) run.
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes>;
-
-    /// Reads `count` consecutive pages of one run starting at `start`.
-    ///
-    /// Semantically identical to `count` calls of [`read_page`]
-    /// (including which page a `NotFound` names); backends override it to
-    /// batch the physical transfers (io_uring multi-SQE submission).
-    ///
-    /// [`read_page`]: Backend::read_page
-    fn read_batch(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
-        (start..start + count)
-            .map(|page_no| self.read_page(run, page_no))
-            .collect()
-    }
-
-    /// Reads an arbitrary set of `(run, page)` addresses, returned in
-    /// request order. Semantically identical to a [`read_page`] loop;
-    /// backends override it to batch the physical transfers.
-    ///
-    /// [`read_page`]: Backend::read_page
-    fn read_scattered(&self, reqs: &[(RunId, u32)]) -> Result<Vec<Bytes>> {
-        reqs.iter()
-            .map(|&(run, page_no)| self.read_page(run, page_no))
-            .collect()
-    }
 
     /// Number of pages currently in the run.
     fn pages(&self, run: RunId) -> Result<u32>;
@@ -180,24 +159,72 @@ impl Backend for MemBackend {
 // File backend
 // ---------------------------------------------------------------------------
 
-/// One file per run in a directory, named `<id>.run`, read and written
-/// through the OS page cache on descriptors held by a [`RunHandles`]
-/// table.
+/// One file per run in a directory, named `<id>.run`, every descriptor
+/// held by a [`RunHandles`] table and every page read into a frame of its
+/// pool. Opened two ways over the same layout, so a directory written one
+/// way reads back the other: [`open`](Self::open) goes through the OS page
+/// cache, [`open_direct`](Self::open_direct) opens each file `O_DIRECT` at
+/// the alignment the directory's filesystem was probed to accept.
 pub struct FileBackend {
     page_size: usize,
+    /// Granularity `O_DIRECT` holds buffer, length and offset to; 1 through
+    /// the page cache, which holds them to nothing.
+    align: usize,
     pub(crate) handles: RunHandles,
 }
 
 impl FileBackend {
-    /// Opens (creating if needed) a backend rooted at `dir` with the given
-    /// page size. Existing `.run` files become visible via [`Backend::list`].
+    /// Opens (creating if needed) a buffered backend rooted at `dir` with
+    /// the given page size. Existing `.run` files become visible via
+    /// [`Backend::list`].
     pub fn open(dir: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         Ok(Self {
             page_size,
+            align: 1,
             handles: RunHandles::new(dir, page_size, 0, 1),
         })
+    }
+
+    /// Opens an `O_DIRECT` backend at `dir`, discovering the filesystem's
+    /// alignment. `Err(reason)` in the inner result means "unsupported
+    /// here" — the caller should fall back to [`open`](Self::open) and
+    /// surface the reason; hard I/O errors come back as the outer error.
+    pub fn open_direct(
+        dir: impl Into<PathBuf>,
+        page_size: usize,
+    ) -> Result<std::result::Result<Self, String>> {
+        let dir = dir.into();
+        std::fs::create_dir_all(&dir)?;
+        let align = match discover_alignment(&dir) {
+            Ok(align) => align,
+            Err(reason) => return Ok(Err(reason)),
+        };
+        if !page_size.is_multiple_of(align) {
+            return Ok(Err(format!(
+                "page size {page_size} is not a multiple of the device alignment {align}"
+            )));
+        }
+        Ok(Ok(Self {
+            page_size,
+            align,
+            handles: RunHandles::new(dir, page_size, O_DIRECT, align.max(4096)),
+        }))
+    }
+
+    /// The logical-block alignment transfers respect: what the probe
+    /// discovered, or 1 through the page cache.
+    pub fn align(&self) -> usize {
+        self.align
+    }
+
+    pub(crate) fn is_direct(&self) -> bool {
+        self.align > 1
+    }
+
+    fn offset(&self, page_no: u32) -> u64 {
+        page_no as u64 * self.page_size as u64
     }
 }
 
@@ -206,7 +233,6 @@ impl Backend for FileBackend {
         self.append_pages(run, page_no, data, self.page_size)
     }
 
-    /// One positional write for the whole extent.
     fn append_pages(
         &self,
         run: RunId,
@@ -221,18 +247,52 @@ impl Backend for FileBackend {
             });
         }
         let handle = self.handles.for_append(run, first_page)?;
-        handle.write_pages(first_page, data)?;
+        if !self.is_direct() {
+            // One positional write for the whole extent.
+            handle.write_pages(first_page, data)?;
+            return Ok(());
+        }
+        // `O_DIRECT` demands an aligned source and the caller's extent has
+        // no alignment guarantee: each page bounces through a frame.
+        let mut frame = self.handles.frames().acquire();
+        for (page_no, page) in (first_page..).zip(data.chunks(page_size)) {
+            frame.as_mut_slice().copy_from_slice(page);
+            match handle.write_pages(page_no, frame.as_ref()) {
+                // The filesystem reneging on the probe: through the page
+                // cache instead of failing the flush.
+                Err(e) if e.raw_os_error() == Some(EINVAL) => OpenOptions::new()
+                    .write(true)
+                    .open(self.handles.path(run))?
+                    .write_all_at(page, self.offset(page_no))?,
+                other => other?,
+            }
+        }
         Ok(())
     }
 
+    /// The durability barrier. `O_DIRECT` already put the data on the
+    /// device; there the fsync makes the file's length durable.
     fn seal(&self, run: RunId) -> Result<()> {
         self.handles.seal(run)
     }
 
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
         let handle = self.handles.get(run)?;
-        handle.check_range(run, page_no, 1)?;
-        Ok(self.handles.read_frame(&handle, page_no)?)
+        handle.check_page(run, page_no)?;
+        // One positional read into a frame from the pool: no page-sized
+        // allocation, zeroing or copy once the pool is warm.
+        let mut frame = self.handles.frames().acquire();
+        match handle.read_page(page_no, frame.as_mut_slice()) {
+            // As for appends. By path, so a run deleted since the lookup is
+            // `NotFound` here, as it is to every later read.
+            Err(e) if self.is_direct() && e.raw_os_error() == Some(EINVAL) => {
+                File::open(self.handles.path(run))
+                    .map_err(|e| RunHandles::not_found(run, e))?
+                    .read_exact_at(frame.as_mut_slice(), self.offset(page_no))?
+            }
+            other => other?,
+        }
+        Ok(frame.freeze(self.page_size))
     }
 
     fn pages(&self, run: RunId) -> Result<u32> {

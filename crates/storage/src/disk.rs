@@ -8,7 +8,7 @@
 use crate::aligned::PoolStats;
 use crate::backend::{Backend, FileBackend, MemBackend, RunId};
 use crate::cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
-use crate::direct::{BackendInfo, DirectFileBackend, IoBackend};
+use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
 use crate::iostats::{IoSnapshot, IoStats};
 use bytes::Bytes;
@@ -76,11 +76,10 @@ impl Disk {
     }
 
     /// Opens a file-backed disk rooted at `dir` on the requested I/O
-    /// backend. `Direct` and `Auto` probe the directory's filesystem for
-    /// `O_DIRECT` support and fall back to buffered I/O where it is
-    /// unavailable; [`backend_info`](Self::backend_info) reports the
-    /// resolution (including the fallback reason) so callers can surface
-    /// it once.
+    /// backend. `Direct` probes the directory's filesystem for `O_DIRECT`
+    /// support and falls back to buffered I/O where it is unavailable;
+    /// [`backend_info`](Self::backend_info) reports the resolution
+    /// (including the fallback reason) so callers can surface it once.
     pub fn file_with(
         dir: impl AsRef<Path>,
         page_size: usize,
@@ -88,42 +87,26 @@ impl Disk {
         cache: Option<BlockCache>,
     ) -> Result<Arc<Self>> {
         let dir = dir.as_ref();
-        let (backend, info): (Arc<dyn Backend>, BackendInfo) = match requested {
-            IoBackend::Buffered => (
-                Arc::new(FileBackend::open(dir, page_size)?),
-                BackendInfo {
-                    requested,
-                    kind: "buffered",
-                    align: 0,
-                    fallback: None,
-                },
-            ),
-            IoBackend::Direct | IoBackend::Auto => match DirectFileBackend::open(dir, page_size)? {
-                Ok(direct) => {
-                    let info = BackendInfo {
-                        requested,
-                        kind: if direct.uring_active() {
-                            "direct+uring"
-                        } else {
-                            "direct"
-                        },
-                        align: direct.align(),
-                        fallback: None,
-                    };
-                    (Arc::new(direct), info)
-                }
-                Err(reason) => (
-                    Arc::new(FileBackend::open(dir, page_size)?),
-                    BackendInfo {
-                        requested,
-                        kind: "buffered",
-                        align: 0,
-                        fallback: Some(reason),
-                    },
-                ),
+        let (backend, fallback) = match requested {
+            IoBackend::Buffered => (FileBackend::open(dir, page_size)?, None),
+            IoBackend::Direct => match FileBackend::open_direct(dir, page_size)? {
+                Ok(direct) => (direct, None),
+                Err(reason) => (FileBackend::open(dir, page_size)?, Some(reason)),
             },
         };
-        Ok(Self::with_backend_info(backend, page_size, cache, info))
+        let direct = backend.is_direct();
+        let info = BackendInfo {
+            requested,
+            kind: if direct { "direct" } else { "buffered" },
+            align: if direct { backend.align() } else { 0 },
+            fallback,
+        };
+        Ok(Self::with_backend_info(
+            Arc::new(backend),
+            page_size,
+            cache,
+            info,
+        ))
     }
 
     /// Wraps an arbitrary backend (for tests and custom deployments).
@@ -310,127 +293,6 @@ impl Disk {
         )
     }
 
-    /// Reads `count` consecutive pages starting at `start`: one seek, then
-    /// sequential page reads. Used by range lookups (Eq. 11: a seek per run
-    /// plus `s·N/B` sequential pages). Streaming priority throughout.
-    pub fn read_pages(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        self.stats.add_seek();
-        let mut out = Vec::with_capacity(count as usize);
-        for page_no in start..start + count {
-            if let Some(data) = self.cache_probe(run, page_no) {
-                out.push(data);
-                continue;
-            }
-            out.push(self.read_miss(
-                run,
-                page_no,
-                CachePriority::Streaming,
-                IoOp::ReadPageSequential,
-            )?);
-        }
-        Ok(out)
-    }
-
-    /// Shared miss-side bookkeeping for one batched backend read: per-page
-    /// sampled op counts (parity with the unbatched paths), at most one
-    /// timed instant covering the whole batch, per-page read counters and
-    /// attribution, streaming-priority cache admission.
-    fn batched_misses(&self, misses: &[(RunId, u32, IoOp)]) -> Result<Vec<Bytes>> {
-        // Every miss ticks the sampling gate so op counts stay exact; the
-        // first sampled one carries the timing for the whole batch (one
-        // submission, one duration — finer grain does not exist here).
-        let mut timed: Option<(IoOp, RunId, Instant)> = None;
-        for &(run, _page, op) in misses {
-            if let Some(started) = self.io_start(op) {
-                timed.get_or_insert((op, run, started));
-            }
-        }
-        let addrs: Vec<(RunId, u32)> = misses.iter().map(|&(r, p, _)| (r, p)).collect();
-        let pages = self.backend.read_scattered(&addrs)?;
-        if let Some((op, run, started)) = timed {
-            self.io_end(op, run, Some(started));
-        }
-        self.stats.add_reads(misses.len() as u64);
-        for (&(run, page_no, _), data) in misses.iter().zip(&pages) {
-            self.attr_read(run);
-            if let Some(cache) = &self.cache {
-                cache.insert_with(run, page_no, data.clone(), CachePriority::Streaming);
-            }
-        }
-        Ok(pages)
-    }
-
-    /// Reads `count` consecutive pages as the continuation of a sequential
-    /// scan: page reads (or cache hits) but **no seek** — the batched
-    /// counterpart of [`read_page_sequential`](Self::read_page_sequential),
-    /// with identical `IoStats` ledger semantics. Cache misses go to the
-    /// backend as one batched submission.
-    pub fn read_sequential_batch(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
-        let mut out: Vec<Option<Bytes>> = Vec::with_capacity(count as usize);
-        let mut misses: Vec<(RunId, u32, IoOp)> = Vec::new();
-        for page_no in start..start + count {
-            match self.cache_probe(run, page_no) {
-                Some(data) => out.push(Some(data)),
-                None => {
-                    misses.push((run, page_no, IoOp::ReadPageSequential));
-                    out.push(None);
-                }
-            }
-        }
-        if !misses.is_empty() {
-            let mut read = self.batched_misses(&misses)?.into_iter();
-            for slot in out.iter_mut().filter(|s| s.is_none()) {
-                *slot = read.next();
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect())
-    }
-
-    /// Reads an arbitrary set of pages in one batched submission. Each
-    /// request carries its own seek accounting: `seek: true` behaves like
-    /// [`read_page_scan`](Self::read_page_scan) (a seek plus a read on a
-    /// miss), `seek: false` like
-    /// [`read_page_sequential`](Self::read_page_sequential). For distinct
-    /// addresses — the only shape the engine issues — the ledger is
-    /// byte-identical to issuing the requests one at a time in order. (A
-    /// duplicated address would be fetched twice here, where a loop's
-    /// second read could hit the page the first just cached.)
-    pub fn read_scattered(&self, reqs: &[(RunId, u32, bool)]) -> Result<Vec<Bytes>> {
-        let mut out: Vec<Option<Bytes>> = Vec::with_capacity(reqs.len());
-        let mut misses: Vec<(RunId, u32, IoOp)> = Vec::new();
-        for &(run, page_no, seek) in reqs {
-            match self.cache_probe(run, page_no) {
-                Some(data) => out.push(Some(data)),
-                None => {
-                    let op = if seek {
-                        self.stats.add_seek();
-                        IoOp::ReadPage
-                    } else {
-                        IoOp::ReadPageSequential
-                    };
-                    misses.push((run, page_no, op));
-                    out.push(None);
-                }
-            }
-        }
-        if !misses.is_empty() {
-            let mut read = self.batched_misses(&misses)?.into_iter();
-            for slot in out.iter_mut().filter(|s| s.is_none()) {
-                *slot = read.next();
-            }
-        }
-        Ok(out
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect())
-    }
-
     /// What physically backs this disk, after fallback resolution.
     pub fn backend_info(&self) -> &BackendInfo {
         &self.info
@@ -593,102 +455,15 @@ mod tests {
         }
         let id = w.seal().unwrap();
         disk.reset_io();
-        let pages = disk.read_pages(id, 2, 5).unwrap();
-        assert_eq!(pages.len(), 5);
+        let mut pages = vec![disk.read_page_scan(id, 2).unwrap()];
+        for p in 3..7 {
+            pages.push(disk.read_page_sequential(id, p).unwrap());
+        }
         assert_eq!(pages[0][0], 2);
         assert_eq!(pages[4][0], 6);
         let io = disk.io();
         assert_eq!(io.page_reads, 5);
         assert_eq!(io.seeks, 1);
-    }
-
-    #[test]
-    fn batched_sequential_reads_match_loop_ledger() {
-        // read_sequential_batch must produce the exact IoStats a
-        // read_page_sequential loop would — including around cache hits.
-        let a = Disk::mem_cached(64, 1 << 20);
-        let b = Disk::mem_cached(64, 1 << 20);
-        let mut ids = Vec::new();
-        for disk in [&a, &b] {
-            let mut w = disk.begin_run();
-            for i in 0..8 {
-                w.append(&page(disk, i)).unwrap();
-            }
-            ids.push(w.seal().unwrap());
-            disk.read_page(ids[ids.len() - 1], 3).unwrap(); // warm one page
-            disk.reset_io();
-        }
-        let loop_pages: Vec<Bytes> = (1..7)
-            .map(|p| a.read_page_sequential(ids[0], p).unwrap())
-            .collect();
-        let batch_pages = b.read_sequential_batch(ids[1], 1, 6).unwrap();
-        assert_eq!(loop_pages, batch_pages);
-        assert_eq!(a.io(), b.io());
-        assert_eq!(b.io().page_reads, 5, "the warm page was a hit");
-        assert_eq!(b.io().seeks, 0);
-        assert!(b.read_sequential_batch(ids[1], 0, 0).unwrap().is_empty());
-    }
-
-    #[test]
-    fn scattered_reads_match_loop_ledger() {
-        let a = Disk::mem_cached(64, 1 << 20);
-        let b = Disk::mem_cached(64, 1 << 20);
-        let mut ids = Vec::new();
-        for disk in [&a, &b] {
-            let mut w = disk.begin_run();
-            for i in 0..4 {
-                w.append(&page(disk, i)).unwrap();
-            }
-            let mut w2 = disk.begin_run();
-            w2.append(&page(disk, 9)).unwrap();
-            ids.push((w.seal().unwrap(), w2.seal().unwrap()));
-            // Warm one page so the batch crosses a cache hit.
-            disk.read_page(ids[ids.len() - 1].0, 3).unwrap();
-            disk.reset_io();
-        }
-        let (r1, r2) = ids[0];
-        let loop_pages = vec![
-            a.read_page_scan(r1, 0).unwrap(),
-            a.read_page_sequential(r1, 2).unwrap(),
-            a.read_page_scan(r2, 0).unwrap(),
-            a.read_page_scan(r1, 3).unwrap(), // warm: cache hit
-        ];
-        let (r1, r2) = ids[1];
-        let batch = b
-            .read_scattered(&[(r1, 0, true), (r1, 2, false), (r2, 0, true), (r1, 3, true)])
-            .unwrap();
-        assert_eq!(loop_pages, batch);
-        assert_eq!(a.io(), b.io());
-        let io = b.io();
-        assert_eq!((io.seeks, io.page_reads, io.cache_hits), (2, 3, 1));
-    }
-
-    #[test]
-    fn batched_reads_keep_latency_op_counts_exact() {
-        let disk = Disk::mem(64);
-        let lat = Arc::new(IoLatency::new());
-        disk.attach_io_latency(Arc::clone(&lat));
-        let mut w = disk.begin_run();
-        for i in 0..8 {
-            w.append(&page(&disk, i)).unwrap();
-        }
-        let id = w.seal().unwrap();
-        disk.read_sequential_batch(id, 0, 8).unwrap();
-        disk.read_scattered(&[(id, 0, true), (id, 5, false)])
-            .unwrap();
-        assert_eq!(lat.op_count(IoOp::ReadPageSequential), 9);
-        assert_eq!(lat.op_count(IoOp::ReadPage), 1);
-    }
-
-    #[test]
-    fn read_zero_pages_is_free() {
-        let disk = Disk::mem(64);
-        let mut w = disk.begin_run();
-        w.append(&page(&disk, 0)).unwrap();
-        let id = w.seal().unwrap();
-        disk.reset_io();
-        assert!(disk.read_pages(id, 0, 0).unwrap().is_empty());
-        assert_eq!(disk.io(), IoSnapshot::default());
     }
 
     #[test]
@@ -757,7 +532,8 @@ mod tests {
         let id = w.seal().unwrap();
 
         disk.read_page(id, 0).unwrap();
-        disk.read_pages(id, 0, 2).unwrap();
+        disk.read_page_scan(id, 0).unwrap();
+        disk.read_page_sequential(id, 1).unwrap();
 
         let s = attr.snapshot();
         assert_eq!(s[1].writes, 2);
@@ -850,7 +626,9 @@ mod tests {
         for _ in 0..(IO_SAMPLE_PERIOD * 2) {
             disk.read_page(id, 0).unwrap();
         }
-        disk.read_pages(id, 0, 4).unwrap();
+        for p in 0..4 {
+            disk.read_page_sequential(id, p).unwrap();
+        }
 
         // Exact per-op counts for every backend call.
         assert_eq!(lat.op_count(IoOp::WritePage), IO_SAMPLE_PERIOD * 2);
@@ -955,8 +733,9 @@ mod tests {
         assert_eq!(w.pages_written(), 0);
     }
 
-    /// The three disks a run can be written to, over `dir` (direct falls
-    /// back to buffered where the filesystem refuses `O_DIRECT`).
+    /// The three disks a run can be written to — memory, and the file
+    /// backend opened both ways over `dir` (direct falls back to buffered
+    /// where the filesystem refuses `O_DIRECT`).
     fn every_disk(dir: &Path, page_size: usize) -> Vec<Arc<Disk>> {
         let _ = std::fs::remove_dir_all(dir);
         vec![

@@ -102,24 +102,6 @@ impl<B: Backend> Backend for FlakyBackend<B> {
         self.inner.read_page(run, page_no)
     }
 
-    // The batched entry points consume one unit of budget *per page*, so a
-    // fault plan bites at the same page count whether the engine read the
-    // pages one at a time or as a batch.
-
-    fn read_batch(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
-        for _ in 0..count {
-            self.maybe_fail(FaultKind::Reads, "read_batch")?;
-        }
-        self.inner.read_batch(run, start, count)
-    }
-
-    fn read_scattered(&self, reqs: &[(RunId, u32)]) -> Result<Vec<Bytes>> {
-        for _ in reqs {
-            self.maybe_fail(FaultKind::Reads, "read_scattered")?;
-        }
-        self.inner.read_scattered(reqs)
-    }
-
     fn pages(&self, run: RunId) -> Result<u32> {
         self.inner.pages(run)
     }
@@ -197,24 +179,6 @@ impl<B: Backend> Backend for SlowBackend<B> {
         self.inner.read_page(run, page_no)
     }
 
-    // Batched reads pay the delay per page: a slow device does not get
-    // faster because the submission was batched, and tests that bound
-    // wall-clock by page count stay valid on every read path.
-
-    fn read_batch(&self, run: RunId, start: u32, count: u32) -> Result<Vec<Bytes>> {
-        for _ in 0..count {
-            self.nap(&self.read_delay_us);
-        }
-        self.inner.read_batch(run, start, count)
-    }
-
-    fn read_scattered(&self, reqs: &[(RunId, u32)]) -> Result<Vec<Bytes>> {
-        for _ in reqs {
-            self.nap(&self.read_delay_us);
-        }
-        self.inner.read_scattered(reqs)
-    }
-
     fn pages(&self, run: RunId) -> Result<u32> {
         self.inner.pages(run)
     }
@@ -265,42 +229,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_reads_consume_budget_per_page() {
-        // Fault parity: a plan that allows N single-page reads allows
-        // exactly N pages' worth of batched reads, no more.
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
-        for p in 0..6 {
-            b.append_page(1, p, &[p as u8; 8]).unwrap();
-        }
-        b.arm(4);
-        assert_eq!(b.read_batch(1, 0, 4).unwrap().len(), 4);
-        assert!(b.read_batch(1, 4, 2).is_err(), "budget exhausted mid-batch");
-        assert_eq!(b.injected(), 1);
-
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
-        b.append_page(2, 0, &[0u8; 8]).unwrap();
-        b.append_page(2, 1, &[1u8; 8]).unwrap();
-        b.arm(1);
-        assert!(b.read_scattered(&[(2, 0), (2, 1)]).is_err());
-        // Writes-only plans leave batched reads alone.
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-        b.append_page(3, 0, &[0u8; 8]).unwrap();
-        b.arm(0);
-        assert_eq!(b.read_batch(3, 0, 1).unwrap().len(), 1);
-        assert_eq!(b.read_scattered(&[(3, 0)]).unwrap().len(), 1);
-    }
-
-    #[test]
-    fn slow_backend_delays_batches_per_page_and_syncs() {
+    fn slow_backend_delays_syncs() {
         let b = SlowBackend::new(MemBackend::new());
-        for p in 0..4 {
-            b.append_page(1, p, &[p as u8; 8]).unwrap();
-        }
-        b.set_read_delay_micros(1_000);
-        let t0 = std::time::Instant::now();
-        assert_eq!(b.read_batch(1, 0, 4).unwrap().len(), 4);
-        assert!(t0.elapsed() >= std::time::Duration::from_micros(4_000));
-        b.set_read_delay_micros(0);
+        b.append_page(1, 0, &[0u8; 8]).unwrap();
         b.set_sync_delay_micros(2_000);
         let t0 = std::time::Instant::now();
         b.seal(1).unwrap();

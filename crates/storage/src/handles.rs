@@ -1,6 +1,6 @@
 //! Run-handle table: the open descriptors of a directory's run files.
 //!
-//! Both file backends keep their runs as `<id>.run` files in a directory.
+//! The file backend keeps its runs as `<id>.run` files in a directory.
 //! A page read must cost one positional read on an already-open
 //! descriptor — no `open`, `fstat`, `lseek`, `close`, or path formatting —
 //! so every run's [`File`] and, once the run is sealed, its page count
@@ -27,7 +27,6 @@
 use crate::aligned::AlignedPool;
 use crate::backend::RunId;
 use crate::error::{Result, StorageError};
-use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
@@ -56,12 +55,6 @@ pub(crate) struct RunHandle {
 }
 
 impl RunHandle {
-    /// The raw file, for submissions that bypass `read_page` (io_uring).
-    #[cfg(all(feature = "uring", target_os = "linux"))]
-    pub(crate) fn file(&self) -> &File {
-        &self.file
-    }
-
     fn file_pages(&self) -> std::io::Result<u32> {
         Ok((self.file.metadata()?.len() / self.page_size as u64) as u32)
     }
@@ -74,14 +67,12 @@ impl RunHandle {
         }
     }
 
-    /// `Ok` when pages `start..start + count` all exist; otherwise the
-    /// `NotFound` naming the first page that does not.
-    pub(crate) fn check_range(&self, run: RunId, start: u32, count: u32) -> Result<()> {
-        let have = self.pages()?;
-        if start as u64 + count as u64 > have as u64 {
+    /// `Ok` when page `page_no` exists; otherwise the `NotFound` naming it.
+    pub(crate) fn check_page(&self, run: RunId, page_no: u32) -> Result<()> {
+        if page_no >= self.pages()? {
             return Err(StorageError::NotFound {
                 run,
-                page: Some(start.max(have)),
+                page: Some(page_no),
             });
         }
         Ok(())
@@ -146,14 +137,6 @@ impl RunHandles {
     /// The pool this table's page frames come from.
     pub(crate) fn frames(&self) -> &AlignedPool {
         &self.frames
-    }
-
-    /// One positional read of page `page_no` into a frame from the pool:
-    /// no page-sized allocation, zeroing or copy once the pool is warm.
-    pub(crate) fn read_frame(&self, handle: &RunHandle, page_no: u32) -> std::io::Result<Bytes> {
-        let mut frame = self.frames.acquire();
-        handle.read_page(page_no, frame.as_mut_slice())?;
-        Ok(frame.freeze(self.page_size))
     }
 
     pub(crate) fn path(&self, run: RunId) -> PathBuf {
@@ -294,26 +277,11 @@ impl RunHandles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, DirectFileBackend, FileBackend};
+    use crate::{Backend, FileBackend};
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
     const PAGE: usize = 4096;
-
-    /// A file backend and the table inside it.
-    trait Tabled: Backend {
-        fn handles(&self) -> &RunHandles;
-    }
-    impl Tabled for FileBackend {
-        fn handles(&self) -> &RunHandles {
-            &self.handles
-        }
-    }
-    impl Tabled for DirectFileBackend {
-        fn handles(&self) -> &RunHandles {
-            &self.handles
-        }
-    }
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("monkey-handles-{}-{name}", std::process::id()));
@@ -323,10 +291,10 @@ mod tests {
 
     /// The buffered backend over `dir` and — where the filesystem accepts
     /// `O_DIRECT` — the direct one over the same files.
-    fn open_both(dir: &std::path::Path) -> Vec<Box<dyn Tabled>> {
-        let mut both: Vec<Box<dyn Tabled>> = vec![Box::new(FileBackend::open(dir, PAGE).unwrap())];
-        match DirectFileBackend::open(dir, PAGE).unwrap() {
-            Ok(direct) => both.push(Box::new(direct)),
+    fn open_both(dir: &std::path::Path) -> Vec<FileBackend> {
+        let mut both = vec![FileBackend::open(dir, PAGE).unwrap()];
+        match FileBackend::open_direct(dir, PAGE).unwrap() {
+            Ok(direct) => both.push(direct),
             Err(reason) => eprintln!("direct half skipped: {reason}"),
         }
         both
@@ -336,7 +304,7 @@ mod tests {
         vec![(run as u8).wrapping_mul(31).wrapping_add(page_no as u8); PAGE]
     }
 
-    fn build(b: &dyn Tabled, run: RunId, pages: u32) {
+    fn build(b: &FileBackend, run: RunId, pages: u32) {
         for p in 0..pages {
             b.append_page(run, p, &page(run, p)).unwrap();
         }
@@ -348,23 +316,18 @@ mod tests {
         let dir = tmp("warm");
         for (i, b) in open_both(&dir).iter().enumerate() {
             let (big, small) = (10 * i as u64 + 1, 10 * i as u64 + 2);
-            build(b.as_ref(), big, 8);
-            build(b.as_ref(), small, 3);
+            build(b, big, 8);
+            build(b, small, 3);
             // Sealing installed both handles: that is all the warm-up.
-            assert_eq!(b.handles().opens(), 2, "one open per run, at creation");
+            assert_eq!(b.handles.opens(), 2, "one open per run, at creation");
             for i in 0..10_000u32 {
                 let (run, pages) = if i % 3 == 0 { (small, 3) } else { (big, 8) };
                 let got = b.read_page(run, i % pages).unwrap();
                 assert_eq!(&got[..], &page(run, i % pages)[..]);
             }
-            assert_eq!(b.read_batch(big, 2, 5).unwrap().len(), 5);
-            let scattered = b
-                .read_scattered(&[(small, 1), (big, 7), (small, 0)])
-                .unwrap();
-            assert_eq!(&scattered[1][..], &page(big, 7)[..]);
             assert_eq!(b.pages(big).unwrap(), 8);
-            assert_eq!(b.handles().opens(), 2, "the warm read path opens nothing");
-            assert_eq!(b.handles().len(), 2);
+            assert_eq!(b.handles.opens(), 2, "the warm read path opens nothing");
+            assert_eq!(b.handles.len(), 2);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -374,7 +337,7 @@ mod tests {
         let dir = tmp("parity");
         for (i, b) in open_both(&dir).iter().enumerate() {
             let run = 5 + i as u64;
-            build(b.as_ref(), run, 4);
+            build(b, run, 4);
             let page_of = |e: StorageError| match e {
                 StorageError::NotFound { run: r, page } => (r, page),
                 other => panic!("expected NotFound, got {other:?}"),
@@ -383,14 +346,6 @@ mod tests {
             assert_eq!(page_of(b.pages(99).unwrap_err()), (99, None));
             assert_eq!(page_of(b.read_page(run, 4).unwrap_err()), (run, Some(4)));
             assert_eq!(page_of(b.read_page(run, 40).unwrap_err()), (run, Some(40)));
-            assert_eq!(
-                page_of(b.read_batch(run, 2, 4).unwrap_err()),
-                (run, Some(4))
-            );
-            assert_eq!(
-                page_of(b.read_scattered(&[(run, 0), (run, 6)]).unwrap_err()),
-                (run, Some(6))
-            );
             b.delete(run).unwrap();
             assert_eq!(page_of(b.read_page(run, 0).unwrap_err()), (run, None));
             assert_eq!(page_of(b.pages(run).unwrap_err()), (run, None));
@@ -419,7 +374,7 @@ mod tests {
                 b.append_page(run, 2, &page(run, 2)).is_err(),
                 "a sealed run's length is cached, so it must stay fixed"
             );
-            assert_eq!(b.handles().opens(), 1);
+            assert_eq!(b.handles.opens(), 1);
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -429,7 +384,7 @@ mod tests {
         let dir = tmp("reopen");
         build(&FileBackend::open(&dir, PAGE).unwrap(), 10, 6);
         for b in open_both(&dir) {
-            let handles = b.handles();
+            let handles = &b.handles;
             assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
             assert_eq!(b.list(), vec![10]);
             let on_disk = std::fs::metadata(handles.path(10)).unwrap().len();
@@ -490,9 +445,9 @@ mod tests {
                     b.delete(run).unwrap();
                     deleted.store(true, Ordering::Release);
                 });
-                assert!(!b.handles().path(run).exists());
+                assert!(!b.handles.path(run).exists());
             }
-            assert_eq!(b.handles().len(), 0, "no entry survives its run");
+            assert_eq!(b.handles.len(), 0, "no entry survives its run");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

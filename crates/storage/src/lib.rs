@@ -9,7 +9,8 @@
 //! * a page-granular storage abstraction ([`Disk`]) over two backends — an
 //!   in-memory simulated disk ([`MemBackend`]) used by the experiment
 //!   harness for deterministic I/O counts, and a real file-per-run backend
-//!   ([`FileBackend`]) used for durability and integration tests;
+//!   ([`FileBackend`], through the page cache or `O_DIRECT`) used for
+//!   durability and integration tests;
 //! * exact **I/O accounting** ([`IoStats`]): every page read, page write,
 //!   and seek is counted atomically and can be snapshotted and diffed
 //!   around an operation;
@@ -29,8 +30,6 @@ pub mod device;
 pub mod error;
 pub mod faults;
 pub mod iostats;
-#[cfg(all(feature = "uring", target_os = "linux"))]
-pub mod uring;
 
 mod backend;
 mod direct;
@@ -41,7 +40,7 @@ pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
 pub use backend::{Backend, FileBackend, MemBackend, RunId};
 pub use cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
 pub use device::DeviceModel;
-pub use direct::{BackendInfo, DirectFileBackend, IoBackend};
+pub use direct::{BackendInfo, IoBackend};
 pub use disk::{Disk, RunWriter};
 pub use error::{Result, StorageError};
 pub use faults::{FaultKind, FlakyBackend, SlowBackend};

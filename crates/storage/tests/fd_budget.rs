@@ -6,7 +6,7 @@
 //! file holds one test on purpose — the budget is process-wide, and a test
 //! binary is one process.
 
-use monkey_storage::{Backend, DirectFileBackend, FileBackend, StorageError};
+use monkey_storage::{Backend, FileBackend, StorageError};
 use std::path::Path;
 
 const PAGE: usize = 4096;
@@ -80,7 +80,7 @@ fn resident_descriptors_stay_under_the_budget() {
     let dir = std::env::temp_dir().join(format!("monkey-fd-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     exercise(&FileBackend::open(&dir, PAGE).unwrap(), &dir);
-    match DirectFileBackend::open(&dir, PAGE).unwrap() {
+    match FileBackend::open_direct(&dir, PAGE).unwrap() {
         Ok(direct) => exercise(&direct, &dir),
         Err(reason) => eprintln!("direct half skipped: {reason}"),
     }

@@ -57,7 +57,10 @@ proptest! {
         let start = start % n_pages;
         let len = len.min(n_pages - start);
         disk.reset_io();
-        let scanned = disk.read_pages(id, start, len).unwrap();
+        let mut scanned = vec![disk.read_page_scan(id, start).unwrap()];
+        for p in start + 1..start + len {
+            scanned.push(disk.read_page_sequential(id, p).unwrap());
+        }
         prop_assert_eq!(disk.io().seeks, 1);
         prop_assert_eq!(disk.io().page_reads, len as u64);
         for (i, p) in scanned.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! A page frame lives exactly as long as something is reading it.
 //!
-//! Both file backends read every page into a frame from one pool; the frame
+//! The file backend reads every page into a frame from its pool; the frame
 //! goes back to the pool when the last `Bytes` over it — a cursor, a row, a
 //! value handed to the caller — drops. Nothing the engine keeps for the
 //! life of a run (its fences, its key range, its filter) slices a page, so
@@ -16,9 +16,14 @@
 //!   within filters + fences + the pool's idle frames + a stated constant —
 //!   a small fraction of the data, which a page pinned per fence is not;
 //! * a burst of range scans that pins 4 096 pages of rows and lets them go
-//!   makes the same scans, run again, allocate no page-sized block at all.
+//!   makes the same scans, run again, allocate no page-sized block at all;
+//! * a merge holds one frame per input run, whatever the runs' length.
 
+use bytes::Bytes;
 use monkey::{Db, DbOptions, MergePolicy};
+use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
+use monkey_lsm::Entry;
+use monkey_storage::{Backend, Disk, FileBackend, PoolStats, RunId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
@@ -208,5 +213,90 @@ fn a_released_burst_of_pages_is_reused_not_reallocated() {
     );
     assert_eq!(db.disk().frame_stats().unwrap().allocated, allocated);
     drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The file backend, noting after every page read how many frames of its
+/// pool are out.
+struct FrameSampler {
+    inner: FileBackend,
+    most_outstanding: AtomicU64,
+}
+
+impl Backend for FrameSampler {
+    fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> monkey_storage::Result<()> {
+        self.inner.append_page(run, page_no, data)
+    }
+    fn append_pages(
+        &self,
+        run: RunId,
+        first_page: u32,
+        data: &[u8],
+        page_size: usize,
+    ) -> monkey_storage::Result<()> {
+        self.inner.append_pages(run, first_page, data, page_size)
+    }
+    fn seal(&self, run: RunId) -> monkey_storage::Result<()> {
+        self.inner.seal(run)
+    }
+    fn read_page(&self, run: RunId, page_no: u32) -> monkey_storage::Result<Bytes> {
+        let page = self.inner.read_page(run, page_no)?;
+        let out = self.inner.frame_stats().expect("a file pool").outstanding;
+        self.most_outstanding.fetch_max(out, Relaxed);
+        Ok(page)
+    }
+    fn pages(&self, run: RunId) -> monkey_storage::Result<u32> {
+        self.inner.pages(run)
+    }
+    fn delete(&self, run: RunId) -> monkey_storage::Result<()> {
+        self.inner.delete(run)
+    }
+    fn list(&self) -> Vec<RunId> {
+        self.inner.list()
+    }
+    fn frame_stats(&self) -> Option<PoolStats> {
+        self.inner.frame_stats()
+    }
+}
+
+#[test]
+fn a_merge_holds_one_frame_per_input() {
+    let _turn = TURN.lock().unwrap();
+    /// `T + 1` runs at `T = 4`: a full level and the run arriving in it.
+    const INPUTS: u32 = 5;
+    const ENTRIES_PER_RUN: u32 = 2_000;
+    let dir = temp_dir("merge");
+    let buffered = FileBackend::open(dir.join("buffered"), PAGE).unwrap();
+    let direct = FileBackend::open_direct(dir.join("direct"), PAGE)
+        .unwrap()
+        .map_err(|reason| eprintln!("direct half skipped: {reason}"));
+    for inner in std::iter::once(buffered).chain(direct.ok()) {
+        let sampler = Arc::new(FrameSampler {
+            inner,
+            most_outstanding: AtomicU64::new(0),
+        });
+        let disk = Disk::with_backend(Arc::clone(&sampler) as Arc<dyn Backend>, PAGE, None);
+        let inputs: Vec<_> = (0..INPUTS)
+            .map(|r| {
+                let sorted = (0..ENTRIES_PER_RUN)
+                    .map(|i| Entry::put(key(i * INPUTS + r), vec![b'v'; 100], (r + 1) as u64))
+                    .collect();
+                let run = build_run_from_sorted(&disk, sorted, false, 1, 8.0).unwrap();
+                run.expect("a run of entries")
+            })
+            .collect();
+        assert!(inputs.iter().all(|run| run.pages() >= 32), "{inputs:?}");
+        let out = merge_runs(&disk, &inputs, false, 2, 8.0).unwrap().unwrap();
+        assert_eq!(out.entries(), (INPUTS * ENTRIES_PER_RUN) as u64);
+        // Each input's cursor holds the page under it, and the one being
+        // replaced lets go of its spent page once the next has arrived.
+        let most = sampler.most_outstanding.load(Relaxed);
+        assert!(
+            (INPUTS as u64..=INPUTS as u64 + 1).contains(&most),
+            "{most} frames out at once over {INPUTS} inputs"
+        );
+        drop((inputs, out));
+        assert_eq!(disk.frame_stats().unwrap().outstanding, 0);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

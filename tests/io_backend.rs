@@ -1,6 +1,6 @@
 //! Raw-speed I/O backend invariants.
 //!
-//! The `O_DIRECT` (+ io_uring) backend exists to make latency figures
+//! The `O_DIRECT` backend exists to make latency figures
 //! device-true, not to change what the engine does: every run page, every
 //! manifest byte, and every `IoStats` counter must be identical whichever
 //! backend serves the reads. The proptest below pins that — arbitrary
@@ -91,7 +91,7 @@ fn run_trace(
     }
     db.flush().unwrap();
     // Read phase: point lookups (filter probes + seeks) and one scan, so
-    // the ledger exercises every read path, batched and not.
+    // the ledger exercises every read path.
     for k in (0..400u16).step_by(7) {
         let _ = db.get(format!("key{k:05}").as_bytes()).unwrap();
     }
@@ -148,9 +148,9 @@ proptest::proptest! {
     }
 }
 
-/// Direct open on a supported filesystem activates (kind `direct` or
-/// `direct+uring`, non-zero alignment) and round-trips data; on an
-/// unsupported one it reports the fallback instead of failing.
+/// Direct open on a supported filesystem activates (kind `direct`,
+/// non-zero alignment) and round-trips data; on an unsupported one it
+/// reports the fallback instead of failing.
 #[test]
 fn direct_backend_activates_or_reports_fallback() {
     let d = temp_dir("activate");
@@ -158,10 +158,7 @@ fn direct_backend_activates_or_reports_fallback() {
     let info = db.io_backend_info();
     match &info.fallback {
         None => {
-            assert!(
-                info.kind == "direct" || info.kind == "direct+uring",
-                "{info:?}"
-            );
+            assert_eq!(info.kind, "direct", "{info:?}");
             assert!(info.align == 512 || info.align == 4096, "{info:?}");
         }
         Some(reason) => {
@@ -320,9 +317,9 @@ fn direct_reads_stay_at_device_speed() {
     std::fs::remove_dir_all(&d_dir).unwrap();
 }
 
-/// WAL fsync batching under concurrent writers across shards: every
+/// WAL fsync coalescing under concurrent writers across shards: every
 /// commit stays durable (replay proves it) while the coordinator performs
-/// fewer physical syncs than it hands out tickets — syncs-per-commit
+/// fewer physical syncs than there are group commits — syncs-per-commit
 /// drops below 1 exactly when the device is the bottleneck.
 #[test]
 fn wal_fsync_batching_coalesces_across_shards() {
@@ -331,7 +328,6 @@ fn wal_fsync_batching_coalesces_across_shards() {
         .page_size(4096)
         .buffer_capacity(1 << 20)
         .wal_sync_each_append(true)
-        .wal_fsync_batching(true)
         .shards(4);
     let db = Db::open(opts).unwrap();
     let db = Arc::new(db);
@@ -349,7 +345,9 @@ fn wal_fsync_batching_coalesces_across_shards() {
             });
         }
     });
-    let sync = db.wal_sync_stats().expect("fsync batching active");
+    let sync = db
+        .wal_sync_stats()
+        .expect("a directory store syncing each append has the coordinator");
     let pipeline = db.pipeline_stats();
     // Every group commit takes a sync ticket; racing committers whose
     // records a leader drained take an extra one for their durability
@@ -377,11 +375,11 @@ fn wal_fsync_batching_coalesces_across_shards() {
         sync.syncs, pipeline.wal_group_commits, sync.tickets
     );
     assert!(
-        sync.syncs < sync.tickets,
-        "under 8 concurrent writers some durability waits must coalesce: \
-         {} syncs for {} tickets",
+        sync.syncs < pipeline.wal_group_commits,
+        "under 8 concurrent writers some group commits must share an fsync: \
+         {} syncs for {} group commits",
         sync.syncs,
-        sync.tickets
+        pipeline.wal_group_commits
     );
     drop(db);
     // Durability: every commit the batched path acknowledged must replay.
@@ -398,33 +396,6 @@ fn wal_fsync_batching_coalesces_across_shards() {
             "committed key {seq} lost"
         );
     }
-    drop(db);
-    std::fs::remove_dir_all(&d).unwrap();
-}
-
-/// Turning batching off restores the one-fsync-per-group-commit regime
-/// (the pre-coordinator behavior) — the knob is real.
-#[test]
-fn fsync_batching_off_syncs_every_group_commit() {
-    let d = temp_dir("fsync-off");
-    let db = Db::open(
-        DbOptions::at_path(&d)
-            .page_size(4096)
-            .buffer_capacity(1 << 20)
-            .wal_sync_each_append(true)
-            .wal_fsync_batching(false),
-    )
-    .unwrap();
-    for i in 0..50 {
-        db.put(format!("key{i:03}").into_bytes(), b"v".to_vec())
-            .unwrap();
-    }
-    assert!(db.wal_sync_stats().is_none(), "no coordinator when off");
-    let pipeline = db.pipeline_stats();
-    assert_eq!(
-        pipeline.wal_syncs, pipeline.wal_group_commits,
-        "without batching every group commit pays its own fsync"
-    );
     drop(db);
     std::fs::remove_dir_all(&d).unwrap();
 }

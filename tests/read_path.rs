@@ -6,8 +6,8 @@
 //!   `Db::range` costs — per run — the pages holding a key the merge
 //!   inspected, plus one seek; the tests rebuild that set from the run
 //!   files themselves and hold `IoStats` to it on the in-memory disk and
-//!   both file backends.
-//! * Both file backends keep the descriptors of their runs open (the
+//!   the file backend opened both ways.
+//! * The file backend keeps the descriptors of its runs open (the
 //!   run-handle table in `monkey-storage`). The hygiene test counts
 //!   `/proc/self/fd` entries that point into its own store directory:
 //!   bounded by the live runs while the store works — and by the table's

@@ -18,7 +18,7 @@
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::Entry;
-use monkey_storage::{Disk, IoBackend};
+use monkey_storage::Disk;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -184,7 +184,7 @@ fn a_merge_allocates_per_page_not_per_entry() {
         "{many} allocations for 16 000 entries, {few} for 4 000, over ~{few_pages} pages each"
     );
     // Per page written: the block the in-memory disk stores it in. Per
-    // 8-page window read: the request and result vectors of one batch.
+    // page read: nothing — the disk hands out the page it stores.
     assert!(
         few < few_pages + 64,
         "{few} allocations over {few_pages} pages"
@@ -193,15 +193,12 @@ fn a_merge_allocates_per_page_not_per_entry() {
 
     // Over run files nothing page-sized is allocated per page in either
     // direction. The first merge warms the pool (two input cursors, a
-    // readahead window each); the second finds its frames there, and the
+    // frame each); the second finds its frames there, and the
     // page builder never lets go of its buffer. What is left is a handful
     // of vectors that pass through 4 KiB once as they double.
     let dir = std::env::temp_dir().join(format!("monkey-merge-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let backend = std::env::var("MONKEY_IO_BACKEND")
-        .ok()
-        .and_then(|v| IoBackend::parse(&v))
-        .unwrap_or_default();
+    let backend = DbOptions::in_memory().io_backend;
     let file = Disk::file_with(&dir, PAGE, backend, None).unwrap();
     merge_allocs(&file, 4_000, 384);
     let (allocs, page_sized, pages) = merge_allocs(&file, 4_000, 384);
@@ -210,8 +207,8 @@ fn a_merge_allocates_per_page_not_per_entry() {
         page_sized <= 4,
         "{page_sized} page-sized allocations over {pages} pages"
     );
-    // One small block per page read (the frame's reference count) plus
-    // the batch vectors of its window, none per page written.
+    // One small block per page read (the frame's reference count), none
+    // per page written.
     assert!(
         allocs < pages * 5 / 4,
         "{allocs} allocations over {pages} pages"
