@@ -408,9 +408,12 @@ impl Db {
     }
 
     /// Deep integrity check of every shard: reads every page of every run
-    /// (counted I/O) and verifies checksums, key ordering, metadata
-    /// agreement, filter completeness, and value-log pointers. Returns the
-    /// number of entries verified across all shards.
+    /// through the disk (counted I/O) and verifies decodability, key
+    /// ordering, metadata agreement, filter completeness, and value-log
+    /// pointers. Checksums are the disk's: a page read from the backend is
+    /// checked on that read, and a cached page was checked when the read
+    /// that admitted it happened. Returns the number of entries verified
+    /// across all shards.
     pub fn verify(&self) -> Result<u64> {
         let mut verified = 0;
         for core in self.cores() {

@@ -1155,7 +1155,8 @@ impl Core {
     /// Deep integrity check: reads every page of every run (counted I/O)
     /// and verifies
     ///
-    /// * page checksums and decodability,
+    /// * page checksums (by the disk, on each page it reads from the
+    ///   backend) and decodability,
     /// * strict key ordering within and across pages,
     /// * agreement between a run's metadata (entry count, byte size, key
     ///   bounds) and its pages,
@@ -1173,7 +1174,7 @@ impl Core {
                 let mut count = 0u64;
                 let mut bytes = 0u64;
                 let mut prev: Option<Vec<u8>> = None;
-                let mut cursor = run.scan_from(b"")?; // checksums verified page by page
+                let mut cursor = run.scan_from(b"")?; // the disk checks each page it reads
                 while let Some(entry) = cursor.page().entry() {
                     if prev.as_deref().is_some_and(|prev| entry.key <= prev) {
                         return Err(LsmError::Corruption(format!(

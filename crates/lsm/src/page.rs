@@ -8,9 +8,19 @@
 //! [zero padding to the page size]
 //! ```
 //!
-//! The checksum is XXH64 over everything after it (count and padding
-//! included by construction of the encoder), so any bit flipped at rest or
-//! in flight surfaces as [`LsmError::Corruption`] instead of wrong data.
+//! The checksum is XXH64 over everything after it (entries and padding),
+//! seeded with both bytes of the count, so any bit flipped at rest or in
+//! flight surfaces as a corruption error instead of wrong data. [`seal`]
+//! stamps it and [`check`] verifies it; the value log's pages share the
+//! envelope (`[u16 count][u64 checksum][body]`) and both functions.
+//!
+//! A page is checked **once, where its bytes enter memory**: runs and the
+//! value log attach [`check`] to their [`Disk`](monkey_storage::Disk),
+//! which runs it on every physical read before the block cache may admit
+//! the page — a cache hit is never re-hashed. [`PageCursor`] therefore
+//! does not hash; it parses the header and bounds-checks every entry it
+//! reaches, which is all that stands between it and bytes that did not
+//! come through a disk.
 //!
 //! Entries within a page are sorted by internal order, so a point lookup
 //! that has fenced to the right page finds its key with a binary search in
@@ -119,11 +129,7 @@ impl PageBuilder {
         let page = &mut self.buf;
         page[self.len..].fill(0);
         page[0..2].copy_from_slice(&self.count.to_le_bytes());
-        let checksum = xxh64(
-            &page[PAGE_HEADER_LEN..],
-            PAGE_SEED ^ page[0] as u64 ^ ((page[1] as u64) << 8),
-        );
-        page[2..10].copy_from_slice(&checksum.to_le_bytes());
+        seal(page);
         self.len = PAGE_HEADER_LEN;
         self.count = 0;
         self.last_key = 0..0;
@@ -131,27 +137,44 @@ impl PageBuilder {
     }
 }
 
-/// Verifies a page's header and checksum, returning the entry count.
-fn verify_page(page: &Bytes) -> Result<usize> {
-    if page.len() < PAGE_HEADER_LEN {
-        return Err(LsmError::Corruption("page shorter than header".into()));
-    }
-    let count = u16::from_le_bytes(page[0..2].try_into().unwrap()) as usize;
-    let stored = u64::from_le_bytes(page[2..10].try_into().unwrap());
-    let computed = xxh64(
-        &page[PAGE_HEADER_LEN..],
-        PAGE_SEED ^ page[0] as u64 ^ ((page[1] as u64) << 8),
-    );
-    if stored != computed {
-        return Err(LsmError::Corruption(format!(
-            "page checksum mismatch: stored {stored:#x}, computed {computed:#x}"
-        )));
-    }
-    Ok(count)
+/// The checksum of a page: XXH64 of everything after the header, seeded
+/// with the count it does not cover.
+fn checksum(page: &[u8]) -> u64 {
+    let count = u16::from_le_bytes([page[0], page[1]]);
+    xxh64(&page[PAGE_HEADER_LEN..], PAGE_SEED ^ count as u64)
 }
 
-/// A cursor positioned on one entry of an encoded page. Opening it
-/// validates the checksum once; each step validates one entry header.
+/// Stamps the checksum of a page whose count and body are in place.
+/// Panics on a buffer shorter than the header.
+pub fn seal(page: &mut [u8]) {
+    let sum = checksum(page);
+    page[2..PAGE_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Verifies a page's checksum. This is the
+/// [`PageCheck`](monkey_storage::PageCheck) runs and the value log attach
+/// to their disk, which calls it on every page it reads from the backend;
+/// on the read side, no other code hashes a page.
+pub fn check(page: &[u8]) -> std::result::Result<(), String> {
+    if page.len() < PAGE_HEADER_LEN {
+        return Err(format!(
+            "page of {} bytes is shorter than its header",
+            page.len()
+        ));
+    }
+    let stored = u64::from_le_bytes(page[2..PAGE_HEADER_LEN].try_into().unwrap());
+    let computed = checksum(page);
+    if stored != computed {
+        return Err(format!(
+            "page checksum mismatch: stored {stored:#x}, computed {computed:#x}"
+        ));
+    }
+    Ok(())
+}
+
+/// A cursor positioned on one entry of an encoded page. Opening it parses
+/// the page header; each step validates one entry header against the
+/// page's bounds. The checksum is not its business (see the module doc).
 /// The entry under the cursor is read **borrowed from the page bytes**
 /// ([`key`](Self::key), [`entry`](Self::entry)) — no `Bytes` refcount
 /// traffic, no copies — and only [`to_entry`](Self::to_entry) /
@@ -173,10 +196,12 @@ pub struct PageCursor {
 }
 
 impl PageCursor {
-    /// Opens a cursor on the page's first entry, verifying the page header
-    /// and checksum.
+    /// Opens a cursor on the page's first entry.
     pub fn new(page: Bytes) -> Result<Self> {
-        let remaining = verify_page(&page)?;
+        let Some(header) = page.get(..PAGE_HEADER_LEN) else {
+            return Err(LsmError::Corruption("page shorter than header".into()));
+        };
+        let remaining = u16::from_le_bytes([header[0], header[1]]) as usize;
         let mut cursor = Self {
             page,
             ..Self::empty()
@@ -417,41 +442,111 @@ mod tests {
         page.truncate(3);
         assert!(PageCursor::new(Bytes::from(page)).is_err());
 
-        // Any single flipped bit in the payload trips the checksum.
+        // The cursor does not hash — the disk did (`check`, below) — but
+        // it bounds-checks every entry header it reaches.
         let good = page_of(&[entry("k", "v", 1)], 64).to_vec();
-        for bit in [0usize, 7, 100, 300] {
-            let mut page = good.clone();
-            page[PAGE_HEADER_LEN + bit / 8] ^= 1 << (bit % 8);
-            let err = PageCursor::new(Bytes::from(page)).err().unwrap();
-            assert!(err.to_string().contains("checksum"), "bit {bit}: {err}");
-        }
-
-        // Past the checksum, every entry header is still bounds-checked:
-        // re-stamp pages whose first entry is malformed.
-        let restamp = |mut page: Vec<u8>| {
-            let sum = xxh64(
-                &page[PAGE_HEADER_LEN..],
-                PAGE_SEED ^ page[0] as u64 ^ ((page[1] as u64) << 8),
-            );
-            page[2..10].copy_from_slice(&sum.to_le_bytes());
-            Bytes::from(page)
-        };
         let mut bad_kind = good.clone();
         bad_kind[PAGE_HEADER_LEN + 14] = 9; // kind byte of first entry
-        let err = PageCursor::new(restamp(bad_kind)).err().unwrap();
+        let err = PageCursor::new(Bytes::from(bad_kind)).err().unwrap();
         assert!(err.to_string().contains("kind"), "{err}");
         let mut long_body = good.clone();
         long_body[PAGE_HEADER_LEN + 2..PAGE_HEADER_LEN + 6]
             .copy_from_slice(&10_000u32.to_le_bytes());
-        let err = PageCursor::new(restamp(long_body)).err().unwrap();
+        let err = PageCursor::new(Bytes::from(long_body)).err().unwrap();
         assert!(err.to_string().contains("truncated"), "{err}");
         // A malformed *later* entry surfaces when the cursor steps onto it.
         let two = page_of(&[entry("a", "1", 1), entry("b", "2", 2)], 64).to_vec();
         let mut second_bad = two.clone();
         second_bad[PAGE_HEADER_LEN + 17 + 14] = 9;
-        let mut cursor = PageCursor::new(restamp(second_bad)).unwrap();
+        let mut cursor = PageCursor::new(Bytes::from(second_bad)).unwrap();
         assert_eq!(cursor.key(), Some(b"a".as_slice()));
         assert!(cursor.advance().is_err());
+    }
+
+    #[test]
+    fn check_rejects_any_flipped_bit() {
+        let good = page_of(&[entry("k", "v", 1)], 64).to_vec();
+        assert_eq!(check(&good), Ok(()));
+        // Every bit of the page, the count's and the checksum's included.
+        for bit in 0..good.len() * 8 {
+            let mut page = good.clone();
+            page[bit / 8] ^= 1 << (bit % 8);
+            let err = check(&page).unwrap_err();
+            assert!(err.contains("checksum"), "bit {bit}: {err}");
+        }
+        assert!(check(&good[..PAGE_HEADER_LEN - 1]).is_err());
+        // Sealing is what makes a page pass.
+        let mut page = good.clone();
+        page[PAGE_HEADER_LEN] ^= 1;
+        seal(&mut page);
+        assert_eq!(check(&page), Ok(()));
+    }
+
+    /// Drives a cursor over `page` every way the engine does — `search`,
+    /// and a walk by `next_entry` — until the page ends or a call errs.
+    /// An `Err` anywhere is fine; a panic fails the property.
+    fn walk(page: &[u8], probe: &[u8]) {
+        let page = Bytes::copy_from_slice(page);
+        if let Ok(cursor) = PageCursor::new(page.clone()) {
+            let _ = cursor.search(probe);
+        }
+        let Ok(mut cursor) = PageCursor::new(page) else {
+            return;
+        };
+        while cursor.remaining() > 0 {
+            let _ = (cursor.key(), cursor.entry(), cursor.seq());
+            if cursor.next_entry().is_err() {
+                // A failed step leaves the cursor where it was.
+                let _ = (cursor.key(), cursor.to_entry());
+                return;
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn cursor_never_panics_on_arbitrary_bytes(
+            page in proptest::collection::vec(proptest::any::<u8>(), 0..160),
+            probe in proptest::collection::vec(proptest::any::<u8>(), 0..4),
+        ) {
+            walk(&page, &probe);
+        }
+
+        #[test]
+        fn cursor_never_panics_on_mutated_pages(
+            kvs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(proptest::any::<u8>(), 0..6),
+                    proptest::collection::vec(proptest::any::<u8>(), 0..12),
+                ),
+                0..8,
+            ),
+            mutation in 0u8..3,
+            at in proptest::any::<u16>(),
+            byte in proptest::any::<u8>(),
+        ) {
+            let mut b = PageBuilder::new(128);
+            for (i, (k, v)) in kvs.iter().enumerate() {
+                let e = Entry::put(k.clone(), v.clone(), i as u64);
+                if b.fits(&e) {
+                    b.push(&e).unwrap();
+                }
+            }
+            let mut page = b.finish().to_vec();
+            let at = at as usize % page.len();
+            match mutation {
+                0 => page.truncate(at),
+                1 => page[at] ^= 1 << (byte % 8),
+                _ => {
+                    let count = u16::from_le_bytes([page[0], page[1]]);
+                    let inflated = count.saturating_add(1 + at as u16);
+                    page[0..2].copy_from_slice(&inflated.to_le_bytes());
+                }
+            }
+            walk(&page, &[byte]);
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 
 use crate::entry::{Entry, EntryView};
 use crate::error::{LsmError, Result};
-use crate::page::{PageBuilder, PageCursor};
+use crate::page::{self, PageBuilder, PageCursor};
 use bytes::Bytes;
 use monkey_bloom::{hash_pair, Filter, FilterVariant, HashPair};
 use monkey_storage::{Disk, RunId};
@@ -285,20 +285,28 @@ impl Run {
         &self.fences
     }
 
+    /// Whether `key` lies inside the run's key range: two key
+    /// comparisons, no search.
+    #[inline]
+    fn covers(&self, key: &[u8]) -> bool {
+        self.fences.get(0) <= key && key <= self.max_key.as_ref()
+    }
+
     /// The page that may contain `key`, or `None` when `key` is outside the
     /// run's key range (no I/O needed at all in that case).
     pub fn page_for(&self, key: &[u8]) -> Option<u32> {
-        if key < self.fences.get(0) || key > self.max_key.as_ref() {
-            return None;
-        }
-        // Last page whose fence is <= key.
-        let idx = self.fences.partition_point(|f| f <= key);
-        Some((idx - 1) as u32)
+        self.covers(key).then(|| self.page_in_range(key))
     }
 
-    /// Point lookup: fence pointers, then Bloom filter, then at most one
-    /// page read. Returns the newest version in this run, which may be a
-    /// tombstone.
+    /// The last page whose fence is `<= key`, for a `key` the run covers.
+    #[inline]
+    fn page_in_range(&self, key: &[u8]) -> u32 {
+        (self.fences.partition_point(|f| f <= key) - 1) as u32
+    }
+
+    /// Point lookup: range check, Bloom filter, fence search, then at most
+    /// one page read. Returns the newest version in this run, which may be
+    /// a tombstone.
     ///
     /// Hashes the key itself; the engine's lookup path uses
     /// [`get_hashed`](Self::get_hashed) so one hash serves every run.
@@ -309,14 +317,22 @@ impl Run {
     /// Point lookup with a pre-computed hash pair, reporting what happened
     /// for the engine's lookup accounting.
     ///
-    /// The fence range check runs *before* the filter probe: it is two
-    /// in-memory key comparisons, while a filter probe costs `k` hash-bit
-    /// lookups (each a potential cache miss on large filters), so an
-    /// out-of-range key should never pay for the filter.
+    /// The steps run in the order of what they cost, as the paper prices a
+    /// zero-result lookup (`R = Σ FPR_i`: a filter probe per run, a page
+    /// only on a positive):
+    ///
+    /// 1. the key range — two in-memory key comparisons, so an out-of-range
+    ///    key never pays for the filter's `k` bit lookups;
+    /// 2. the filter — a negative ends the lookup with no fence search and
+    ///    no I/O;
+    /// 3. the fence binary search for the one page that can hold the key;
+    /// 4. that page's read — checksummed by the disk if it came from the
+    ///    backend, not re-checked if it came from the cache — and an
+    ///    in-place search of it.
     pub fn get_hashed(&self, key: &[u8], pair: HashPair) -> Result<RunLookup> {
-        let Some(page_no) = self.page_for(key) else {
-            return Ok(RunLookup::out_of_range()); // outside key range, no I/O
-        };
+        if !self.covers(key) {
+            return Ok(RunLookup::out_of_range());
+        }
         let probed_filter = self.filter.nbits() > 0;
         if probed_filter && !self.filter.contains_hashed(pair) {
             return Ok(RunLookup {
@@ -324,13 +340,13 @@ impl Run {
                 probed_filter,
                 filter_negative: true,
                 page_read: false,
-            }); // definite negative, no I/O
+            });
         }
-        let page = self.disk.read_page(self.id, page_no)?; // the single I/O
-                                                           // Stream the page instead of materializing a `Vec<Entry>`: the
-                                                           // cursor borrows keys in place and stops at the first key past the
-                                                           // probe, so a lookup decodes roughly half a page and allocates
-                                                           // nothing beyond the entry it returns.
+        // The single I/O. The cursor streams the page: it borrows keys in
+        // place and stops at the first key past the probe, so a lookup
+        // decodes about half a page and allocates only the entry it
+        // returns.
+        let page = self.disk.read_page(self.id, self.page_in_range(key))?;
         Ok(RunLookup {
             entry: PageCursor::new(page)?.search(key)?,
             probed_filter,
@@ -432,8 +448,10 @@ impl RunBuilder {
 
     /// Starts building a run of at most `expected_entries` entries: room
     /// for the key hashes feeding the filter is reserved up front, up to
-    /// one [`KEY_HASH_CHUNK`].
+    /// one [`KEY_HASH_CHUNK`]. Attaches [`page::check`] to `disk`: a disk
+    /// a run was built on checks every page it reads.
     pub fn with_entries(disk: Arc<Disk>, expected_entries: usize) -> Self {
+        disk.attach_page_check(page::check);
         let page_size = disk.page_size();
         let extent_pages = (WRITE_EXTENT_BYTES / page_size).max(1);
         Self {
@@ -702,8 +720,10 @@ impl RunCursor {
 
 /// Rebuilds a [`Run`]'s in-memory metadata (fences, filter, counts) by
 /// scanning its pages — used by recovery, where only the id and level of
-/// each run survive in the manifest.
+/// each run survive in the manifest. Attaches [`page::check`] to `disk`
+/// before the first read, so a page corrupted at rest fails the recovery.
 pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>) -> Result<Run> {
+    disk.attach_page_check(page::check);
     let params = params.into();
     let pages = disk.run_pages(id)?;
     if pages == 0 {

@@ -10,7 +10,9 @@
 //! divides the `E` in the update-cost model by the value size — at the
 //! price of one extra I/O on lookups that hit a separated value.
 //!
-//! Log page layout:
+//! Log page layout — the run pages' envelope, sealed and checked by the
+//! same [`page::seal`]/[`page::check`] pair (the disk checks a page once,
+//! as it is read; see [`crate::page`]):
 //!
 //! ```text
 //! [u16 slot_count][u64 checksum]
@@ -26,14 +28,11 @@
 //! re-separates them into a compact new log.
 
 use crate::error::{LsmError, Result};
+use crate::page::{self, PAGE_HEADER_LEN};
 use bytes::Bytes;
-use monkey_bloom::hash::xxh64;
 use monkey_storage::{Disk, RunId};
 use parking_lot::Mutex;
 use std::sync::Arc;
-
-const VLOG_SEED: u64 = 0x564C_4F47_4D4F_4E4B; // "VLOGMONK"
-const PAGE_HEADER: usize = 2 + 8;
 
 /// A pointer into the value log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +93,11 @@ pub struct ValueLog {
 
 impl ValueLog {
     /// Creates a log on `disk`, rotating runs every `run_pages_limit` pages.
+    /// Attaches [`page::check`] to `disk`, so every log page it reads is
+    /// checked once.
     pub fn new(disk: Arc<Disk>, run_pages_limit: u32) -> Self {
         assert!(run_pages_limit >= 1);
+        disk.attach_page_check(page::check);
         Self {
             disk,
             state: Mutex::new(VlogState {
@@ -116,7 +118,7 @@ impl ValueLog {
 
     /// Largest value the log can hold (one page minus headers).
     pub fn max_value_len(&self) -> usize {
-        self.page_size() - PAGE_HEADER - 4
+        self.page_size() - PAGE_HEADER_LEN - 4
     }
 
     /// Appends a value, returning its pointer. The value becomes readable
@@ -167,8 +169,7 @@ impl ValueLog {
         let mut page = std::mem::replace(&mut state.open.buf, empty_page_buf());
         state.open.slots = 0;
         page.resize(self.page_size(), 0);
-        let checksum = xxh64(&page[PAGE_HEADER..], VLOG_SEED ^ page[0] as u64);
-        page[2..10].copy_from_slice(&checksum.to_le_bytes());
+        page::seal(&mut page);
         let writer = match &mut state.writer {
             Some(w) => w,
             None => {
@@ -233,7 +234,7 @@ fn read_slot(buf: &[u8], count: u16, slot: u16) -> Result<Bytes> {
             "value-log slot {slot} out of {count} (open page)"
         )));
     }
-    let mut off = PAGE_HEADER;
+    let mut off = PAGE_HEADER_LEN;
     for _ in 0..slot {
         let len = u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()) as usize;
         off += 4 + len;
@@ -242,26 +243,21 @@ fn read_slot(buf: &[u8], count: u16, slot: u16) -> Result<Bytes> {
     Ok(Bytes::copy_from_slice(&buf[off + 4..off + 4 + len]))
 }
 
+/// The value in `slot` of a page the disk has already checked; the slot
+/// walk is still bounds-checked at every step.
 fn decode_slot(page: &Bytes, slot: u16) -> Result<Bytes> {
-    if page.len() < PAGE_HEADER {
+    if page.len() < PAGE_HEADER_LEN {
         return Err(LsmError::Corruption(
             "value-log page shorter than header".into(),
         ));
     }
     let count = u16::from_le_bytes(page[0..2].try_into().unwrap());
-    let stored = u64::from_le_bytes(page[2..10].try_into().unwrap());
-    let computed = xxh64(&page[PAGE_HEADER..], VLOG_SEED ^ page[0] as u64);
-    if stored != computed {
-        return Err(LsmError::Corruption(
-            "value-log page checksum mismatch".into(),
-        ));
-    }
     if slot >= count {
         return Err(LsmError::Corruption(format!(
             "value-log slot {slot} out of {count}"
         )));
     }
-    let mut off = PAGE_HEADER;
+    let mut off = PAGE_HEADER_LEN;
     for _ in 0..slot {
         if off + 4 > page.len() {
             return Err(LsmError::Corruption(
@@ -286,6 +282,7 @@ fn decode_slot(page: &Bytes, slot: u16) -> Result<Bytes> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use monkey_storage::StorageError;
 
     fn vlog() -> ValueLog {
         ValueLog::new(Disk::mem(256), 4)
@@ -368,6 +365,31 @@ mod tests {
         log.sync().unwrap();
         let bad = ValuePointer { slot: 5, ..p };
         assert!(matches!(log.get(bad), Err(LsmError::Corruption(_))));
+    }
+
+    #[test]
+    fn a_flipped_slot_count_high_byte_is_corruption() {
+        // The count's high byte lies outside the hashed range, so only the
+        // seed can cover it: left out of the seed, this page reads back
+        // with 257 slots instead of 1 and serves the value.
+        let disk = Disk::mem(256);
+        let log = ValueLog::new(Arc::clone(&disk), 4);
+        let ptr = log.append(b"value").unwrap();
+        log.sync().unwrap();
+        let mut page = disk.read_page(ptr.run, ptr.page).unwrap().to_vec();
+        page[1] ^= 1;
+        let mut w = disk.begin_run();
+        w.append(&page).unwrap();
+        let flipped = ValuePointer {
+            run: w.seal().unwrap(),
+            ..ptr
+        };
+        assert_eq!(log.get(ptr).unwrap().as_ref(), b"value");
+        let err = log.get(flipped).unwrap_err();
+        assert!(
+            matches!(&err, LsmError::Storage(StorageError::Corruption(why)) if why.contains("checksum")),
+            "{err}"
+        );
     }
 
     #[test]

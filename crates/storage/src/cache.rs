@@ -216,6 +216,8 @@ struct Shard {
     active: [AtomicU64; 2],
     hits: AtomicU64,
     misses: AtomicU64,
+    /// Pages handed to `insert_with`; written under `writer`, so exact.
+    inserts: AtomicU64,
     /// Lossy ring of deferred access records: `slot index + 1`, 0 = empty.
     ring: Box<[AtomicU64]>,
     ring_head: AtomicU64,
@@ -243,6 +245,7 @@ impl Shard {
             active: [AtomicU64::new(0), AtomicU64::new(0)],
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            inserts: AtomicU64::new(0),
             ring: (0..RING).map(|_| AtomicU64::new(0)).collect(),
             ring_head: AtomicU64::new(0),
             writer: Mutex::new(ShardWriter {
@@ -367,6 +370,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to go to storage.
     pub misses: u64,
+    /// Pages offered for admission (whether or not they were kept).
+    pub inserts: u64,
 }
 
 impl CacheStats {
@@ -516,6 +521,7 @@ impl BlockCache {
         let key = (run, page_no);
         let shard = &self.shards[Self::shard_index(key)];
         let mut w = shard.writer.lock();
+        shard.inserts.fetch_add(1, Ordering::Relaxed);
         self.drain_ring(shard, &mut w);
 
         if data.len() > shard.capacity {
@@ -786,12 +792,14 @@ impl BlockCache {
         }
     }
 
-    /// Current hit/miss counters (summed over the per-shard counters).
+    /// Current hit/miss/insert counters (summed over the per-shard
+    /// counters).
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
         for shard in &self.shards {
             stats.hits += shard.hits.load(Ordering::Relaxed);
             stats.misses += shard.misses.load(Ordering::Relaxed);
+            stats.inserts += shard.inserts.load(Ordering::Relaxed);
         }
         stats
     }
@@ -831,7 +839,14 @@ mod tests {
         c.insert(1, 0, page(7, 100));
         assert_eq!(c.get(1, 0).unwrap(), page(7, 100));
         assert!(c.get(1, 1).is_none());
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            c.stats(),
+            CacheStats {
+                hits: 1,
+                misses: 1,
+                inserts: 1
+            }
+        );
     }
 
     #[test]
@@ -914,7 +929,11 @@ mod tests {
 
     #[test]
     fn hit_ratio() {
-        let s = CacheStats { hits: 3, misses: 1 };
+        let s = CacheStats {
+            hits: 3,
+            misses: 1,
+            inserts: 0,
+        };
         assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_ratio(), 0.0);
     }

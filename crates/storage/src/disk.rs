@@ -3,7 +3,9 @@
 //! `Disk` combines a [`Backend`] with [`IoStats`] accounting and an optional
 //! [`BlockCache`]. Every page that physically moves to or from the backend
 //! is counted; cache hits are recorded but are not I/Os. This is the
-//! boundary where the reproduction's measurements are taken.
+//! boundary where the reproduction's measurements are taken — and, once a
+//! [`PageCheck`] is attached, where page bytes are checked: once, as they
+//! leave the backend, before the cache may hold them.
 
 use crate::aligned::PoolStats;
 use crate::backend::{Backend, FileBackend, MemBackend, RunId};
@@ -17,6 +19,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+/// Checks one page as it leaves the backend, naming what is wrong with it.
+/// The layer above owns the page format (and the hash); storage only calls
+/// it.
+pub type PageCheck = fn(&[u8]) -> std::result::Result<(), String>;
 
 /// A counted, optionally cached page store.
 pub struct Disk {
@@ -36,6 +43,9 @@ pub struct Disk {
     /// physical backend calls — cache hits never reach it — so the
     /// telemetry-off cost is again one empty `OnceLock` load per miss.
     io_latency: OnceLock<Arc<IoLatency>>,
+    /// The page check, attached once by whoever gives the pages a format.
+    /// Run on every physical read before cache admission, never on a hit.
+    page_check: OnceLock<PageCheck>,
 }
 
 impl Disk {
@@ -137,7 +147,29 @@ impl Disk {
             info,
             attribution: OnceLock::new(),
             io_latency: OnceLock::new(),
+            page_check: OnceLock::new(),
         })
+    }
+
+    /// Attaches the check every page read from the backend must pass.
+    /// From then on every page this disk returns, hit or miss, has passed
+    /// it exactly once: on the read that brought it into memory. A disk
+    /// checks one format — attaching a different function is a bug, and
+    /// so is attaching once the cache holds pages nobody checked (both
+    /// `debug_assert`s); attaching the same one again is a no-op.
+    pub fn attach_page_check(&self, check: PageCheck) {
+        if let Some(&attached) = self.page_check.get() {
+            debug_assert!(
+                std::ptr::fn_addr_eq(attached, check),
+                "a disk checks one page format"
+            );
+            return;
+        }
+        debug_assert!(
+            self.cache_stats().is_none_or(|s| s.inserts == 0),
+            "page check attached after the cache admitted unchecked pages"
+        );
+        let _ = self.page_check.set(check);
     }
 
     /// Attaches a per-level attribution table. Every subsequent physical
@@ -231,9 +263,11 @@ impl Disk {
     }
 
     /// One physical page read plus the miss-side bookkeeping: counted,
-    /// attributed, timed (when sampled), and admitted to the cache with
-    /// the given priority. `op` distinguishes seek reads from sequential
-    /// continuations in the latency histograms.
+    /// attributed, timed (when sampled), checked, and admitted to the
+    /// cache with the given priority. A page that fails the check was
+    /// still read — it is counted — but is never cached. `op`
+    /// distinguishes seek reads from sequential continuations in the
+    /// latency histograms.
     #[inline]
     fn read_miss(
         &self,
@@ -247,6 +281,11 @@ impl Disk {
         self.io_end(op, run, started);
         self.stats.add_reads(1);
         self.attr_read(run);
+        if let Some(check) = self.page_check.get() {
+            check(&data).map_err(|why| {
+                StorageError::Corruption(format!("page {page_no} of run {run}: {why}"))
+            })?;
+        }
         if let Some(cache) = &self.cache {
             cache.insert_with(run, page_no, data.clone(), priority);
         }
@@ -847,6 +886,75 @@ mod tests {
         // appended.
         assert_eq!(lat.op_count(IoOp::WritePage), 2 * 8 + 2 * 8);
         assert_eq!(attr.snapshot()[1].writes, 2 * 8);
+    }
+
+    /// A page passes when its first byte is not 0xBD; every call counted.
+    static CHECKS: AtomicU64 = AtomicU64::new(0);
+    fn counting_check(page: &[u8]) -> std::result::Result<(), String> {
+        CHECKS.fetch_add(1, Ordering::Relaxed);
+        match page[0] {
+            0xBD => Err("page checksum mismatch".into()),
+            _ => Ok(()),
+        }
+    }
+
+    #[test]
+    fn page_check_runs_once_per_physical_read_and_never_on_a_hit() {
+        let disk = Disk::mem_cached(64, 1 << 20);
+        disk.attach_page_check(counting_check);
+        disk.attach_page_check(counting_check); // the same check again: a no-op
+        let mut w = disk.begin_run();
+        w.append(&page(&disk, 1)).unwrap();
+        w.append(&page(&disk, 0xBD)).unwrap();
+        let id = w.seal().unwrap();
+        let before = CHECKS.load(Ordering::Relaxed);
+
+        disk.read_page(id, 0).unwrap(); // the miss: checked
+        for _ in 0..100 {
+            disk.read_page(id, 0).unwrap(); // hits: never checked
+        }
+        assert_eq!(CHECKS.load(Ordering::Relaxed) - before, 1);
+        assert_eq!(disk.io().page_reads, 1);
+        assert_eq!(disk.cache_stats().unwrap().hits, 100);
+
+        // A failing check is an error; the read happened, nothing is kept.
+        let inserts = disk.cache_stats().unwrap().inserts;
+        disk.reset_io();
+        for read in [
+            Disk::read_page,
+            Disk::read_page_scan,
+            Disk::read_page_sequential,
+        ] {
+            let err = read(&disk, id, 1).unwrap_err();
+            assert!(
+                matches!(&err, StorageError::Corruption(why) if why.contains("checksum")),
+                "{err}"
+            );
+        }
+        assert_eq!(disk.io().page_reads, 3, "each failed read is still a read");
+        assert_eq!(disk.io().cache_hits, 0, "a failed page is never served");
+        assert_eq!(disk.cache_stats().unwrap().inserts, inserts, "nor admitted");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "admitted unchecked pages")]
+    fn attaching_a_check_after_the_cache_admitted_pages_is_a_bug() {
+        let disk = Disk::mem_cached(64, 1 << 20);
+        let mut w = disk.begin_run();
+        w.append(&page(&disk, 1)).unwrap();
+        let id = w.seal().unwrap();
+        disk.read_page(id, 0).unwrap();
+        disk.attach_page_check(counting_check);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "one page format")]
+    fn attaching_a_second_check_is_a_bug() {
+        let disk = Disk::mem(64);
+        disk.attach_page_check(|_| Ok(()));
+        disk.attach_page_check(counting_check);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub use backend::{Backend, FileBackend, MemBackend, RunId};
 pub use cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
 pub use device::DeviceModel;
 pub use direct::{BackendInfo, IoBackend};
-pub use disk::{Disk, RunWriter};
+pub use disk::{Disk, PageCheck, RunWriter};
 pub use error::{Result, StorageError};
 pub use faults::{FaultKind, FlakyBackend, SlowBackend};
 pub use iostats::{IoSnapshot, IoStats};
