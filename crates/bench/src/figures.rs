@@ -10,16 +10,15 @@
 //! could otherwise change: their output depends on the code alone.
 
 use crate::*;
-use monkey::{model_params_for, ScheduleFilterPolicy};
+use monkey::{model_params_for, to_engine_policy, ScheduleFilterPolicy};
 use monkey_bloom::{math, BloomFilterBuilder};
 use monkey_model::autotune::{autotune_filters, RunSpec};
 use monkey_model::design_space::{curve, preset_point, presets, ratio_sweep};
 use monkey_model::tuner::tune_traced;
 use monkey_model::{
-    baseline_fprs, baseline_zero_result_lookup_cost, kv_separated_lookup_cost,
-    kv_separated_update_cost, l_unfiltered, non_zero_result_lookup_cost, optimal_fprs,
-    range_lookup_cost, tune, update_cost, zero_result_lookup_cost, Environment, MemoryAllocation,
-    MemoryStrategy, Params, Policy, TuningConstraints, Workload,
+    baseline_fprs, baseline_zero_result_lookup_cost, l_unfiltered, optimal_fprs, range_lookup_cost,
+    tune, update_cost, zero_result_lookup_cost, Environment, MemoryAllocation, MemoryStrategy,
+    Params, Policy, TuningConstraints, Workload,
 };
 use monkey_workload::ZipfianSampler;
 use std::fmt::Display;
@@ -188,12 +187,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
         title: "Zipfian lookups x block cache (N=2^16 x 64B, 5 b/e)",
         header: "cache_pct,theta,allocation,ios_per_lookup,cache_hit_ratio",
         run: zipfian_cache,
-    },
-    Experiment {
-        name: "kv_separation",
-        title: "KV separation: measured vs adapted model (N=2^13 x 256B, 2KiB pages)",
-        header: "mode,load_page_writes,update_writes_per_op,found_lookup_ios,model_W,model_V",
-        run: kv_separation,
     },
 ];
 
@@ -673,10 +666,7 @@ fn fig11f_navigation(out: &mut Csv) {
             &Environment::disk(),
             &TuningConstraints::default(),
         );
-        let policy = match tuning.policy {
-            Policy::Leveling => MergePolicy::Leveling,
-            Policy::Tiering => MergePolicy::Tiering,
-        };
+        let policy = to_engine_policy(tuning.policy);
         // Cap T so the experiment stays within harness scale.
         let size_ratio = (tuning.size_ratio.round() as usize).clamp(2, 32);
         let navigable = ExpConfig {
@@ -954,73 +944,6 @@ fn ablation_page_size(out: &mut Csv) {
             &f(w.ios_per_op),
             &f(r.ios_per_op),
             &f(loaded.db.stats().fence_bits as f64 / 8.0 / 1024.0),
-        ]);
-    }
-}
-
-/// Extension: key-value separation (WiscKey, §6) measured on the live
-/// engine against the adapted cost model.
-fn kv_separation(out: &mut Csv) {
-    let cfg = ExpConfig {
-        entries: 1 << 13,
-        entry_bytes: 256, // big values: separation pays
-        page_bytes: 2048,
-        buffer_bytes: 8 << 10,
-        ..ExpConfig::paper_default()
-    };
-    let keys = cfg.key_space();
-    for separate in [false, true] {
-        let options = if separate {
-            cfg.options().value_separation(64)
-        } else {
-            cfg.options()
-        };
-        let db = Db::open(options).expect("open");
-        fill(&db, &keys, &mut StdRng::seed_from_u64(42));
-        let load_writes = db.io().page_writes;
-
-        // Update phase.
-        db.reset_io();
-        let mut rng = StdRng::seed_from_u64(7);
-        for _ in 0..cfg.entries {
-            let (i, k) = keys.random_existing(&mut rng);
-            db.put(k, keys.value_for(i)).expect("put");
-        }
-        let w_measured = db.io().page_writes as f64 / cfg.entries as f64;
-
-        // Found-lookup phase.
-        db.rebuild_filters().expect("rebuild filters");
-        db.reset_io();
-        let lookups = 4096u64;
-        for _ in 0..lookups {
-            let (_, k) = keys.random_existing(&mut rng);
-            assert!(db.get(&k).expect("get").is_some());
-        }
-        let v_measured = db.io().page_reads as f64 / lookups as f64;
-
-        // Model predictions.
-        let params = model_params_for(db.options(), cfg.entries, cfg.entry_bytes);
-        let m_filters = db.stats().filter_bits as f64;
-        // Key (16 B) + pointer (14 B) + header (15 B) = 45 B on a page.
-        let kp_bits = 45.0 * 8.0;
-        let (model_w, model_v) = if separate {
-            (
-                kv_separated_update_cost(&params, 1.0, kp_bits),
-                kv_separated_lookup_cost(&params, m_filters, kp_bits),
-            )
-        } else {
-            (
-                update_cost(&params, 1.0),
-                non_zero_result_lookup_cost(&params, m_filters),
-            )
-        };
-        out.row(&[
-            &if separate { "separated" } else { "inline" },
-            &load_writes,
-            &f(w_measured),
-            &f(v_measured),
-            &f(model_w),
-            &f(model_v),
         ]);
     }
 }

@@ -4,7 +4,7 @@
 //! experiments.
 //!
 //! `cargo test --release -p monkey-bench --test figures` regenerates all
-//! 22 experiments. An unoptimised build (tier-1's `cargo test`) takes ten
+//! 21 experiments. An unoptimised build (tier-1's `cargo test`) takes ten
 //! times as long per engine row, so there the [`HEAVY`] rows are ignored.
 
 use monkey_bench::figures::{Experiment, EXPERIMENTS};
@@ -13,7 +13,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 /// Engine rows that take more than 3 s in an unoptimised build (3.5–37 s
-/// each, 133 s together; the other 13 rows take 7 s).
+/// each, 133 s together; the other 12 rows take 7 s).
 const HEAVY: &[&str] = &[
     "fig11a_data_volume",
     "fig11b_entry_size",

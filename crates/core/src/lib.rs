@@ -55,7 +55,7 @@ pub mod policy;
 mod bridge;
 
 pub use advisor::TuningAdvisor;
-pub use bridge::{model_params_for, to_model_policy};
+pub use bridge::{model_params_for, to_engine_policy, to_model_policy};
 pub use monkey_lsm::{
     decode_segment, http_get, mode_split, BackendInfo, Db, DbOptions, DbStats, DecodedFlight,
     DriftFlag, Entry, EntryKind, Event, EventKind, FilterContext, FilterPolicy, FilterVariant,

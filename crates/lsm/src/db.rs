@@ -247,11 +247,6 @@ impl Db {
     }
 
     /// Inserts or updates a key (routed to the shard that owns it).
-    ///
-    /// With key-value separation enabled, values at or above the threshold
-    /// go to the value log and the tree stores a pointer; the WAL always
-    /// records the full value, so durability does not depend on log-page
-    /// flush timing.
     pub fn put(&self, key: impl Into<Bytes>, value: impl Into<Bytes>) -> Result<()> {
         let key = key.into();
         self.shard_for(&key).write(key, Some(value.into()))
@@ -344,8 +339,9 @@ impl Db {
     /// Self-tuning re-shape ("migrate the store from one tuning setting to
     /// another"). Opens a fresh database under `new_opts`, streams every
     /// live entry into it (tombstones and superseded versions are left
-    /// behind), and returns the new store. Also the re-*sharding* path:
-    /// the target may run any shard count.
+    /// behind), and returns the new store. `Navigator::retune` applies its
+    /// recommendation this way, and it is also the re-*sharding* path: the
+    /// target may run any shard count.
     ///
     /// The source is read through a snapshot cursor, so it stays readable
     /// during the migration; writes applied to the source after the
@@ -409,8 +405,7 @@ impl Db {
 
     /// Deep integrity check of every shard: reads every page of every run
     /// through the disk (counted I/O) and verifies decodability, key
-    /// ordering, metadata agreement, filter completeness, and value-log
-    /// pointers. Checksums are the disk's: a page read from the backend is
+    /// ordering, metadata agreement and filter completeness. Checksums are the disk's: a page read from the backend is
     /// checked on that read, and a cached page was checked when the read
     /// that admitted it happened. Returns the number of entries verified
     /// across all shards.

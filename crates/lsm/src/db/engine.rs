@@ -22,7 +22,7 @@
 //! either mode.
 
 use crate::compaction::{install_flush, CascadeOutcome};
-use crate::entry::{Entry, EntryKind, ENTRY_HEADER_LEN};
+use crate::entry::{Entry, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
 use crate::iter::{MergingIter, RangeIter, Source};
 use crate::level::Version;
@@ -32,7 +32,6 @@ use crate::options::{DbOptions, StorageConfig};
 use crate::page::max_entry_len;
 use crate::policy::FilterContext;
 use crate::run::{recover_run, FilterParams};
-use crate::vlog::{ValueLog, ValuePointer};
 use crate::wal::{Wal, WalSyncCoordinator};
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
@@ -122,8 +121,6 @@ pub(super) struct Core {
     pub(super) compactions: CompactionCounters,
     pub(super) lookups: LookupCounters,
     pub(super) pipeline: PipelineCounters,
-    /// Value log for key-value separation (WiscKey mode), when enabled.
-    vlog: Option<Arc<ValueLog>>,
     /// Telemetry hub, present iff `DbOptions::telemetry`. When `None`,
     /// every instrumentation site collapses to a single branch.
     pub(super) telemetry: Option<Arc<Telemetry>>,
@@ -193,23 +190,6 @@ impl Core {
             return Err(LsmError::Background(msg));
         }
         Ok(())
-    }
-
-    /// Resolves an entry's user-visible value (following a value-log
-    /// pointer for separated entries).
-    fn resolve_value(&self, entry: &Entry) -> Result<Option<Bytes>> {
-        match entry.kind {
-            EntryKind::Put => Ok(Some(entry.value.clone())),
-            EntryKind::Delete => Ok(None),
-            EntryKind::IndirectPut => {
-                let ptr = ValuePointer::decode(&entry.value)
-                    .ok_or_else(|| LsmError::Corruption("malformed value-log pointer".into()))?;
-                let vlog = self.vlog.as_ref().ok_or_else(|| {
-                    LsmError::Corruption("indirect entry in a store without a value log".into())
-                })?;
-                Ok(Some(vlog.get(ptr)?))
-            }
-        }
     }
 
     /// Rebuilds the run → level attribution table from `version` — the
@@ -383,12 +363,6 @@ impl Core {
         // chain: puts link to the generation this span carries).
         let flush_span = self.tracer.as_ref().map(|t| t.start(SpanKind::Flush));
         let flush_span_id = flush_span.as_ref().map_or(0, |s| s.id);
-        if let Some(vlog) = &self.vlog {
-            // Pointers about to be persisted must reference durable pages.
-            // This runs without the shared lock: large separated values no
-            // longer stall concurrent puts.
-            vlog.sync()?;
-        }
         let base = Arc::clone(&self.shared.read().version);
         let mut working = (*base).clone();
         let mut outcome = CascadeOutcome::default();
@@ -639,13 +613,7 @@ impl Core {
             next_seq = next_seq.max(entry.seq + 1);
             memtable.insert(entry);
         }
-        // (Separated values from replayed WAL records land inline in the
-        // memtable, which is always correct — separation is an
-        // optimization, not an invariant.)
 
-        let vlog = opts
-            .value_separation
-            .map(|_| Arc::new(ValueLog::new(Arc::clone(&disk), 1024)));
         let telemetry = opts.telemetry.then(|| {
             Arc::new(Telemetry::for_shard(
                 opts.shard_index,
@@ -722,7 +690,6 @@ impl Core {
             compactions: CompactionCounters::default(),
             lookups: LookupCounters::default(),
             pipeline: PipelineCounters::default(),
-            vlog,
             telemetry,
             tracer,
             series,
@@ -826,9 +793,6 @@ impl Core {
         // youngest ends up in front.
         records.sort_by_key(|r| (r.level, std::cmp::Reverse(r.age)));
         for record in records {
-            if record.level == 0 {
-                return Err(LsmError::Corruption("manifest run at level 0".into()));
-            }
             version.ensure_levels(record.level);
             let run = recover_run(
                 disk,
@@ -844,11 +808,6 @@ impl Core {
     /// counted and traced as the put it is — gets a sequence number, a WAL
     /// record and a place in the active memtable under the exclusive lock,
     /// then becomes durable in a group commit off it.
-    ///
-    /// With key-value separation enabled, values at or above the threshold
-    /// go to the value log and the tree stores a pointer; the WAL always
-    /// records the full value, so durability does not depend on log-page
-    /// flush timing.
     pub(super) fn write(&self, key: Bytes, value: Option<Bytes>) -> Result<()> {
         let started = match &self.telemetry {
             Some(t) => t.op_start(OpKind::Put),
@@ -863,43 +822,21 @@ impl Core {
             // Classified as `w` before the key moves into the entry below.
             t.workload().record_update(&key);
         }
-        let value_len = value.as_ref().map_or(0, Bytes::len);
-        let separate = match (&self.vlog, self.opts.value_separation) {
-            (Some(vlog), Some(threshold)) if value.is_some() && value_len >= threshold => {
-                if value_len > vlog.max_value_len() {
-                    return Err(LsmError::EntryTooLarge {
-                        encoded: value_len,
-                        max: vlog.max_value_len(),
-                    });
-                }
-                self.check_entry_size(&key, ValuePointer::ENCODED_LEN)?;
-                Some(vlog)
-            }
-            _ => {
-                self.check_entry_size(&key, value_len)?;
-                None
-            }
-        };
+        self.check_entry_size(&key, value.as_ref().map_or(0, Bytes::len))?;
         let seq;
         let generation;
         {
             let mut shared = self.shared.write();
             seq = shared.next_seq;
             shared.next_seq += 1;
-            let mut entry = match value {
+            let entry = match value {
                 Some(value) => Entry::put(key, value, seq),
                 None => Entry::tombstone(key, seq),
             };
-            // The WAL gets the full value either way. Enqueued under the
-            // exclusive lock (preserving sequence order); the physical
-            // write happens in `commit` below, off the lock, batched with
-            // whatever other writers enqueued meanwhile.
+            // Enqueued under the exclusive lock (preserving sequence
+            // order); the physical write happens in `commit` below, off the
+            // lock, batched with whatever other writers enqueued meanwhile.
             self.wal.enqueue(&entry)?;
-            if let Some(vlog) = separate {
-                let ptr = vlog.append(&entry.value)?;
-                entry.value = Bytes::copy_from_slice(&ptr.encode());
-                entry.kind = EntryKind::IndirectPut;
-            }
             shared.memtable.insert(entry);
             generation = shared.generation;
             self.maybe_rotate_after_insert(shared)?;
@@ -947,8 +884,7 @@ impl Core {
         let (immutables, version) = {
             let shared = self.shared.read();
             if let Some(entry) = shared.memtable.get(key) {
-                drop(shared);
-                return self.resolve_value(&entry);
+                return Ok(visible(entry));
             }
             let immutables: Vec<Arc<Memtable>> = shared
                 .immutables
@@ -960,7 +896,7 @@ impl Core {
         // Frozen memtables, newest first.
         for imm in immutables.iter().rev() {
             if let Some(entry) = imm.get(key) {
-                return self.resolve_value(&entry);
+                return Ok(visible(entry));
             }
         }
         let pair = hash_pair(key); // the lookup's only hash computation
@@ -998,7 +934,7 @@ impl Core {
                     None => {}
                 }
                 if let Some(entry) = look.entry {
-                    return self.resolve_value(&entry);
+                    return Ok(visible(entry));
                 }
             }
         }
@@ -1037,7 +973,7 @@ impl Core {
                 sources.push(run.scan_from(lo)?.into());
             }
         }
-        Ok(RangeIter::new(MergingIter::new(sources), hi).with_value_log(self.vlog.clone()))
+        Ok(RangeIter::new(MergingIter::new(sources), hi))
     }
 
     /// Forces the buffer to flush into the tree even if not full, then
@@ -1161,8 +1097,6 @@ impl Core {
     /// * agreement between a run's metadata (entry count, byte size, key
     ///   bounds) and its pages,
     /// * that the Bloom filter has no false negatives,
-    /// * that every value-log pointer resolves (checksummed page, valid
-    ///   slot),
     /// * the youngest-first sequence ordering of runs within a level.
     ///
     /// Returns the number of entries verified.
@@ -1189,12 +1123,6 @@ impl Core {
                             run.id(),
                             idx + 1
                         )));
-                    }
-                    if entry.kind == EntryKind::IndirectPut {
-                        // Dangling or corrupt value-log pointers surface here.
-                        self.resolve_value(
-                            &cursor.page().to_entry().expect("cursor is on an entry"),
-                        )?;
                     }
                     count += 1;
                     bytes += entry.encoded_len() as u64;
@@ -1228,4 +1156,10 @@ impl Core {
         }
         Ok(verified)
     }
+}
+
+/// What a lookup returns for the newest version it found: the value, or
+/// `None` for a tombstone.
+fn visible(entry: Entry) -> Option<Bytes> {
+    (!entry.is_tombstone()).then_some(entry.value)
 }

@@ -8,17 +8,13 @@
 
 use bytes::Bytes;
 
-/// Whether an entry stores a value, a value-log pointer, or marks a
-/// deletion.
+/// Whether an entry stores a value or marks a deletion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EntryKind {
     /// A live key-value pair with the value inline.
     Put,
     /// A tombstone superseding older versions of the key.
     Delete,
-    /// A live pair whose value lives in the value log; the entry's value
-    /// field holds an encoded [`ValuePointer`](crate::vlog::ValuePointer).
-    IndirectPut,
 }
 
 impl EntryKind {
@@ -27,7 +23,6 @@ impl EntryKind {
         match self {
             Self::Put => 0,
             Self::Delete => 1,
-            Self::IndirectPut => 2,
         }
     }
 
@@ -36,14 +31,8 @@ impl EntryKind {
         match b {
             0 => Some(Self::Put),
             1 => Some(Self::Delete),
-            2 => Some(Self::IndirectPut),
             _ => None,
         }
-    }
-
-    /// True for either live kind (inline or indirect).
-    pub fn is_live(self) -> bool {
-        !matches!(self, Self::Delete)
     }
 }
 
@@ -174,13 +163,11 @@ mod tests {
 
     #[test]
     fn kind_roundtrip() {
-        for k in [EntryKind::Put, EntryKind::Delete, EntryKind::IndirectPut] {
+        for k in [EntryKind::Put, EntryKind::Delete] {
             assert_eq!(EntryKind::from_byte(k.to_byte()), Some(k));
         }
+        assert_eq!(EntryKind::from_byte(2), None);
         assert_eq!(EntryKind::from_byte(7), None);
-        assert!(EntryKind::Put.is_live());
-        assert!(EntryKind::IndirectPut.is_live());
-        assert!(!EntryKind::Delete.is_live());
     }
 
     #[test]

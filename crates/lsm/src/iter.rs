@@ -373,7 +373,6 @@ pub struct RangeIter {
     source: RangeSource,
     hi: Option<Bytes>,
     done: bool,
-    vlog: Option<std::sync::Arc<crate::vlog::ValueLog>>,
     // Range latency is recorded when the cursor is dropped, so the
     // histogram covers the whole scan, not just cursor construction.
     timer: Option<(
@@ -391,7 +390,7 @@ enum RangeSource {
     Merged(MergingIter),
     /// Fan-out across per-shard cursors whose keyspaces are disjoint: each
     /// step yields the minimum head key. The children resolve their own
-    /// tombstones, value-log pointers, and upper bounds.
+    /// tombstones and upper bounds.
     Shards {
         children: Vec<RangeIter>,
         heads: Vec<Option<(Bytes, Bytes)>>,
@@ -404,7 +403,6 @@ impl RangeIter {
             source: RangeSource::Merged(inner),
             hi,
             done: false,
-            vlog: None,
             timer: None,
             scanned: 0,
         }
@@ -430,19 +428,9 @@ impl RangeIter {
             source: RangeSource::Shards { children, heads },
             hi: None,
             done: false,
-            vlog: None,
             timer: None,
             scanned: 0,
         })
-    }
-
-    /// Attaches the value log used to resolve separated values.
-    pub(crate) fn with_value_log(
-        mut self,
-        vlog: Option<std::sync::Arc<crate::vlog::ValueLog>>,
-    ) -> Self {
-        self.vlog = vlog;
-        self
     }
 
     /// Attaches a telemetry hub and the scan's (sampled) start instant.
@@ -532,27 +520,8 @@ impl Iterator for RangeIter {
                     return Some(Err(e));
                 }
             };
-            let value = if entry.kind == crate::entry::EntryKind::IndirectPut {
-                let resolved = crate::vlog::ValuePointer::decode(&entry.value)
-                    .ok_or_else(|| LsmError::Corruption("malformed value-log pointer".into()))
-                    .and_then(|ptr| match &self.vlog {
-                        Some(vlog) => vlog.get(ptr),
-                        None => Err(LsmError::Corruption(
-                            "indirect entry in a store without a value log".into(),
-                        )),
-                    });
-                match resolved {
-                    Ok(value) => value,
-                    Err(e) => {
-                        self.done = true;
-                        return Some(Err(e));
-                    }
-                }
-            } else {
-                entry.value
-            };
             self.scanned += 1;
-            return Some(Ok((entry.key, value)));
+            return Some(Ok((entry.key, entry.value)));
         }
     }
 }

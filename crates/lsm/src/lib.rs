@@ -61,7 +61,6 @@ pub mod policy;
 pub mod run;
 pub(crate) mod skiplist;
 pub mod stats;
-pub mod vlog;
 pub mod wal;
 
 mod db;
@@ -87,5 +86,4 @@ pub use options::DbOptions;
 pub use policy::{FilterContext, FilterPolicy, MergePolicy, UniformFilterPolicy};
 pub use run::{FilterParams, Run, RunLookup};
 pub use stats::{CompactionStats, DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats};
-pub use vlog::{ValueLog, ValuePointer};
 pub use wal::{SyncStats, WalStats, WalSyncCoordinator};

@@ -14,12 +14,12 @@
 //! seq <next-seq>
 //! policy <leveling|tiering>
 //! ratio <T>
-//! run <id> <level> <age> <filter-bits-per-entry> [<filter-flavor>]
+//! run <id> <level> <age> <filter-bits-per-entry> <filter-flavor>
 //! ```
 //!
-//! The trailing filter-flavor field (`standard` or `blocked`) was added
-//! with the blocked-filter variant; manifests written before it omit the
-//! field and parse as `standard`, so old stores recover unchanged.
+//! The filter flavor is `standard` or `blocked`. A line that does not
+//! parse — a missing field, a level outside `1..=MAX_LEVEL` — makes the
+//! whole manifest [`LsmError::Corruption`].
 
 use crate::error::{LsmError, Result};
 use crate::policy::MergePolicy;
@@ -41,9 +41,15 @@ pub struct RunRecord {
     /// reproduces the exact allocation (Monkey's varies per level).
     pub bits_per_entry: f64,
     /// Filter layout the run was built with, so recovery rebuilds the same
-    /// variant (absent in pre-flavor manifests ⇒ standard).
+    /// variant.
     pub flavor: FilterVariant,
 }
+
+/// The deepest level a manifest may name. A level holds `T` times the
+/// one above it, `T ≥ 2`, so level 65 would hold more than 2^64 bytes: a
+/// larger number is damage, and recovery would allocate a level table of
+/// that length.
+const MAX_LEVEL: usize = 64;
 
 /// A decoded manifest snapshot.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -81,38 +87,42 @@ impl Manifest {
 
     /// Atomically replaces the manifest with `state`.
     pub fn store(&self, state: &ManifestState) -> Result<()> {
-        // One buffer, formatted into in place: the manifest is rewritten
-        // on every flush, a line per run.
-        let mut text = String::from("monkey-manifest v1\n");
-        let infallible = "formatting into a String cannot fail";
-        writeln!(text, "seq {}", state.next_seq).expect(infallible);
-        if let Some(policy) = state.policy {
-            writeln!(text, "policy {}", policy.name()).expect(infallible);
-        }
-        if let Some(ratio) = state.size_ratio {
-            writeln!(text, "ratio {ratio}").expect(infallible);
-        }
-        for run in &state.runs {
-            writeln!(
-                text,
-                "run {} {} {} {} {}",
-                run.id,
-                run.level,
-                run.age,
-                run.bits_per_entry,
-                run.flavor.name()
-            )
-            .expect(infallible);
-        }
         let tmp = self.path.with_extension("tmp");
         {
             let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
+            file.write_all(render(state).as_bytes())?;
             file.sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
         Ok(())
     }
+}
+
+/// The manifest's text for `state`. One buffer, formatted into in place:
+/// the manifest is rewritten on every flush, a line per run.
+fn render(state: &ManifestState) -> String {
+    let mut text = String::from("monkey-manifest v1\n");
+    let infallible = "formatting into a String cannot fail";
+    writeln!(text, "seq {}", state.next_seq).expect(infallible);
+    if let Some(policy) = state.policy {
+        writeln!(text, "policy {}", policy.name()).expect(infallible);
+    }
+    if let Some(ratio) = state.size_ratio {
+        writeln!(text, "ratio {ratio}").expect(infallible);
+    }
+    for run in &state.runs {
+        writeln!(
+            text,
+            "run {} {} {} {} {}",
+            run.id,
+            run.level,
+            run.age,
+            run.bits_per_entry,
+            run.flavor.name()
+        )
+        .expect(infallible);
+    }
+    text
 }
 
 fn parse(text: &str) -> Result<ManifestState> {
@@ -145,13 +155,17 @@ fn parse(text: &str) -> Result<ManifestState> {
             }
             Some("run") => {
                 let id = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-                let level = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
+                let level = parts
+                    .next()
+                    .and_then(|s| s.parse().ok())
+                    .filter(|level| (1..=MAX_LEVEL).contains(level))
+                    .ok_or_else(bad)?;
                 let age = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
                 let bits_per_entry = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-                let flavor = match parts.next() {
-                    None => FilterVariant::Standard, // pre-flavor manifest
-                    Some(s) => FilterVariant::parse(s).ok_or_else(bad)?,
-                };
+                let flavor = parts
+                    .next()
+                    .and_then(FilterVariant::parse)
+                    .ok_or_else(bad)?;
                 state.runs.push(RunRecord {
                     id,
                     level,
@@ -169,6 +183,7 @@ fn parse(text: &str) -> Result<ManifestState> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("monkey-manifest-{}-{name}", std::process::id()))
@@ -246,6 +261,10 @@ mod tests {
             "missing bpe field"
         );
         assert!(
+            parse("monkey-manifest v1\nrun 1 2 0 5.0\n").is_err(),
+            "missing flavor field"
+        );
+        assert!(
             parse("monkey-manifest v1\nrun 1 2 0 5.0 sideways\n").is_err(),
             "bad flavor"
         );
@@ -254,12 +273,15 @@ mod tests {
     }
 
     #[test]
-    fn pre_flavor_manifest_parses_as_standard() {
-        // A manifest written before the filter-flavor field existed.
-        let state = parse("monkey-manifest v1\nseq 9\nrun 4 1 0 7.5\n").unwrap();
-        assert_eq!(state.runs.len(), 1);
-        assert_eq!(state.runs[0].bits_per_entry, 7.5);
-        assert_eq!(state.runs[0].flavor, FilterVariant::Standard);
+    fn rejects_levels_no_tree_reaches() {
+        // Recovery sizes its level table by the deepest level it reads: a
+        // level of 2^40 must stop here, not abort the process there.
+        for level in ["0", "65", "1099511627776", "-1"] {
+            let text = format!("monkey-manifest v1\nrun 14 {level} 0 10 standard\n");
+            assert!(parse(&text).is_err(), "level {level}");
+        }
+        let deepest = parse("monkey-manifest v1\nrun 14 64 0 10 standard\n").unwrap();
+        assert_eq!(deepest.runs[0].level, MAX_LEVEL);
     }
 
     #[test]
@@ -272,8 +294,113 @@ mod tests {
 
     #[test]
     fn blank_lines_ignored() {
-        let state = parse("monkey-manifest v1\n\nseq 5\n\nrun 1 1 0 2.5\n").unwrap();
+        let state = parse("monkey-manifest v1\n\nseq 5\n\nrun 1 1 0 2.5 standard\n").unwrap();
         assert_eq!(state.next_seq, 5);
         assert_eq!(state.runs.len(), 1);
+    }
+
+    /// A word a manifest line might hold: its keywords and names, numbers
+    /// on both sides of every bound, and junk.
+    fn word(pick: u8, n: u64) -> String {
+        match pick % 9 {
+            0 => ["run", "seq", "policy", "ratio"][n as usize % 4].into(),
+            1 => ["standard", "blocked", "leveling", "tiering"][n as usize % 4].into(),
+            2 => (n % (MAX_LEVEL as u64 + 4)).to_string(),
+            3 => n.to_string(),
+            4 => format!("{}.{}", n % 100, n % 7),
+            5 => format!("-{}", n % 3),
+            6 => "\n".into(),
+            7 => "monkey-manifest v1\n".into(),
+            _ => char::from_u32((n % 0x3000) as u32).map_or("?".into(), String::from),
+        }
+    }
+
+    /// `parse` returns, and whatever it accepts names only levels a tree
+    /// can have.
+    fn accepts_only_real_levels(text: &str) -> std::result::Result<(), TestCaseError> {
+        if let Ok(state) = parse(text) {
+            for run in &state.runs {
+                prop_assert!(
+                    (1..=MAX_LEVEL).contains(&run.level),
+                    "level {} accepted from {text:?}",
+                    run.level
+                );
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(
+            bytes in collection::vec(any::<u8>(), 0..120),
+            words in collection::vec((any::<u8>(), any::<u64>()), 0..40),
+            headed in any::<bool>(),
+        ) {
+            accepts_only_real_levels(&String::from_utf8_lossy(&bytes))?;
+            let mut text = String::from(if headed { "monkey-manifest v1\n" } else { "" });
+            for &(pick, n) in &words {
+                text.push_str(&word(pick, n));
+                text.push(' ');
+            }
+            accepts_only_real_levels(&text)?;
+        }
+
+        #[test]
+        fn parse_never_panics_on_mutated_manifests(
+            runs in collection::vec(
+                (any::<u64>(), 1..=MAX_LEVEL, 0usize..20, 0u16..400, any::<bool>()),
+                0..8,
+            ),
+            mutation in 0u8..4,
+            at in any::<u16>(),
+            pick in any::<u8>(),
+            n in any::<u64>(),
+        ) {
+            let state = ManifestState {
+                next_seq: n,
+                policy: Some(MergePolicy::Leveling),
+                size_ratio: Some(1 + pick as usize),
+                runs: runs
+                    .iter()
+                    .map(|&(id, level, age, bits, blocked)| RunRecord {
+                        id,
+                        level,
+                        age,
+                        bits_per_entry: f64::from(bits) / 16.0,
+                        flavor: if blocked { FilterVariant::Blocked } else { FilterVariant::Standard },
+                    })
+                    .collect(),
+            };
+            let text = render(&state);
+            prop_assert_eq!(parse(&text).unwrap(), state.clone(), "a valid manifest round-trips");
+            let mut bytes = text.into_bytes();
+            let at = at as usize % bytes.len();
+            let mutated = match mutation {
+                0 => {
+                    bytes.truncate(at);
+                    String::from_utf8_lossy(&bytes).into_owned()
+                }
+                1 => {
+                    bytes[at] ^= 1 << (n % 8);
+                    String::from_utf8_lossy(&bytes).into_owned()
+                }
+                // A word of the manifest replaced, or one inserted before it.
+                _ => {
+                    let text = String::from_utf8_lossy(&bytes).into_owned();
+                    let mut words: Vec<String> = text.split(' ').map(String::from).collect();
+                    let i = at as usize % words.len();
+                    if mutation == 2 {
+                        words[i] = word(pick, n);
+                    } else {
+                        words.insert(i, word(pick, n));
+                    }
+                    words.join(" ")
+                }
+            };
+            accepts_only_real_levels(&mutated)?;
+        }
     }
 }

@@ -53,10 +53,6 @@ pub struct DbOptions {
     /// misaligned page size) falls back to buffered and surfaces a one-time
     /// `IoBackendFallback` event plus the `monkey_io_backend_info` gauge.
     pub io_backend: IoBackend,
-    /// Key-value separation (WiscKey, §6 of the paper): values of at least
-    /// this many bytes live in an append-only value log and the tree
-    /// stores a 14-byte pointer instead. `None` keeps every value inline.
-    pub value_separation: Option<usize>,
     /// Run flushes and merge cascades on a dedicated background thread.
     /// When off (the default, and what the experiment harness uses), a put
     /// that fills the buffer drains it inline on the calling thread —
@@ -167,7 +163,6 @@ impl DbOptions {
             // sharded without touching every call site that builds options.
             io_backend: env_override("MONKEY_IO_BACKEND", IoBackend::parse)
                 .unwrap_or(IoBackend::Buffered),
-            value_separation: None,
             background_compaction: false,
             max_immutable_memtables: 2,
             telemetry: false,
@@ -245,14 +240,6 @@ impl DbOptions {
     /// [`DbOptions::io_backend`]).
     pub fn io_backend(mut self, backend: IoBackend) -> Self {
         self.io_backend = backend;
-        self
-    }
-
-    /// Enables key-value separation for values of at least
-    /// `threshold_bytes` (WiscKey-style; see the paper's §6).
-    pub fn value_separation(mut self, threshold_bytes: usize) -> Self {
-        assert!(threshold_bytes > 0);
-        self.value_separation = Some(threshold_bytes);
         self
     }
 
@@ -374,7 +361,6 @@ impl std::fmt::Debug for DbOptions {
             .field("filter_variant", &self.filter_variant)
             .field("wal_sync_each_append", &self.wal_sync_each_append)
             .field("io_backend", &self.io_backend.name())
-            .field("value_separation", &self.value_separation)
             .field("background_compaction", &self.background_compaction)
             .field("max_immutable_memtables", &self.max_immutable_memtables)
             .field("telemetry", &self.telemetry)

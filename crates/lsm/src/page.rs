@@ -10,12 +10,11 @@
 //!
 //! The checksum is XXH64 over everything after it (entries and padding),
 //! seeded with both bytes of the count, so any bit flipped at rest or in
-//! flight surfaces as a corruption error instead of wrong data. [`seal`]
-//! stamps it and [`check`] verifies it; the value log's pages share the
-//! envelope (`[u16 count][u64 checksum][body]`) and both functions.
+//! flight surfaces as a corruption error instead of wrong data.
+//! [`PageBuilder::finish`] stamps it and [`check`] verifies it.
 //!
-//! A page is checked **once, where its bytes enter memory**: runs and the
-//! value log attach [`check`] to their [`Disk`](monkey_storage::Disk),
+//! A page is checked **once, where its bytes enter memory**: runs attach
+//! [`check`] to their [`Disk`](monkey_storage::Disk),
 //! which runs it on every physical read before the block cache may admit
 //! the page — a cache hit is never re-hashed. [`PageCursor`] therefore
 //! does not hash; it parses the header and bounds-checks every entry it
@@ -146,15 +145,15 @@ fn checksum(page: &[u8]) -> u64 {
 
 /// Stamps the checksum of a page whose count and body are in place.
 /// Panics on a buffer shorter than the header.
-pub fn seal(page: &mut [u8]) {
+fn seal(page: &mut [u8]) {
     let sum = checksum(page);
     page[2..PAGE_HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
 }
 
 /// Verifies a page's checksum. This is the
-/// [`PageCheck`](monkey_storage::PageCheck) runs and the value log attach
-/// to their disk, which calls it on every page it reads from the backend;
-/// on the read side, no other code hashes a page.
+/// [`PageCheck`](monkey_storage::PageCheck) runs attach to their disk,
+/// which calls it on every page it reads from the backend; on the read
+/// side, no other code hashes a page.
 pub fn check(page: &[u8]) -> std::result::Result<(), String> {
     if page.len() < PAGE_HEADER_LEN {
         return Err(format!(
@@ -445,10 +444,13 @@ mod tests {
         // The cursor does not hash — the disk did (`check`, below) — but
         // it bounds-checks every entry header it reaches.
         let good = page_of(&[entry("k", "v", 1)], 64).to_vec();
-        let mut bad_kind = good.clone();
-        bad_kind[PAGE_HEADER_LEN + 14] = 9; // kind byte of first entry
-        let err = PageCursor::new(Bytes::from(bad_kind)).err().unwrap();
-        assert!(err.to_string().contains("kind"), "{err}");
+        // Byte 2 is no kind either: only puts and tombstones exist.
+        for kind in [2, 9] {
+            let mut bad_kind = good.clone();
+            bad_kind[PAGE_HEADER_LEN + 14] = kind; // kind byte of first entry
+            let err = PageCursor::new(Bytes::from(bad_kind)).err().unwrap();
+            assert!(err.to_string().contains("kind"), "{err}");
+        }
         let mut long_body = good.clone();
         long_body[PAGE_HEADER_LEN + 2..PAGE_HEADER_LEN + 6]
             .copy_from_slice(&10_000u32.to_le_bytes());

@@ -418,9 +418,9 @@ impl std::fmt::Debug for Run {
 ///
 /// Finished pages gather in one [`WRITE_EXTENT_BYTES`] buffer and leave in
 /// extents, one backend write each. The buffer is the builder's, not the
-/// [`RunWriter`](monkey_storage::RunWriter)'s: a writer's page is readable
-/// as soon as it is appended (the value log reads its open run), and
-/// nobody reads a run under construction here before it is sealed.
+/// [`RunWriter`](monkey_storage::RunWriter)'s: the writer keeps the
+/// storage layer's contract that an appended page is readable at once,
+/// and nobody reads a run under construction here before it is sealed.
 pub struct RunBuilder {
     disk: Arc<Disk>,
     writer: Option<monkey_storage::RunWriter>,

@@ -696,6 +696,85 @@ mod tests {
         segs.pop().unwrap().1
     }
 
+    /// `entry` as one framed record, in the wire format the module doc
+    /// gives.
+    fn record(entry: &Entry) -> Vec<u8> {
+        let mut body = vec![entry.kind.to_byte()];
+        body.extend_from_slice(&entry.seq.to_le_bytes());
+        body.extend_from_slice(&(entry.key.len() as u16).to_le_bytes());
+        body.extend_from_slice(&(entry.value.len() as u32).to_le_bytes());
+        body.extend_from_slice(&entry.key);
+        body.extend_from_slice(&entry.value);
+        let mut framed = xxh64(&body, WAL_SEED).to_le_bytes().to_vec();
+        framed.extend_from_slice(&body);
+        framed
+    }
+
+    /// A segment image of `entries`, and the offset where each record ends.
+    fn image(entries: &[Entry]) -> (Vec<u8>, Vec<usize>) {
+        let mut buf = Vec::new();
+        let mut ends = Vec::new();
+        for entry in entries {
+            buf.extend_from_slice(&record(entry));
+            ends.push(buf.len());
+        }
+        (buf, ends)
+    }
+
+    /// Puts and tombstones, keys and values of a few bytes.
+    fn arb_entries() -> impl proptest::Strategy<Value = Vec<Entry>> {
+        use proptest::Strategy;
+        let entry = (
+            proptest::collection::vec(proptest::any::<u8>(), 0..8),
+            proptest::collection::vec(proptest::any::<u8>(), 0..16),
+            proptest::any::<u64>(),
+            proptest::any::<bool>(),
+        )
+            .prop_map(|(key, value, seq, live)| match live {
+                true => Entry::put(key, value, seq),
+                false => Entry::tombstone(key, seq),
+            });
+        proptest::collection::vec(entry, 0..8)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn replay_never_panics_on_arbitrary_bytes(
+            bytes in proptest::collection::vec(proptest::any::<u8>(), 0..200),
+        ) {
+            let _ = replay(&bytes);
+        }
+
+        #[test]
+        fn a_cut_image_replays_the_records_before_the_cut(entries in arb_entries()) {
+            let (buf, ends) = image(&entries);
+            for cut in 0..=buf.len() {
+                let (got, clean) = replay(&buf[..cut]);
+                let whole = ends.iter().filter(|&&end| end <= cut).count();
+                proptest::prop_assert_eq!(&got[..], &entries[..whole], "cut at {}", cut);
+                proptest::prop_assert_eq!(clean, cut == 0 || ends.contains(&cut), "cut at {}", cut);
+            }
+        }
+
+        #[test]
+        fn a_flipped_bit_in_record_i_replays_records_before_it(
+            entries in arb_entries(),
+            pick in proptest::any::<u64>(),
+            bit in 0u8..8,
+        ) {
+            proptest::prop_assume!(!entries.is_empty());
+            let (mut buf, ends) = image(&entries);
+            let at = pick as usize % buf.len();
+            buf[at] ^= 1 << bit;
+            let i = ends.iter().filter(|&&end| end <= at).count();
+            let (got, clean) = replay(&buf);
+            proptest::prop_assert_eq!(&got[..], &entries[..i], "bit {} of byte {}", bit, at);
+            proptest::prop_assert!(!clean);
+        }
+    }
+
     #[test]
     fn disabled_wal_is_a_noop() {
         let wal = Wal::disabled();
@@ -778,15 +857,7 @@ mod tests {
         let dir = tmp("notseg");
         // A well-formed record under a name no engine ever wrote.
         let entry = Entry::put(b"stray".to_vec(), b"v".to_vec(), 7);
-        let mut body = vec![entry.kind.to_byte()];
-        body.extend_from_slice(&entry.seq.to_le_bytes());
-        body.extend_from_slice(&(entry.key.len() as u16).to_le_bytes());
-        body.extend_from_slice(&(entry.value.len() as u32).to_le_bytes());
-        body.extend_from_slice(&entry.key);
-        body.extend_from_slice(&entry.value);
-        let mut file_bytes = xxh64(&body, WAL_SEED).to_le_bytes().to_vec();
-        file_bytes.extend_from_slice(&body);
-        std::fs::write(dir.join("wal.log"), &file_bytes).unwrap();
+        std::fs::write(dir.join("wal.log"), record(&entry)).unwrap();
 
         let (wal, replayed) = Wal::open(&dir, false).unwrap();
         assert!(
@@ -895,10 +966,15 @@ mod tests {
         })
         .unwrap();
         let stats = coord.stats();
-        assert_eq!(
-            stats.tickets,
-            wals[0].stats().group_commits + wals[1].stats().group_commits,
-            "one ticket per physical batch"
+        // Every batch a leader writes takes a ticket. So may a committer
+        // whose record a leader drained but has not yet synced: it syncs
+        // its segment itself (the `None` arm of `Wal::commit`). No append
+        // takes more than one.
+        let group_commits = wals[0].stats().group_commits + wals[1].stats().group_commits;
+        assert!(
+            group_commits <= stats.tickets && stats.tickets <= 4 * per_thread,
+            "{group_commits} batches, {} tickets",
+            stats.tickets
         );
         assert!(stats.syncs <= stats.tickets, "coalescing never adds syncs");
         assert!(stats.syncs > 0);

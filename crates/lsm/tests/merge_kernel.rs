@@ -3,9 +3,9 @@
 //! One kernel — `MergingIter` over `Source`s, a loser tree comparing keys
 //! where they lie — carries range scans, sequential merges and the workers
 //! of a parallel merge. For random source sets (a memtable vector plus 1–9
-//! runs, with cross-source duplicates, tombstones, value-log pointers, keys
-//! that are prefixes of one another, empty sources, single-page and
-//! page-straddling runs) and random bounds:
+//! runs, with cross-source duplicates, tombstones, keys that are prefixes
+//! of one another, empty sources, single-page and page-straddling runs)
+//! and random bounds:
 //!
 //! * the kernel's sequence is the oracle's: every key once, newest version,
 //!   in key order, from `lo` on;
@@ -37,7 +37,6 @@ type Write = (u16, u8, u8);
 fn kind_of(selector: u8) -> EntryKind {
     match selector % 4 {
         0 => EntryKind::Delete,
-        1 => EntryKind::IndirectPut,
         _ => EntryKind::Put,
     }
 }
@@ -172,7 +171,6 @@ proptest! {
     ) {
         // Every batch but the last is flushed into a run of its own (tiering
         // at T = 12 never merges nine); the last stays in the memtable.
-        // Values of 24 bytes and more go through the value log.
         let db = Db::open(
             DbOptions::in_memory()
                 .page_size(if small_pages { 128 } else { 4096 })
@@ -180,7 +178,6 @@ proptest! {
                 .size_ratio(12)
                 .merge_policy(MergePolicy::Tiering)
                 .uniform_filters(8.0)
-                .value_separation(24)
                 .shards(1),
         )
         .unwrap();

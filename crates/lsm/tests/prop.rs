@@ -31,8 +31,6 @@ fn key(k: u16) -> Vec<u8> {
 }
 
 fn value(k: u16, v: u8) -> Vec<u8> {
-    // Length varies with v so that, under value separation with a 24-byte
-    // threshold, roughly half the values are separated and half inline.
     let mut val = format!("v{k:05}-{v:03}").into_bytes();
     val.resize(10 + (v as usize % 30), b'p');
     val
@@ -44,28 +42,15 @@ fn check_model(
     bpe: f64,
     actions: &[Action],
 ) -> Result<(), TestCaseError> {
-    check_model_opts(policy, t, bpe, false, actions)
-}
-
-fn check_model_opts(
-    policy: MergePolicy,
-    t: usize,
-    bpe: f64,
-    separate_values: bool,
-    actions: &[Action],
-) -> Result<(), TestCaseError> {
-    let opts = DbOptions::in_memory()
-        .page_size(256)
-        .buffer_capacity(512)
-        .size_ratio(t)
-        .merge_policy(policy)
-        .uniform_filters(bpe);
-    let opts = if separate_values {
-        opts.value_separation(24)
-    } else {
-        opts
-    };
-    let db = Db::open(opts).unwrap();
+    let db = Db::open(
+        DbOptions::in_memory()
+            .page_size(256)
+            .buffer_capacity(512)
+            .size_ratio(t)
+            .merge_policy(policy)
+            .uniform_filters(bpe),
+    )
+    .unwrap();
     let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
 
     for action in actions {
@@ -135,14 +120,6 @@ proptest! {
     #[test]
     fn unfiltered_matches_model(actions in proptest::collection::vec(arb_action(), 1..200)) {
         check_model(MergePolicy::Tiering, 2, 0.0, &actions)?;
-    }
-
-    /// Key-value separation mode obeys the same external contract: values
-    /// straddle the 24-byte threshold (the generator produces both inline
-    /// and separated ones), and every lookup/scan resolves correctly.
-    #[test]
-    fn kv_separation_matches_model(actions in proptest::collection::vec(arb_action(), 1..250)) {
-        check_model_opts(MergePolicy::Leveling, 3, 8.0, true, &actions)?;
     }
 
     /// Recovery property: any committed prefix of operations survives a

@@ -121,35 +121,6 @@ pub fn update_cost(params: &Params, phi: f64) -> f64 {
     l / b * merges_per_level * (1.0 + phi)
 }
 
-/// Update cost under key-value separation (the §6 WiscKey adaptation the
-/// paper sketches: "only merging keys"): merges move key+pointer records
-/// of `key_pointer_bits` each, so Eq. 10's `B` becomes
-/// `page_bits/key_pointer_bits` and `L` shrinks to the key-tree's depth —
-/// plus each update appends its value to the log exactly once
-/// (`(E − ptr)/page` sequential writes, `φ`-weighted).
-pub fn kv_separated_update_cost(params: &Params, phi: f64, key_pointer_bits: f64) -> f64 {
-    assert!(key_pointer_bits > 0.0 && key_pointer_bits < params.entry_bits);
-    let key_tree = Params {
-        entry_bits: key_pointer_bits,
-        ..*params
-    };
-    let merge = update_cost(&key_tree, phi);
-    let value_bits = params.entry_bits - key_pointer_bits;
-    let log_append = value_bits / params.page_bits * phi;
-    merge + log_append
-}
-
-/// Point lookup cost under key-value separation ("having to access the log
-/// during lookups", §6): the key-tree's non-zero-result cost plus one
-/// value-log page read.
-pub fn kv_separated_lookup_cost(params: &Params, m_filters: f64, key_pointer_bits: f64) -> f64 {
-    let key_tree = Params {
-        entry_bits: key_pointer_bits,
-        ..*params
-    };
-    non_zero_result_lookup_cost(&key_tree, m_filters) + 1.0
-}
-
 /// Worst-case range lookup cost `Q` in I/Os (Eq. 11): one seek per run
 /// plus `s·N/B` sequentially scanned pages, where `s` is the proportion of
 /// all entries touched by the range.
@@ -359,25 +330,6 @@ mod tests {
         let w1 = update_cost(&p, 0.0);
         let w2 = update_cost(&p, 3.0);
         assert!((w2 / w1 - 4.0).abs() < 1e-12, "1+φ factor");
-    }
-
-    #[test]
-    fn kv_separation_tradeoff_directions() {
-        // 1 KiB entries, ~50 B key+pointer: updates get ~an order of
-        // magnitude cheaper, lookups pay one extra I/O.
-        let p = params(4.0, Policy::Leveling);
-        let m = 5.0 * p.entries;
-        let kp_bits = 400.0;
-        let w_inline = update_cost(&p, 1.0);
-        let w_sep = kv_separated_update_cost(&p, 1.0, kp_bits);
-        assert!(
-            w_sep < w_inline / 4.0,
-            "separation slashes update cost: {w_sep} vs {w_inline}"
-        );
-        let v_inline = non_zero_result_lookup_cost(&p, m);
-        let v_sep = kv_separated_lookup_cost(&p, m, kp_bits);
-        assert!(v_sep > v_inline, "separated lookups pay the log read");
-        assert!(v_sep < v_inline + 1.1, "but only about one extra I/O");
     }
 
     #[test]

@@ -79,8 +79,10 @@ pub fn optimal_fprs(levels: usize, t: f64, policy: Policy, r: f64) -> Vec<f64> {
 
 /// Optimal FPR per level for a given filter-memory budget: composes
 /// Eq. 22 (`L_unfiltered`), Eq. 7 (`R` from memory), and Eqs. 17/18 (the
-/// assignment for that `R`). This is the entry point the engine's Monkey
-/// filter policy uses: it knows the actual tree depth and entry count.
+/// assignment for that `R`). Of the engine's filter policies, only the
+/// per-level schedule (`ScheduleFilterPolicy`, kept for the allocation
+/// ablation) calls it; the Monkey policy allocates over actual run sizes
+/// with [`optimal_fprs_for_run_sizes`].
 pub fn optimal_fprs_for_memory(
     levels: usize,
     t: f64,

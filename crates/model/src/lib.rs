@@ -33,8 +33,8 @@ pub mod tuner;
 
 pub use advisor::{price_design, recommend, DesignCosts};
 pub use cost::{
-    baseline_zero_result_lookup_cost, kv_separated_lookup_cost, kv_separated_update_cost,
-    non_zero_result_lookup_cost, range_lookup_cost, update_cost, zero_result_lookup_cost,
+    baseline_zero_result_lookup_cost, non_zero_result_lookup_cost, range_lookup_cost, update_cost,
+    zero_result_lookup_cost,
 };
 pub use fpr::{baseline_fprs, optimal_fprs, optimal_fprs_for_memory, optimal_fprs_for_run_sizes};
 pub use memory::{

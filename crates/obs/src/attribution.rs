@@ -15,8 +15,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
 
 /// Level slots 1..=MAX_LEVELS hold attributed traffic; slot 0 collects
-/// I/O on untagged runs (value log, runs deleted mid-flight, levels
-/// deeper than the table). Deeper levels clamp into the last slot.
+/// I/O on untagged runs (a run its level dropped while a reader still
+/// held it). Levels deeper than the table clamp into the last slot.
 pub const MAX_LEVELS: usize = 32;
 
 /// Number of attribution slots: one unattributed slot plus `MAX_LEVELS`.

@@ -253,7 +253,8 @@ pub struct TelemetryReport {
     pub uptime_micros: u64,
     pub ops: Vec<OpLatencyReport>,
     pub levels: Vec<LevelReport>,
-    /// I/O that could not be pinned to a level (value log, transient runs).
+    /// I/O that could not be pinned to a level: runs no level holds any
+    /// more, such as an obsolete run a scan still reads.
     pub unattributed_io: LevelIoSnapshot,
     /// Backend I/O latency per op, with per-level rows and the inferred
     /// page-cache-vs-device split. Ops with no backend calls are omitted

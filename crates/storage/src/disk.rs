@@ -829,8 +829,8 @@ mod tests {
 
     #[test]
     fn one_page_append_is_readable_before_seal() {
-        // The value log reads pages of its open run: whatever buffering
-        // there is sits above the writer, never inside it.
+        // An appended page is readable before the run is sealed: whatever
+        // buffering there is sits above the writer, never inside it.
         let dir = std::env::temp_dir().join(format!("monkey-open-run-{}", std::process::id()));
         for disk in every_disk(&dir, 4096) {
             let mut w = disk.begin_run();

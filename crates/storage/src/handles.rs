@@ -14,15 +14,13 @@
 //! Run ids are never reused, so a leaked entry could only pin a
 //! descriptor, never alias another run's data.
 //!
-//! The tree's runs are few (`≤ (T−1)·L` per shard under tiering), but a
-//! key-value-separated store also seals one value-log run per buffer
-//! flush and reclaims them only offline, so live runs are *not* bounded.
-//! Resident descriptors therefore are: past [`RESIDENT_MAX`] open run
-//! files in the process, installing a handle drops some sealed run's
-//! entry from the same table, and that run's next read reopens it like a
-//! run found after a restart. Which entry goes is arbitrary — with a few
-//! dozen hot tree runs among hundreds of log runs, a tree run is rarely
-//! the one, and a miss costs one `open`.
+//! One tree's runs are few (`≤ (T−1)·L` under tiering), but a process
+//! holds every shard of every store it opens: 16 tiered shards at `T = 10`
+//! with 5 levels are 16 × 9 × 5 = 720 live runs. So resident descriptors
+//! are bounded by the process, not by the tree: past [`RESIDENT_MAX`] open
+//! run files, installing a handle drops some sealed run's entry from the
+//! same table, and that run's next read reopens it like a run found after
+//! a restart. Which entry goes is arbitrary, and a miss costs one `open`.
 
 use crate::aligned::AlignedPool;
 use crate::backend::RunId;

@@ -1,10 +1,10 @@
 //! The descriptor budget of the run-handle table, from outside.
 //!
-//! Live runs are not bounded (a key-value-separated store seals a value-log
-//! run per flush), so resident descriptors must be: past the budget a
-//! sealed run's handle leaves the table and its next read reopens it. This
-//! file holds one test on purpose — the budget is process-wide, and a test
-//! binary is one process.
+//! A process's live runs outgrow any fixed number (16 tiered shards at
+//! `T = 10` with 5 levels hold 720), so resident descriptors are bounded
+//! instead: past the budget a sealed run's handle leaves the table and its
+//! next read reopens it. This file holds one test on purpose — the budget
+//! is process-wide, and a test binary is one process.
 
 use monkey_storage::{Backend, FileBackend, StorageError};
 use std::path::Path;

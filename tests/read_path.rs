@@ -10,9 +10,9 @@
 //! * The file backend keeps the descriptors of its runs open (the
 //!   run-handle table in `monkey-storage`). The hygiene test counts
 //!   `/proc/self/fd` entries that point into its own store directory:
-//!   bounded by the live runs while the store works — and by the table's
-//!   fixed budget when a value log makes the live runs many — and zero
-//!   once the store is dropped.
+//!   bounded by the live runs while the store works, and zero once the
+//!   store is dropped. The table's fixed budget, for stores with more live
+//!   runs than it holds, is `monkey-storage`'s `fd_budget` test.
 
 use monkey::{Db, DbOptions, IoBackend, MergePolicy};
 use monkey_lsm::page::PageCursor;
@@ -307,58 +307,5 @@ fn descriptors_track_live_runs_and_return_to_baseline() {
             assert_eq!(fds_into(&dir), (0, 0), "back to the baseline");
             std::fs::remove_dir_all(&dir).unwrap();
         }
-        value_log_runs_stay_under_the_descriptor_budget(backend);
     }
-}
-
-/// With key-value separation every flush seals one more value-log run and
-/// none is reclaimed online, so live runs grow without limit; the
-/// descriptors held for them must not. (Runs inside the hygiene test, not
-/// beside it: the budget is process-wide.)
-fn value_log_runs_stay_under_the_descriptor_budget(backend: IoBackend) {
-    /// `RESIDENT_MAX` in `crates/storage/src/handles.rs`.
-    const BUDGET: usize = 512;
-    /// A merge in flight holds the run it is building on top of that.
-    const IN_FLIGHT: usize = 4;
-    const FLUSHES: u32 = BUDGET as u32 + 90;
-    let value = |i: u32| format!("{i:06}").repeat(15).into_bytes(); // 90 B
-    let dir = temp_dir(&format!("fds-vlog-{}", backend.name()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let db = Db::open(
-        shape(DbOptions::at_path(&dir), MergePolicy::Leveling)
-            .io_backend(backend)
-            .value_separation(64),
-    )
-    .unwrap();
-    let mut most = 0;
-    for flush in 0..FLUSHES {
-        for i in 0..4 {
-            db.put(key(flush * 4 + i), value(flush * 4 + i)).unwrap();
-        }
-        db.flush().unwrap();
-        // An old value: its log run may have lost its handle by now.
-        let old = flush * 4 / 3;
-        assert_eq!(db.get(&key(old)).unwrap().as_deref(), Some(&value(old)[..]));
-        let (_, runs) = fds_into(&dir);
-        assert!(
-            runs <= BUDGET + IN_FLIGHT,
-            "flush {flush}: {runs} run descriptors"
-        );
-        most = most.max(runs);
-    }
-    let on_disk = db.disk().list_runs().len();
-    assert!(
-        on_disk > BUDGET + IN_FLIGHT && on_disk > 10 * db.stats().runs,
-        "{on_disk} runs on disk, nearly all of them value-log runs"
-    );
-    assert!(most > BUDGET / 2, "the budget is used, not dodged: {most}");
-    // Every value reads back, whichever runs are resident.
-    for i in (0..FLUSHES * 4).rev() {
-        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&value(i)[..]));
-    }
-    assert!(fds_into(&dir).1 <= BUDGET + IN_FLIGHT);
-    db.close().unwrap();
-    drop(db);
-    assert_eq!(fds_into(&dir), (0, 0), "back to the baseline");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
