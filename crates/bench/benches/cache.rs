@@ -1,15 +1,10 @@
-//! Block-cache benchmarks: hit-path latency of the lock-free cache against
-//! a mutex-sharded LRU baseline (the pre-rewrite design), and point-lookup
-//! hit ratio under a Zipfian get + periodic full-scan mix, LRU vs the
-//! scan-resistant policy at equal capacity. Results merge into the
-//! repo-root `BENCH_cache.json` artifact (EXPERIMENTS.md quotes them).
+//! Block-cache benchmark: hit-path latency of the lock-free cache against
+//! a mutex-sharded LRU baseline (the pre-rewrite design). Results merge
+//! into the repo-root `BENCH_cache.json` artifact (EXPERIMENTS.md quotes
+//! them).
 
 use bytes::Bytes;
-use monkey_lsm::{Db, DbOptions};
 use monkey_storage::{BlockCache, CacheConfig};
-use monkey_workload::ZipfianSampler;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU64;
 use std::sync::{Arc, Mutex};
@@ -178,61 +173,9 @@ fn hit_ns<C: Send + Sync + 'static>(
     t0.elapsed().as_nanos() as f64 / (threads as u64 * iters) as f64
 }
 
-// ---- mixed-workload hit ratio ---------------------------------------------
-
-/// Runs Zipfian point gets interleaved with periodic full-range scans
-/// against a real `Db` on cached in-memory storage, and returns the
-/// point-phase cache hit ratio `hits / (hits + disk reads)`.
-fn mixed_hit_ratio(scan_resistant: bool, keys: usize, rounds: usize, gets_per_round: usize) -> f64 {
-    let mut opts = DbOptions::in_memory_cached(64 << 10)
-        .page_size(1024)
-        .buffer_capacity(16 << 10)
-        .size_ratio(4)
-        .uniform_filters(10.0);
-    if scan_resistant {
-        opts = opts.scan_resistant_cache();
-    }
-    let db = Db::open(opts).expect("open");
-    for i in 0..keys {
-        db.put(format!("key{i:08}").into_bytes(), vec![b'v'; 56])
-            .expect("put");
-    }
-    let zipf = ZipfianSampler::new(keys as u64, 0.99);
-    let mut rng = StdRng::seed_from_u64(42);
-    // Warm the cache with one point phase before measuring.
-    for _ in 0..gets_per_round {
-        let k = zipf.sample(&mut rng);
-        db.get(format!("key{k:08}").as_bytes()).expect("get");
-    }
-    let mut hits = 0u64;
-    let mut reads = 0u64;
-    for _ in 0..rounds {
-        let before = db.io();
-        for _ in 0..gets_per_round {
-            let k = zipf.sample(&mut rng);
-            db.get(format!("key{k:08}").as_bytes()).expect("get");
-        }
-        let d = db.io() - before;
-        hits += d.cache_hits;
-        reads += d.page_reads;
-        // The cache-hostile phase: a full table scan.
-        let mut n = 0usize;
-        for kv in db.range(b"", None).expect("range") {
-            kv.expect("scan entry");
-            n += 1;
-        }
-        assert_eq!(n, keys, "scan covers the whole table");
-    }
-    hits as f64 / (hits + reads).max(1) as f64
-}
-
 fn main() {
     let test_mode = std::env::args().any(|a| a == "--test");
-    let (iters, keys, rounds, gets) = if test_mode {
-        (200_000u64, 4_000usize, 2usize, 1_000usize)
-    } else {
-        (4_000_000u64, 20_000usize, 6usize, 8_000usize)
-    };
+    let iters = if test_mode { 200_000u64 } else { 4_000_000 };
 
     // Hit path: identical working set, resident in both caches.
     let lockfree = fill_lockfree();
@@ -258,24 +201,6 @@ fn main() {
         &format!(
             "{{\"iters\": {iters}, \"working_set_pages\": {WORKING_SET}, \"page_bytes\": {PAGE}, {}}}",
             rows.join(", ")
-        ),
-    );
-
-    // Mixed workload: equal capacity, only the admission policy differs.
-    let lru = mixed_hit_ratio(false, keys, rounds, gets);
-    let s3 = mixed_hit_ratio(true, keys, rounds, gets);
-    println!(
-        "mixed_workload point-get hit ratio: LRU {:.3}   scan-resistant {:.3}",
-        lru, s3
-    );
-    monkey_bench::emit_bench_artifact(
-        "BENCH_cache.json",
-        "mixed_workload",
-        &format!(
-            "{{\"keys\": {keys}, \"rounds\": {rounds}, \"gets_per_round\": {gets}, \
-             \"cache_bytes\": {}, \"lru_hit_ratio\": {lru:.4}, \
-             \"scan_resistant_hit_ratio\": {s3:.4}}}",
-            64 << 10
         ),
     );
 }

@@ -150,7 +150,7 @@ impl BlockedBloomFilter {
 
     /// Deserializes a filter produced by [`encode`](Self::encode). Returns
     /// the filter and bytes consumed, or `None` on truncated or foreign
-    /// input.
+    /// input — including a word count whose byte length overflows.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
         if buf.len() < 24 {
             return None;
@@ -161,11 +161,12 @@ impl BlockedBloomFilter {
         }
         let hashes = u32::from_le_bytes(buf[4..8].try_into().unwrap());
         let entries = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-        let nwords = u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize;
-        if !nwords.is_multiple_of(WORDS_PER_BLOCK) || buf.len() < 24 + nwords * 8 {
+        let nwords = usize::try_from(u64::from_le_bytes(buf[16..24].try_into().unwrap())).ok()?;
+        let end = nwords.checked_mul(8)?.checked_add(24)?;
+        if !nwords.is_multiple_of(WORDS_PER_BLOCK) || buf.len() < end {
             return None;
         }
-        let words = buf[24..24 + nwords * 8]
+        let words = buf[24..end]
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
@@ -175,7 +176,7 @@ impl BlockedBloomFilter {
                 hashes,
                 entries,
             },
-            24 + nwords * 8,
+            end,
         ))
     }
 }
@@ -294,5 +295,20 @@ mod tests {
         let mut flat = Vec::new();
         crate::BloomFilter::with_bits_per_entry(10, 10.0).encode(&mut flat);
         assert!(BlockedBloomFilter::decode(&flat).is_none());
+    }
+
+    #[test]
+    fn a_word_count_whose_byte_length_overflows_is_not_a_filter() {
+        // 2^61 words are 2^64 bytes: the unchecked product wrapped to 0 and
+        // decoded a 0-bit filter that answers "maybe" for every key.
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&crate::filter::MAGIC_BLOCKED.to_le_bytes());
+        buf.extend_from_slice(&7u32.to_le_bytes());
+        buf.extend_from_slice(&100u64.to_le_bytes());
+        buf.extend_from_slice(&(1u64 << 61).to_le_bytes());
+        buf.extend_from_slice(&[0u8; 8]);
+        assert_eq!(buf.len(), 32);
+        assert!(BlockedBloomFilter::decode(&buf).is_none());
+        assert!(crate::Filter::decode(&buf).is_none());
     }
 }

@@ -377,6 +377,7 @@ impl Filter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn keys(n: u64, tag: u8) -> Vec<Vec<u8>> {
         (0..n)
@@ -564,6 +565,78 @@ mod tests {
         }
         for k in keys(2000, 5) {
             assert_eq!(a.contains(&k), b.contains_hashed(hash_pair(&k)));
+        }
+    }
+
+    /// `Filter::decode` returns, and whatever it accepts re-encodes to
+    /// exactly the bytes it says it consumed.
+    fn decodes_faithfully(buf: &[u8]) -> Result<(), TestCaseError> {
+        if let Some((f, used)) = Filter::decode(buf) {
+            prop_assert!(used <= buf.len(), "consumed {used} of {} bytes", buf.len());
+            let mut again = Vec::new();
+            f.encode(&mut again);
+            prop_assert_eq!(
+                &again[..],
+                &buf[..used],
+                "accepted bytes re-encode differently"
+            );
+        }
+        Ok(())
+    }
+
+    /// The length field both layouts keep at bytes 16..24: the bit count of
+    /// a flat filter, the word count of a blocked one.
+    const LENGTH_FIELD: std::ops::Range<usize> = 16..24;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            magic in 0u8..3,
+            bytes in collection::vec(any::<u8>(), 0..120),
+        ) {
+            // Most cases open with a real magic so the bytes reach a decoder.
+            let mut buf = match magic {
+                0 => MAGIC_STANDARD.to_le_bytes().to_vec(),
+                1 => MAGIC_BLOCKED.to_le_bytes().to_vec(),
+                _ => Vec::new(),
+            };
+            buf.extend_from_slice(&bytes);
+            decodes_faithfully(&buf)?;
+        }
+
+        #[test]
+        fn decode_never_panics_on_mutated_filters(
+            blocked in any::<bool>(),
+            entries in 0u64..200,
+            bits_per_entry in 0u8..16,
+            mutation in 0u8..4,
+            at in any::<u16>(),
+            n in any::<u64>(),
+        ) {
+            let variant = if blocked { FilterVariant::Blocked } else { FilterVariant::Standard };
+            let mut f = Filter::with_bits_per_entry(variant, entries, f64::from(bits_per_entry));
+            for k in keys(entries, 7) {
+                f.insert(&k);
+            }
+            let mut buf = Vec::new();
+            f.encode(&mut buf);
+            let (_, used) = Filter::decode(&buf).expect("a valid encoding decodes");
+            prop_assert_eq!(used, buf.len());
+            let at = at as usize % buf.len();
+            match mutation {
+                0 => buf.truncate(at),
+                1 => buf[at] ^= 1 << (n % 8),
+                // A random length, and one whose byte length is a whole
+                // multiple of 2^64 plus a few blocks' worth.
+                2 => buf[LENGTH_FIELD].copy_from_slice(&n.to_le_bytes()),
+                _ => {
+                    let wraps = ((n % 7 + 1) << 61) | ((n >> 8) % 4 * 8);
+                    buf[LENGTH_FIELD].copy_from_slice(&wraps.to_le_bytes());
+                }
+            }
+            decodes_faithfully(&buf)?;
         }
     }
 }

@@ -586,11 +586,9 @@ impl Core {
                 volatile(disk)
             }
             (None, StorageConfig::Memory) => volatile(Disk::mem(opts.page_size)),
-            (None, StorageConfig::MemoryCached(cache)) => volatile(Disk::mem_cached_with(
-                opts.page_size,
-                *cache,
-                opts.cache_policy,
-            )),
+            (None, StorageConfig::MemoryCached(cache)) => {
+                volatile(Disk::mem_cached(opts.page_size, *cache))
+            }
             (None, StorageConfig::Directory(dir)) => {
                 std::fs::create_dir_all(dir)?;
                 let disk =

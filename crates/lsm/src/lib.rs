@@ -81,7 +81,7 @@ pub use monkey_obs::{
     SpanKind, Telemetry, TelemetryReport, TelemetrySnapshot, Tracer, WindowRates, WindowedSeries,
     WorkloadCharacterizer, IO_OPS,
 };
-pub use monkey_storage::{BackendInfo, CachePolicy, CacheStats, IoBackend};
+pub use monkey_storage::{BackendInfo, CacheStats, IoBackend};
 pub use options::DbOptions;
 pub use policy::{FilterContext, FilterPolicy, MergePolicy, UniformFilterPolicy};
 pub use run::{FilterParams, Run, RunLookup};

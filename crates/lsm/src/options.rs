@@ -2,7 +2,7 @@
 
 use crate::policy::{FilterPolicy, MergePolicy, UniformFilterPolicy};
 use monkey_bloom::FilterVariant;
-use monkey_storage::{CachePolicy, IoBackend};
+use monkey_storage::IoBackend;
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -11,7 +11,8 @@ use std::sync::Arc;
 pub enum StorageConfig {
     /// In-memory simulated disk (the experiment default; volatile).
     Memory,
-    /// In-memory simulated disk with a block cache of the given byte size.
+    /// In-memory simulated disk with an LRU block cache of the given byte
+    /// size (Figure 12's configuration; volatile).
     MemoryCached(usize),
     /// A directory on the filesystem (durable; enables WAL + manifest).
     Directory(PathBuf),
@@ -78,12 +79,6 @@ pub struct DbOptions {
     /// How many closed windows the observatory retains (oldest evicted
     /// first; ≥ 1).
     pub observatory_retention: usize,
-    /// Block-cache admission/eviction policy (only meaningful with
-    /// [`StorageConfig::MemoryCached`]). The default, plain LRU, is what
-    /// the paper's Figure 12 models; `ScanResistant` switches to an
-    /// S3-FIFO-style segmented cache whose protected segment range scans
-    /// cannot flush.
-    pub cache_policy: CachePolicy,
     /// Worker threads per merge (≥ 1). With more than one, each merge's key
     /// space is cut along input fence pointers into that many disjoint
     /// partitions merged concurrently; the concatenated output is
@@ -168,7 +163,6 @@ impl DbOptions {
             telemetry: false,
             observatory_interval: None,
             observatory_retention: 128,
-            cache_policy: CachePolicy::Lru,
             compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
                 .unwrap_or(1),
             shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
@@ -260,17 +254,6 @@ impl DbOptions {
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = on;
         self
-    }
-
-    /// Sets the block-cache admission/eviction policy.
-    pub fn cache_policy(mut self, policy: CachePolicy) -> Self {
-        self.cache_policy = policy;
-        self
-    }
-
-    /// Shorthand for the scan-resistant block cache.
-    pub fn scan_resistant_cache(self) -> Self {
-        self.cache_policy(CachePolicy::ScanResistant)
     }
 
     /// Spawns the observatory sampler thread, cutting a time-series window
@@ -366,7 +349,6 @@ impl std::fmt::Debug for DbOptions {
             .field("telemetry", &self.telemetry)
             .field("observatory_interval", &self.observatory_interval)
             .field("observatory_retention", &self.observatory_retention)
-            .field("cache_policy", &self.cache_policy)
             .field("compaction_threads", &self.compaction_threads)
             .field("shards", &self.shards)
             .field("tracing", &self.tracing)
@@ -424,17 +406,6 @@ mod tests {
         let o = DbOptions::in_memory();
         assert!(!o.telemetry);
         assert!(o.telemetry(true).telemetry);
-    }
-
-    #[test]
-    fn cache_policy_defaults_to_lru() {
-        // Figure 12 depends on the LRU baseline staying the default.
-        let o = DbOptions::in_memory_cached(1 << 20);
-        assert_eq!(o.cache_policy, CachePolicy::Lru);
-        let o = o.scan_resistant_cache();
-        assert_eq!(o.cache_policy, CachePolicy::ScanResistant);
-        let o = DbOptions::in_memory().cache_policy(CachePolicy::Lru);
-        assert_eq!(o.cache_policy, CachePolicy::Lru);
     }
 
     #[test]

@@ -707,10 +707,9 @@ impl RunCursor {
         }
         let page_no = self.next_page;
         self.next_page += 1;
-        // Scan admission: a seek is accounted like a point read's, but the
-        // cache treats every page of a scan as streaming.
+        // The first page of a scan pays a seek; the rest are sequential.
         let page = if std::mem::replace(&mut self.seek, false) {
-            self.disk.read_page_scan(self.id, page_no)?
+            self.disk.read_page(self.id, page_no)?
         } else {
             self.disk.read_page_sequential(self.id, page_no)?
         };

@@ -21,24 +21,15 @@
 //! * hit/miss counters are per-shard relaxed atomics, summed on demand,
 //!   instead of two globally contended counters.
 //!
-//! Two admission/eviction policies are available ([`CachePolicy`]):
-//!
-//! * [`CachePolicy::Lru`] (default) — exact LRU in single-threaded use,
-//!   bit-compatible with the original cache and used for the Figure 12
-//!   reproduction;
-//! * [`CachePolicy::ScanResistant`] — an S3-FIFO-style small/main segment
-//!   pair with a count-min-sketch ghost (reusing the observatory's
-//!   [`CountMinSketch`]): new pages enter a small probationary segment,
-//!   promotion into the main segment requires a re-reference, and pages
-//!   inserted by sequential scans ([`CachePriority::Streaming`]) can only
-//!   ever occupy the probationary segment — one long range scan can no
-//!   longer flush the point-lookup working set.
+//! Eviction is exact LRU in single-threaded use, as in LevelDB: every page
+//! read from storage is admitted to the one list of its shard, a hit moves
+//! it to the front, and the shard evicts from the tail once it is over its
+//! byte budget.
 //!
 //! Compaction's `evict_run` is O(cached pages of the run) via a per-run
 //! page index, not a scan of every shard's table.
 
 use bytes::Bytes;
-use monkey_obs::CountMinSketch;
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::ptr;
@@ -55,39 +46,12 @@ const NO_SLOT: u32 = u32::MAX;
 const PROBE: usize = 8;
 /// Access-record ring length per shard (power of two).
 const RING: usize = 4096;
-/// Reference-count saturation for the scan-resistant policy.
-const FREQ_CAP: u8 = 3;
-
-/// Eviction/admission policy of a [`BlockCache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePolicy {
-    /// Plain LRU (the paper's Figure 12 baseline; LevelDB-equivalent).
-    #[default]
-    Lru,
-    /// S3-FIFO-style small/main segments with a count-min ghost: scan
-    /// traffic is confined to the probationary segment.
-    ScanResistant,
-}
-
-/// How the page being inserted was read; drives admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CachePriority {
-    /// A point lookup: eligible for the main (protected) segment.
-    #[default]
-    Point,
-    /// A sequential scan (range lookup, merge input, recovery sweep):
-    /// confined to the probationary segment under
-    /// [`CachePolicy::ScanResistant`].
-    Streaming,
-}
 
 /// Construction parameters for a [`BlockCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Total bytes of page data the cache may hold.
     pub capacity_bytes: usize,
-    /// Admission/eviction policy.
-    pub policy: CachePolicy,
     /// Expected page size in bytes; sizes each shard's slot table (the
     /// table holds ~4x the pages that fit in the byte budget). Only a
     /// hint — any page size still works.
@@ -99,16 +63,7 @@ impl CacheConfig {
     pub fn lru(capacity_bytes: usize) -> Self {
         Self {
             capacity_bytes,
-            policy: CachePolicy::Lru,
             page_size_hint: 512,
-        }
-    }
-
-    /// Scan-resistant config with the default page-size hint.
-    pub fn scan_resistant(capacity_bytes: usize) -> Self {
-        Self {
-            policy: CachePolicy::ScanResistant,
-            ..Self::lru(capacity_bytes)
         }
     }
 
@@ -127,17 +82,6 @@ struct CacheEntry {
     data: Bytes,
 }
 
-/// Which intrusive list a slot is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Seg {
-    /// Unoccupied.
-    Free,
-    /// LRU list (Lru policy) or probationary FIFO (ScanResistant).
-    Small,
-    /// Protected segment (ScanResistant only).
-    Main,
-}
-
 /// Per-slot bookkeeping, guarded by the shard writer mutex. Indexed by the
 /// slot's position in the atomic table.
 struct SlotMeta {
@@ -145,8 +89,8 @@ struct SlotMeta {
     bytes: u32,
     prev: u32,
     next: u32,
-    seg: Seg,
-    freq: u8,
+    /// On the LRU list (a free slot is on no list).
+    live: bool,
     stamp: u64,
 }
 
@@ -157,31 +101,9 @@ impl SlotMeta {
             bytes: 0,
             prev: NO_SLOT,
             next: NO_SLOT,
-            seg: Seg::Free,
-            freq: 0,
+            live: false,
             stamp: 0,
         }
-    }
-}
-
-/// An intrusive doubly-linked list threaded through `SlotMeta::{prev,next}`.
-/// `head` is most recent, `tail` the eviction end.
-#[derive(Debug, Clone, Copy)]
-struct List {
-    head: u32,
-    tail: u32,
-}
-
-impl List {
-    fn empty() -> Self {
-        Self {
-            head: NO_SLOT,
-            tail: NO_SLOT,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.head == NO_SLOT
     }
 }
 
@@ -193,10 +115,11 @@ struct ShardWriter {
     /// `evict_run` proportional to the run's cached pages).
     by_run: HashMap<RunId, HashSet<u32>>,
     meta: Vec<SlotMeta>,
-    small: List,
-    main: List,
+    /// The LRU list, threaded through `SlotMeta::{prev,next}`: `head` is
+    /// most recent, `tail` the eviction end.
+    head: u32,
+    tail: u32,
     bytes: usize,
-    small_bytes: usize,
     /// Monotonic recency clock (drives probe-window displacement).
     tick: u64,
     /// Ring positions already drained.
@@ -216,15 +139,13 @@ struct Shard {
     active: [AtomicU64; 2],
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Pages handed to `insert_with`; written under `writer`, so exact.
+    /// Pages handed to `insert`; written under `writer`, so exact.
     inserts: AtomicU64,
     /// Lossy ring of deferred access records: `slot index + 1`, 0 = empty.
     ring: Box<[AtomicU64]>,
     ring_head: AtomicU64,
     writer: Mutex<ShardWriter>,
     capacity: usize,
-    /// Byte budget of the probationary segment (ScanResistant only).
-    small_target: usize,
 }
 
 impl Shard {
@@ -252,15 +173,13 @@ impl Shard {
                 map: HashMap::new(),
                 by_run: HashMap::new(),
                 meta,
-                small: List::empty(),
-                main: List::empty(),
+                head: NO_SLOT,
+                tail: NO_SLOT,
                 bytes: 0,
-                small_bytes: 0,
                 tick: 0,
                 drained: 0,
             }),
             capacity,
-            small_target: capacity / 10,
         }
     }
 
@@ -316,51 +235,97 @@ impl Shard {
         // proved every reader that could have loaded it has exited.
         unsafe { drop(Box::from_raw(old)) };
     }
+
+    /// Drains the deferred access ring in arrival order.
+    fn drain_ring(&self, w: &mut ShardWriter) {
+        let head = self.ring_head.load(Ordering::Acquire);
+        let start = w.drained.max(head.saturating_sub(RING as u64));
+        for pos in start..head {
+            let v = self.ring[pos as usize & (RING - 1)].swap(0, Ordering::Relaxed);
+            if v == 0 {
+                continue;
+            }
+            let idx = (v - 1) as u32;
+            if w.meta[idx as usize].live {
+                touch(w, idx);
+            }
+        }
+        w.drained = head;
+    }
+
+    /// Fully removes one occupied slot: unpublish, wait out readers,
+    /// unindex, free.
+    fn remove_slot(&self, w: &mut ShardWriter, idx: u32) {
+        let old = self.slots[idx as usize].swap(ptr::null_mut(), Ordering::SeqCst);
+        self.retire(old);
+        let (key, bytes) = {
+            let m = &w.meta[idx as usize];
+            (m.key, m.bytes as usize)
+        };
+        unlink(w, idx);
+        w.meta[idx as usize].live = false;
+        w.bytes -= bytes;
+        w.map.remove(&key);
+        if let Some(set) = w.by_run.get_mut(&key.0) {
+            set.remove(&idx);
+            if set.is_empty() {
+                w.by_run.remove(&key.0);
+            }
+        }
+    }
+
+    /// Evicts from the LRU tail until the shard is within its byte budget.
+    fn evict_to_capacity(&self, w: &mut ShardWriter) {
+        while w.bytes > self.capacity {
+            let victim = w.tail;
+            debug_assert_ne!(victim, NO_SLOT);
+            self.remove_slot(w, victim);
+        }
+    }
 }
 
 // ---- intrusive-list helpers (free functions to keep borrows simple) ----
 
-fn list_of(w: &mut ShardWriter, seg: Seg) -> &mut List {
-    match seg {
-        Seg::Small => &mut w.small,
-        Seg::Main => &mut w.main,
-        Seg::Free => unreachable!("free slots are not on a list"),
-    }
-}
-
 fn unlink(w: &mut ShardWriter, idx: u32) {
-    let (prev, next, seg) = {
+    let (prev, next) = {
         let m = &w.meta[idx as usize];
-        (m.prev, m.next, m.seg)
+        (m.prev, m.next)
     };
     if prev != NO_SLOT {
         w.meta[prev as usize].next = next;
     } else {
-        list_of(w, seg).head = next;
+        w.head = next;
     }
     if next != NO_SLOT {
         w.meta[next as usize].prev = prev;
     } else {
-        list_of(w, seg).tail = prev;
+        w.tail = prev;
     }
 }
 
-fn push_front(w: &mut ShardWriter, idx: u32, seg: Seg) {
-    let head = list_of(w, seg).head;
+fn push_front(w: &mut ShardWriter, idx: u32) {
+    let head = w.head;
     {
         let m = &mut w.meta[idx as usize];
         m.prev = NO_SLOT;
         m.next = head;
-        m.seg = seg;
+        m.live = true;
     }
     if head != NO_SLOT {
         w.meta[head as usize].prev = idx;
     }
-    let list = list_of(w, seg);
-    list.head = idx;
-    if list.tail == NO_SLOT {
-        list.tail = idx;
+    w.head = idx;
+    if w.tail == NO_SLOT {
+        w.tail = idx;
     }
+}
+
+/// Applies one recency touch: restamp and move to the front.
+fn touch(w: &mut ShardWriter, idx: u32) {
+    w.tick += 1;
+    w.meta[idx as usize].stamp = w.tick;
+    unlink(w, idx);
+    push_front(w, idx);
 }
 
 /// Hit/miss statistics of a cache.
@@ -386,17 +351,10 @@ impl CacheStats {
     }
 }
 
-/// The sharded block cache. See the module docs for the concurrency and
-/// policy design.
+/// The sharded block cache. See the module docs for the concurrency
+/// design.
 pub struct BlockCache {
     shards: Vec<Shard>,
-    policy: CachePolicy,
-    /// Ghost list for the scan-resistant policy: evicted-from-probation
-    /// keys are remembered approximately; a re-read of a remembered key is
-    /// admitted straight into the main segment.
-    ghost: Option<CountMinSketch>,
-    /// Observation count at which the ghost sketch is reset (aging).
-    ghost_reset_at: u64,
 }
 
 impl BlockCache {
@@ -413,23 +371,11 @@ impl BlockCache {
         // Round the per-shard budget *up*: truncating division silently
         // disabled caching for capacities under one page per shard.
         let per_shard = config.capacity_bytes.div_ceil(Self::SHARDS);
-        let ghost = match config.policy {
-            CachePolicy::Lru => None,
-            CachePolicy::ScanResistant => Some(CountMinSketch::new(4096, 4)),
-        };
         Self {
             shards: (0..Self::SHARDS)
                 .map(|_| Shard::new(per_shard, config.page_size_hint))
                 .collect(),
-            policy: config.policy,
-            ghost,
-            ghost_reset_at: 8 * (config.capacity_bytes as u64 / 1024).max(1024),
         }
-    }
-
-    /// The active admission/eviction policy.
-    pub fn policy(&self) -> CachePolicy {
-        self.policy
     }
 
     #[inline]
@@ -508,21 +454,14 @@ impl BlockCache {
         found
     }
 
-    /// Inserts a page read from storage with point-lookup priority.
+    /// Inserts a page read from storage at the front of its shard's LRU
+    /// list, evicting from the tail until the shard is within budget.
     pub fn insert(&self, run: RunId, page_no: u32, data: Bytes) {
-        self.insert_with(run, page_no, data, CachePriority::Point);
-    }
-
-    /// Inserts a page with an explicit admission priority. Under the
-    /// default LRU policy the priority is ignored (Figure 12 semantics);
-    /// under [`CachePolicy::ScanResistant`], streaming pages are confined
-    /// to the probationary segment.
-    pub fn insert_with(&self, run: RunId, page_no: u32, data: Bytes, priority: CachePriority) {
         let key = (run, page_no);
         let shard = &self.shards[Self::shard_index(key)];
         let mut w = shard.writer.lock();
         shard.inserts.fetch_add(1, Ordering::Relaxed);
-        self.drain_ring(shard, &mut w);
+        shard.drain_ring(&mut w);
 
         if data.len() > shard.capacity {
             return; // a page larger than the whole shard is never cached
@@ -538,218 +477,45 @@ impl BlockCache {
             let old = shard.slots[idx as usize].swap(new, Ordering::SeqCst);
             shard.retire(old);
             w.bytes = w.bytes - old_bytes + data.len();
-            if w.meta[idx as usize].seg == Seg::Small {
-                w.small_bytes = w.small_bytes - old_bytes + data.len();
-            }
             w.meta[idx as usize].bytes = data.len() as u32;
-            self.touch(&mut w, idx);
-            self.evict_to_capacity(shard, &mut w);
+            touch(&mut w, idx);
+            shard.evict_to_capacity(&mut w);
             return;
         }
 
-        // Find a slot in the probe window; displace an occupant if the
-        // window is full (rare: tables hold ~4x the page budget).
+        // Find a slot in the probe window; if the window is full (rare:
+        // tables hold ~4x the page budget), displace its stalest occupant.
         let mask = shard.slots.len() - 1;
         let base = Self::mix(key) as usize;
-        let mut slot = None;
-        for i in 0..PROBE {
-            let s = (base + i) & mask;
-            if w.meta[s].seg == Seg::Free {
-                slot = Some(s as u32);
-                break;
-            }
-        }
-        let idx = match slot {
+        let window = (0..PROBE).map(|i| ((base + i) & mask) as u32);
+        let idx = match window.clone().find(|&s| !w.meta[s as usize].live) {
             Some(s) => s,
             None => {
-                // Displace the stalest *probationary* occupant when one
-                // exists, so hash collisions cannot let a streaming flood
-                // evict protected main-segment pages (under Lru every
-                // occupant is Seg::Small, preserving the original
-                // min-stamp displacement). If the whole window is
-                // protected, a streaming page is not worth displacing
-                // main pages for — refuse admission; a point lookup
-                // falls back to min-stamp displacement.
-                let window = || (0..PROBE).map(|i| ((base + i) & mask) as u32);
-                let victim = window()
-                    .filter(|&s| w.meta[s as usize].seg == Seg::Small)
-                    .min_by_key(|&s| w.meta[s as usize].stamp);
-                let victim = match victim {
-                    Some(v) => v,
-                    None if priority == CachePriority::Streaming => return,
-                    None => window()
-                        .min_by_key(|&s| w.meta[s as usize].stamp)
-                        .expect("probe window is non-empty"),
-                };
-                self.remove_slot(shard, &mut w, victim);
+                let victim = window
+                    .min_by_key(|&s| w.meta[s as usize].stamp)
+                    .expect("probe window is non-empty");
+                shard.remove_slot(&mut w, victim);
                 victim
             }
         };
 
-        let seg = self.admit(key, priority);
         w.tick += 1;
         let stamp = w.tick;
         {
             let m = &mut w.meta[idx as usize];
             m.key = key;
             m.bytes = data.len() as u32;
-            m.freq = 0;
             m.stamp = stamp;
         }
-        push_front(&mut w, idx, seg);
+        push_front(&mut w, idx);
         w.bytes += data.len();
-        if seg == Seg::Small {
-            w.small_bytes += data.len();
-        }
         w.map.insert(key, idx);
         w.by_run.entry(run).or_default().insert(idx);
 
         let new = Box::into_raw(Box::new(CacheEntry { key, data }));
         let old = shard.slots[idx as usize].swap(new, Ordering::SeqCst);
         debug_assert!(old.is_null(), "slot was vacated above");
-        self.evict_to_capacity(shard, &mut w);
-    }
-
-    /// Segment a brand-new page is admitted to.
-    fn admit(&self, key: Key, priority: CachePriority) -> Seg {
-        match self.policy {
-            CachePolicy::Lru => Seg::Small,
-            CachePolicy::ScanResistant => match priority {
-                CachePriority::Streaming => Seg::Small,
-                CachePriority::Point => {
-                    let ghost = self.ghost.as_ref().expect("scan-resistant has a ghost");
-                    if ghost.estimate(&Self::ghost_key(key)) > 0 {
-                        Seg::Main
-                    } else {
-                        Seg::Small
-                    }
-                }
-            },
-        }
-    }
-
-    fn ghost_key(key: Key) -> [u8; 12] {
-        let mut out = [0u8; 12];
-        out[..8].copy_from_slice(&key.0.to_le_bytes());
-        out[8..].copy_from_slice(&key.1.to_le_bytes());
-        out
-    }
-
-    /// Applies one recency touch under the writer lock.
-    fn touch(&self, w: &mut ShardWriter, idx: u32) {
-        w.tick += 1;
-        w.meta[idx as usize].stamp = w.tick;
-        match self.policy {
-            CachePolicy::Lru => {
-                unlink(w, idx);
-                push_front(w, idx, Seg::Small);
-            }
-            CachePolicy::ScanResistant => {
-                let f = &mut w.meta[idx as usize].freq;
-                *f = (*f + 1).min(FREQ_CAP);
-            }
-        }
-    }
-
-    /// Drains the shard's deferred access ring in arrival order.
-    fn drain_ring(&self, shard: &Shard, w: &mut ShardWriter) {
-        let head = shard.ring_head.load(Ordering::Acquire);
-        let start = w.drained.max(head.saturating_sub(RING as u64));
-        for pos in start..head {
-            let v = shard.ring[pos as usize & (RING - 1)].swap(0, Ordering::Relaxed);
-            if v == 0 {
-                continue;
-            }
-            let idx = (v - 1) as u32;
-            if w.meta[idx as usize].seg != Seg::Free {
-                self.touch(w, idx);
-            }
-        }
-        w.drained = head;
-    }
-
-    /// Fully removes one occupied slot: unpublish, wait out readers,
-    /// unindex, free.
-    fn remove_slot(&self, shard: &Shard, w: &mut ShardWriter, idx: u32) {
-        let old = shard.slots[idx as usize].swap(ptr::null_mut(), Ordering::SeqCst);
-        shard.retire(old);
-        let (key, bytes, seg) = {
-            let m = &w.meta[idx as usize];
-            (m.key, m.bytes as usize, m.seg)
-        };
-        unlink(w, idx);
-        w.meta[idx as usize].seg = Seg::Free;
-        w.bytes -= bytes;
-        if seg == Seg::Small {
-            w.small_bytes -= bytes;
-        }
-        w.map.remove(&key);
-        if let Some(set) = w.by_run.get_mut(&key.0) {
-            set.remove(&idx);
-            if set.is_empty() {
-                w.by_run.remove(&key.0);
-            }
-        }
-    }
-
-    /// Evicts until the shard is within its byte budget.
-    fn evict_to_capacity(&self, shard: &Shard, w: &mut ShardWriter) {
-        while w.bytes > shard.capacity {
-            match self.policy {
-                CachePolicy::Lru => {
-                    let victim = w.small.tail;
-                    debug_assert_ne!(victim, NO_SLOT);
-                    self.remove_slot(shard, w, victim);
-                }
-                CachePolicy::ScanResistant => self.s3_evict_one(shard, w),
-            }
-        }
-    }
-
-    /// One S3-FIFO eviction: probationary pages with a re-reference are
-    /// promoted to main; main pages get a second chance; evictions from
-    /// probation are remembered in the ghost sketch.
-    fn s3_evict_one(&self, shard: &Shard, w: &mut ShardWriter) {
-        let ghost = self.ghost.as_ref().expect("scan-resistant has a ghost");
-        loop {
-            let from_small =
-                !w.small.is_empty() && (w.small_bytes > shard.small_target || w.main.is_empty());
-            if from_small {
-                let v = w.small.tail;
-                let (freq, bytes, key) = {
-                    let m = &w.meta[v as usize];
-                    (m.freq, m.bytes as usize, m.key)
-                };
-                if freq > 0 {
-                    // Promote: re-referenced while on probation.
-                    unlink(w, v);
-                    w.small_bytes -= bytes;
-                    w.meta[v as usize].freq = 0;
-                    push_front(w, v, Seg::Main);
-                    continue;
-                }
-                ghost.observe(&Self::ghost_key(key));
-                if ghost.observed() >= self.ghost_reset_at {
-                    ghost.reset(); // age out stale ghosts
-                }
-                self.remove_slot(shard, w, v);
-                return;
-            } else if !w.main.is_empty() {
-                let v = w.main.tail;
-                if w.meta[v as usize].freq > 0 {
-                    // Second chance.
-                    w.meta[v as usize].freq -= 1;
-                    unlink(w, v);
-                    push_front(w, v, Seg::Main);
-                    continue;
-                }
-                self.remove_slot(shard, w, v);
-                return;
-            } else {
-                debug_assert_eq!(w.bytes, 0, "nonzero bytes with empty lists");
-                return;
-            }
-        }
+        shard.evict_to_capacity(&mut w);
     }
 
     /// Drops every cached page of `run` (called when a run is deleted after
@@ -762,26 +528,23 @@ impl BlockCache {
             let Some(slots) = w.by_run.remove(&run) else {
                 continue;
             };
-            self.drain_ring(shard, &mut w);
+            shard.drain_ring(&mut w);
             let mut olds = Vec::with_capacity(slots.len());
             for idx in slots {
                 let old = shard.slots[idx as usize].swap(ptr::null_mut(), Ordering::SeqCst);
                 if !old.is_null() {
                     olds.push(old);
                 }
-                let (key, bytes, seg) = {
+                let (key, bytes, live) = {
                     let m = &w.meta[idx as usize];
-                    (m.key, m.bytes as usize, m.seg)
+                    (m.key, m.bytes as usize, m.live)
                 };
-                if seg == Seg::Free {
+                if !live {
                     continue;
                 }
                 unlink(&mut w, idx);
-                w.meta[idx as usize].seg = Seg::Free;
+                w.meta[idx as usize].live = false;
                 w.bytes -= bytes;
-                if seg == Seg::Small {
-                    w.small_bytes -= bytes;
-                }
                 w.map.remove(&key);
             }
             shard.grace();
@@ -936,137 +699,6 @@ mod tests {
         };
         assert!((s.hit_ratio() - 0.75).abs() < 1e-12);
         assert_eq!(CacheStats::default().hit_ratio(), 0.0);
-    }
-
-    #[test]
-    fn scan_resistant_streaming_pages_stay_probationary() {
-        // One shard's worth of point working set, then a huge streaming
-        // sweep: the point pages must survive, the sweep must not.
-        let cap = 16 * 4096;
-        let c = BlockCache::with_config(CacheConfig::scan_resistant(cap).with_page_size(64));
-        // Establish a small hot set with repeated point reads (promoted to
-        // the main segment via ring-drain freq bumps).
-        for round in 0..4 {
-            for p in 0..32u32 {
-                if round == 0 {
-                    c.insert(1, p, page(1, 64));
-                } else {
-                    c.get(1, p);
-                    c.insert(7, 1000 + p + round, page(0, 64)); // drain the ring
-                }
-            }
-        }
-        // A scan 16x the cache size, tagged streaming.
-        for p in 0..(cap as u32 / 64) * 16 {
-            c.insert_with(2, p, page(2, 64), CachePriority::Streaming);
-        }
-        let hot_live = (0..32u32).filter(|&p| c.get(1, p).is_some()).count();
-        assert!(
-            hot_live >= 24,
-            "hot point pages survive a streaming flood (live: {hot_live}/32)"
-        );
-    }
-
-    #[test]
-    fn lru_policy_is_flushed_by_scans_scan_resistant_is_not() {
-        // The head-to-head the admission policy exists for.
-        let cap = 16 * 2048;
-        let survivors = |cfg: CacheConfig| {
-            let c = BlockCache::with_config(cfg.with_page_size(64));
-            for p in 0..24u32 {
-                c.insert(1, p, page(1, 64));
-            }
-            for _ in 0..3 {
-                for p in 0..24u32 {
-                    c.get(1, p);
-                }
-                c.insert(3, 9999, page(3, 64)); // force a ring drain
-            }
-            for p in 0..(cap as u32 / 64) * 8 {
-                c.insert_with(2, p, page(2, 64), CachePriority::Streaming);
-            }
-            (0..24u32).filter(|&p| c.get(1, p).is_some()).count()
-        };
-        let lru = survivors(CacheConfig::lru(cap));
-        let s3 = survivors(CacheConfig::scan_resistant(cap));
-        assert!(
-            s3 > lru,
-            "scan-resistant keeps more of the hot set (s3: {s3}, lru: {lru})"
-        );
-        assert_eq!(lru, 0, "plain LRU is fully flushed by a large scan");
-    }
-
-    #[test]
-    fn streaming_collisions_cannot_displace_main_pages() {
-        // Regression: with a full probe window, displacement used to pick
-        // the min-stamp occupant regardless of segment, so a streaming
-        // flood could evict protected main-segment pages through hash
-        // collisions. Build a slot-scarce shard (capacity 1024 B/shard
-        // with a 4096 B page-size hint clamps the table to the 16-slot
-        // minimum) so 64-byte pages keep every 8-slot probe window full,
-        // promote a hot set into main, then flood with streaming inserts.
-        let c =
-            BlockCache::with_config(CacheConfig::scan_resistant(16 * 1024).with_page_size(4096));
-        let shard0_keys = |run: RunId, n: usize| -> Vec<u32> {
-            (0u32..)
-                .filter(|&p| BlockCache::shard_of(run, p) == 0)
-                .take(n)
-                .collect()
-        };
-        let hot = shard0_keys(1, 12);
-        for &p in &hot {
-            c.insert(1, p, page(1, 64)); // 768 B of hot pages in shard 0
-        }
-        for &p in &hot {
-            c.get(1, p); // ring-buffered freq bumps
-        }
-        // One 512 B filler pushes the shard past its 1024 B budget (a
-        // 64 B filler could displace instead of adding byte pressure):
-        // the insert drains the ring (hot pages now have freq > 0), and
-        // the eviction pass promotes the hot set to the main segment,
-        // then evicts the freq-0 filler itself.
-        c.insert(3, shard0_keys(3, 1)[0], page(3, 512));
-        let live_before: Vec<u32> = hot
-            .iter()
-            .copied()
-            .filter(|&p| c.get(1, p).is_some())
-            .collect();
-        assert!(
-            live_before.len() >= 8,
-            "most of the hot set reached main (live: {}/12)",
-            live_before.len()
-        );
-        // Streaming flood 16x the shard's page budget. Every probe window
-        // is full; the only victims it may displace are probationary.
-        for p in shard0_keys(9, 256) {
-            c.insert_with(9, p, page(9, 64), CachePriority::Streaming);
-        }
-        for &p in &live_before {
-            assert!(
-                c.get(1, p).is_some(),
-                "main-segment page (1, {p}) displaced by a streaming collision"
-            );
-        }
-    }
-
-    #[test]
-    fn ghost_readmits_to_main() {
-        let c = BlockCache::with_config(CacheConfig::scan_resistant(16 * 1024).with_page_size(64));
-        // Fill probation and churn so key (1,0) is evicted through the
-        // probationary tail (entering the ghost), then re-insert it.
-        c.insert(1, 0, page(1, 64));
-        for p in 0..1000u32 {
-            c.insert(2, p, page(2, 64));
-        }
-        assert!(c.get(1, 0).is_none(), "churned out of probation");
-        c.insert(1, 0, page(1, 64));
-        // A ghost-admitted page sits in main: the same churn that evicted
-        // it before now cannot (main is evicted only once probation is
-        // below its target, and churn keeps probation full).
-        for p in 2000..2300u32 {
-            c.insert(2, p, page(2, 64));
-        }
-        assert!(c.get(1, 0).is_some(), "ghost hit re-admitted into main");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::aligned::PoolStats;
 use crate::backend::{Backend, FileBackend, MemBackend, RunId};
-use crate::cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
+use crate::cache::{BlockCache, CacheConfig, CacheStats};
 use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
 use crate::iostats::{IoSnapshot, IoStats};
@@ -61,17 +61,7 @@ impl Disk {
 
     /// Creates an in-memory disk with an LRU block cache of `cache_bytes`.
     pub fn mem_cached(page_size: usize, cache_bytes: usize) -> Arc<Self> {
-        Self::mem_cached_with(page_size, cache_bytes, CachePolicy::Lru)
-    }
-
-    /// Creates an in-memory disk with a block cache of `cache_bytes` under
-    /// an explicit admission/eviction policy.
-    pub fn mem_cached_with(page_size: usize, cache_bytes: usize, policy: CachePolicy) -> Arc<Self> {
-        let config = match policy {
-            CachePolicy::Lru => CacheConfig::lru(cache_bytes),
-            CachePolicy::ScanResistant => CacheConfig::scan_resistant(cache_bytes),
-        }
-        .with_page_size(page_size);
+        let config = CacheConfig::lru(cache_bytes).with_page_size(page_size);
         Self::with_backend_info(
             Arc::new(MemBackend::new()),
             page_size,
@@ -264,18 +254,11 @@ impl Disk {
 
     /// One physical page read plus the miss-side bookkeeping: counted,
     /// attributed, timed (when sampled), checked, and admitted to the
-    /// cache with the given priority. A page that fails the check was
-    /// still read — it is counted — but is never cached. `op`
-    /// distinguishes seek reads from sequential continuations in the
-    /// latency histograms.
+    /// cache. A page that fails the check was still read — it is counted —
+    /// but is never cached. `op` distinguishes seek reads from sequential
+    /// continuations in the latency histograms.
     #[inline]
-    fn read_miss(
-        &self,
-        run: RunId,
-        page_no: u32,
-        priority: CachePriority,
-        op: IoOp,
-    ) -> Result<Bytes> {
+    fn read_miss(&self, run: RunId, page_no: u32, op: IoOp) -> Result<Bytes> {
         let started = self.io_start(op);
         let data = self.backend.read_page(run, page_no)?;
         self.io_end(op, run, started);
@@ -287,49 +270,31 @@ impl Disk {
             })?;
         }
         if let Some(cache) = &self.cache {
-            cache.insert_with(run, page_no, data.clone(), priority);
+            cache.insert(run, page_no, data.clone());
         }
         Ok(data)
     }
 
     /// Reads one page with a random access: counts one seek plus one page
-    /// read on a cache miss, or a cache hit otherwise. Point-lookup
-    /// priority: the page is eligible for the cache's protected segment.
+    /// read on a cache miss, or a cache hit otherwise.
     pub fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
         if let Some(data) = self.cache_probe(run, page_no) {
             return Ok(data);
         }
         self.stats.add_seek();
-        self.read_miss(run, page_no, CachePriority::Point, IoOp::ReadPage)
-    }
-
-    /// Reads the first page of a sequential scan: same I/O accounting as
-    /// [`read_page`](Self::read_page) (one seek plus one read on a miss),
-    /// but the page is admitted with streaming priority so a scan-resistant
-    /// cache keeps it out of the protected segment.
-    pub fn read_page_scan(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        if let Some(data) = self.cache_probe(run, page_no) {
-            return Ok(data);
-        }
-        self.stats.add_seek();
-        self.read_miss(run, page_no, CachePriority::Streaming, IoOp::ReadPage)
+        self.read_miss(run, page_no, IoOp::ReadPage)
     }
 
     /// Reads one page as the continuation of a sequential scan: counts a
     /// page read (or cache hit) but no seek. Run iterators use
-    /// [`read_page_scan`](Self::read_page_scan) for their first page and
-    /// this for the rest, matching the paper's range-lookup cost model
-    /// (Eq. 11: one seek per run, then sequential pages).
+    /// [`read_page`](Self::read_page) for their first page and this for
+    /// the rest, matching the paper's range-lookup cost model (Eq. 11: one
+    /// seek per run, then sequential pages).
     pub fn read_page_sequential(&self, run: RunId, page_no: u32) -> Result<Bytes> {
         if let Some(data) = self.cache_probe(run, page_no) {
             return Ok(data);
         }
-        self.read_miss(
-            run,
-            page_no,
-            CachePriority::Streaming,
-            IoOp::ReadPageSequential,
-        )
+        self.read_miss(run, page_no, IoOp::ReadPageSequential)
     }
 
     /// What physically backs this disk, after fallback resolution.
@@ -494,7 +459,7 @@ mod tests {
         }
         let id = w.seal().unwrap();
         disk.reset_io();
-        let mut pages = vec![disk.read_page_scan(id, 2).unwrap()];
+        let mut pages = vec![disk.read_page(id, 2).unwrap()];
         for p in 3..7 {
             pages.push(disk.read_page_sequential(id, p).unwrap());
         }
@@ -571,7 +536,7 @@ mod tests {
         let id = w.seal().unwrap();
 
         disk.read_page(id, 0).unwrap();
-        disk.read_page_scan(id, 0).unwrap();
+        disk.read_page(id, 0).unwrap();
         disk.read_page_sequential(id, 1).unwrap();
 
         let s = attr.snapshot();
@@ -603,48 +568,6 @@ mod tests {
         assert_eq!(s[2].reads, 1, "the hit must not count as a read");
         assert_eq!(s[2].cache_hits, 1, "but it is attributed as a hit");
         assert_eq!(s[2].cache_hit_bytes, 64);
-    }
-
-    #[test]
-    fn scan_reads_count_like_point_reads() {
-        // read_page_scan differs from read_page only in cache admission;
-        // its I/O accounting must be identical so Eq. 11 costs hold.
-        let disk = Disk::mem_cached(64, 1 << 20);
-        let mut w = disk.begin_run();
-        w.append(&page(&disk, 1)).unwrap();
-        w.append(&page(&disk, 2)).unwrap();
-        let id = w.seal().unwrap();
-        disk.reset_io();
-
-        disk.read_page_scan(id, 0).unwrap(); // miss: seek + read
-        let io = disk.io();
-        assert_eq!((io.seeks, io.page_reads, io.cache_hits), (1, 1, 0));
-        disk.read_page_scan(id, 0).unwrap(); // hit: no I/O
-        let io = disk.io();
-        assert_eq!((io.seeks, io.page_reads, io.cache_hits), (1, 1, 1));
-    }
-
-    #[test]
-    fn scan_resistant_disk_keeps_point_pages_over_scans() {
-        use crate::cache::CachePolicy;
-        // 8 pages of cache; a hot point page re-read between scan sweeps
-        // stays cached under the scan-resistant policy.
-        let disk = Disk::mem_cached_with(64, 16 * 64, CachePolicy::ScanResistant);
-        let mut w = disk.begin_run();
-        for i in 0..64 {
-            w.append(&page(&disk, i)).unwrap();
-        }
-        let id = w.seal().unwrap();
-
-        for _ in 0..4 {
-            disk.read_page(id, 0).unwrap(); // hot point page
-        }
-        for p in 0..64 {
-            disk.read_page_scan(id, p).unwrap(); // full-run sweep
-        }
-        disk.reset_io();
-        disk.read_page(id, 0).unwrap();
-        assert_eq!(disk.io().cache_hits, 1, "hot page survived the sweep");
     }
 
     #[test]
@@ -920,18 +843,14 @@ mod tests {
         // A failing check is an error; the read happened, nothing is kept.
         let inserts = disk.cache_stats().unwrap().inserts;
         disk.reset_io();
-        for read in [
-            Disk::read_page,
-            Disk::read_page_scan,
-            Disk::read_page_sequential,
-        ] {
+        for read in [Disk::read_page, Disk::read_page_sequential] {
             let err = read(&disk, id, 1).unwrap_err();
             assert!(
                 matches!(&err, StorageError::Corruption(why) if why.contains("checksum")),
                 "{err}"
             );
         }
-        assert_eq!(disk.io().page_reads, 3, "each failed read is still a read");
+        assert_eq!(disk.io().page_reads, 2, "each failed read is still a read");
         assert_eq!(disk.io().cache_hits, 0, "a failed page is never served");
         assert_eq!(disk.cache_stats().unwrap().inserts, inserts, "nor admitted");
     }

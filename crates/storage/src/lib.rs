@@ -38,7 +38,7 @@ mod handles;
 
 pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
 pub use backend::{Backend, FileBackend, MemBackend, RunId};
-pub use cache::{BlockCache, CacheConfig, CachePolicy, CachePriority, CacheStats};
+pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use device::DeviceModel;
 pub use direct::{BackendInfo, IoBackend};
 pub use disk::{Disk, PageCheck, RunWriter};

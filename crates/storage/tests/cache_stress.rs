@@ -4,9 +4,9 @@
 //! a reference single-threaded implementation.
 
 use bytes::Bytes;
-use monkey_storage::{BlockCache, CacheConfig, CachePolicy, Disk};
+use monkey_storage::{BlockCache, CacheConfig, Disk};
 use proptest::prelude::*;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -83,44 +83,6 @@ fn readers_race_inserts_and_run_eviction() {
         r.join().unwrap();
     }
     assert!(hits.load(Ordering::Relaxed) > 0, "readers made progress");
-}
-
-/// Same race under the scan-resistant policy (different eviction code
-/// paths: segment promotion, ghost bookkeeping).
-#[test]
-fn readers_race_scan_resistant_evictions() {
-    const LEN: usize = 128;
-    let cache = Arc::new(BlockCache::with_config(
-        CacheConfig::scan_resistant(16 * 1024).with_page_size(LEN),
-    ));
-    let stop = Arc::new(AtomicBool::new(false));
-    let readers: Vec<_> = (0..3)
-        .map(|t| {
-            let cache = Arc::clone(&cache);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut i: u64 = t;
-                while !stop.load(Ordering::Relaxed) {
-                    let run = i % 3;
-                    let p = (i % 64) as u32;
-                    if let Some(got) = cache.get(run, p) {
-                        check(run, p, &got);
-                    }
-                    i = i.wrapping_add(1);
-                }
-            })
-        })
-        .collect();
-    for round in 0..200u64 {
-        for p in 0..64u32 {
-            cache.insert(round % 3, p, page_for(round % 3, p, LEN));
-        }
-        cache.evict_run((round + 1) % 3);
-    }
-    stop.store(true, Ordering::Relaxed);
-    for r in readers {
-        r.join().unwrap();
-    }
 }
 
 /// A compaction-style cascade at the `Disk` level: runs are written, read
@@ -282,42 +244,4 @@ proptest! {
         prop_assert_eq!((stats.hits, stats.misses), (model.hits, model.misses));
     }
 
-    /// The scan-resistant policy never serves wrong bytes and respects the
-    /// same byte budget (policy decisions differ from LRU by design, so
-    /// only safety properties are compared).
-    #[test]
-    fn scan_resistant_safety(
-        ops in proptest::collection::vec((0u8..4, 0u64..4, 0u32..8, 1u8..=255), 1..300),
-    ) {
-        let capacity = 16 * 256;
-        let cache = BlockCache::with_config(
-            CacheConfig::scan_resistant(capacity).with_page_size(64),
-        );
-        let mut contents: HashMap<Key, Bytes> = HashMap::new();
-        for &(op, run, page, fill) in &ops {
-            match op {
-                0 | 1 => {
-                    let data = Bytes::from(vec![fill; 64]);
-                    let priority = if op == 0 {
-                        monkey_storage::CachePriority::Point
-                    } else {
-                        monkey_storage::CachePriority::Streaming
-                    };
-                    cache.insert_with(run, page, data.clone(), priority);
-                    contents.insert((run, page), data);
-                }
-                2 => {
-                    if let Some(got) = cache.get(run, page) {
-                        prop_assert_eq!(&got, &contents[&(run, page)], "stale bytes");
-                    }
-                }
-                _ => {
-                    cache.evict_run(run);
-                    contents.retain(|(r, _), _| *r != run);
-                }
-            }
-        }
-        prop_assert!(cache.used_bytes() <= capacity);
-        prop_assert_eq!(cache.policy(), CachePolicy::ScanResistant);
-    }
 }

@@ -57,7 +57,7 @@ proptest! {
         let start = start % n_pages;
         let len = len.min(n_pages - start);
         disk.reset_io();
-        let mut scanned = vec![disk.read_page_scan(id, start).unwrap()];
+        let mut scanned = vec![disk.read_page(id, start).unwrap()];
         for p in start + 1..start + len {
             scanned.push(disk.read_page_sequential(id, p).unwrap());
         }
