@@ -204,12 +204,12 @@ const EXPECTED_FAILURES: &[(&str, &str)] = &[
     (
         "fig11f lookup_fraction=0.100000",
         "ROADMAP item 2(a): the tuner's T16 is chosen on the model's W, which the engine's spill \
-         rule does not pay (navigable 2974.55 < fixed 3025.22)",
+         rule does not pay (navigable 3006.87 < fixed 3271.50)",
     ),
     (
         "fig11f lookup_fraction=0.900000",
         "ROADMAP item 2(c): the model's lookup gain from L6 does not appear at harness scale, \
-         its update penalty does (navigable 531.58 < fixed 620.03)",
+         its update penalty does (navigable 532.57 < fixed 620.70)",
     ),
     (
         "fig11e config=L8",
@@ -324,14 +324,17 @@ fn fig11d_monkey_below_uniform(c: &mut Criteria) {
 
 /// "The measured (lookup, update) points per (policy, T) trace the model's
 /// Pareto curve, with Monkey strictly below the baseline curve (Fig. 11E)."
-/// At each configuration: the same update cost, a lower lookup cost.
+/// At each configuration: an update cost no higher than uniform's, a lower
+/// lookup cost. (Not the same update cost: a flush merges in one pass the
+/// levels its plan proves will spill, the proof reads the filters, and
+/// Monkey's sharper filters on the small levels prove more spills.)
 fn fig11e_monkey_below_baseline(c: &mut Criteria) {
     let t = Table::committed("fig11e_pareto");
     for config in t.distinct("config") {
         let at = |a: &str, col: &str| t.get(&[("config", config), ("allocation", a)], col);
         c.check(
             format!("fig11e config={config}"),
-            at("monkey", "update_ios_per_op") == at("uniform", "update_ios_per_op")
+            at("monkey", "update_ios_per_op") <= at("uniform", "update_ios_per_op")
                 && at("monkey", "lookup_ios_per_op") < at("uniform", "lookup_ios_per_op"),
         );
     }

@@ -372,8 +372,7 @@ impl Core {
             &self.disk,
             &self.opts,
             &mut working,
-            imm.memtable.cursor(None, None).into(),
-            imm.entries,
+            &imm.memtable,
             &mut outcome,
             tel,
         )?;
@@ -1070,7 +1069,8 @@ impl Core {
             let variant_changed = current.filter_variant() != self.opts.filter_variant;
             if allocation_drifted || variant_changed {
                 let params = FilterParams::new(bits, self.opts.filter_variant);
-                let rebuilt = Arc::new(recover_run(&self.disk, current.id(), params)?);
+                let rebuilt = recover_run(&self.disk, current.id(), params)?;
+                let rebuilt = Arc::new(rebuilt.keeping_novel_count_of(&current));
                 working.levels_mut()[li].replace_run(ri, rebuilt);
             }
         }

@@ -302,12 +302,23 @@ pub struct MergingIter {
     superseded: bool,
     failed: bool,
     pending_err: Option<LsmError>,
+    /// Sources, from the first, whose yielded entries are counted.
+    young: usize,
+    /// Entries yielded from those sources.
+    young_keys: u64,
 }
 
 impl MergingIter {
     /// Creates a merge over `sources`; ties between equal versions go to
     /// the earlier source.
-    pub fn new(mut sources: Vec<Source>) -> Self {
+    pub fn new(sources: Vec<Source>) -> Self {
+        Self::counting(sources, 0)
+    }
+
+    /// A merge that also counts the entries it yields from the first
+    /// `young` of `sources` ([`young_keys`](Self::young_keys)).
+    pub(crate) fn counting(mut sources: Vec<Source>, young: usize) -> Self {
+        let young = sources[..young].iter().filter(|s| !s.exhausted()).count();
         // Exhausted sources cannot win or tie: leave them out of the tree.
         sources.retain(|source| !source.exhausted());
         Self {
@@ -316,7 +327,16 @@ impl MergingIter {
             superseded: false,
             failed: false,
             pending_err: None,
+            young,
+            young_keys: 0,
         }
+    }
+
+    /// Entries yielded so far whose newest version came from the young
+    /// sources [`counting`](Self::counting) named: with sources youngest
+    /// first, the keys those sources hold between them.
+    pub(crate) fn young_keys(&self) -> u64 {
+        self.young_keys
     }
 
     /// Steps to the next surviving entry and shows it to `visit` where it
@@ -334,6 +354,7 @@ impl MergingIter {
                 return self.pending_err.take().map(Err);
             }
             if !std::mem::replace(&mut self.superseded, self.tree.tie) {
+                self.young_keys += u64::from(winner < self.young);
                 let seen = visit(&self.sources[winner]);
                 self.step(winner);
                 return Some(Ok(seen));

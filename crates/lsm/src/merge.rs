@@ -47,7 +47,7 @@ use crate::run::{FilterParams, Run, RunBuilder};
 use monkey_storage::Disk;
 use std::collections::BTreeMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
@@ -69,6 +69,27 @@ pub struct MergeReport {
     /// Ids of the input runs consumed, in merge order — the causal lineage
     /// a cascade span records so a trace can say which runs fed a merge.
     pub input_runs: Vec<u64>,
+    /// Merged keys, tombstones included, whose newest version the head or
+    /// the [`Destination::fused`] inputs hold.
+    pub(crate) young_keys: u64,
+}
+
+/// Where a cascade step's output lands, and what the cascade knows of the
+/// levels around it.
+pub(crate) struct Destination<'a> {
+    /// The 1-based level the output lands on, for I/O attribution.
+    pub level: usize,
+    /// Leave tombstones out of the output.
+    pub drop_tombstones: bool,
+    /// How many leading inputs the stepwise cascade would have merged with
+    /// the head on the levels above and carried down here: the merge counts
+    /// the keys the head and those inputs hold
+    /// ([`MergeReport::young_keys`]), the entries of the run it would have
+    /// carried.
+    pub fused: usize,
+    /// The run directly below `level`, if the output should count its keys
+    /// that run's filter rejects ([`Run::novel_below`]).
+    pub below: Option<&'a Run>,
 }
 
 /// Pre-registers the run under construction at its destination `level` in
@@ -110,6 +131,27 @@ pub fn merge(
     filter: impl Into<FilterParams>,
     threads: usize,
 ) -> Result<(Option<Arc<Run>>, MergeReport)> {
+    let filter = filter.into();
+    let dest = Destination {
+        level,
+        drop_tombstones,
+        fused: 0,
+        below: None,
+    };
+    merge_step(disk, head, inputs, dest, threads, |_| filter)
+}
+
+/// [`merge`] as a step of a flush cascade, landing at `dest`. The output's
+/// filter is priced by `filter` from the report's `young_keys`, once the
+/// merge has counted them.
+pub(crate) fn merge_step(
+    disk: &Arc<Disk>,
+    head: Option<Source>,
+    inputs: &[Arc<Run>],
+    dest: Destination<'_>,
+    threads: usize,
+    filter: impl FnOnce(u64) -> FilterParams,
+) -> Result<(Option<Arc<Run>>, MergeReport)> {
     debug_assert!(head.is_some() || !inputs.is_empty());
     debug_assert!(threads >= 1);
     let expected = head.as_ref().map_or(0, Source::len_hint)
@@ -118,11 +160,19 @@ pub fn merge(
             .map(|run| run.entries() as usize)
             .sum::<usize>();
     let mut builder = RunBuilder::with_entries(Arc::clone(disk), expected);
-    tag_destination(disk, &builder, level);
+    tag_destination(disk, &builder, dest.level);
     let run_id = builder.run_id();
-    let mut report = feed_merge(&mut builder, head, inputs, drop_tombstones, threads)?;
+    let mut report = feed_merge(
+        &mut builder,
+        head,
+        inputs,
+        dest.drop_tombstones,
+        dest.fused,
+        threads,
+    )?;
     report.input_runs = inputs.iter().map(|r| r.id()).collect();
-    let output = builder.finish(filter)?.map(Arc::new);
+    let params = filter(report.young_keys);
+    let output = builder.finish_over(params, dest.below)?.map(Arc::new);
     if output.is_none() {
         if let Some(attr) = disk.attribution() {
             attr.untag_run(run_id);
@@ -148,12 +198,14 @@ pub fn merge_runs_with(
 
 /// Streams the merged (deduped, optionally tombstone-dropped) entry
 /// sequence of `head` and `inputs` into `builder`, sequentially or
-/// partitioned.
+/// partitioned, counting the keys `head` and the first `fused` inputs
+/// hold.
 fn feed_merge(
     builder: &mut RunBuilder,
     head: Option<Source>,
     inputs: &[Arc<Run>],
     drop_tombstones: bool,
+    fused: usize,
     threads: usize,
 ) -> Result<MergeReport> {
     let partitions = if threads > 1 {
@@ -164,10 +216,11 @@ fn feed_merge(
     if partitions.len() <= 1 {
         let mut sources = Vec::with_capacity(1 + inputs.len());
         sources.extend(head);
+        let young = sources.len() + fused;
         for run in inputs {
             sources.push(run.merge_pages(0..run.pages())?.into());
         }
-        let mut merged = MergingIter::new(sources);
+        let mut merged = MergingIter::counting(sources, young);
         // Each surviving entry goes from where it lies — its input page,
         // its memtable node — straight into the output page; nothing owned
         // is built in between.
@@ -183,21 +236,31 @@ fn feed_merge(
             partitions: 1,
             threads: 1,
             input_runs: Vec::new(),
+            young_keys: merged.young_keys(),
         });
     }
     let nparts = partitions.len() as u32;
     let workers = threads.min(partitions.len()) as u32;
-    feed_parallel(builder, partitions, drop_tombstones, workers as usize)?;
+    let young_keys = feed_parallel(
+        builder,
+        partitions,
+        drop_tombstones,
+        fused,
+        workers as usize,
+    )?;
     Ok(MergeReport {
         partitions: nparts,
         threads: workers,
         input_runs: Vec::new(),
+        young_keys,
     })
 }
 
 /// One partition's slice of one input run: optional decoded entries from a
 /// straddled page on either side of a range of whole pages.
 struct RunSlice {
+    /// The run's position among the merge's inputs.
+    input: usize,
     run: Arc<Run>,
     /// Entries (already in key order) preceding `pages`, cut from a
     /// straddle page the coordinator pre-read.
@@ -293,7 +356,7 @@ fn plan_partitions(
             slices: Vec::new(),
         });
     }
-    for run in inputs {
+    for (input, run) in inputs.iter().enumerate() {
         let m = run.pages();
         let fences = run.fences();
         let cuts: Vec<Cut> = boundaries
@@ -365,6 +428,7 @@ fn plan_partitions(
                 }
             }
             let slice = RunSlice {
+                input,
                 run: Arc::clone(run),
                 head,
                 pages: start..end.max(start),
@@ -385,16 +449,25 @@ type EntryBatch = std::result::Result<Vec<Entry>, LsmError>;
 type PartitionSlot = Mutex<Option<(Partition, SyncSender<EntryBatch>)>>;
 
 /// Merges `partitions` on `workers` scoped threads, pushing the entries —
-/// in partition order — into `builder` on the calling thread.
+/// in partition order — into `builder` on the calling thread. Returns the
+/// keys the head and the first `fused` inputs hold.
 fn feed_parallel(
     builder: &mut RunBuilder,
     partitions: Vec<Partition>,
     drop_tombstones: bool,
+    fused: usize,
     workers: usize,
-) -> Result<()> {
+) -> Result<u64> {
     let nparts = partitions.len();
     let abort = AtomicBool::new(false);
     let next = AtomicUsize::new(0);
+    let young_keys = AtomicU64::new(0);
+    let merging = PartitionMerge {
+        abort: &abort,
+        drop_tombstones,
+        fused,
+        young_keys: &young_keys,
+    };
     let mut slots: Vec<PartitionSlot> = Vec::with_capacity(nparts);
     let mut receivers: Vec<Receiver<EntryBatch>> = Vec::with_capacity(nparts);
     for partition in partitions {
@@ -405,7 +478,7 @@ fn feed_parallel(
     let mut first_err: Option<LsmError> = None;
     std::thread::scope(|s| {
         for _ in 0..workers {
-            s.spawn(|| worker_loop(&slots, &next, &abort, drop_tombstones));
+            s.spawn(|| worker_loop(&slots, &next, &merging));
         }
         // Consume partitions strictly in order; workers run ahead into
         // their bounded channels. Claims are handed out in the same order,
@@ -437,16 +510,21 @@ fn feed_parallel(
     });
     match first_err {
         Some(e) => Err(e),
-        None => Ok(()),
+        None => Ok(young_keys.into_inner()),
     }
 }
 
-fn worker_loop(
-    slots: &[PartitionSlot],
-    next: &AtomicUsize,
-    abort: &AtomicBool,
+/// What every partition's merge shares.
+struct PartitionMerge<'a> {
+    abort: &'a AtomicBool,
     drop_tombstones: bool,
-) {
+    /// Inputs, after the head, whose keys are counted.
+    fused: usize,
+    /// The counted keys, summed over the partitions.
+    young_keys: &'a AtomicU64,
+}
+
+fn worker_loop(slots: &[PartitionSlot], next: &AtomicUsize, merging: &PartitionMerge<'_>) {
     loop {
         let p = next.fetch_add(1, Ordering::Relaxed);
         if p >= slots.len() {
@@ -457,41 +535,42 @@ fn worker_loop(
             .expect("slot mutex poisoned")
             .take()
             .expect("each partition is claimed exactly once");
-        if abort.load(Ordering::Relaxed) {
+        if merging.abort.load(Ordering::Relaxed) {
             continue; // dropping tx ends the coordinator's drain of p
         }
-        merge_partition(partition, tx, abort, drop_tombstones);
+        merge_partition(partition, tx, merging);
     }
 }
 
 /// Runs one partition's k-way merge, streaming batches to the coordinator.
 /// A send error means the coordinator aborted and dropped the receiver.
-fn merge_partition(
-    partition: Partition,
-    tx: SyncSender<EntryBatch>,
-    abort: &AtomicBool,
-    drop_tombstones: bool,
-) {
+fn merge_partition(partition: Partition, tx: SyncSender<EntryBatch>, merging: &PartitionMerge<'_>) {
     let mut sources = Vec::with_capacity(1 + 3 * partition.slices.len());
     sources.extend(partition.head);
+    // Slices come in input order, so the counted ones lead.
+    let mut young = sources.len();
     for slice in partition.slices {
+        let counted = slice.input < merging.fused;
         if let Err(e) = slice.open_into(&mut sources) {
             let _ = tx.send(Err(e));
             return;
         }
+        if counted {
+            young = sources.len();
+        }
     }
-    let merged = MergingIter::new(sources);
+    let mut merged = MergingIter::counting(sources, young);
     let mut batch = Vec::with_capacity(BATCH_ENTRIES);
-    for item in merged {
+    for item in merged.by_ref() {
         match item {
             Ok(entry) => {
-                if drop_tombstones && entry.is_tombstone() {
+                if merging.drop_tombstones && entry.is_tombstone() {
                     continue;
                 }
                 batch.push(entry);
                 if batch.len() >= BATCH_ENTRIES {
                     if tx.send(Ok(std::mem::take(&mut batch))).is_err()
-                        || abort.load(Ordering::Relaxed)
+                        || merging.abort.load(Ordering::Relaxed)
                     {
                         return;
                     }
@@ -504,6 +583,9 @@ fn merge_partition(
             }
         }
     }
+    merging
+        .young_keys
+        .fetch_add(merged.young_keys(), Ordering::Relaxed);
     if !batch.is_empty() {
         let _ = tx.send(Ok(batch));
     }

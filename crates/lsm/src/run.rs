@@ -204,6 +204,12 @@ pub struct Run {
     /// Bits-per-entry the filter was built with (recorded in the manifest
     /// so recovery reproduces the allocation exactly).
     filter_bpe: f64,
+    /// Encoded size of the run's smallest entry.
+    min_entry_bytes: u64,
+    /// The run that sat below this one when it was built, and how many of
+    /// this run's keys its filter rejected (see
+    /// [`novel_below`](Self::novel_below)).
+    novel_below: Option<(RunId, u64)>,
     /// Set when a merge supersedes this run; storage is reclaimed on drop.
     obsolete: AtomicBool,
 }
@@ -257,6 +263,34 @@ impl Run {
     /// The layout variant of the run's filter.
     pub fn filter_variant(&self) -> FilterVariant {
         self.filter.variant()
+    }
+
+    /// Encoded size of the run's smallest entry: any run its entries are
+    /// merged into holds at least this many bytes per entry it keeps of
+    /// it.
+    pub fn min_entry_bytes(&self) -> u64 {
+        self.min_entry_bytes
+    }
+
+    /// How many of this run's keys `below`'s filter rejected, counted when
+    /// this run was built with `below` directly under it — keys `below`
+    /// certainly does not hold, since a filter has no false negatives. Zero
+    /// when the run was not counted against `below`: another run sat there,
+    /// none did, or the run was recovered.
+    pub fn novel_below(&self, below: &Run) -> u64 {
+        match self.novel_below {
+            Some((id, novel)) if id == below.id => novel,
+            _ => 0,
+        }
+    }
+
+    /// Carries `built`'s count of novel keys over to this run, a rebuild of
+    /// the same pages: the count describes the key set, which a filter
+    /// rebuild does not change.
+    pub(crate) fn keeping_novel_count_of(mut self, built: &Run) -> Self {
+        debug_assert_eq!(self.id, built.id);
+        self.novel_below = built.novel_below;
+        self
     }
 
     /// Main-memory footprint of the fence pointers in bits (key bytes plus
@@ -436,6 +470,7 @@ pub struct RunBuilder {
     entries: u64,
     tombstones: u64,
     bytes: u64,
+    min_entry_bytes: u64,
     /// Last key of the most recently flushed page (for fence separators).
     prev_page_last: Vec<u8>,
 }
@@ -464,6 +499,7 @@ impl RunBuilder {
             entries: 0,
             tombstones: 0,
             bytes: 0,
+            min_entry_bytes: u64::MAX,
             prev_page_last: Vec::new(),
         }
     }
@@ -484,7 +520,9 @@ impl RunBuilder {
         if first_in_page {
             self.fences.push(&self.prev_page_last, entry.key)?;
         }
-        self.bytes += entry.encoded_len() as u64;
+        let bytes = entry.encoded_len() as u64;
+        self.bytes += bytes;
+        self.min_entry_bytes = self.min_entry_bytes.min(bytes);
         self.entries += 1;
         if entry.is_tombstone() {
             self.tombstones += 1;
@@ -529,7 +567,19 @@ impl RunBuilder {
     /// Seals the run, building its filter per `params` — a bare `f64` means
     /// that many bits per entry in the standard layout. Returns `None` for
     /// an empty builder: empty runs do not exist in the tree.
-    pub fn finish(mut self, params: impl Into<FilterParams>) -> Result<Option<Run>> {
+    pub fn finish(self, params: impl Into<FilterParams>) -> Result<Option<Run>> {
+        self.finish_over(params, None)
+    }
+
+    /// [`finish`](Self::finish) for a run that lands directly above
+    /// `below`: the run also counts its keys `below`'s filter rejects, from
+    /// the key hashes it holds for its own filter (see
+    /// [`Run::novel_below`]).
+    pub(crate) fn finish_over(
+        mut self,
+        params: impl Into<FilterParams>,
+        below: Option<&Run>,
+    ) -> Result<Option<Run>> {
         let params = params.into();
         if self.entries == 0 {
             return Ok(None); // RunWriter drop cleans up storage
@@ -544,9 +594,14 @@ impl RunBuilder {
         let id = writer.seal()?;
         let mut filter =
             Filter::with_bits_per_entry(params.variant, self.entries, params.bits_per_entry);
-        for pair in self.key_hashes.0.iter().flatten() {
+        let hashes = self.key_hashes.0.iter().flatten();
+        for pair in hashes.clone() {
             filter.insert_hashed(*pair);
         }
+        let novel_below = below.map(|below| {
+            let rejected = hashes.filter(|&&pair| !below.filter.contains_hashed(pair));
+            (below.id, rejected.count() as u64)
+        });
         self.fences.seal();
         Ok(Some(Run {
             disk: self.disk.clone(),
@@ -559,6 +614,8 @@ impl RunBuilder {
             filter,
             bytes: self.bytes,
             filter_bpe: params.bits_per_entry,
+            min_entry_bytes: self.min_entry_bytes,
+            novel_below,
             obsolete: AtomicBool::new(false),
         }))
     }
@@ -719,8 +776,10 @@ impl RunCursor {
 
 /// Rebuilds a [`Run`]'s in-memory metadata (fences, filter, counts) by
 /// scanning its pages — used by recovery, where only the id and level of
-/// each run survive in the manifest. Attaches [`page::check`] to `disk`
-/// before the first read, so a page corrupted at rest fails the recovery.
+/// each run survive in the manifest. Recovery does not know what sat below
+/// the run when it was built, so the run counts no novel keys
+/// ([`Run::novel_below`]). Attaches [`page::check`] to `disk` before the
+/// first read, so a page corrupted at rest fails the recovery.
 pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>) -> Result<Run> {
     disk.attach_page_check(page::check);
     let params = params.into();
@@ -733,6 +792,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     let mut entries = 0u64;
     let mut tombstones = 0u64;
     let mut bytes = 0u64;
+    let mut min_entry_bytes = u64::MAX;
     // Last key of the most recently finished page: the next fence's
     // separator is cut against it, and at the end it is the run's max key.
     let mut page_last = Vec::new();
@@ -754,6 +814,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
             tombstones += 1;
         }
         bytes += e.encoded_len() as u64;
+        min_entry_bytes = min_entry_bytes.min(e.encoded_len() as u64);
         key_hashes.push(hash_pair(e.key));
         if cursor.page.remaining() == 1 {
             page_last.clear();
@@ -780,6 +841,8 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
         filter,
         bytes,
         filter_bpe: params.bits_per_entry,
+        min_entry_bytes,
+        novel_below: None,
         obsolete: AtomicBool::new(false),
     })
 }
@@ -1075,6 +1138,65 @@ mod tests {
         let rec = Arc::new(recovered);
         let e = rec.get(b"k015").unwrap().unwrap();
         assert_eq!(e.value.as_ref(), b"v15");
+    }
+
+    /// A run built over `below` counts exactly its keys `below`'s filter
+    /// rejects, none of them a key `below` holds. The count is `below`'s
+    /// alone, a filter rebuild of the same pages keeps it, and a recovery —
+    /// which cannot know what sat below — starts without one.
+    #[test]
+    fn novel_count_is_the_keys_the_filter_below_rejects() {
+        let disk = Disk::mem(64);
+        let keys = |range: std::ops::Range<usize>, step: usize| -> Vec<String> {
+            range.step_by(step).map(|i| format!("key{i:04}")).collect()
+        };
+        // Below: the even keys under 200, behind a filter loose enough to
+        // pass some absent keys. Above: every key in 100..300.
+        let below_keys = keys(0..200, 2);
+        let below = build(
+            &disk,
+            &below_keys.iter().map(String::as_str).collect::<Vec<_>>(),
+            3.0,
+        );
+        let above_keys = keys(100..300, 1);
+        let mut builder = RunBuilder::new(Arc::clone(&disk));
+        for (i, k) in above_keys.iter().enumerate() {
+            builder
+                .push(&Entry::put(k.as_bytes().to_vec(), b"v".to_vec(), i as u64))
+                .unwrap();
+        }
+        let above = builder.finish_over(8.0, Some(&below)).unwrap().unwrap();
+
+        let rejected: Vec<&String> = (above_keys.iter())
+            .filter(|k| !below.filter().contains(k.as_bytes()))
+            .collect();
+        assert!(
+            rejected.iter().all(|k| !below_keys.contains(k)),
+            "no false negatives"
+        );
+        let absent = above_keys
+            .iter()
+            .filter(|k| !below_keys.contains(k))
+            .count();
+        assert!(
+            !rejected.is_empty() && rejected.len() < absent,
+            "{} of {absent}",
+            rejected.len()
+        );
+        assert_eq!(above.novel_below(&below), rejected.len() as u64);
+
+        let elsewhere = build(&disk, &["key0101"], 8.0);
+        assert_eq!(
+            above.novel_below(&elsewhere),
+            0,
+            "counted against another run"
+        );
+        assert_eq!(below.novel_below(&above), 0, "built over nothing");
+        let recovered = recover_run(&disk, above.id(), 8.0).unwrap();
+        assert_eq!(recovered.novel_below(&below), 0, "recovered");
+        assert_eq!(recovered.min_entry_bytes(), above.min_entry_bytes());
+        let rebuilt = recovered.keeping_novel_count_of(&above);
+        assert_eq!(rebuilt.novel_below(&below), rejected.len() as u64);
     }
 
     #[test]

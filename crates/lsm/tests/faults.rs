@@ -2,7 +2,8 @@
 //! corrupting its in-memory state, losing committed data, or leaking
 //! half-built runs — and must recover once the fault clears.
 
-use monkey_lsm::{Db, DbOptions, LsmError, MergePolicy};
+use bytes::Bytes;
+use monkey_lsm::{Db, DbOptions, DbStats, LsmError, MergePolicy};
 use monkey_storage::{Backend, BlockCache, Disk, FaultKind, FlakyBackend, MemBackend};
 use std::sync::Arc;
 
@@ -135,70 +136,129 @@ fn failed_merge_does_not_leak_runs() {
     );
 }
 
-/// A cascade that fails after an earlier step of the same flush sealed a
-/// run must not leave that run behind: no version names it, so nothing
-/// would ever delete it. Walks a fault through **every** page write of a
-/// flush whose cascade merges on more than one level.
-#[test]
-fn failed_cascade_leaks_no_run_at_any_write_index() {
-    const BATCH: usize = 8; // under one buffer: only `flush` rotates
-    let key = |i: usize| format!("k{:04}", (i * 37) % 1000).into_bytes();
-    let put_batch = |db: &Db, batch: usize| {
-        for i in batch * BATCH..(batch + 1) * BATCH {
-            db.put(key(i), vec![b'v'; 32]).unwrap();
-        }
-    };
+/// Puts per batch in the write-fault sweeps: under one buffer, so only
+/// `flush` rotates.
+const BATCH: usize = 8;
+
+fn sweep_key(i: usize) -> Vec<u8> {
+    format!("k{:04}", (i * 37) % 1000).into_bytes()
+}
+
+fn put_batch(db: &Db, batch: usize) {
+    for i in batch * BATCH..(batch + 1) * BATCH {
+        db.put(sweep_key(i), vec![b'v'; 32]).unwrap();
+    }
+}
+
+/// The tree by content: per level its runs, entries, bytes and filter
+/// bits, and the pages of every run as a multiset — a failed flush spends
+/// run ids, so two stores holding the same tree name its runs differently.
+type Tree = (Vec<(usize, u64, u64, u64)>, Vec<Vec<Bytes>>);
+
+fn tree(db: &Db) -> Tree {
+    let shape = (db.stats().levels.iter())
+        .map(|l| (l.runs, l.entries, l.bytes, l.filter_bits))
+        .collect();
+    let disk = db.disk();
+    let mut runs: Vec<Vec<Bytes>> = (disk.list_runs().into_iter())
+        .map(|run| {
+            let pages = disk.run_pages(run).unwrap();
+            (0..pages)
+                .map(|p| disk.read_page(run, p).unwrap())
+                .collect()
+        })
+        .collect();
+    runs.sort();
+    (shape, runs)
+}
+
+/// Walks a write fault through **every** page write of one flush: the
+/// first flush of a batch trace for which `pick(before, after, merges)`
+/// holds on a fault-free store. At each write index a fresh store replays
+/// the batches before it and flushes with the fault armed. The failed
+/// flush leaves no run file that no version names, the frozen memtable
+/// still answers for every acknowledged key, and the retry installs the
+/// tree the fault-free store laid down. Returns how many indices failed.
+fn sweep_write_faults(
+    policy: MergePolicy,
+    size_ratio: usize,
+    pick: impl Fn(&DbStats, &DbStats, u64) -> bool,
+) -> usize {
     let check = |db: &Db, puts: usize, when: &str| {
         let (live, tracked) = (db.disk().list_runs().len(), db.stats().runs);
         assert_eq!(live, tracked, "{when}: {live} run files for {tracked} runs");
         for i in 0..puts {
-            assert!(db.get(&key(i)).unwrap().is_some(), "{when}: key {i} lost");
+            assert!(
+                db.get(&sweep_key(i)).unwrap().is_some(),
+                "{when}: key {i} lost"
+            );
         }
     };
+    let (db, _) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
+    let mut batches = 0;
+    let want = loop {
+        assert!(batches < 1000, "{policy:?}: no flush to sweep");
+        put_batch(&db, batches);
+        batches += 1;
+        let (before, merges) = (db.stats(), db.compaction_stats().merges);
+        db.flush().unwrap();
+        if pick(&before, &db.stats(), db.compaction_stats().merges - merges) {
+            break tree(&db);
+        }
+    };
+    let mut failures = 0;
+    for allowed in 0.. {
+        let (db, backend) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
+        for batch in 0..batches {
+            if batch > 0 {
+                db.flush().unwrap();
+            }
+            put_batch(&db, batch);
+        }
+        backend.arm(allowed);
+        if db.flush().is_ok() {
+            // The fault has walked off the end of the flush.
+            assert_eq!(tree(&db), want, "{policy:?}: the fault-free flush");
+            break;
+        }
+        failures += 1;
+        backend.disarm();
+        let when = format!("{policy:?}, fault at write {allowed}");
+        check(&db, batches * BATCH, &when);
+        db.flush().unwrap();
+        check(&db, batches * BATCH, &format!("{when}, retried"));
+        assert_eq!(tree(&db), want, "{when}: the retry lays down another tree");
+    }
+    failures
+}
+
+/// A cascade that fails after an earlier step of the same flush sealed a
+/// run must not leave that run behind: no version names it, so nothing
+/// would ever delete it. The swept flush is one whose leveling cascade
+/// merges on more than one level, one step after another — a spill the
+/// flush's plan could not prove beforehand. (A tiering flush now makes
+/// one merge at most: the plan merges the buffer with every level it
+/// fills in one go, and what that merge lands on is not full.)
+#[test]
+fn failed_cascade_leaks_no_run_at_any_write_index() {
+    let stepwise = |_: &DbStats, _: &DbStats, merges: u64| merges >= 2;
+    let failures = sweep_write_faults(MergePolicy::Leveling, 2, stepwise);
+    assert!(failures >= 6, "only {failures} write indices");
+}
+
+/// The same sweep through a flush its plan fuses through two levels: one
+/// merge takes the buffer and the runs of levels 1 and 2 at once, so the
+/// failure lands in a merge with more inputs than any stepwise one. Nothing
+/// it read may be lost and nothing it wrote may stay.
+#[test]
+fn failed_fused_merge_leaks_no_run_at_any_write_index() {
+    // Levels 1 and 2 held runs, both are empty now, and one merge did it.
+    let fused_two = |before: &DbStats, after: &DbStats, merges: u64| {
+        let runs = |stats: &DbStats, level: usize| stats.levels.get(level).map_or(0, |l| l.runs);
+        merges == 1 && (0..2).all(|level| runs(before, level) > 0 && runs(after, level) == 0)
+    };
     for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
-        // Dry run: the first flush that merges on two levels or more.
-        let (db, _) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
-        let mut batches = 0;
-        loop {
-            put_batch(&db, batches);
-            batches += 1;
-            let merges = db.compaction_stats().merges;
-            db.flush().unwrap();
-            if db.compaction_stats().merges >= merges + 2 {
-                break;
-            }
-        }
-        let mut failures = 0;
-        for allowed in 0.. {
-            let (db, backend) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
-            for batch in 0..batches {
-                if batch > 0 {
-                    db.flush().unwrap();
-                }
-                put_batch(&db, batch);
-            }
-            let merges = db.compaction_stats().merges;
-            backend.arm(allowed);
-            if db.flush().is_ok() {
-                assert!(db.compaction_stats().merges >= merges + 2, "a cascade");
-                break; // the fault has walked off the end of the cascade
-            }
-            failures += 1;
-            backend.disarm();
-            // The published tree is untouched, the frozen memtable still
-            // answers for what it holds, and every file is a tracked run's.
-            check(
-                &db,
-                batches * BATCH,
-                &format!("{policy:?}, fault at write {allowed}"),
-            );
-            db.flush().unwrap();
-            check(
-                &db,
-                batches * BATCH,
-                &format!("{policy:?}, retry after {allowed}"),
-            );
-        }
+        let failures = sweep_write_faults(policy, size_ratio, fused_two);
         assert!(failures >= 6, "{policy:?}: only {failures} write indices");
     }
 }

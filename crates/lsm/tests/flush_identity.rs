@@ -18,17 +18,25 @@
 //!   as the reference's runs do — which a filter differing in one probed
 //!   bit, or a fence off by one page, would not.
 //!
-//! The second test is the reason for the change, as an identity: under
-//! leveling a flush writes the runs it builds and reads the runs it merges
-//! away, and nothing else — the buffer is never written and read back.
+//! The last test is the reason for the change. The engine plans a flush
+//! before it merges: the levels its cascade is certain to spill through
+//! merge with the buffer in one pass, so no run is written only to be read
+//! back. Per flush, over an insert-heavy trace under uniform and Monkey
+//! filters and both policies, it costs no page more than the two-step
+//! flush, exactly as much when that flush spills nothing, and — on the
+//! flushes whose spills the plan proves — less.
 
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
+use monkey_bloom::math::LN2_SQUARED;
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::level::level_capacity_bytes;
 use monkey_lsm::manifest::Manifest;
 use monkey_lsm::run::Run;
-use monkey_lsm::{Db, DbOptions, Entry, LookupStats, MergePolicy};
+use monkey_lsm::{
+    Db, DbOptions, Entry, FilterContext, FilterPolicy, LookupStats, MergePolicy,
+    UniformFilterPolicy,
+};
 use monkey_storage::{Disk, IoSnapshot, RunId};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -43,6 +51,8 @@ const BITS_PER_ENTRY: f64 = 8.0;
 enum Op {
     Put(u16, u8),
     Delete(u16),
+    /// A put of a fixed-size value.
+    Insert(u16),
     Flush,
 }
 
@@ -64,6 +74,59 @@ fn value(k: u16, v: u8) -> Vec<u8> {
     val
 }
 
+fn fixed_value(k: u16) -> Vec<u8> {
+    format!("v{k:05}-fixed-size").into_bytes()
+}
+
+/// Monkey's allocation (§4.1) over the runs that will coexist with the new
+/// one: each run's false positive rate proportional to its entries,
+/// `p_j = min(1, c·n_j)`, at the memory uniform filters would spend. The
+/// closed form for `c` over the runs that keep a filter, re-solved without
+/// the runs it leaves none.
+struct MonkeyFilters(f64);
+
+impl FilterPolicy for MonkeyFilters {
+    fn bits_per_entry(&self, ctx: &FilterContext) -> f64 {
+        if ctx.run_entries == 0 {
+            return 0.0;
+        }
+        let budget = self.0 * ctx.total_entries as f64 * LN2_SQUARED;
+        let runs = std::iter::once(&ctx.run_entries).chain(&ctx.other_run_entries);
+        let mut filtered: Vec<f64> = runs.map(|&n| n as f64).filter(|&n| n > 0.0).collect();
+        loop {
+            let entries: f64 = filtered.iter().sum();
+            let spread: f64 = filtered.iter().map(|&n| n * n.ln()).sum();
+            let ln_c = -(budget + spread) / entries;
+            let kept = filtered.len();
+            filtered.retain(|&n| ln_c + n.ln() < 0.0);
+            if filtered.len() == kept {
+                let ln_p = ln_c + (ctx.run_entries as f64).ln();
+                return (-ln_p / LN2_SQUARED).max(0.0);
+            }
+        }
+    }
+
+    fn name(&self) -> &str {
+        "monkey"
+    }
+}
+
+/// The filter allocations the I/O test runs under.
+#[derive(Debug, Clone, Copy)]
+enum Filters {
+    Uniform,
+    Monkey,
+}
+
+impl Filters {
+    fn policy(self) -> Arc<dyn FilterPolicy> {
+        match self {
+            Filters::Uniform => Arc::new(UniformFilterPolicy::new(BITS_PER_ENTRY)),
+            Filters::Monkey => Arc::new(MonkeyFilters(BITS_PER_ENTRY)),
+        }
+    }
+}
+
 /// What one flush may cost the disk.
 #[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct FlushIo {
@@ -77,6 +140,7 @@ struct Reference {
     disk: Arc<Disk>,
     policy: MergePolicy,
     size_ratio: usize,
+    filters: Arc<dyn FilterPolicy>,
     /// Level `i + 1`'s runs, youngest first.
     levels: Vec<Vec<Arc<Run>>>,
     buffer: BTreeMap<Vec<u8>, Entry>,
@@ -85,19 +149,39 @@ struct Reference {
     /// lies: every run built is written once — except the buffer's own,
     /// where it is merged on — and every run merged away is read once.
     last_flush: FlushIo,
+    /// The last flush moved a run down a level.
+    spilled: bool,
 }
 
 impl Reference {
-    fn new(policy: MergePolicy, size_ratio: usize) -> Self {
+    fn new(policy: MergePolicy, size_ratio: usize, filters: Filters) -> Self {
         Self {
             disk: Disk::mem(PAGE),
             policy,
             size_ratio,
+            filters: filters.policy(),
             levels: Vec::new(),
             buffer: BTreeMap::new(),
             next_seq: 0,
             last_flush: FlushIo::default(),
+            spilled: false,
         }
+    }
+
+    /// Bits per entry for a run of `run_entries` built for `level`, beside
+    /// the runs the tree holds now — the engine's question to its policy.
+    fn bits(&self, level: usize, run_entries: u64) -> f64 {
+        let other_run_entries: Vec<u64> =
+            self.levels.iter().flatten().map(|r| r.entries()).collect();
+        self.filters.bits_per_entry(&FilterContext {
+            level,
+            num_levels: self.deepest().max(level),
+            run_entries,
+            total_entries: run_entries + other_run_entries.iter().sum::<u64>(),
+            other_run_entries,
+            size_ratio: self.size_ratio,
+            merge_policy: self.policy,
+        })
     }
 
     /// Buffers `entry`; true when the buffer is full and must be flushed.
@@ -140,7 +224,8 @@ impl Reference {
         let read = &inputs[usize::from(unwritten)..];
         self.last_flush.page_reads += read.iter().map(|r| r.pages() as u64).sum::<u64>();
         self.last_flush.seeks += read.len() as u64;
-        let out = merge_runs(&self.disk, inputs, drop_tombstones, level, BITS_PER_ENTRY).unwrap();
+        let bits = self.bits(level, inputs.iter().map(|r| r.entries()).sum());
+        let out = merge_runs(&self.disk, inputs, drop_tombstones, level, bits).unwrap();
         self.last_flush.page_writes += out.as_ref().map_or(0, |r| r.pages() as u64);
         out
     }
@@ -149,13 +234,15 @@ impl Reference {
     /// the run goes through the merge policy.
     fn flush(&mut self) {
         self.last_flush = FlushIo::default();
+        self.spilled = false;
         if self.buffer.is_empty() {
             return;
         }
         let entries: Vec<Entry> = std::mem::take(&mut self.buffer).into_values().collect();
         let drop_tombstones = self.deepest() == 0;
+        let bits = self.bits(1, entries.len() as u64);
         let Some(run) =
-            build_run_from_sorted(&self.disk, entries, drop_tombstones, 1, BITS_PER_ENTRY).unwrap()
+            build_run_from_sorted(&self.disk, entries, drop_tombstones, 1, bits).unwrap()
         else {
             return;
         };
@@ -186,6 +273,7 @@ impl Reference {
                 return;
             }
             carry = self.level(lvl).pop().expect("level had a run");
+            self.spilled = true;
             lvl += 1;
         }
     }
@@ -196,6 +284,7 @@ impl Reference {
         let mut lvl = 1;
         while self.level(lvl).len() >= self.size_ratio {
             let inputs = std::mem::take(self.level(lvl));
+            self.spilled = true;
             let drop_tombstones = self.deepest() <= lvl;
             if let Some(merged) = self.merge(&inputs, drop_tombstones, lvl + 1, false) {
                 self.level(lvl + 1).insert(0, merged);
@@ -263,8 +352,8 @@ fn check_tree(db: &Db, dir: Option<&Path>, reference: &Reference) -> Result<(), 
                 .collect();
             let places: Vec<(usize, usize)> = records.iter().map(|r| (r.level, r.age)).collect();
             prop_assert_eq!(places, want_places, "levels and ages in the manifest");
-            for (record, want) in records.iter().zip(&want_pages) {
-                prop_assert_eq!(record.bits_per_entry, BITS_PER_ENTRY);
+            for ((record, want), run) in records.iter().zip(&want_pages).zip(&want_runs) {
+                prop_assert_eq!(record.bits_per_entry, run.filter_bits_per_entry());
                 prop_assert_eq!(&pages_of(disk, record.id), want, "run {:?}", record);
             }
             let mut on_disk = disk.list_runs();
@@ -349,12 +438,18 @@ fn temp_dir(tag: &str, case: u64) -> PathBuf {
     dir
 }
 
-fn options(base: DbOptions, policy: MergePolicy, size_ratio: usize, threads: usize) -> DbOptions {
+fn options(
+    base: DbOptions,
+    policy: MergePolicy,
+    size_ratio: usize,
+    threads: usize,
+    filters: Filters,
+) -> DbOptions {
     base.page_size(PAGE)
         .buffer_capacity(BUFFER)
         .size_ratio(size_ratio)
         .merge_policy(policy)
-        .uniform_filters(BITS_PER_ENTRY)
+        .filter_policy(filters.policy())
         .shards(1)
         .compaction_threads(threads)
 }
@@ -377,6 +472,10 @@ fn replay(
             Op::Delete(k) => {
                 db.delete(key(*k)).unwrap();
                 reference.insert(key(*k), None)
+            }
+            Op::Insert(k) => {
+                db.put(key(*k), fixed_value(*k)).unwrap();
+                reference.insert(key(*k), Some(fixed_value(*k)))
             }
             Op::Flush => {
                 db.flush().unwrap();
@@ -404,8 +503,8 @@ fn check_trace(
         Some(dir) => DbOptions::at_path(dir),
         None => DbOptions::in_memory(),
     };
-    let db = Db::open(options(base, policy, size_ratio, threads)).unwrap();
-    let mut reference = Reference::new(policy, size_ratio);
+    let db = Db::open(options(base, policy, size_ratio, threads, Filters::Uniform)).unwrap();
+    let mut reference = Reference::new(policy, size_ratio, Filters::Uniform);
     let checked = replay(&db, &mut reference, ops, |db, reference, _| {
         check_tree(db, dir.as_deref(), reference)
     });
@@ -451,39 +550,84 @@ proptest! {
     }
 }
 
-/// Per flush, under either policy: pages written are the pages of the runs
-/// the flush built, pages read the pages of the runs it merged away, seeks
-/// their number. Under leveling the buffer is one of the merge's inputs
-/// and not a run — so none of its pages is written only to be read back,
-/// and a flush that stops at level 1 reads exactly the resident run.
+/// Per flush, under either policy and either filter allocation: the
+/// engine reads and writes no more pages, and seeks no more often, than
+/// the two-step flush, where the buffer is merged where it lies; exactly as
+/// much when that flush spills nothing; and, on the flushes whose spills
+/// its plan proves, less — none of the runs it would write only to read
+/// back at once is built. The tree is the two-step tree after every flush.
+///
+/// The insert trace is what proves spills: keys mostly new, values of one
+/// size, so a level's bytes follow its key count. The mixed trace of the
+/// proptests (deletes, overwrites on 256 keys) rarely does, and is held to
+/// the first two checks. Monkey runs at four merge threads too: its filter
+/// for a fused merge depends on the keys that merge counts, and a
+/// partitioned merge counts them partition by partition.
 #[test]
 fn a_flush_writes_what_it_builds_and_reads_what_it_merges_away() {
-    for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
-        let ops: Vec<Op> = (0..3000u32)
-            .map(|i| match i % 11 {
-                7 => Op::Delete((i * 31 % 256) as u16),
-                _ if i % 97 == 96 => Op::Flush,
-                _ => Op::Put((i * 131 % 256) as u16, i as u8),
-            })
-            .collect();
-        let db = Db::open(options(DbOptions::in_memory(), policy, size_ratio, 1)).unwrap();
-        let mut reference = Reference::new(policy, size_ratio);
-        let (mut flushes, mut cascades) = (0, 0);
-        replay(&db, &mut reference, &ops, |_, reference, io| {
-            let cost = FlushIo {
-                page_reads: io.page_reads,
-                page_writes: io.page_writes,
-                seeks: io.seeks,
-            };
-            assert_eq!(cost, reference.last_flush, "{policy:?}, flush {flushes}");
-            flushes += 1;
-            cascades += u32::from(reference.last_flush.seeks >= 2);
-            Ok(())
+    let inserts: Vec<Op> = (0..1500u32)
+        .map(|i| match i % 8 {
+            7 => Op::Insert((i * 131 % 1500) as u16), // an overwrite
+            _ => Op::Insert((i * 7919 % 1500) as u16),
         })
-        .unwrap();
-        assert!(
-            flushes > 50 && cascades > 5,
-            "{flushes} flushes, {cascades} cascades"
-        );
+        .collect();
+    let mixed: Vec<Op> = (0..3000u32)
+        .map(|i| match i % 11 {
+            7 => Op::Delete((i * 31 % 256) as u16),
+            _ if i % 97 == 96 => Op::Flush,
+            _ => Op::Put((i * 131 % 256) as u16, i as u8),
+        })
+        .collect();
+    for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
+        for (filters, threads) in [
+            (Filters::Uniform, 1),
+            (Filters::Monkey, 1),
+            (Filters::Monkey, 4),
+        ] {
+            for (trace, ops) in [("inserts", &inserts), ("mixed", &mixed)] {
+                let opts = options(DbOptions::in_memory(), policy, size_ratio, threads, filters);
+                let db = Db::open(opts).unwrap();
+                let mut reference = Reference::new(policy, size_ratio, filters);
+                let (mut flushes, mut spills, mut cheaper) = (0, 0, 0);
+                let at = format!("{policy:?}, {filters:?}, {threads} threads, {trace}");
+                replay(&db, &mut reference, ops, |db, reference, io| {
+                    let at = format!("{at}, flush {flushes}");
+                    check_tree(db, None, reference)?;
+                    let (cost, want) = (
+                        [io.page_reads, io.page_writes, io.seeks],
+                        reference.last_flush,
+                    );
+                    let want = [want.page_reads, want.page_writes, want.seeks];
+                    prop_assert!(
+                        cost.iter().zip(&want).all(|(c, w)| c <= w),
+                        "{at}: {cost:?} vs {want:?}"
+                    );
+                    if !reference.spilled {
+                        prop_assert_eq!(cost, want, "{}: nothing spilled", at);
+                    }
+                    flushes += 1;
+                    spills += u32::from(reference.spilled);
+                    cheaper += u32::from(cost != want);
+                    Ok(())
+                })
+                .unwrap();
+                assert!(
+                    flushes > 50 && spills > 5,
+                    "{at}: {flushes} flushes, {spills} spills"
+                );
+                if trace == "inserts" {
+                    assert!(
+                        cheaper >= 10,
+                        "{at}: {cheaper} of {spills} spilling flushes fused"
+                    );
+                }
+                // Monkey gives the shallowest run more bits than the deepest.
+                let bits: Vec<f64> = (reference.levels.iter().flatten())
+                    .map(|run| run.filter_bits_per_entry())
+                    .collect();
+                let monkey = matches!(filters, Filters::Monkey);
+                assert_eq!(bits.first() > bits.last(), monkey, "{at}: {bits:?}");
+            }
+        }
     }
 }
