@@ -89,8 +89,8 @@ impl Entry {
     }
 }
 
-/// One entry borrowed from where it lives — a page's bytes, a memtable
-/// vector. The merge kernel compares and filters these in place; an owned
+/// One entry borrowed from where it lives — a page's bytes, a memtable's
+/// arena. The merge kernel compares and filters these in place; an owned
 /// [`Entry`] is only built for what leaves the kernel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EntryRef<'a> {
@@ -137,8 +137,9 @@ pub trait EntryView {
     fn entry(&self) -> EntryRef<'_>;
 
     /// The entry, owned without copying it: references on the buffers it
-    /// lies in (a memtable entry's own allocations; for an entry on a page,
-    /// the whole page, which stays alive as long as the key or value does).
+    /// lies in (for a memtable entry, the arena chunks its key and value
+    /// lie in; for an entry on a page, the whole page — each stays alive as
+    /// long as the key or value does).
     fn to_entry(&self) -> Entry;
 }
 

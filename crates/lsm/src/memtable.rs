@@ -5,39 +5,29 @@
 //! survives" (§2). When the buffer reaches its byte capacity
 //! `M_buffer = P·B·E`, the engine sort-merges it into Level 1.
 //!
-//! The buffer is a concurrent skiplist: writers are serialized by the
-//! engine's shard lock anyway, but point reads, scans, and the
-//! observatory's classification hooks traverse it **lock-free** — a `get`
-//! against the active buffer never waits behind a writer. It is already
-//! sorted, so nothing copies it out: a scan and the flush's merge each walk
-//! it in place through a [`MemtableCursor`].
+//! The buffer is a concurrent skiplist laid out in an arena
+//! ([`crate::skiplist`]): writers are serialized by the engine's shard lock
+//! anyway, but point reads, scans, and the observatory's classification
+//! hooks traverse it **lock-free** — a `get` against the active buffer
+//! never waits behind a writer. It is already sorted, so nothing copies it
+//! out: a scan and the flush's merge each walk it in place through a
+//! [`MemtableCursor`], and what they hand on owned shares the arena.
+//!
+//! An insert copies the entry into the arena, so the caller's buffers are
+//! freed at once; the buffer's heap is its chunks, freed whole when it
+//! drops after its flush.
 
-use crate::entry::{Entry, EntryKind, EntryRef, EntryView, ENTRY_HEADER_LEN};
+use crate::entry::{Entry, EntryRef, EntryView, ENTRY_HEADER_LEN};
 use crate::skiplist::{Cursor, SkipList};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 
-#[derive(Debug, Clone)]
-struct Slot {
-    value: Bytes,
-    seq: u64,
-    kind: EntryKind,
-}
-
-fn entry_of(key: &Bytes, slot: &Slot) -> Entry {
-    Entry {
-        key: key.clone(),
-        value: slot.value.clone(),
-        seq: slot.seq,
-        kind: slot.kind,
-    }
-}
-
 /// Sorted in-memory buffer of the newest updates.
 #[derive(Debug, Default)]
 pub struct Memtable {
-    list: SkipList<Slot>,
+    list: SkipList,
+    /// Encoded bytes of the live entries: what counts against `M_buffer`.
     bytes: AtomicUsize,
 }
 
@@ -52,16 +42,9 @@ impl Memtable {
     /// shard lock serializes writers.
     pub fn insert(&self, entry: Entry) -> usize {
         let add = entry.encoded_len();
-        let Entry {
-            key,
-            value,
-            seq,
-            kind,
-        } = entry;
-        let key_len = key.len();
-        if let Some(old) = self.list.insert(key, Slot { value, seq, kind }) {
+        if let Some(old_value_len) = self.list.insert((&entry).into()) {
             // Replaced in place (§2): swap the old footprint for the new.
-            let old_footprint = ENTRY_HEADER_LEN + key_len + old.value.len();
+            let old_footprint = ENTRY_HEADER_LEN + entry.key.len() + old_value_len;
             let before = self.bytes.fetch_add(add, Relaxed);
             self.bytes.fetch_sub(old_footprint, Relaxed);
             before + add - old_footprint
@@ -71,9 +54,10 @@ impl Memtable {
     }
 
     /// Looks a key up without locking. `Some(entry)` may be a tombstone —
-    /// the caller decides what a delete means at its layer.
+    /// the caller decides what a delete means at its layer. Key and value
+    /// share the buffer's arena: no copy, no allocation.
     pub fn get(&self, key: &[u8]) -> Option<Entry> {
-        self.list.get(key).map(|(k, slot)| entry_of(k, slot))
+        self.list.get(key)
     }
 
     /// Number of distinct buffered keys.
@@ -86,8 +70,10 @@ impl Memtable {
         self.list.is_empty()
     }
 
-    /// Approximate encoded footprint in bytes (what counts against
-    /// `M_buffer`).
+    /// Encoded footprint in bytes of the live entries (what counts against
+    /// `M_buffer`, and what rotation is triggered by). Values displaced by
+    /// in-place replacement are not in it, though the arena keeps them
+    /// until the buffer drops.
     pub fn bytes(&self) -> usize {
         self.bytes.load(Relaxed)
     }
@@ -112,7 +98,7 @@ impl Memtable {
 /// the version it held when the cursor stepped onto it — key, sequence
 /// number and value always belong together — and keys inserted ahead of
 /// the cursor are seen, keys inserted behind it are not.
-pub struct MemtableCursor(Cursor<Slot, Arc<Memtable>>);
+pub struct MemtableCursor(Cursor<Arc<Memtable>>);
 
 impl MemtableCursor {
     /// Entries in the whole buffer: an upper bound on what is left.
@@ -138,7 +124,7 @@ impl MemtableCursor {
     /// Key and sequence number of the current entry; `None` once exhausted.
     #[inline]
     pub fn head(&self) -> Option<(&[u8], u64)> {
-        self.0.get().map(|(key, slot)| (key.as_ref(), slot.seq))
+        self.0.get().map(|entry| (entry.key, entry.seq))
     }
 
     /// Steps to the next entry.
@@ -159,18 +145,11 @@ impl MemtableCursor {
 impl EntryView for MemtableCursor {
     #[inline]
     fn entry(&self) -> EntryRef<'_> {
-        let (key, slot) = self.0.get().expect("cursor is not exhausted");
-        EntryRef {
-            key,
-            value: &slot.value,
-            seq: slot.seq,
-            kind: slot.kind,
-        }
+        self.0.get().expect("cursor is not exhausted")
     }
 
     fn to_entry(&self) -> Entry {
-        let (key, slot) = self.0.get().expect("cursor is not exhausted");
-        entry_of(key, slot)
+        self.0.to_entry().expect("cursor is not exhausted")
     }
 }
 
@@ -335,6 +314,45 @@ mod tests {
             assert!(cursor.head().is_none());
         }
         writer.join().unwrap();
+    }
+
+    /// A key or a value too large for an arena chunk gets a chunk of its
+    /// own — pages, and so entries, can exceed one — and the chunk being
+    /// filled carries on around it.
+    #[test]
+    fn an_entry_larger_than_a_chunk_round_trips() {
+        let big_key = vec![b'k'; 70 << 10];
+        let big_value: Vec<u8> = (0..200u32 << 10).map(|i| i as u8).collect();
+        let m = Arc::new(Memtable::new());
+        put(&m, "a", "1", 1);
+        m.insert(Entry::put(big_key.clone(), &b"2"[..], 2));
+        put(&m, "l", "3", 3);
+        m.insert(Entry::put(&b"m"[..], big_value.clone(), 4));
+        put(&m, "z", "5", 5);
+        let want = [
+            Entry::put(&b"a"[..], &b"1"[..], 1),
+            Entry::put(big_key.clone(), &b"2"[..], 2),
+            Entry::put(&b"l"[..], &b"3"[..], 3),
+            Entry::put(&b"m"[..], big_value.clone(), 4),
+            Entry::put(&b"z"[..], &b"5"[..], 5),
+        ];
+        for entry in &want {
+            assert_eq!(m.get(&entry.key).as_ref(), Some(entry));
+        }
+        assert_eq!(drain(m.cursor(None, None)), want);
+        assert_eq!(
+            m.bytes(),
+            want.iter().map(Entry::encoded_len).sum::<usize>()
+        );
+        // Handed out in place, not copied: two lookups share one value.
+        let (one, two) = (m.get(b"m").unwrap(), m.get(b"m").unwrap());
+        assert_eq!(one.value.as_ptr(), two.value.as_ptr());
+        // A large value replaced by a small one and back.
+        put(&m, "m", "small", 6);
+        assert_eq!(m.get(b"m").unwrap().value.as_ref(), b"small");
+        m.insert(Entry::put(&b"m"[..], big_value.clone(), 7));
+        drop(m); // what was handed out outlives the buffer
+        assert_eq!(one.value, big_value);
     }
 
     #[test]

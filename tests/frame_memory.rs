@@ -17,35 +17,51 @@
 //!   a small fraction of the data, which a page pinned per fence is not;
 //! * a burst of range scans that pins 4 096 pages of rows and lets them go
 //!   makes the same scans, run again, allocate no page-sized block at all;
-//! * a merge holds one frame per input run, whatever the runs' length.
+//! * a merge holds one frame per input run, whatever the runs' length;
+//! * a full buffer's heap is its encoded bytes and a fifth more at most
+//!   (plus the displaced versions an overwrite leaves in its arena until
+//!   rotation), and all of it goes when the buffer drops.
 
 use bytes::Bytes;
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
+use monkey_lsm::memtable::Memtable;
 use monkey_lsm::Entry;
 use monkey_storage::{Backend, Disk, FileBackend, PoolStats, RunId};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
 const PAGE: usize = 4096;
 
-/// Heap bytes live right now, and page-sized blocks ever allocated — a
+/// Heap bytes live right now — in the process, and of the calling thread's
+/// allocations less its frees — and page-sized blocks ever allocated — a
 /// bare page, or one with a reference-count header in front.
 struct Counting;
 
 static LIVE: AtomicI64 = AtomicI64::new(0);
 static PAGE_SIZED: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    static THREAD_LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn live(delta: i64) {
+    LIVE.fetch_add(delta, Relaxed);
+    THREAD_LIVE.with(|n| n.set(n.get() + delta));
+}
+
 fn count(size: usize) {
-    LIVE.fetch_add(size as i64, Relaxed);
+    live(size as i64);
     if (PAGE..PAGE + 64).contains(&size) {
         PAGE_SIZED.fetch_add(1, Relaxed);
     }
 }
 
 // SAFETY: defers to `System` for every operation; the counters are plain
-// atomics, which allocate nothing.
+// atomics and a const-initialised thread-local `Cell`, which allocate
+// nothing.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -56,11 +72,11 @@ unsafe impl GlobalAlloc for Counting {
         System.alloc_zeroed(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE.fetch_sub(layout.size() as i64, Relaxed);
+        live(-(layout.size() as i64));
         count(new_size);
         System.realloc(ptr, layout, new_size)
     }
@@ -299,4 +315,55 @@ fn a_merge_holds_one_frame_per_input() {
         assert_eq!(disk.frame_stats().unwrap().outstanding, 0);
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The buffer is accounted: `M_buffer` is what `Memtable::bytes` counts —
+/// the live entries' encoded size, which triggers rotation — and the heap a
+/// full buffer holds stays within a fifth of that (node towers, value
+/// pointers, record headers). An in-place overwrite leaves the displaced
+/// version in the buffer's arena until it rotates and drops; rotation still
+/// counts live bytes only, so those versions are on top of the account, each
+/// costing no more than it counted while live. (Counted on this thread:
+/// the buffer is filled and dropped here, while other tests may run.)
+#[test]
+fn a_full_buffer_holds_its_bytes_and_a_fifth() {
+    const BUFFER: usize = 1 << 20;
+    /// Shaped like the benchmark's entries: a 16-byte key, a 112-byte value.
+    fn entry(i: u64, seq: u64) -> Entry {
+        Entry::put(format!("user{i:012}").into_bytes(), vec![b'v'; 112], seq)
+    }
+    let base = THREAD_LIVE.with(Cell::get);
+    let table = Memtable::new();
+    let mut n = 0;
+    while table.bytes() < BUFFER {
+        table.insert(entry(n, n));
+        n += 1;
+    }
+    let held = (THREAD_LIVE.with(Cell::get) - base) as f64;
+    let bytes = table.bytes() as f64;
+    assert!(
+        held <= 1.2 * bytes,
+        "{n} entries of {bytes} bytes hold {held} bytes of heap ({:.3}x)",
+        held / bytes
+    );
+
+    // Every other key overwritten in place, with a value of the same size.
+    let mut displaced = 0;
+    for i in (0..n).step_by(2) {
+        displaced += entry(i, i).encoded_len();
+        table.insert(entry(i, n + i));
+    }
+    assert_eq!(table.bytes() as f64, bytes, "same-size overwrites");
+    let held = (THREAD_LIVE.with(Cell::get) - base) as f64;
+    assert!(
+        held <= 1.2 * bytes + displaced as f64,
+        "{held} bytes of heap; {bytes} live bytes, {displaced} displaced"
+    );
+
+    drop(table);
+    assert_eq!(
+        THREAD_LIVE.with(Cell::get) - base,
+        0,
+        "the buffer's heap goes with it"
+    );
 }

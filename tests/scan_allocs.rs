@@ -13,7 +13,11 @@
 //! * a whole-run `merge_runs` allocates per page read and written, not per
 //!   entry merged — and, over run files, no page-sized block for either:
 //!   input pages land in recycled frames of the disk's pool, output pages
-//!   are built in the one buffer the page builder owns.
+//!   are built in the one buffer the page builder owns;
+//! * the buffer hands out what it holds without copying it: a scan inside
+//!   a full memtable allocates as much for 100 entries as for 10, and a
+//!   `get` the memtable answers allocates nothing — key and value share
+//!   the buffer's arena.
 
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
@@ -23,7 +27,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// Counts the calling thread's heap allocations (the two tests run on
+/// Counts the calling thread's heap allocations (the tests run on
 /// threads of their own).
 struct Counting;
 
@@ -144,6 +148,31 @@ fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
     assert_eq!(long, short + (long_pages - short_pages) * per_fetch);
     drop(file);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_memtable_scan_and_a_memtable_hit_allocate_nothing_per_entry() {
+    const N: u32 = 2000;
+    let db = Db::open(
+        DbOptions::in_memory()
+            .page_size(PAGE)
+            .buffer_capacity(64 << 20)
+            .shards(1),
+    )
+    .unwrap();
+    for i in 0..N {
+        db.put(key((i * 7919) % N), vec![b'v'; 100]).unwrap();
+    }
+    assert_eq!(db.stats().runs, 0, "every key is in the memtable");
+
+    let (ten, _) = scan(&db, 500, 10);
+    let (hundred, _) = scan(&db, 500, 100);
+    assert_eq!(ten, hundred, "allocations of a 10- and a 100-entry scan");
+
+    let hit = key(17);
+    let (allocs, value) = allocs_in(|| db.get(&hit).unwrap());
+    assert_eq!(value.as_deref(), Some(&[b'v'; 100][..]));
+    assert_eq!(allocs, 0, "a get the memtable answers");
 }
 
 #[test]
