@@ -75,7 +75,9 @@ impl Entry {
         self.kind == EntryKind::Delete
     }
 
-    /// Encoded size on a page: fixed header plus key and value bytes.
+    /// Logical size: the fixed [`ENTRY_HEADER_LEN`] plus key and value
+    /// bytes. Every capacity count charges this, not the smaller varint
+    /// encoding a page gives the entry (see [`page`](crate::page)).
     pub fn encoded_len(&self) -> usize {
         ENTRY_HEADER_LEN + self.key.len() + self.value.len()
     }
@@ -110,7 +112,9 @@ impl EntryRef<'_> {
         self.kind == EntryKind::Delete
     }
 
-    /// Encoded size on a page: fixed header plus key and value bytes.
+    /// Logical size: the fixed [`ENTRY_HEADER_LEN`] plus key and value
+    /// bytes. Every capacity count charges this, not the smaller varint
+    /// encoding a page gives the entry (see [`page`](crate::page)).
     pub fn encoded_len(&self) -> usize {
         ENTRY_HEADER_LEN + self.key.len() + self.value.len()
     }
@@ -153,8 +157,10 @@ impl EntryView for Entry {
     }
 }
 
-/// Bytes of per-entry header on a page: key length (u16), value length
-/// (u32), sequence (u64), kind (u8).
+/// Bytes of an entry's logical header: key length (u16), value length
+/// (u32), sequence (u64), kind (u8). The WAL record body carries it as is;
+/// a page encodes it in 3 to 18 bytes of varints (see
+/// [`page`](crate::page)), and capacity counts charge these 15.
 pub const ENTRY_HEADER_LEN: usize = 2 + 4 + 8 + 1;
 
 #[cfg(test)]

@@ -671,13 +671,16 @@ mod tests {
         use std::sync::Arc;
         let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
         let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
+        // 3 header bytes, 2 of key, 16 of value and a 2-byte offset: two
+        // entries fill 46 of the 54 bytes after the page header, a third
+        // would not fit.
         let entries: Vec<Entry> = (0..6)
-            .map(|i| put(&format!("k{i}"), "vvvvvvvv", i))
+            .map(|i| put(&format!("k{i}"), &"v".repeat(16), i))
             .collect();
         let run = crate::compaction::build_run_from_sorted(&disk, entries, false, 1, 10.0)
             .unwrap()
             .unwrap();
-        assert!(run.pages() >= 3, "two entries a page");
+        assert_eq!(run.pages(), 3, "two entries a page");
         let cursor = run.scan_from(b"").unwrap(); // page 0 is read here
         backend.arm(0);
         let mut it = MergingIter::new(vec![cursor.into(), src(vec![put("k1x", "mem", 9)])]);

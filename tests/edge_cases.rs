@@ -2,6 +2,9 @@
 //! orderings the byte-string contract must survive.
 
 use monkey::{Db, DbOptions, DbOptionsExt, LsmError, MergePolicy};
+use monkey_lsm::entry::{Entry, ENTRY_HEADER_LEN};
+use monkey_lsm::page::max_entry_len;
+use monkey_lsm::wal::Wal;
 use std::sync::Arc;
 
 fn db() -> Arc<Db> {
@@ -67,9 +70,10 @@ fn empty_key_and_empty_value() {
 #[test]
 fn entry_exactly_at_page_capacity() {
     let db = db();
-    // Page 256, header 10, entry header 15: the largest admissible entry
-    // encodes to exactly 246 bytes.
-    let max_payload = 256 - 10 - 15;
+    // Page 256, header 10, one 2-byte offset, and the widest entry header
+    // a page can hold, 18 bytes of varints: 226 bytes of key and value are
+    // admissible whatever the entry's sequence number.
+    let max_payload = 256 - 10 - 2 - 18;
     let key = vec![b'k'; 20];
     let value = vec![b'v'; max_payload - 20];
     db.put(key.clone(), value.clone()).unwrap();
@@ -80,6 +84,40 @@ fn entry_exactly_at_page_capacity() {
         .put(vec![b'x'; 20], vec![b'v'; max_payload - 19])
         .unwrap_err();
     assert!(matches!(err, LsmError::EntryTooLarge { .. }));
+}
+
+#[test]
+fn the_largest_admissible_entry_flushes_with_a_maximal_key_and_seq() {
+    // A 128 KiB page (4-byte offsets) fits a key of the format's longest,
+    // and a WAL record at seq 2^63 makes every later sequence number a
+    // 10-byte varint: the put admits no entry its flush cannot write.
+    let dir = std::env::temp_dir().join(format!("monkey-edge-maxentry-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (wal, _) = Wal::open(&dir, true).unwrap();
+    wal.append(&Entry::put(&b"seed"[..], &b"v"[..], 1 << 63))
+        .unwrap();
+    drop(wal);
+    let page = 1 << 17;
+    let db = Db::open(
+        DbOptions::at_path(&dir)
+            .page_size(page)
+            .buffer_capacity(1 << 20)
+            .shards(1),
+    )
+    .unwrap();
+    let key = vec![b'k'; u16::MAX as usize];
+    let value = vec![b'v'; max_entry_len(page) - ENTRY_HEADER_LEN - key.len()];
+    db.put(key.clone(), value.clone()).unwrap();
+    db.flush().unwrap();
+    assert_eq!(db.stats().buffer_entries, 0, "both entries are in a run");
+    assert_eq!(db.get(&key).unwrap().unwrap().as_ref(), &value[..]);
+    assert_eq!(db.get(b"seed").unwrap().unwrap().as_ref(), b"v");
+    // One byte more is refused at the put, not left to fail the flush.
+    let err = db.put(key, vec![b'v'; value.len() + 1]).unwrap_err();
+    assert!(matches!(err, LsmError::EntryTooLarge { .. }), "{err}");
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

@@ -71,10 +71,29 @@ fn layout(db: &Db) -> Vec<Vec<Vec<Vec<u8>>>> {
         .collect()
 }
 
+/// A run's fence keys, rebuilt from its decoded pages by the rule the
+/// engine builds them with: page 0's is its first key; every later page's
+/// is the shortest prefix of its first key that sorts above the previous
+/// page's last key. A fence can sort below the page's first key, so `lo`
+/// between the two lands a seek one page later than "the last page whose
+/// first key is <= lo" would.
+fn fences(pages: &[Vec<Vec<u8>>]) -> Vec<Vec<u8>> {
+    let mut fences = vec![pages[0][0].clone()];
+    for pair in pages.windows(2) {
+        let (prev, first) = (pair[0].last().unwrap(), &pair[1][0]);
+        let len = (0..first.len())
+            .find(|&i| prev.get(i).is_none_or(|&b| first[i] > b))
+            .map_or(first.len(), |i| i + 1);
+        fences.push(first[..len].to_vec());
+    }
+    fences
+}
+
 /// Replays the merge over the decoded layout and returns `(pages, seeks)`
 /// the scan must cost: each run contributes the pages from the one its
-/// fences position `lo` on through the one holding the last key pulled
-/// from it. `yields` caps the entries taken (a scan dropped early).
+/// fences (see [`fences`]) position `lo` on through the one holding the
+/// last key pulled from it. `yields` caps the entries taken (a scan
+/// dropped early).
 fn expected_io(
     layout: &[Vec<Vec<Vec<u8>>>],
     lo: &[u8],
@@ -93,10 +112,10 @@ fn expected_io(
             cursors.push(None); // `scan_from` past the run: no I/O at all
             continue;
         }
-        // Last page whose first key is <= lo, else page 0.
-        let start = pages
+        // Last page whose fence is <= lo, else page 0.
+        let start = fences(pages)
             .iter()
-            .rposition(|p| p[0].as_slice() <= lo)
+            .rposition(|f| f.as_slice() <= lo)
             .unwrap_or(0);
         let keys = pages
             .iter()

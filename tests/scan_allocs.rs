@@ -21,6 +21,7 @@
 
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
+use monkey_lsm::page::PageBuilder;
 use monkey_lsm::Entry;
 use monkey_storage::Disk;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -175,11 +176,23 @@ fn a_memtable_scan_and_a_memtable_hit_allocate_nothing_per_entry() {
     assert_eq!(allocs, 0, "a get the memtable answers");
 }
 
+/// The longest value with which `per_page` of `merge_allocs`'s entries
+/// fill one page, asked of the page encoder: entries whose sequence
+/// numbers reach `max_seq` take the widest header any of them takes.
+fn value_for(per_page: usize, max_seq: u64) -> usize {
+    let fits = |value: usize| {
+        let e = Entry::put(key(0), vec![b'v'; value], max_seq);
+        let mut page = PageBuilder::new(PAGE);
+        (0..per_page).all(|_| page.fits(&e) && page.push(&e).is_ok())
+    };
+    (0..PAGE).rev().find(|&value| fits(value)).unwrap()
+}
+
 #[test]
 fn a_merge_allocates_per_page_not_per_entry() {
-    /// Merges two interleaved runs of `entries` entries in all, ~`value`
-    /// bytes each, on `disk`: allocations, page-sized ones among them, and
-    /// pages read plus written.
+    /// Merges two interleaved runs of `entries` entries in all, with
+    /// `value` bytes of value each, on `disk`: allocations, page-sized ones
+    /// among them, and pages read plus written.
     fn merge_allocs(disk: &Arc<Disk>, entries: u32, value: usize) -> (u64, u64, u64) {
         let run_of = |parity: u32| {
             let sorted: Vec<Entry> = (0..entries)
@@ -202,8 +215,9 @@ fn a_merge_allocates_per_page_not_per_entry() {
     // The same pages, four times the entries: the count moves with the
     // pages. (What grows with entries — the key-hash vector feeding the
     // filter — doubles its way up in a handful of reallocations.)
-    let (few, _, few_pages) = merge_allocs(&Disk::mem(PAGE), 4_000, 384);
-    let (many, _, many_pages) = merge_allocs(&Disk::mem(PAGE), 16_000, 78);
+    let (few_value, many_value) = (value_for(10, 2 * 4_000), value_for(40, 2 * 16_000));
+    let (few, _, few_pages) = merge_allocs(&Disk::mem(PAGE), 4_000, few_value);
+    let (many, _, many_pages) = merge_allocs(&Disk::mem(PAGE), 16_000, many_value);
     assert!(
         few_pages.abs_diff(many_pages) * 20 < few_pages,
         "{few_pages} vs {many_pages} pages"
@@ -229,8 +243,8 @@ fn a_merge_allocates_per_page_not_per_entry() {
     let _ = std::fs::remove_dir_all(&dir);
     let backend = DbOptions::in_memory().io_backend;
     let file = Disk::file_with(&dir, PAGE, backend, None).unwrap();
-    merge_allocs(&file, 4_000, 384);
-    let (allocs, page_sized, pages) = merge_allocs(&file, 4_000, 384);
+    merge_allocs(&file, 4_000, few_value);
+    let (allocs, page_sized, pages) = merge_allocs(&file, 4_000, few_value);
     assert!(pages >= 800, "{pages} pages read and written");
     assert!(
         page_sized <= 4,

@@ -21,16 +21,27 @@
 //! names cannot see any more — that the tree's runs hold the same bytes —
 //! `crates/lsm/tests/flush_identity.rs` checks by content, against a
 //! reference built the old two-step way.
+//!
+//! They were recaptured a second time when pages took varint entry headers
+//! and an offset array: the same entries fill fewer pages, so the pages
+//! file, the page counts and the fence bits moved. What did not move is
+//! pinned beside them by `GOLDEN_LOGICAL_FINGERPRINT`, which hashes the
+//! runs' decoded entries with their ids and levels, the `MANIFEST` and the
+//! WAL — captured before the encoding changed and equal after it.
 
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_bloom::hash::xxh64;
+use monkey_lsm::page::PageCursor;
 use std::path::Path;
 
 /// Directory fingerprint of the golden trace, captured by `capture_goldens`
-/// (see the module docs for its one recapture).
-const GOLDEN_FINGERPRINT: u64 = 0xdba2_e50d_1cb1_426c;
+/// (see the module docs for its two recaptures).
+const GOLDEN_FINGERPRINT: u64 = 0xc4b1_3cdc_0086_76bc;
 /// IoStats ledger of the same run: (page_reads, page_writes, seeks, cache_hits).
-const GOLDEN_IO: (u64, u64, u64, u64) = (1210, 1321, 40, 0);
+const GOLDEN_IO: (u64, u64, u64, u64) = (971, 1061, 40, 0);
+/// Logical fingerprint of the same run (see [`logical_fingerprint`]):
+/// what the store holds, not how its pages lay it out.
+const GOLDEN_LOGICAL_FINGERPRINT: u64 = 0x73af_ba08_477d_2e72;
 
 /// One deterministic op against the store.
 enum Op {
@@ -88,6 +99,50 @@ fn run_trace(dir: &Path) -> (u64, monkey_storage::IoSnapshot) {
     let io = db.io();
     drop(db);
     (fingerprint_dir(dir), io)
+}
+
+/// Fingerprint of a dropped store's content, blind to its page encoding:
+/// every file outside `pages/` (the `MANIFEST`, the WAL segments) byte for
+/// byte, then each run the `MANIFEST` lists — its id, its level and its
+/// decoded entries (key, value, seq, kind) in order. A change to how pages
+/// pack entries moves [`fingerprint_dir`] and leaves this where it is.
+fn logical_fingerprint(dir: &Path) -> u64 {
+    let mut h = 0x4c4f_4749_4341_4c00_u64; // chain seed, "LOGICAL"
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.is_file())
+        .collect();
+    files.sort();
+    for path in files {
+        h = xxh64(path.file_name().unwrap().as_encoded_bytes(), h);
+        h = xxh64(&std::fs::read(&path).unwrap(), h);
+    }
+    let disk = monkey_storage::Disk::file(dir.join("pages"), 256).unwrap();
+    let manifest = std::fs::read_to_string(dir.join("MANIFEST")).unwrap();
+    for line in manifest.lines().filter(|l| l.starts_with("run ")) {
+        let fields: Vec<u64> = line
+            .split(' ')
+            .skip(1)
+            .take(2)
+            .map(|f| f.parse().unwrap())
+            .collect();
+        let [id, level] = fields[..] else {
+            panic!("run line {line:?}");
+        };
+        h = xxh64(&[id.to_le_bytes(), level.to_le_bytes()].concat(), h);
+        for p in 0..disk.run_pages(id).unwrap() {
+            let mut cursor = PageCursor::new(disk.read_page(id, p).unwrap()).unwrap();
+            while let Some(e) = cursor.next_entry().unwrap() {
+                h = xxh64(&(e.key.len() as u64).to_le_bytes(), h);
+                h = xxh64(&e.key, h);
+                h = xxh64(&(e.value.len() as u64).to_le_bytes(), h);
+                h = xxh64(&e.value, h);
+                h = xxh64(&[&e.seq.to_le_bytes()[..], &[e.kind.to_byte()]].concat(), h);
+            }
+        }
+    }
+    h
 }
 
 /// Order-independent-of-filesystem fingerprint of every byte under `dir`:
@@ -153,12 +208,31 @@ fn shards1_disk_image_bit_identical_to_pre_shard_engine() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The same trace, fingerprinted by content: the runs hold the same
+/// entries under the same ids and levels, beside the same `MANIFEST` and
+/// WAL, whatever the page encoding.
+#[test]
+fn shards1_logical_image_is_pinned() {
+    let dir = temp_dir("logical");
+    run_trace(&dir);
+    let fp = logical_fingerprint(&dir);
+    assert_eq!(
+        fp, GOLDEN_LOGICAL_FINGERPRINT,
+        "shards=1 logical image diverged (fingerprint 0x{fp:016x})"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 #[ignore]
 fn capture_goldens() {
     let dir = temp_dir("capture");
     let (fp, io) = run_trace(&dir);
     println!("GOLDEN fingerprint = 0x{fp:016x}");
+    println!(
+        "GOLDEN logical fingerprint = 0x{:016x}",
+        logical_fingerprint(&dir)
+    );
     println!(
         "GOLDEN io: page_reads={} page_writes={} seeks={} cache_hits={}",
         io.page_reads, io.page_writes, io.seeks, io.cache_hits
@@ -589,7 +663,9 @@ fn json_shape(text: &str) -> String {
 /// the engine's single-shard path (its own `Core::stats` and
 /// `Core::telemetry_report`, since deleted) reported it at the commit
 /// before one path served every shard count. One shard through the merged
-/// path must say the same, to the bit of every `f64`.
+/// path must say the same, to the bit of every `f64`. The fence bits and
+/// the per-level page I/O were recaptured when pages took varint entry
+/// headers (see the module docs); every other value is that commit's.
 const ONE_SHARD_VALUES: &str = concat!(
     "DbStats { buffer_entries: 0, buffer_bytes: 0, buffer_capacity: 2048, levels: ",
     "[LevelStats { level: 1, runs: 1, entries: 70, bytes: 3098, capacity_bytes: ",
@@ -597,7 +673,7 @@ const ONE_SHARD_VALUES: &str = concat!(
     "2, runs: 0, entries: 0, bytes: 0, capacity_bytes: 18432, filter_bits: 0, ",
     "fpr_sum: 0.0 }, LevelStats { level: 3, runs: 1, entries: 479, bytes: 22042, ",
     "capacity_bytes: 55296, filter_bits: 3840, fpr_sum: 0.02141584712068372 }], ",
-    "disk_entries: 549, runs: 2, filter_bits: 4416, fence_bits: 14968, ",
+    "disk_entries: 549, runs: 2, filter_bits: 4416, fence_bits: 12136, ",
     "expected_zero_result_lookup_ios: 0.04283169424136744, lookups: LookupStats { ",
     "key_hashes: 234, filter_probes: 303, filter_negatives: 140, ",
     "filter_false_positives: 3 }, immutable_entries: 0, pipeline: PipelineStats { ",
@@ -610,16 +686,16 @@ const ONE_SHARD_VALUES: &str = concat!(
     "filter_false_positives: 3 }\n",
     "L1 runs=1 entries=70 LevelLookupSnapshot { filter_probes: 159, ",
     "filter_negatives: 133, filter_false_positives: 3, lookup_page_reads: 26 } ",
-    "LevelIoSnapshot { reads: 600, writes: 680, read_bytes: 153600, write_bytes: ",
-    "174080, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
+    "LevelIoSnapshot { reads: 484, writes: 543, read_bytes: 123904, write_bytes: ",
+    "139008, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
     "L2 runs=0 entries=0 LevelLookupSnapshot { filter_probes: 0, filter_negatives: ",
     "0, filter_false_positives: 0, lookup_page_reads: 0 } LevelIoSnapshot { reads: ",
-    "453, writes: 447, read_bytes: 115968, write_bytes: 114432, cache_hits: 0, ",
+    "364, writes: 360, read_bytes: 93184, write_bytes: 92160, cache_hits: 0, ",
     "cache_hit_bytes: 0 } allocated_fpr=0.0\n",
     "L3 runs=1 entries=479 LevelLookupSnapshot { filter_probes: 144, ",
     "filter_negatives: 7, filter_false_positives: 0, lookup_page_reads: 137 } ",
-    "LevelIoSnapshot { reads: 337, writes: 194, read_bytes: 86272, write_bytes: ",
-    "49664, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
+    "LevelIoSnapshot { reads: 301, writes: 158, read_bytes: 77056, write_bytes: ",
+    "40448, cache_hits: 0, cache_hit_bytes: 0 } allocated_fpr=0.02141584712068372\n",
     "get=234 put=1500 range=2 flush=34 cascade=34 merge=0 \n",
     "shards.is_empty()=true\n",
 );
