@@ -930,8 +930,8 @@ impl Core {
                     }
                     None => {}
                 }
-                if let Some(entry) = look.entry {
-                    return Ok(visible(entry));
+                if let Some(hit) = look.entry {
+                    return Ok((!hit.is_tombstone()).then_some(hit.value));
                 }
             }
         }
@@ -967,7 +967,7 @@ impl Core {
         };
         for level in version.levels() {
             for run in level.runs() {
-                sources.push(run.scan_from(lo)?.into());
+                sources.push(run.scan_from(lo, hi.as_deref())?.into());
             }
         }
         Ok(RangeIter::new(MergingIter::new(sources), hi))
@@ -1106,7 +1106,7 @@ impl Core {
                 let mut count = 0u64;
                 let mut bytes = 0u64;
                 let mut prev: Option<Vec<u8>> = None;
-                let mut cursor = run.scan_from(b"")?; // the disk checks each page it reads
+                let mut cursor = run.scan_from(b"", None)?; // the disk checks each page it reads
                 while let Some(entry) = cursor.page().entry() {
                     if prev.as_deref().is_some_and(|prev| entry.key <= prev) {
                         return Err(LsmError::Corruption(format!(

@@ -91,6 +91,27 @@ impl Entry {
     }
 }
 
+/// What a point lookup finds: the newest version of the key it probed —
+/// its value, sequence number and kind. The key is the probe's, so a
+/// lookup copies none (a page stores keys split around a shared prefix;
+/// see [`page`](crate::page)).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Hit {
+    /// Application value (empty for tombstones).
+    pub value: Bytes,
+    /// Global sequence number; larger = newer.
+    pub seq: u64,
+    /// Put or tombstone.
+    pub kind: EntryKind,
+}
+
+impl Hit {
+    /// True for tombstones.
+    pub fn is_tombstone(&self) -> bool {
+        self.kind == EntryKind::Delete
+    }
+}
+
 /// One entry borrowed from where it lives — a page's bytes, a memtable's
 /// arena. The merge kernel compares and filters these in place; an owned
 /// [`Entry`] is only built for what leaves the kernel.

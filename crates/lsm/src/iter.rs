@@ -107,6 +107,22 @@ impl Source {
         }
     }
 
+    /// [`EntryView::to_entry`] for a reader that takes no entry at or past
+    /// `hi`: a run's row block stops there (see
+    /// [`PageCursor::to_entry`](crate::page::PageCursor::to_entry)).
+    ///
+    /// # Panics
+    /// When the source is exhausted.
+    fn to_entry_below(&self, hi: Option<&[u8]>) -> Entry {
+        match self {
+            Self::Run(cursor) => cursor
+                .page()
+                .to_entry_below(hi)
+                .expect("source is not exhausted"),
+            _ => self.to_entry(),
+        }
+    }
+
     /// Exhausts the source without reading anything further.
     fn close(&mut self) {
         match self {
@@ -526,7 +542,7 @@ impl Iterator for RangeIter {
                 } else if entry.is_tombstone() {
                     Seen::Deleted // deleted key: invisible to scans
                 } else {
-                    Seen::Live(source.to_entry())
+                    Seen::Live(source.to_entry_below(hi))
                 }
             });
             let entry = match seen? {
@@ -681,7 +697,7 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(run.pages(), 3, "two entries a page");
-        let cursor = run.scan_from(b"").unwrap(); // page 0 is read here
+        let cursor = run.scan_from(b"", None).unwrap(); // page 0 is read here
         backend.arm(0);
         let mut it = MergingIter::new(vec![cursor.into(), src(vec![put("k1x", "mem", 9)])]);
         let mut next_key = || it.next().map(|e| e.map(|e| e.key.to_vec()));

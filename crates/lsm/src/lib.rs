@@ -68,7 +68,7 @@ mod error;
 mod options;
 
 pub use db::{AdviceProvider, Db};
-pub use entry::{Entry, EntryKind};
+pub use entry::{Entry, EntryKind, Hit};
 pub use error::{LsmError, Result};
 pub use iter::RangeIter;
 pub use merge::MergeReport;

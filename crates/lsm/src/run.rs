@@ -16,7 +16,7 @@
 //! underlying pages are reclaimed once the last reference (e.g. an open
 //! range cursor) drops.
 
-use crate::entry::{Entry, EntryView};
+use crate::entry::{EntryView, Hit};
 use crate::error::{LsmError, Result};
 use crate::page::{self, PageBuilder, PageCursor};
 use bytes::Bytes;
@@ -61,7 +61,7 @@ impl From<f64> for FilterParams {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunLookup {
     /// The newest version found in this run (may be a tombstone).
-    pub entry: Option<Entry>,
+    pub entry: Option<Hit>,
     /// A non-degenerate filter was actually probed.
     pub probed_filter: bool,
     /// The filter reported a definite negative (so no I/O happened).
@@ -344,7 +344,7 @@ impl Run {
     ///
     /// Hashes the key itself; the engine's lookup path uses
     /// [`get_hashed`](Self::get_hashed) so one hash serves every run.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Entry>> {
+    pub fn get(&self, key: &[u8]) -> Result<Option<Hit>> {
         Ok(self.get_hashed(key, hash_pair(key))?.entry)
     }
 
@@ -376,10 +376,8 @@ impl Run {
                 page_read: false,
             });
         }
-        // The single I/O. The cursor streams the page: it borrows keys in
-        // place and stops at the first key past the probe, so a lookup
-        // decodes about half a page and allocates only the entry it
-        // returns.
+        // The single I/O, then a search of the page in place: the value
+        // found is a slice of the page, and nothing is allocated.
         let page = self.disk.read_page(self.id, self.page_in_range(key))?;
         Ok(RunLookup {
             entry: PageCursor::new(page)?.search(key)?,
@@ -389,11 +387,14 @@ impl Run {
         })
     }
 
-    /// Opens a scan cursor on the first entry with key `>= lo`, positioned
-    /// via the fence pointers; `lo` past the run's last key costs no I/O.
-    /// The scan reads one page at a time and only when the cursor runs dry
-    /// (see [`RunCursor`]).
-    pub fn scan_from(self: &Arc<Self>, lo: &[u8]) -> Result<RunCursor> {
+    /// Opens a scan cursor over `[lo, hi)` (`hi = None` scans to the end),
+    /// on the first entry with key `>= lo`: the fence pointers pick the
+    /// page `lo` is on and a search of it the entry, and the cursor stops
+    /// before the first page whose fence is not below `hi` — that page
+    /// starts at or past `hi`. `lo` past the run's last key, or `hi` at or
+    /// below its first, costs no I/O. The scan reads one page at a time
+    /// and only when the cursor runs dry (see [`RunCursor`]).
+    pub fn scan_from(self: &Arc<Self>, lo: &[u8], hi: Option<&[u8]>) -> Result<RunCursor> {
         let start = if lo > self.max_key.as_ref() {
             self.pages
         } else {
@@ -401,15 +402,11 @@ impl Run {
             // run.
             (self.fences.partition_point(|f| f <= lo) as u32).saturating_sub(1)
         };
+        let end = hi.map_or(self.pages, |hi| {
+            self.fences.partition_point(|f| f < hi) as u32
+        });
         // A scan seeks to wherever it starts.
-        RunCursor::open(
-            &self.disk,
-            self.id,
-            Some(self),
-            start..self.pages,
-            true,
-            Some(lo),
-        )
+        RunCursor::open(&self.disk, self.id, Some(self), start..end, true, Some(lo))
     }
 
     /// Opens a cursor over whole `pages` of the run for a merge. The slices
@@ -508,15 +505,16 @@ impl RunBuilder {
     /// key order with duplicate keys already resolved (one version per key).
     pub fn push(&mut self, view: &impl EntryView) -> Result<()> {
         let entry = view.entry();
-        if !self.page.fits(entry) && !self.page.is_empty() {
-            self.flush_page()?;
-        }
-        let first_in_page = self.page.is_empty();
+        let mut first_in_page = self.page.is_empty();
         debug_assert!(
             first_in_page || entry.key > self.page.last_key(),
             "entries must be pushed in strictly increasing key order"
         );
-        self.page.push(entry)?;
+        if !self.page.try_push(entry)? {
+            self.flush_page()?;
+            self.page.push(entry)?;
+            first_in_page = true;
+        }
         if first_in_page {
             self.fences.push(&self.prev_page_last, entry.key)?;
         }
@@ -708,9 +706,12 @@ impl RunCursor {
         };
         cursor.settle()?;
         if let Some(lo) = lo {
-            // Once one key qualifies, the rest of the run does too.
-            while cursor.page.key().is_some_and(|key| key < lo) {
-                cursor.advance()?;
+            // Once one key qualifies, the rest of the run does too; if the
+            // first page holds none, the next page's first key does.
+            cursor.page.seek(lo)?;
+            while cursor.page.remaining() == 0 && cursor.next_page < cursor.end {
+                cursor.settle()?;
+                cursor.page.seek(lo)?;
             }
         }
         Ok(cursor)
@@ -752,7 +753,7 @@ impl RunCursor {
             let Some(page) = self.take_page()? else {
                 return Ok(());
             };
-            self.page = PageCursor::new(page)?;
+            self.page.open(page)?;
         }
         Ok(())
     }
@@ -850,6 +851,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::entry::Entry;
 
     fn build(disk: &Arc<Disk>, keys: &[&str], bpe: f64) -> Arc<Run> {
         let mut b = RunBuilder::new(Arc::clone(disk));
@@ -1016,7 +1018,7 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let run = build(&disk, &refs, 10.0);
         disk.reset_io();
-        let got = drain(run.scan_from(b"").unwrap());
+        let got = drain(run.scan_from(b"", None).unwrap());
         assert_eq!(got.len(), 50);
         assert!(got.windows(2).all(|w| w[0].key < w[1].key));
         let io = disk.io();
@@ -1031,7 +1033,7 @@ mod tests {
         let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
         let run = build(&disk, &refs, 10.0);
         disk.reset_io();
-        let got = drain(run.scan_from(b"key0040").unwrap());
+        let got = drain(run.scan_from(b"key0040", None).unwrap());
         assert_eq!(got.len(), 10);
         assert_eq!(got[0].key.as_ref(), b"key0040");
         assert!(
@@ -1045,7 +1047,7 @@ mod tests {
         let disk = Disk::mem(64);
         let run = build(&disk, &["a", "b"], 10.0);
         disk.reset_io();
-        assert!(run.scan_from(b"zzz").unwrap().page().key().is_none());
+        assert!(run.scan_from(b"zzz", None).unwrap().page().key().is_none());
         assert_eq!(disk.io().page_reads, 0);
     }
 
@@ -1064,7 +1066,7 @@ mod tests {
         let disk = Disk::mem(64);
         let run = build(&disk, &["a", "b", "c"], 10.0);
         let id = run.id();
-        let cursor = run.scan_from(b"").unwrap(); // pins the run
+        let cursor = run.scan_from(b"", None).unwrap(); // pins the run
         run.mark_obsolete();
         drop(run);
         // Cursor still holds the run: storage must still be readable.
@@ -1097,7 +1099,7 @@ mod tests {
             assert!(run.pages() > 1);
             let file = dir.join(format!("{:016x}.run", run.id()));
             let id = run.id();
-            let cursor = run.scan_from(b"").unwrap();
+            let cursor = run.scan_from(b"", None).unwrap();
             assert_eq!(cursor.page().key(), Some(b"key0000".as_slice()));
             run.mark_obsolete();
             drop(run);

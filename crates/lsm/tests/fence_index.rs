@@ -95,7 +95,7 @@ fn check_against_oracle(
         }
         // A scan lands on the first stored key at or above its bound.
         let first = keys.iter().find(|k| *k >= probe);
-        let cursor = run.scan_from(probe).map_err(|e| e.to_string())?;
+        let cursor = run.scan_from(probe, None).map_err(|e| e.to_string())?;
         if cursor.page().key() != first.map(Vec::as_slice) {
             return Err(format!(
                 "scan_from({probe:?}) lands on {:?}, oracle {first:?}",
@@ -103,9 +103,10 @@ fn check_against_oracle(
             ));
         }
     }
-    for key in keys {
+    // Each key is stored at the sequence number of its position.
+    for (i, key) in keys.iter().enumerate() {
         let found = run.get(key).map_err(|e| e.to_string())?;
-        if found.map(|e| e.key.to_vec()) != Some(key.clone()) {
+        if found.map(|hit| hit.seq) != Some(i as u64) {
             return Err(format!("stored key {key:?} not found through its fence"));
         }
     }

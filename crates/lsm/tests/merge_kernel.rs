@@ -131,7 +131,7 @@ proptest! {
             .collect::<Vec<_>>()
             .into()];
         for run in &inputs {
-            sources.push(run.scan_from(&lo).unwrap().into());
+            sources.push(run.scan_from(&lo, None).unwrap().into());
         }
         let got: Vec<Entry> = MergingIter::new(sources).map(|e| e.unwrap()).collect();
         let want: Vec<Entry> = oracle(&all).range(lo.clone()..).map(|(_, e)| e.clone()).collect();

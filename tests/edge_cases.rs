@@ -3,7 +3,7 @@
 
 use monkey::{Db, DbOptions, DbOptionsExt, LsmError, MergePolicy};
 use monkey_lsm::entry::{Entry, ENTRY_HEADER_LEN};
-use monkey_lsm::page::max_entry_len;
+use monkey_lsm::page::{max_entry_len, PageCursor};
 use monkey_lsm::wal::Wal;
 use std::sync::Arc;
 
@@ -70,10 +70,12 @@ fn empty_key_and_empty_value() {
 #[test]
 fn entry_exactly_at_page_capacity() {
     let db = db();
-    // Page 256, header 10, one 2-byte offset, and the widest entry header
-    // a page can hold, 18 bytes of varints: 226 bytes of key and value are
-    // admissible whatever the entry's sequence number.
-    let max_payload = 256 - 10 - 2 - 18;
+    // Page 256, header 10, one 2-byte offset, and the widest varints a
+    // page of one entry can hold, 19 bytes — the prefix length (the lone
+    // key is the prefix), the empty suffix's length, the value length and
+    // the sequence number: 225 bytes of key and value are admissible
+    // whatever the entry's sequence number.
+    let max_payload = 256 - 10 - 2 - 19;
     let key = vec![b'k'; 20];
     let value = vec![b'v'; max_payload - 20];
     db.put(key.clone(), value.clone()).unwrap();
@@ -90,7 +92,10 @@ fn entry_exactly_at_page_capacity() {
 fn the_largest_admissible_entry_flushes_with_a_maximal_key_and_seq() {
     // A 128 KiB page (4-byte offsets) fits a key of the format's longest,
     // and a WAL record at seq 2^63 makes every later sequence number a
-    // 10-byte varint: the put admits no entry its flush cannot write.
+    // 10-byte varint: the put admits no entry its flush cannot write. The
+    // limit covers the page's prefix field: on a page of one entry the
+    // whole key is the prefix (a 3-byte length), and the entry still
+    // carries a one-byte empty suffix length.
     let dir = std::env::temp_dir().join(format!("monkey-edge-maxentry-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -107,11 +112,31 @@ fn the_largest_admissible_entry_flushes_with_a_maximal_key_and_seq() {
     )
     .unwrap();
     let key = vec![b'k'; u16::MAX as usize];
+    assert_eq!(
+        max_entry_len(page),
+        page - 10 - 4 - (3 + 1 + 5 + 10) + ENTRY_HEADER_LEN
+    );
     let value = vec![b'v'; max_entry_len(page) - ENTRY_HEADER_LEN - key.len()];
     db.put(key.clone(), value.clone()).unwrap();
     db.flush().unwrap();
     assert_eq!(db.stats().buffer_entries, 0, "both entries are in a run");
     assert_eq!(db.get(&key).unwrap().unwrap().as_ref(), &value[..]);
+    // The key sorts first and fills a page of its own: the prefix length
+    // (65 535 as a varint), the key, then an empty suffix's length.
+    let disk = db.disk();
+    let run = disk.list_runs()[0];
+    let first = disk.read_page(run, 0).unwrap();
+    assert_eq!(&first[10..13], &[0xff, 0xff, 0x03]);
+    assert_eq!(&first[13..13 + key.len()], &key[..]);
+    assert_eq!(first[13 + key.len()], 0);
+    let mut cursor = PageCursor::new(first).unwrap();
+    let entry = cursor.next_entry().unwrap().unwrap();
+    assert_eq!(
+        (entry.key.as_ref(), entry.value.as_ref()),
+        (&key[..], &value[..])
+    );
+    assert!(entry.seq > 1 << 63, "a sequence number of all 64 bits");
+    assert!(cursor.next_entry().unwrap().is_none());
     assert_eq!(db.get(b"seed").unwrap().unwrap().as_ref(), b"v");
     // One byte more is refused at the put, not left to fail the flush.
     let err = db.put(key, vec![b'v'; value.len() + 1]).unwrap_err();

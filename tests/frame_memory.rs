@@ -1,8 +1,10 @@
 //! A page frame lives exactly as long as something is reading it.
 //!
 //! The file backend reads every page into a frame from its pool; the frame
-//! goes back to the pool when the last `Bytes` over it — a cursor, a row, a
-//! value handed to the caller — drops. Nothing the engine keeps for the
+//! goes back to the pool when the last `Bytes` over it — a cursor, a value
+//! handed to the caller — drops. A scan's rows are not among them: they
+//! are slices of a row block their page's rows are copied into. Nothing
+//! the engine keeps for the
 //! life of a run (its fences, its key range, its filter) slices a page, so
 //! with no reader alive no frame is outstanding and the process holds what
 //! the paper's `M` says it holds: filters, fence pointers and the buffer.
@@ -15,8 +17,9 @@
 //!   pool reports zero frames outstanding and the heap's live bytes stay
 //!   within filters + fences + the pool's idle frames + a stated constant —
 //!   a small fraction of the data, which a page pinned per fence is not;
-//! * a burst of range scans that pins 4 096 pages of rows and lets them go
-//!   makes the same scans, run again, allocate no page-sized block at all;
+//! * a burst of point lookups whose values pin 4 096 pages and let them go
+//!   makes the same lookups, run again, allocate no page-sized block at
+//!   all;
 //! * a merge holds one frame per input run, whatever the runs' length;
 //! * a full buffer's heap is its encoded bytes and a fifth more at most
 //!   (plus the displaced versions an overwrite leaves in its arena until
@@ -158,8 +161,11 @@ fn no_frame_outlives_its_readers() {
     db.rebuild_filters().unwrap();
     assert_memory_is_accounted(&db, base, data_bytes, "after rebuild_filters");
 
-    // Readers pin what they read, and only for as long as they hold it.
+    // Readers pin what they read, and only for as long as they hold it: a
+    // value its page's frame, rows none — they hold a copy of what they
+    // return, one block a page.
     let value = db.get(&key(17)).unwrap().expect("key 17 was written");
+    assert_eq!(db.disk().frame_stats().unwrap().outstanding, 1);
     let rows: Vec<_> = db
         .range(&key(1000), Some(&key(1200)))
         .unwrap()
@@ -167,8 +173,8 @@ fn no_frame_outlives_its_readers() {
         .collect();
     assert_eq!(rows.len(), 200);
     let pinned = db.disk().frame_stats().unwrap().outstanding;
-    assert!(
-        pinned >= 3,
+    assert_eq!(
+        pinned, 1,
         "a value and rows over two runs pin {pinned} frames"
     );
     drop((value, rows));
@@ -196,23 +202,18 @@ fn a_released_burst_of_pages_is_reused_not_reallocated() {
     const BURST_PAGES: u64 = 4096;
     let dir = temp_dir("burst");
     let db = load(&dir, N);
-    // Scans of 200 entries, each pinning the pages its rows lie on, until
-    // the burst is out.
+    // Point lookups, each value pinning the frame its page was read into,
+    // until the burst is out.
     let burst = |db: &Db| {
         let mut held = Vec::new();
-        let mut lo = 0;
+        let mut i = 0;
         while db.disk().frame_stats().unwrap().outstanding < BURST_PAGES {
-            let mut rows = Vec::with_capacity(200);
-            for row in db.range(&key(lo), Some(&key(lo + 200))).unwrap() {
-                rows.push(row.unwrap());
-            }
-            assert_eq!(rows.len(), 200);
-            held.push(rows);
-            lo = (lo + 200) % (N - 200);
+            held.push(db.get(&key(i)).unwrap().expect("every key was written"));
+            i = (i + 7) % N;
         }
         held.len()
     };
-    let scans = burst(&db);
+    let lookups = burst(&db);
     let frames = db.disk().frame_stats().unwrap();
     assert_eq!(frames.outstanding, 0, "the burst is released: {frames:?}");
     assert!(
@@ -221,11 +222,11 @@ fn a_released_burst_of_pages_is_reused_not_reallocated() {
     );
 
     let (page_sized, allocated) = (PAGE_SIZED.load(Relaxed), frames.allocated);
-    assert_eq!(burst(&db), scans);
+    assert_eq!(burst(&db), lookups);
     assert_eq!(
         PAGE_SIZED.load(Relaxed) - page_sized,
         0,
-        "page-sized allocations over {scans} scans pinning {BURST_PAGES} pages"
+        "page-sized allocations over {lookups} lookups pinning {BURST_PAGES} pages"
     );
     assert_eq!(db.disk().frame_stats().unwrap().allocated, allocated);
     drop(db);

@@ -2,11 +2,14 @@
 //! which descriptors the store holds while it runs.
 //!
 //! * A scan reads exactly the pages it decodes. A scan's `RunCursor` fetches
-//!   a page when the one under it runs dry, never ahead of it, so a bounded
+//!   a page when the one under it runs dry, never ahead of it, and never a
+//!   page whose fence is not below the scan's upper bound, so a bounded
 //!   `Db::range` costs — per run — the pages holding a key the merge
-//!   inspected, plus one seek; the tests rebuild that set from the run
-//!   files themselves and hold `IoStats` to it on the in-memory disk and
-//!   the file backend opened both ways.
+//!   inspected below that fence, plus one seek; the tests rebuild that set
+//!   from the run files themselves and hold `IoStats` to it on the
+//!   in-memory disk and the file backend opened both ways. A scan whose
+//!   bound is a page's whole first key reads only the pages holding keys
+//!   below it.
 //! * The file backend keeps the descriptors of its runs open (the
 //!   run-handle table in `monkey-storage`). The hygiene test counts
 //!   `/proc/self/fd` entries that point into its own store directory:
@@ -92,8 +95,8 @@ fn fences(pages: &[Vec<Vec<u8>>]) -> Vec<Vec<u8>> {
 /// Replays the merge over the decoded layout and returns `(pages, seeks)`
 /// the scan must cost: each run contributes the pages from the one its
 /// fences (see [`fences`]) position `lo` on through the one holding the
-/// last key pulled from it. `yields` caps the entries taken (a scan
-/// dropped early).
+/// last key pulled from it, short of the first page whose fence is not
+/// below `hi`. `yields` caps the entries taken (a scan dropped early).
 fn expected_io(
     layout: &[Vec<Vec<Vec<u8>>>],
     lo: &[u8],
@@ -112,12 +115,14 @@ fn expected_io(
             cursors.push(None); // `scan_from` past the run: no I/O at all
             continue;
         }
-        // Last page whose fence is <= lo, else page 0.
-        let start = fences(pages)
-            .iter()
-            .rposition(|f| f.as_slice() <= lo)
-            .unwrap_or(0);
-        let keys = pages
+        // Last page whose fence is <= lo, else page 0, up to the first
+        // page whose fence is >= hi.
+        let (start, end) = cursor_pages(pages, lo, hi);
+        if start >= end {
+            cursors.push(None); // `hi` at or below the first fence read
+            continue;
+        }
+        let keys = pages[..end]
             .iter()
             .enumerate()
             .skip(start)
@@ -162,6 +167,18 @@ fn expected_io(
         yielded += 1;
     }
     (touched.len() as u64, seeks)
+}
+
+/// The pages `[start, end)` a run's scan cursor may read for `[lo, hi)`:
+/// from the last page whose fence is <= lo (else page 0) to the first
+/// whose fence is >= hi.
+fn cursor_pages(pages: &[Vec<Vec<u8>>], lo: &[u8], hi: Option<&[u8]>) -> (usize, usize) {
+    let fences = fences(pages);
+    let start = fences.iter().rposition(|f| f.as_slice() <= lo).unwrap_or(0);
+    let end = hi.map_or(pages.len(), |hi| {
+        fences.iter().filter(|f| f.as_slice() < hi).count()
+    });
+    (start, end)
 }
 
 /// One store per disk kind, same options, same load.
@@ -254,6 +271,73 @@ fn leveled_scan_reads_exactly_what_it_decodes() {
 #[test]
 fn tiered_scan_reads_exactly_what_it_decodes() {
     scan_reads_exactly_what_it_decodes(MergePolicy::Tiering, "tier");
+}
+
+/// Scans up to a page's fence where the fence is the page's whole first
+/// key: the page before it ends below the bound, so a cursor blind to the
+/// bound would fetch the fenced page after its last row only to find a
+/// key past the bound. Each scan runs a hundred keys up to the fence, and
+/// is counted where every page the fences can pick holds a key of the
+/// range — elsewhere a run's shortened separator below the bound cannot
+/// tell a page of keys above it, which the replay above covers.
+fn a_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys(policy: MergePolicy) {
+    const N: u32 = 3000;
+    let db = Db::open(shape(DbOptions::in_memory(), policy)).unwrap();
+    load(&db, N);
+    let runs = layout(&db);
+    assert!(runs.len() >= 2, "want a multi-run tree");
+    let holds = |page: &Vec<Vec<u8>>, lo: &[u8], hi: &[u8]| {
+        page.iter().any(|k| k.as_slice() >= lo && k.as_slice() < hi)
+    };
+    let mut checked = 0;
+    for pages in &runs {
+        for (p, fence) in fences(pages).iter().enumerate().skip(1) {
+            if *fence != pages[p][0] {
+                continue; // a separator shorter than the key
+            }
+            let i: u32 = std::str::from_utf8(&fence[3..]).unwrap().parse().unwrap();
+            let (lo, hi) = (key(i.saturating_sub(100)), fence.as_slice());
+            let exact = runs.iter().all(|pages| {
+                let (start, end) = cursor_pages(pages, &lo, Some(hi));
+                lo > *pages.last().unwrap().last().unwrap()
+                    || pages[start..end.max(start)]
+                        .iter()
+                        .all(|pg| holds(pg, &lo, hi))
+            });
+            if !exact {
+                continue;
+            }
+            let holding: usize = runs
+                .iter()
+                .map(|pages| pages.iter().filter(|pg| holds(pg, &lo, hi)).count())
+                .sum();
+            db.reset_io();
+            let rows = db.range(&lo, Some(hi)).unwrap().count();
+            assert_eq!(rows, (i - i.saturating_sub(100)) as usize);
+            assert_eq!(
+                db.io().page_reads,
+                holding as u64,
+                "{policy:?}: scan {:?}..{:?}",
+                String::from_utf8_lossy(&lo),
+                String::from_utf8_lossy(hi)
+            );
+            checked += 1;
+        }
+    }
+    assert!(
+        checked >= 3,
+        "{policy:?}: only {checked} scans to a whole-key fence"
+    );
+}
+
+#[test]
+fn leveled_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys() {
+    a_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys(MergePolicy::Leveling);
+}
+
+#[test]
+fn tiered_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys() {
+    a_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys(MergePolicy::Tiering);
 }
 
 /// Open descriptors of this process that point into `dir`: `(all, runs)`.

@@ -8,8 +8,13 @@
 //!
 //! * a bounded `Db::range` allocates a fixed number of blocks for the scan
 //!   itself — whatever the number of runs — plus whatever the disk spends
-//!   fetching each page; a 200-entry scan costs a 100-entry scan plus its
-//!   extra page fetches, and nothing per entry;
+//!   fetching each page, plus one row block for each page it hands out
+//!   rows from (a page stores its keys' shared prefix once, so a row's key
+//!   and value are sliced from the page's rows put back together); a
+//!   200-entry scan costs a 100-entry scan plus its extra page fetches and
+//!   row blocks, and nothing per entry;
+//! * a `get` a run file answers allocates what it did before pages stored
+//!   that prefix: it needs the value, not the key;
 //! * a whole-run `merge_runs` allocates per page read and written, not per
 //!   entry merged — and, over run files, no page-sized block for either:
 //!   input pages land in recycled frames of the disk's pool, output pages
@@ -21,7 +26,7 @@
 
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
-use monkey_lsm::page::PageBuilder;
+use monkey_lsm::page::{PageBuilder, PageCursor};
 use monkey_lsm::Entry;
 use monkey_storage::Disk;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -85,6 +90,17 @@ fn key(i: u32) -> Vec<u8> {
 /// the loser tree's node array and the owned upper bound.
 const SCAN_BLOCKS: u64 = 3;
 
+/// What the row block of a page that hands out rows costs: one block,
+/// its bytes and the reference count the rows share. (The rows are
+/// gathered in a buffer the thread keeps, which the first block on a
+/// thread allocates: [`warm_row_blocks`].)
+const ROW_BLOCK: u64 = 1;
+
+/// What a `get` answered by a run file allocated before pages stored their
+/// keys' shared prefix once: the reference count of the frame its page is
+/// read into.
+const RUN_GET_ALLOCS: u64 = 1;
+
 /// A two-level leveled tree over `n` keys, empty memtable.
 fn two_level_store(opts: DbOptions, n: u32) -> Arc<Db> {
     let db = Db::open(
@@ -117,17 +133,51 @@ fn scan(db: &Db, lo: u32, entries: u32) -> (u64, u64) {
     (allocs, db.io().page_reads)
 }
 
+/// Runs a first scan on the calling thread, which allocates the buffer
+/// the thread gathers row blocks in, once, two pages long.
+fn warm_row_blocks(db: &Db) {
+    assert!(db.range(b"", None).unwrap().next().is_some());
+}
+
+/// The pages of the store's runs holding a key in `[lo, lo + entries)`:
+/// those a scan of it hands out rows from.
+fn row_pages(db: &Db, lo: u32, entries: u32) -> u64 {
+    let (lo, hi) = (key(lo), key(lo + entries));
+    let disk = db.disk();
+    let mut pages = 0;
+    for run in disk.list_runs() {
+        for p in 0..disk.run_pages(run).unwrap() {
+            let mut cursor = PageCursor::new(disk.read_page(run, p).unwrap()).unwrap();
+            while let Some(key) = cursor.key() {
+                if (lo.as_slice()..hi.as_slice()).contains(&key) {
+                    pages += 1;
+                    break;
+                }
+                cursor.advance().unwrap();
+            }
+        }
+    }
+    pages
+}
+
 #[test]
 fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
     const N: u32 = 6000;
     // The in-memory disk hands out the pages it stores: a fetch allocates
-    // nothing, so the scan's own blocks are all there is — for one entry
-    // or two thousand, over two runs.
+    // nothing, so the scan's own blocks and a row block for each page that
+    // hands out rows are all there is — for one entry or two thousand,
+    // over two runs.
     let mem = two_level_store(DbOptions::in_memory(), N);
+    warm_row_blocks(&mem);
     for entries in [1, 100, 200, 2000] {
+        let rows = row_pages(&mem, 1000, entries);
         let (allocs, pages) = scan(&mem, 1000, entries);
         assert!(pages >= 2, "{entries} entries: both runs read");
-        assert_eq!(allocs, SCAN_BLOCKS, "{entries} entries over {pages} pages");
+        assert_eq!(
+            allocs,
+            SCAN_BLOCKS + rows * ROW_BLOCK,
+            "{entries} entries over {pages} pages, {rows} of them handing out rows"
+        );
     }
 
     // A file-backed disk (buffered, or direct under `MONKEY_IO_BACKEND`)
@@ -142,11 +192,18 @@ fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
     disk.read_page(run, 0).unwrap(); // the run's handle is open from here on
     let (per_fetch, _) = allocs_in(|| disk.read_page_sequential(run, 1).unwrap());
     assert_eq!(per_fetch, 1);
+    let (short_rows, long_rows) = (row_pages(&file, 1000, 100), row_pages(&file, 1000, 200));
     let (short, short_pages) = scan(&file, 1000, 100);
     let (long, long_pages) = scan(&file, 1000, 200);
     assert!(long_pages > short_pages);
-    assert_eq!(short, SCAN_BLOCKS + short_pages * per_fetch);
-    assert_eq!(long, short + (long_pages - short_pages) * per_fetch);
+    assert_eq!(
+        short,
+        SCAN_BLOCKS + short_pages * per_fetch + short_rows * ROW_BLOCK
+    );
+    assert_eq!(
+        long,
+        short + (long_pages - short_pages) * per_fetch + (long_rows - short_rows) * ROW_BLOCK
+    );
     drop(file);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -177,13 +234,17 @@ fn a_memtable_scan_and_a_memtable_hit_allocate_nothing_per_entry() {
 }
 
 /// The longest value with which `per_page` of `merge_allocs`'s entries
-/// fill one page, asked of the page encoder: entries whose sequence
-/// numbers reach `max_seq` take the widest header any of them takes.
+/// fill one page, asked of the page encoder: consecutive keys, as the
+/// merge's output page holds them from its first (the prefix they share
+/// is what a page stores once), with sequence numbers reaching `max_seq`,
+/// so they take the widest header any of them takes.
 fn value_for(per_page: usize, max_seq: u64) -> usize {
     let fits = |value: usize| {
-        let e = Entry::put(key(0), vec![b'v'; value], max_seq);
         let mut page = PageBuilder::new(PAGE);
-        (0..per_page).all(|_| page.fits(&e) && page.push(&e).is_ok())
+        (0..per_page as u32).all(|i| {
+            let e = Entry::put(key(i), vec![b'v'; value], max_seq);
+            page.fits(&e) && page.push(&e).is_ok()
+        })
     };
     (0..PAGE).rev().find(|&value| fits(value)).unwrap()
 }
@@ -257,5 +318,25 @@ fn a_merge_allocates_per_page_not_per_entry() {
         "{allocs} allocations over {pages} pages"
     );
     drop(file);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_get_answered_by_a_run_file_allocates_no_more_than_before() {
+    // The page is read into a frame of the disk's pool; the search finds
+    // the value where it lies and copies no key.
+    let dir = std::env::temp_dir().join(format!("monkey-get-allocs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = two_level_store(DbOptions::at_path(&dir), 6000);
+    for i in [17, 1000, 4321] {
+        let hit = key(i);
+        db.get(&hit).unwrap(); // the run's handle is open from here on
+        db.reset_io();
+        let (allocs, value) = allocs_in(|| db.get(&hit).unwrap());
+        assert_eq!(value.as_deref(), Some(&[b'v'; 100][..]));
+        assert_eq!(db.io().page_reads, 1, "key {i}");
+        assert_eq!(allocs, RUN_GET_ALLOCS, "key {i}");
+    }
+    drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
