@@ -274,109 +274,13 @@ fn telemetry_overhead(n: usize) {
     );
 }
 
-/// Causal-tracing overhead on top of plain telemetry (acceptance bound:
-/// <2% on put and get): identical sequential loads with the hub on, then
-/// with the tracer also sampling at the default period. In-memory, so
-/// this bounds the pure CPU cost of the sampler tick and span plumbing —
-/// the strictest case; a directory-backed store amortizes it under WAL
-/// writes (and its flight-recorder appends ride the flush slow path, not
-/// the op path). The off/on rounds are interleaved so scheduler and
-/// thermal drift hit both sides equally, with best-of-5 per side. The
-/// deltas land in `BENCH_telemetry.json` next to the telemetry ones.
-fn tracing_overhead(n: usize) {
-    let round = |tracing: bool| -> (f64, f64) {
-        let mut o = opts(MergePolicy::Leveling, false).telemetry(true);
-        if tracing {
-            o = o.tracing(true);
-        }
-        let db = Db::open(o).unwrap();
-        let t0 = Instant::now();
-        for i in 0..n {
-            db.put(format!("key{i:012}").into_bytes(), vec![b'v'; VALUE_LEN])
-                .unwrap();
-        }
-        let put = t0.elapsed().as_nanos() as f64 / n as f64;
-        db.flush().unwrap();
-        let t0 = Instant::now();
-        for i in 0..n {
-            assert!(db.get(format!("key{i:012}").as_bytes()).unwrap().is_some());
-        }
-        (put, t0.elapsed().as_nanos() as f64 / n as f64)
-    };
-    let (mut put_off, mut get_off) = (f64::INFINITY, f64::INFINITY);
-    let (mut put_on, mut get_on) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..5 {
-        let (p, g) = round(false);
-        put_off = put_off.min(p);
-        get_off = get_off.min(g);
-        let (p, g) = round(true);
-        put_on = put_on.min(p);
-        get_on = get_on.min(g);
-    }
-    let put_overhead = (put_on - put_off) / put_off * 100.0;
-    let get_overhead = (get_on - get_off) / get_off * 100.0;
-    println!("\ntracing_overhead (telemetry on in both runs, {n} ops, interleaved best of 5):");
-    println!("  puts: {put_off:.1} -> {put_on:.1} ns/op   overhead {put_overhead:+.2}%");
-    println!("  gets: {get_off:.1} -> {get_on:.1} ns/op   overhead {get_overhead:+.2}%");
-    monkey_bench::emit_bench_telemetry(
-        "tracing",
-        &format!(
-            "{{\"ops\": {n}, \"ns_per_put_off\": {put_off:.1}, \"ns_per_put_on\": {put_on:.1}, \
-             \"put_overhead_pct\": {put_overhead:.2}, \"ns_per_get_off\": {get_off:.1}, \
-             \"ns_per_get_on\": {get_on:.1}, \"get_overhead_pct\": {get_overhead:.2}}}"
-        ),
-    );
-}
-
-/// Observatory overhead on top of plain telemetry: the same put load with
-/// the hub on, then with the `monkey-obs-sampler` thread also cutting
-/// windows — at a production-shaped 100ms interval and at an aggressive
-/// 1ms one (the latter matters on few-core boxes, where a hyperactive
-/// sampler thread competes with the writer for CPU, not because a tick
-/// is expensive). The put path itself is identical in all three runs, so
-/// the deltas bound the whole windowed-series machinery against the <2%
-/// telemetry budget.
-fn observatory_overhead(n: usize) {
-    let run = |interval: Option<Duration>| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let mut o = opts(MergePolicy::Leveling, false).telemetry(true);
-            if let Some(interval) = interval {
-                o = o.observatory_interval(interval).observatory_retention(256);
-            }
-            let db = Db::open(o).unwrap();
-            let t0 = Instant::now();
-            for i in 0..n {
-                db.put(format!("key{i:012}").into_bytes(), vec![b'v'; VALUE_LEN])
-                    .unwrap();
-            }
-            best = best.min(t0.elapsed().as_nanos() as f64 / n as f64);
-            db.flush().unwrap();
-        }
-        best
-    };
-    let plain = run(None);
-    let relaxed = run(Some(Duration::from_millis(100)));
-    let aggressive = run(Some(Duration::from_millis(1)));
-    println!("\nobservatory_overhead (put path, {n} puts, best of 3):");
-    println!("  telemetry on, no sampler: {plain:.1} ns/put");
-    println!(
-        "  + 100ms sampler thread:   {relaxed:.1} ns/put   overhead {:+.2}%",
-        (relaxed - plain) / plain * 100.0
-    );
-    println!(
-        "  + 1ms sampler thread:     {aggressive:.1} ns/put   overhead {:+.2}%",
-        (aggressive - plain) / plain * 100.0
-    );
-}
-
 criterion_group!(benches, bench_put_throughput);
 
 fn main() {
     // `cargo test --benches` passes `--test`: keep the smoke run cheap.
     let test_mode = std::env::args().any(|a| a == "--test");
-    // `--overhead` runs only the overhead harnesses (repeat runs to map
-    // the noise floor without paying for the full latency suites).
+    // `--overhead` runs only the overhead harness (repeat runs to map the
+    // noise floor without paying for the full latency suites).
     let overhead_only = std::env::args().any(|a| a == "--overhead");
     if !overhead_only {
         benches();
@@ -385,6 +289,4 @@ fn main() {
         shard_scaling(if test_mode { 4_000 } else { 200_000 });
     }
     telemetry_overhead(if test_mode { 2_000 } else { 200_000 });
-    tracing_overhead(if test_mode { 2_000 } else { 200_000 });
-    observatory_overhead(if test_mode { 2_000 } else { 200_000 });
 }

@@ -9,7 +9,6 @@
 //! I/Os per lookup, which is the primary metric here — see DESIGN.md §3 on
 //! the testbed substitution).
 
-pub mod dashboard;
 pub mod figures;
 
 use monkey::{Db, DbOptions, DbOptionsExt, FilterVariant, IoBackend, MergePolicy};

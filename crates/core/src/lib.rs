@@ -48,24 +48,19 @@
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod navigator;
 pub mod policy;
 
 mod bridge;
 
-pub use advisor::TuningAdvisor;
 pub use bridge::{model_params_for, to_engine_policy, to_model_policy};
 pub use monkey_lsm::{
-    decode_segment, http_get, mode_split, BackendInfo, Db, DbOptions, DbStats, DecodedFlight,
-    DriftFlag, Entry, EntryKind, Event, EventKind, FilterContext, FilterPolicy, FilterVariant,
-    FlightRecorder, IoBackend, IoBackendReport, IoLatencyReport, IoLevelLatencyReport,
-    LevelIoSnapshot, LevelLookupSnapshot, LevelReport, LevelStats, LookupStats, LsmError,
-    MeasuredWorkload, MergePolicy, ModeSplit, OpKind, OpLatencyReport, PipelineGauges,
-    PipelineStats, RangeIter, RecorderRecord, Result, ShardBreakdown, Span, SpanKind, SyncStats,
-    Telemetry, TelemetryReport, Tracer, UniformFilterPolicy, WalStats, WindowRates, WindowedSeries,
+    BackendInfo, Db, DbOptions, DbStats, DriftFlag, Entry, EntryKind, Event, EventKind,
+    FilterContext, FilterPolicy, FilterVariant, IoBackend, IoBackendReport, LevelIoSnapshot,
+    LevelLookupSnapshot, LevelReport, LevelStats, LookupStats, LsmError, MergePolicy, OpKind,
+    OpLatencyReport, PipelineGauges, PipelineStats, RangeIter, Result, ShardBreakdown, SyncStats,
+    Telemetry, TelemetryReport, UniformFilterPolicy, WalStats,
 };
 pub use monkey_model::{Environment, Workload};
-pub use monkey_obs::{DesignPoint, TuningAdvice};
 pub use navigator::{Navigator, Recommendation, WhatIf};
 pub use policy::{AdaptiveFilterPolicy, DbOptionsExt, MonkeyFilterPolicy, ScheduleFilterPolicy};

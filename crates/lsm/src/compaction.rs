@@ -37,16 +37,12 @@ pub(crate) struct CascadeOutcome {
     pub max_partitions: u32,
     /// Most worker threads any single merge used (0 when no merge ran).
     pub max_threads: u32,
-    /// Ids of every run consumed across the cascade's merges, in merge
-    /// order — the input lineage a cascade trace span links to.
-    pub input_runs: Vec<u64>,
 }
 
 impl CascadeOutcome {
     fn absorb(&mut self, report: MergeReport) {
         self.max_partitions = self.max_partitions.max(report.partitions);
         self.max_threads = self.max_threads.max(report.threads);
-        self.input_runs.extend(report.input_runs);
     }
 }
 

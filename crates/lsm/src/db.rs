@@ -18,14 +18,12 @@ use crate::stats::{CompactionStats, DbStats, LookupStats, PipelineGauges, Pipeli
 use crate::wal::{SyncStats, WalSyncCoordinator};
 use bytes::Bytes;
 use engine::{Core, Shard};
-use monkey_obs::{
-    HttpHandler, HttpResponse, JsonObject, MeasuredWorkload, ObsServer, OpKind, Telemetry,
-    TelemetryReport, WindowRates, WindowedSeries,
-};
+use monkey_obs::{OpKind, Telemetry, TelemetryReport};
 use monkey_storage::{BackendInfo, Disk, IoSnapshot};
 use report::merged;
 use std::io::Write;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// An LSM-tree key-value store.
 ///
@@ -42,26 +40,12 @@ use std::sync::{Arc, OnceLock, Weak};
 pub struct Db {
     /// The facade-level configuration (undivided budgets, `shards = N`).
     opts: DbOptions,
-    /// The embedded scrape endpoint, when [`DbOptions::obs_listen`] is
-    /// set. Declared before `shards` on purpose: fields drop in
-    /// declaration order, so the server stops answering (and its worker
-    /// threads join) before the engines it reads from shut down.
-    obs_server: OnceLock<ObsServer>,
-    /// Renders `/advice.json`. The closed-loop tuning advisor lives in a
-    /// crate above this one, so binaries inject a provider via
-    /// [`Db::set_advice_provider`]; without one the endpoint reports the
-    /// measured workload with `"advice": null`.
-    advice_provider: OnceLock<AdviceProvider>,
     /// The cross-shard WAL fsync coordinator of a durable store that
     /// syncs each append — kept here so [`Db::wal_sync_stats`] can report
     /// global coalescing (tickets vs. physical syncs).
     sync_coord: Option<Arc<WalSyncCoordinator>>,
     shards: Vec<Shard>,
 }
-
-/// Renders the `/advice.json` body for a store — see
-/// [`Db::set_advice_provider`].
-pub type AdviceProvider = Box<dyn Fn(&Db) -> String + Send + Sync>;
 
 /// Seed of the shard router's key hash. Fixed forever: which shard a key
 /// lives on — and therefore the on-disk layout of every multi-shard store
@@ -107,28 +91,27 @@ impl Db {
 
     /// Opens the store's `n` shards — over `disk` when the caller supplied
     /// one, else where each shard's options place it — and puts the facade
-    /// in front of them.
+    /// in front of them. The clock origin is taken once, before any shard
+    /// opens, so the shards' telemetry timestamps share one timeline
+    /// however long each shard takes to recover.
     fn assemble(
         opts: DbOptions,
         n: usize,
         disk: Option<Arc<Disk>>,
         sync_coord: Option<Arc<WalSyncCoordinator>>,
     ) -> Result<Arc<Self>> {
+        let origin = Instant::now();
         let shards = (0..n)
             .map(|index| {
                 let shard_opts = Self::shard_options(&opts, index, n);
-                Shard::open(shard_opts, disk.clone(), sync_coord.clone())
+                Shard::open(shard_opts, disk.clone(), sync_coord.clone(), origin)
             })
             .collect::<Result<Vec<_>>>()?;
-        let db = Arc::new(Db {
+        Ok(Arc::new(Db {
             opts,
-            obs_server: OnceLock::new(),
-            advice_provider: OnceLock::new(),
             sync_coord,
             shards,
-        });
-        db.bind_obs_server()?;
-        Ok(db)
+        }))
     }
 
     /// How many shards a store actually runs. The `SHARDS` meta of an
@@ -189,8 +172,6 @@ impl Db {
         let mut shard = opts.clone();
         shard.shards = 1;
         shard.shard_index = index as u32;
-        // The scrape endpoint belongs to the facade, never to a shard.
-        shard.obs_listen = None;
         if n == 1 {
             return shard;
         }
@@ -252,8 +233,8 @@ impl Db {
         self.shard_for(&key).write(key, Some(value.into()))
     }
 
-    /// Deletes a key (writes a tombstone on the owning shard). Counted and
-    /// traced as a put: a tombstone write takes the identical path.
+    /// Deletes a key (writes a tombstone on the owning shard). Counted as a
+    /// put: a tombstone write takes the identical path.
     pub fn delete(&self, key: impl Into<Bytes>) -> Result<()> {
         let key = key.into();
         self.shard_for(&key).write(key, None)
@@ -270,9 +251,9 @@ impl Db {
     /// cursor owns snapshots of the relevant memtables and runs, so
     /// concurrent writes and merges do not disturb it. The scan fans out to
     /// every shard and merges the (disjoint) per-shard cursors back into
-    /// one key-ordered stream; it is one range lookup, timed and classified
-    /// once — on [`telemetry`](Self::telemetry)'s hub, from what the merged
-    /// cursor yielded — however many shards it crossed.
+    /// one key-ordered stream; it is one range lookup, counted and timed
+    /// once — on [`telemetry`](Self::telemetry)'s hub — however many shards
+    /// it crossed.
     pub fn range(&self, lo: &[u8], hi: Option<&[u8]>) -> Result<RangeIter> {
         // The cursor's Drop records the whole scan's latency, not just
         // construction — the sample covers every page the scan touched.
@@ -453,16 +434,6 @@ impl Db {
         self.shards.get(index)?.core.telemetry.as_ref()
     }
 
-    /// Zeroes every shard's telemetry hub — histograms, per-level tables,
-    /// the workload characterizer — so what is measured next starts from
-    /// nothing (say, a query phase after a bulk load). No-op with
-    /// telemetry off.
-    pub fn reset_telemetry(&self) {
-        for hub in self.cores().filter_map(|c| c.telemetry.as_ref()) {
-            hub.reset();
-        }
-    }
-
     /// Assembles the full telemetry snapshot: per-op latency percentiles,
     /// per-level I/O attribution and measured-vs-allocated filter FPRs
     /// (with drift flags), the model's expected zero-result lookup cost
@@ -476,122 +447,6 @@ impl Db {
     /// event appears in exactly one report.
     pub fn telemetry_report(&self) -> Option<TelemetryReport> {
         report::telemetry_report(&self.cores().collect::<Vec<_>>())
-    }
-
-    /// Cuts one observatory window deterministically (the testing-friendly
-    /// alternative to the sampler thread): snapshots the engine's counters
-    /// now and returns the window's rates against the previous snapshot.
-    /// The first call establishes the baseline and returns `None`; so does
-    /// a database opened without [`DbOptions::telemetry`]. Every shard's
-    /// window is cut and the rates are summed (store-wide throughput;
-    /// `write_amp` is weighted by each shard's update rate).
-    pub fn observatory_tick(&self) -> Option<WindowRates> {
-        merged(
-            self.cores().filter_map(Core::observatory_tick),
-            WindowRates::merge,
-        )
-    }
-
-    /// The windowed time series behind the observatory, when telemetry is
-    /// on: closed windows, eviction count, and EWMA-smoothed rates. On a
-    /// multi-shard store this is shard 0's series; the merged per-window
-    /// view comes from [`observatory_tick`](Self::observatory_tick).
-    pub fn observatory(&self) -> Option<&Arc<WindowedSeries>> {
-        self.shards[0].core.series.as_ref()
-    }
-
-    /// The workload measured so far — op counts classified into the
-    /// paper's taxonomy `(r, v, q, w)` plus key-skew sketches — when
-    /// telemetry is on. The per-shard measurements are merged (the router
-    /// partitions the keyspace, so each hot key is counted by exactly one
-    /// shard; a range scan is counted once, by the facade).
-    pub fn measured_workload(&self) -> Option<MeasuredWorkload> {
-        let hubs = self.cores().filter_map(|c| c.telemetry.as_ref());
-        merged(
-            hubs.map(|hub| hub.measured_workload()),
-            MeasuredWorkload::merge,
-        )
-    }
-
-    /// Binds the embedded scrape endpoint when the options ask for one.
-    /// The handler holds only a `Weak<Db>`: the server never keeps the
-    /// store alive, and a request racing teardown gets a 503 instead of a
-    /// read from a half-dropped engine.
-    fn bind_obs_server(self: &Arc<Self>) -> Result<()> {
-        let Some(addr) = self.opts.obs_listen.as_deref() else {
-            return Ok(());
-        };
-        let weak = Arc::downgrade(self);
-        let handler: HttpHandler = Arc::new(move |path| Db::serve_obs_route(&weak, path));
-        let server = ObsServer::bind(addr, handler)?;
-        let _ = self.obs_server.set(server);
-        Ok(())
-    }
-
-    /// The bound address of the embedded scrape endpoint, when one is
-    /// serving. With `obs_listen` port 0 this is where the OS actually
-    /// put it.
-    pub fn obs_addr(&self) -> Option<std::net::SocketAddr> {
-        self.obs_server.get().map(|s| s.local_addr())
-    }
-
-    /// Installs the `/advice.json` renderer (first install wins). The
-    /// closed-loop advisor lives above this crate, so binaries that have
-    /// one inject it here; the body must be a complete JSON document.
-    pub fn set_advice_provider(&self, provider: AdviceProvider) {
-        let _ = self.advice_provider.set(provider);
-    }
-
-    /// The `/advice.json` body: the injected provider's rendering, or the
-    /// default — measured workload plus `"advice": null` — when no
-    /// advisor is wired up (or telemetry is off and nothing was measured).
-    fn advice_json(&self) -> String {
-        if let Some(provider) = self.advice_provider.get() {
-            return provider(self);
-        }
-        let mut obj = JsonObject::new().raw("advice", "null");
-        if let Some(w) = self.measured_workload() {
-            obj = obj.raw("workload", &w.to_json());
-        }
-        obj.finish()
-    }
-
-    /// Routes one scrape-endpoint request. `path` arrives with the query
-    /// string already stripped; `None` renders as 404. Report endpoints
-    /// *drain* the event/span rings exactly like [`Db::telemetry_report`]
-    /// — one scraper should own an endpoint, as with any Prometheus
-    /// target.
-    fn serve_obs_route(weak: &Weak<Db>, path: &str) -> Option<HttpResponse> {
-        let Some(db) = weak.upgrade() else {
-            // The store is tearing down; its drop glue will stop this
-            // server momentarily.
-            return Some(HttpResponse::unavailable("shutting down\n"));
-        };
-        let report = |render: fn(&TelemetryReport) -> String, content_type: &str| match db
-            .telemetry_report()
-        {
-            Some(r) => HttpResponse::ok(content_type, render(&r)),
-            None => HttpResponse::unavailable("telemetry is off\n"),
-        };
-        match path {
-            "/metrics" => Some(report(
-                TelemetryReport::to_prometheus,
-                "text/plain; version=0.0.4",
-            )),
-            "/report.json" => Some(report(TelemetryReport::to_json, "application/json")),
-            "/spans.json" => Some(report(TelemetryReport::to_chrome_trace, "application/json")),
-            "/events.json" => Some(report(TelemetryReport::events_json, "application/json")),
-            "/advice.json" => Some(HttpResponse::ok("application/json", db.advice_json())),
-            "/healthz" => {
-                let errors = db.pipeline_stats().background_errors;
-                Some(if errors == 0 {
-                    HttpResponse::ok("text/plain", "ok\n".to_string())
-                } else {
-                    HttpResponse::unavailable(&format!("background errors: {errors}\n"))
-                })
-            }
-            _ => None,
-        }
     }
 }
 
@@ -1189,7 +1044,6 @@ mod migrate_tests {
 mod verify_tests {
     use super::*;
     use crate::policy::MergePolicy;
-    use std::time::{Duration, Instant};
 
     fn build() -> Arc<Db> {
         let db = Db::open(
@@ -1231,87 +1085,6 @@ mod verify_tests {
         // tiering T=3 amortizes to (T−1)/T ≈ 0.67 rewrites per level.
         let amp = c.entries_rewritten as f64 / 1500.0;
         assert!((1.0..12.0).contains(&amp), "write amp {amp}");
-    }
-
-    #[test]
-    fn observatory_tick_cuts_windows_and_classifies_ops() {
-        // Pinned single-shard: exact op-classification counts (a fanned-out
-        // range scan is recorded once per shard) and series length are
-        // single-shard semantics.
-        let db = Db::open(
-            DbOptions::in_memory()
-                .page_size(256)
-                .buffer_capacity(512)
-                .telemetry(true)
-                .observatory_retention(4)
-                .shards(1),
-        )
-        .unwrap();
-        assert!(
-            db.observatory_tick().is_none(),
-            "first tick is the baseline"
-        );
-        for i in 0..50u32 {
-            db.put(format!("k{i:04}").into_bytes(), vec![0u8; 16])
-                .unwrap();
-        }
-        for i in 0..30u32 {
-            db.get(format!("k{i:04}").as_bytes()).unwrap();
-        }
-        for _ in 0..20 {
-            db.get(b"missing").unwrap();
-        }
-        let scanned: usize = db
-            .range(b"k0000", Some(b"k0010"))
-            .unwrap()
-            .map(|kv| kv.map(|_| 1).unwrap())
-            .sum();
-        assert_eq!(scanned, 10);
-        let w = db.observatory_tick().expect("second tick closes a window");
-        assert!(w.ops_per_sec > 0.0);
-        assert!(w.puts_per_sec > 0.0);
-        let series = db.observatory().expect("telemetry on");
-        assert_eq!(series.len(), 1);
-        let m = db.measured_workload().unwrap();
-        assert_eq!(m.updates, 50);
-        assert_eq!(m.existing_lookups, 30);
-        assert_eq!(m.zero_result_lookups, 20);
-        assert_eq!(m.range_lookups, 1);
-        assert_eq!(m.range_entries_scanned, 10);
-    }
-
-    #[test]
-    fn observatory_absent_without_telemetry() {
-        let db = Db::open(DbOptions::in_memory()).unwrap();
-        assert!(db.observatory().is_none());
-        assert!(db.observatory_tick().is_none());
-        assert!(db.measured_workload().is_none());
-    }
-
-    #[test]
-    fn sampler_thread_cuts_windows_on_its_own() {
-        let db = Db::open(
-            DbOptions::in_memory()
-                .page_size(256)
-                .buffer_capacity(4 << 10)
-                .telemetry(true)
-                .observatory_interval(Duration::from_millis(5)),
-        )
-        .unwrap();
-        for i in 0..100u32 {
-            db.put(format!("k{i:04}").into_bytes(), vec![0u8; 8])
-                .unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let series = Arc::clone(db.observatory().unwrap());
-        while series.is_empty() && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(
-            !series.is_empty(),
-            "sampler should have closed at least one window"
-        );
-        drop(db); // joins the sampler without hanging
     }
 
     #[test]

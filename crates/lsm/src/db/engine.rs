@@ -35,10 +35,7 @@ use crate::run::{recover_run, FilterParams};
 use crate::wal::{Wal, WalSyncCoordinator};
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
-use monkey_obs::{
-    EventKind, FlightRecorder, OpKind, SpanKind, Telemetry, Tracer, WindowedSeries,
-    DEFAULT_EWMA_ALPHA,
-};
+use monkey_obs::{EventKind, OpKind, Telemetry};
 use monkey_storage::Disk;
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::VecDeque;
@@ -55,10 +52,6 @@ pub(super) struct ImmutableMemtable {
     wal_segment: Option<u64>,
     pub(super) entries: u64,
     bytes: usize,
-    /// Generation number the memtable carried while active; flush spans
-    /// link to it so a traced put can be joined to the flush that drained
-    /// its memtable.
-    generation: u64,
 }
 
 /// Read-visible state: what a lookup snapshots under one shared lock.
@@ -70,10 +63,6 @@ pub(super) struct Shared {
     /// and a flush, if it must.
     pub(super) memtable: Arc<Memtable>,
     next_seq: u64,
-    /// Generation of the active memtable, starting at 1 and bumped at
-    /// every rotation. A traced put records the generation it inserted
-    /// into; the flush of that generation links back to it.
-    generation: u64,
     /// Frozen memtables awaiting flush, oldest first.
     pub(super) immutables: VecDeque<ImmutableMemtable>,
     /// Current disk shape. Published by pointer swap; readers clone the
@@ -100,8 +89,6 @@ struct Signals {
     /// Wakes stalled writers: an immutable was flushed (or an error means
     /// they should give up).
     stall_cv: Condvar,
-    /// Wakes the observatory sampler early, for prompt shutdown.
-    obs_cv: Condvar,
 }
 
 /// Everything one shard's engine and its background worker share. The
@@ -124,14 +111,6 @@ pub(super) struct Core {
     /// Telemetry hub, present iff `DbOptions::telemetry`. When `None`,
     /// every instrumentation site collapses to a single branch.
     pub(super) telemetry: Option<Arc<Telemetry>>,
-    /// Causal span source, present iff `DbOptions::tracing` (and
-    /// telemetry) are on. Holds the optional on-disk flight recorder for
-    /// directory-backed stores.
-    pub(super) tracer: Option<Arc<Tracer>>,
-    /// Windowed time series of counter deltas, present iff telemetry is
-    /// on. Fed by the sampler thread or `Db::observatory_tick()`; op hot
-    /// paths never touch it.
-    pub(super) series: Option<Arc<WindowedSeries>>,
 }
 
 /// Lifetime counters of the engine's maintenance work.
@@ -140,9 +119,6 @@ pub(super) struct CompactionCounters {
     pub(super) flushes: AtomicU64,
     pub(super) merges: AtomicU64,
     pub(super) entries_rewritten: AtomicU64,
-    /// Payload bytes drained from immutable memtables by flushes — the
-    /// numerator of the observatory's flush-rate window metric.
-    pub(super) bytes_flushed: AtomicU64,
     /// Gauge: key-range partitions of the most recent merge (0 = none yet).
     pub(super) last_merge_partitions: AtomicU64,
     /// Gauge: worker threads of the most recent merge (0 = none yet).
@@ -217,14 +193,11 @@ impl Core {
         }
         let sealed = self.wal.seal_current()?;
         let frozen = std::mem::take(&mut shared.memtable);
-        let generation = shared.generation;
-        shared.generation += 1;
         shared.immutables.push_back(ImmutableMemtable {
             entries: frozen.len() as u64,
             bytes: frozen.bytes(),
             memtable: frozen,
             wal_segment: sealed,
-            generation,
         });
         self.signals.work_cv.notify_one();
         Ok(())
@@ -261,8 +234,6 @@ impl Core {
     fn stall_then_rotate<'a>(&'a self, mut shared: RwLockWriteGuard<'a, Shared>) -> Result<()> {
         let mut counted = false;
         let mut stall_started: Option<Instant> = None;
-        let mut stall_span = None;
-        let mut stall_depth = 0u64;
         // The active-stall gauge must come back down on *every* exit from
         // the loop — success, shutdown, and background-error alike.
         let unstall = |counted: bool| {
@@ -277,9 +248,6 @@ impl Core {
                         waited_micros: s0.elapsed().as_micros() as u64,
                     });
                 }
-                if let (Some(tr), Some(active)) = (&self.tracer, stall_span.take()) {
-                    tr.finish(active, 0, vec![stall_depth]);
-                }
                 unstall(counted);
                 return self.rotate_locked(&mut shared);
             }
@@ -292,11 +260,6 @@ impl Core {
                 if let Some(t) = &self.telemetry {
                     stall_started = Some(Instant::now());
                     t.event(EventKind::StallBegin { queue_depth });
-                }
-                // Stalls are rare and diagnostic gold: trace every one.
-                if let Some(tr) = &self.tracer {
-                    stall_depth = queue_depth;
-                    stall_span = Some(tr.start(SpanKind::Stall));
                 }
             }
             let t0 = Instant::now();
@@ -359,15 +322,10 @@ impl Core {
             }
             None => None,
         };
-        // Every flush is traced (rare, and the join point of the causal
-        // chain: puts link to the generation this span carries).
-        let flush_span = self.tracer.as_ref().map(|t| t.start(SpanKind::Flush));
-        let flush_span_id = flush_span.as_ref().map_or(0, |s| s.id);
         let base = Arc::clone(&self.shared.read().version);
         let mut working = (*base).clone();
         let mut outcome = CascadeOutcome::default();
         let cascade_started = tel.and_then(|t| t.op_start(OpKind::Cascade));
-        let cascade_span = self.tracer.as_ref().map(|t| t.start(SpanKind::Cascade));
         let cascaded = install_flush(
             &self.disk,
             &self.opts,
@@ -377,9 +335,6 @@ impl Core {
             tel,
         )?;
         self.compactions.flushes.fetch_add(1, Relaxed);
-        self.compactions
-            .bytes_flushed
-            .fetch_add(imm.bytes as u64, Relaxed);
         if cascaded {
             if let Some(t) = tel {
                 t.op_end(OpKind::Cascade, cascade_started);
@@ -387,18 +342,6 @@ impl Core {
                     merges: outcome.merges,
                     deepest_level: working.deepest() as u64,
                 });
-            }
-            if let (Some(tr), Some(active)) = (&self.tracer, cascade_span) {
-                // Parented under the flush; links record the generation,
-                // the merge shape, then the full input-run lineage.
-                let mut links = vec![
-                    imm.generation,
-                    outcome.merges,
-                    outcome.max_partitions as u64,
-                    outcome.max_threads as u64,
-                ];
-                links.extend(&outcome.input_runs);
-                tr.finish(active, flush_span_id, links);
             }
         }
         self.compactions.merges.fetch_add(outcome.merges, Relaxed);
@@ -439,19 +382,6 @@ impl Core {
             t.op_end(OpKind::Flush, flush_started);
             t.event(EventKind::FlushEnd { duration_micros });
         }
-        if let (Some(tr), Some(active)) = (&self.tracer, flush_span) {
-            // wal_segment is stored +1 so 0 can mean "no WAL" (volatile
-            // store) without an Option in the link layout.
-            tr.finish(
-                active,
-                0,
-                vec![
-                    imm.generation,
-                    imm.entries,
-                    imm.wal_segment.map_or(0, |s| s + 1),
-                ],
-            );
-        }
         Ok(())
     }
 
@@ -477,34 +407,6 @@ impl Core {
             size_ratio: Some(self.opts.size_ratio),
             runs,
         })
-    }
-}
-
-/// The observatory sampler: cuts a window every `interval` until shutdown.
-/// Owns only an `Arc<Core>` (like the flush worker), never touches op hot
-/// paths, and wakes early when `obs_cv` signals shutdown.
-fn sampler_loop(core: Arc<Core>, interval: Duration) {
-    loop {
-        let deadline = Instant::now() + interval;
-        {
-            let mut ctl = core.signals.control.lock().expect("control poisoned");
-            loop {
-                if ctl.shutdown {
-                    return;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = core
-                    .signals
-                    .obs_cv
-                    .wait_timeout(ctl, deadline - now)
-                    .expect("control poisoned");
-                ctl = guard;
-            }
-        }
-        core.observatory_tick();
     }
 }
 
@@ -566,13 +468,15 @@ impl Core {
     /// directory-backed store recovers its tree from the manifest and
     /// replays its WAL segments — unless the caller supplies its own `disk`
     /// (fault injection, slow devices, bespoke caches): such a store is
-    /// volatile, with no WAL, manifest or flight recorder. `sync_coord`,
-    /// when present, routes every WAL fsync through the shared cross-shard
-    /// coalescing coordinator.
+    /// volatile, with no WAL or manifest. `sync_coord`, when present,
+    /// routes every WAL fsync through the shared cross-shard coalescing
+    /// coordinator. A telemetry hub counts its clock from `origin`, which
+    /// every shard of one store shares.
     fn open(
         opts: DbOptions,
         supplied: Option<Arc<Disk>>,
         sync_coord: Option<Arc<WalSyncCoordinator>>,
+        origin: Instant,
     ) -> Result<Arc<Core>> {
         let volatile = |disk| (disk, Wal::disabled(), None, Vec::new(), None);
         let (disk, wal, manifest, replayed, manifest_state) = match (supplied, &opts.storage) {
@@ -615,40 +519,12 @@ impl Core {
             Arc::new(Telemetry::for_shard(
                 opts.shard_index,
                 Telemetry::DEFAULT_EVENT_CAPACITY,
+                origin,
             ))
         });
-        let tracer = match &telemetry {
-            Some(_) if opts.tracing => {
-                // A store that persists to its directory (it has a manifest
-                // there) also spills spans and events into the on-disk
-                // flight recorder; volatile stores keep spans in the
-                // in-memory ring only.
-                let recorder = match &opts.storage {
-                    StorageConfig::Directory(dir) if manifest.is_some() => {
-                        Some(FlightRecorder::open(
-                            dir,
-                            monkey_obs::DEFAULT_RECORDER_SEGMENT_BYTES,
-                            monkey_obs::DEFAULT_RECORDER_MAX_SEGMENTS,
-                        )?)
-                    }
-                    _ => None,
-                };
-                Some(Arc::new(Tracer::new(
-                    opts.shard_index,
-                    opts.trace_sample_period,
-                    recorder,
-                )))
-            }
-            _ => None,
-        };
         if let Some(t) = &telemetry {
             disk.attach_attribution(Arc::clone(t.attribution()));
-            disk.attach_io_latency(Arc::clone(t.io_latency()));
             wal.attach_telemetry(Arc::clone(t));
-            if let Some(tr) = &tracer {
-                t.attach_tracer(Arc::clone(tr));
-                wal.attach_tracer(Arc::clone(tr));
-            }
             // Surface a requested-but-unusable O_DIRECT backend exactly
             // once, at open — quietly running buffered when the operator
             // asked for device-true I/O would invalidate every latency
@@ -660,18 +536,11 @@ impl Core {
                 });
             }
         }
-        let series = telemetry.as_ref().map(|_| {
-            Arc::new(WindowedSeries::new(
-                opts.observatory_retention,
-                DEFAULT_EWMA_ALPHA,
-            ))
-        });
         let core = Arc::new(Core {
             disk,
             shared: RwLock::new(Shared {
                 memtable: Arc::new(memtable),
                 next_seq,
-                generation: 1,
                 immutables: VecDeque::new(),
                 version: Arc::new(version),
             }),
@@ -679,7 +548,6 @@ impl Core {
                 control: StdMutex::new(Control::default()),
                 work_cv: Condvar::new(),
                 stall_cv: Condvar::new(),
-                obs_cv: Condvar::new(),
             },
             compaction_lock: Mutex::new(()),
             wal,
@@ -688,8 +556,6 @@ impl Core {
             lookups: LookupCounters::default(),
             pipeline: PipelineCounters::default(),
             telemetry,
-            tracer,
-            series,
             opts,
         });
         // Recovered runs carry no build-time tags; adopt them level by level.
@@ -708,23 +574,23 @@ impl Core {
     }
 }
 
-/// One keyspace shard: an engine core plus its background threads.
-/// Dropping it shuts the shard's pipeline down and joins its workers.
+/// One keyspace shard: an engine core plus its background worker.
+/// Dropping it shuts the shard's pipeline down and joins the worker.
 pub(super) struct Shard {
     pub(super) core: Arc<Core>,
     worker: Option<std::thread::JoinHandle<()>>,
-    sampler: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Shard {
     /// Opens the shard's engine (see [`Core::open`]) and starts its
-    /// background threads.
+    /// background worker.
     pub(super) fn open(
         opts: DbOptions,
         disk: Option<Arc<Disk>>,
         sync_coord: Option<Arc<WalSyncCoordinator>>,
+        origin: Instant,
     ) -> Result<Shard> {
-        let core = Core::open(opts, disk, sync_coord)?;
+        let core = Core::open(opts, disk, sync_coord, origin)?;
         let worker = if core.opts.background_compaction {
             let worker_core = Arc::clone(&core);
             Some(
@@ -736,23 +602,7 @@ impl Shard {
         } else {
             None
         };
-        let sampler = match (&core.series, core.opts.observatory_interval) {
-            (Some(_), Some(interval)) => {
-                let sampler_core = Arc::clone(&core);
-                Some(
-                    std::thread::Builder::new()
-                        .name("monkey-obs-sampler".into())
-                        .spawn(move || sampler_loop(sampler_core, interval))
-                        .expect("spawn observatory sampler"),
-                )
-            }
-            _ => None,
-        };
-        Ok(Self {
-            core,
-            worker,
-            sampler,
-        })
+        Ok(Self { core, worker })
     }
 }
 
@@ -764,12 +614,8 @@ impl Drop for Shard {
             ctl.paused = false;
         }
         self.core.signals.work_cv.notify_all();
-        self.core.signals.obs_cv.notify_all();
         if let Some(worker) = self.worker.take() {
             let _ = worker.join();
-        }
-        if let Some(sampler) = self.sampler.take() {
-            let _ = sampler.join();
         }
         // Any still-enqueued WAL records reach the file (no fsync): a
         // clean process exit loses nothing that was acknowledged. The
@@ -802,7 +648,7 @@ impl Core {
     }
 
     /// The write path: one update — `value`, or a tombstone for `None`,
-    /// counted and traced as the put it is — gets a sequence number, a WAL
+    /// counted as the put it is — gets a sequence number, a WAL
     /// record and a place in the active memtable under the exclusive lock,
     /// then becomes durable in a group commit off it.
     pub(super) fn write(&self, key: Bytes, value: Option<Bytes>) -> Result<()> {
@@ -810,18 +656,9 @@ impl Core {
             Some(t) => t.op_start(OpKind::Put),
             None => None,
         };
-        let span = self
-            .tracer
-            .as_ref()
-            .and_then(|t| t.maybe_start(SpanKind::Put));
         self.check_background_error()?;
-        if let Some(t) = &self.telemetry {
-            // Classified as `w` before the key moves into the entry below.
-            t.workload().record_update(&key);
-        }
         self.check_entry_size(&key, value.as_ref().map_or(0, Bytes::len))?;
         let seq;
-        let generation;
         {
             let mut shared = self.shared.write();
             seq = shared.next_seq;
@@ -835,16 +672,9 @@ impl Core {
             // lock, batched with whatever other writers enqueued meanwhile.
             self.wal.enqueue(&entry)?;
             shared.memtable.insert(entry);
-            generation = shared.generation;
             self.maybe_rotate_after_insert(shared)?;
         }
-        let wal_batch = self.wal.commit(seq)?;
-        if let (Some(tr), Some(active)) = (&self.tracer, span) {
-            // Links: the group-commit batch that made this update durable
-            // and the memtable generation it landed in — the flush of that
-            // generation carries the same id.
-            tr.finish(active, 0, vec![wal_batch, generation]);
-        }
+        self.wal.commit(seq)?;
         if let Some(t) = &self.telemetry {
             t.op_end(OpKind::Put, started);
         }
@@ -865,11 +695,6 @@ impl Core {
             Some(t) => {
                 let started = t.op_start(OpKind::Get);
                 let out = self.get_impl(key);
-                if let Ok(found) = &out {
-                    // The taxonomy split the model cares about: zero-result
-                    // (`r`) vs non-zero-result (`v`) point lookups.
-                    t.workload().record_lookup(key, found.is_some());
-                }
                 t.op_end(OpKind::Get, started);
                 out
             }

@@ -9,9 +9,9 @@ use crate::stats::{
     CompactionStats, DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats,
 };
 use monkey_obs::{
-    drift_flag, HistogramSnapshot, IoBackendReport, IoLatencyReport, LevelIoSnapshot,
-    LevelLookupSnapshot, LevelReport, OpKind, OpLatencyReport, ShardBreakdown, Telemetry,
-    TelemetryReport, TelemetrySnapshot, WindowRates, IO_OPS, MAX_LEVELS, OP_KINDS,
+    drift_flag, HistogramSnapshot, IoBackendReport, LevelIoSnapshot, LevelLookupSnapshot,
+    LevelReport, OpKind, OpLatencyReport, ShardBreakdown, Telemetry, TelemetryReport, MAX_LEVELS,
+    OP_KINDS,
 };
 use monkey_storage::BackendInfo;
 use std::sync::atomic::Ordering::Relaxed;
@@ -155,29 +155,6 @@ impl Core {
             pipeline_gauges: self.pipeline_gauges(),
         }
     }
-
-    /// Cuts one observatory window: snapshots the engine's monotone
-    /// counters and folds the delta against the previous snapshot into the
-    /// windowed series. Returns the closed window's rates, or `None` when
-    /// telemetry is off or this was the baseline (first) snapshot.
-    pub(super) fn observatory_tick(&self) -> Option<WindowRates> {
-        let (t, series) = match (&self.telemetry, &self.series) {
-            (Some(t), Some(s)) => (t, s),
-            _ => return None,
-        };
-        let snapshot = TelemetrySnapshot {
-            at_micros: t.now_micros(),
-            gets: t.op_count(OpKind::Get),
-            puts: t.op_count(OpKind::Put),
-            ranges: t.op_count(OpKind::Range),
-            bytes_flushed: self.compactions.bytes_flushed.load(Relaxed),
-            entries_rewritten: self.compactions.entries_rewritten.load(Relaxed),
-            stalls: self.pipeline.stalls.load(Relaxed),
-            stall_micros: self.pipeline.stall_micros.load(Relaxed),
-            level_io: t.attribution().snapshot(),
-        };
-        series.record(snapshot)
-    }
 }
 
 /// Renders the storage layer's backend identity for telemetry reports.
@@ -191,9 +168,9 @@ fn io_backend_report(info: &BackendInfo) -> IoBackendReport {
 }
 
 /// Assembles the store's telemetry report from its shards: latency
-/// histograms, per-level tables and counters merge, the event and span
-/// rings are drained into one timeline each, and the model's expectations
-/// are taken over all shards' runs. `None` unless telemetry is on.
+/// histograms, per-level tables and counters merge, the event rings are
+/// drained into one timeline, and the model's expectations are taken over
+/// all shards' runs. `None` unless telemetry is on.
 pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
     let hubs: Vec<&Telemetry> = cores
         .iter()
@@ -259,27 +236,10 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         })
         .collect();
 
-    // Backend-op latency rows, merged per (op, level); ops with no backend
-    // calls anywhere are omitted.
-    let io_lat = IO_OPS
-        .iter()
-        .filter_map(|&op| {
-            let count: u64 = hubs.iter().map(|h| h.io_latency().op_count(op)).sum();
-            let levels = merged(
-                hubs.iter().map(|h| h.io_latency().snapshot(op)),
-                by_slot(HistogramSnapshot::merge),
-            )?;
-            (count > 0).then(|| IoLatencyReport::from_level_hists(op.name(), count, &levels))
-        })
-        .collect();
-
+    // Every shard's hub counts from the store's one origin, so sorting by
+    // timestamp interleaves the shards' events into one timeline.
     let mut events: Vec<_> = hubs.iter().flat_map(|h| h.drain_events()).collect();
     events.sort_by_key(|e| (e.ts_micros, e.seq));
-    // Each shard's tracer has its own clock origin, but they were all
-    // created at open, so sorting by start keeps the timeline coherent.
-    let tracers: Vec<_> = cores.iter().filter_map(|c| c.tracer.as_deref()).collect();
-    let mut spans: Vec<_> = tracers.iter().flat_map(|tr| tr.drain_spans()).collect();
-    spans.sort_by_key(|s| (s.start_micros, s.shard, s.id));
 
     let stats = summed.per_lookup(cores.len());
     Some(TelemetryReport {
@@ -287,7 +247,6 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         ops,
         levels,
         unattributed_io: io[0],
-        io: io_lat,
         expected_zero_result_lookup_ios: stats.expected_zero_result_lookup_ios,
         measured_zero_result_lookup_ios: stats.lookups.measured_zero_result_lookup_ios(),
         lookups: stats.lookups.key_hashes,
@@ -298,10 +257,6 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         events,
         events_dropped: hubs.iter().map(|h| h.events_dropped()).sum(),
         shards: breakdown(cores, &hubs, &per_shard, op_count(OpKind::Range)),
-        spans,
-        spans_started: tracers.iter().map(|tr| tr.spans_started()).sum(),
-        spans_dropped: tracers.iter().map(|tr| tr.spans_dropped()).sum(),
-        recorder_bytes: tracers.iter().map(|tr| tr.recorder_bytes()).sum(),
         // Every shard opens with the same backend options against the
         // same filesystem, so the first speaks for the store.
         io_backend: Some(io_backend_report(cores.first()?.disk.backend_info())),

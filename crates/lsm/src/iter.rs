@@ -416,9 +416,6 @@ pub struct RangeIter {
         std::sync::Arc<monkey_obs::Telemetry>,
         Option<std::time::Instant>,
     )>,
-    // Live pairs yielded so far; reported to the workload characterizer on
-    // drop as the scan's measured selectivity numerator.
-    scanned: u64,
 }
 
 /// Where a range cursor's pairs come from.
@@ -441,7 +438,6 @@ impl RangeIter {
             hi,
             done: false,
             timer: None,
-            scanned: 0,
         }
     }
 
@@ -466,14 +462,13 @@ impl RangeIter {
             hi: None,
             done: false,
             timer: None,
-            scanned: 0,
         })
     }
 
     /// Attaches a telemetry hub and the scan's (sampled) start instant.
-    /// When the cursor is dropped the hub gets the scan's latency sample
-    /// and one range lookup with the pairs this cursor yielded — so it is
-    /// attached to the cursor the caller holds, never to a shard's child.
+    /// When the cursor is dropped the hub gets the scan's latency sample —
+    /// so it is attached to the cursor the caller holds, never to a
+    /// shard's child.
     pub(crate) fn with_telemetry(
         mut self,
         timer: Option<(
@@ -489,7 +484,6 @@ impl RangeIter {
 impl Drop for RangeIter {
     fn drop(&mut self) {
         if let Some((telemetry, started)) = self.timer.take() {
-            telemetry.workload().record_range(self.scanned);
             telemetry.op_end(monkey_obs::OpKind::Range, started);
         }
     }
@@ -521,7 +515,6 @@ impl Iterator for RangeIter {
                         return Some(Err(e));
                     }
                 }
-                self.scanned += 1;
                 return Some(Ok(pair));
             }
         };
@@ -557,7 +550,6 @@ impl Iterator for RangeIter {
                     return Some(Err(e));
                 }
             };
-            self.scanned += 1;
             return Some(Ok((entry.key, entry.value)));
         }
     }

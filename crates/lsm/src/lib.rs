@@ -67,19 +67,15 @@ mod db;
 mod error;
 mod options;
 
-pub use db::{AdviceProvider, Db};
+pub use db::Db;
 pub use entry::{Entry, EntryKind, Hit};
 pub use error::{LsmError, Result};
 pub use iter::RangeIter;
 pub use merge::MergeReport;
 pub use monkey_bloom::FilterVariant;
 pub use monkey_obs::{
-    decode_segment, http_get, mode_split, DecodedFlight, DriftFlag, Event, EventKind,
-    FlightRecorder, HotKey, IoBackendReport, IoLatency, IoLatencyReport, IoLevelLatencyReport,
-    IoOp, LevelIoRates, LevelIoSnapshot, LevelLookupSnapshot, LevelReport, MeasuredWorkload,
-    ModeSplit, OpKind, OpLatencyReport, RecorderRecord, ShardBreakdown, SmoothedRates, Span,
-    SpanKind, Telemetry, TelemetryReport, TelemetrySnapshot, Tracer, WindowRates, WindowedSeries,
-    WorkloadCharacterizer, IO_OPS,
+    DriftFlag, Event, EventKind, IoBackendReport, LevelIoSnapshot, LevelLookupSnapshot,
+    LevelReport, OpKind, OpLatencyReport, ShardBreakdown, Telemetry, TelemetryReport,
 };
 pub use monkey_storage::{BackendInfo, CacheStats, IoBackend};
 pub use options::DbOptions;

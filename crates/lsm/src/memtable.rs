@@ -7,9 +7,8 @@
 //!
 //! The buffer is a concurrent skiplist laid out in an arena
 //! ([`crate::skiplist`]): writers are serialized by the engine's shard lock
-//! anyway, but point reads, scans, and the observatory's classification
-//! hooks traverse it **lock-free** — a `get` against the active buffer
-//! never waits behind a writer. It is already sorted, so nothing copies it
+//! anyway, but point reads and scans traverse it **lock-free** — a `get`
+//! against the active buffer never waits behind a writer. It is already sorted, so nothing copies it
 //! out: a scan and the flush's merge each walk it in place through a
 //! [`MemtableCursor`], and what they hand on owned shares the arena.
 //!

@@ -57,7 +57,7 @@ const BATCH_ENTRIES: usize = 1024;
 /// ahead of the coordinator park after this much lookahead.
 const CHANNEL_BATCHES: usize = 4;
 
-/// How a merge was executed, for telemetry gauges and trace lineage.
+/// How a merge was executed, for telemetry gauges.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergeReport {
     /// Key-range partitions the merge was cut into (1 = sequential). A
@@ -66,9 +66,6 @@ pub struct MergeReport {
     pub partitions: u32,
     /// Worker threads that merged them (1 = sequential).
     pub threads: u32,
-    /// Ids of the input runs consumed, in merge order — the causal lineage
-    /// a cascade span records so a trace can say which runs fed a merge.
-    pub input_runs: Vec<u64>,
     /// Merged keys, tombstones included, whose newest version the head or
     /// the [`Destination::fused`] inputs hold.
     pub(crate) young_keys: u64,
@@ -162,7 +159,7 @@ pub(crate) fn merge_step(
     let mut builder = RunBuilder::with_entries(Arc::clone(disk), expected);
     tag_destination(disk, &builder, dest.level);
     let run_id = builder.run_id();
-    let mut report = feed_merge(
+    let report = feed_merge(
         &mut builder,
         head,
         inputs,
@@ -170,7 +167,6 @@ pub(crate) fn merge_step(
         dest.fused,
         threads,
     )?;
-    report.input_runs = inputs.iter().map(|r| r.id()).collect();
     let params = filter(report.young_keys);
     let output = builder.finish_over(params, dest.below)?.map(Arc::new);
     if output.is_none() {
@@ -235,7 +231,6 @@ fn feed_merge(
         return Ok(MergeReport {
             partitions: 1,
             threads: 1,
-            input_runs: Vec::new(),
             young_keys: merged.young_keys(),
         });
     }
@@ -251,7 +246,6 @@ fn feed_merge(
     Ok(MergeReport {
         partitions: nparts,
         threads: workers,
-        input_runs: Vec::new(),
         young_keys,
     })
 }

@@ -69,16 +69,6 @@ pub struct DbOptions {
     /// `Db::telemetry_report()`. Off by default; when off, the only cost
     /// left on any hot path is one `None` branch per operation.
     pub telemetry: bool,
-    /// Sampling interval of the workload observatory: when set (and
-    /// telemetry is on), a `monkey-obs-sampler` thread snapshots the
-    /// engine's counters this often and folds the deltas into the windowed
-    /// time series behind `Db::observatory()`. `None` (the default) spawns
-    /// no thread; windows can still be cut deterministically with
-    /// `Db::observatory_tick()`.
-    pub observatory_interval: Option<std::time::Duration>,
-    /// How many closed windows the observatory retains (oldest evicted
-    /// first; ≥ 1).
-    pub observatory_retention: usize,
     /// Worker threads per merge (≥ 1). With more than one, each merge's key
     /// space is cut along input fence pointers into that many disjoint
     /// partitions merged concurrently; the concatenated output is
@@ -94,23 +84,6 @@ pub struct DbOptions {
     /// Default 1: the single-shard engine, byte-identical on disk to the
     /// pre-shard code path (every figure and model comparison runs there).
     pub shards: usize,
-    /// Causal span tracing (requires [`DbOptions::telemetry`]). When on,
-    /// every `trace_sample_period`-th operation opens a span; background
-    /// work (WAL group commits, flushes, merge cascades, stalls) is traced
-    /// whenever it carries sampled foreground work, with parent/link ids
-    /// tying a stalled put to the group-commit batch and flush that carried
-    /// it. Off by default; when off the per-op cost is one branch.
-    pub tracing: bool,
-    /// Sample one operation span out of every this many operations (≥ 1;
-    /// 1 traces everything — deterministic, for tests).
-    pub trace_sample_period: u64,
-    /// Serve the observability plane over HTTP on this address (e.g.
-    /// `"127.0.0.1:9184"`; requires [`DbOptions::telemetry`] for the
-    /// report endpoints). The embedded server answers `GET /metrics`
-    /// (Prometheus text), `/report.json`, `/advice.json`, `/spans.json`,
-    /// `/events.json`, and `/healthz`, and shuts down when the `Db` is
-    /// dropped. `None` (the default) binds nothing.
-    pub obs_listen: Option<String>,
     /// Index of this engine within a sharded store; assigned internally by
     /// the `Db` facade when it splits options per shard. 0 on single-shard
     /// stores. Not a user knob.
@@ -161,14 +134,9 @@ impl DbOptions {
             background_compaction: false,
             max_immutable_memtables: 2,
             telemetry: false,
-            observatory_interval: None,
-            observatory_retention: 128,
             compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
                 .unwrap_or(1),
             shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
-            tracing: false,
-            trace_sample_period: monkey_obs::DEFAULT_TRACE_SAMPLE_PERIOD,
-            obs_listen: None,
             shard_index: 0,
         }
     }
@@ -256,22 +224,6 @@ impl DbOptions {
         self
     }
 
-    /// Spawns the observatory sampler thread, cutting a time-series window
-    /// every `interval` (implies nothing unless [`DbOptions::telemetry`]
-    /// is also on).
-    pub fn observatory_interval(mut self, interval: std::time::Duration) -> Self {
-        assert!(!interval.is_zero(), "observatory interval must be positive");
-        self.observatory_interval = Some(interval);
-        self
-    }
-
-    /// Sets how many closed observatory windows are retained.
-    pub fn observatory_retention(mut self, windows: usize) -> Self {
-        assert!(windows >= 1, "at least one window must be retained");
-        self.observatory_retention = windows;
-        self
-    }
-
     /// Sets how many worker threads each merge may use (see
     /// [`DbOptions::compaction_threads`]).
     pub fn compaction_threads(mut self, n: usize) -> Self {
@@ -285,31 +237,6 @@ impl DbOptions {
     pub fn shards(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one shard is required");
         self.shards = n;
-        self
-    }
-
-    /// Enables causal span tracing (see [`DbOptions::tracing`]; requires
-    /// telemetry to be on as well).
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
-        self
-    }
-
-    /// Sets the span sampling period: one operation in every `period` is
-    /// traced (see [`DbOptions::trace_sample_period`]).
-    pub fn trace_sample_period(mut self, period: u64) -> Self {
-        assert!(period >= 1, "trace sample period must be at least 1");
-        self.trace_sample_period = period;
-        self
-    }
-
-    /// Serves the observability plane on `addr` (see
-    /// [`DbOptions::obs_listen`]). Port 0 picks a free port; the bound
-    /// address is available from `Db::obs_addr()`.
-    pub fn obs_listen(mut self, addr: impl Into<String>) -> Self {
-        let addr = addr.into();
-        assert!(!addr.is_empty(), "obs_listen address must be non-empty");
-        self.obs_listen = Some(addr);
         self
     }
 }
@@ -347,13 +274,8 @@ impl std::fmt::Debug for DbOptions {
             .field("background_compaction", &self.background_compaction)
             .field("max_immutable_memtables", &self.max_immutable_memtables)
             .field("telemetry", &self.telemetry)
-            .field("observatory_interval", &self.observatory_interval)
-            .field("observatory_retention", &self.observatory_retention)
             .field("compaction_threads", &self.compaction_threads)
             .field("shards", &self.shards)
-            .field("tracing", &self.tracing)
-            .field("trace_sample_period", &self.trace_sample_period)
-            .field("obs_listen", &self.obs_listen)
             .finish()
     }
 }
@@ -425,27 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn observatory_knobs() {
-        let o = DbOptions::in_memory();
-        assert_eq!(o.observatory_interval, None, "no sampler by default");
-        assert_eq!(o.observatory_retention, 128);
-        let o = o
-            .observatory_interval(std::time::Duration::from_millis(50))
-            .observatory_retention(16);
-        assert_eq!(
-            o.observatory_interval,
-            Some(std::time::Duration::from_millis(50))
-        );
-        assert_eq!(o.observatory_retention, 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one window")]
-    fn zero_observatory_retention_rejected() {
-        DbOptions::in_memory().observatory_retention(0);
-    }
-
-    #[test]
     fn compaction_threads_knob() {
         // Not asserting the default here: CI runs the suite with
         // MONKEY_COMPACTION_THREADS set, which base() honors by design.
@@ -466,6 +367,7 @@ mod tests {
         // MONKEY_SHARDS set, which base() honors by design.
         let o = DbOptions::in_memory();
         assert!(o.shards >= 1);
+        assert_eq!(o.shard_index, 0);
         assert_eq!(o.shards(8).shards, 8);
     }
 
@@ -473,37 +375,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_rejected() {
         DbOptions::in_memory().shards(0);
-    }
-
-    #[test]
-    fn tracing_off_by_default() {
-        let o = DbOptions::in_memory();
-        assert!(!o.tracing);
-        assert_eq!(o.trace_sample_period, 32);
-        assert_eq!(o.shard_index, 0);
-        let o = o.tracing(true).trace_sample_period(1);
-        assert!(o.tracing);
-        assert_eq!(o.trace_sample_period, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least 1")]
-    fn zero_trace_sample_period_rejected() {
-        DbOptions::in_memory().trace_sample_period(0);
-    }
-
-    #[test]
-    fn obs_listen_off_by_default() {
-        let o = DbOptions::in_memory();
-        assert_eq!(o.obs_listen, None);
-        let o = o.obs_listen("127.0.0.1:0");
-        assert_eq!(o.obs_listen.as_deref(), Some("127.0.0.1:0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_obs_listen_rejected() {
-        DbOptions::in_memory().obs_listen("");
     }
 
     #[test]

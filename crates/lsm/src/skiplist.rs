@@ -3,9 +3,9 @@
 //! The engine's write path is already serialized (every `put` holds the
 //! shard's write lock while it appends to the WAL and buffer), so this
 //! list optimizes for the other side: **readers never take a lock**.
-//! Point lookups, the [`Cursor`]s scans and flushes walk the buffer with,
-//! and the observatory's classification hooks all traverse the towers with
-//! `Acquire` loads while a writer may be splicing nodes in.
+//! Point lookups and the [`Cursor`]s scans and flushes walk the buffer
+//! with all traverse the towers with `Acquire` loads while a writer may be
+//! splicing nodes in.
 //!
 //! **Memory.** Every entry lives in fixed-size chunks ([`CHUNK_BYTES`])
 //! the list allocates by bumping an offset, as two records:

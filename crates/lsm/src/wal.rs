@@ -36,7 +36,7 @@ use crate::entry::{Entry, EntryKind};
 use crate::error::{LsmError, Result};
 use bytes::Bytes;
 use monkey_bloom::hash::xxh64;
-use monkey_obs::{ActiveSpan, EventKind, SpanKind, Telemetry, Tracer};
+use monkey_obs::{EventKind, Telemetry};
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -217,7 +217,6 @@ struct StagedBatch {
     last_seq: u64,
     records: u64,
     file: Arc<File>,
-    span: Option<ActiveSpan>,
 }
 
 struct ActiveSegment {
@@ -237,11 +236,6 @@ struct WalInner {
     /// `seq + 1` of the newest record written (and, in
     /// fsync-per-append mode, synced); 0 = nothing written yet.
     durable_mark: AtomicU64,
-    /// Commit number (1-based) of the newest batch written. Stored before
-    /// `durable_mark` is released, so a follower that observes its record
-    /// durable reads the id of the batch that carried it (or a later one —
-    /// still causally downstream of its write).
-    last_commit_no: AtomicU64,
     group_commits: AtomicU64,
     batched_appends: AtomicU64,
     syncs: AtomicU64,
@@ -259,11 +253,6 @@ pub struct Wal {
     /// [`EventKind::WalGroupCommit`] event carrying the batch size —
     /// always for multi-record batches, 1-in-64 for single-record ones.
     events: OnceLock<Arc<Telemetry>>,
-    /// Optional span source: multi-record batches (and sampled
-    /// single-record ones) are timed as [`SpanKind::WalCommit`] spans
-    /// whose links carry the commit number, so a traced put can be joined
-    /// to the physical batch that made it durable.
-    tracer: OnceLock<Arc<Tracer>>,
 }
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
@@ -286,7 +275,6 @@ impl Wal {
             sync_each_append: false,
             sync_coord: None,
             events: OnceLock::new(),
-            tracer: OnceLock::new(),
         }
     }
 
@@ -294,12 +282,6 @@ impl Wal {
     /// wins; later calls are ignored.
     pub fn attach_telemetry(&self, telemetry: Arc<Telemetry>) {
         let _ = self.events.set(telemetry);
-    }
-
-    /// Routes group-commit spans into `tracer`. First attachment wins;
-    /// later calls are ignored.
-    pub fn attach_tracer(&self, tracer: Arc<Tracer>) {
-        let _ = self.tracer.set(tracer);
     }
 
     /// Opens the log rooted at directory `dir`, replaying every complete
@@ -350,7 +332,6 @@ impl Wal {
                         file: Arc::new(file),
                     }),
                     durable_mark: AtomicU64::new(0),
-                    last_commit_no: AtomicU64::new(0),
                     group_commits: AtomicU64::new(0),
                     batched_appends: AtomicU64::new(0),
                     syncs: AtomicU64::new(0),
@@ -358,7 +339,6 @@ impl Wal {
                 sync_each_append,
                 sync_coord,
                 events: OnceLock::new(),
-                tracer: OnceLock::new(),
             },
             entries,
         ))
@@ -392,23 +372,17 @@ impl Wal {
 
     /// Ensures the record carrying `seq` has been written to the log (and
     /// synced, in fsync-per-append mode). The caller becomes the batch
-    /// leader if no other committer got there first. Returns the commit
-    /// number (1-based) of the batch observed to carry the record — the
-    /// causal link a traced put records against its group commit — or 0
-    /// when the WAL is disabled.
-    pub fn commit(&self, seq: u64) -> Result<u64> {
+    /// leader if no other committer got there first.
+    pub fn commit(&self, seq: u64) -> Result<()> {
         let Some(inner) = &self.inner else {
-            return Ok(0);
+            return Ok(());
         };
         if inner.durable_mark.load(Ordering::Acquire) > seq {
-            // A leader already wrote our record; its batch id (or a later
-            // one) is visible because last_commit_no is stored before the
-            // durable mark's release.
-            return Ok(inner.last_commit_no.load(Ordering::Relaxed));
+            return Ok(()); // a leader already wrote our record
         }
         let mut segment = inner.segment.lock();
         if inner.durable_mark.load(Ordering::Acquire) > seq {
-            return Ok(inner.last_commit_no.load(Ordering::Relaxed)); // committed while we waited
+            return Ok(()); // committed while we waited
         }
         match self.stage_pending_locked(inner, &mut segment)? {
             Some(staged) => {
@@ -431,7 +405,7 @@ impl Wal {
                     self.sync_file(inner, &file)?;
                     inner.durable_mark.fetch_max(seq + 1, Ordering::AcqRel);
                 }
-                Ok(inner.last_commit_no.load(Ordering::Relaxed))
+                Ok(())
             }
         }
     }
@@ -439,20 +413,18 @@ impl Wal {
     /// Convenience single-record append: enqueue + commit.
     pub fn append(&self, entry: &Entry) -> Result<()> {
         self.enqueue(entry)?;
-        self.commit(entry.seq)?;
-        Ok(())
+        self.commit(entry.seq)
     }
 
     /// Drains the pending queue into the active segment as one batch and
     /// finishes it (sync + durable-mark publication) with the lock still
-    /// held. Returns the batch's commit number (the latest one when the
-    /// queue was already empty). The seal/sync/shutdown paths use this
-    /// single-phase form; the commit hot path splits the phases so the
-    /// sync runs off the segment lock.
-    fn write_pending_locked(&self, inner: &WalInner, segment: &mut ActiveSegment) -> Result<u64> {
+    /// held. The seal/sync/shutdown paths use this single-phase form; the
+    /// commit hot path splits the phases so the sync runs off the segment
+    /// lock.
+    fn write_pending_locked(&self, inner: &WalInner, segment: &mut ActiveSegment) -> Result<()> {
         match self.stage_pending_locked(inner, segment)? {
             Some(staged) => self.finish_batch(inner, staged),
-            None => Ok(inner.last_commit_no.load(Ordering::Relaxed)),
+            None => Ok(()),
         }
     }
 
@@ -469,17 +441,6 @@ impl Wal {
         if batch.is_empty() {
             return Ok(None);
         }
-        // Multi-record batches are always traced (they are the interesting
-        // group commits); single-record ones ride the tracer's sampler so
-        // period-1 test configs see every commit while the default period
-        // keeps the put path clock-free.
-        let span = self.tracer.get().and_then(|t| {
-            if batch.len() > 1 || t.sample() {
-                Some(t.start(SpanKind::WalCommit))
-            } else {
-                None
-            }
-        });
         let total: usize = batch.iter().map(|r| 8 + r.body.len()).sum();
         let mut buf = Vec::with_capacity(total);
         for record in &batch {
@@ -490,7 +451,6 @@ impl Wal {
         (&*segment.file).write_all(&buf)?;
         let last_seq = batch.last().expect("non-empty batch").seq;
         let commit_no = inner.group_commits.fetch_add(1, Ordering::Relaxed) + 1;
-        inner.last_commit_no.store(commit_no, Ordering::Relaxed);
         inner
             .batched_appends
             .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -499,7 +459,6 @@ impl Wal {
             last_seq,
             records: batch.len() as u64,
             file: Arc::clone(&segment.file),
-            span,
         }))
     }
 
@@ -508,18 +467,13 @@ impl Wal {
     /// batch's telemetry. Batches may finish out of order — the mark is a
     /// `fetch_max`, and a later batch's sync covers an earlier one's bytes
     /// because both were written to the file in lock order.
-    fn finish_batch(&self, inner: &WalInner, staged: StagedBatch) -> Result<u64> {
+    fn finish_batch(&self, inner: &WalInner, staged: StagedBatch) -> Result<()> {
         if self.sync_each_append {
             self.sync_file(inner, &staged.file)?;
         }
         inner
             .durable_mark
             .fetch_max(staged.last_seq + 1, Ordering::AcqRel);
-        if let Some(active) = staged.span {
-            if let Some(tracer) = self.tracer.get() {
-                tracer.finish(active, 0, vec![staged.commit_no, staged.records]);
-            }
-        }
         // Real groups (>1 record) always make the timeline; single-record
         // commits — every sync-mode put — are sampled 1-in-64 so the event
         // ring shows WAL cadence without a clock read and ring push on the
@@ -531,7 +485,7 @@ impl Wal {
                 });
             }
         }
-        Ok(staged.commit_no)
+        Ok(())
     }
 
     /// One durability barrier for `file`: through the coordinator when

@@ -14,14 +14,12 @@
 //! | [`tuner`] | Appendix D: divide-and-conquer search for the (merge policy, size ratio) maximizing throughput, with SLA bounds |
 //! | [`autotune`] | Appendix C: Algorithms 1–3, iterative filter allocation for variable entry sizes |
 //! | [`design_space`] | Figure 1/4/8 presets and Pareto-curve enumeration |
-//! | [`advisor`] | Entry points for the closed-loop tuning advisor: price a deployed design (Eq. 12/13) and recommend over a memory budget (Appendix D + §4.4) |
 //!
 //! All quantities follow the paper's units: memory in **bits**, costs in
 //! **I/Os**, `N` in entries.
 
 #![warn(missing_docs)]
 
-pub mod advisor;
 pub mod autotune;
 pub mod cost;
 pub mod design_space;
@@ -31,7 +29,6 @@ pub mod params;
 pub mod throughput;
 pub mod tuner;
 
-pub use advisor::{price_design, recommend, DesignCosts};
 pub use cost::{
     baseline_zero_result_lookup_cost, non_zero_result_lookup_cost, range_lookup_cost, update_cost,
     zero_result_lookup_cost,

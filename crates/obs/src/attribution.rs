@@ -178,8 +178,8 @@ impl IoAttribution {
 
     /// Record a block-cache hit of `bytes` against `run`'s level. Hits are
     /// not I/Os and are deliberately kept out of `reads`/`read_bytes`; this
-    /// separate channel lets the advisor see which levels the cache is
-    /// absorbing traffic for.
+    /// separate channel shows which levels the cache is absorbing traffic
+    /// for.
     #[inline]
     pub fn on_cache_hit(&self, run: u64, bytes: u64) {
         let slot = self.level_of(run).unwrap_or(0);

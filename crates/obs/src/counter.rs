@@ -70,15 +70,6 @@ impl ShardedCounter {
             .map(|s| s.0.load(Ordering::Relaxed))
             .sum()
     }
-
-    /// Reset every shard to zero. Racy against concurrent writers (their
-    /// in-flight adds may survive); intended for test setup, not as a
-    /// synchronisation point.
-    pub fn reset(&self) {
-        for s in &self.shards {
-            s.0.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 impl std::fmt::Debug for ShardedCounter {
@@ -99,8 +90,6 @@ mod tests {
         c.incr();
         c.add(41);
         assert_eq!(c.get(), 42);
-        c.reset();
-        assert_eq!(c.get(), 0);
     }
 
     #[test]

@@ -134,10 +134,8 @@ impl EventRing {
         self.capacity
     }
 
-    /// Append an event, evicting the oldest if full. Returns a copy of
-    /// the stored event so callers can forward it (e.g. to the flight
-    /// recorder) without re-locking.
-    pub fn push(&self, ts_micros: u64, kind: EventKind) -> Event {
+    /// Append an event, evicting the oldest if full.
+    pub fn push(&self, ts_micros: u64, kind: EventKind) {
         let mut g = self.inner.lock().unwrap();
         if g.buf.len() == self.capacity {
             g.buf.pop_front();
@@ -145,14 +143,12 @@ impl EventRing {
         }
         let seq = g.next_seq;
         g.next_seq += 1;
-        let event = Event {
+        g.buf.push_back(Event {
             seq,
             ts_micros,
             shard: self.shard,
             kind,
-        };
-        g.buf.push_back(event.clone());
-        event
+        });
     }
 
     /// Remove and return the buffered timeline, oldest first. Sequence
@@ -161,12 +157,6 @@ impl EventRing {
     pub fn drain(&self) -> Vec<Event> {
         let mut g = self.inner.lock().unwrap();
         g.buf.drain(..).collect()
-    }
-
-    /// Copy the buffered timeline without consuming it.
-    pub fn peek(&self) -> Vec<Event> {
-        let g = self.inner.lock().unwrap();
-        g.buf.iter().cloned().collect()
     }
 
     /// Number of events evicted (never seen by any drain) since creation.
@@ -231,8 +221,7 @@ mod tests {
     #[test]
     fn shard_tag_flows_through() {
         let ring = EventRing::for_shard(7, 4);
-        let pushed = ring.push(5, EventKind::StallBegin { queue_depth: 1 });
-        assert_eq!(pushed.shard, 7);
+        ring.push(5, EventKind::StallBegin { queue_depth: 1 });
         assert_eq!(ring.drain()[0].shard, 7);
     }
 

@@ -1,23 +1,19 @@
 //! Backend I/O latency: per-op, per-level log2 histograms with sampled
 //! timing and a page-cache-vs-device mode split.
 //!
-//! `IoStats` counts pages; this module times them. The storage layer
-//! attaches an [`IoLatency`] to its `Disk` (the same first-set-wins
-//! `OnceLock` pattern as [`crate::IoAttribution`]) and brackets each
-//! backend call — `read_page`, `read_page_sequential`, `write_page`,
-//! `seal`/sync — with [`IoLatency::op_start`]/[`IoLatency::record`].
-//! Timing is sampled 1-in-[`IO_SAMPLE_PERIOD`] for the page ops (the
-//! same thread-local tick scheme as op latency, so the put path keeps
-//! its <2% telemetry budget); syncs are rare and always timed.
+//! `IoStats` counts pages; this module times them. A caller brackets each
+//! backend call — page read, sequential read, page write, sync — with
+//! [`IoLatency::op_start`]/[`IoLatency::record`]. The engine's `Disk` no
+//! longer does so. Timing is sampled 1-in-[`IO_SAMPLE_PERIOD`] for the
+//! page ops (the same thread-local tick scheme as op latency); syncs are
+//! rare and always timed.
 //!
 //! Buffered backends hide a second distribution inside every histogram:
 //! a read served by the OS page cache completes in microseconds while a
 //! read that misses to the device takes orders of magnitude longer. The
 //! log2 buckets keep both modes visible, and [`mode_split`] infers the
-//! boundary between them from the histogram's bimodality — reporting
-//! the fast-mode occupancy (`monkey_io_cache_mode_ratio`) and the
-//! threshold, which is the baseline the `O_DIRECT` backend needs to prove
-//! it actually reaches the device.
+//! boundary between them from the histogram's bimodality — the fast-mode
+//! occupancy and the threshold.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};

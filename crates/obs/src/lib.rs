@@ -11,32 +11,22 @@
 //!   monotonic timestamps, drainable as a timeline.
 //! - [`IoAttribution`]: run-id → level tagging so page reads/writes in the
 //!   storage layer can be attributed to tree levels.
-//! - [`IoLatency`]: sampled per-backend-op latency histograms (read,
-//!   sequential read, write, sync) with per-level attribution and a
-//!   page-cache-vs-device split inferred from bimodality ([`mode_split`]).
-//! - [`ObsServer`]: a hand-rolled HTTP/1.1 scrape endpoint serving the
-//!   report renderings to Prometheus scrapers and `monkey-top --connect`.
 //! - [`Telemetry`]: the aggregate hub the engine holds as
 //!   `Option<Arc<Telemetry>>` — `None` when `DbOptions::telemetry` is off,
 //!   so the disabled cost is one branch per op.
+//! - [`IoLatency`]: sampled per-backend-op latency histograms with
+//!   per-level slots and a page-cache-vs-device split ([`mode_split`]).
+//! - [`WindowedSeries`]: a ring of [`TelemetrySnapshot`] deltas with EWMA
+//!   smoothing; [`CountMinSketch`] and [`SpaceSaving`] summarise key skew.
+//!   The engine wires none of these three in.
 //! - [`TelemetryReport`]: the assembled snapshot with Prometheus text,
-//!   JSON, human, and Chrome trace-event renderings, plus the FPR
-//!   model-drift bound ([`drift_flag`]).
-//! - The workload observatory: [`WindowedSeries`] (ring of periodic
-//!   [`TelemetrySnapshot`] deltas with EWMA smoothing),
-//!   [`WorkloadCharacterizer`] (online `(r, v, q, w)` classification and
-//!   key-skew sketching via [`CountMinSketch`]/[`SpaceSaving`]), and
-//!   [`TuningAdvice`] (the closed-loop tuning report).
-//! - The causal tracing layer: [`Tracer`] hands out sampled [`Span`]s
-//!   with ids, parent links, and causal references, and the
-//!   [`FlightRecorder`] persists spans and events into a bounded on-disk
-//!   ring of checksum-framed segments for post-crash forensics.
+//!   JSON and human renderings, plus the FPR model-drift bound
+//!   ([`drift_flag`]).
 //!
 //! The crate is intentionally std-only: it sits below every other crate
 //! in the workspace so instrumentation can be threaded through any layer
 //! without dependency cycles.
 
-mod advisor;
 mod attribution;
 mod counter;
 mod events;
@@ -45,15 +35,9 @@ mod iolat;
 mod json;
 mod report;
 mod series;
-mod serve;
 mod sketch;
 mod telemetry;
-mod trace;
 
-pub use advisor::{
-    DesignPoint, MeasuredWorkload, TuningAdvice, WorkloadCharacterizer, DEFAULT_HOT_KEYS,
-    DEFAULT_MIN_ADVICE_SAMPLES, DEFAULT_MIN_ADVICE_WINDOWS, KEY_SAMPLE_PERIOD,
-};
 pub use attribution::{IoAttribution, LevelIoSnapshot, LEVEL_SLOTS, MAX_LEVELS};
 pub use counter::ShardedCounter;
 pub use events::{Event, EventKind, EventRing};
@@ -61,18 +45,12 @@ pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use iolat::{mode_split, IoLatency, IoOp, ModeSplit, IO_OPS, IO_SAMPLE_PERIOD};
 pub use json::{json_array, json_f64, json_string, JsonObject};
 pub use report::{
-    drift_flag, DriftFlag, IoBackendReport, IoLatencyReport, IoLevelLatencyReport, LevelReport,
-    OpLatencyReport, ShardBreakdown, TelemetryReport, DRIFT_EPSILON, DRIFT_MIN_PROBES, DRIFT_Z,
+    drift_flag, DriftFlag, IoBackendReport, LevelReport, OpLatencyReport, ShardBreakdown,
+    TelemetryReport, DRIFT_EPSILON, DRIFT_MIN_PROBES, DRIFT_Z,
 };
 pub use series::{
     counter_delta, Ewma, LevelIoRates, SmoothedRates, TelemetrySnapshot, WindowRates,
     WindowedSeries, DEFAULT_EWMA_ALPHA,
 };
-pub use serve::{http_get, HttpHandler, HttpResponse, ObsServer, MAX_REQUEST_BYTES};
 pub use sketch::{fnv1a, CountMinSketch, HotKey, SpaceSaving};
 pub use telemetry::{LevelLookupSnapshot, OpKind, Telemetry, OP_KINDS, SAMPLE_PERIOD};
-pub use trace::{
-    decode_segment, ActiveSpan, DecodedFlight, FlightRecorder, RecorderRecord, Span, SpanKind,
-    Tracer, DEFAULT_RECORDER_MAX_SEGMENTS, DEFAULT_RECORDER_SEGMENT_BYTES, DEFAULT_SPAN_CAPACITY,
-    DEFAULT_TRACE_SAMPLE_PERIOD,
-};

@@ -7,13 +7,10 @@
 //! the `monkey-stats` bin — plus the model-drift bound.
 
 use crate::attribution::LevelIoSnapshot;
-use crate::events::{Event, EventKind};
+use crate::events::Event;
 use crate::hist::HistogramSnapshot;
-use crate::iolat::mode_split;
 use crate::json::{json_array, json_f64, JsonObject};
 use crate::telemetry::LevelLookupSnapshot;
-use crate::trace::Span;
-use std::collections::HashMap;
 
 /// Version string baked into `monkey_build_info` so scrapes identify the
 /// build they came from.
@@ -93,86 +90,6 @@ impl OpLatencyReport {
     }
 }
 
-/// Backend latency for one backend op on one level, in microseconds.
-#[derive(Debug, Clone)]
-pub struct IoLevelLatencyReport {
-    /// Level slot (0 = unattributed I/O, e.g. the WAL or transient runs).
-    pub level: usize,
-    /// Duration samples backing the percentiles.
-    pub sampled: u64,
-    pub mean_micros: f64,
-    pub p50_micros: f64,
-    pub p90_micros: f64,
-    pub p99_micros: f64,
-    pub max_micros: f64,
-}
-
-/// Latency summary for one backend op (`read_page`,
-/// `read_page_sequential`, `write_page`, `sync`), aggregated across
-/// levels, plus the inferred page-cache-vs-device mode split.
-#[derive(Debug, Clone)]
-pub struct IoLatencyReport {
-    pub op: &'static str,
-    /// Exact number of backend calls (every call).
-    pub ops: u64,
-    /// Duration samples backing the aggregate percentiles.
-    pub sampled: u64,
-    pub mean_micros: f64,
-    pub p50_micros: f64,
-    pub p90_micros: f64,
-    pub p99_micros: f64,
-    pub p999_micros: f64,
-    pub max_micros: f64,
-    /// Fraction of sampled calls in the fast (page-cache-speed) latency
-    /// mode; 1.0 when the distribution is unimodal.
-    pub cache_mode_ratio: f64,
-    /// Fast/slow boundary in microseconds; 0 when unimodal.
-    pub mode_threshold_micros: f64,
-    /// Per-level rows (only levels with samples).
-    pub levels: Vec<IoLevelLatencyReport>,
-}
-
-impl IoLatencyReport {
-    /// Assemble one op's report from its per-level histogram snapshots
-    /// (index 0 = unattributed), as returned by
-    /// [`crate::IoLatency::snapshot`].
-    pub fn from_level_hists(op: &'static str, ops: u64, levels: &[HistogramSnapshot]) -> Self {
-        let us = |n: u64| n as f64 / 1_000.0;
-        let mut merged = HistogramSnapshot::empty();
-        let mut rows = Vec::new();
-        for (level, h) in levels.iter().enumerate() {
-            if h.count == 0 {
-                continue;
-            }
-            merged.merge(h);
-            rows.push(IoLevelLatencyReport {
-                level,
-                sampled: h.count,
-                mean_micros: h.mean_nanos() / 1_000.0,
-                p50_micros: us(h.p50_nanos()),
-                p90_micros: us(h.p90_nanos()),
-                p99_micros: us(h.p99_nanos()),
-                max_micros: us(h.max),
-            });
-        }
-        let split = mode_split(&merged);
-        Self {
-            op,
-            ops,
-            sampled: merged.count,
-            mean_micros: merged.mean_nanos() / 1_000.0,
-            p50_micros: us(merged.p50_nanos()),
-            p90_micros: us(merged.p90_nanos()),
-            p99_micros: us(merged.p99_nanos()),
-            p999_micros: us(merged.p999_nanos()),
-            max_micros: us(merged.max),
-            cache_mode_ratio: split.fast_fraction,
-            mode_threshold_micros: split.threshold_nanos as f64 / 1_000.0,
-            levels: rows,
-        }
-    }
-}
-
 /// Everything measured about one tree level, next to what the model
 /// allocated to it.
 #[derive(Debug, Clone)]
@@ -228,8 +145,7 @@ pub struct ShardBreakdown {
 /// Which disk backend is serving a store's pages — the requested kind,
 /// the kind actually active after the runtime fallback ladder, and the
 /// device alignment the active backend discovered. Rendered as the
-/// `monkey_io_backend_info` gauge and as a `backend` label on every
-/// `monkey_io_*` latency row, so dashboards can tell page-cache-speed
+/// `monkey_io_backend_info` gauge, so dashboards can tell page-cache-speed
 /// buffered numbers from device-true `O_DIRECT` numbers at a glance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoBackendReport {
@@ -256,10 +172,6 @@ pub struct TelemetryReport {
     /// I/O that could not be pinned to a level: runs no level holds any
     /// more, such as an obsolete run a scan still reads.
     pub unattributed_io: LevelIoSnapshot,
-    /// Backend I/O latency per op, with per-level rows and the inferred
-    /// page-cache-vs-device split. Ops with no backend calls are omitted
-    /// (an in-memory store reports an empty list).
-    pub io: Vec<IoLatencyReport>,
     /// The model's `R`: sum of per-run filter FPRs (Monkey Eq. 3).
     pub expected_zero_result_lookup_ios: f64,
     /// The engine's empirical counterpart: filter false positives per
@@ -283,16 +195,6 @@ pub struct TelemetryReport {
     /// Per-shard gauges; empty on a single-shard store (whose report and
     /// renderings stay byte-identical to the pre-shard engine).
     pub shards: Vec<ShardBreakdown>,
-    /// Finished trace spans (a copy of every shard's span ring, in order
-    /// of start time). Empty when tracing is off.
-    pub spans: Vec<Span>,
-    /// Spans started since tracing began (`monkey_trace_spans_total`).
-    pub spans_started: u64,
-    /// Finished spans evicted from the ring before any export saw them.
-    pub spans_dropped: u64,
-    /// Bytes appended to the flight recorder by this process
-    /// (`monkey_recorder_bytes`); 0 without a recorder.
-    pub recorder_bytes: u64,
     /// The disk backend serving this store, when the engine knows it.
     /// `None` keeps every rendering byte-identical to reports produced
     /// before backend selection existed (and by callers that build
@@ -383,103 +285,6 @@ impl TelemetryReport {
                     op.op, op.sampled
                 ),
             );
-        }
-
-        // When the active backend is known, every io row carries it as a
-        // label — buffered and O_DIRECT latencies must never be mistaken
-        // for each other in a dashboard. Unknown backend → no label, and
-        // the rendering is byte-identical to pre-backend-selection output.
-        let be = self
-            .io_backend
-            .as_ref()
-            .map(|b| format!(",backend=\"{}\"", b.kind))
-            .unwrap_or_default();
-        if !self.io.is_empty() {
-            push(
-                &mut out,
-                "# HELP monkey_io_ops_total Backend I/O calls, by op.",
-            );
-            push(&mut out, "# TYPE monkey_io_ops_total counter");
-            for io in &self.io {
-                push(
-                    &mut out,
-                    &format!("monkey_io_ops_total{{op=\"{}\"{be}}} {}", io.op, io.ops),
-                );
-            }
-            push(
-                &mut out,
-                "# HELP monkey_io_latency_micros Sampled backend I/O latency quantiles in \
-                 microseconds, by op and level (level 0 = unattributed).",
-            );
-            push(&mut out, "# TYPE monkey_io_latency_micros summary");
-            for io in &self.io {
-                for l in &io.levels {
-                    for (q, v) in [
-                        ("0.5", l.p50_micros),
-                        ("0.9", l.p90_micros),
-                        ("0.99", l.p99_micros),
-                    ] {
-                        push(
-                            &mut out,
-                            &format!(
-                                "monkey_io_latency_micros{{op=\"{}\",level=\"{}\",quantile=\"{}\"{be}}} {}",
-                                io.op,
-                                l.level,
-                                q,
-                                json_f64(v)
-                            ),
-                        );
-                    }
-                    push(
-                        &mut out,
-                        &format!(
-                            "monkey_io_latency_micros_max{{op=\"{}\",level=\"{}\"{be}}} {}",
-                            io.op,
-                            l.level,
-                            json_f64(l.max_micros)
-                        ),
-                    );
-                    push(
-                        &mut out,
-                        &format!(
-                            "monkey_io_latency_samples{{op=\"{}\",level=\"{}\"{be}}} {}",
-                            io.op, l.level, l.sampled
-                        ),
-                    );
-                }
-            }
-            push(
-                &mut out,
-                "# HELP monkey_io_cache_mode_ratio Fraction of sampled backend calls in the \
-                 fast (page-cache-speed) latency mode; 1 when unimodal.",
-            );
-            push(&mut out, "# TYPE monkey_io_cache_mode_ratio gauge");
-            for io in &self.io {
-                push(
-                    &mut out,
-                    &format!(
-                        "monkey_io_cache_mode_ratio{{op=\"{}\"{be}}} {}",
-                        io.op,
-                        json_f64(io.cache_mode_ratio)
-                    ),
-                );
-            }
-            push(
-                &mut out,
-                "# HELP monkey_io_mode_threshold_micros Inferred fast/slow latency boundary \
-                 in microseconds; 0 when unimodal.",
-            );
-            push(&mut out, "# TYPE monkey_io_mode_threshold_micros gauge");
-            for io in &self.io {
-                push(
-                    &mut out,
-                    &format!(
-                        "monkey_io_mode_threshold_micros{{op=\"{}\"{be}}} {}",
-                        io.op,
-                        json_f64(io.mode_threshold_micros)
-                    ),
-                );
-            }
         }
 
         if let Some(b) = &self.io_backend {
@@ -757,200 +562,7 @@ impl TelemetryReport {
             &mut out,
             &format!("monkey_events_dropped_total {}", self.events_dropped),
         );
-        push(
-            &mut out,
-            "# HELP monkey_trace_spans_total Trace spans started since tracing began.",
-        );
-        push(&mut out, "# TYPE monkey_trace_spans_total counter");
-        push(
-            &mut out,
-            &format!("monkey_trace_spans_total {}", self.spans_started),
-        );
-        push(
-            &mut out,
-            "# HELP monkey_trace_spans_dropped_total Finished spans evicted from the ring before export.",
-        );
-        push(&mut out, "# TYPE monkey_trace_spans_dropped_total counter");
-        push(
-            &mut out,
-            &format!("monkey_trace_spans_dropped_total {}", self.spans_dropped),
-        );
-        push(
-            &mut out,
-            "# HELP monkey_recorder_bytes Bytes appended to the flight recorder by this process.",
-        );
-        push(&mut out, "# TYPE monkey_recorder_bytes counter");
-        push(
-            &mut out,
-            &format!("monkey_recorder_bytes {}", self.recorder_bytes),
-        );
         out
-    }
-
-    /// Export the drained event timeline in Chrome trace-event JSON, the
-    /// format Perfetto / `chrome://tracing` open directly. Flush and stall
-    /// episodes become complete (`"ph":"X"`) spans — start/end pairs are
-    /// matched within the drained window, the span duration taken from the
-    /// end event's payload — and everything else becomes an instant event.
-    ///
-    /// Each shard gets its own block of thread lanes (`tid = shard*4 +
-    /// lane`): lane 0 carries sampled trace spans, lane 1 flush spans,
-    /// lane 2 stall spans, lane 3 instants. Shard 0's lanes are therefore
-    /// tids 1–3 for events, matching the pre-sharding layout.
-    pub fn to_chrome_trace(&self) -> String {
-        // Lane offsets inside a shard's tid block.
-        const LANE_TRACE: u64 = 0;
-        const LANE_FLUSH: u64 = 1;
-        const LANE_STALL: u64 = 2;
-        const LANE_INSTANT: u64 = 3;
-        let tid = |shard: u32, lane: u64| shard as u64 * 4 + lane;
-        let span = |name: &str, tid: u64, ts: u64, dur: u64, args: String| -> String {
-            JsonObject::new()
-                .str("name", name)
-                .str("ph", "X")
-                .str("cat", "monkey")
-                .u64("ts", ts)
-                .u64("dur", dur)
-                .u64("pid", 1)
-                .u64("tid", tid)
-                .raw("args", &args)
-                .finish()
-        };
-        let instant = |e: &Event| -> String {
-            let args = e
-                .kind
-                .fields()
-                .into_iter()
-                .fold(JsonObject::new(), |obj, (k, v)| {
-                    if v.bytes().all(|b| b.is_ascii_digit()) && !v.is_empty() {
-                        obj.raw(k, &v)
-                    } else {
-                        obj.str(k, &v)
-                    }
-                })
-                .finish();
-            JsonObject::new()
-                .str("name", e.kind.name())
-                .str("ph", "i")
-                .str("cat", "monkey")
-                .u64("ts", e.ts_micros)
-                .u64("pid", 1)
-                .u64("tid", tid(e.shard, LANE_INSTANT))
-                .str("s", "p")
-                .raw("args", &args)
-                .finish()
-        };
-        let mut out: Vec<String> = Vec::with_capacity(self.events.len() + self.spans.len());
-        // Pending starts not yet closed by their end event, as indices
-        // into the timeline, tracked per shard (shards flush and stall
-        // independently, so an end must match a start from its own
-        // shard). Within a shard flushes are serialized by the engine and
-        // stalls are drained in order, so a LIFO match is faithful enough
-        // for a trace view.
-        let mut open_flushes: HashMap<u32, Vec<usize>> = HashMap::new();
-        let mut open_stalls: HashMap<u32, Vec<usize>> = HashMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            match &e.kind {
-                EventKind::FlushStart { .. } => open_flushes.entry(e.shard).or_default().push(i),
-                EventKind::FlushEnd { duration_micros } => {
-                    let start = open_flushes
-                        .get_mut(&e.shard)
-                        .and_then(|v| v.pop())
-                        .map(|j| &self.events[j].kind);
-                    let args = match start {
-                        Some(EventKind::FlushStart { entries, bytes }) => JsonObject::new()
-                            .u64("entries", *entries)
-                            .u64("bytes", *bytes)
-                            .finish(),
-                        _ => JsonObject::new().finish(),
-                    };
-                    let dur = *duration_micros;
-                    let ts = e.ts_micros.saturating_sub(dur);
-                    out.push(span("flush", tid(e.shard, LANE_FLUSH), ts, dur, args));
-                }
-                EventKind::StallBegin { .. } => open_stalls.entry(e.shard).or_default().push(i),
-                EventKind::StallEnd { waited_micros } => {
-                    let start = open_stalls
-                        .get_mut(&e.shard)
-                        .and_then(|v| v.pop())
-                        .map(|j| &self.events[j].kind);
-                    let args = match start {
-                        Some(EventKind::StallBegin { queue_depth }) => {
-                            JsonObject::new().u64("queue_depth", *queue_depth).finish()
-                        }
-                        _ => JsonObject::new().finish(),
-                    };
-                    let dur = *waited_micros;
-                    let ts = e.ts_micros.saturating_sub(dur);
-                    out.push(span("stall", tid(e.shard, LANE_STALL), ts, dur, args));
-                }
-                _ => out.push(instant(e)),
-            }
-        }
-        // Starts whose end fell outside the drained window still deserve a
-        // mark on the timeline.
-        let mut leftovers: Vec<usize> = open_flushes
-            .into_values()
-            .chain(open_stalls.into_values())
-            .flatten()
-            .collect();
-        leftovers.sort_unstable();
-        for i in leftovers {
-            out.push(instant(&self.events[i]));
-        }
-        // Sampled trace spans ride on each shard's lane 0, with causal
-        // metadata (span id, parent id, links) in args.
-        for s in &self.spans {
-            let mut args = JsonObject::new().u64("id", s.id);
-            if s.parent != 0 {
-                args = args.u64("parent", s.parent);
-            }
-            if !s.links.is_empty() {
-                args = args.raw("links", &json_array(s.links.iter().map(|l| l.to_string())));
-            }
-            out.push(span(
-                s.kind.name(),
-                tid(s.shard, LANE_TRACE),
-                s.start_micros,
-                s.duration_micros,
-                args.finish(),
-            ));
-        }
-        // Name the lanes so Perfetto rows read "shard N / <lane>" rather
-        // than bare tids.
-        let shards: std::collections::BTreeSet<u32> = self
-            .events
-            .iter()
-            .map(|e| e.shard)
-            .chain(self.spans.iter().map(|s| s.shard))
-            .collect();
-        for shard in shards {
-            for (lane, label) in [
-                (LANE_TRACE, "trace"),
-                (LANE_FLUSH, "flush"),
-                (LANE_STALL, "stall"),
-                (LANE_INSTANT, "events"),
-            ] {
-                out.push(
-                    JsonObject::new()
-                        .str("name", "thread_name")
-                        .str("ph", "M")
-                        .u64("pid", 1)
-                        .u64("tid", tid(shard, lane))
-                        .raw(
-                            "args",
-                            &JsonObject::new()
-                                .str("name", &format!("shard {shard} {label}"))
-                                .finish(),
-                        )
-                        .finish(),
-                );
-            }
-        }
-        JsonObject::new()
-            .raw("traceEvents", &json_array(out))
-            .str("displayTimeUnit", "ms")
-            .finish()
     }
 
     /// Compact JSON snapshot of the whole report, timeline included.
@@ -998,40 +610,33 @@ impl TelemetryReport {
             }
             obj.finish()
         }));
-        let io = json_array(self.io.iter().map(|io| {
-            let levels = json_array(io.levels.iter().map(|l| {
-                JsonObject::new()
-                    .usize("level", l.level)
-                    .u64("sampled", l.sampled)
-                    .f64("mean_micros", l.mean_micros)
-                    .f64("p50_micros", l.p50_micros)
-                    .f64("p90_micros", l.p90_micros)
-                    .f64("p99_micros", l.p99_micros)
-                    .f64("max_micros", l.max_micros)
-                    .finish()
-            }));
+        let events = json_array(self.events.iter().map(|e| {
+            let fields = e
+                .kind
+                .fields()
+                .into_iter()
+                .fold(JsonObject::new(), |obj, (k, v)| {
+                    // Numeric payloads stay numbers; free text is quoted.
+                    if v.bytes().all(|b| b.is_ascii_digit()) && !v.is_empty() {
+                        obj.raw(k, &v)
+                    } else {
+                        obj.str(k, &v)
+                    }
+                })
+                .finish();
             JsonObject::new()
-                .str("op", io.op)
-                .u64("ops", io.ops)
-                .u64("sampled", io.sampled)
-                .f64("mean_micros", io.mean_micros)
-                .f64("p50_micros", io.p50_micros)
-                .f64("p90_micros", io.p90_micros)
-                .f64("p99_micros", io.p99_micros)
-                .f64("p999_micros", io.p999_micros)
-                .f64("max_micros", io.max_micros)
-                .f64("cache_mode_ratio", io.cache_mode_ratio)
-                .f64("mode_threshold_micros", io.mode_threshold_micros)
-                .raw("levels", &levels)
+                .u64("seq", e.seq)
+                .u64("ts_micros", e.ts_micros)
+                .u64("shard", e.shard as u64)
+                .str("event", e.kind.name())
+                .raw("fields", &fields)
                 .finish()
         }));
-        let events = self.events_array();
         let mut obj = JsonObject::new()
             .u64("uptime_micros", self.uptime_micros)
             .raw("ops", &ops)
             .raw("levels", &levels)
             .raw("unattributed_io", &io_obj(&self.unattributed_io))
-            .raw("io", &io)
             .f64(
                 "expected_zero_result_lookup_ios",
                 self.expected_zero_result_lookup_ios,
@@ -1065,26 +670,6 @@ impl TelemetryReport {
             }));
             obj = obj.raw("shards", &shards);
         }
-        let spans = json_array(self.spans.iter().map(|s| {
-            let mut o = JsonObject::new()
-                .u64("id", s.id)
-                .u64("shard", s.shard as u64)
-                .str("kind", s.kind.name())
-                .u64("start_micros", s.start_micros)
-                .u64("duration_micros", s.duration_micros);
-            if s.parent != 0 {
-                o = o.u64("parent", s.parent);
-            }
-            if !s.links.is_empty() {
-                o = o.raw("links", &json_array(s.links.iter().map(|l| l.to_string())));
-            }
-            o.finish()
-        }));
-        obj = obj
-            .raw("spans", &spans)
-            .u64("spans_started", self.spans_started)
-            .u64("spans_dropped", self.spans_dropped)
-            .u64("recorder_bytes", self.recorder_bytes);
         if let Some(b) = &self.io_backend {
             let mut be = JsonObject::new()
                 .str("requested", &b.requested)
@@ -1096,42 +681,6 @@ impl TelemetryReport {
             obj = obj.raw("io_backend", &be.finish());
         }
         obj.finish()
-    }
-
-    /// The drained event timeline as a JSON array literal.
-    fn events_array(&self) -> String {
-        json_array(self.events.iter().map(|e| {
-            let fields = e
-                .kind
-                .fields()
-                .into_iter()
-                .fold(JsonObject::new(), |obj, (k, v)| {
-                    // Numeric payloads stay numbers; free text is quoted.
-                    if v.bytes().all(|b| b.is_ascii_digit()) && !v.is_empty() {
-                        obj.raw(k, &v)
-                    } else {
-                        obj.str(k, &v)
-                    }
-                })
-                .finish();
-            JsonObject::new()
-                .u64("seq", e.seq)
-                .u64("ts_micros", e.ts_micros)
-                .u64("shard", e.shard as u64)
-                .str("event", e.kind.name())
-                .raw("fields", &fields)
-                .finish()
-        }))
-    }
-
-    /// Just the event timeline, as its own JSON document — what the
-    /// scrape endpoint serves at `/events.json`.
-    pub fn events_json(&self) -> String {
-        JsonObject::new()
-            .u64("uptime_micros", self.uptime_micros)
-            .raw("events", &self.events_array())
-            .u64("events_dropped", self.events_dropped)
-            .finish()
     }
 
     /// Human-readable dump used by the `monkey-stats` bin.
@@ -1203,45 +752,6 @@ impl TelemetryReport {
             ));
         }
 
-        if !self.io.is_empty() {
-            out.push_str("\nbackend I/O latencies (sampled, microseconds):\n");
-            out.push_str(&format!(
-                "  {:<22} {:>4} {:>10} {:>8} {:>8} {:>8} {:>8} {:>10}\n",
-                "op", "lvl", "calls", "mean", "p50", "p99", "max", "cache-mode"
-            ));
-            for io in &self.io {
-                out.push_str(&format!(
-                    "  {:<22} {:>4} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>9.0}%{}\n",
-                    io.op,
-                    "all",
-                    io.ops,
-                    io.mean_micros,
-                    io.p50_micros,
-                    io.p99_micros,
-                    io.max_micros,
-                    io.cache_mode_ratio * 100.0,
-                    if io.mode_threshold_micros > 0.0 {
-                        format!("  (split at {:.1}us)", io.mode_threshold_micros)
-                    } else {
-                        String::new()
-                    }
-                ));
-                for l in &io.levels {
-                    out.push_str(&format!(
-                        "  {:<22} {:>4} {:>10} {:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>10}\n",
-                        "",
-                        l.level,
-                        l.sampled,
-                        l.mean_micros,
-                        l.p50_micros,
-                        l.p99_micros,
-                        l.max_micros,
-                        ""
-                    ));
-                }
-            }
-        }
-
         if !self.shards.is_empty() {
             out.push_str("\nper-shard breakdown:\n");
             out.push_str(&format!(
@@ -1286,16 +796,6 @@ impl TelemetryReport {
                 self.last_merge_partitions, self.last_merge_threads
             ));
         }
-        if self.spans_started > 0 {
-            out.push_str(&format!(
-                "tracing: {} span(s) started, {} in window, {} dropped, {} recorder byte(s)\n",
-                self.spans_started,
-                self.spans.len(),
-                self.spans_dropped,
-                self.recorder_bytes
-            ));
-        }
-
         out.push_str("\nmodel vs measurement:\n");
         out.push_str(&format!(
             "  expected zero-result lookup I/Os (model R): {:.5}\n",
@@ -1404,22 +904,6 @@ mod tests {
                 drift: drift_flag(0.1, 0.01, 1000),
             }],
             unattributed_io: LevelIoSnapshot::default(),
-            io: {
-                let hist = crate::hist::LatencyHistogram::new();
-                for _ in 0..70 {
-                    hist.record(2_048); // page-cache-speed reads
-                }
-                for _ in 0..30 {
-                    hist.record(2_097_152); // device-speed reads
-                }
-                let mut levels = vec![HistogramSnapshot::empty(); 2];
-                levels[1] = hist.snapshot();
-                vec![IoLatencyReport::from_level_hists(
-                    "read_page",
-                    3200,
-                    &levels,
-                )]
-            },
             expected_zero_result_lookup_ios: 0.01,
             measured_zero_result_lookup_ios: 0.1,
             lookups: 1000,
@@ -1435,10 +919,6 @@ mod tests {
             last_merge_partitions: 4,
             last_merge_threads: 2,
             shards: Vec::new(),
-            spans: Vec::new(),
-            spans_started: 0,
-            spans_dropped: 0,
-            recorder_bytes: 0,
             io_backend: None,
         }
     }
@@ -1476,32 +956,10 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_exposes_io_latency_series() {
-        let text = sample_report().to_prometheus();
-        assert!(text.contains("monkey_io_ops_total{op=\"read_page\"} 3200"));
-        assert!(text
-            .contains("monkey_io_latency_micros{op=\"read_page\",level=\"1\",quantile=\"0.5\"}"));
-        assert!(text.contains("monkey_io_latency_samples{op=\"read_page\",level=\"1\"} 100"));
-        assert!(text.contains("monkey_io_cache_mode_ratio{op=\"read_page\"} 0.7"));
-        // The split threshold sits between the 2us and 2ms modes.
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("monkey_io_mode_threshold_micros"))
-            .expect("threshold series present");
-        let v: f64 = line.split(' ').nth(1).unwrap().parse().unwrap();
-        assert!(v > 2.0 && v < 2_097.0, "threshold={v}");
-        // An in-memory report (no backend calls) emits none of the series.
-        let mut r = sample_report();
-        r.io.clear();
-        assert!(!r.to_prometheus().contains("monkey_io_"));
-    }
-
-    #[test]
     fn backend_identity_labels_io_rows_and_renders_info_gauge() {
         // Without backend info every rendering is byte-identical to the
         // pre-backend-selection output: no label, no gauge.
         let plain = sample_report().to_prometheus();
-        assert!(plain.contains("monkey_io_ops_total{op=\"read_page\"}"));
         assert!(!plain.contains("monkey_io_backend_info"));
         assert!(!plain.contains("backend="));
 
@@ -1518,8 +976,6 @@ mod tests {
             "monkey_io_backend_info{requested=\"direct\",kind=\"buffered\",align=\"512\",\
              fallback=\"tmpfs rejects O_DIRECT\"} 1"
         ));
-        assert!(text.contains("monkey_io_ops_total{op=\"read_page\",backend=\"buffered\"}"));
-        assert!(text.contains("monkey_io_cache_mode_ratio{op=\"read_page\",backend=\"buffered\"}"));
         let json = r.to_json();
         assert!(json.contains(
             "\"io_backend\":{\"requested\":\"direct\",\"kind\":\"buffered\",\"align\":512,\
@@ -1540,17 +996,6 @@ mod tests {
     }
 
     #[test]
-    fn json_and_pretty_carry_io_latency() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"op\":\"read_page\",\"ops\":3200,\"sampled\":100"));
-        assert!(json.contains("\"cache_mode_ratio\":0.7"));
-        let text = sample_report().pretty();
-        assert!(text.contains("backend I/O latencies"));
-        assert!(text.contains("read_page"));
-        assert!(text.contains("split at"));
-    }
-
-    #[test]
     fn prometheus_exposes_pipeline_gauges() {
         let text = sample_report().to_prometheus();
         assert!(text.contains("# TYPE monkey_immutable_queue_depth gauge"));
@@ -1561,161 +1006,6 @@ mod tests {
         assert!(text.contains("monkey_last_merge_partitions 4"));
         assert!(text.contains("monkey_last_merge_threads 2"));
         assert!(text.contains("monkey_events_dropped_total 0"));
-        assert!(text.contains("monkey_trace_spans_total 0"));
-        assert!(text.contains("monkey_trace_spans_dropped_total 0"));
-        assert!(text.contains("monkey_recorder_bytes 0"));
-    }
-
-    #[test]
-    fn chrome_trace_pairs_spans_and_keeps_instants() {
-        let mut r = sample_report();
-        r.events = vec![
-            Event {
-                seq: 0,
-                ts_micros: 100,
-                shard: 0,
-                kind: EventKind::FlushStart {
-                    entries: 10,
-                    bytes: 640,
-                },
-            },
-            Event {
-                seq: 1,
-                ts_micros: 150,
-                shard: 0,
-                kind: EventKind::CascadeInstall {
-                    merges: 1,
-                    deepest_level: 2,
-                },
-            },
-            Event {
-                seq: 2,
-                ts_micros: 180,
-                shard: 0,
-                kind: EventKind::FlushEnd {
-                    duration_micros: 80,
-                },
-            },
-            Event {
-                seq: 3,
-                ts_micros: 200,
-                shard: 0,
-                kind: EventKind::StallBegin { queue_depth: 3 },
-            },
-            Event {
-                seq: 4,
-                ts_micros: 260,
-                shard: 0,
-                kind: EventKind::StallEnd { waited_micros: 60 },
-            },
-            // A start with no matching end in this drain window.
-            Event {
-                seq: 5,
-                ts_micros: 300,
-                shard: 0,
-                kind: EventKind::FlushStart {
-                    entries: 5,
-                    bytes: 320,
-                },
-            },
-        ];
-        let trace = r.to_chrome_trace();
-        assert!(trace.starts_with('{') && trace.ends_with('}'));
-        // Flush span: ts = end - dur, dur from FlushEnd, args from the start.
-        assert!(trace.contains(r#""name":"flush","ph":"X","cat":"monkey","ts":100,"dur":80"#));
-        assert!(trace.contains(r#""entries":10,"bytes":640"#));
-        // Stall span carries the begin's queue depth.
-        assert!(trace.contains(r#""name":"stall","ph":"X","cat":"monkey","ts":200,"dur":60"#));
-        assert!(trace.contains(r#""queue_depth":3"#));
-        // Cascade is an instant; the unmatched trailing start survives too.
-        assert!(trace.contains(r#""name":"cascade_install","ph":"i""#));
-        assert!(trace.contains(r#""name":"flush_start","ph":"i""#));
-        assert_eq!(trace.matches(r#""ph":"X""#).count(), 2);
-    }
-
-    #[test]
-    fn chrome_trace_gives_each_shard_its_own_lanes() {
-        let mut r = sample_report();
-        r.events = vec![
-            Event {
-                seq: 0,
-                ts_micros: 100,
-                shard: 1,
-                kind: EventKind::FlushStart {
-                    entries: 10,
-                    bytes: 640,
-                },
-            },
-            Event {
-                seq: 1,
-                ts_micros: 180,
-                shard: 1,
-                kind: EventKind::FlushEnd {
-                    duration_micros: 80,
-                },
-            },
-            Event {
-                seq: 2,
-                ts_micros: 200,
-                shard: 2,
-                kind: EventKind::WalGroupCommit { records: 4 },
-            },
-        ];
-        r.spans = vec![Span {
-            id: 9,
-            parent: 3,
-            shard: 1,
-            kind: crate::trace::SpanKind::Put,
-            start_micros: 120,
-            duration_micros: 5,
-            links: vec![7, 11],
-        }];
-        let trace = r.to_chrome_trace();
-        // Shard 1's flush span lands on tid 1*4+1 = 5; shard 2's instant
-        // on tid 2*4+3 = 11; shard 1's trace span on tid 1*4+0 = 4.
-        assert!(trace.contains(
-            r#""name":"flush","ph":"X","cat":"monkey","ts":100,"dur":80,"pid":1,"tid":5"#
-        ));
-        assert!(trace.contains(r#""tid":11"#));
-        assert!(trace
-            .contains(r#""name":"put","ph":"X","cat":"monkey","ts":120,"dur":5,"pid":1,"tid":4"#));
-        assert!(trace.contains(r#""id":9,"parent":3,"links":[7,11]"#));
-        // Lane labels name the rows.
-        assert!(trace.contains(r#""name":"shard 1 flush""#));
-        assert!(trace.contains(r#""name":"shard 2 events""#));
-    }
-
-    #[test]
-    fn cross_shard_flush_ends_do_not_steal_other_shards_starts() {
-        let mut r = sample_report();
-        // Shard 1 opens a flush, shard 2 ends one (its start fell outside
-        // the window): shard 2's end must not consume shard 1's start.
-        r.events = vec![
-            Event {
-                seq: 0,
-                ts_micros: 100,
-                shard: 1,
-                kind: EventKind::FlushStart {
-                    entries: 10,
-                    bytes: 640,
-                },
-            },
-            Event {
-                seq: 1,
-                ts_micros: 180,
-                shard: 2,
-                kind: EventKind::FlushEnd {
-                    duration_micros: 80,
-                },
-            },
-        ];
-        let trace = r.to_chrome_trace();
-        // Shard 2's orphan end renders with empty args; shard 1's start
-        // survives as an instant.
-        assert!(trace.contains(
-            r#""name":"flush","ph":"X","cat":"monkey","ts":100,"dur":80,"pid":1,"tid":9,"args":{}"#
-        ));
-        assert!(trace.contains(r#""name":"flush_start","ph":"i""#));
     }
 
     #[test]

@@ -4,20 +4,16 @@
 //! I/O) are lifetime-cumulative: useful for "how much", useless for "how
 //! fast *right now*". [`WindowedSeries`] turns them into rates by keeping a
 //! bounded ring of periodic [`TelemetrySnapshot`]s and differencing each
-//! new snapshot against the previous one. Snapshots are produced either by
-//! the engine's `monkey-obs-sampler` thread (see `DbOptions`) or by an
-//! explicit `Db::observatory_tick()` — the latter makes every windowed
-//! quantity deterministic in tests.
+//! new snapshot against the previous one. The engine no longer samples
+//! itself into a series: a caller builds [`TelemetrySnapshot`]s and pushes
+//! them, so every windowed quantity is deterministic.
 //!
-//! Concurrency model: the op hot paths never touch this module — they bump
-//! the same lock-free counters they always did. Only the sampler thread
-//! (one writer) and report readers take the internal mutex, so "lock-free"
-//! here means *free of locks on the operation path*, which is the property
-//! the <2 % telemetry overhead budget actually needs.
+//! Concurrency model: one writer pushes snapshots and readers take the
+//! internal mutex; nothing here sits on an operation path.
 //!
 //! Delta math is guarded against two classic footguns:
-//! * **Counter resets** (`Telemetry::reset()`, or a snapshot source that
-//!   restarted): a current value below the previous one would underflow.
+//! * **Counter resets** (a snapshot source that restarted): a current
+//!   value below the previous one would underflow.
 //!   We follow the Prometheus `rate()` convention — treat the current
 //!   value as the delta, since the counter restarted from zero.
 //! * **Zero-span windows** (two ticks in the same microsecond, or the very

@@ -1,8 +1,8 @@
 //! Key-skew sketching: a count-min sketch plus a space-saving top-k.
 //!
-//! The workload characterizer wants to know *which keys are hot* and *how
-//! skewed* access is without storing per-key state. Two classic streaming
-//! summaries cover that in a few KiB:
+//! These answer *which keys are hot* and *how skewed* access is without
+//! storing per-key state. Two classic streaming summaries cover that in a
+//! few KiB:
 //!
 //! * [`CountMinSketch`] — a `depth × width` grid of counters; each key
 //!   increments one counter per row (chosen by `depth` pairwise-independent
@@ -15,9 +15,8 @@
 //!   Any key with true frequency above `N/k` is guaranteed to be present.
 //!
 //! Counter updates in the sketch are relaxed atomics, so concurrent
-//! observers never lock; the top-k mutates a small table under a `Mutex`
-//! and is fed only 1-in-[`KEY_SAMPLE_PERIOD`] ops by the characterizer, so
-//! the lock never sees hot-path traffic.
+//! observers never lock; the top-k mutates a small table under a `Mutex`.
+//! The engine does not feed either summary.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

@@ -11,16 +11,13 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
-use crate::advisor::{MeasuredWorkload, WorkloadCharacterizer};
 use crate::attribution::{IoAttribution, LEVEL_SLOTS, MAX_LEVELS};
 use crate::counter::ShardedCounter;
 use crate::events::{Event, EventKind, EventRing};
 use crate::hist::{HistogramSnapshot, LatencyHistogram};
-use crate::iolat::IoLatency;
-use crate::trace::Tracer;
 
 /// Operations with dedicated latency histograms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,10 +104,6 @@ impl LevelLookupSnapshot {
         self.lookup_page_reads += other.lookup_page_reads;
     }
 
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
-
     /// Probes against keys absent from the run: filter negatives plus
     /// confirmed false positives. Probes that found the key are true
     /// positives — the model's FPR says nothing about them.
@@ -134,19 +127,15 @@ impl LevelLookupSnapshot {
 }
 
 /// Shared telemetry hub: latency histograms, exact op counters, per-level
-/// lookup counters, per-level I/O attribution, the event ring, and the
-/// online workload characterizer.
+/// lookup counters, per-level I/O attribution, and the event ring.
 pub struct Telemetry {
-    origin: Instant,
     shard: u32,
+    origin: Instant,
     hists: [LatencyHistogram; OP_KINDS.len()],
     op_counts: [ShardedCounter; OP_KINDS.len()],
     level_lookups: [LevelLookup; LEVEL_SLOTS],
     attribution: Arc<IoAttribution>,
-    io_latency: Arc<IoLatency>,
     events: EventRing,
-    workload: WorkloadCharacterizer,
-    tracer: OnceLock<Arc<Tracer>>,
 }
 
 impl Telemetry {
@@ -155,23 +144,22 @@ impl Telemetry {
     pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
     pub fn new(event_capacity: usize) -> Self {
-        Self::for_shard(0, event_capacity)
+        Self::for_shard(0, event_capacity, Instant::now())
     }
 
     /// A hub whose events are stamped with `shard` — the originating
-    /// shard index on a multi-shard store.
-    pub fn for_shard(shard: u32, event_capacity: usize) -> Self {
+    /// shard index on a multi-shard store — and whose clock counts from
+    /// `origin`. The shards of one store share an origin, so their
+    /// timestamps merge into one timeline.
+    pub fn for_shard(shard: u32, event_capacity: usize, origin: Instant) -> Self {
         Self {
-            origin: Instant::now(),
             shard,
+            origin,
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
             op_counts: std::array::from_fn(|_| ShardedCounter::new()),
             level_lookups: std::array::from_fn(|_| LevelLookup::default()),
             attribution: Arc::new(IoAttribution::new()),
-            io_latency: Arc::new(IoLatency::new()),
             events: EventRing::for_shard(shard, event_capacity),
-            workload: WorkloadCharacterizer::new(),
-            tracer: OnceLock::new(),
         }
     }
 
@@ -180,13 +168,7 @@ impl Telemetry {
         self.shard
     }
 
-    /// Attach the shard's tracer so every structured event is also
-    /// spilled into the flight recorder. First attachment wins.
-    pub fn attach_tracer(&self, tracer: Arc<Tracer>) {
-        let _ = self.tracer.set(tracer);
-    }
-
-    /// Microseconds since this telemetry object was created. Monotonic.
+    /// Microseconds since the hub's origin. Monotonic.
     pub fn now_micros(&self) -> u64 {
         self.origin.elapsed().as_micros() as u64
     }
@@ -225,13 +207,9 @@ impl Telemetry {
         self.hists[kind as usize].record(nanos);
     }
 
-    /// Append a structured event stamped with the current monotonic time,
-    /// forwarding it to the flight recorder when a tracer is attached.
+    /// Append a structured event stamped with the current monotonic time.
     pub fn event(&self, kind: EventKind) {
-        let event = self.events.push(self.now_micros(), kind);
-        if let Some(t) = self.tracer.get() {
-            t.spill_event(&event);
-        }
+        self.events.push(self.now_micros(), kind);
     }
 
     fn level_slot(level: usize) -> usize {
@@ -271,22 +249,6 @@ impl Telemetry {
         &self.attribution
     }
 
-    /// The backend I/O latency histograms shared with the storage layer.
-    pub fn io_latency(&self) -> &Arc<IoLatency> {
-        &self.io_latency
-    }
-
-    /// The online workload characterizer (paper-taxonomy classification
-    /// plus key-skew sketches).
-    pub fn workload(&self) -> &WorkloadCharacterizer {
-        &self.workload
-    }
-
-    /// Snapshot the measured workload composition.
-    pub fn measured_workload(&self) -> MeasuredWorkload {
-        self.workload.measured()
-    }
-
     pub fn hist(&self, kind: OpKind) -> HistogramSnapshot {
         self.hists[kind as usize].snapshot()
     }
@@ -320,34 +282,9 @@ impl Telemetry {
         self.events.drain()
     }
 
-    /// Copy the event timeline without consuming it.
-    pub fn peek_events(&self) -> Vec<Event> {
-        self.events.peek()
-    }
-
     /// Events evicted from the ring before any drain saw them.
     pub fn events_dropped(&self) -> u64 {
         self.events.dropped()
-    }
-
-    /// Zero histograms, op counts, level counters, attribution traffic,
-    /// and the workload characterizer. Events and run tags survive.
-    pub fn reset(&self) {
-        for h in &self.hists {
-            h.reset();
-        }
-        for c in &self.op_counts {
-            c.reset();
-        }
-        for l in &self.level_lookups {
-            l.filter_probes.store(0, Ordering::Relaxed);
-            l.filter_passes.store(0, Ordering::Relaxed);
-            l.filter_false_positives.store(0, Ordering::Relaxed);
-            l.lookup_page_reads.store(0, Ordering::Relaxed);
-        }
-        self.attribution.reset_counters();
-        self.io_latency.reset();
-        self.workload.reset();
     }
 }
 
@@ -406,33 +343,5 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert!(evs[0].ts_micros <= evs[1].ts_micros);
         assert!(t.drain_events().is_empty());
-    }
-
-    #[test]
-    fn workload_classification_flows_through() {
-        let t = Telemetry::new(4);
-        t.workload().record_lookup(b"k", false);
-        t.workload().record_lookup(b"k", true);
-        t.workload().record_update(b"k");
-        t.workload().record_range(10);
-        let m = t.measured_workload();
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.range_entries_scanned, 10);
-        t.reset();
-        assert_eq!(t.measured_workload().total(), 0);
-    }
-
-    #[test]
-    fn reset_preserves_tags_and_events() {
-        let t = Telemetry::new(4);
-        t.attribution().tag_run(1, 2);
-        t.attribution().on_read(1, 100);
-        t.record_filter_probe(1, false);
-        t.event(EventKind::WalGroupCommit { records: 1 });
-        t.reset();
-        assert!(t.level_lookups().iter().all(|l| l.is_zero()));
-        assert!(t.attribution().snapshot().iter().all(|l| l.is_zero()));
-        assert_eq!(t.attribution().level_of(1), Some(2));
-        assert_eq!(t.peek_events().len(), 1);
     }
 }

@@ -14,11 +14,10 @@ use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
 use crate::iostats::{IoSnapshot, IoStats};
 use bytes::Bytes;
-use monkey_obs::{IoAttribution, IoLatency, IoOp};
+use monkey_obs::IoAttribution;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Checks one page as it leaves the backend, naming what is wrong with it.
 /// The layer above owns the page format (and the hash); storage only calls
@@ -38,11 +37,6 @@ pub struct Disk {
     /// layer when telemetry is enabled. When unset, the per-I/O cost is a
     /// single `OnceLock` load that finds nothing.
     attribution: OnceLock<Arc<IoAttribution>>,
-    /// Optional backend-latency histograms, attached alongside the
-    /// attribution table. Timing is sampled (1-in-N) and only brackets
-    /// physical backend calls — cache hits never reach it — so the
-    /// telemetry-off cost is again one empty `OnceLock` load per miss.
-    io_latency: OnceLock<Arc<IoLatency>>,
     /// The page check, attached once by whoever gives the pages a format.
     /// Run on every physical read before cache admission, never on a hit.
     page_check: OnceLock<PageCheck>,
@@ -136,7 +130,6 @@ impl Disk {
             next_run: AtomicU64::new(next),
             info,
             attribution: OnceLock::new(),
-            io_latency: OnceLock::new(),
             page_check: OnceLock::new(),
         })
     }
@@ -172,39 +165,6 @@ impl Disk {
     /// The attached attribution table, if any.
     pub fn attribution(&self) -> Option<&Arc<IoAttribution>> {
         self.attribution.get()
-    }
-
-    /// Attaches backend-latency histograms. Every subsequent physical
-    /// backend call (`read_page`, `read_page_sequential`, `write_page`,
-    /// `sync`) is eligible for sampled timing, attributed to the touched
-    /// run's level. Attaching twice is a no-op (the first table wins).
-    pub fn attach_io_latency(&self, latency: Arc<IoLatency>) {
-        let _ = self.io_latency.set(latency);
-    }
-
-    /// The attached backend-latency histograms, if any.
-    pub fn io_latency(&self) -> Option<&Arc<IoLatency>> {
-        self.io_latency.get()
-    }
-
-    /// Sampling gate for one backend call: counts it exactly, returns a
-    /// start instant only when this call is chosen for timing.
-    #[inline]
-    fn io_start(&self, op: IoOp) -> Option<Instant> {
-        self.io_latency.get().and_then(|l| l.op_start(op))
-    }
-
-    /// Records a sampled backend duration against the run's level.
-    #[inline]
-    fn io_end(&self, op: IoOp, run: RunId, started: Option<Instant>) {
-        if let (Some(l), Some(s)) = (self.io_latency.get(), started) {
-            let level = self
-                .attribution
-                .get()
-                .and_then(|a| a.level_of(run))
-                .unwrap_or(0);
-            l.record(op, level, s);
-        }
     }
 
     #[inline]
@@ -253,15 +213,11 @@ impl Disk {
     }
 
     /// One physical page read plus the miss-side bookkeeping: counted,
-    /// attributed, timed (when sampled), checked, and admitted to the
-    /// cache. A page that fails the check was still read — it is counted —
-    /// but is never cached. `op` distinguishes seek reads from sequential
-    /// continuations in the latency histograms.
+    /// attributed, checked, and admitted to the cache. A page that fails
+    /// the check was still read — it is counted — but is never cached.
     #[inline]
-    fn read_miss(&self, run: RunId, page_no: u32, op: IoOp) -> Result<Bytes> {
-        let started = self.io_start(op);
+    fn read_miss(&self, run: RunId, page_no: u32) -> Result<Bytes> {
         let data = self.backend.read_page(run, page_no)?;
-        self.io_end(op, run, started);
         self.stats.add_reads(1);
         self.attr_read(run);
         if let Some(check) = self.page_check.get() {
@@ -282,7 +238,7 @@ impl Disk {
             return Ok(data);
         }
         self.stats.add_seek();
-        self.read_miss(run, page_no, IoOp::ReadPage)
+        self.read_miss(run, page_no)
     }
 
     /// Reads one page as the continuation of a sequential scan: counts a
@@ -294,7 +250,7 @@ impl Disk {
         if let Some(data) = self.cache_probe(run, page_no) {
             return Ok(data);
         }
-        self.read_miss(run, page_no, IoOp::ReadPageSequential)
+        self.read_miss(run, page_no)
     }
 
     /// What physically backs this disk, after fallback resolution.
@@ -368,9 +324,9 @@ impl RunWriter {
     /// Appends an extent: one page, or any whole number of them back to
     /// back (the run builder in the LSM crate pads the final page). Each
     /// page is counted and attributed as a write of its own; the backend
-    /// receives the extent in one call, timed — when sampled — as one. On
-    /// failure some of the extent's pages may have reached the backend:
-    /// the writer deletes the partial run when it is dropped.
+    /// receives the extent in one call. On failure some of the extent's
+    /// pages may have reached the backend: the writer deletes the partial
+    /// run when it is dropped.
     pub fn append(&mut self, pages: &[u8]) -> Result<()> {
         let page_size = self.disk.page_size;
         if pages.is_empty() || !pages.len().is_multiple_of(page_size) {
@@ -380,16 +336,9 @@ impl RunWriter {
             });
         }
         let count = (pages.len() / page_size) as u32;
-        // Every page ticks the sampling gate so op counts stay exact; the
-        // first sampled one carries the timing of the whole call.
-        let mut started = None;
-        for _ in 0..count {
-            started = started.or(self.disk.io_start(IoOp::WritePage));
-        }
         self.disk
             .backend
             .append_pages(self.id, self.pages, pages, page_size)?;
-        self.disk.io_end(IoOp::WritePage, self.id, started);
         self.disk.stats.add_writes(count as u64);
         for _ in 0..count {
             self.disk.attr_write(self.id);
@@ -399,13 +348,9 @@ impl RunWriter {
     }
 
     /// Seals the run, making it durable and readable. Returns its id.
-    /// On file backends this is the durability barrier (`fsync`), timed
-    /// as the `sync` backend op — always, not sampled: seals are rare
-    /// and their latency is the one worth never missing.
+    /// On file backends this is the durability barrier (`fsync`).
     pub fn seal(mut self) -> Result<RunId> {
-        let started = self.disk.io_start(IoOp::Sync);
         self.disk.backend.seal(self.id)?;
-        self.disk.io_end(IoOp::Sync, self.id, started);
         self.sealed = true;
         Ok(self.id)
     }
@@ -571,111 +516,6 @@ mod tests {
     }
 
     #[test]
-    fn io_latency_times_backend_ops_per_level() {
-        use monkey_obs::IO_SAMPLE_PERIOD;
-        let disk = Disk::mem(64);
-        let attr = Arc::new(IoAttribution::new());
-        let lat = Arc::new(IoLatency::new());
-        disk.attach_attribution(Arc::clone(&attr));
-        disk.attach_io_latency(Arc::clone(&lat));
-
-        let mut w = disk.begin_run();
-        attr.tag_run(w.id(), 2);
-        for i in 0..(IO_SAMPLE_PERIOD * 2) {
-            w.append(&page(&disk, i as u8)).unwrap();
-        }
-        let id = w.seal().unwrap();
-        for _ in 0..(IO_SAMPLE_PERIOD * 2) {
-            disk.read_page(id, 0).unwrap();
-        }
-        for p in 0..4 {
-            disk.read_page_sequential(id, p).unwrap();
-        }
-
-        // Exact per-op counts for every backend call.
-        assert_eq!(lat.op_count(IoOp::WritePage), IO_SAMPLE_PERIOD * 2);
-        assert_eq!(lat.op_count(IoOp::ReadPage), IO_SAMPLE_PERIOD * 2);
-        assert_eq!(lat.op_count(IoOp::ReadPageSequential), 4);
-        assert_eq!(lat.op_count(IoOp::Sync), 1);
-        // Sampled durations land on the tagged level; syncs always time.
-        let writes = lat.snapshot(IoOp::WritePage);
-        assert!(writes[2].count >= 1, "sampled writes on level 2");
-        assert_eq!(writes[0].count, 0, "nothing unattributed");
-        assert_eq!(lat.snapshot(IoOp::Sync)[2].count, 1);
-    }
-
-    #[test]
-    fn cache_hits_are_never_timed() {
-        let disk = Disk::mem_cached(64, 1 << 20);
-        let lat = Arc::new(IoLatency::new());
-        disk.attach_io_latency(Arc::clone(&lat));
-        let mut w = disk.begin_run();
-        w.append(&page(&disk, 9)).unwrap();
-        let id = w.seal().unwrap();
-        disk.read_page(id, 0).unwrap(); // miss: one backend read
-        for _ in 0..100 {
-            disk.read_page(id, 0).unwrap(); // hits: no backend calls
-        }
-        assert_eq!(lat.op_count(IoOp::ReadPage), 1);
-    }
-
-    #[test]
-    fn unattached_disk_records_nothing() {
-        // The zero-cost contract: without an attached table the miss path
-        // sees one empty OnceLock and no histogram exists to fill.
-        let disk = Disk::mem(64);
-        let mut w = disk.begin_run();
-        w.append(&page(&disk, 1)).unwrap();
-        let id = w.seal().unwrap();
-        disk.read_page(id, 0).unwrap();
-        assert!(disk.io_latency().is_none());
-    }
-
-    #[test]
-    fn slow_backend_shifts_the_slow_mode() {
-        use crate::faults::SlowBackend;
-        use monkey_obs::mode_split;
-        let slow = SlowBackend::new(MemBackend::new());
-        let disk = Disk::with_backend(slow.clone(), 64, None);
-        let lat = Arc::new(IoLatency::new());
-        disk.attach_io_latency(Arc::clone(&lat));
-        let mut w = disk.begin_run();
-        for i in 0..8 {
-            w.append(&page(&disk, i)).unwrap();
-        }
-        let id = w.seal().unwrap();
-
-        // Fast phase: memory-speed reads, unimodal.
-        for _ in 0..512 {
-            disk.read_page(id, 0).unwrap();
-        }
-        let merged = |lat: &IoLatency| {
-            let mut m = monkey_obs::HistogramSnapshot::empty();
-            for h in lat.snapshot(IoOp::ReadPage) {
-                m.merge(&h);
-            }
-            m
-        };
-        let before = mode_split(&merged(&lat)).fast_fraction;
-        assert!(
-            before > 0.8,
-            "memory-speed reads are dominated by one mode (fast fraction {before})"
-        );
-
-        // Fault injection: device-like delays open a second mode and the
-        // fast-mode share drops.
-        slow.set_read_delay_micros(1_000);
-        for _ in 0..512 {
-            disk.read_page(id, 0).unwrap();
-        }
-        let after = mode_split(&merged(&lat)).fast_fraction;
-        assert!(
-            after < 0.7 && after < before,
-            "slow-mode injection must shift the split (fast fraction {before} -> {after})"
-        );
-    }
-
-    #[test]
     fn wrong_page_size_rejected() {
         let disk = Disk::mem(64);
         let mut w = disk.begin_run();
@@ -771,9 +611,7 @@ mod tests {
         let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
         let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
         let attr = Arc::new(IoAttribution::new());
-        let lat = Arc::new(IoLatency::new());
         disk.attach_attribution(Arc::clone(&attr));
-        disk.attach_io_latency(Arc::clone(&lat));
         let extent = vec![5u8; 8 * 64];
 
         // The fault budget is per page: an 8-page extent dies on its
@@ -805,9 +643,7 @@ mod tests {
                 "partial run deleted with its writer"
             );
         }
-        // The sampling gate ticks per page attempted, attribution per page
-        // appended.
-        assert_eq!(lat.op_count(IoOp::WritePage), 2 * 8 + 2 * 8);
+        // Attribution counts per page appended.
         assert_eq!(attr.snapshot()[1].writes, 2 * 8);
     }
 

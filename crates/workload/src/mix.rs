@@ -105,30 +105,6 @@ impl OpMix {
         self.range_selectivity = s;
         self
     }
-
-    /// Builds a mix from a workload *measured* by the engine's observatory
-    /// ([`monkey_obs::MeasuredWorkload`]): the closed loop from live
-    /// traffic back into the paper's `(r, v, q, w)` terms. Selectivity is
-    /// the mean scanned entries per range over `total_entries` (kept at
-    /// the default when no ranges were observed). Returns `None` before
-    /// any operation has been classified — an all-zero mix is not a mix.
-    pub fn from_measured(m: &monkey_obs::MeasuredWorkload, total_entries: u64) -> Option<Self> {
-        if m.total() == 0 {
-            return None;
-        }
-        let mut mix = Self {
-            zero_result_lookups: m.r(),
-            existing_lookups: m.v(),
-            range_lookups: m.q(),
-            updates: m.w(),
-            delete_fraction: 0.0,
-            range_selectivity: 0.001,
-        };
-        if m.range_lookups > 0 {
-            mix.range_selectivity = m.selectivity(total_entries);
-        }
-        Some(mix)
-    }
 }
 
 /// Generates operation traces over a [`KeySpace`].
@@ -191,48 +167,6 @@ mod tests {
 
     fn ks() -> KeySpace {
         KeySpace::with_entry_size(1000, 64)
-    }
-
-    #[test]
-    fn from_measured_closes_the_loop() {
-        let m = monkey_obs::MeasuredWorkload {
-            zero_result_lookups: 250,
-            existing_lookups: 250,
-            range_lookups: 100,
-            range_entries_scanned: 1000,
-            updates: 400,
-            sampled_keys: 0,
-            hot_keys: Vec::new(),
-        };
-        let mix = OpMix::from_measured(&m, 10_000).unwrap();
-        assert!((mix.zero_result_lookups - 0.25).abs() < 1e-12);
-        assert!((mix.existing_lookups - 0.25).abs() < 1e-12);
-        assert!((mix.range_lookups - 0.10).abs() < 1e-12);
-        assert!((mix.updates - 0.40).abs() < 1e-12);
-        // 10 entries/scan over 10k entries.
-        assert!((mix.range_selectivity - 0.001).abs() < 1e-12);
-
-        let empty = monkey_obs::MeasuredWorkload {
-            zero_result_lookups: 0,
-            existing_lookups: 0,
-            range_lookups: 0,
-            range_entries_scanned: 0,
-            updates: 0,
-            sampled_keys: 0,
-            hot_keys: Vec::new(),
-        };
-        assert!(OpMix::from_measured(&empty, 10_000).is_none());
-
-        let no_ranges = monkey_obs::MeasuredWorkload {
-            range_lookups: 0,
-            range_entries_scanned: 0,
-            ..m
-        };
-        let mix = OpMix::from_measured(&no_ranges, 10_000).unwrap();
-        assert!(
-            (mix.range_selectivity - 0.001).abs() < 1e-12,
-            "default selectivity kept when no ranges observed"
-        );
     }
 
     #[test]

@@ -211,8 +211,8 @@ fn unalignable_page_size_falls_back_to_buffered() {
 }
 
 /// Telemetry surfaces the backend identity: the `monkey_io_backend_info`
-/// gauge, a `backend` label on every io latency row, and — when a
-/// requested direct backend fell back — a one-time event with the reason.
+/// gauge and — when a requested direct backend fell back — a one-time
+/// event with the reason.
 #[test]
 fn telemetry_labels_io_rows_with_active_backend() {
     let d = temp_dir("labels");
@@ -236,10 +236,6 @@ fn telemetry_labels_io_rows_with_active_backend() {
         prom.contains(&format!("kind=\"{}\"", info.kind)),
         "gauge must carry the active kind"
     );
-    assert!(
-        prom.contains(&format!("backend=\"{}\"", info.kind)),
-        "io rows must be labeled with the active backend"
-    );
     if info.fallback.is_some() {
         assert!(
             report
@@ -255,17 +251,18 @@ fn telemetry_labels_io_rows_with_active_backend() {
 
 /// Device-true latencies: with the page cache out of the way, re-reading
 /// the same pages cannot get page-cache-fast, so the direct backend's
-/// re-read latencies stay at device speed while the buffered backend's
-/// collapse into the fast mode. Latency physics vary by host, so the
-/// comparison degrades to a logged skip rather than a flaky failure; the
-/// structural assertions above stay hard.
+/// re-reads stay at device speed while the buffered backend's come out of
+/// the page cache. Each side is timed as the mean of its re-read lookups.
+/// Latency physics vary by host, so the comparison degrades to a logged
+/// skip rather than a flaky failure; the structural assertions above stay
+/// hard.
 #[test]
 fn direct_reads_stay_at_device_speed() {
     let d_buf = temp_dir("mode-buf");
     let d_dir = temp_dir("mode-dir");
     let mut means = Vec::new();
     for (dir, backend) in [(&d_buf, IoBackend::Buffered), (&d_dir, IoBackend::Direct)] {
-        let db = Db::open(options(dir, backend).telemetry(true)).unwrap();
+        let db = Db::open(options(dir, backend)).unwrap();
         for i in 0..3000 {
             db.put(format!("key{i:05}").into_bytes(), vec![b'v'; 40])
                 .unwrap();
@@ -280,26 +277,14 @@ fn direct_reads_stay_at_device_speed() {
         }
         // Re-read the same keys repeatedly: buffered re-reads come out of
         // the OS page cache, direct re-reads go to the device every time.
+        let keys: Vec<String> = (0..3000).step_by(5).map(|i| format!("key{i:05}")).collect();
+        let started = std::time::Instant::now();
         for _ in 0..4 {
-            for i in (0..3000).step_by(5) {
-                let _ = db.get(format!("key{i:05}").as_bytes()).unwrap();
+            for key in &keys {
+                let _ = db.get(key.as_bytes()).unwrap();
             }
         }
-        let report = db.telemetry_report().expect("telemetry on");
-        let mean: f64 = report
-            .io
-            .iter()
-            .filter(|r| r.op.starts_with("read_page"))
-            .map(|r| r.mean_micros * r.sampled as f64)
-            .sum::<f64>()
-            / report
-                .io
-                .iter()
-                .filter(|r| r.op.starts_with("read_page"))
-                .map(|r| r.sampled as f64)
-                .sum::<f64>()
-                .max(1.0);
-        means.push(mean);
+        means.push(started.elapsed().as_secs_f64() * 1e6 / (4 * keys.len()) as f64);
         drop(db);
     }
     let (buffered, direct) = (means[0], means[1]);

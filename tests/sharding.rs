@@ -573,6 +573,80 @@ fn sharded_telemetry_report_has_per_shard_breakdown() {
     assert!(!report.to_json().contains("\"shards\""));
 }
 
+/// `Db::telemetry()` is a facade over shard 0's hub; `shard_telemetry`
+/// reaches the others.
+#[test]
+fn telemetry_facade_is_shard_zero() {
+    let db = Db::open(
+        DbOptions::in_memory()
+            .buffer_capacity(4 << 10)
+            .shards(3)
+            .telemetry(true),
+    )
+    .unwrap();
+    let facade = db.telemetry().expect("telemetry is on");
+    let shard0 = db.shard_telemetry(0).expect("shard 0 exists");
+    assert!(std::sync::Arc::ptr_eq(facade, shard0));
+    assert_eq!(shard0.shard(), 0);
+    assert_eq!(db.shard_telemetry(1).map(|t| t.shard()), Some(1));
+    assert_eq!(db.shard_telemetry(2).map(|t| t.shard()), Some(2));
+    assert!(db.shard_telemetry(3).is_none(), "only 3 shards exist");
+}
+
+/// Every shard's telemetry hub counts from the one instant the store took
+/// before opening any shard, so the merged event timeline is one clock.
+/// Reopening with WAL left to replay makes each shard's open slow, which is
+/// what would pull per-shard clocks apart: shard 1 would start counting a
+/// whole replay later than shard 0.
+#[test]
+fn shards_count_telemetry_time_from_one_origin() {
+    let dir = temp_dir("one-clock");
+    let opts = DbOptions::at_path(&dir)
+        .page_size(1024)
+        .buffer_capacity(8 << 20)
+        .telemetry(true)
+        .shards(2);
+    {
+        let db = Db::open(opts.clone()).unwrap();
+        for i in 0..20_000usize {
+            db.put(format!("key{i:06}").into_bytes(), vec![b'v'; 16])
+                .unwrap();
+        }
+        // Dropped with everything still in the memtables: the reopen
+        // replays both shards' WALs.
+    }
+    let db = Db::open(opts).unwrap();
+    let (hub0, hub1) = (
+        db.shard_telemetry(0).unwrap(),
+        db.shard_telemetry(1).unwrap(),
+    );
+    let started = std::time::Instant::now();
+    let (t0, t1) = (hub0.now_micros(), hub1.now_micros());
+    let between = started.elapsed().as_micros() as u64;
+    // Each reading truncates to whole microseconds: one of slack.
+    assert!(
+        t0.abs_diff(t1) <= between + 1,
+        "shard clocks {t0}us and {t1}us read {between}us apart"
+    );
+
+    db.flush().unwrap(); // shard 0 flushes, then shard 1
+    let report = db.telemetry_report().unwrap();
+    let position = |shard: u32, name: &str| {
+        report
+            .events
+            .iter()
+            .position(|e| e.shard == shard && e.kind.name() == name)
+            .unwrap_or_else(|| panic!("no {name} from shard {shard}"))
+    };
+    assert!(
+        position(0, "flush_end") < position(1, "flush_start"),
+        "the merged timeline puts shard 1's flush before shard 0's: {:?}",
+        report.events
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Replays the golden trace with telemetry on, then a fixed query phase
 /// (hits, misses, two scans), and renders what the store says about itself
 /// that does not depend on a clock: the values, and the shapes of the
@@ -707,7 +781,8 @@ const ONE_SHARD_VALUES: &str = concat!(
 );
 
 /// Metric names and label keys of the one-shard Prometheus rendering, from
-/// the same commit.
+/// the same commit, less the backend I/O latency and tracing rows the
+/// renderer has stopped emitting since.
 const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_build_info{version}",
     "monkey_uptime_micros",
@@ -715,12 +790,6 @@ const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_op_latency_micros{op,quantile}",
     "monkey_op_latency_micros_max{op}",
     "monkey_op_latency_samples{op}",
-    "monkey_io_ops_total{op,backend}",
-    "monkey_io_latency_micros{op,level,quantile,backend}",
-    "monkey_io_latency_micros_max{op,level,backend}",
-    "monkey_io_latency_samples{op,level,backend}",
-    "monkey_io_cache_mode_ratio{op,backend}",
-    "monkey_io_mode_threshold_micros{op,backend}",
     "monkey_io_backend_info{requested,kind,align}",
     "monkey_level_filter_probes_total{level}",
     "monkey_level_filter_false_positives_total{level}",
@@ -740,9 +809,6 @@ const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_last_merge_partitions",
     "monkey_last_merge_threads",
     "monkey_events_dropped_total",
-    "monkey_trace_spans_total",
-    "monkey_trace_spans_dropped_total",
-    "monkey_recorder_bytes",
 ];
 
 /// What a store of several shards adds, after `monkey_last_merge_threads`.
@@ -759,18 +825,19 @@ const SHARD_ROWS_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_shard_cache_hits_total{shard}",
 ];
 
-/// Object keys of the one-shard JSON rendering, in first-seen order.
+/// Object keys of the one-shard JSON rendering, in first-seen order, less
+/// the backend I/O latency and tracing keys the renderer has stopped
+/// emitting since.
 const ONE_SHARD_JSON_SHAPE: &str = concat!(
     "uptime_micros ops op sampled mean_micros p50_micros p90_micros p99_micros ",
     "p999_micros max_micros levels level runs entries filter_probes ",
     "filter_negatives filter_false_positives lookup_page_reads io reads writes ",
     "read_bytes write_bytes cache_hits cache_hit_bytes allocated_fpr measured_fpr ",
-    "drifted unattributed_io cache_mode_ratio mode_threshold_micros ",
+    "drifted unattributed_io ",
     "expected_zero_result_lookup_ios measured_zero_result_lookup_ios lookups ",
     "events seq ts_micros shard event fields records bytes merges deepest_level ",
     "duration_micros events_dropped immutable_queue_depth stalled_writers ",
-    "last_merge_partitions last_merge_threads spans spans_started spans_dropped ",
-    "recorder_bytes io_backend requested kind align",
+    "last_merge_partitions last_merge_threads io_backend requested kind align",
 );
 
 /// The keys a per-shard breakdown adds (those not seen earlier in the
