@@ -84,21 +84,6 @@ impl Navigator {
         Recommendation { options, tuning }
     }
 
-    /// Adaptive retuning (the paper's Appendix A "adaptive key-value
-    /// stores"): recommends a tuning for `workload` and migrates `db`'s
-    /// live contents into a fresh store built with it. Returns the new
-    /// store and the recommendation it implements.
-    pub fn retune(
-        &self,
-        db: &monkey_lsm::Db,
-        workload: &Workload,
-        memory_bytes: usize,
-    ) -> monkey_lsm::Result<(std::sync::Arc<monkey_lsm::Db>, Recommendation)> {
-        let rec = self.recommend(workload, memory_bytes);
-        let migrated = db.migrate_to(rec.options.clone())?;
-        Ok((migrated, rec))
-    }
-
     /// A what-if analyzer rooted at a concrete tuning.
     pub fn what_if(&self, tuning: &Tuning) -> WhatIf {
         WhatIf {
@@ -283,30 +268,6 @@ mod tests {
             },
         );
         assert!(impossible.tuning.theta.is_infinite());
-    }
-
-    #[test]
-    fn retune_migrates_to_the_recommended_design() {
-        use monkey_lsm::{Db, DbOptions};
-        let db = Db::open(
-            DbOptions::in_memory()
-                .page_size(4096)
-                .buffer_capacity(1 << 16)
-                .uniform_filters(5.0),
-        )
-        .unwrap();
-        for i in 0..2000u32 {
-            db.put(format!("k{i:06}").into_bytes(), vec![b'v'; 64])
-                .unwrap();
-        }
-        let n = nav();
-        let (tuned, rec) = n
-            .retune(&db, &Workload::lookups_vs_updates(0.2), 32 << 20)
-            .unwrap();
-        assert_eq!(tuned.options().merge_policy, rec.options.merge_policy);
-        assert_eq!(tuned.options().size_ratio, rec.options.size_ratio);
-        assert_eq!(tuned.range(b"", None).unwrap().count(), 2000);
-        assert_eq!(tuned.options().filter_policy.name(), "monkey");
     }
 
     #[test]

@@ -65,8 +65,7 @@ impl Db {
     /// budgets (§4.4: buffer, stall threshold, and block cache are
     /// *divided*, never replicated). The shard count of a durable store is
     /// fixed at creation (recorded in a `SHARDS` meta file) and reopening
-    /// honors what is on disk, whatever the new options request — use
-    /// [`migrate_to`](Self::migrate_to) to re-shard.
+    /// honors what is on disk, whatever the new options request.
     pub fn open(opts: DbOptions) -> Result<Arc<Self>> {
         let n = Self::resolve_shards(&opts)?;
         // One fsync coordinator spans every shard's WAL, so concurrent
@@ -317,28 +316,6 @@ impl Db {
         Ok(())
     }
 
-    /// Self-tuning re-shape ("migrate the store from one tuning setting to
-    /// another"). Opens a fresh database under `new_opts`, streams every
-    /// live entry into it (tombstones and superseded versions are left
-    /// behind), and returns the new store. `Navigator::retune` applies its
-    /// recommendation this way, and it is also the re-*sharding* path: the
-    /// target may run any shard count.
-    ///
-    /// The source is read through a snapshot cursor, so it stays readable
-    /// during the migration; writes applied to the source after the
-    /// snapshot is taken are *not* carried over — quiesce writes first or
-    /// diff afterwards. The transformation cost is observable by diffing
-    /// [`io`](Self::io) on both stores around the call.
-    pub fn migrate_to(&self, new_opts: DbOptions) -> Result<Arc<Db>> {
-        let target = Db::open(new_opts)?;
-        for kv in self.range(b"", None)? {
-            let (key, value) = kv?;
-            target.put(key, value)?;
-        }
-        target.flush()?;
-        Ok(target)
-    }
-
     /// Counters of the point-lookup fast path since open, summed across
     /// shards.
     pub fn lookup_stats(&self) -> LookupStats {
@@ -454,22 +431,24 @@ impl Db {
 mod tests {
     use super::*;
     use crate::policy::MergePolicy;
+    use monkey_obs::LevelLookupSnapshot;
     use std::time::{Duration, Instant};
 
-    fn small_db(policy: MergePolicy, t: usize) -> Arc<Db> {
+    fn small_opts(policy: MergePolicy, t: usize) -> DbOptions {
         // Pinned single-shard: these tests assert per-level run structure
         // and per-lookup hash counts, which a MONKEY_SHARDS override would
         // split across shards.
-        Db::open(
-            DbOptions::in_memory()
-                .page_size(256)
-                .buffer_capacity(512)
-                .size_ratio(t)
-                .merge_policy(policy)
-                .uniform_filters(10.0)
-                .shards(1),
-        )
-        .unwrap()
+        DbOptions::in_memory()
+            .page_size(256)
+            .buffer_capacity(512)
+            .size_ratio(t)
+            .merge_policy(policy)
+            .uniform_filters(10.0)
+            .shards(1)
+    }
+
+    fn small_db(policy: MergePolicy, t: usize) -> Arc<Db> {
+        Db::open(small_opts(policy, t)).unwrap()
     }
 
     fn fill(db: &Db, n: usize) {
@@ -628,39 +607,57 @@ mod tests {
     fn lookup_hashes_key_exactly_once() {
         // Tiering at T=4 piles up several runs per level, so a zero-result
         // lookup visits many filters — yet the key is hashed exactly once.
-        let db = small_db(MergePolicy::Tiering, 4);
-        fill(&db, 800);
-        let runs = db.stats().runs;
-        assert!(
-            runs > 2,
-            "need a multi-run tree to make the point, got {runs}"
-        );
-        let before = db.lookup_stats();
-        let misses = 200u64;
-        for i in 0..misses {
-            // In-range misses ("key000007x" sorts between existing keys), so
-            // the fence-pointer pre-check cannot short-circuit the filter.
-            assert!(db.get(format!("key{i:06}x").as_bytes()).unwrap().is_none());
-        }
-        let after = db.lookup_stats();
-        assert_eq!(
-            after.key_hashes - before.key_hashes,
-            misses,
-            "one hash per lookup, independent of the {runs} runs probed"
-        );
-        assert!(
-            after.filter_probes - before.filter_probes >= misses,
-            "a miss probes at least one filter in a non-empty tree"
-        );
-        // Accounting identity: every probe is either a negative or a pass.
-        let probes = after.filter_probes - before.filter_probes;
-        let negatives = after.filter_negatives - before.filter_negatives;
-        let false_positives = after.filter_false_positives - before.filter_false_positives;
-        assert!(negatives + false_positives <= probes);
-        assert!(
-            negatives > 0,
-            "10-bpe filters reject the vast majority of absent keys"
-        );
+        // The same puts, misses and hits run with telemetry off and on:
+        // the per-level lookup table is the counts' one record either way.
+        let stats = [false, true].map(|telemetry| {
+            let db = Db::open(small_opts(MergePolicy::Tiering, 4).telemetry(telemetry)).unwrap();
+            fill(&db, 800);
+            let runs = db.stats().runs;
+            assert!(
+                runs > 2,
+                "need a multi-run tree to make the point, got {runs}"
+            );
+            let before = db.lookup_stats();
+            let misses = 200u64;
+            for i in 0..misses {
+                // In-range misses ("key000007x" sorts between existing keys), so
+                // the fence-pointer pre-check cannot short-circuit the filter.
+                assert!(db.get(format!("key{i:06}x").as_bytes()).unwrap().is_none());
+            }
+            let after = db.lookup_stats();
+            assert_eq!(
+                after.key_hashes - before.key_hashes,
+                misses,
+                "one hash per lookup, independent of the {runs} runs probed"
+            );
+            assert!(
+                after.filter_probes - before.filter_probes >= misses,
+                "a miss probes at least one filter in a non-empty tree"
+            );
+            // Accounting identity: every probe is either a negative or a pass.
+            let probes = after.filter_probes - before.filter_probes;
+            let negatives = after.filter_negatives - before.filter_negatives;
+            let false_positives = after.filter_false_positives - before.filter_false_positives;
+            assert!(negatives + false_positives <= probes);
+            assert!(
+                negatives > 0,
+                "10-bpe filters reject the vast majority of absent keys"
+            );
+            for i in (0..800).step_by(7) {
+                assert!(db.get(format!("key{i:06}").as_bytes()).unwrap().is_some());
+            }
+            let stats = db.lookup_stats();
+            // With telemetry on, the report's levels read the same table.
+            assert_eq!(db.telemetry_report().is_some(), telemetry);
+            if let Some(report) = db.telemetry_report() {
+                let levels = report.levels.iter().map(|l| l.lookups);
+                let sum = merged(levels, LevelLookupSnapshot::merge).unwrap();
+                assert_eq!(sum.filter_probes, stats.filter_probes);
+                assert_eq!(sum.filter_false_positives, stats.filter_false_positives);
+            }
+            stats
+        });
+        assert_eq!(stats[0], stats[1], "telemetry moved a lookup count");
     }
 
     #[test]
@@ -947,96 +944,6 @@ mod tests {
         db.flush().unwrap();
         assert_eq!(db.pipeline_gauges().immutable_queue_depth, 0);
         assert_eq!(db.range(b"", None).unwrap().count(), 60);
-    }
-}
-
-#[cfg(test)]
-mod migrate_tests {
-    use super::*;
-    use crate::policy::MergePolicy;
-
-    #[test]
-    fn migrate_changes_tuning_and_keeps_data() {
-        let src = Db::open(
-            DbOptions::in_memory()
-                .page_size(256)
-                .buffer_capacity(512)
-                .size_ratio(2)
-                .merge_policy(MergePolicy::Leveling)
-                .uniform_filters(5.0),
-        )
-        .unwrap();
-        for i in 0..800 {
-            src.put(
-                format!("k{i:04}").into_bytes(),
-                format!("v{i}").into_bytes(),
-            )
-            .unwrap();
-        }
-        src.delete(&b"k0013"[..]).unwrap();
-
-        let dst = src
-            .migrate_to(
-                // Pinned single-shard: the tiering-structure assertion below
-                // reads per-level run counts, which shards would split.
-                DbOptions::in_memory()
-                    .page_size(256)
-                    .buffer_capacity(1024)
-                    .size_ratio(4)
-                    .merge_policy(MergePolicy::Tiering)
-                    .uniform_filters(10.0)
-                    .shards(1),
-            )
-            .unwrap();
-
-        assert_eq!(dst.options().size_ratio, 4);
-        assert_eq!(dst.options().merge_policy, MergePolicy::Tiering);
-        // Same live contents, tombstone not carried.
-        assert_eq!(dst.range(b"", None).unwrap().count(), 799);
-        assert!(dst.get(b"k0013").unwrap().is_none());
-        assert_eq!(dst.get(b"k0500").unwrap().unwrap().as_ref(), b"v500");
-        // Tiering structure in the new store.
-        for level in dst.stats().levels {
-            assert!(level.runs < 4);
-        }
-        // Source untouched.
-        assert_eq!(src.range(b"", None).unwrap().count(), 799);
-    }
-
-    #[test]
-    fn migrate_empty_store() {
-        let src = Db::open(DbOptions::in_memory().page_size(256).buffer_capacity(512)).unwrap();
-        let dst = src
-            .migrate_to(DbOptions::in_memory().page_size(512).buffer_capacity(1024))
-            .unwrap();
-        assert_eq!(dst.range(b"", None).unwrap().count(), 0);
-    }
-
-    #[test]
-    fn migration_compacts_superseded_versions() {
-        let src = Db::open(
-            DbOptions::in_memory()
-                .page_size(256)
-                .buffer_capacity(512)
-                .uniform_filters(5.0),
-        )
-        .unwrap();
-        // Write each key 5 times: the source tree carries old versions
-        // until merges retire them; the migration target starts clean.
-        for round in 0..5 {
-            for i in 0..200 {
-                src.put(
-                    format!("k{i:03}").into_bytes(),
-                    format!("r{round}").into_bytes(),
-                )
-                .unwrap();
-            }
-        }
-        let dst = src
-            .migrate_to(DbOptions::in_memory().page_size(256).buffer_capacity(512))
-            .unwrap();
-        assert_eq!(dst.stats().disk_entries + dst.stats().buffer_entries, 200);
-        assert_eq!(dst.get(b"k007").unwrap().unwrap().as_ref(), b"r4");
     }
 }
 

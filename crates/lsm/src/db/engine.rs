@@ -35,7 +35,7 @@ use crate::run::{recover_run, FilterParams};
 use crate::wal::{Wal, WalSyncCoordinator};
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
-use monkey_obs::{EventKind, OpKind, Telemetry};
+use monkey_obs::{EventKind, LookupTable, OpKind, Telemetry};
 use monkey_storage::Disk;
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::VecDeque;
@@ -106,10 +106,15 @@ pub(super) struct Core {
     pub(super) wal: Wal,
     manifest: Option<Manifest>,
     pub(super) compactions: CompactionCounters,
-    pub(super) lookups: LookupCounters,
+    /// Point-lookup probe traffic per level, kept whatever
+    /// `DbOptions::telemetry` says: the one record that
+    /// [`LookupStats`](crate::LookupStats) and the report's measured
+    /// `FPR_i` both read.
+    pub(super) lookups: Arc<LookupTable>,
     pub(super) pipeline: PipelineCounters,
-    /// Telemetry hub, present iff `DbOptions::telemetry`. When `None`,
-    /// every instrumentation site collapses to a single branch.
+    /// Telemetry hub, present iff `DbOptions::telemetry`, holding a handle
+    /// to `lookups`. When `None`, every instrumentation site collapses to
+    /// a single branch.
     pub(super) telemetry: Option<Arc<Telemetry>>,
 }
 
@@ -123,15 +128,6 @@ pub(super) struct CompactionCounters {
     pub(super) last_merge_partitions: AtomicU64,
     /// Gauge: worker threads of the most recent merge (0 = none yet).
     pub(super) last_merge_threads: AtomicU64,
-}
-
-/// Lifetime counters of the point-lookup fast path (see [`LookupStats`](crate::LookupStats)).
-#[derive(Debug, Default)]
-pub(super) struct LookupCounters {
-    pub(super) key_hashes: AtomicU64,
-    pub(super) filter_probes: AtomicU64,
-    pub(super) filter_negatives: AtomicU64,
-    pub(super) filter_false_positives: AtomicU64,
 }
 
 /// Lifetime counters of the write pipeline (see [`PipelineStats`](crate::PipelineStats)).
@@ -515,11 +511,13 @@ impl Core {
             memtable.insert(entry);
         }
 
+        let lookups = Arc::new(LookupTable::new());
         let telemetry = opts.telemetry.then(|| {
             Arc::new(Telemetry::for_shard(
                 opts.shard_index,
                 Telemetry::DEFAULT_EVENT_CAPACITY,
                 origin,
+                Arc::clone(&lookups),
             ))
         });
         if let Some(t) = &telemetry {
@@ -553,7 +551,7 @@ impl Core {
             wal,
             manifest,
             compactions: CompactionCounters::default(),
-            lookups: LookupCounters::default(),
+            lookups,
             pipeline: PipelineCounters::default(),
             telemetry,
             opts,
@@ -722,38 +720,21 @@ impl Core {
             }
         }
         let pair = hash_pair(key); // the lookup's only hash computation
-        self.lookups.key_hashes.fetch_add(1, Relaxed);
-        let tel = self.telemetry.as_deref();
+        self.lookups.record_key_hash();
         for (li, level) in version.levels().iter().enumerate() {
             for run in level.runs() {
                 let look = run.get_hashed(key, pair)?;
-                // With telemetry on the per-level table is the sole record
-                // of probe traffic — `lookup_stats` derives its engine-wide
-                // totals from it — so the hot path pays one fetch_add per
-                // probed run either way, never two sets of counters.
-                match tel {
-                    Some(t) => {
-                        if look.probed_filter {
-                            if !look.filter_negative && look.page_read && look.entry.is_none() {
-                                t.record_false_positive(li + 1);
-                            }
-                            t.record_filter_probe(li + 1, look.filter_negative);
-                        }
-                        if look.page_read {
-                            t.record_lookup_read(li + 1);
-                        }
+                if look.probed_filter {
+                    if !look.filter_negative && look.page_read && look.entry.is_none() {
+                        // The filter said "maybe", the page said no: a
+                        // true false positive, one wasted I/O.
+                        self.lookups.record_false_positive(li + 1);
                     }
-                    None if look.probed_filter => {
-                        self.lookups.filter_probes.fetch_add(1, Relaxed);
-                        if look.filter_negative {
-                            self.lookups.filter_negatives.fetch_add(1, Relaxed);
-                        } else if look.page_read && look.entry.is_none() {
-                            // The filter said "maybe", the page said no: a
-                            // true false positive, one wasted I/O.
-                            self.lookups.filter_false_positives.fetch_add(1, Relaxed);
-                        }
-                    }
-                    None => {}
+                    self.lookups
+                        .record_filter_probe(li + 1, look.filter_negative);
+                }
+                if look.page_read {
+                    self.lookups.record_lookup_read(li + 1);
                 }
                 if let Some(hit) = look.entry {
                     return Ok((!hit.is_tombstone()).then_some(hit.value));

@@ -38,29 +38,19 @@ fn by_slot<T>(merge: impl Fn(&mut T, &T)) -> impl Fn(&mut Vec<T>, &Vec<T>) {
 }
 
 impl Core {
-    /// Counters of the point-lookup fast path since open. With telemetry
-    /// on, the engine-wide totals are the sums of the per-level telemetry
-    /// table (the hot path writes only there); otherwise they come from
-    /// the engine's own global counters.
+    /// Counters of the point-lookup fast path since open: the shard's
+    /// lookup table summed over its levels.
     pub(super) fn lookup_stats(&self) -> LookupStats {
-        let l = &self.lookups;
-        let key_hashes = l.key_hashes.load(Relaxed);
-        match self.telemetry.as_deref() {
-            Some(t) => {
-                let levels = t.level_lookups();
-                LookupStats {
-                    key_hashes,
-                    filter_probes: levels.iter().map(|s| s.filter_probes).sum(),
-                    filter_negatives: levels.iter().map(|s| s.filter_negatives).sum(),
-                    filter_false_positives: levels.iter().map(|s| s.filter_false_positives).sum(),
-                }
-            }
-            None => LookupStats {
-                key_hashes,
-                filter_probes: l.filter_probes.load(Relaxed),
-                filter_negatives: l.filter_negatives.load(Relaxed),
-                filter_false_positives: l.filter_false_positives.load(Relaxed),
-            },
+        let levels = merged(
+            self.lookups.snapshot().into_iter(),
+            LevelLookupSnapshot::merge,
+        )
+        .unwrap_or_default();
+        LookupStats {
+            key_hashes: self.lookups.key_hashes(),
+            filter_probes: levels.filter_probes,
+            filter_negatives: levels.filter_negatives,
+            filter_false_positives: levels.filter_false_positives,
         }
     }
 
@@ -192,7 +182,7 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         })
         .collect();
     let level_lookups = merged(
-        hubs.iter().map(|h| h.level_lookups()),
+        cores.iter().map(|c| c.lookups.snapshot()),
         by_slot(LevelLookupSnapshot::merge),
     )?;
     let io = merged(

@@ -66,8 +66,10 @@ pub struct DbOptions {
     pub max_immutable_memtables: usize,
     /// Record engine telemetry: latency histograms, per-level I/O
     /// attribution, and the structured event timeline, exposed through
-    /// `Db::telemetry_report()`. Off by default; when off, the only cost
-    /// left on any hot path is one `None` branch per operation.
+    /// `Db::telemetry_report()`. Off by default; when off, the hub costs
+    /// one `None` branch per operation. The per-level lookup counts behind
+    /// `Db::lookup_stats()` and the report's measured FPRs are kept either
+    /// way.
     pub telemetry: bool,
     /// Worker threads per merge (≥ 1). With more than one, each merge's key
     /// space is cut along input fence pointers into that many disjoint

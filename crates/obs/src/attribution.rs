@@ -202,18 +202,6 @@ impl IoAttribution {
             })
             .collect()
     }
-
-    /// Zero the traffic counters (tags survive).
-    pub fn reset_counters(&self) {
-        for l in &self.levels {
-            l.reads.store(0, Ordering::Relaxed);
-            l.writes.store(0, Ordering::Relaxed);
-            l.read_bytes.store(0, Ordering::Relaxed);
-            l.write_bytes.store(0, Ordering::Relaxed);
-            l.cache_hits.store(0, Ordering::Relaxed);
-            l.cache_hit_bytes.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -267,15 +255,5 @@ mod tests {
         assert_eq!(a.level_of(3), None);
         a.on_write(3, 10);
         assert_eq!(a.snapshot()[0].writes, 1);
-    }
-
-    #[test]
-    fn reset_clears_counters_not_tags() {
-        let a = IoAttribution::new();
-        a.tag_run(1, 1);
-        a.on_read(1, 100);
-        a.reset_counters();
-        assert!(a.snapshot().iter().all(|l| l.is_zero()));
-        assert_eq!(a.level_of(1), Some(1));
     }
 }

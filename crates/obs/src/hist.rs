@@ -70,15 +70,6 @@ impl LatencyHistogram {
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-    }
 }
 
 /// A point-in-time copy of a [`LatencyHistogram`], with quantile readers.
@@ -101,15 +92,6 @@ impl HistogramSnapshot {
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    pub fn empty() -> Self {
-        Self {
-            buckets: [0; HIST_BUCKETS],
-            count: 0,
-            sum: 0,
-            max: 0,
-        }
     }
 
     /// Mean in nanoseconds, 0 if empty.

@@ -1,13 +1,18 @@
-//! The `Telemetry` aggregate: everything the engine records, in one
-//! `Arc`-shareable object.
+//! Two records, one `Arc`-shareable each: the per-level [`LookupTable`]
+//! of point-lookup probe traffic, and the optional [`Telemetry`] hub.
 //!
-//! Hot-path cost model: the engine holds an `Option<Arc<Telemetry>>`, so
-//! with telemetry off the per-op cost is a single `None` branch. With it
-//! on, every op bumps one sharded counter (exact op totals) and — for the
-//! high-frequency ops `get`/`put`/`range` — takes a duration sample only
-//! one op in [`SAMPLE_PERIOD`], keeping the two `Instant::now()` calls off
-//! most iterations. Rare, long ops (flush, cascade) are always timed.
-//! Nothing on an instrumented hot path allocates.
+//! Hot-path cost model: every shard owns a lookup table from open,
+//! whatever `DbOptions::telemetry` says, so a lookup pays one relaxed
+//! `fetch_add` for its key hash and one per probed run that the filter
+//! rejects; a filter pass adds its pass and page-read counts. Everything
+//! else lives in the hub, which the engine holds as an
+//! `Option<Arc<Telemetry>>`: with telemetry off each op pays one `None`
+//! branch for it. With it on, every op bumps one sharded counter (exact
+//! op totals) and — for the high-frequency ops `get`/`put`/`range` — takes
+//! a duration sample only one op in [`SAMPLE_PERIOD`], keeping the two
+//! `Instant::now()` calls off most iterations. Rare, long ops (flush,
+//! cascade) are always timed. Nothing on an instrumented hot path
+//! allocates.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -81,6 +86,95 @@ struct LevelLookup {
     lookup_page_reads: AtomicU64,
 }
 
+/// Point-lookup traffic, level by level: the one record the engine keeps
+/// of it. Measured `FPR_i` and the store-wide `LookupStats` both read this
+/// table. Shaped like [`IoAttribution`]: plain relaxed atomics per level
+/// slot behind the owner's `Arc`, slot 0 unattributed and levels deeper
+/// than [`MAX_LEVELS`] clamped into the last slot.
+pub struct LookupTable {
+    key_hashes: AtomicU64,
+    levels: [LevelLookup; LEVEL_SLOTS],
+}
+
+impl Default for LookupTable {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl LookupTable {
+    pub fn new() -> Self {
+        Self {
+            key_hashes: AtomicU64::new(0),
+            levels: std::array::from_fn(|_| LevelLookup::default()),
+        }
+    }
+
+    #[inline]
+    fn level(&self, level: usize) -> &LevelLookup {
+        &self.levels[level.min(MAX_LEVELS)]
+    }
+
+    /// Record a lookup that reached the disk levels and hashed its key.
+    #[inline]
+    pub fn record_key_hash(&self) {
+        self.key_hashes.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a filter probe against a run on `level` (1-based) and
+    /// whether the filter said "definitely absent". The negative path is
+    /// the hot one and does a single relaxed `fetch_add`.
+    #[inline]
+    pub fn record_filter_probe(&self, level: usize, negative: bool) {
+        let l = self.level(level);
+        l.filter_probes.fetch_add(1, Ordering::Relaxed);
+        if !negative {
+            l.filter_passes.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Record a confirmed filter false positive on `level`: the filter
+    /// said "maybe", the page said no — one wasted I/O.
+    #[inline]
+    pub fn record_false_positive(&self, level: usize) {
+        self.level(level)
+            .filter_false_positives
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record a data-page read performed by a point lookup on `level`.
+    #[inline]
+    pub fn record_lookup_read(&self, level: usize) {
+        self.level(level)
+            .lookup_page_reads
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Lookups that reached the disk levels; each hashed its key once.
+    pub fn key_hashes(&self) -> u64 {
+        self.key_hashes.load(Ordering::Relaxed)
+    }
+
+    /// Snapshot all level slots; index 0 is the unattributed slot.
+    pub fn snapshot(&self) -> Vec<LevelLookupSnapshot> {
+        self.levels
+            .iter()
+            .map(|l| {
+                let probes = l.filter_probes.load(Ordering::Relaxed);
+                let passes = l.filter_passes.load(Ordering::Relaxed);
+                LevelLookupSnapshot {
+                    filter_probes: probes,
+                    // Saturating: a racing probe may have bumped `passes`
+                    // before this thread's `probes` load saw it.
+                    filter_negatives: probes.saturating_sub(passes),
+                    filter_false_positives: l.filter_false_positives.load(Ordering::Relaxed),
+                    lookup_page_reads: l.lookup_page_reads.load(Ordering::Relaxed),
+                }
+            })
+            .collect()
+    }
+}
+
 /// Point-in-time copy of one level's lookup-path counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LevelLookupSnapshot {
@@ -127,13 +221,14 @@ impl LevelLookupSnapshot {
 }
 
 /// Shared telemetry hub: latency histograms, exact op counters, per-level
-/// lookup counters, per-level I/O attribution, and the event ring.
+/// I/O attribution, the event ring, and a handle to its shard's
+/// [`LookupTable`].
 pub struct Telemetry {
     shard: u32,
     origin: Instant,
     hists: [LatencyHistogram; OP_KINDS.len()],
     op_counts: [ShardedCounter; OP_KINDS.len()],
-    level_lookups: [LevelLookup; LEVEL_SLOTS],
+    lookups: Arc<LookupTable>,
     attribution: Arc<IoAttribution>,
     events: EventRing,
 }
@@ -143,21 +238,28 @@ impl Telemetry {
     /// traffic between scrapes without unbounded memory.
     pub const DEFAULT_EVENT_CAPACITY: usize = 1024;
 
+    /// A shard-0 hub over a lookup table of its own.
     pub fn new(event_capacity: usize) -> Self {
-        Self::for_shard(0, event_capacity, Instant::now())
+        Self::for_shard(0, event_capacity, Instant::now(), Arc::default())
     }
 
     /// A hub whose events are stamped with `shard` — the originating
-    /// shard index on a multi-shard store — and whose clock counts from
-    /// `origin`. The shards of one store share an origin, so their
-    /// timestamps merge into one timeline.
-    pub fn for_shard(shard: u32, event_capacity: usize, origin: Instant) -> Self {
+    /// shard index on a multi-shard store — whose clock counts from
+    /// `origin`, and which reads the shard's own `lookups` table. The
+    /// shards of one store share an origin, so their timestamps merge
+    /// into one timeline.
+    pub fn for_shard(
+        shard: u32,
+        event_capacity: usize,
+        origin: Instant,
+        lookups: Arc<LookupTable>,
+    ) -> Self {
         Self {
             shard,
             origin,
             hists: std::array::from_fn(|_| LatencyHistogram::new()),
             op_counts: std::array::from_fn(|_| ShardedCounter::new()),
-            level_lookups: std::array::from_fn(|_| LevelLookup::default()),
+            lookups,
             attribution: Arc::new(IoAttribution::new()),
             events: EventRing::for_shard(shard, event_capacity),
         }
@@ -212,36 +314,9 @@ impl Telemetry {
         self.events.push(self.now_micros(), kind);
     }
 
-    fn level_slot(level: usize) -> usize {
-        level.min(MAX_LEVELS)
-    }
-
-    /// Record a filter probe against a run on `level` (1-based) and
-    /// whether the filter said "definitely absent". The negative path is
-    /// the hot one and does a single relaxed `fetch_add`.
-    #[inline]
-    pub fn record_filter_probe(&self, level: usize, negative: bool) {
-        let l = &self.level_lookups[Self::level_slot(level)];
-        l.filter_probes.fetch_add(1, Ordering::Relaxed);
-        if !negative {
-            l.filter_passes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a confirmed filter false positive on `level`.
-    #[inline]
-    pub fn record_false_positive(&self, level: usize) {
-        self.level_lookups[Self::level_slot(level)]
-            .filter_false_positives
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record a data-page read performed by a point lookup on `level`.
-    #[inline]
-    pub fn record_lookup_read(&self, level: usize) {
-        self.level_lookups[Self::level_slot(level)]
-            .lookup_page_reads
-            .fetch_add(1, Ordering::Relaxed);
+    /// The shard's lookup table — the same one the engine writes.
+    pub fn lookups(&self) -> &Arc<LookupTable> {
+        &self.lookups
     }
 
     /// The I/O attribution table shared with the storage layer.
@@ -256,25 +331,6 @@ impl Telemetry {
     /// Exact number of ops of `kind` (every call, not just sampled ones).
     pub fn op_count(&self, kind: OpKind) -> u64 {
         self.op_counts[kind as usize].get()
-    }
-
-    /// Snapshot all level lookup slots; index 0 is the unattributed slot.
-    pub fn level_lookups(&self) -> Vec<LevelLookupSnapshot> {
-        self.level_lookups
-            .iter()
-            .map(|l| {
-                let probes = l.filter_probes.load(Ordering::Relaxed);
-                let passes = l.filter_passes.load(Ordering::Relaxed);
-                LevelLookupSnapshot {
-                    filter_probes: probes,
-                    // Saturating: a racing probe may have bumped `passes`
-                    // before this thread's `probes` load saw it.
-                    filter_negatives: probes.saturating_sub(passes),
-                    filter_false_positives: l.filter_false_positives.load(Ordering::Relaxed),
-                    lookup_page_reads: l.lookup_page_reads.load(Ordering::Relaxed),
-                }
-            })
-            .collect()
     }
 
     /// Drain the event timeline (consuming it).
@@ -321,12 +377,14 @@ mod tests {
 
     #[test]
     fn level_lookup_counters() {
-        let t = Telemetry::new(16);
+        let t = LookupTable::new();
+        t.record_key_hash();
         t.record_filter_probe(1, true);
         t.record_filter_probe(1, false);
         t.record_false_positive(1);
         t.record_lookup_read(2);
-        let ls = t.level_lookups();
+        assert_eq!(t.key_hashes(), 1);
+        let ls = t.snapshot();
         assert_eq!(ls[1].filter_probes, 2);
         assert_eq!(ls[1].filter_negatives, 1);
         assert_eq!(ls[1].filter_false_positives, 1);

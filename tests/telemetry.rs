@@ -164,9 +164,9 @@ fn per_level_io_attribution_after_cascades() {
 
 /// Acceptance: a filter that delivers a far higher false-positive rate
 /// than its allocation promises is flagged in the drift section. The
-/// mis-behaviour is injected through the public telemetry hub: the
-/// deepest level's filter "returns maybe" for half its probes while its
-/// allocation promises under a few percent.
+/// mis-behaviour is injected through the hub's handle on the shard's
+/// lookup table: the deepest level's filter "returns maybe" for half its
+/// probes while its allocation promises under a few percent.
 #[test]
 fn drift_section_flags_a_misallocated_filter() {
     let (db, _keys) = build(MergePolicy::Leveling, 3, true, 10.0, 1 << 13);
@@ -178,14 +178,14 @@ fn drift_section_flags_a_misallocated_filter() {
         .map(|l| l.level)
         .max()
         .unwrap();
-    let hub = db.telemetry().unwrap();
+    let table = db.telemetry().unwrap().lookups();
     for i in 0..2_000u64 {
         // Half the probes pass and are confirmed false positives, half
         // are clean negatives: a filter delivering a 50% FPR.
         let fp = i % 2 == 0;
-        hub.record_filter_probe(level, !fp);
+        table.record_filter_probe(level, !fp);
         if fp {
-            hub.record_false_positive(level);
+            table.record_false_positive(level);
         }
     }
     let report = db.telemetry_report().unwrap();
