@@ -56,6 +56,11 @@ const SHARD_SEED: u64 = 0x4d4f_4e4b_4559_2153;
 /// one-shard store lives in the root itself and writes no meta.
 const SHARDS_META: &str = "SHARDS";
 
+/// The subdirectory of a multi-shard store's root that holds shard `index`.
+fn shard_dir(index: usize) -> String {
+    format!("shard-{index:03}")
+}
+
 impl Db {
     /// Opens a database.
     ///
@@ -103,7 +108,7 @@ impl Db {
         let shards = (0..n)
             .map(|index| {
                 let shard_opts = Self::shard_options(&opts, index, n);
-                Shard::open(shard_opts, disk.clone(), sync_coord.clone(), origin)
+                Shard::open(shard_opts, index, disk.clone(), sync_coord.clone(), origin)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Arc::new(Db {
@@ -117,50 +122,82 @@ impl Db {
     /// existing multi-shard store wins; an existing store laid out in the
     /// root itself is one shard whatever was requested (its layout is
     /// already on disk); a fresh directory honors the request and records
-    /// it durably before any shard is opened. A root holding `shard-NNN`
-    /// directories but no meta has lost it: opening that as an empty
-    /// one-shard store would hide every acknowledged write, so it is an
-    /// error.
+    /// it durably before any shard is opened.
+    ///
+    /// The meta and the `shard-NNN` directories must agree, or opening
+    /// would hide acknowledged writes behind the wrong hash partition. A
+    /// root holding shard directories but no meta has lost it; a meta that
+    /// is malformed or below 2 is refused, and so is one that a non-empty
+    /// shard directory contradicts: one at an index past the count, or
+    /// fewer shard directories (empty or not) than the count. Refusal is
+    /// `Corruption`, before any directory is created.
+    ///
+    /// Every shard directory is created, and the root synced, before the
+    /// first shard opens. A crash after the meta is durable, before or
+    /// while the shards open, therefore leaves either no shard directory
+    /// or all of them, some possibly still empty: the next open agrees
+    /// with both.
     fn resolve_shards(opts: &DbOptions) -> Result<usize> {
         let requested = opts.shards.max(1);
         let StorageConfig::Directory(root) = &opts.storage else {
             return Ok(requested);
         };
         let meta = root.join(SHARDS_META);
-        match std::fs::read_to_string(&meta) {
-            Ok(text) => text
-                .trim()
-                .parse::<usize>()
-                .ok()
-                .filter(|&n| n >= 2)
-                .ok_or_else(|| {
-                    LsmError::Corruption(format!("malformed {SHARDS_META} meta: {:?}", text.trim()))
-                }),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                let mut occupied = false;
-                for dirent in std::fs::read_dir(root).into_iter().flatten() {
-                    occupied = true;
-                    if dirent?.file_name().to_string_lossy().starts_with("shard-") {
-                        return Err(LsmError::Corruption(format!(
-                            "{} holds shard directories but no {SHARDS_META} meta",
-                            root.display()
-                        )));
-                    }
+        let (mut occupied, mut any_shard_dir) = (false, false);
+        // Each shard directory's index and whether it holds anything; a
+        // foreign name under the `shard-` prefix counts as an index no meta
+        // can cover, and anything that is not a readable directory as full.
+        let mut shard_dirs = Vec::new();
+        for dirent in std::fs::read_dir(root).into_iter().flatten() {
+            let dirent = dirent?;
+            occupied = true;
+            let name = dirent.file_name().to_string_lossy().into_owned();
+            let Some(suffix) = name.strip_prefix("shard-") else {
+                continue;
+            };
+            any_shard_dir = true;
+            let index = suffix.parse().ok().filter(|&i| shard_dir(i) == name);
+            let filled = std::fs::read_dir(dirent.path()).map_or(true, |mut d| d.next().is_some());
+            shard_dirs.push((index.unwrap_or(usize::MAX), filled));
+        }
+        let corrupt = |why: String| LsmError::Corruption(format!("{}: {why}", root.display()));
+        let n = match std::fs::read_to_string(&meta) {
+            Ok(text) => {
+                let n = text.trim().parse::<usize>().ok().filter(|&n| n >= 2);
+                let n =
+                    n.ok_or_else(|| corrupt(format!("malformed {SHARDS_META} meta: {text:?}")))?;
+                let filled: Vec<usize> = shard_dirs.iter().filter(|d| d.1).map(|d| d.0).collect();
+                let present = shard_dirs.iter().filter(|d| d.0 < n).count();
+                if filled.iter().any(|&i| i >= n) || (!filled.is_empty() && present < n) {
+                    return Err(corrupt(format!(
+                        "{SHARDS_META} meta says {n} shards, which the shard directories contradict"
+                    )));
                 }
-                if occupied {
+                n
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                if any_shard_dir {
+                    return Err(corrupt(format!(
+                        "shard directories but no {SHARDS_META} meta"
+                    )));
+                }
+                if occupied || requested == 1 {
                     return Ok(1);
                 }
-                if requested > 1 {
-                    std::fs::create_dir_all(root)?;
-                    let mut file = std::fs::File::create(&meta)?;
-                    file.write_all(format!("{requested}\n").as_bytes())?;
-                    file.sync_all()?;
-                    std::fs::File::open(root)?.sync_all()?;
-                }
-                Ok(requested)
+                std::fs::create_dir_all(root)?;
+                let mut file = std::fs::File::create(&meta)?;
+                file.write_all(format!("{requested}\n").as_bytes())?;
+                file.sync_all()?;
+                std::fs::File::open(root)?.sync_all()?;
+                requested
             }
-            Err(e) => Err(e.into()),
+            Err(e) => return Err(e.into()),
+        };
+        for index in 0..n {
+            std::fs::create_dir_all(root.join(shard_dir(index)))?;
         }
+        std::fs::File::open(root)?.sync_all()?;
+        Ok(n)
     }
 
     /// The configuration one shard runs under: the global memory budgets
@@ -170,7 +207,6 @@ impl Db {
     fn shard_options(opts: &DbOptions, index: usize, n: usize) -> DbOptions {
         let mut shard = opts.clone();
         shard.shards = 1;
-        shard.shard_index = index as u32;
         if n == 1 {
             return shard;
         }
@@ -179,9 +215,7 @@ impl Db {
         shard.storage = match &opts.storage {
             StorageConfig::Memory => StorageConfig::Memory,
             StorageConfig::MemoryCached(bytes) => StorageConfig::MemoryCached(split(*bytes)),
-            StorageConfig::Directory(root) => {
-                StorageConfig::Directory(root.join(format!("shard-{index:03}")))
-            }
+            StorageConfig::Directory(root) => StorageConfig::Directory(root.join(shard_dir(index))),
         };
         shard
     }

@@ -466,10 +466,12 @@ impl Core {
     /// (fault injection, slow devices, bespoke caches): such a store is
     /// volatile, with no WAL or manifest. `sync_coord`, when present,
     /// routes every WAL fsync through the shared cross-shard coalescing
-    /// coordinator. A telemetry hub counts its clock from `origin`, which
-    /// every shard of one store shares.
+    /// coordinator. A telemetry hub stamps its events with `index`, the
+    /// shard's place in the store, and counts its clock from `origin`,
+    /// which every shard of one store shares.
     fn open(
         opts: DbOptions,
+        index: usize,
         supplied: Option<Arc<Disk>>,
         sync_coord: Option<Arc<WalSyncCoordinator>>,
         origin: Instant,
@@ -514,7 +516,7 @@ impl Core {
         let lookups = Arc::new(LookupTable::new());
         let telemetry = opts.telemetry.then(|| {
             Arc::new(Telemetry::for_shard(
-                opts.shard_index,
+                index as u32,
                 Telemetry::DEFAULT_EVENT_CAPACITY,
                 origin,
                 Arc::clone(&lookups),
@@ -584,11 +586,12 @@ impl Shard {
     /// background worker.
     pub(super) fn open(
         opts: DbOptions,
+        index: usize,
         disk: Option<Arc<Disk>>,
         sync_coord: Option<Arc<WalSyncCoordinator>>,
         origin: Instant,
     ) -> Result<Shard> {
-        let core = Core::open(opts, disk, sync_coord, origin)?;
+        let core = Core::open(opts, index, disk, sync_coord, origin)?;
         let worker = if core.opts.background_compaction {
             let worker_core = Arc::clone(&core);
             Some(

@@ -249,7 +249,7 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         shards: breakdown(cores, &hubs, &per_shard, op_count(OpKind::Range)),
         // Every shard opens with the same backend options against the
         // same filesystem, so the first speaks for the store.
-        io_backend: Some(io_backend_report(cores.first()?.disk.backend_info())),
+        io_backend: io_backend_report(cores.first()?.disk.backend_info()),
     })
 }
 

@@ -86,10 +86,6 @@ pub struct DbOptions {
     /// Default 1: the single-shard engine, byte-identical on disk to the
     /// pre-shard code path (every figure and model comparison runs there).
     pub shards: usize,
-    /// Index of this engine within a sharded store; assigned internally by
-    /// the `Db` facade when it splits options per shard. 0 on single-shard
-    /// stores. Not a user knob.
-    pub shard_index: u32,
 }
 
 impl DbOptions {
@@ -139,7 +135,6 @@ impl DbOptions {
             compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
                 .unwrap_or(1),
             shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
-            shard_index: 0,
         }
     }
 
@@ -369,7 +364,6 @@ mod tests {
         // MONKEY_SHARDS set, which base() honors by design.
         let o = DbOptions::in_memory();
         assert!(o.shards >= 1);
-        assert_eq!(o.shard_index, 0);
         assert_eq!(o.shards(8).shards, 8);
     }
 

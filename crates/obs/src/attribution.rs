@@ -55,10 +55,6 @@ impl LevelIoSnapshot {
         self.cache_hits += other.cache_hits;
         self.cache_hit_bytes += other.cache_hit_bytes;
     }
-
-    pub fn is_zero(&self) -> bool {
-        *self == Self::default()
-    }
 }
 
 /// Direct-mapped tag-cache size. Live runs number in the tens, so

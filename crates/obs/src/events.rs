@@ -55,31 +55,45 @@ impl EventKind {
     }
 
     /// Payload as (key, value) pairs for structured rendering.
-    pub fn fields(&self) -> Vec<(&'static str, String)> {
+    pub fn fields(&self) -> Vec<(&'static str, FieldValue)> {
+        use FieldValue::{Number, Text};
         match self {
-            EventKind::FlushStart { entries, bytes } => vec![
-                ("entries", entries.to_string()),
-                ("bytes", bytes.to_string()),
-            ],
+            EventKind::FlushStart { entries, bytes } => {
+                vec![("entries", Number(*entries)), ("bytes", Number(*bytes))]
+            }
             EventKind::FlushEnd { duration_micros } => {
-                vec![("duration_micros", duration_micros.to_string())]
+                vec![("duration_micros", Number(*duration_micros))]
             }
             EventKind::CascadeInstall {
                 merges,
                 deepest_level,
             } => vec![
-                ("merges", merges.to_string()),
-                ("deepest_level", deepest_level.to_string()),
+                ("merges", Number(*merges)),
+                ("deepest_level", Number(*deepest_level)),
             ],
-            EventKind::StallBegin { queue_depth } => {
-                vec![("queue_depth", queue_depth.to_string())]
-            }
+            EventKind::StallBegin { queue_depth } => vec![("queue_depth", Number(*queue_depth))],
             EventKind::StallEnd { waited_micros } => {
-                vec![("waited_micros", waited_micros.to_string())]
+                vec![("waited_micros", Number(*waited_micros))]
             }
-            EventKind::WalGroupCommit { records } => vec![("records", records.to_string())],
-            EventKind::BackgroundError { message } => vec![("message", message.clone())],
-            EventKind::IoBackendFallback { reason } => vec![("reason", reason.clone())],
+            EventKind::WalGroupCommit { records } => vec![("records", Number(*records))],
+            EventKind::BackgroundError { message } => vec![("message", Text(message.clone()))],
+            EventKind::IoBackendFallback { reason } => vec![("reason", Text(reason.clone()))],
+        }
+    }
+}
+
+/// One value of an event's payload: a count, or free text.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FieldValue {
+    Number(u64),
+    Text(String),
+}
+
+impl std::fmt::Display for FieldValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FieldValue::Number(n) => n.fmt(f),
+            FieldValue::Text(s) => s.fmt(f),
         }
     }
 }
@@ -234,8 +248,8 @@ mod tests {
         assert_eq!(
             kind.fields(),
             vec![
-                ("merges", "3".to_string()),
-                ("deepest_level", "4".to_string()),
+                ("merges", FieldValue::Number(3)),
+                ("deepest_level", FieldValue::Number(4)),
             ]
         );
     }

@@ -88,15 +88,6 @@ impl JsonObject {
         self.raw(key, &value.to_string())
     }
 
-    pub fn usize(self, key: &str, value: usize) -> Self {
-        self.raw(key, &value.to_string())
-    }
-
-    pub fn f64(self, key: &str, value: f64) -> Self {
-        let v = json_f64(value);
-        self.raw(key, &v)
-    }
-
     pub fn bool(self, key: &str, value: bool) -> Self {
         self.raw(key, if value { "true" } else { "false" })
     }
@@ -122,7 +113,7 @@ mod tests {
         let obj = JsonObject::new()
             .str("name", "x")
             .u64("n", 3)
-            .f64("f", 0.25)
+            .raw("f", &json_f64(0.25))
             .bool("ok", true)
             .raw("xs", &json_array(["1".into(), "2".into()]))
             .finish();

@@ -37,7 +37,7 @@ mod telemetry;
 
 pub use attribution::{IoAttribution, LevelIoSnapshot, LEVEL_SLOTS, MAX_LEVELS};
 pub use counter::ShardedCounter;
-pub use events::{Event, EventKind, EventRing};
+pub use events::{Event, EventKind, EventRing, FieldValue};
 pub use hist::{HistogramSnapshot, LatencyHistogram, HIST_BUCKETS};
 pub use json::{json_array, json_f64, json_string, JsonObject};
 pub use report::{

@@ -2,12 +2,16 @@
 //!
 //! The engine (which knows tree shape, filter policies, and the Monkey
 //! model's predictions) fills these structs from [`crate::Telemetry`]
-//! snapshots; this module owns the three renderings — Prometheus
-//! exposition text, a JSON snapshot, and a human `pretty()` dump used by
-//! the `monkey-stats` bin — plus the model-drift bound.
+//! snapshots. Every metric of a report is declared once, as a column of
+//! one of the tables below: its JSON key, its Prometheus family and its
+//! `pretty` heading, beside the one accessor that reads it. The three
+//! renderings — Prometheus exposition text, a JSON snapshot, and the
+//! human `pretty()` dump used by the `monkey-stats` bin — are walks over
+//! those tables; only the event timeline and the model-drift section are
+//! written by hand.
 
 use crate::attribution::LevelIoSnapshot;
-use crate::events::Event;
+use crate::events::{Event, FieldValue};
 use crate::hist::HistogramSnapshot;
 use crate::json::{json_array, json_f64, JsonObject};
 use crate::telemetry::LevelLookupSnapshot;
@@ -195,11 +199,524 @@ pub struct TelemetryReport {
     /// Per-shard gauges; empty on a single-shard store (whose report and
     /// renderings stay byte-identical to the pre-shard engine).
     pub shards: Vec<ShardBreakdown>,
-    /// The disk backend serving this store, when the engine knows it.
-    /// `None` keeps every rendering byte-identical to reports produced
-    /// before backend selection existed (and by callers that build
-    /// reports without a disk).
-    pub io_backend: Option<IoBackendReport>,
+    /// The disk backend serving this store.
+    pub io_backend: IoBackendReport,
+}
+
+/// A value one column reads from its row.
+#[derive(Clone, Copy)]
+enum Value<'a> {
+    Int(u64),
+    /// A latency, shown to one decimal.
+    Float(f64),
+    /// A probability or a per-lookup count, shown to five decimals.
+    Rate(f64),
+    Flag(bool),
+    Text(&'a str),
+    /// An optional field that is not set: its key is left out.
+    Absent,
+    /// A nested part of the report, rendered through its own columns.
+    Nested(&'a dyn Part),
+}
+use Value::{Absent, Flag, Float, Int, Nested, Rate, Text};
+
+/// A Prometheus metric family: its type and its `# HELP` text, which
+/// starts with the family's name.
+#[derive(Clone, Copy)]
+struct Family {
+    kind: &'static str,
+    help: &'static str,
+}
+
+impl Family {
+    fn name(&self) -> &'static str {
+        self.help.split(' ').next().unwrap_or_default()
+    }
+}
+
+/// How a column appears in Prometheus text.
+#[derive(Clone, Copy)]
+enum Prom {
+    Hidden,
+    /// One sample per row, with a constant label (or `""`).
+    Sample(Family, &'static str),
+    /// A nested object's own families, under its row's label.
+    Inline,
+    /// A nested object as one sample of value 1 labelled by its columns.
+    Info(Family),
+}
+use Prom::{Hidden, Info, Inline, Sample};
+
+/// The one accessor of a column.
+type Get<R> = fn(&R) -> Value<'_>;
+
+/// One metric of a row type: its JSON key, its `pretty` heading (a nested
+/// part's title; `""` for none), how Prometheus text shows it, and the one
+/// accessor that reads it. A table's first column labels its rows in
+/// Prometheus text.
+struct Column<R> {
+    key: &'static str,
+    heading: &'static str,
+    prom: Prom,
+    /// Place among the table's families in Prometheus text, whose order
+    /// predates the JSON order the table is declared in.
+    rank: i8,
+    get: Get<R>,
+}
+
+const fn col<R>(key: &'static str, heading: &'static str, get: Get<R>) -> Column<R> {
+    let (prom, rank) = (Hidden, 0);
+    Column {
+        key,
+        heading,
+        prom,
+        rank,
+        get,
+    }
+}
+
+impl<R> Column<R> {
+    const fn prom(self, prom: Prom) -> Self {
+        Column { prom, ..self }
+    }
+
+    const fn counter(self, help: &'static str) -> Self {
+        let kind = "counter";
+        self.prom(Sample(Family { kind, help }, ""))
+    }
+
+    const fn gauge(self, help: &'static str) -> Self {
+        let kind = "gauge";
+        self.prom(Sample(Family { kind, help }, ""))
+    }
+
+    const fn rank(self, rank: i8) -> Self {
+        Column { rank, ..self }
+    }
+}
+
+/// A row type and its column table.
+trait Row: Sized + 'static {
+    const COLUMNS: &'static [Column<Self>];
+}
+
+const BUILD_INFO: Family = Family {
+    kind: "gauge",
+    help: "monkey_build_info Build metadata; the value is always 1.",
+};
+
+const LATENCY: Family = Family {
+    kind: "summary",
+    help: "monkey_op_latency_micros Sampled operation latency quantiles in microseconds.",
+};
+
+const ZERO_RESULT: Family = Family {
+    kind: "gauge",
+    help: "monkey_zero_result_lookup_ios Expected (model) vs measured I/Os per zero-result lookup.",
+};
+
+const BACKEND_INFO: Family = Family {
+    kind: "gauge",
+    help: "monkey_io_backend_info Active disk backend (requested vs. running kind, \
+           discovered alignment); value is always 1.",
+};
+
+impl Row for OpLatencyReport {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("op", "op", |o| Text(o.op)),
+        col("ops", "count", |o: &Self| Int(o.ops))
+            .counter("monkey_ops_total Operations executed, by kind."),
+        col("sampled", "", |o: &Self| Int(o.sampled))
+            .counter("monkey_op_latency_samples Duration samples behind the latency quantiles.")
+            .rank(1),
+        col("mean_micros", "mean", |o| Float(o.mean_micros)),
+        col("p50_micros", "p50", |o: &Self| Float(o.p50_micros))
+            .prom(Sample(LATENCY, "quantile=\"0.5\"")),
+        col("p90_micros", "p90", |o: &Self| Float(o.p90_micros))
+            .prom(Sample(LATENCY, "quantile=\"0.9\"")),
+        col("p99_micros", "p99", |o: &Self| Float(o.p99_micros))
+            .prom(Sample(LATENCY, "quantile=\"0.99\"")),
+        col("p999_micros", "p99.9", |o: &Self| Float(o.p999_micros))
+            .prom(Sample(LATENCY, "quantile=\"0.999\"")),
+        col("max_micros", "max", |o: &Self| Float(o.max_micros)).gauge(
+            "monkey_op_latency_micros_max Largest sampled operation latency in microseconds.",
+        ),
+    ];
+}
+
+impl Row for LevelReport {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("level", "lvl", |l| Int(l.level as u64)),
+        col("runs", "runs", |l| Int(l.runs as u64)),
+        col("entries", "entries", |l| Int(l.entries)),
+        col("filter_probes", "probes", |l: &Self| Int(l.lookups.filter_probes))
+            .counter("monkey_level_filter_probes_total Bloom filter probes against runs on this level."),
+        col("filter_negatives", "", |l| Int(l.lookups.filter_negatives)),
+        col("filter_false_positives", "fp", |l: &Self| Int(l.lookups.filter_false_positives))
+            .counter("monkey_level_filter_false_positives_total Filter passes that found no key on this level."),
+        col("lookup_page_reads", "pg_reads", |l: &Self| Int(l.lookups.lookup_page_reads))
+            .counter("monkey_level_lookup_page_reads_total Data pages read by point lookups on this level."),
+        col("io", "", |l: &Self| Nested(&l.io)).prom(Inline),
+        col("allocated_fpr", "alloc", |l: &Self| Rate(l.allocated_fpr))
+            .gauge("monkey_level_allocated_fpr Model-allocated false positive rate."),
+        col("measured_fpr", "meas_fpr", |l: &Self| Rate(l.measured_fpr))
+            .gauge("monkey_level_measured_fpr Empirical false positive rate."),
+        col("drifted", "drift", |l: &Self| Flag(l.drift.is_some()))
+            .gauge("monkey_level_fpr_drift Whether measured FPR left the confidence band (0/1)."),
+        col("drift_deviation", "", |l| l.drift.map_or(Absent, |d| Rate(d.deviation))),
+        col("drift_bound", "", |l| l.drift.map_or(Absent, |d| Rate(d.bound))),
+    ];
+}
+
+/// Page I/O of one level's runs, or of runs no level holds.
+impl Row for LevelIoSnapshot {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("reads", "reads", |io: &Self| Int(io.reads))
+            .counter("monkey_level_reads_total Page reads attributed to this level."),
+        col("writes", "writes", |io: &Self| Int(io.writes))
+            .counter("monkey_level_writes_total Page writes attributed to this level."),
+        col("read_bytes", "", |io: &Self| Int(io.read_bytes))
+            .counter("monkey_level_read_bytes_total Bytes read from this level."),
+        col("write_bytes", "write_bytes", |io: &Self| Int(io.write_bytes))
+            .counter("monkey_level_write_bytes_total Bytes written to this level."),
+        col("cache_hits", "c_hits", |io: &Self| Int(io.cache_hits))
+            .counter("monkey_level_cache_hits_total Reads on this level absorbed by the block cache (not I/Os)."),
+        col("cache_hit_bytes", "", |io: &Self| Int(io.cache_hit_bytes))
+            .counter("monkey_level_cache_hit_bytes_total Bytes served from the block cache for this level."),
+    ];
+}
+
+impl Row for ShardBreakdown {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("shard", "shard", |s| Int(s.shard as u64)),
+        col("gets", "gets", |s: &Self| Int(s.gets))
+            .gauge("monkey_shard_gets_total Point lookups routed to this shard."),
+        col("puts", "puts", |s: &Self| Int(s.puts))
+            .gauge("monkey_shard_puts_total Updates routed to this shard."),
+        col("ranges", "ranges", |s: &Self| Int(s.ranges))
+            .gauge("monkey_shard_ranges_total Range scans that touched this shard."),
+        col("disk_entries", "disk_entries", |s: &Self| {
+            Int(s.disk_entries)
+        })
+        .gauge("monkey_shard_disk_entries Entries resident in this shard's disk levels."),
+        col("buffer_bytes", "buf_bytes", |s: &Self| Int(s.buffer_bytes))
+            .gauge("monkey_shard_buffer_bytes Bytes buffered in this shard's active memtable."),
+        col("immutable_queue_depth", "queue", |s: &Self| {
+            Int(s.immutable_queue_depth)
+        })
+        .gauge("monkey_shard_immutable_queue_depth Immutable memtables queued on this shard."),
+        col("stalled_writers", "stalled", |s: &Self| {
+            Int(s.stalled_writers)
+        })
+        .gauge("monkey_shard_stalled_writers Writers stalled on this shard's backpressure."),
+        col("page_reads", "pg_reads", |s: &Self| Int(s.page_reads))
+            .gauge("monkey_shard_page_reads_total Page reads charged to this shard's disk."),
+        col("page_writes", "pg_writes", |s: &Self| Int(s.page_writes))
+            .gauge("monkey_shard_page_writes_total Page writes charged to this shard's disk."),
+        col("cache_hits", "c_hits", |s: &Self| Int(s.cache_hits))
+            .gauge("monkey_shard_cache_hits_total Reads absorbed by this shard's block cache."),
+    ];
+}
+
+impl Row for IoBackendReport {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("requested", "requested", |b| Text(&b.requested)),
+        col("kind", "kind", |b| Text(&b.kind)),
+        col("align", "align", |b| Int(b.align)),
+        col("fallback", "fallback", |b| {
+            b.fallback.as_deref().map_or(Absent, Text)
+        }),
+    ];
+}
+
+/// The store-wide table: one row, the report itself.
+impl Row for TelemetryReport {
+    const COLUMNS: &'static [Column<Self>] = &[
+        col("uptime_micros", "uptime (micros)", |r: &Self| {
+            Int(r.uptime_micros)
+        })
+        .gauge("monkey_uptime_micros Microseconds since telemetry start.")
+        .rank(-2),
+        col(
+            "ops",
+            "operation latencies (sampled, microseconds)",
+            |r: &Self| Nested(&r.ops),
+        )
+        .rank(-2),
+        col("levels", "per-level I/O and filter behaviour", |r| {
+            Nested(&r.levels)
+        }),
+        col("unattributed_io", "I/O of runs no level holds", |r| {
+            Nested(&r.unattributed_io)
+        }),
+        col(
+            "expected_zero_result_lookup_ios",
+            "expected zero-result lookup I/Os (model R)",
+            |r: &Self| Rate(r.expected_zero_result_lookup_ios),
+        )
+        .prom(Sample(ZERO_RESULT, "source=\"model\"")),
+        col(
+            "measured_zero_result_lookup_ios",
+            "measured false positives per lookup",
+            |r: &Self| Rate(r.measured_zero_result_lookup_ios),
+        )
+        .prom(Sample(ZERO_RESULT, "source=\"measured\"")),
+        col("lookups", "point lookups", |r| Int(r.lookups)),
+        col("events", "", |r| Nested(&r.events)),
+        col("events_dropped", "events dropped", |r: &Self| {
+            Int(r.events_dropped)
+        })
+        .counter("monkey_events_dropped_total Events evicted from the ring before export.")
+        .rank(1),
+        col(
+            "immutable_queue_depth",
+            "immutable memtables queued",
+            |r: &Self| Int(r.immutable_queue_depth),
+        )
+        .gauge("monkey_immutable_queue_depth Immutable memtables queued for flush (gauge)."),
+        col("stalled_writers", "writers stalled", |r: &Self| {
+            Int(r.stalled_writers)
+        })
+        .gauge("monkey_stalled_writers Writers currently blocked in a backpressure stall (gauge)."),
+        col(
+            "last_merge_partitions",
+            "last merge partitions",
+            |r: &Self| Int(r.last_merge_partitions),
+        )
+        .gauge(
+            "monkey_last_merge_partitions Key-range partitions of the most recent merge (gauge).",
+        ),
+        col("last_merge_threads", "last merge threads", |r: &Self| {
+            Int(r.last_merge_threads)
+        })
+        .gauge("monkey_last_merge_threads Worker threads of the most recent merge (gauge)."),
+        col("shards", "per-shard breakdown", |r| {
+            match r.shards.is_empty() {
+                true => Absent,
+                false => Nested(&r.shards),
+            }
+        }),
+        col("io_backend", "I/O backend", |r: &Self| {
+            Nested(&r.io_backend)
+        })
+        .prom(Info(BACKEND_INFO))
+        .rank(-1),
+    ];
+}
+
+/// A nested part of the report, rendered through its own columns.
+trait Part {
+    fn json(&self) -> String;
+
+    /// Writes its samples; `label` is its row's, `prom` its column's.
+    fn expose(&self, _ex: &mut Exposition, _label: &str, _prom: Prom) {}
+
+    /// Writes it as a `pretty` section.
+    fn pretty(&self, _out: &mut String, _title: &str) {}
+
+    /// Writes its cells, or its headings, into its row's `pretty` line.
+    fn cells(&self, _out: &mut String, _headings: bool) {}
+}
+
+/// A list of rows: a JSON array, families labelled by each row's first
+/// column, and a table.
+impl<R: Row> Part for Vec<R> {
+    fn json(&self) -> String {
+        json_array(self.iter().map(json_object))
+    }
+
+    fn expose(&self, ex: &mut Exposition, _label: &str, _prom: Prom) {
+        let rows: Vec<_> = self
+            .iter()
+            .map(|row| (label(&R::COLUMNS[0], row), row))
+            .collect();
+        ex.table(&rows);
+    }
+
+    fn pretty(&self, out: &mut String, title: &str) {
+        pretty_table(out, title, self);
+    }
+}
+
+/// One object: a JSON object, its families inline or one info sample, and
+/// a one-row table or cells of its row's.
+impl<R: Row> Part for R {
+    fn json(&self) -> String {
+        json_object(self)
+    }
+
+    fn expose(&self, ex: &mut Exposition, row: &str, prom: Prom) {
+        match prom {
+            Prom::Inline => ex.table(&[(row.to_string(), self)]),
+            Prom::Info(f) => {
+                let labels: Vec<String> = R::COLUMNS.iter().map(|c| label(c, self)).collect();
+                ex.sample(f, &labels, "1");
+            }
+            _ => {}
+        }
+    }
+
+    fn pretty(&self, out: &mut String, title: &str) {
+        pretty_table(out, title, std::slice::from_ref(self));
+    }
+
+    fn cells(&self, out: &mut String, headings: bool) {
+        pretty_cells(out, self, headings);
+    }
+}
+
+/// The event timeline, in JSON alone; `pretty` writes its own.
+impl Part for Vec<Event> {
+    fn json(&self) -> String {
+        json_array(self.iter().map(|e| {
+            let fields = e
+                .kind
+                .fields()
+                .into_iter()
+                .fold(JsonObject::new(), |obj, (k, v)| match v {
+                    FieldValue::Number(n) => obj.u64(k, n),
+                    FieldValue::Text(s) => obj.str(k, &s),
+                })
+                .finish();
+            JsonObject::new()
+                .u64("seq", e.seq)
+                .u64("ts_micros", e.ts_micros)
+                .u64("shard", e.shard as u64)
+                .str("event", e.kind.name())
+                .raw("fields", &fields)
+                .finish()
+        }))
+    }
+}
+
+/// A value as JSON number text, Prometheus sample value or label value.
+fn plain(v: Value) -> String {
+    match v {
+        Int(n) => n.to_string(),
+        Float(x) | Rate(x) => json_f64(x),
+        Flag(b) => u64::from(b).to_string(),
+        Text(s) => s.to_string(),
+        Absent | Nested(_) => String::new(),
+    }
+}
+
+/// `key="value"`, escaped for Prometheus; empty for an absent value.
+fn label<R>(c: &Column<R>, row: &R) -> String {
+    match (c.get)(row) {
+        Absent => String::new(),
+        v => {
+            let v = plain(v).replace('\\', "\\\\").replace('"', "\\\"");
+            format!("{}=\"{v}\"", c.key)
+        }
+    }
+}
+
+/// Prometheus text: each family's `# HELP` and `# TYPE` lines and then
+/// its samples, the families in the order they first appear.
+#[derive(Default)]
+struct Exposition(Vec<(&'static str, String)>);
+
+impl Exposition {
+    /// One sample; empty labels are left out.
+    fn sample(&mut self, f: Family, labels: &[String], value: &str) {
+        let labels: Vec<_> = labels.iter().filter(|l| !l.is_empty()).cloned().collect();
+        let labels = match labels.is_empty() {
+            true => String::new(),
+            false => format!("{{{}}}", labels.join(",")),
+        };
+        let name = f.name();
+        if !self.0.iter().any(|(family, _)| *family == name) {
+            let head = format!("# HELP {}\n# TYPE {name} {}\n", f.help, f.kind);
+            self.0.push((name, head));
+        }
+        let (_, text) = self
+            .0
+            .iter_mut()
+            .find(|(family, _)| *family == name)
+            .unwrap();
+        *text += &format!("{name}{labels} {value}\n");
+    }
+
+    /// Writes the families of a table — columns first, then rows, each
+    /// row under its label.
+    fn table<R: Row>(&mut self, rows: &[(String, &R)]) {
+        let mut columns: Vec<&Column<R>> = R::COLUMNS.iter().collect();
+        columns.sort_by_key(|c| c.rank);
+        for c in columns {
+            for (row_label, row) in rows {
+                match ((c.get)(row), c.prom) {
+                    (Nested(part), prom) => part.expose(self, row_label, prom),
+                    (v, Prom::Sample(f, label)) => {
+                        self.sample(f, &[row_label.clone(), label.to_string()], &plain(v))
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    fn text(self) -> String {
+        self.0.into_iter().map(|(_, text)| text).collect()
+    }
+}
+
+/// A row as a JSON object, its columns in declared order.
+fn json_object<R: Row>(row: &R) -> String {
+    let object = R::COLUMNS
+        .iter()
+        .fold(JsonObject::new(), |obj, c| match (c.get)(row) {
+            Absent => obj,
+            Text(s) => obj.str(c.key, s),
+            Flag(b) => obj.bool(c.key, b),
+            Nested(part) => obj.raw(c.key, &part.json()),
+            v => obj.raw(c.key, &plain(v)),
+        });
+    object.finish()
+}
+
+/// A value as a `pretty` cell: a set flag shows its heading in capitals.
+fn cell(v: Value, heading: &str) -> String {
+    match v {
+        Float(x) => format!("{x:.1}"),
+        Rate(x) => format!("{x:.5}"),
+        Flag(true) => heading.to_uppercase(),
+        Flag(false) => String::new(),
+        v => plain(v),
+    }
+}
+
+/// One `pretty` table between blank lines: its title, then a line of
+/// headings and a line per row when it has rows.
+fn pretty_table<R: Row>(out: &mut String, title: &str, rows: &[R]) {
+    if !out.ends_with("\n\n") {
+        out.push('\n');
+    }
+    *out += &format!("{title}:\n");
+    let headings = rows.first().map(|row| (row, true));
+    for (row, headings) in headings.into_iter().chain(rows.iter().map(|r| (r, false))) {
+        out.push(' ');
+        pretty_cells(out, row, headings);
+        out.push('\n');
+    }
+    out.push('\n');
+}
+
+/// The `pretty` cells of a row, or its headings. A nested part's cells
+/// join its row's.
+fn pretty_cells<R: Row>(out: &mut String, row: &R, headings: bool) {
+    for c in R::COLUMNS {
+        let text = match (c.get)(row) {
+            Nested(part) => {
+                part.cells(out, headings);
+                continue;
+            }
+            _ if c.heading.is_empty() => continue,
+            _ if headings => c.heading.to_string(),
+            v => cell(v, c.heading),
+        };
+        let width = c.heading.len().max(8);
+        *out += &format!(" {text:>width$}");
+    }
 }
 
 impl TelemetryReport {
@@ -210,603 +727,31 @@ impl TelemetryReport {
 
     /// Prometheus text exposition (counters/gauges/summaries).
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        let push = |out: &mut String, s: &str| {
-            out.push_str(s);
-            out.push('\n');
-        };
-
-        push(
-            &mut out,
-            "# HELP monkey_build_info Build metadata; the value is always 1.",
-        );
-        push(&mut out, "# TYPE monkey_build_info gauge");
-        push(
-            &mut out,
-            &format!("monkey_build_info{{version=\"{BUILD_VERSION}\"}} 1"),
-        );
-
-        push(
-            &mut out,
-            "# HELP monkey_uptime_micros Microseconds since telemetry start.",
-        );
-        push(&mut out, "# TYPE monkey_uptime_micros gauge");
-        push(
-            &mut out,
-            &format!("monkey_uptime_micros {}", self.uptime_micros),
-        );
-
-        push(
-            &mut out,
-            "# HELP monkey_ops_total Operations executed, by kind.",
-        );
-        push(&mut out, "# TYPE monkey_ops_total counter");
-        for op in &self.ops {
-            push(
-                &mut out,
-                &format!("monkey_ops_total{{op=\"{}\"}} {}", op.op, op.ops),
-            );
-        }
-
-        push(
-            &mut out,
-            "# HELP monkey_op_latency_micros Sampled operation latency quantiles in microseconds.",
-        );
-        push(&mut out, "# TYPE monkey_op_latency_micros summary");
-        for op in &self.ops {
-            for (q, v) in [
-                ("0.5", op.p50_micros),
-                ("0.9", op.p90_micros),
-                ("0.99", op.p99_micros),
-                ("0.999", op.p999_micros),
-            ] {
-                push(
-                    &mut out,
-                    &format!(
-                        "monkey_op_latency_micros{{op=\"{}\",quantile=\"{}\"}} {}",
-                        op.op,
-                        q,
-                        json_f64(v)
-                    ),
-                );
-            }
-            push(
-                &mut out,
-                &format!(
-                    "monkey_op_latency_micros_max{{op=\"{}\"}} {}",
-                    op.op,
-                    json_f64(op.max_micros)
-                ),
-            );
-            push(
-                &mut out,
-                &format!(
-                    "monkey_op_latency_samples{{op=\"{}\"}} {}",
-                    op.op, op.sampled
-                ),
-            );
-        }
-
-        if let Some(b) = &self.io_backend {
-            push(
-                &mut out,
-                "# HELP monkey_io_backend_info Active disk backend (requested vs. running \
-                 kind, discovered alignment); value is always 1.",
-            );
-            push(&mut out, "# TYPE monkey_io_backend_info gauge");
-            let fallback = b
-                .fallback
-                .as_ref()
-                .map(|r| {
-                    format!(
-                        ",fallback=\"{}\"",
-                        r.replace('\\', "\\\\").replace('"', "\\\"")
-                    )
-                })
-                .unwrap_or_default();
-            push(
-                &mut out,
-                &format!(
-                    "monkey_io_backend_info{{requested=\"{}\",kind=\"{}\",align=\"{}\"{fallback}}} 1",
-                    b.requested, b.kind, b.align
-                ),
-            );
-        }
-
-        let level_counter =
-            |out: &mut String, name: &str, help: &str, f: &dyn Fn(&LevelReport) -> u64| {
-                push(out, &format!("# HELP {name} {help}"));
-                push(out, &format!("# TYPE {name} counter"));
-                for l in &self.levels {
-                    push(out, &format!("{name}{{level=\"{}\"}} {}", l.level, f(l)));
-                }
-            };
-        level_counter(
-            &mut out,
-            "monkey_level_filter_probes_total",
-            "Bloom filter probes against runs on this level.",
-            &|l| l.lookups.filter_probes,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_filter_false_positives_total",
-            "Filter passes that found no key on this level.",
-            &|l| l.lookups.filter_false_positives,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_lookup_page_reads_total",
-            "Data pages read by point lookups on this level.",
-            &|l| l.lookups.lookup_page_reads,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_reads_total",
-            "Page reads attributed to this level.",
-            &|l| l.io.reads,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_writes_total",
-            "Page writes attributed to this level.",
-            &|l| l.io.writes,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_read_bytes_total",
-            "Bytes read from this level.",
-            &|l| l.io.read_bytes,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_write_bytes_total",
-            "Bytes written to this level.",
-            &|l| l.io.write_bytes,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_cache_hits_total",
-            "Reads on this level absorbed by the block cache (not I/Os).",
-            &|l| l.io.cache_hits,
-        );
-        level_counter(
-            &mut out,
-            "monkey_level_cache_hit_bytes_total",
-            "Bytes served from the block cache for this level.",
-            &|l| l.io.cache_hit_bytes,
-        );
-
-        push(
-            &mut out,
-            "# HELP monkey_level_allocated_fpr Model-allocated false positive rate.",
-        );
-        push(&mut out, "# TYPE monkey_level_allocated_fpr gauge");
-        for l in &self.levels {
-            push(
-                &mut out,
-                &format!(
-                    "monkey_level_allocated_fpr{{level=\"{}\"}} {}",
-                    l.level,
-                    json_f64(l.allocated_fpr)
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP monkey_level_measured_fpr Empirical false positive rate.",
-        );
-        push(&mut out, "# TYPE monkey_level_measured_fpr gauge");
-        for l in &self.levels {
-            push(
-                &mut out,
-                &format!(
-                    "monkey_level_measured_fpr{{level=\"{}\"}} {}",
-                    l.level,
-                    json_f64(l.measured_fpr)
-                ),
-            );
-        }
-        push(
-            &mut out,
-            "# HELP monkey_level_fpr_drift Whether measured FPR left the confidence band (0/1).",
-        );
-        push(&mut out, "# TYPE monkey_level_fpr_drift gauge");
-        for l in &self.levels {
-            push(
-                &mut out,
-                &format!(
-                    "monkey_level_fpr_drift{{level=\"{}\"}} {}",
-                    l.level,
-                    u64::from(l.drift.is_some())
-                ),
-            );
-        }
-
-        push(&mut out, "# HELP monkey_zero_result_lookup_ios Expected (model) vs measured I/Os per zero-result lookup.");
-        push(&mut out, "# TYPE monkey_zero_result_lookup_ios gauge");
-        push(
-            &mut out,
-            &format!(
-                "monkey_zero_result_lookup_ios{{source=\"model\"}} {}",
-                json_f64(self.expected_zero_result_lookup_ios)
-            ),
-        );
-        push(
-            &mut out,
-            &format!(
-                "monkey_zero_result_lookup_ios{{source=\"measured\"}} {}",
-                json_f64(self.measured_zero_result_lookup_ios)
-            ),
-        );
-
-        push(
-            &mut out,
-            "# HELP monkey_immutable_queue_depth Immutable memtables queued for flush (gauge).",
-        );
-        push(&mut out, "# TYPE monkey_immutable_queue_depth gauge");
-        push(
-            &mut out,
-            &format!(
-                "monkey_immutable_queue_depth {}",
-                self.immutable_queue_depth
-            ),
-        );
-        push(
-            &mut out,
-            "# HELP monkey_stalled_writers Writers currently blocked in a backpressure stall (gauge).",
-        );
-        push(&mut out, "# TYPE monkey_stalled_writers gauge");
-        push(
-            &mut out,
-            &format!("monkey_stalled_writers {}", self.stalled_writers),
-        );
-        push(
-            &mut out,
-            "# HELP monkey_last_merge_partitions Key-range partitions of the most recent merge (gauge).",
-        );
-        push(&mut out, "# TYPE monkey_last_merge_partitions gauge");
-        push(
-            &mut out,
-            &format!(
-                "monkey_last_merge_partitions {}",
-                self.last_merge_partitions
-            ),
-        );
-        push(
-            &mut out,
-            "# HELP monkey_last_merge_threads Worker threads of the most recent merge (gauge).",
-        );
-        push(&mut out, "# TYPE monkey_last_merge_threads gauge");
-        push(
-            &mut out,
-            &format!("monkey_last_merge_threads {}", self.last_merge_threads),
-        );
-
-        if !self.shards.is_empty() {
-            let shard_series =
-                |out: &mut String, name: &str, help: &str, f: &dyn Fn(&ShardBreakdown) -> u64| {
-                    push(out, &format!("# HELP {name} {help}"));
-                    push(out, &format!("# TYPE {name} gauge"));
-                    for s in &self.shards {
-                        push(out, &format!("{name}{{shard=\"{}\"}} {}", s.shard, f(s)));
-                    }
-                };
-            shard_series(
-                &mut out,
-                "monkey_shard_gets_total",
-                "Point lookups routed to this shard.",
-                &|s| s.gets,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_puts_total",
-                "Updates routed to this shard.",
-                &|s| s.puts,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_ranges_total",
-                "Range scans that touched this shard.",
-                &|s| s.ranges,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_disk_entries",
-                "Entries resident in this shard's disk levels.",
-                &|s| s.disk_entries,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_buffer_bytes",
-                "Bytes buffered in this shard's active memtable.",
-                &|s| s.buffer_bytes,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_immutable_queue_depth",
-                "Immutable memtables queued on this shard.",
-                &|s| s.immutable_queue_depth,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_stalled_writers",
-                "Writers stalled on this shard's backpressure.",
-                &|s| s.stalled_writers,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_page_reads_total",
-                "Page reads charged to this shard's disk.",
-                &|s| s.page_reads,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_page_writes_total",
-                "Page writes charged to this shard's disk.",
-                &|s| s.page_writes,
-            );
-            shard_series(
-                &mut out,
-                "monkey_shard_cache_hits_total",
-                "Reads absorbed by this shard's block cache.",
-                &|s| s.cache_hits,
-            );
-        }
-
-        push(
-            &mut out,
-            "# HELP monkey_events_dropped_total Events evicted from the ring before export.",
-        );
-        push(&mut out, "# TYPE monkey_events_dropped_total counter");
-        push(
-            &mut out,
-            &format!("monkey_events_dropped_total {}", self.events_dropped),
-        );
-        out
+        let mut ex = Exposition::default();
+        ex.sample(BUILD_INFO, &[format!("version=\"{BUILD_VERSION}\"")], "1");
+        ex.table(&[(String::new(), self)]);
+        ex.text()
     }
 
     /// Compact JSON snapshot of the whole report, timeline included.
     pub fn to_json(&self) -> String {
-        let ops = json_array(self.ops.iter().map(|o| {
-            JsonObject::new()
-                .str("op", o.op)
-                .u64("ops", o.ops)
-                .u64("sampled", o.sampled)
-                .f64("mean_micros", o.mean_micros)
-                .f64("p50_micros", o.p50_micros)
-                .f64("p90_micros", o.p90_micros)
-                .f64("p99_micros", o.p99_micros)
-                .f64("p999_micros", o.p999_micros)
-                .f64("max_micros", o.max_micros)
-                .finish()
-        }));
-        let io_obj = |io: &LevelIoSnapshot| {
-            JsonObject::new()
-                .u64("reads", io.reads)
-                .u64("writes", io.writes)
-                .u64("read_bytes", io.read_bytes)
-                .u64("write_bytes", io.write_bytes)
-                .u64("cache_hits", io.cache_hits)
-                .u64("cache_hit_bytes", io.cache_hit_bytes)
-                .finish()
-        };
-        let levels = json_array(self.levels.iter().map(|l| {
-            let mut obj = JsonObject::new()
-                .usize("level", l.level)
-                .usize("runs", l.runs)
-                .u64("entries", l.entries)
-                .u64("filter_probes", l.lookups.filter_probes)
-                .u64("filter_negatives", l.lookups.filter_negatives)
-                .u64("filter_false_positives", l.lookups.filter_false_positives)
-                .u64("lookup_page_reads", l.lookups.lookup_page_reads)
-                .raw("io", &io_obj(&l.io))
-                .f64("allocated_fpr", l.allocated_fpr)
-                .f64("measured_fpr", l.measured_fpr)
-                .bool("drifted", l.drift.is_some());
-            if let Some(d) = l.drift {
-                obj = obj
-                    .f64("drift_deviation", d.deviation)
-                    .f64("drift_bound", d.bound);
-            }
-            obj.finish()
-        }));
-        let events = json_array(self.events.iter().map(|e| {
-            let fields = e
-                .kind
-                .fields()
-                .into_iter()
-                .fold(JsonObject::new(), |obj, (k, v)| {
-                    // Numeric payloads stay numbers; free text is quoted.
-                    if v.bytes().all(|b| b.is_ascii_digit()) && !v.is_empty() {
-                        obj.raw(k, &v)
-                    } else {
-                        obj.str(k, &v)
-                    }
-                })
-                .finish();
-            JsonObject::new()
-                .u64("seq", e.seq)
-                .u64("ts_micros", e.ts_micros)
-                .u64("shard", e.shard as u64)
-                .str("event", e.kind.name())
-                .raw("fields", &fields)
-                .finish()
-        }));
-        let mut obj = JsonObject::new()
-            .u64("uptime_micros", self.uptime_micros)
-            .raw("ops", &ops)
-            .raw("levels", &levels)
-            .raw("unattributed_io", &io_obj(&self.unattributed_io))
-            .f64(
-                "expected_zero_result_lookup_ios",
-                self.expected_zero_result_lookup_ios,
-            )
-            .f64(
-                "measured_zero_result_lookup_ios",
-                self.measured_zero_result_lookup_ios,
-            )
-            .u64("lookups", self.lookups)
-            .raw("events", &events)
-            .u64("events_dropped", self.events_dropped)
-            .u64("immutable_queue_depth", self.immutable_queue_depth)
-            .u64("stalled_writers", self.stalled_writers)
-            .u64("last_merge_partitions", self.last_merge_partitions)
-            .u64("last_merge_threads", self.last_merge_threads);
-        if !self.shards.is_empty() {
-            let shards = json_array(self.shards.iter().map(|s| {
-                JsonObject::new()
-                    .usize("shard", s.shard)
-                    .u64("gets", s.gets)
-                    .u64("puts", s.puts)
-                    .u64("ranges", s.ranges)
-                    .u64("disk_entries", s.disk_entries)
-                    .u64("buffer_bytes", s.buffer_bytes)
-                    .u64("immutable_queue_depth", s.immutable_queue_depth)
-                    .u64("stalled_writers", s.stalled_writers)
-                    .u64("page_reads", s.page_reads)
-                    .u64("page_writes", s.page_writes)
-                    .u64("cache_hits", s.cache_hits)
-                    .finish()
-            }));
-            obj = obj.raw("shards", &shards);
-        }
-        if let Some(b) = &self.io_backend {
-            let mut be = JsonObject::new()
-                .str("requested", &b.requested)
-                .str("kind", &b.kind)
-                .u64("align", b.align);
-            if let Some(r) = &b.fallback {
-                be = be.str("fallback", r);
-            }
-            obj = obj.raw("io_backend", &be.finish());
-        }
-        obj.finish()
+        json_object(self)
     }
 
-    /// Human-readable dump used by the `monkey-stats` bin.
+    /// Human-readable dump used by the `monkey-stats` bin: the store-wide
+    /// values with a table for each nested part, then the drift verdicts
+    /// and the event timeline.
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "monkey telemetry report — uptime {:.3}s\n\n",
-            self.uptime_micros as f64 / 1e6
-        ));
-
-        out.push_str("operation latencies (sampled, microseconds):\n");
-        out.push_str(&format!(
-            "  {:<8} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}\n",
-            "op", "count", "mean", "p50", "p90", "p99", "p99.9", "max"
-        ));
-        for o in &self.ops {
-            out.push_str(&format!(
-                "  {:<8} {:>12} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}\n",
-                o.op,
-                o.ops,
-                o.mean_micros,
-                o.p50_micros,
-                o.p90_micros,
-                o.p99_micros,
-                o.p999_micros,
-                o.max_micros
-            ));
-        }
-
-        out.push_str("\nper-level I/O and filter behaviour:\n");
-        out.push_str(&format!(
-            "  {:<4} {:>5} {:>10} {:>10} {:>8} {:>10} {:>10} {:>10} {:>12} {:>12} {:>6}\n",
-            "lvl",
-            "runs",
-            "entries",
-            "probes",
-            "fp",
-            "pg_reads",
-            "reads",
-            "c_hits",
-            "write_bytes",
-            "meas_fpr",
-            "alloc"
-        ));
-        for l in &self.levels {
-            out.push_str(&format!(
-                "  {:<4} {:>5} {:>10} {:>10} {:>8} {:>10} {:>10} {:>10} {:>12} {:>12.5} {:>6.4}{}\n",
-                l.level,
-                l.runs,
-                l.entries,
-                l.lookups.filter_probes,
-                l.lookups.filter_false_positives,
-                l.lookups.lookup_page_reads,
-                l.io.reads,
-                l.io.cache_hits,
-                l.io.write_bytes,
-                l.measured_fpr,
-                l.allocated_fpr,
-                if l.drift.is_some() { "  << DRIFT" } else { "" }
-            ));
-        }
-        if !self.unattributed_io.is_zero() {
-            out.push_str(&format!(
-                "  (unattributed: {} reads, {} writes, {} read bytes, {} write bytes)\n",
-                self.unattributed_io.reads,
-                self.unattributed_io.writes,
-                self.unattributed_io.read_bytes,
-                self.unattributed_io.write_bytes
-            ));
-        }
-
-        if !self.shards.is_empty() {
-            out.push_str("\nper-shard breakdown:\n");
-            out.push_str(&format!(
-                "  {:<6} {:>10} {:>10} {:>8} {:>12} {:>10} {:>6} {:>8} {:>10} {:>10} {:>10}\n",
-                "shard",
-                "gets",
-                "puts",
-                "ranges",
-                "disk_entries",
-                "buf_bytes",
-                "queue",
-                "stalled",
-                "pg_reads",
-                "pg_writes",
-                "c_hits"
-            ));
-            for s in &self.shards {
-                out.push_str(&format!(
-                    "  {:<6} {:>10} {:>10} {:>8} {:>12} {:>10} {:>6} {:>8} {:>10} {:>10} {:>10}\n",
-                    s.shard,
-                    s.gets,
-                    s.puts,
-                    s.ranges,
-                    s.disk_entries,
-                    s.buffer_bytes,
-                    s.immutable_queue_depth,
-                    s.stalled_writers,
-                    s.page_reads,
-                    s.page_writes,
-                    s.cache_hits
-                ));
+        let mut out = String::from("monkey telemetry report\n");
+        for c in Self::COLUMNS.iter().filter(|c| !c.heading.is_empty()) {
+            match (c.get)(self) {
+                Nested(part) => part.pretty(&mut out, c.heading),
+                Absent => {}
+                v => out += &format!("  {:<44} {}\n", c.heading, cell(v, c.heading)),
             }
         }
-
-        out.push_str(&format!(
-            "\npipeline gauges: {} immutable memtable(s) queued, {} writer(s) stalled\n",
-            self.immutable_queue_depth, self.stalled_writers
-        ));
-        if self.last_merge_partitions > 0 {
-            out.push_str(&format!(
-                "merge engine: last merge used {} partition(s) on {} thread(s)\n",
-                self.last_merge_partitions, self.last_merge_threads
-            ));
-        }
-        out.push_str("\nmodel vs measurement:\n");
-        out.push_str(&format!(
-            "  expected zero-result lookup I/Os (model R): {:.5}\n",
-            self.expected_zero_result_lookup_ios
-        ));
-        out.push_str(&format!(
-            "  measured false positives per lookup:        {:.5}  ({} lookups)\n",
-            self.measured_zero_result_lookup_ios, self.lookups
-        ));
-
-        out.push_str("\nmodel drift:\n");
+        // The I/O backend's table, always last, ends in a blank line.
+        out.push_str("model drift:\n");
         let drifted = self.drifted();
         if drifted.is_empty() {
             out.push_str("  all levels within confidence bounds\n");
@@ -821,9 +766,8 @@ impl TelemetryReport {
         }
 
         out.push_str(&format!(
-            "\nevent timeline ({} events, {} dropped):\n",
-            self.events.len(),
-            self.events_dropped
+            "\nevent timeline ({} events):\n",
+            self.events.len()
         ));
         // Long runs of the same event kind (e.g. one WAL group commit per
         // put in synchronous mode) collapse to a single summary line so
@@ -919,7 +863,12 @@ mod tests {
             last_merge_partitions: 4,
             last_merge_threads: 2,
             shards: Vec::new(),
-            io_backend: None,
+            io_backend: IoBackendReport {
+                requested: "buffered".to_string(),
+                kind: "mem".to_string(),
+                align: 0,
+                fallback: None,
+            },
         }
     }
 
@@ -957,19 +906,13 @@ mod tests {
 
     #[test]
     fn backend_identity_labels_io_rows_and_renders_info_gauge() {
-        // Without backend info every rendering is byte-identical to the
-        // pre-backend-selection output: no label, no gauge.
-        let plain = sample_report().to_prometheus();
-        assert!(!plain.contains("monkey_io_backend_info"));
-        assert!(!plain.contains("backend="));
-
         let mut r = sample_report();
-        r.io_backend = Some(IoBackendReport {
+        r.io_backend = IoBackendReport {
             requested: "direct".to_string(),
             kind: "buffered".to_string(),
             align: 512,
             fallback: Some("tmpfs rejects O_DIRECT".to_string()),
-        });
+        };
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE monkey_io_backend_info gauge"));
         assert!(text.contains(
@@ -982,17 +925,49 @@ mod tests {
              \"fallback\":\"tmpfs rejects O_DIRECT\"}"
         ));
         // No fallback → no fallback label or key.
-        r.io_backend = Some(IoBackendReport {
+        r.io_backend = IoBackendReport {
             requested: "direct".to_string(),
             kind: "direct".to_string(),
             align: 4096,
             fallback: None,
-        });
+        };
         let text = r.to_prometheus();
         assert!(text.contains(
             "monkey_io_backend_info{requested=\"direct\",kind=\"direct\",align=\"4096\"} 1"
         ));
         assert!(!r.to_json().contains("\"fallback\""));
+    }
+
+    /// Every sample follows exactly one `# HELP` and one `# TYPE` line of
+    /// its own family, and no family appears twice.
+    #[test]
+    fn every_prometheus_family_is_typed_once() {
+        let mut r = sample_report();
+        r.shards = vec![ShardBreakdown::default(); 2];
+        let text = r.to_prometheus();
+        let mut families: Vec<&str> = Vec::new();
+        let (mut help, mut typed) = (0, 0);
+        for line in text.lines() {
+            let mut words = line.split(' ');
+            match (words.next(), words.next()) {
+                (Some("#"), Some("HELP")) => {
+                    let name = words.next().unwrap();
+                    assert!(!families.contains(&name), "{name} appears twice");
+                    families.push(name);
+                    (help, typed) = (help + 1, 0);
+                }
+                (Some("#"), Some("TYPE")) => {
+                    assert_eq!(words.next(), families.last().copied(), "{line}");
+                    typed += 1;
+                }
+                _ => {
+                    let name = line.split(['{', ' ']).next().unwrap();
+                    assert_eq!(Some(name), families.last().copied(), "{line}");
+                    assert_eq!(typed, 1, "{name} has {typed} TYPE lines");
+                }
+            }
+        }
+        assert_eq!(help, families.len());
     }
 
     #[test]

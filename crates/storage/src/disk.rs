@@ -489,7 +489,11 @@ mod tests {
         assert_eq!(s[1].write_bytes, 128);
         assert_eq!(s[1].reads, 3);
         assert_eq!(s[1].read_bytes, 192);
-        assert!(s[0].is_zero(), "nothing should be unattributed");
+        assert_eq!(
+            s[0],
+            monkey_obs::LevelIoSnapshot::default(),
+            "nothing should be unattributed"
+        );
 
         // Deleting the run drops the tag: later I/O on the id (impossible
         // for real runs, but cheap to pin down) is unattributed.

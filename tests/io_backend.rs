@@ -28,13 +28,16 @@ fn temp_dir(name: &str) -> PathBuf {
 /// 4096 keeps the direct backend eligible on both 512-byte and 4 KiB
 /// logical block sizes.
 fn options(dir: &Path, backend: IoBackend) -> DbOptions {
-    DbOptions::at_path(dir)
-        .page_size(4096)
+    shape(DbOptions::at_path(dir)).io_backend(backend)
+}
+
+/// The tree shape [`options`] gives a directory store, on any storage.
+fn shape(opts: DbOptions) -> DbOptions {
+    opts.page_size(4096)
         .buffer_capacity(16 * 1024)
         .size_ratio(3)
         .merge_policy(MergePolicy::Leveling)
         .uniform_filters(8.0)
-        .io_backend(backend)
         .shards(1)
 }
 
@@ -68,15 +71,20 @@ fn fingerprint_dir(dir: &Path) -> u64 {
     h
 }
 
+/// What a replay of a recorded trace says: the `IoStats` ledger and the
+/// read phase's answers.
+#[derive(Debug, PartialEq)]
+struct Replay {
+    io: monkey_storage::IoSnapshot,
+    gets: Vec<Option<Vec<u8>>>,
+    scan: Vec<(Vec<u8>, Vec<u8>)>,
+}
+
 /// Replays a recorded trace (puts, deletes, flushes, then a read phase of
-/// gets and one full range scan) and returns the evidence of what the
-/// backend did: (disk image fingerprint, IoStats ledger, active kind).
-fn run_trace(
-    dir: &Path,
-    backend: IoBackend,
-    trace: &[(bool, u16, u8)],
-) -> (u64, monkey_storage::IoSnapshot, String) {
-    let db = Db::open(options(dir, backend)).unwrap();
+/// gets and one full range scan) on a store opened with `opts`, and
+/// returns it with the active backend kind.
+fn run_trace(opts: DbOptions, trace: &[(bool, u16, u8)]) -> (Replay, String) {
+    let db = Db::open(opts).unwrap();
     for &(is_put, k, v) in trace {
         let key = format!("key{:05}", k % 400).into_bytes();
         if is_put {
@@ -92,42 +100,60 @@ fn run_trace(
     db.flush().unwrap();
     // Read phase: point lookups (filter probes + seeks) and one scan, so
     // the ledger exercises every read path.
-    for k in (0..400u16).step_by(7) {
-        let _ = db.get(format!("key{k:05}").as_bytes()).unwrap();
-    }
-    let scanned = db.range(b"", None).unwrap().count();
-    assert!(scanned <= 400);
-    let kind = db.io_backend_info().kind.to_string();
-    let io = db.io();
-    drop(db);
-    (fingerprint_dir(dir), io, kind)
+    let gets = (0..400u16)
+        .step_by(7)
+        .map(|k| {
+            let v = db.get(format!("key{k:05}").as_bytes()).unwrap();
+            v.map(|v| v.to_vec())
+        })
+        .collect();
+    let scan: Vec<_> = db
+        .range(b"", None)
+        .unwrap()
+        .map(|kv| {
+            let (k, v) = kv.unwrap();
+            (k.to_vec(), v.to_vec())
+        })
+        .collect();
+    assert!(scan.len() <= 400);
+    let replay = Replay {
+        io: db.io(),
+        gets,
+        scan,
+    };
+    (replay, db.io_backend_info().kind.to_string())
 }
 
 /// The tentpole invariant: buffered and direct replays of the same trace
-/// are indistinguishable on disk and in the `IoStats` ledger. (When the
-/// filesystem rejects `O_DIRECT` the second store runs buffered via the
-/// fallback ladder and the property still must hold — trivially.)
+/// are indistinguishable on disk, in the `IoStats` ledger and in their
+/// answers, and an in-memory store of the same shape counts the same I/O
+/// and gives the same answers. (When the filesystem rejects `O_DIRECT`
+/// the second store runs buffered via the fallback ladder and the
+/// property still must hold — trivially.)
 fn check_backend_parity(
     trace: &[(bool, u16, u8)],
     tag: &str,
 ) -> Result<(), proptest::TestCaseError> {
     let dir_buf = temp_dir(&format!("par-{tag}-buf"));
     let dir_dir = temp_dir(&format!("par-{tag}-dir"));
-    let (fp_buf, io_buf, kind_buf) = run_trace(&dir_buf, IoBackend::Buffered, trace);
-    let (fp_dir, io_dir, kind_dir) = run_trace(&dir_dir, IoBackend::Direct, trace);
+    let (buf, kind_buf) = run_trace(options(&dir_buf, IoBackend::Buffered), trace);
+    let (direct, kind_dir) = run_trace(options(&dir_dir, IoBackend::Direct), trace);
+    let (mem, kind_mem) = run_trace(shape(DbOptions::in_memory()), trace);
     proptest::prop_assert_eq!(kind_buf, "buffered");
+    proptest::prop_assert_eq!(kind_mem, "mem");
     proptest::prop_assert_eq!(
-        fp_buf,
-        fp_dir,
+        fingerprint_dir(&dir_buf),
+        fingerprint_dir(&dir_dir),
         "disk image diverged across backends (direct ran as {})",
         kind_dir
     );
     proptest::prop_assert_eq!(
-        io_buf,
-        io_dir,
-        "IoStats ledger diverged across backends (direct ran as {})",
+        &buf,
+        &direct,
+        "ledger or answers diverged across backends (direct ran as {})",
         kind_dir
     );
+    proptest::prop_assert_eq!(&buf, &mem, "memory store diverged from buffered");
     std::fs::remove_dir_all(&dir_buf).unwrap();
     std::fs::remove_dir_all(&dir_dir).unwrap();
     Ok(())

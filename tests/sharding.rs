@@ -909,6 +909,68 @@ fn shard_directories_without_their_meta_refuse_to_open() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A `SHARDS` meta that disagrees with the shard directories on disk is
+/// refused, not trusted: a smaller count would route keys away from the
+/// shards that hold them, a larger one would open empty shards beside
+/// them. Refusing creates nothing, and the store is whole once the meta
+/// is put back.
+#[test]
+fn a_shards_meta_that_disagrees_with_the_directories_refuses_to_open() {
+    let dir = temp_dir("badmeta");
+    {
+        let db = Db::open(golden_options(&dir).shards(4)).unwrap();
+        for i in 0..400usize {
+            db.put(format!("key{i:06}").into_bytes(), b"acknowledged".to_vec())
+                .unwrap();
+        }
+    }
+    let listing = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    let before = listing(&dir);
+    for meta in ["2\n", "44\n", "0\n", "1\n", "x\n", ""] {
+        std::fs::write(dir.join("SHARDS"), meta).unwrap();
+        match Db::open(golden_options(&dir).shards(4)) {
+            Err(monkey::LsmError::Corruption(why)) => {
+                assert!(why.contains("SHARDS"), "meta {meta:?}: {why}")
+            }
+            Err(other) => panic!("meta {meta:?}: wrong error: {other}"),
+            Ok(db) => panic!(
+                "meta {meta:?} opened with {} of 400 keys visible",
+                contents(&db).len()
+            ),
+        }
+        assert_eq!(listing(&dir), before, "meta {meta:?} created directories");
+    }
+    std::fs::write(dir.join("SHARDS"), "4\n").unwrap();
+    let db = Db::open(golden_options(&dir)).unwrap();
+    assert_eq!(contents(&db).len(), 400);
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    // A crash during the first open, after shards 0 and 1 opened: the
+    // later shard directories exist but are still empty. Nothing was
+    // acknowledged, so the store reopens.
+    let dir = temp_dir("halfopen");
+    drop(Db::open(golden_options(&dir).shards(4)).unwrap());
+    for shard in ["shard-002", "shard-003"] {
+        std::fs::remove_dir_all(dir.join(shard)).unwrap();
+        std::fs::create_dir(dir.join(shard)).unwrap();
+    }
+    let db = Db::open(golden_options(&dir)).unwrap();
+    for shard in ["shard-002", "shard-003"] {
+        let reopened = std::fs::read_dir(dir.join(shard)).unwrap().next();
+        assert!(reopened.is_some(), "{shard} did not open");
+    }
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Arbitrary recorded op traces: replaying on `shards = 1` is fully
 /// deterministic (identical disk image both runs — the property the
 /// pinned golden relies on), and hash-partitioning the same trace across

@@ -345,3 +345,32 @@ fn event_timeline_and_exposition_formats() {
     drop(db);
     std::fs::remove_dir_all(&d).unwrap();
 }
+
+/// README's metric table names every family `to_prometheus()` renders on
+/// a store of two shards, and nothing else.
+#[test]
+fn readme_metric_table_matches_the_rendered_families() {
+    let db = Db::open(DbOptions::in_memory().telemetry(true).shards(2)).unwrap();
+    for i in 0..100u32 {
+        db.put(format!("key{i:04}").into_bytes(), b"v".to_vec())
+            .unwrap();
+    }
+    db.flush().unwrap();
+    db.get(b"key0001").unwrap();
+    let report = db.telemetry_report().unwrap();
+    assert_eq!(report.shards.len(), 2);
+    let rendered: std::collections::BTreeSet<String> = report
+        .to_prometheus()
+        .lines()
+        .filter(|l| !l.starts_with('#'))
+        .map(|l| l.split(['{', ' ']).next().unwrap().to_string())
+        .collect();
+    let documented: std::collections::BTreeSet<String> = include_str!("../README.md")
+        .lines()
+        .filter(|l| l.starts_with("| `monkey_"))
+        .flat_map(|l| l.split('|').nth(1).unwrap().split('`'))
+        .filter(|name| name.starts_with("monkey_"))
+        .map(str::to_string)
+        .collect();
+    assert_eq!(rendered, documented);
+}
