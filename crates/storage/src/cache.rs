@@ -1,60 +1,40 @@
-//! A sharded block cache with a lock-free hit path.
+//! A sharded LRU block cache: LevelDB's, which the paper enables for its
+//! Appendix F experiments (Figure 12). Recently read pages stay in memory,
+//! reads served from the cache are **not** I/Os, and capacity is in bytes
+//! of cached page data.
 //!
-//! Functionally equivalent to LevelDB's block cache, which the paper enables
-//! for its Appendix F experiments (Figure 12): recently read pages are kept
-//! in main memory and reads served from the cache are **not** I/Os. Capacity
-//! is expressed in bytes of cached page data.
-//!
-//! The cache is sharded (16 ways) and, unlike the original sharded-mutex
-//! LRU, a **hit never takes a lock**:
-//!
-//! * each shard owns a small open-addressed table of
-//!   [`AtomicPtr`]-published entries probed with plain atomic loads
-//!   (fixed probe window, so deletions need no tombstones);
-//! * readers are protected by an SRCU-style pair of per-shard epoch
-//!   counters: a writer that unpublishes an entry runs two flip-and-drain
-//!   phases (classic SRCU `synchronize`) before freeing it, so even a
-//!   reader that registered on a stale parity is waited out;
-//! * recency is recorded into a per-shard lossy ring of access records
-//!   that the next insert/evict drains under the shard's writer mutex, so
-//!   the LRU touch is deferred off the hit path;
-//! * hit/miss counters are per-shard relaxed atomics, summed on demand,
-//!   instead of two globally contended counters.
-//!
-//! Eviction is exact LRU in single-threaded use, as in LevelDB: every page
-//! read from storage is admitted to the one list of its shard, a hit moves
-//! it to the front, and the shard evicts from the tail once it is over its
-//! byte budget.
-//!
-//! Compaction's `evict_run` is O(cached pages of the run) via a per-run
-//! page index, not a scan of every shard's table.
+//! As in LevelDB, 16 shards each sit behind one mutex and hold a hash index,
+//! one LRU list and exact hit/miss counters. A hit does not relink the list:
+//! it appends the node to the shard's touch list, which is applied in hit
+//! order before anything is admitted or evicted, and whenever it reaches
+//! 1 024 entries. Evictions therefore see exact LRU, and a touch never
+//! names a freed node.
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::backend::RunId;
 
 /// Cache key: a page of a run.
 type Key = (RunId, u32);
 
-/// Sentinel for "no slot" in the intrusive lists.
-const NO_SLOT: u32 = u32::MAX;
-/// Linear-probe window: a key lives in one of `PROBE` consecutive slots.
-const PROBE: usize = 8;
-/// Access-record ring length per shard (power of two).
-const RING: usize = 4096;
+/// "No node" in the LRU list.
+const NIL: u32 = u32::MAX;
+/// Touches a shard buffers before it relinks its list.
+const TOUCH_BATCH: usize = 1024;
+/// Index entries a shard reserves up front; past it the index grows as
+/// pages arrive, so a huge budget costs nothing until it is used.
+const PRESIZE_MAX: usize = 1 << 12;
 
 /// Construction parameters for a [`BlockCache`].
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Total bytes of page data the cache may hold.
     pub capacity_bytes: usize,
-    /// Expected page size in bytes; sizes each shard's slot table (the
-    /// table holds ~4x the pages that fit in the byte budget). Only a
-    /// hint — any page size still works.
+    /// Expected page size in bytes; pre-sizes each shard's index for the
+    /// pages that fit its budget. Only a hint — any page size still works.
     pub page_size_hint: usize,
 }
 
@@ -67,265 +47,11 @@ impl CacheConfig {
         }
     }
 
-    /// Sets the page-size hint (shard tables are sized from it).
+    /// Sets the page-size hint (shard indexes are pre-sized from it).
     pub fn with_page_size(mut self, page_size: usize) -> Self {
         self.page_size_hint = page_size.max(1);
         self
     }
-}
-
-/// An immutable published cache entry. Readers clone `data` (an `Arc`
-/// refcount bump) while holding the shard borrow; updates replace the whole
-/// entry rather than mutating in place.
-struct CacheEntry {
-    key: Key,
-    data: Bytes,
-}
-
-/// Per-slot bookkeeping, guarded by the shard writer mutex. Indexed by the
-/// slot's position in the atomic table.
-struct SlotMeta {
-    key: Key,
-    bytes: u32,
-    prev: u32,
-    next: u32,
-    /// On the LRU list (a free slot is on no list).
-    live: bool,
-    stamp: u64,
-}
-
-impl SlotMeta {
-    fn vacant() -> Self {
-        Self {
-            key: (0, 0),
-            bytes: 0,
-            prev: NO_SLOT,
-            next: NO_SLOT,
-            live: false,
-            stamp: 0,
-        }
-    }
-}
-
-/// The mutable half of a shard: everything the writer mutex guards.
-struct ShardWriter {
-    /// Source of truth for occupancy: key -> slot index.
-    map: HashMap<Key, u32>,
-    /// Per-run page index: run -> slots holding its pages (makes
-    /// `evict_run` proportional to the run's cached pages).
-    by_run: HashMap<RunId, HashSet<u32>>,
-    meta: Vec<SlotMeta>,
-    /// The LRU list, threaded through `SlotMeta::{prev,next}`: `head` is
-    /// most recent, `tail` the eviction end.
-    head: u32,
-    tail: u32,
-    bytes: usize,
-    /// Monotonic recency clock (drives probe-window displacement).
-    tick: u64,
-    /// Ring positions already drained.
-    drained: u64,
-}
-
-/// One cache shard. Readers touch only the atomic fields; all mutation of
-/// `writer` happens under its mutex.
-struct Shard {
-    /// Open-addressed table of published entries. A null pointer is a free
-    /// slot; non-null entries are immutable until unpublished.
-    slots: Box<[AtomicPtr<CacheEntry>]>,
-    /// Grace-period epoch; the low bit selects the active reader counter.
-    epoch: AtomicU64,
-    /// Readers currently inside a probe, split by the epoch they entered
-    /// under (SRCU-style, so a grace period never waits on new readers).
-    active: [AtomicU64; 2],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    /// Pages handed to `insert`; written under `writer`, so exact.
-    inserts: AtomicU64,
-    /// Lossy ring of deferred access records: `slot index + 1`, 0 = empty.
-    ring: Box<[AtomicU64]>,
-    ring_head: AtomicU64,
-    writer: Mutex<ShardWriter>,
-    capacity: usize,
-}
-
-impl Shard {
-    fn new(capacity: usize, page_size_hint: usize) -> Self {
-        // Size the table so slots, not bytes, are never the binding
-        // constraint: ~4 slots per page that fits the byte budget. The hard
-        // cap bounds table memory for huge (effectively unbounded) budgets;
-        // past it the shard is entry-limited to 64Ki pages instead.
-        let want = (capacity / page_size_hint.max(1)).saturating_mul(4);
-        let n_slots = want.clamp(16, 1 << 16).next_power_of_two();
-        let mut meta = Vec::with_capacity(n_slots);
-        meta.resize_with(n_slots, SlotMeta::vacant);
-        Self {
-            slots: (0..n_slots)
-                .map(|_| AtomicPtr::new(ptr::null_mut()))
-                .collect(),
-            epoch: AtomicU64::new(0),
-            active: [AtomicU64::new(0), AtomicU64::new(0)],
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            ring: (0..RING).map(|_| AtomicU64::new(0)).collect(),
-            ring_head: AtomicU64::new(0),
-            writer: Mutex::new(ShardWriter {
-                map: HashMap::new(),
-                by_run: HashMap::new(),
-                meta,
-                head: NO_SLOT,
-                tail: NO_SLOT,
-                bytes: 0,
-                tick: 0,
-                drained: 0,
-            }),
-            capacity,
-        }
-    }
-
-    /// Waits until every reader that might still hold a pointer unpublished
-    /// before this call has exited: two flip-and-drain phases (classic
-    /// SRCU `synchronize`), so **both** parities are drained after the
-    /// unpublishing swap.
-    ///
-    /// One phase is not enough: a reader loads `epoch` (parity `p`), then
-    /// stalls before its `fetch_add`, an unrelated grace period on `p`
-    /// completes, and the reader registers on `p` — which is no longer
-    /// the current parity. A later single-flip grace would wait only on
-    /// `1-p` and could free an entry that stale-registered reader is
-    /// still dereferencing.
-    ///
-    /// Soundness with two phases (all ops SeqCst; argue in the SeqCst
-    /// total order S): a reader that holds a pre-swap pointer performed
-    /// its slot load before the swap in S, and its `active[p]` increment
-    /// precedes that load, so the increment precedes the swap — for
-    /// *whichever* parity `p` it registered on, current or stale. Both
-    /// drain phases run after the swap in S and between them wait on both
-    /// parities, so the phase draining `p` reads `active[p]` after the
-    /// increment and spins until the reader's decrement — which happens
-    /// only after the reader is done with the entry's bytes. Conversely,
-    /// a reader whose increment a drain did not observe ordered its slot
-    /// loads after that drain's counter read, hence after the swap: it
-    /// can only see the new pointer. Only called with the shard writer
-    /// mutex held, so flips are serialized.
-    fn grace(&self) {
-        for _ in 0..2 {
-            let old = self.epoch.fetch_add(1, Ordering::SeqCst);
-            let idx = (old & 1) as usize;
-            let mut spins = 0u32;
-            while self.active[idx].load(Ordering::SeqCst) != 0 {
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
-
-    /// Unlinks and frees a previously unpublished entry pointer.
-    fn retire(&self, old: *mut CacheEntry) {
-        if old.is_null() {
-            return;
-        }
-        self.grace();
-        // SAFETY: `old` was created by `Box::into_raw`, has been swapped
-        // out of the table (no new reader can reach it), and `grace()`
-        // proved every reader that could have loaded it has exited.
-        unsafe { drop(Box::from_raw(old)) };
-    }
-
-    /// Drains the deferred access ring in arrival order.
-    fn drain_ring(&self, w: &mut ShardWriter) {
-        let head = self.ring_head.load(Ordering::Acquire);
-        let start = w.drained.max(head.saturating_sub(RING as u64));
-        for pos in start..head {
-            let v = self.ring[pos as usize & (RING - 1)].swap(0, Ordering::Relaxed);
-            if v == 0 {
-                continue;
-            }
-            let idx = (v - 1) as u32;
-            if w.meta[idx as usize].live {
-                touch(w, idx);
-            }
-        }
-        w.drained = head;
-    }
-
-    /// Fully removes one occupied slot: unpublish, wait out readers,
-    /// unindex, free.
-    fn remove_slot(&self, w: &mut ShardWriter, idx: u32) {
-        let old = self.slots[idx as usize].swap(ptr::null_mut(), Ordering::SeqCst);
-        self.retire(old);
-        let (key, bytes) = {
-            let m = &w.meta[idx as usize];
-            (m.key, m.bytes as usize)
-        };
-        unlink(w, idx);
-        w.meta[idx as usize].live = false;
-        w.bytes -= bytes;
-        w.map.remove(&key);
-        if let Some(set) = w.by_run.get_mut(&key.0) {
-            set.remove(&idx);
-            if set.is_empty() {
-                w.by_run.remove(&key.0);
-            }
-        }
-    }
-
-    /// Evicts from the LRU tail until the shard is within its byte budget.
-    fn evict_to_capacity(&self, w: &mut ShardWriter) {
-        while w.bytes > self.capacity {
-            let victim = w.tail;
-            debug_assert_ne!(victim, NO_SLOT);
-            self.remove_slot(w, victim);
-        }
-    }
-}
-
-// ---- intrusive-list helpers (free functions to keep borrows simple) ----
-
-fn unlink(w: &mut ShardWriter, idx: u32) {
-    let (prev, next) = {
-        let m = &w.meta[idx as usize];
-        (m.prev, m.next)
-    };
-    if prev != NO_SLOT {
-        w.meta[prev as usize].next = next;
-    } else {
-        w.head = next;
-    }
-    if next != NO_SLOT {
-        w.meta[next as usize].prev = prev;
-    } else {
-        w.tail = prev;
-    }
-}
-
-fn push_front(w: &mut ShardWriter, idx: u32) {
-    let head = w.head;
-    {
-        let m = &mut w.meta[idx as usize];
-        m.prev = NO_SLOT;
-        m.next = head;
-        m.live = true;
-    }
-    if head != NO_SLOT {
-        w.meta[head as usize].prev = idx;
-    }
-    w.head = idx;
-    if w.tail == NO_SLOT {
-        w.tail = idx;
-    }
-}
-
-/// Applies one recency touch: restamp and move to the front.
-fn touch(w: &mut ShardWriter, idx: u32) {
-    w.tick += 1;
-    w.meta[idx as usize].stamp = w.tick;
-    unlink(w, idx);
-    push_front(w, idx);
 }
 
 /// Hit/miss statistics of a cache.
@@ -351,10 +77,130 @@ impl CacheStats {
     }
 }
 
-/// The sharded block cache. See the module docs for the concurrency
-/// design.
+/// The key mix `shard_index` takes its top bits from, rotated so that
+/// neither the index's bucket bits (the low ones) nor its 7-bit tag (the
+/// top ones) land on the four bits every key of a shard shares.
+#[derive(Default)]
+struct MixHasher(u64);
+
+impl Hasher for MixHasher {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a cache key hashes as a u64 and a u32")
+    }
+
+    fn write_u64(&mut self, run: u64) {
+        self.0 = BlockCache::mix((run, 0));
+    }
+
+    fn write_u32(&mut self, page_no: u32) {
+        self.0 ^= BlockCache::mix((0, page_no));
+    }
+}
+
+/// A cached page on its shard's LRU list, or a free slot (empty data).
+struct Node {
+    key: Key,
+    data: Bytes,
+    prev: u32,
+    next: u32,
+}
+
+/// One shard: everything its mutex guards.
+#[derive(Default)]
+struct Shard {
+    index: HashMap<Key, u32, BuildHasherDefault<MixHasher>>,
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// The LRU list: `head` is the most recent, `tail` the eviction end.
+    head: u32,
+    tail: u32,
+    /// Hit nodes not yet moved to the front, in hit order.
+    touches: Vec<u32>,
+    bytes: usize,
+    stats: CacheStats,
+}
+
+impl Shard {
+    fn unlink(&mut self, n: u32) {
+        let Node { prev, next, .. } = self.nodes[n as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            x => self.nodes[x as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, n: u32) {
+        let head = self.head;
+        let node = &mut self.nodes[n as usize];
+        node.prev = NIL;
+        node.next = head;
+        match head {
+            NIL => self.tail = n,
+            h => self.nodes[h as usize].prev = n,
+        }
+        self.head = n;
+    }
+
+    /// Moves every touched node to the front, in hit order. Must run before
+    /// anything is admitted or freed.
+    fn apply_touches(&mut self) {
+        for i in 0..self.touches.len() {
+            let n = self.touches[i];
+            self.unlink(n);
+            self.push_front(n);
+        }
+        self.touches.clear();
+    }
+
+    /// Puts a page at the front of the list, then evicts from the tail
+    /// until the shard is within `budget`.
+    fn admit(&mut self, key: Key, data: Bytes, budget: usize) {
+        self.apply_touches();
+        if let Some(&n) = self.index.get(&key) {
+            self.remove(n);
+        }
+        self.bytes += data.len();
+        let node = Node {
+            key,
+            data,
+            prev: NIL,
+            next: NIL,
+        };
+        let n = self.free.pop().unwrap_or(self.nodes.len() as u32);
+        if n as usize == self.nodes.len() {
+            self.nodes.push(node);
+        } else {
+            self.nodes[n as usize] = node;
+        }
+        self.index.insert(key, n);
+        self.push_front(n);
+        while self.bytes > budget {
+            self.remove(self.tail);
+        }
+    }
+
+    fn remove(&mut self, n: u32) {
+        self.unlink(n);
+        let node = &mut self.nodes[n as usize];
+        self.index.remove(&node.key);
+        self.bytes -= std::mem::take(&mut node.data).len();
+        self.free.push(n);
+    }
+}
+
+/// The sharded block cache. See the module docs for the design.
 pub struct BlockCache {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
+    /// Byte budget of each shard.
+    per_shard: usize,
 }
 
 impl BlockCache {
@@ -371,10 +217,19 @@ impl BlockCache {
         // Round the per-shard budget *up*: truncating division silently
         // disabled caching for capacities under one page per shard.
         let per_shard = config.capacity_bytes.div_ceil(Self::SHARDS);
+        let presize = (per_shard / config.page_size_hint.max(1)).min(PRESIZE_MAX);
         Self {
             shards: (0..Self::SHARDS)
-                .map(|_| Shard::new(per_shard, config.page_size_hint))
+                .map(|_| {
+                    Mutex::new(Shard {
+                        index: HashMap::with_capacity_and_hasher(presize, Default::default()),
+                        head: NIL,
+                        tail: NIL,
+                        ..Shard::default()
+                    })
+                })
                 .collect(),
+            per_shard,
         }
     }
 
@@ -397,194 +252,65 @@ impl BlockCache {
         Self::shard_index((run, page_no))
     }
 
-    /// Looks up a page; counts a hit or miss. Lock-free: probes the shard's
-    /// atomic table under the epoch reader counters and defers the
-    /// recency touch into the shard's access ring.
+    /// Looks up a page; counts a hit or miss, and records a hit as a touch.
     pub fn get(&self, run: RunId, page_no: u32) -> Option<Bytes> {
         let key = (run, page_no);
-        let shard = &self.shards[Self::shard_index(key)];
-        let mask = shard.slots.len() - 1;
-        let base = Self::mix(key) as usize;
-
-        let epoch = (shard.epoch.load(Ordering::SeqCst) & 1) as usize;
-        shard.active[epoch].fetch_add(1, Ordering::SeqCst);
-        let mut found: Option<Bytes> = None;
-        for i in 0..PROBE {
-            let slot = (base + i) & mask;
-            let p = shard.slots[slot].load(Ordering::SeqCst);
-            if p.is_null() {
-                continue;
-            }
-            // SAFETY: non-null slot pointers reference live, immutable
-            // entries; the epoch reader count keeps this one alive until
-            // we decrement it below.
-            let entry = unsafe { &*p };
-            if entry.key == key {
-                found = Some(entry.data.clone());
-                // Deferred touch: lossy by design, drained on next insert.
-                // `fetch_add` gives each hit a unique ring position, so the
-                // head is monotone (a load+store pair could be interleaved
-                // and *rewind* the head, silently dropping up to RING
-                // pending touches and regressing the drain cursor). The
-                // ring-slot store may land after a drain has already read
-                // past the position; the drain then swaps 0 there (touch
-                // lost — fine, the ring is lossy) and the late record is
-                // applied whenever that slot next drains, a spurious touch
-                // of a live slot, which is harmless.
-                let pos = shard.ring_head.fetch_add(1, Ordering::Relaxed);
-                shard.ring[pos as usize & (RING - 1)].store(slot as u64 + 1, Ordering::Release);
-                break;
-            }
+        let mut shard = self.shards[Self::shard_index(key)].lock();
+        let Some(&n) = shard.index.get(&key) else {
+            shard.stats.misses += 1;
+            return None;
+        };
+        shard.stats.hits += 1;
+        shard.touches.push(n);
+        if shard.touches.len() >= TOUCH_BATCH {
+            shard.apply_touches();
         }
-        shard.active[epoch].fetch_sub(1, Ordering::SeqCst);
-
-        // Plain load/store: racing increments can be lost, so the
-        // counters are best-effort under concurrency (and exact without
-        // it). One lost count per collision is a fine price for dropping
-        // the last locked RMW off the hit path.
-        if found.is_some() {
-            shard
-                .hits
-                .store(shard.hits.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        } else {
-            shard
-                .misses
-                .store(shard.misses.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
-        }
-        found
+        Some(shard.nodes[n as usize].data.clone())
     }
 
     /// Inserts a page read from storage at the front of its shard's LRU
     /// list, evicting from the tail until the shard is within budget.
     pub fn insert(&self, run: RunId, page_no: u32, data: Bytes) {
         let key = (run, page_no);
-        let shard = &self.shards[Self::shard_index(key)];
-        let mut w = shard.writer.lock();
-        shard.inserts.fetch_add(1, Ordering::Relaxed);
-        shard.drain_ring(&mut w);
-
-        if data.len() > shard.capacity {
+        let mut shard = self.shards[Self::shard_index(key)].lock();
+        shard.stats.inserts += 1;
+        if data.len() > self.per_shard {
             return; // a page larger than the whole shard is never cached
         }
-
-        if let Some(&idx) = w.map.get(&key) {
-            // Update in place: publish a fresh entry, retire the old one.
-            let old_bytes = w.meta[idx as usize].bytes as usize;
-            let new = Box::into_raw(Box::new(CacheEntry {
-                key,
-                data: data.clone(),
-            }));
-            let old = shard.slots[idx as usize].swap(new, Ordering::SeqCst);
-            shard.retire(old);
-            w.bytes = w.bytes - old_bytes + data.len();
-            w.meta[idx as usize].bytes = data.len() as u32;
-            touch(&mut w, idx);
-            shard.evict_to_capacity(&mut w);
-            return;
-        }
-
-        // Find a slot in the probe window; if the window is full (rare:
-        // tables hold ~4x the page budget), displace its stalest occupant.
-        let mask = shard.slots.len() - 1;
-        let base = Self::mix(key) as usize;
-        let window = (0..PROBE).map(|i| ((base + i) & mask) as u32);
-        let idx = match window.clone().find(|&s| !w.meta[s as usize].live) {
-            Some(s) => s,
-            None => {
-                let victim = window
-                    .min_by_key(|&s| w.meta[s as usize].stamp)
-                    .expect("probe window is non-empty");
-                shard.remove_slot(&mut w, victim);
-                victim
-            }
-        };
-
-        w.tick += 1;
-        let stamp = w.tick;
-        {
-            let m = &mut w.meta[idx as usize];
-            m.key = key;
-            m.bytes = data.len() as u32;
-            m.stamp = stamp;
-        }
-        push_front(&mut w, idx);
-        w.bytes += data.len();
-        w.map.insert(key, idx);
-        w.by_run.entry(run).or_default().insert(idx);
-
-        let new = Box::into_raw(Box::new(CacheEntry { key, data }));
-        let old = shard.slots[idx as usize].swap(new, Ordering::SeqCst);
-        debug_assert!(old.is_null(), "slot was vacated above");
-        shard.evict_to_capacity(&mut w);
+        shard.admit(key, data, self.per_shard);
     }
 
     /// Drops every cached page of `run` (called when a run is deleted after
-    /// a merge so stale pages can never be served). O(cached pages of the
-    /// run) via the per-run page index — one pointer unpublish per page and
-    /// a single reader grace period per shard.
+    /// a merge so stale pages can never be served), scanning each index.
     pub fn evict_run(&self, run: RunId) {
         for shard in &self.shards {
-            let mut w = shard.writer.lock();
-            let Some(slots) = w.by_run.remove(&run) else {
-                continue;
-            };
-            shard.drain_ring(&mut w);
-            let mut olds = Vec::with_capacity(slots.len());
-            for idx in slots {
-                let old = shard.slots[idx as usize].swap(ptr::null_mut(), Ordering::SeqCst);
-                if !old.is_null() {
-                    olds.push(old);
-                }
-                let (key, bytes, live) = {
-                    let m = &w.meta[idx as usize];
-                    (m.key, m.bytes as usize, m.live)
-                };
-                if !live {
-                    continue;
-                }
-                unlink(&mut w, idx);
-                w.meta[idx as usize].live = false;
-                w.bytes -= bytes;
-                w.map.remove(&key);
-            }
-            shard.grace();
-            for old in olds {
-                // SAFETY: unpublished above and past the grace period.
-                unsafe { drop(Box::from_raw(old)) };
+            let mut shard = shard.lock();
+            shard.apply_touches();
+            let victims: Vec<u32> = shard
+                .index
+                .iter()
+                .filter_map(|(key, &n)| (key.0 == run).then_some(n))
+                .collect();
+            for n in victims {
+                shard.remove(n);
             }
         }
     }
 
-    /// Current hit/miss/insert counters (summed over the per-shard
-    /// counters).
+    /// Current hit/miss/insert counters, summed over the shards.
     pub fn stats(&self) -> CacheStats {
         let mut stats = CacheStats::default();
-        for shard in &self.shards {
-            stats.hits += shard.hits.load(Ordering::Relaxed);
-            stats.misses += shard.misses.load(Ordering::Relaxed);
-            stats.inserts += shard.inserts.load(Ordering::Relaxed);
+        for s in self.shards.iter().map(|shard| shard.lock().stats) {
+            stats.hits += s.hits;
+            stats.misses += s.misses;
+            stats.inserts += s.inserts;
         }
         stats
     }
 
     /// Bytes currently cached across all shards.
     pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.writer.lock().bytes).sum()
-    }
-}
-
-impl Drop for BlockCache {
-    fn drop(&mut self) {
-        // `&mut self`: no readers can exist; free everything published.
-        for shard in &self.shards {
-            for slot in shard.slots.iter() {
-                let p = slot.swap(ptr::null_mut(), Ordering::SeqCst);
-                if !p.is_null() {
-                    // SAFETY: exclusive access; pointer came from Box::into_raw.
-                    unsafe { drop(Box::from_raw(p)) };
-                }
-            }
-        }
+        self.shards.iter().map(|s| s.lock().bytes).sum()
     }
 }
 
@@ -702,11 +428,28 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_hits_need_no_lock() {
-        // Smoke-level: readers make progress while a writer thread holds
-        // every shard's writer mutex hostage via slow inserts. The real
-        // stress lives in tests/cache_stress.rs.
-        use std::sync::atomic::AtomicBool;
+    fn exact_lru_when_pages_are_smaller_than_the_hint() {
+        // 1 KiB a shard, pre-sized for one 1 KiB page, given 32 pages of
+        // 32 B that all land in one shard: they fill its budget exactly, so
+        // every one of them stays.
+        let c = BlockCache::with_config(CacheConfig::lru(16 << 10).with_page_size(1 << 10));
+        let pages: Vec<u32> = (0..)
+            .filter(|&p| BlockCache::shard_of(1, p) == 0)
+            .take(32)
+            .collect();
+        for &p in &pages {
+            c.insert(1, p, page(p as u8, 32));
+        }
+        assert_eq!(c.used_bytes(), 32 * 32);
+        let hits = pages.iter().filter(|&&p| c.get(1, p).is_some()).count();
+        assert_eq!(hits, 32, "every page that fits its shard's budget stays");
+    }
+
+    #[test]
+    fn concurrent_counts_are_exact() {
+        // Readers race a writer's inserts and run evictions: no read is
+        // torn, readers make progress, and every get is counted once.
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let c = Arc::new(BlockCache::new(1 << 20));
         for p in 0..64u32 {
@@ -718,7 +461,7 @@ mod tests {
                 let c = Arc::clone(&c);
                 let stop = Arc::clone(&stop);
                 std::thread::spawn(move || {
-                    let mut hits = 0u64;
+                    let (mut hits, mut gets) = (0u64, 0u64);
                     let mut i = t;
                     while !stop.load(Ordering::Relaxed) {
                         let p = (i % 64) as u32;
@@ -726,9 +469,10 @@ mod tests {
                             assert_eq!(b[0], (p % 251) as u8, "torn read");
                             hits += 1;
                         }
+                        gets += 1;
                         i += 1;
                     }
-                    hits
+                    (hits, gets)
                 })
             })
             .collect();
@@ -744,7 +488,13 @@ mod tests {
             }
         }
         stop.store(true, Ordering::Relaxed);
-        let total: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        assert!(total > 0, "readers made progress");
+        let (hits, gets) = readers
+            .into_iter()
+            .map(|r| r.join().unwrap())
+            .fold((0, 0), |(h, g), (rh, rg)| (h + rh, g + rg));
+        assert!(hits > 0, "readers made progress");
+        let stats = c.stats();
+        assert_eq!(stats.hits, hits, "every hit is counted");
+        assert_eq!(stats.hits + stats.misses, gets, "every get is counted");
     }
 }

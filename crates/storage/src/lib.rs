@@ -14,9 +14,10 @@
 //! * exact **I/O accounting** ([`IoStats`]): every page read, page write,
 //!   and seek is counted atomically and can be snapshotted and diffed
 //!   around an operation;
-//! * a sharded LRU **block cache** ([`BlockCache`]) equivalent to LevelDB's
-//!   block cache, used to reproduce the paper's Figure 12 (cache of 0 / 20 /
-//!   40 % of the data volume) — cache hits are not I/Os;
+//! * a sharded LRU **block cache** ([`BlockCache`]) with LevelDB's design —
+//!   16 shards, one mutex and one exact LRU list each — used to reproduce
+//!   the paper's Figure 12 (cache of 0 / 20 / 40 % of the data volume) —
+//!   cache hits are not I/Os;
 //! * a **device model** ([`DeviceModel`]) translating I/O counts into
 //!   modeled latency for a disk or flash device, including the paper's
 //!   write/read cost ratio `φ` and its 10 ms disk-seek / ~100 µs flash-read

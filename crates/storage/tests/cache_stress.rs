@@ -1,7 +1,7 @@
-//! Block-cache torture tests: the lock-free hit path racing writers and
-//! run eviction, stale-read guarantees across compaction-style cascades,
-//! and a property-based model-equivalence check of the LRU policy against
-//! a reference single-threaded implementation.
+//! Block-cache torture tests: readers racing inserts and run eviction,
+//! stale-read guarantees across compaction-style cascades, and a
+//! property-based model-equivalence check of the LRU policy against a
+//! reference single-threaded implementation.
 
 use bytes::Bytes;
 use monkey_storage::{BlockCache, CacheConfig, Disk};
@@ -207,25 +207,27 @@ proptest! {
     /// observationally identical to the reference model: same hit/miss
     /// decisions, same returned bytes, same resident byte total.
     ///
-    /// The capacity (4 pages of 64 bytes per shard) keeps per-shard
-    /// occupancy far below the probe window, so open-addressing
-    /// displacement never fires and the comparison is exact.
+    /// The page-size hint and the page length are inputs, so a shard
+    /// pre-sized for far fewer pages than its budget holds is covered too.
     #[test]
     fn lru_matches_reference_model(
-        ops in proptest::collection::vec((0u8..4, 0u64..4, 0u32..8, 1u8..=255), 1..400),
+        hint in 64usize..=4096,
+        len in 1usize..=16,
+        ops in proptest::collection::vec((0u8..64, 0u64..4, 0u32..128, 1u8..=255), 1..1000),
     ) {
         let capacity = 16 * 256;
-        let cache = BlockCache::with_config(CacheConfig::lru(capacity).with_page_size(64));
+        let cache = BlockCache::with_config(CacheConfig::lru(capacity).with_page_size(hint));
         let mut model = ModelLru::new(capacity);
         for &(op, run, page, fill) in &ops {
             match op {
-                // Insert is twice as likely as the other ops.
-                0 | 1 => {
-                    let data = Bytes::from(vec![fill; 64]);
+                // Half the ops insert and one in 64 drops a run, so shards
+                // fill to dozens of small pages.
+                0..=31 => {
+                    let data = Bytes::from(vec![fill; len]);
                     cache.insert(run, page, data.clone());
                     model.insert((run, page), data);
                 }
-                2 => {
+                32..=62 => {
                     let got = cache.get(run, page);
                     let want = model.get((run, page));
                     prop_assert_eq!(got.is_some(), want.is_some(), "hit/miss diverged");

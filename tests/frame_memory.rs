@@ -23,14 +23,16 @@
 //! * a merge holds one frame per input run, whatever the runs' length;
 //! * a full buffer's heap is its encoded bytes and a fifth more at most
 //!   (plus the displaced versions an overwrite leaves in its arena until
-//!   rotation), and all of it goes when the buffer drops.
+//!   rotation), and all of it goes when the buffer drops;
+//! * an empty block cache holds a few KiB of heap, and the pages it caches
+//!   are shared with whoever read them, not copied.
 
 use bytes::Bytes;
 use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::memtable::Memtable;
 use monkey_lsm::Entry;
-use monkey_storage::{Backend, Disk, FileBackend, PoolStats, RunId};
+use monkey_storage::{Backend, BlockCache, CacheConfig, Disk, FileBackend, PoolStats, RunId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -366,5 +368,29 @@ fn a_full_buffer_holds_its_bytes_and_a_fifth() {
         THREAD_LIVE.with(Cell::get) - base,
         0,
         "the buffer's heap goes with it"
+    );
+}
+
+#[test]
+fn the_block_cache_holds_its_pages_and_little_else() {
+    let base = THREAD_LIVE.with(Cell::get);
+    let cache = BlockCache::with_config(CacheConfig::lru(64 << 10).with_page_size(PAGE));
+    let empty = THREAD_LIVE.with(Cell::get) - base;
+    assert!(
+        empty <= 16 << 10,
+        "an empty 64 KiB cache holds {empty} bytes of heap"
+    );
+
+    let pages: Vec<Bytes> = (0..16u8).map(|i| Bytes::from(vec![i; PAGE])).collect();
+    let before = THREAD_LIVE.with(Cell::get);
+    for (page_no, page) in pages.iter().enumerate() {
+        cache.insert(1, page_no as u32, page.clone());
+    }
+    let grown = THREAD_LIVE.with(Cell::get) - before;
+    assert!(cache.used_bytes() >= PAGE, "the cache kept pages");
+    assert!(
+        grown <= 8 << 10,
+        "caching {} bytes of shared pages grew the heap by {grown} bytes",
+        cache.used_bytes()
     );
 }
