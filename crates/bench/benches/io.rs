@@ -1,5 +1,5 @@
 //! I/O backend benchmarks: what the `O_DIRECT` backend costs and what WAL
-//! fsync coalescing buys on real files.
+//! group commit buys on real files.
 //!
 //! Three measurements, each emitted into the repo-root `BENCH_io.json`
 //! artifact:
@@ -12,10 +12,10 @@
 //! 2. **Merge throughput** — sustained load pushing merge cascades, per
 //!    backend: the price of the direct path (one synchronous device read
 //!    per input page, one aligned write per output page).
-//! 3. **Syncs-per-commit** — saturating concurrent writers on a sharded
-//!    store with `wal_sync_each_append`. Group commits coalesce onto
-//!    shared fsync epochs and the ratio drops below the 1 that a sync per
-//!    group commit would read.
+//! 3. **WAL group commit** — 8 saturating writers with
+//!    `wal_sync_each_append`, at 1 and 4 shards: puts/s and fsyncs per
+//!    put. Each log's leader runs one fsync per group commit for every
+//!    writer queued behind it, so syncs per put drop below 1 under load.
 //!
 //! Rows record the *active* backend kind (`buffered`, `direct`) plus any
 //! fallback reason, so an artifact produced on a filesystem without
@@ -154,48 +154,54 @@ fn merge_throughput(n: usize) {
     );
 }
 
-/// Saturating writers on a sharded store with fsync-per-append: physical
-/// syncs per group commit. (Coalescing needs overlapping committers, so on
-/// a single-core runner the ratio is scheduling-limited — flagged
-/// accordingly.)
-fn syncs_per_commit(threads: usize, per_thread: usize) {
-    println!(
-        "\nsyncs_per_commit ({threads} writers x {per_thread} puts, 4 shards, fsync per append):"
-    );
-    let dir = tempdir("sync");
-    let db = Db::open(
-        DbOptions::at_path(&dir)
-            .page_size(4096)
-            .buffer_capacity(4 << 20)
-            .wal_sync_each_append(true)
-            .shards(4),
-    )
-    .unwrap();
-    std::thread::scope(|scope| {
-        for t in 0..threads {
-            let db = &db;
-            scope.spawn(move || {
-                for i in 0..per_thread {
-                    let seq = t * per_thread + i;
-                    db.put(format!("key{seq:09}").into_bytes(), vec![b'v'; 24])
-                        .unwrap();
-                }
-            });
-        }
-    });
-    let stats = db.pipeline_stats();
-    let (syncs, commits) = (stats.wal_syncs, stats.wal_group_commits);
-    let ratio = syncs as f64 / commits.max(1) as f64;
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("  {ratio:.3} syncs/commit ({syncs} syncs / {commits} group commits)");
+/// Saturating writers with fsync-per-append, at 1 and 4 shards: puts/s
+/// and physical syncs per put. (Sharing an fsync needs overlapping
+/// committers, so on a single-core runner the ratio is scheduling-limited
+/// — flagged accordingly.)
+fn wal_group_commit(threads: usize, per_thread: usize) {
+    println!("\nwal_group_commit ({threads} writers x {per_thread} puts, fsync per append):");
+    let mut rows = Vec::new();
+    for shards in [1, 4] {
+        let dir = tempdir("sync");
+        let db = Db::open(
+            DbOptions::at_path(&dir)
+                .page_size(4096)
+                .buffer_capacity(4 << 20)
+                .wal_sync_each_append(true)
+                .shards(shards),
+        )
+        .unwrap();
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            for t in 0..threads {
+                let db = &db;
+                scope.spawn(move || {
+                    for i in 0..per_thread {
+                        let seq = t * per_thread + i;
+                        db.put(format!("key{seq:09}").into_bytes(), vec![b'v'; 24])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        let puts = (threads * per_thread) as f64;
+        let puts_per_sec = puts / started.elapsed().as_secs_f64();
+        let syncs = db.pipeline_stats().wal_syncs;
+        let per_put = syncs as f64 / puts;
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+        println!("  {shards} shard(s): {puts_per_sec:>9.0} puts/s  {per_put:.3} syncs/put ({syncs} syncs)");
+        rows.push(format!(
+            "{{\"shards\": {shards}, \"puts_per_sec\": {puts_per_sec:.0}, \"syncs\": {syncs}, \
+             \"syncs_per_put\": {per_put:.3}}}"
+        ));
+    }
     monkey_bench::emit_bench_artifact(
         "BENCH_io.json",
-        "syncs_per_commit",
+        "wal_group_commit",
         &format!(
-            "{{\"threads\": {threads}, \"puts_per_thread\": {per_thread}, \"shards\": 4, \
-             \"syncs\": {syncs}, \"group_commits\": {commits}, \
-             \"syncs_per_commit\": {ratio:.3}{}}}",
+            "{{\"threads\": {threads}, \"puts_per_thread\": {per_thread}, \"rows\": [{}]{}}}",
+            rows.join(", "),
             monkey_bench::single_core_flag()
         ),
     );
@@ -209,5 +215,5 @@ fn main() {
         if test_mode { 500 } else { 20_000 },
     );
     merge_throughput(if test_mode { 5_000 } else { 200_000 });
-    syncs_per_commit(8, if test_mode { 100 } else { 2_000 });
+    wal_group_commit(8, if test_mode { 100 } else { 2_000 });
 }

@@ -58,8 +58,8 @@ pub use monkey_lsm::{
     BackendInfo, Db, DbOptions, DbStats, DriftFlag, Entry, EntryKind, Event, EventKind,
     FilterContext, FilterPolicy, FilterVariant, IoBackend, IoBackendReport, LevelIoSnapshot,
     LevelLookupSnapshot, LevelReport, LevelStats, LookupStats, LsmError, MergePolicy, OpKind,
-    OpLatencyReport, PipelineGauges, PipelineStats, RangeIter, Result, ShardBreakdown, SyncStats,
-    Telemetry, TelemetryReport, UniformFilterPolicy, WalStats,
+    OpLatencyReport, PipelineGauges, PipelineStats, RangeIter, Result, ShardBreakdown, Telemetry,
+    TelemetryReport, UniformFilterPolicy, WalStats,
 };
 pub use monkey_model::{Environment, Workload};
 pub use navigator::{Navigator, Recommendation, WhatIf};

@@ -15,7 +15,6 @@ use crate::error::{LsmError, Result};
 use crate::iter::RangeIter;
 use crate::options::{DbOptions, StorageConfig};
 use crate::stats::{CompactionStats, DbStats, LookupStats, PipelineGauges, PipelineStats};
-use crate::wal::{SyncStats, WalSyncCoordinator};
 use bytes::Bytes;
 use engine::{Core, Shard};
 use monkey_obs::{OpKind, Telemetry, TelemetryReport};
@@ -40,10 +39,6 @@ use std::time::Instant;
 pub struct Db {
     /// The facade-level configuration (undivided budgets, `shards = N`).
     opts: DbOptions,
-    /// The cross-shard WAL fsync coordinator of a durable store that
-    /// syncs each append — kept here so [`Db::wal_sync_stats`] can report
-    /// global coalescing (tickets vs. physical syncs).
-    sync_coord: Option<Arc<WalSyncCoordinator>>,
     shards: Vec<Shard>,
 }
 
@@ -73,14 +68,7 @@ impl Db {
     /// honors what is on disk, whatever the new options request.
     pub fn open(opts: DbOptions) -> Result<Arc<Self>> {
         let n = Self::resolve_shards(&opts)?;
-        // One fsync coordinator spans every shard's WAL, so concurrent
-        // group commits collapse into shared sync epochs (the batching is
-        // an optimization over *when* fsyncs run, never whether — each
-        // commit still returns only after its bytes are synced).
-        let sync_coord = (opts.wal_sync_each_append
-            && matches!(opts.storage, StorageConfig::Directory(_)))
-        .then(WalSyncCoordinator::new);
-        Self::assemble(opts, n, None, sync_coord)
+        Self::assemble(opts, n, None)
     }
 
     /// Opens a volatile database over a caller-supplied [`Disk`] — used by
@@ -90,7 +78,7 @@ impl Db {
     /// be partitioned.
     pub fn open_with_disk(mut opts: DbOptions, disk: Arc<Disk>) -> Result<Arc<Self>> {
         opts.shards = 1;
-        Self::assemble(opts, 1, Some(disk), None)
+        Self::assemble(opts, 1, Some(disk))
     }
 
     /// Opens the store's `n` shards — over `disk` when the caller supplied
@@ -98,24 +86,15 @@ impl Db {
     /// in front of them. The clock origin is taken once, before any shard
     /// opens, so the shards' telemetry timestamps share one timeline
     /// however long each shard takes to recover.
-    fn assemble(
-        opts: DbOptions,
-        n: usize,
-        disk: Option<Arc<Disk>>,
-        sync_coord: Option<Arc<WalSyncCoordinator>>,
-    ) -> Result<Arc<Self>> {
+    fn assemble(opts: DbOptions, n: usize, disk: Option<Arc<Disk>>) -> Result<Arc<Self>> {
         let origin = Instant::now();
         let shards = (0..n)
             .map(|index| {
                 let shard_opts = Self::shard_options(&opts, index, n);
-                Shard::open(shard_opts, index, disk.clone(), sync_coord.clone(), origin)
+                Shard::open(shard_opts, index, disk.clone(), origin)
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Arc::new(Db {
-            opts,
-            sync_coord,
-            shards,
-        }))
+        Ok(Arc::new(Db { opts, shards }))
     }
 
     /// How many shards a store actually runs. The `SHARDS` meta of an
@@ -359,14 +338,6 @@ impl Db {
     /// Counters of the write pipeline since open, summed across shards.
     pub fn pipeline_stats(&self) -> PipelineStats {
         merged(self.cores().map(Core::pipeline_stats), PipelineStats::merge).unwrap_or_default()
-    }
-
-    /// Global WAL fsync-coalescing counters (tickets issued vs. physical
-    /// syncs performed), on a directory store that syncs each append.
-    /// `syncs / tickets` is the store-wide syncs-per-commit ratio; under
-    /// concurrent writers it drops below 1.
-    pub fn wal_sync_stats(&self) -> Option<SyncStats> {
-        self.sync_coord.as_ref().map(|c| c.stats())
     }
 
     /// Which disk backend this store is running on: the requested kind,

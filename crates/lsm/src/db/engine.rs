@@ -32,7 +32,7 @@ use crate::options::{DbOptions, StorageConfig};
 use crate::page::max_entry_len;
 use crate::policy::FilterContext;
 use crate::run::{recover_run, FilterParams};
-use crate::wal::{Wal, WalSyncCoordinator};
+use crate::wal::Wal;
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
 use monkey_obs::{EventKind, LookupTable, OpKind, Telemetry};
@@ -464,16 +464,13 @@ impl Core {
     /// directory-backed store recovers its tree from the manifest and
     /// replays its WAL segments — unless the caller supplies its own `disk`
     /// (fault injection, slow devices, bespoke caches): such a store is
-    /// volatile, with no WAL or manifest. `sync_coord`, when present,
-    /// routes every WAL fsync through the shared cross-shard coalescing
-    /// coordinator. A telemetry hub stamps its events with `index`, the
-    /// shard's place in the store, and counts its clock from `origin`,
-    /// which every shard of one store shares.
+    /// volatile, with no WAL or manifest. A telemetry hub stamps its
+    /// events with `index`, the shard's place in the store, and counts its
+    /// clock from `origin`, which every shard of one store shares.
     fn open(
         opts: DbOptions,
         index: usize,
         supplied: Option<Arc<Disk>>,
-        sync_coord: Option<Arc<WalSyncCoordinator>>,
         origin: Instant,
     ) -> Result<Arc<Core>> {
         let volatile = |disk| (disk, Wal::disabled(), None, Vec::new(), None);
@@ -496,7 +493,7 @@ impl Core {
                     Disk::file_with(dir.join("pages"), opts.page_size, opts.io_backend, None)?;
                 let manifest = Manifest::at(dir.join("MANIFEST"));
                 let state = manifest.load()?;
-                let (wal, replayed) = Wal::open_with(dir, opts.wal_sync_each_append, sync_coord)?;
+                let (wal, replayed) = Wal::open(dir, opts.wal_sync_each_append)?;
                 (disk, wal, Some(manifest), replayed, state)
             }
         };
@@ -588,10 +585,9 @@ impl Shard {
         opts: DbOptions,
         index: usize,
         disk: Option<Arc<Disk>>,
-        sync_coord: Option<Arc<WalSyncCoordinator>>,
         origin: Instant,
     ) -> Result<Shard> {
-        let core = Core::open(opts, index, disk, sync_coord, origin)?;
+        let core = Core::open(opts, index, disk, origin)?;
         let worker = if core.opts.background_compaction {
             let worker_core = Arc::clone(&core);
             Some(

@@ -82,4 +82,4 @@ pub use options::DbOptions;
 pub use policy::{FilterContext, FilterPolicy, MergePolicy, UniformFilterPolicy};
 pub use run::{FilterParams, Run, RunLookup};
 pub use stats::{CompactionStats, DbStats, LevelStats, LookupStats, PipelineGauges, PipelineStats};
-pub use wal::{SyncStats, WalStats, WalSyncCoordinator};
+pub use wal::WalStats;

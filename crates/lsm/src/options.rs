@@ -41,11 +41,10 @@ pub struct DbOptions {
     /// the honest — worse — FPR model charged to expected lookup I/O).
     pub filter_variant: FilterVariant,
     /// fsync the WAL on every append (durable but slow) instead of on
-    /// flush boundaries. On a directory store the fsyncs of concurrent
-    /// group commits — across shards too, which share one sync coordinator
-    /// — coalesce: a commit whose records are already written rides the
-    /// in-flight fsync instead of issuing its own, and still does not
-    /// return before its records are synced.
+    /// flush boundaries. Each shard's log syncs once per group commit:
+    /// writers that arrive while its leader syncs wait, and the next
+    /// leader writes and syncs all their records at once. No put returns
+    /// before its record is synced.
     pub wal_sync_each_append: bool,
     /// Physical I/O path for run pages on durable stores
     /// ([`StorageConfig::Directory`]): buffered `pread`/`pwrite` (the

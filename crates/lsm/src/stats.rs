@@ -95,10 +95,10 @@ pub struct PipelineStats {
     /// WAL records carried by those batches; `wal_batched_appends /
     /// wal_group_commits` is the mean group-commit batch size.
     pub wal_batched_appends: u64,
-    /// Physical `fsync` calls the WAL issued. With fsync batching on,
-    /// concurrent group commits (across segments *and* shards) piggyback
-    /// on one in-flight sync, so `wal_syncs / wal_group_commits` — the
-    /// syncs-per-commit ratio — drops below 1 under load.
+    /// Physical `fsync` calls the WAL issued: one per group commit under
+    /// `wal_sync_each_append`, plus one per segment seal. Writers queued
+    /// behind a syncing leader share its next batch, so `wal_syncs /
+    /// wal_batched_appends` — syncs per put — drops below 1 under load.
     pub wal_syncs: u64,
 }
 

@@ -11,16 +11,25 @@
 //! memtables survive, which is what makes crash recovery with a non-empty
 //! immutable queue correct.
 //!
-//! Appends use **group commit** (leader/follower): a put encodes its
-//! record and enqueues it under the engine's write lock
+//! Appends use **group commit**, as LevelDB's writer queue does: a put
+//! encodes its record and enqueues it under the engine's write lock
 //! ([`Wal::enqueue`]), then — outside that lock — calls [`Wal::commit`].
-//! The first committer to take the file lock becomes the *leader*: it
-//! drains every pending record into one `write` (plus one `sync_data` in
-//! fsync-per-append mode) and publishes the durable high-water mark.
-//! Followers whose records rode that batch return without touching the
-//! file. Records are enqueued in sequence order under the write lock and
-//! drained in order under the file lock, so the on-disk record order
+//! A committer whose record is not yet durable takes the segment lock and,
+//! unless a leader is already syncing (then it waits on the condvar),
+//! becomes the *leader*: it drains every pending record into one `write`,
+//! and in fsync-per-append mode runs one `sync_data` with the lock
+//! released and the segment marked `syncing`. It then re-takes the lock,
+//! publishes the durable high-water mark and wakes the waiters; those
+//! whose records rode the batch return without touching the file.
+//! Records are enqueued in sequence order under the write lock and
+//! drained in order under the segment lock, so the on-disk record order
 //! always matches sequence order.
+//!
+//! A failed `write` or `sync_data` **poisons** the log: the batch may never
+//! reach the disk, and replay stops at the first bad record, so nothing
+//! written after it could be recovered either. From then on `commit`,
+//! `seal_current` and `flush_pending` return that error (LevelDB's sticky
+//! background error).
 //!
 //! Record wire format:
 //!
@@ -37,13 +46,12 @@ use crate::error::{LsmError, Result};
 use bytes::Bytes;
 use monkey_bloom::hash::xxh64;
 use monkey_obs::{EventKind, Telemetry};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Condvar;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Condvar, OnceLock, PoisonError};
 
 const WAL_SEED: u64 = 0x57414C5F4D4F4E4B; // "WAL_MONK"
 
@@ -57,148 +65,11 @@ pub struct WalStats {
     /// is the mean batch size — above 1.0 means concurrent writers shared
     /// commits.
     pub batched_appends: u64,
-    /// Physical `sync_data` calls this log issued (or triggered through a
-    /// shared [`WalSyncCoordinator`]). In fsync-per-append mode,
-    /// `syncs / batched_appends` is the syncs-per-commit ratio — group
-    /// commit alone pushes it below 1 under load, and cross-shard fsync
-    /// batching pushes it further.
+    /// Physical `sync_data` calls this log issued: one per group commit in
+    /// fsync-per-append mode, plus one per segment seal. `syncs /
+    /// batched_appends` is the syncs-per-put ratio, which group commit
+    /// pushes below 1 under concurrent writers.
     pub syncs: u64,
-}
-
-/// Counters of a [`WalSyncCoordinator`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SyncStats {
-    /// Physical `sync_data` calls the coordinator performed.
-    pub syncs: u64,
-    /// Sync tickets handed out — one per batch that asked for durability.
-    /// `syncs / tickets < 1` means batches shared in-flight fsyncs.
-    pub tickets: u64,
-}
-
-struct SyncState {
-    /// Next ticket to hand out (the first is 1).
-    next_ticket: u64,
-    /// Every ticket at or below this mark is durable.
-    completed: u64,
-    /// Files carrying writes not yet covered by a completed sync, each
-    /// with the newest ticket that dirtied it.
-    dirty: Vec<(u64, Arc<File>)>,
-    /// A sync leader is currently fsyncing outside the lock.
-    syncing: bool,
-    /// Tickets at or below `.0` rode an epoch whose fsync failed.
-    failed: Option<(u64, String)>,
-    syncs: u64,
-    tickets: u64,
-}
-
-/// Cross-segment, cross-shard fsync coalescing — the sync-ticket
-/// protocol.
-///
-/// A committer that has already written its bytes takes a **ticket** and
-/// registers its file as dirty, in one critical section. The first waiter
-/// to find no sync in flight becomes the **sync leader**: it notes the
-/// highest ticket handed out (`upto`), drains the dirty set, and fsyncs
-/// each distinct file once, outside the lock. Every ticket ≤ `upto` had
-/// registered its file before the drain, so one epoch covers them all;
-/// when the leader publishes `completed = upto`, those waiters return
-/// without ever touching the device. Tickets taken while the leader was
-/// syncing stay dirty and wake the next leader.
-///
-/// One coordinator is shared by every shard's WAL, so under load `N`
-/// shards' group commits collapse into one fsync wave instead of `N`
-/// serial `sync_data` calls — this is what cuts syncs-per-commit below 1.
-pub struct WalSyncCoordinator {
-    state: Mutex<SyncState>,
-    cv: Condvar,
-}
-
-impl WalSyncCoordinator {
-    /// A fresh coordinator (shared across WALs via the returned `Arc`).
-    pub fn new() -> Arc<Self> {
-        Arc::new(Self {
-            state: Mutex::new(SyncState {
-                next_ticket: 1,
-                completed: 0,
-                dirty: Vec::new(),
-                syncing: false,
-                failed: None,
-                syncs: 0,
-                tickets: 0,
-            }),
-            cv: Condvar::new(),
-        })
-    }
-
-    /// Makes every byte already written to `file` durable, coalescing
-    /// with concurrent callers. Returns the number of physical fsyncs
-    /// this call performed itself — 0 means it piggybacked on another
-    /// batch's in-flight sync.
-    pub fn sync_after_write(&self, file: &Arc<File>) -> std::io::Result<u64> {
-        let mut state = self.state.lock();
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.tickets += 1;
-        match state.dirty.iter_mut().find(|(_, f)| Arc::ptr_eq(f, file)) {
-            Some(entry) => entry.0 = ticket,
-            None => state.dirty.push((ticket, Arc::clone(file))),
-        }
-        loop {
-            if state.completed >= ticket {
-                if let Some((upto, msg)) = &state.failed {
-                    if *upto >= ticket {
-                        return Err(std::io::Error::other(msg.clone()));
-                    }
-                }
-                return Ok(0);
-            }
-            if !state.syncing {
-                // Become the sync leader: every ticket handed out so far
-                // has its file in the dirty set, so this epoch covers
-                // them all.
-                state.syncing = true;
-                let upto = state.next_ticket - 1;
-                let batch = std::mem::take(&mut state.dirty);
-                drop(state);
-                let mut err = None;
-                let mut syncs = 0u64;
-                for (_, f) in &batch {
-                    match f.sync_data() {
-                        Ok(()) => syncs += 1,
-                        Err(e) => {
-                            err = Some(e);
-                            break;
-                        }
-                    }
-                }
-                let mut state = self.state.lock();
-                state.syncs += syncs;
-                state.completed = state.completed.max(upto);
-                if let Some(e) = &err {
-                    state.failed = Some((upto, e.to_string()));
-                }
-                state.syncing = false;
-                drop(state);
-                self.cv.notify_all();
-                return match err {
-                    Some(e) => Err(e),
-                    None => Ok(syncs),
-                };
-            }
-            // The parking_lot shim hands out genuine `std` guards, so the
-            // std Condvar composes with it; poisoning cannot occur (no
-            // panics while the coordinator lock is held).
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Coalescing counters since creation.
-    pub fn stats(&self) -> SyncStats {
-        let state = self.state.lock();
-        SyncStats {
-            syncs: state.syncs,
-            tickets: state.tickets,
-        }
-    }
 }
 
 /// One encoded record waiting for a leader to write it.
@@ -207,24 +78,34 @@ struct PendingRecord {
     body: Vec<u8>,
 }
 
-/// A batch written to the active segment but (in fsync-per-append mode)
-/// not yet durable: the hand-off from the under-lock write phase
-/// ([`Wal::stage_pending_locked`]) to the lock-free sync phase
-/// ([`Wal::finish_batch`]). Holding the segment `File` by `Arc` keeps the
-/// sync valid even if the segment seals and rotates in between.
-struct StagedBatch {
-    commit_no: u64,
-    last_seq: u64,
-    records: u64,
-    file: Arc<File>,
-}
-
 struct ActiveSegment {
     id: u64,
-    /// Shared so the sync coordinator can fsync the file after the
-    /// segment lock moved on to a newer batch.
+    /// Shared so a leader can fsync the file with the lock released.
     file: Arc<File>,
+    /// A leader is fsyncing `file` off the lock; everyone else waits on
+    /// [`WalInner::idle`].
+    syncing: bool,
+    /// The sticky error of a failed `write` or `sync_data`.
+    poisoned: Option<(std::io::ErrorKind, String)>,
 }
+
+impl ActiveSegment {
+    /// Makes segment `id + 1` in `dir` the active one; returns `id`.
+    fn rotate(&mut self, dir: &Path) -> Result<u64> {
+        let sealed = self.id;
+        self.file = Arc::new(create_segment(dir, sealed + 1)?);
+        self.id = sealed + 1;
+        Ok(sealed)
+    }
+
+    /// Records `err` as the log's sticky error and returns it.
+    fn poison(&mut self, err: std::io::Error) -> LsmError {
+        self.poisoned = Some((err.kind(), err.to_string()));
+        err.into()
+    }
+}
+
+type SegmentGuard<'a> = MutexGuard<'a, ActiveSegment>;
 
 struct WalInner {
     dir: PathBuf,
@@ -233,6 +114,8 @@ struct WalInner {
     /// The open segment. Leaders hold this lock while draining `pending`,
     /// which is what serializes batches and keeps file order = seq order.
     segment: Mutex<ActiveSegment>,
+    /// Signalled when a leader's off-lock sync ends.
+    idle: Condvar,
     /// `seq + 1` of the newest record written (and, in
     /// fsync-per-append mode, synced); 0 = nothing written yet.
     durable_mark: AtomicU64,
@@ -241,14 +124,38 @@ struct WalInner {
     syncs: AtomicU64,
 }
 
+impl WalInner {
+    /// Takes the segment lock once no leader is syncing, waiting on the
+    /// condvar (which releases the lock) while one is. Returns `None`
+    /// instead as soon as the durable mark passes `seq`: a leader made the
+    /// caller's record durable. Errs once the log is poisoned.
+    fn lock_idle(&self, seq: Option<u64>) -> Result<Option<SegmentGuard<'_>>> {
+        let mut segment = self.segment.lock();
+        loop {
+            if seq.is_some_and(|seq| self.durable_mark.load(Ordering::Acquire) > seq) {
+                return Ok(None);
+            }
+            if let Some((kind, msg)) = &segment.poisoned {
+                return Err(std::io::Error::new(*kind, msg.clone()).into());
+            }
+            if !segment.syncing {
+                return Ok(Some(segment));
+            }
+            // The parking_lot shim hands out genuine `std` guards, so the
+            // std Condvar composes with it.
+            segment = self
+                .idle
+                .wait(segment)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
 /// The write-ahead log. A disabled WAL (for in-memory experiment
 /// databases) accepts appends and does nothing.
 pub struct Wal {
     inner: Option<WalInner>,
     sync_each_append: bool,
-    /// When set, fsyncs route through the shared coordinator so
-    /// concurrent batches (including other shards') ride one fsync.
-    sync_coord: Option<Arc<WalSyncCoordinator>>,
     /// Optional telemetry sink: group commits emit an
     /// [`EventKind::WalGroupCommit`] event carrying the batch size —
     /// always for multi-record batches, 1-in-64 for single-record ones.
@@ -257,6 +164,11 @@ pub struct Wal {
 
 fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("wal-{id:06}.log"))
+}
+
+fn create_segment(dir: &Path, id: u64) -> std::io::Result<File> {
+    let path = segment_path(dir, id);
+    OpenOptions::new().create(true).append(true).open(path)
 }
 
 /// Parses a directory entry name into a segment id.
@@ -273,7 +185,6 @@ impl Wal {
         Self {
             inner: None,
             sync_each_append: false,
-            sync_coord: None,
             events: OnceLock::new(),
         }
     }
@@ -288,18 +199,6 @@ impl Wal {
     /// record from every segment in segment order. Returns the WAL (with a
     /// fresh active segment) and the replayed entries in append order.
     pub fn open(dir: impl AsRef<Path>, sync_each_append: bool) -> Result<(Self, Vec<Entry>)> {
-        Self::open_with(dir, sync_each_append, None)
-    }
-
-    /// [`open`](Self::open), with fsyncs routed through a shared
-    /// [`WalSyncCoordinator`] — the multi-shard configuration, where every
-    /// shard's WAL hands its durability barriers to one coalescing
-    /// coordinator.
-    pub fn open_with(
-        dir: impl AsRef<Path>,
-        sync_each_append: bool,
-        sync_coord: Option<Arc<WalSyncCoordinator>>,
-    ) -> Result<(Self, Vec<Entry>)> {
         let dir = dir.as_ref().to_path_buf();
         let mut ids: Vec<u64> = std::fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
@@ -318,10 +217,7 @@ impl Wal {
             }
         }
         let next_id = ids.last().map_or(1, |id| id + 1);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(segment_path(&dir, next_id))?;
+        let file = create_segment(&dir, next_id)?;
         Ok((
             Self {
                 inner: Some(WalInner {
@@ -330,14 +226,16 @@ impl Wal {
                     segment: Mutex::new(ActiveSegment {
                         id: next_id,
                         file: Arc::new(file),
+                        syncing: false,
+                        poisoned: None,
                     }),
+                    idle: Condvar::new(),
                     durable_mark: AtomicU64::new(0),
                     group_commits: AtomicU64::new(0),
                     batched_appends: AtomicU64::new(0),
                     syncs: AtomicU64::new(0),
                 }),
                 sync_each_append,
-                sync_coord,
                 events: OnceLock::new(),
             },
             entries,
@@ -372,7 +270,7 @@ impl Wal {
 
     /// Ensures the record carrying `seq` has been written to the log (and
     /// synced, in fsync-per-append mode). The caller becomes the batch
-    /// leader if no other committer got there first.
+    /// leader unless a leader's batch already covers its record.
     pub fn commit(&self, seq: u64) -> Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
@@ -380,33 +278,9 @@ impl Wal {
         if inner.durable_mark.load(Ordering::Acquire) > seq {
             return Ok(()); // a leader already wrote our record
         }
-        let mut segment = inner.segment.lock();
-        if inner.durable_mark.load(Ordering::Acquire) > seq {
-            return Ok(()); // committed while we waited
-        }
-        match self.stage_pending_locked(inner, &mut segment)? {
-            Some(staged) => {
-                // Sync (and publish durability) off the segment lock: the
-                // next leader can stage its batch onto the same file while
-                // this one waits at the coordinator, which is what lets
-                // consecutive same-WAL group commits share one fsync.
-                drop(segment);
-                self.finish_batch(inner, staged)
-            }
-            None => {
-                // A leader drained our record while we waited for the
-                // segment lock but has not finished its sync yet (the
-                // durable mark still trails `seq`). Sync the segment
-                // ourselves rather than return a not-yet-durable commit;
-                // the coordinator dedups this with the in-flight epoch.
-                let file = Arc::clone(&segment.file);
-                drop(segment);
-                if self.sync_each_append {
-                    self.sync_file(inner, &file)?;
-                    inner.durable_mark.fetch_max(seq + 1, Ordering::AcqRel);
-                }
-                Ok(())
-            }
+        match inner.lock_idle(Some(seq))? {
+            Some(segment) => self.write_batch(inner, segment, false).map(drop),
+            None => Ok(()), // a leader made it durable while we waited
         }
     }
 
@@ -416,118 +290,85 @@ impl Wal {
         self.commit(entry.seq)
     }
 
-    /// Drains the pending queue into the active segment as one batch and
-    /// finishes it (sync + durable-mark publication) with the lock still
-    /// held. The seal/sync/shutdown paths use this single-phase form; the
-    /// commit hot path splits the phases so the sync runs off the segment
-    /// lock.
-    fn write_pending_locked(&self, inner: &WalInner, segment: &mut ActiveSegment) -> Result<()> {
-        match self.stage_pending_locked(inner, segment)? {
-            Some(staged) => self.finish_batch(inner, staged),
-            None => Ok(()),
-        }
-    }
-
-    /// Phase 1, under the segment lock: drains the pending queue into the
-    /// active segment as one `write`, assigns the batch its commit number
-    /// (lock order = file order = commit order), and returns the staged
-    /// batch for [`Wal::finish_batch`]. `None` when nothing was pending.
-    fn stage_pending_locked(
+    /// The leader's batch, on an idle segment: drains the pending queue
+    /// into the active segment as one `write` under the lock and publishes
+    /// the durable mark. In fsync-per-append mode, and always when
+    /// `seal`ing, a `sync_data` runs in between with the lock released and
+    /// the segment marked `syncing` (other committers wait on the condvar
+    /// and are woken once the lock is free again); a seal then opens the
+    /// next segment and returns the sealed id. A failed `write` or sync
+    /// poisons the log.
+    fn write_batch(
         &self,
         inner: &WalInner,
-        segment: &mut ActiveSegment,
-    ) -> Result<Option<StagedBatch>> {
+        mut segment: SegmentGuard<'_>,
+        seal: bool,
+    ) -> Result<Option<u64>> {
         let batch = std::mem::take(&mut *inner.pending.lock());
-        if batch.is_empty() {
+        let last_seq = batch.last().map(|r| r.seq);
+        if !batch.is_empty() {
+            let total: usize = batch.iter().map(|r| 8 + r.body.len()).sum();
+            let mut buf = Vec::with_capacity(total);
+            for record in &batch {
+                let checksum = xxh64(&record.body, WAL_SEED);
+                buf.extend_from_slice(&checksum.to_le_bytes());
+                buf.extend_from_slice(&record.body);
+            }
+            if let Err(e) = (&*segment.file).write_all(&buf) {
+                return Err(segment.poison(e));
+            }
+            let commit_no = inner.group_commits.fetch_add(1, Ordering::Relaxed) + 1;
+            let records = batch.len() as u64;
+            inner.batched_appends.fetch_add(records, Ordering::Relaxed);
+            // Real groups (>1 record) always make the timeline; single-record
+            // commits — every sync-mode put — are sampled 1-in-64 so the event
+            // ring shows WAL cadence without a clock read and ring push on the
+            // put hot path. The stats counters above stay exact regardless.
+            if records > 1 || (commit_no - 1).is_multiple_of(64) {
+                if let Some(t) = self.events.get() {
+                    t.event(EventKind::WalGroupCommit { records });
+                }
+            }
+        }
+        let mark = last_seq.map_or(0, |seq| seq + 1);
+        let publish = || inner.durable_mark.fetch_max(mark, Ordering::AcqRel);
+        let sync = seal || (self.sync_each_append && last_seq.is_some());
+        if !sync {
+            publish();
             return Ok(None);
         }
-        let total: usize = batch.iter().map(|r| 8 + r.body.len()).sum();
-        let mut buf = Vec::with_capacity(total);
-        for record in &batch {
-            let checksum = xxh64(&record.body, WAL_SEED);
-            buf.extend_from_slice(&checksum.to_le_bytes());
-            buf.extend_from_slice(&record.body);
-        }
-        (&*segment.file).write_all(&buf)?;
-        let last_seq = batch.last().expect("non-empty batch").seq;
-        let commit_no = inner.group_commits.fetch_add(1, Ordering::Relaxed) + 1;
-        inner
-            .batched_appends
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        Ok(Some(StagedBatch {
-            commit_no,
-            last_seq,
-            records: batch.len() as u64,
-            file: Arc::clone(&segment.file),
-        }))
-    }
-
-    /// Phase 2, lock-free: makes a staged batch durable (in
-    /// fsync-per-append mode), publishes the durable mark, and emits the
-    /// batch's telemetry. Batches may finish out of order — the mark is a
-    /// `fetch_max`, and a later batch's sync covers an earlier one's bytes
-    /// because both were written to the file in lock order.
-    fn finish_batch(&self, inner: &WalInner, staged: StagedBatch) -> Result<()> {
-        if self.sync_each_append {
-            self.sync_file(inner, &staged.file)?;
-        }
-        inner
-            .durable_mark
-            .fetch_max(staged.last_seq + 1, Ordering::AcqRel);
-        // Real groups (>1 record) always make the timeline; single-record
-        // commits — every sync-mode put — are sampled 1-in-64 so the event
-        // ring shows WAL cadence without a clock read and ring push on the
-        // put hot path. The stats counters above stay exact regardless.
-        if staged.records > 1 || (staged.commit_no - 1).is_multiple_of(64) {
-            if let Some(t) = self.events.get() {
-                t.event(EventKind::WalGroupCommit {
-                    records: staged.records,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// One durability barrier for `file`: through the coordinator when
-    /// attached (so it coalesces with concurrent batches, possibly from
-    /// other shards' WALs) or a direct `sync_data` otherwise. Physical
-    /// syncs this call performed are attributed to this WAL's counter.
-    fn sync_file(&self, inner: &WalInner, file: &Arc<File>) -> Result<()> {
-        match &self.sync_coord {
-            Some(coord) => {
-                let syncs = coord.sync_after_write(file)?;
-                inner.syncs.fetch_add(syncs, Ordering::Relaxed);
-            }
-            None => {
-                file.sync_data()?;
+        segment.syncing = true;
+        let file = Arc::clone(&segment.file);
+        drop(segment);
+        let synced = file.sync_data();
+        let mut segment = inner.segment.lock();
+        segment.syncing = false;
+        let result = match synced {
+            Err(e) => Err(segment.poison(e)),
+            Ok(()) => {
                 inner.syncs.fetch_add(1, Ordering::Relaxed);
+                publish();
+                match seal {
+                    true => segment.rotate(&inner.dir).map(Some),
+                    false => Ok(None),
+                }
             }
-        }
-        Ok(())
+        };
+        drop(segment);
+        inner.idle.notify_all();
+        result
     }
 
-    /// Seals the active segment — flushing any pending records into it —
-    /// and opens the next one. Returns the sealed segment's id; entries
-    /// enqueued so far live in segments at or below that id. Called at
-    /// memtable rotation, under the engine's write lock.
+    /// Seals the active segment — writing and syncing any pending records
+    /// into it — and opens the next one. Returns the sealed segment's id;
+    /// entries enqueued so far live in segments at or below that id.
+    /// Called at memtable rotation, under the engine's write lock.
     pub fn seal_current(&self) -> Result<Option<u64>> {
         let Some(inner) = &self.inner else {
             return Ok(None);
         };
-        let mut segment = inner.segment.lock();
-        self.write_pending_locked(inner, &mut segment)?;
-        segment.file.sync_data()?;
-        inner.syncs.fetch_add(1, Ordering::Relaxed);
-        let sealed = segment.id;
-        let next = sealed + 1;
-        segment.file = Arc::new(
-            OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(segment_path(&inner.dir, next))?,
-        );
-        segment.id = next;
-        Ok(Some(sealed))
+        let segment = inner.lock_idle(None)?.expect("no seq to cover");
+        self.write_batch(inner, segment, true)
     }
 
     /// Deletes every segment with id ≤ `id` — called after the memtable
@@ -550,25 +391,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Writes any pending records and forces them to stable storage.
-    pub fn sync(&self) -> Result<()> {
-        if let Some(inner) = &self.inner {
-            let mut segment = inner.segment.lock();
-            self.write_pending_locked(inner, &mut segment)?;
-            segment.file.sync_data()?;
-            inner.syncs.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
-    }
-
-    /// Writes any pending records without forcing a sync (shutdown path:
-    /// nothing a clean process exit would lose stays buffered in memory).
+    /// Writes any pending records (shutdown path: nothing a clean process
+    /// exit would lose stays buffered in memory), syncing them only in
+    /// fsync-per-append mode.
     pub fn flush_pending(&self) -> Result<()> {
-        if let Some(inner) = &self.inner {
-            let mut segment = inner.segment.lock();
-            self.write_pending_locked(inner, &mut segment)?;
-        }
-        Ok(())
+        let Some(inner) = &self.inner else {
+            return Ok(());
+        };
+        let segment = inner.lock_idle(None)?.expect("no seq to cover");
+        self.write_batch(inner, segment, false).map(drop)
     }
 
     /// Group-commit counters since open.
@@ -734,7 +565,6 @@ mod tests {
         let wal = Wal::disabled();
         wal.append(&Entry::put(b"k".to_vec(), b"v".to_vec(), 1))
             .unwrap();
-        wal.sync().unwrap();
         assert_eq!(wal.seal_current().unwrap(), None);
         wal.prune_upto(99).unwrap();
         assert_eq!(wal.stats(), WalStats::default());
@@ -749,7 +579,6 @@ mod tests {
             wal.append(&Entry::put(b"a".to_vec(), b"1".to_vec(), 1))
                 .unwrap();
             wal.append(&Entry::tombstone(b"b".to_vec(), 2)).unwrap();
-            wal.sync().unwrap();
         }
         let (_wal, replayed) = Wal::open(&dir, false).unwrap();
         assert_eq!(replayed.len(), 2);
@@ -834,7 +663,6 @@ mod tests {
                 .unwrap();
             wal.append(&Entry::put(b"lost".to_vec(), b"2".to_vec(), 2))
                 .unwrap();
-            wal.sync().unwrap();
         }
         let seg = newest_segment(&dir);
         let buf = std::fs::read(&seg).unwrap();
@@ -854,7 +682,6 @@ mod tests {
                 wal.append(&Entry::put(k.to_vec(), b"1".to_vec(), i as u64))
                     .unwrap();
             }
-            wal.sync().unwrap();
         }
         let seg = newest_segment(&dir);
         let mut buf = std::fs::read(&seg).unwrap();
@@ -890,75 +717,47 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A failed sync poisons the log. From then on `append`,
+    /// `seal_current` and `flush_pending` refuse, in either mode, and a
+    /// reopen replays exactly the records acknowledged before the failure.
+    /// `/dev/null` makes the failure real: it takes writes, but its
+    /// `fdatasync` fails with `EINVAL`.
+    #[cfg(target_os = "linux")]
     #[test]
-    fn sync_coordinator_coalesces_across_wals() {
-        // Two WALs (two "shards") share one coordinator; concurrent
-        // committers on both must all end durable, with each fsync epoch
-        // covering every ticket issued before its leader drained.
-        let dir_a = tmp("coord-a");
-        let dir_b = tmp("coord-b");
-        let coord = WalSyncCoordinator::new();
-        let (wal_a, _) = Wal::open_with(&dir_a, true, Some(Arc::clone(&coord))).unwrap();
-        let (wal_b, _) = Wal::open_with(&dir_b, true, Some(Arc::clone(&coord))).unwrap();
-        let wals = [Arc::new(wal_a), Arc::new(wal_b)];
-        let per_thread = 50u64;
-        crossbeam::scope(|scope| {
-            for t in 0..4u64 {
-                let wal = Arc::clone(&wals[(t % 2) as usize]);
-                scope.spawn(move |_| {
-                    for i in 0..per_thread {
-                        let seq = t * per_thread + i;
-                        wal.append(&Entry::put(
-                            format!("k{seq:05}").into_bytes(),
-                            b"v".to_vec(),
-                            seq,
-                        ))
+    fn a_failed_sync_poisons_the_log() {
+        for sync_each_append in [true, false] {
+            let dir = tmp(&format!("poison-{sync_each_append}"));
+            {
+                let (wal, _) = Wal::open(&dir, sync_each_append).unwrap();
+                for (seq, key) in [b"a", b"b"].iter().enumerate() {
+                    wal.append(&Entry::put(key.to_vec(), b"v".to_vec(), seq as u64))
                         .unwrap();
-                    }
-                });
+                }
+                let inner = wal.inner.as_ref().unwrap();
+                inner.segment.lock().file =
+                    Arc::new(OpenOptions::new().append(true).open("/dev/null").unwrap());
+                if sync_each_append {
+                    // The leader's own sync fails: its put is refused.
+                    let lost = Entry::put(b"lost".to_vec(), b"v".to_vec(), 2);
+                    assert!(wal.append(&lost).is_err());
+                } else {
+                    // The seal's sync fails.
+                    assert!(wal.seal_current().is_err());
+                }
+                let after = Entry::put(b"after".to_vec(), b"v".to_vec(), 3);
+                assert!(
+                    wal.append(&after).is_err(),
+                    "a poisoned log refuses appends"
+                );
+                assert!(wal.seal_current().is_err(), "... and seals");
+                assert!(wal.flush_pending().is_err(), "... and flushes");
+                assert_eq!(wal.stats().syncs, if sync_each_append { 2 } else { 0 });
             }
-        })
-        .unwrap();
-        let stats = coord.stats();
-        // Every batch a leader writes takes a ticket. So may a committer
-        // whose record a leader drained but has not yet synced: it syncs
-        // its segment itself (the `None` arm of `Wal::commit`). No append
-        // takes more than one.
-        let group_commits = wals[0].stats().group_commits + wals[1].stats().group_commits;
-        assert!(
-            group_commits <= stats.tickets && stats.tickets <= 4 * per_thread,
-            "{group_commits} batches, {} tickets",
-            stats.tickets
-        );
-        assert!(stats.syncs <= stats.tickets, "coalescing never adds syncs");
-        assert!(stats.syncs > 0);
-        // Per-WAL sync attribution sums to the coordinator's total.
-        assert_eq!(wals[0].stats().syncs + wals[1].stats().syncs, stats.syncs);
-        drop(wals);
-        for dir in [&dir_a, &dir_b] {
-            let (_w, replayed) = Wal::open(dir, false).unwrap();
-            assert_eq!(replayed.len(), 100, "every committed record durable");
-            std::fs::remove_dir_all(dir).unwrap();
+            let (_wal, replayed) = Wal::open(&dir, false).unwrap();
+            let keys: Vec<&[u8]> = replayed.iter().map(|e| e.key.as_ref()).collect();
+            assert_eq!(keys, [b"a", b"b"], "sync_each_append = {sync_each_append}");
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-    }
-
-    #[test]
-    fn sync_coordinator_piggybacks_followers() {
-        // Deterministic follower case: while a leader epoch is marked
-        // in-flight, a second registration must wait, then return having
-        // done 0 syncs of its own once the epoch that covers it completes.
-        let dir = tmp("coord-piggyback");
-        let coord = WalSyncCoordinator::new();
-        let (wal, _) = Wal::open_with(&dir, true, Some(Arc::clone(&coord))).unwrap();
-        // Sequential commits each lead their own epoch: syncs == tickets.
-        for seq in 0..3 {
-            wal.append(&Entry::put(vec![seq as u8], b"v".to_vec(), seq))
-                .unwrap();
-        }
-        let stats = coord.stats();
-        assert_eq!(stats.tickets, 3);
-        assert_eq!(stats.syncs, 3, "uncontended commits sync themselves");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1000,6 +799,7 @@ mod tests {
             stats.group_commits <= stats.batched_appends,
             "a batch never writes fewer than one record"
         );
+        assert_eq!(stats.syncs, stats.group_commits, "one fsync per batch");
         drop(wal);
         let (_w, replayed) = Wal::open(&dir, false).unwrap();
         assert_eq!(replayed.len(), (n_threads * per_thread) as usize);
