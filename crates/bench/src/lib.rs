@@ -1,5 +1,5 @@
 //! Shared harness for the experiments of [`figures`] (one registry row per
-//! paper table/figure) and the Criterion benches.
+//! paper table/figure).
 //!
 //! Every experiment follows the paper's protocol (§5): build a store at a
 //! given design point, bulk-load `N` uniformly-distributed entries in
@@ -65,9 +65,6 @@ pub struct ExpConfig {
     pub variant: FilterVariant,
     /// Block cache size in bytes (0 = disabled).
     pub cache_bytes: usize,
-    /// Whether the engine's telemetry hub is enabled (off for paper
-    /// experiments; the overhead benches flip it).
-    pub telemetry: bool,
 }
 
 impl ExpConfig {
@@ -87,7 +84,6 @@ impl ExpConfig {
             filters: FilterKind::Monkey(5.0),
             variant: FilterVariant::Standard,
             cache_bytes: 0,
-            telemetry: false,
         }
     }
 
@@ -100,12 +96,6 @@ impl ExpConfig {
     /// Same configuration with a different filter layout.
     pub fn with_variant(mut self, variant: FilterVariant) -> Self {
         self.variant = variant;
-        self
-    }
-
-    /// Same configuration with the telemetry hub toggled.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.telemetry = on;
         self
     }
 
@@ -125,7 +115,6 @@ impl ExpConfig {
             .size_ratio(self.size_ratio)
             .merge_policy(self.policy)
             .filter_variant(self.variant)
-            .telemetry(self.telemetry)
             .shards(1)
             .compaction_threads(1)
             .io_backend(IoBackend::Buffered);
@@ -289,79 +278,6 @@ pub fn mixed_phase(loaded: &LoadedDb, lookup_fraction: f64, n: u64, seed: u64) -
     n as f64 / secs
 }
 
-/// Merges one bench's section into the repo-root `BENCH_telemetry.json`
-/// artifact — see [`emit_bench_artifact`].
-pub fn emit_bench_telemetry(section: &str, value_json: &str) {
-    emit_bench_artifact("BENCH_telemetry.json", section, value_json);
-}
-
-/// Logical cores the runner exposes (1 when the platform can't say).
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Whether this runner can exhibit real parallelism. On a 1-core
-/// container a sub-1× "speedup" is scheduling overhead, not a
-/// regression — emitters flag such rows instead of reporting them as
-/// regressions, and readers must discount them.
-pub fn single_core_runner() -> bool {
-    host_parallelism() == 1
-}
-
-/// JSON fragment appended to a parallel-speedup row when the runner
-/// cannot exhibit parallelism (empty otherwise).
-pub fn single_core_flag() -> &'static str {
-    if single_core_runner() {
-        ", \"flagged_single_core\": true"
-    } else {
-        ""
-    }
-}
-
-/// Merges one bench's section into a repo-root `BENCH_*.json` artifact,
-/// preserving sections written by other benches. The format is one
-/// `"section": <single-line JSON value>` per line, so a plain line-based
-/// merge suffices without a JSON parser. Every write refreshes a `host`
-/// section recording `available_parallelism()` so any artifact can be
-/// judged against the hardware that produced it.
-pub fn emit_bench_artifact(file_name: &str, section: &str, value_json: &str) {
-    let path = format!("{}/../../{file_name}", env!("CARGO_MANIFEST_DIR"));
-    let mut sections: Vec<(String, String)> = Vec::new();
-    if let Ok(existing) = std::fs::read_to_string(&path) {
-        for line in existing.lines() {
-            let line = line.trim().trim_end_matches(',');
-            if !line.starts_with('"') {
-                continue; // the surrounding braces
-            }
-            if let Some((k, v)) = line.split_once(':') {
-                let k = k.trim().trim_matches('"');
-                if !k.is_empty() && k != section && k != "host" {
-                    sections.push((k.to_string(), v.trim().to_string()));
-                }
-            }
-        }
-    }
-    sections.insert(
-        0,
-        (
-            "host".to_string(),
-            format!(
-                "{{\"available_parallelism\": {}, \"single_core\": {}}}",
-                host_parallelism(),
-                single_core_runner()
-            ),
-        ),
-    );
-    sections.push((section.to_string(), value_json.to_string()));
-    let body = sections
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(",\n");
-    std::fs::write(&path, format!("{{\n{body}\n}}\n"))
-        .unwrap_or_else(|e| panic!("write {file_name}: {e}"));
-}
-
 /// Formats a float compactly for CSV.
 pub fn f(x: f64) -> String {
     format!("{x:.6}")
@@ -382,7 +298,6 @@ mod tests {
             filters: FilterKind::Monkey(5.0),
             variant: FilterVariant::Standard,
             cache_bytes: 0,
-            telemetry: false,
         }
     }
 

@@ -196,7 +196,7 @@ impl Table {
     }
 }
 
-/// Rows on which a criterion of DESIGN.md §7 does not hold today, each with
+/// Rows on which one of DESIGN.md §7's criteria does not hold today, each with
 /// the ROADMAP item that will fix it or the reason it stands. The test
 /// fails on a failing row that is not listed *and* on a listed row that
 /// holds: closing an item shows as a deletion here.

@@ -675,6 +675,7 @@ mod tests {
         assert_eq!(seq_rep.partitions, 1);
         assert!(par_rep.partitions > 1, "plan actually partitioned");
         let (seq_out, par_out) = (seq_out.unwrap(), par_out.unwrap());
+        assert_eq!(seq_out.entries(), 3 * 150, "no entry lost");
         assert_eq!(seq_out.entries(), par_out.entries());
         assert_eq!(seq_out.pages(), par_out.pages());
         assert_eq!(

@@ -151,8 +151,8 @@ impl DbOptions {
         self
     }
 
-    /// Sets the size ratio `T` (clamped to at least 2 — the paper's lower
-    /// bound, where leveling and tiering coincide).
+    /// Sets the size ratio `T`. Panics below 2, the paper's lower bound,
+    /// where leveling and tiering coincide.
     pub fn size_ratio(mut self, t: usize) -> Self {
         assert!(t >= 2, "size ratio must be at least 2, got {t}");
         self.size_ratio = t;

@@ -772,11 +772,11 @@ mod tests {
         // physical commits race — whoever grabs the file first becomes the
         // leader and writes everyone's records in one batch.
         let next_seq = std::sync::Mutex::new(0u64);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..n_threads {
                 let wal = std::sync::Arc::clone(&wal);
                 let next_seq = &next_seq;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     for _ in 0..per_thread {
                         let seq = {
                             let mut n = next_seq.lock().unwrap();
@@ -791,8 +791,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         let stats = wal.stats();
         assert_eq!(stats.batched_appends, n_threads * per_thread);
         assert!(

@@ -6,22 +6,19 @@ use monkey::{Db, DbOptions, DbOptionsExt, MergePolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn open(policy: MergePolicy) -> Arc<Db> {
-    Db::open(
-        DbOptions::in_memory()
-            .page_size(512)
-            .buffer_capacity(2048)
-            .size_ratio(3)
-            .merge_policy(policy)
-            .monkey_filters(8.0),
-    )
-    .unwrap()
+fn options(policy: MergePolicy) -> DbOptions {
+    DbOptions::in_memory()
+        .page_size(512)
+        .buffer_capacity(2048)
+        .size_ratio(3)
+        .merge_policy(policy)
+        .monkey_filters(8.0)
 }
 
 #[test]
 fn readers_never_see_torn_or_stale_forever() {
     for policy in [MergePolicy::Leveling, MergePolicy::Tiering] {
-        let db = open(policy);
+        let db = Db::open(options(policy)).unwrap();
         // Seed: every key holds a self-describing value.
         for i in 0..500u32 {
             db.put(
@@ -32,9 +29,9 @@ fn readers_never_see_torn_or_stale_forever() {
         }
         let stop = AtomicBool::new(false);
         let (db_ref, stop_ref) = (&db, &stop);
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             // Writer: rolls every key through generations.
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for gen in 1..=8u32 {
                     for i in 0..500u32 {
                         db_ref
@@ -50,7 +47,7 @@ fn readers_never_see_torn_or_stale_forever() {
             // Readers: any observed value must be a valid generation of
             // its own key (no mixing keys, no partial writes).
             for reader in 0..3u32 {
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut i = reader * 131;
                     while !stop_ref.load(Ordering::Acquire) {
                         i = (i + 37) % 500;
@@ -70,7 +67,7 @@ fn readers_never_see_torn_or_stale_forever() {
                 });
             }
             // Scanner: ordered, duplicate-free, always exactly 500 keys.
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 while !stop_ref.load(Ordering::Acquire) {
                     let keys: Vec<Vec<u8>> = db_ref
                         .range(b"", None)
@@ -81,8 +78,7 @@ fn readers_never_see_torn_or_stale_forever() {
                     assert!(keys.windows(2).all(|w| w[0] < w[1]), "ordered, no dups");
                 }
             });
-        })
-        .unwrap();
+        });
         // Terminal state: everything at the final generation.
         for i in 0..500u32 {
             let got = db.get(format!("k{i:04}").as_bytes()).unwrap().unwrap();
@@ -94,23 +90,28 @@ fn readers_never_see_torn_or_stale_forever() {
 #[test]
 fn concurrent_distinct_writers_via_external_mutex_pattern() {
     // The Db serializes writers internally; many threads writing disjoint
-    // key spaces must all land.
-    let db = open(MergePolicy::Leveling);
-    crossbeam::scope(|scope| {
-        for t in 0..4u32 {
-            let db = &db;
-            scope.spawn(move |_| {
-                for i in 0..400u32 {
-                    db.put(format!("t{t}-k{i:05}").into_bytes(), vec![b'v'; 24])
-                        .unwrap();
-                }
-            });
-        }
-    })
-    .unwrap();
-    assert_eq!(db.range(b"", None).unwrap().count(), 1600);
-    let stats = db.stats();
-    assert_eq!(stats.disk_entries + stats.buffer_entries, 1600);
+    // key spaces must all land, on one shard or four, flushing inline or
+    // on the background worker.
+    for (shards, background) in [(1, false), (1, true), (4, false), (4, true)] {
+        let opts = options(MergePolicy::Leveling).shards(shards);
+        let db = Db::open(opts.background_compaction(background)).unwrap();
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let db = &db;
+                scope.spawn(move || {
+                    for i in 0..400u32 {
+                        db.put(format!("t{t}-k{i:05}").into_bytes(), vec![b'v'; 24])
+                            .unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(db.range(b"", None).unwrap().count(), 1600);
+        let stats = db.stats();
+        assert!(background || stats.disk_entries + stats.buffer_entries == 1600);
+        db.flush().unwrap();
+        assert_eq!(db.stats().disk_entries, 1600, "{shards} shard(s)");
+    }
 }
 
 #[test]
