@@ -5,14 +5,13 @@
 //! lands on the **last** level (nothing deeper can hold a superseded
 //! version, so the tombstone has done its job). A flush is the same
 //! operation with the buffer as the youngest input — "the buffer is
-//! sort-merged into Level 1" (§2) — so the two merge policies below start
-//! from the frozen memtable itself, not from a run written out of it. The
-//! kernel is [`merge`]; this module decides what it merges and where the
-//! output lands.
+//! sort-merged into Level 1" (§2) — so a flush starts from the frozen
+//! memtable itself, not from a run written out of it. The kernel is
+//! [`merge`]; this module decides what it merges and where the output
+//! lands ([`plan`], with no I/O) and carries that out ([`install_flush`]).
 
 use crate::entry::{Entry, EntryView};
 use crate::error::Result;
-use crate::iter::Source;
 use crate::level::{level_capacity_bytes, Level, Version};
 use crate::memtable::Memtable;
 use crate::merge::{merge, merge_runs_with, merge_step, Destination, MergeReport};
@@ -48,22 +47,24 @@ impl CascadeOutcome {
 
 /// Builds the filter parameters for a run of `run_entries` entries landing
 /// at `level`: bits-per-entry from the filter policy, layout variant from
-/// the options. At every call site, `version` holds exactly the runs that
-/// will coexist with the new run (merge inputs have already been taken out
-/// of their levels). `extra_entries` counts memory-resident entries not in
-/// any run — zero during a flush cascade (the frozen memtable being built
-/// *is* the new run), the memtable sizes during a filter rebuild.
+/// the options. `version` holds exactly the runs that will coexist with the
+/// new run, apart from `leave_out` — the run a filter rebuild re-prices; in
+/// a flush, merge inputs have already been taken out of their levels.
+/// `extra_entries` counts memory-resident entries not in any run — zero
+/// during a flush (the frozen memtable being built *is* the new run), the
+/// memtable sizes during a filter rebuild.
 pub(crate) fn filter_params_for(
     opts: &DbOptions,
     version: &Version,
     level: usize,
     run_entries: u64,
     extra_entries: u64,
+    leave_out: Option<&Run>,
 ) -> FilterParams {
-    let other_run_entries: Vec<u64> = version
-        .levels()
-        .iter()
-        .flat_map(|l| l.runs().iter().map(|r| r.entries()))
+    let other_run_entries: Vec<u64> = (version.levels().iter())
+        .flat_map(|l| l.runs().iter())
+        .filter(|run| leave_out.is_none_or(|out| run.id() != out.id()))
+        .map(|run| run.entries())
         .collect();
     let ctx = FilterContext {
         level,
@@ -77,11 +78,138 @@ pub(crate) fn filter_params_for(
     FilterParams::new(opts.filter_policy.bits_per_entry(&ctx), opts.filter_variant)
 }
 
-/// Flushes the frozen memtable `buffer` into `version` and cascades it
-/// through the options' merge policy. Mutates `version` in place — callers
+/// What arrives for [`plan`] to place.
+#[derive(Clone, Copy)]
+pub(crate) enum Arriving<'a> {
+    /// The frozen buffer being flushed.
+    Buffer(&'a Arc<Memtable>),
+    /// The run that just landed at this (1-based) level.
+    Landed(usize),
+}
+
+/// A flush's next step, as [`plan`] decides it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Sort-merge into one run.
+    Merge(MergePlan),
+    /// The run at this level moves to the next one, which is empty, without
+    /// being rewritten.
+    MoveDown(usize),
+    /// The flush is installed.
+    Done,
+}
+
+/// One merge of a flush, by level: which runs join it, where the output
+/// lands and how it is built ([`Destination`]'s fields).
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct MergePlan {
+    /// The runs of every level from this one down to `dest`, exclusive,
+    /// join the merge, shallowest first (none when it is `dest`). What
+    /// arrives is the youngest input.
+    pub from: usize,
+    /// The level the output lands on.
+    pub dest: usize,
+    /// Whether the runs already at `dest` join too.
+    pub resident_joins: bool,
+    /// Nothing deeper than the merged levels holds data.
+    pub drop_tombstones: bool,
+    /// How many leading runs the stepwise cascade would have merged with
+    /// the buffer on the levels above and carried down here.
+    pub fused: usize,
+    /// The level whose single run the output counts its novel keys against.
+    pub below: Option<usize>,
+}
+
+/// Decides what a flush does with what arrives, under the options' merge
+/// policy (§2). Every rule of the cascade is here, and only here: it reads
+/// the tree's shape, its runs' sizes and filters, and the buffer's keys,
+/// and never changes the tree or reads a page.
+///
+/// * Leveling: what arrives merges with the resident run of its level.
+///   The buffer arrives at level 1 together with the runs of the levels it
+///   is certain to spill through ([`certain_spills`]), so the first merge
+///   lands below them. A run that lands on a level over its capacity moves
+///   on to the next level — merged with the run there, or moved down
+///   whole onto an empty one.
+/// * Tiering: a level holding `T − 1` runs merges with what arrives, so
+///   the buffer merges with every such level from level 1 down, straight
+///   into the first level below them with room; that one step is the
+///   whole cascade.
+///
+/// The fused merges lay down what the stepwise cascade would: `fused`
+/// counts the runs it would have merged with the buffer and carried to
+/// `dest`, and `below` is the run directly under `dest`, above the deepest
+/// level, whose lacking keys a later flush's [`certain_spills`] reads.
+pub(crate) fn plan(opts: &DbOptions, version: &Version, arriving: Arriving) -> Step {
+    let levels = version.levels();
+    let runs_in = |above: &[Level]| above.iter().map(Level::run_count).sum();
+    let leveled = |from, dest: usize, fused| {
+        let below = match levels.get(dest).map(Level::runs) {
+            Some([_]) if version.deepest() > dest + 1 => Some(dest + 1),
+            _ => None,
+        };
+        Step::Merge(MergePlan {
+            from,
+            dest,
+            resident_joins: true,
+            drop_tombstones: version.deepest() <= dest,
+            fused,
+            below,
+        })
+    };
+    match (opts.merge_policy, arriving) {
+        (MergePolicy::Leveling, Arriving::Buffer(buffer)) => {
+            let spills = certain_spills(opts, version, buffer);
+            leveled(1, spills + 1, runs_in(&levels[..spills]))
+        }
+        (MergePolicy::Leveling, Arriving::Landed(level)) => {
+            let landed = &levels[level - 1];
+            let capacity = level_capacity_bytes(opts.buffer_capacity, opts.size_ratio, level);
+            if landed.bytes() <= capacity {
+                Step::Done
+            } else if landed.run_count() == 1 && levels.get(level).is_none_or(Level::is_empty) {
+                Step::MoveDown(level)
+            } else {
+                leveled(level, level + 1, 0)
+            }
+        }
+        (MergePolicy::Tiering, Arriving::Buffer(buffer)) => {
+            let t = opts.size_ratio;
+            let filled = match buffer.is_empty() {
+                true => 0,
+                false => (levels.iter())
+                    .take_while(|level| level.run_count() + 1 >= t)
+                    .count(),
+            };
+            Step::Merge(MergePlan {
+                from: 1,
+                dest: filled + 1,
+                resident_joins: false,
+                // With no level merged, only into an empty tree.
+                drop_tombstones: version.deepest() <= filled,
+                fused: runs_in(&levels[..filled.saturating_sub(1)]),
+                below: None,
+            })
+        }
+        (MergePolicy::Tiering, Arriving::Landed(level)) => {
+            let room = levels[level - 1].run_count() < opts.size_ratio;
+            debug_assert!(room, "the buffer's merge lands at a level with room");
+            Step::Done
+        }
+    }
+}
+
+/// Flushes the frozen memtable `buffer` into `version`: asks [`plan`] for
+/// a step, takes its runs out of `version`, merges them and lands the
+/// output, until the plan says done. Mutates `version` in place — callers
 /// hand in a private, not-yet-published clone, so a failure part-way leaves
-/// the *published* tree untouched, and no run the failed cascade built
-/// stays on storage.
+/// the *published* tree untouched, and no run the failed flush built stays
+/// on storage.
+///
+/// Each merge's filter is the one the policy gives at its level to the run
+/// the stepwise cascade would have built there, priced with the inputs
+/// already taken out. A merge is counted and timed as one when runs are
+/// rewritten; the buffer written out alone is the flush, not a merge.
 ///
 /// Returns `false` when nothing of the buffer survived its own flush
 /// (tombstones only, over an empty tree): no run, no cascade.
@@ -93,38 +221,87 @@ pub(crate) fn install_flush(
     outcome: &mut CascadeOutcome,
     telemetry: Option<&Telemetry>,
 ) -> Result<bool> {
-    let mut cascade = Cascade {
-        disk,
-        opts,
-        telemetry,
-        outcome,
-        unconsumed: None,
-    };
-    let installed = match opts.merge_policy {
-        MergePolicy::Leveling => cascade.leveling(version, buffer),
-        MergePolicy::Tiering => cascade.tiering(version, buffer),
-    };
-    if installed.is_err() {
-        // A run is deleted when it drops obsolete, and only merging it away
-        // marks it: what this cascade built and did not get to merge would
-        // stay on storage with no version naming it.
-        if let Some(run) = &cascade.unconsumed {
+    let mut arriving = Arriving::Buffer(buffer);
+    // The run this flush built that no later step has merged away. Each
+    // step's inputs include its predecessor's output, so there is one at
+    // most.
+    let mut unconsumed: Option<Arc<Run>> = None;
+    loop {
+        let step = match plan(opts, version, arriving) {
+            Step::Done => return Ok(true),
+            Step::MoveDown(level) => {
+                version.ensure_levels(level + 1);
+                let run = version.levels_mut()[level - 1].take_all().pop();
+                let run = run.expect("the run that moves down");
+                version.levels_mut()[level].push_youngest(run);
+                arriving = Arriving::Landed(level + 1);
+                continue;
+            }
+            Step::Merge(step) => step,
+        };
+        version.ensure_levels(step.dest);
+        let last = if step.resident_joins {
+            step.dest
+        } else {
+            step.dest - 1
+        };
+        let inputs: Vec<Arc<Run>> = (version.levels_mut()[step.from - 1..last].iter_mut())
+            .flat_map(Level::take_all)
+            .collect();
+        let (head, head_entries) = match arriving {
+            Arriving::Buffer(buffer) => (Some(buffer.cursor(None, None).into()), buffer.len()),
+            Arriving::Landed(_) => (None, 0),
+        };
+        let input_entries = head_entries as u64 + inputs.iter().map(|r| r.entries()).sum::<u64>();
+        // Fused, the stepwise cascade would have merged the head with the
+        // first `fused` inputs on the levels above and carried that run —
+        // their keys, deduplicated — down to merge with the rest here.
+        let stepwise_entries = |young_keys: u64| match step.fused {
+            0 => input_entries,
+            fused => young_keys + inputs[fused..].iter().map(|r| r.entries()).sum::<u64>(),
+        };
+        let params = |young_keys| {
+            let entries = stepwise_entries(young_keys);
+            filter_params_for(opts, version, step.dest, entries, 0, None)
+        };
+        let below = step
+            .below
+            .map(|level| &*version.levels()[level - 1].runs()[0]);
+        let dest = Destination {
+            level: step.dest,
+            drop_tombstones: step.drop_tombstones,
+            fused: step.fused,
+            below,
+        };
+        let rewrites = !inputs.is_empty();
+        let timed = telemetry.filter(|_| rewrites);
+        let started = timed.map(|_| Instant::now());
+        let threads = opts.compaction_threads;
+        let merged = merge_step(disk, head, &inputs, dest, threads, params);
+        if let (Err(_), Some(run)) = (&merged, &unconsumed) {
+            // A run is deleted when it drops obsolete, and only merging it
+            // away marks it: what this flush built and did not get to merge
+            // would stay on storage with no version naming it.
             run.mark_obsolete();
         }
+        let (output, report) = merged?;
+        if let (Some(t), Some(started)) = (timed, started) {
+            t.record_nanos(OpKind::Merge, started.elapsed().as_nanos() as u64);
+        }
+        if rewrites {
+            outcome.merges += 1;
+            outcome.entries_rewritten += input_entries;
+            outcome.absorb(report);
+        }
+        let Some(run) = output else {
+            // The merge annihilated everything: alone, the buffer's flush
+            // kept nothing; merged with runs, it was still installed.
+            return Ok(rewrites);
+        };
+        unconsumed = Some(Arc::clone(&run));
+        version.levels_mut()[step.dest - 1].push_youngest(run);
+        arriving = Arriving::Landed(step.dest);
     }
-    installed
-}
-
-/// Takes the runs of levels `1..=through` out of `version`, shallowest
-/// first and youngest first within a level. Also returns how many came
-/// from the levels above `through`.
-fn take_levels(version: &mut Version, through: usize) -> (Vec<Arc<Run>>, usize) {
-    let (mut runs, mut above) = (Vec::new(), 0);
-    for level in &mut version.levels_mut()[..through] {
-        above = runs.len();
-        runs.extend(level.take_all());
-    }
-    (runs, above)
 }
 
 /// How many levels, from level 1 down, the leveling cascade is *certain*
@@ -193,165 +370,6 @@ fn hash_keys(buffer: &Arc<Memtable>) -> (Vec<HashPair>, u64) {
     (hashes, min_bytes)
 }
 
-/// One flush's trip through a merge policy.
-struct Cascade<'a> {
-    disk: &'a Arc<Disk>,
-    opts: &'a DbOptions,
-    telemetry: Option<&'a Telemetry>,
-    outcome: &'a mut CascadeOutcome,
-    /// The run this cascade built that no later step has merged away. Each
-    /// step's inputs include its predecessor's output, so there is one at
-    /// most.
-    unconsumed: Option<Arc<Run>>,
-}
-
-impl Cascade<'_> {
-    /// One step: sort-merges `head` — the buffer of `head_entries`
-    /// entries, where it is what arrives — and `inputs` into a run landing
-    /// at `dest`, with the filter the policy gives there to the run the
-    /// stepwise cascade would have built. `version` holds exactly the runs
-    /// that will coexist with the output (merge inputs have already been
-    /// taken out of their levels).
-    ///
-    /// Counted and timed as a merge when runs are rewritten; the buffer
-    /// written out alone is the flush, not a merge.
-    fn step(
-        &mut self,
-        version: &Version,
-        head: Option<Source>,
-        head_entries: u64,
-        inputs: &[Arc<Run>],
-        dest: Destination<'_>,
-    ) -> Result<Option<Arc<Run>>> {
-        let input_entries = head_entries + inputs.iter().map(|r| r.entries()).sum::<u64>();
-        let (opts, level, fused) = (self.opts, dest.level, dest.fused);
-        // Fused, the stepwise cascade would have merged the head with the
-        // first `fused` inputs on the levels above and carried that run —
-        // their keys, deduplicated — down to merge with the rest here.
-        let stepwise_entries = move |young_keys: u64| match fused {
-            0 => input_entries,
-            _ => young_keys + inputs[fused..].iter().map(|r| r.entries()).sum::<u64>(),
-        };
-        let params =
-            |young_keys| filter_params_for(opts, version, level, stepwise_entries(young_keys), 0);
-        let rewrites = !inputs.is_empty();
-        let telemetry = self.telemetry.filter(|_| rewrites);
-        let started = telemetry.map(|_| Instant::now());
-        let threads = self.opts.compaction_threads;
-        let (output, report) = merge_step(self.disk, head, inputs, dest, threads, params)?;
-        if let (Some(t), Some(started)) = (telemetry, started) {
-            t.record_nanos(OpKind::Merge, started.elapsed().as_nanos() as u64);
-        }
-        if rewrites {
-            self.outcome.merges += 1;
-            self.outcome.entries_rewritten += input_entries;
-            self.outcome.absorb(report);
-        }
-        self.unconsumed = output.clone();
-        Ok(output)
-    }
-
-    /// Leveling (§2): the buffer sort-merges with the resident run of
-    /// level 1; whenever a level exceeds its capacity, its (single) run
-    /// moves down and merges with the next level's resident run.
-    ///
-    /// The levels the cascade is certain to spill through
-    /// ([`certain_spills`]) are not merged one at a time: their runs go
-    /// with the buffer into one merge at the level below them, and the
-    /// cascade goes on from there. Each run lands where, and as, the
-    /// stepwise cascade would lay it down; the runs it would have written
-    /// only to read back are never built.
-    fn leveling(&mut self, version: &mut Version, buffer: &Arc<Memtable>) -> Result<bool> {
-        let entries = buffer.len() as u64;
-        let spills = certain_spills(self.opts, version, buffer);
-        // What arrives at a level: the buffer (with the runs of the levels
-        // it certainly spills through) at the first, below it the run a
-        // full level sends down (`inputs[0]`, ahead of the resident run).
-        let (mut inputs, _) = take_levels(version, spills);
-        let mut head = Some(buffer.cursor(None, None).into());
-        let mut lvl = spills + 1;
-        loop {
-            version.ensure_levels(lvl);
-            let deepest = version.deepest().max(lvl);
-            let fused = if head.is_some() { inputs.len() } else { 0 };
-            inputs.extend(version.levels_mut()[lvl - 1].take_all());
-            let run = if head.is_none() && inputs.len() == 1 {
-                inputs.pop().expect("the run that moved down") // the level was empty
-            } else {
-                let flushed_alone = inputs.is_empty();
-                let head_entries = if head.is_some() { entries } else { 0 };
-                // A later flush's plan reads how many of this run's keys
-                // the run below lacks — useful only above the deepest level.
-                let below = match version.levels().get(lvl).map(Level::runs) {
-                    Some([below]) if version.deepest() > lvl + 1 => Some(&**below),
-                    _ => None,
-                };
-                let dest = Destination {
-                    level: lvl,
-                    drop_tombstones: lvl >= deepest,
-                    fused,
-                    below,
-                };
-                match self.step(version, head.take(), head_entries, &inputs, dest)? {
-                    Some(run) => run,
-                    None => return Ok(!flushed_alone), // the merge annihilated everything
-                }
-            };
-            version.levels_mut()[lvl - 1].push_youngest(run);
-            let capacity =
-                level_capacity_bytes(self.opts.buffer_capacity, self.opts.size_ratio, lvl);
-            if version.levels()[lvl - 1].bytes() <= capacity {
-                return Ok(true);
-            }
-            // Over capacity: the run moves to the next level.
-            inputs = version.levels_mut()[lvl - 1].take_all();
-            debug_assert_eq!(inputs.len(), 1);
-            lvl += 1;
-        }
-    }
-
-    /// Tiering (§2): the buffer becomes the youngest run of level 1; runs
-    /// accumulate at a level, and the arrival of the `T`-th merges them all
-    /// into a single run at the next level.
-    ///
-    /// The trigger is a run count, so the levels a flush fills are known
-    /// before it merges: from level 1 down, each level holding `T − 1`
-    /// runs (or more) merges with what arrives. The buffer and all their
-    /// runs go into one merge at the first level below them with room, so
-    /// that one step is the whole cascade and lays down the run the
-    /// stepwise cascade would.
-    fn tiering(&mut self, version: &mut Version, buffer: &Arc<Memtable>) -> Result<bool> {
-        let t = self.opts.size_ratio;
-        let entries = buffer.len() as u64;
-        let filled = match entries {
-            0 => 0,
-            _ => (version.levels().iter())
-                .take_while(|level| level.run_count() + 1 >= t)
-                .count(),
-        };
-        let (inputs, above) = take_levels(version, filled);
-        let lvl = filled + 1;
-        version.ensure_levels(lvl);
-        // Tombstones can be dropped when nothing deeper than the merged
-        // levels holds data — with none merged, when the disk is empty.
-        let dest = Destination {
-            level: lvl,
-            drop_tombstones: version.deepest() <= filled,
-            fused: above,
-            below: None,
-        };
-        let head = Some(buffer.cursor(None, None).into());
-        let Some(run) = self.step(version, head, entries, &inputs, dest)? else {
-            // Merged with runs, the buffer's flush alone had kept it.
-            return Ok(filled > 0);
-        };
-        let level = &mut version.levels_mut()[lvl - 1];
-        level.push_youngest(run);
-        debug_assert!(level.run_count() < t, "the plan stops at a level with room");
-        Ok(true)
-    }
-}
-
 /// Sort-merges `inputs` into a single new run landing at `level`, on the
 /// calling thread. This is [`merge_runs_with`] at one thread — see the
 /// `merge` module for the parallel partitioned engine and its guarantees.
@@ -417,22 +435,40 @@ mod tests {
         Arc::new(builder.finish_over(10.0, Some(below)).unwrap().unwrap())
     }
 
+    /// A tree whose level `i + 1` holds `levels[i]`, youngest first.
+    fn tree(levels: Vec<Vec<Arc<Run>>>) -> Version {
+        let levels = levels.into_iter().map(|runs| {
+            let mut level = Level::new();
+            runs.into_iter()
+                .rev()
+                .for_each(|run| level.push_youngest(run));
+            level
+        });
+        Version::from_levels(levels.collect())
+    }
+
+    fn memtable_of(entries: &[Entry]) -> Arc<Memtable> {
+        let memtable = Arc::new(Memtable::new());
+        entries.iter().for_each(|e| _ = memtable.insert(e.clone()));
+        memtable
+    }
+
     /// How many levels the plan proves `buffer` spills through, with
     /// `runs` on levels 1, 2, … Levels 1 and 2 hold 64 and 128 of level
-    /// 1's entries.
-    fn plan_over(runs: Vec<Arc<Run>>, buffer: &[Entry]) -> usize {
+    /// 1's entries. Planning reads no page.
+    fn plan_over(disk: &Disk, runs: Vec<Arc<Run>>, buffer: &[Entry]) -> usize {
         let bytes = runs[0].min_entry_bytes() as usize;
         let opts = DbOptions::in_memory()
             .buffer_capacity(32 * bytes)
             .size_ratio(2);
-        let memtable = Arc::new(Memtable::new());
-        buffer.iter().for_each(|e| _ = memtable.insert(e.clone()));
-        let levels = runs.into_iter().map(|run| {
-            let mut level = Level::new();
-            level.push_youngest(run);
-            level
-        });
-        certain_spills(&opts, &Version::from_levels(levels.collect()), &memtable)
+        let version = tree(runs.into_iter().map(|run| vec![run]).collect());
+        let io = disk.io();
+        let step = plan(&opts, &version, Arriving::Buffer(&memtable_of(buffer)));
+        assert_eq!(disk.io(), io, "a plan reads and writes nothing");
+        match step {
+            Step::Merge(MergePlan { from: 1, dest, .. }) => dest - 1,
+            other => panic!("the buffer arrives at level 1: {other:?}"),
+        }
     }
 
     /// Level 2's spill is provable only with level 1's count of the keys
@@ -448,9 +484,9 @@ mod tests {
         let level_3 = run_of(&disk, plan_keys('t', 0..10));
         // Level 1: 50 + 20 entries, over 64. Level 2: 70 + 20 + 50, over
         // 128; without level 1's count, 90 is not.
-        let tree = |level_2| vec![level_1.clone(), level_2, level_3.clone()];
-        assert_eq!(plan_over(tree(resident_2), &buffer), 2);
-        assert_eq!(plan_over(tree(level_2()), &buffer), 1);
+        let runs = |level_2| vec![level_1.clone(), level_2, level_3.clone()];
+        assert_eq!(plan_over(&disk, runs(resident_2), &buffer), 2);
+        assert_eq!(plan_over(&disk, runs(level_2()), &buffer), 1);
     }
 
     /// A buffer key level 1 already holds arrives at level 2 once: level
@@ -470,7 +506,10 @@ mod tests {
         let level_3 = run_of(&disk, plan_keys('t', 0..10));
         // Level 1: 60 + 10 new entries, over 64. Level 2: 55 + 70, not
         // over 128.
-        assert_eq!(plan_over(vec![level_1, resident_2, level_3], &buffer), 1);
+        assert_eq!(
+            plan_over(&disk, vec![level_1, resident_2, level_3], &buffer),
+            1
+        );
     }
 
     /// The deepest level is never proved to spill: its merge drops
@@ -489,7 +528,110 @@ mod tests {
         };
         let buffer: Vec<Entry> = (0..40).map(|i| Entry::tombstone(key('x', i), 1)).collect();
         let levels = vec![run('r', 30), run('s', 95)];
-        assert_eq!(plan_over(levels, &buffer), 1);
+        assert_eq!(plan_over(&disk, levels, &buffer), 1);
+    }
+
+    /// Under leveling a run that lands within its level's capacity ends the
+    /// flush. Over it, the run moves down whole onto an empty level, or
+    /// merges with the resident run of an occupied one — dropping
+    /// tombstones at the deepest level, and counting its keys against the
+    /// run below while that run is above the deepest.
+    #[test]
+    fn leveling_plan_spills_a_landed_run_over_capacity() {
+        let disk = Disk::mem(128);
+        let run = |n| vec![run_of(&disk, plan_keys('k', 0..n))];
+        let bytes = run(1)[0].min_entry_bytes() as usize;
+        // Levels 1 and 2 hold 8 and 16 entries.
+        let opts = DbOptions::in_memory()
+            .buffer_capacity(4 * bytes)
+            .size_ratio(2);
+        let landed = |levels| plan(&opts, &tree(levels), Arriving::Landed(1));
+        let merge = |drop_tombstones, below| {
+            Step::Merge(MergePlan {
+                from: 1,
+                dest: 2,
+                resident_joins: true,
+                drop_tombstones,
+                fused: 0,
+                below,
+            })
+        };
+        assert_eq!(landed(vec![run(8)]), Step::Done);
+        assert_eq!(landed(vec![run(9)]), Step::MoveDown(1));
+        assert_eq!(landed(vec![run(9), vec![]]), Step::MoveDown(1));
+        assert_eq!(landed(vec![run(9), run(3)]), merge(true, None));
+        assert_eq!(landed(vec![run(9), run(3), run(5)]), merge(false, None));
+        let deeper = vec![run(9), run(3), run(5), run(5)];
+        assert_eq!(landed(deeper), merge(false, Some(3)));
+    }
+
+    /// `T = 3` tiering, with `counts[i]` one-entry runs on level `i + 1`.
+    fn tiering_plan(disk: &Arc<Disk>, counts: &[usize], buffer: &Arc<Memtable>) -> Step {
+        let opts = DbOptions::in_memory()
+            .merge_policy(MergePolicy::Tiering)
+            .size_ratio(3);
+        let runs = |n| (0..n).map(|_| run_of(disk, plan_keys('k', 0..1))).collect();
+        let version = tree(counts.iter().map(|&n| runs(n)).collect());
+        let io = disk.io();
+        let step = plan(&opts, &version, Arriving::Buffer(buffer));
+        assert_eq!(disk.io(), io, "a plan reads and writes nothing");
+        step
+    }
+
+    /// Tiering's merge of the buffer into level `dest`, its levels above
+    /// joining.
+    fn tiered(dest: usize, drop_tombstones: bool, fused: usize) -> Step {
+        Step::Merge(MergePlan {
+            from: 1,
+            dest,
+            resident_joins: false,
+            drop_tombstones,
+            fused,
+            below: None,
+        })
+    }
+
+    /// Under tiering every level from level 1 down that holds `T − 1` runs
+    /// joins the buffer's merge, which lands on the first level with room,
+    /// whatever lies below it; `fused` counts the runs above the last
+    /// level merged. The run that lands ends the flush.
+    #[test]
+    fn tiering_plan_merges_full_levels_into_the_first_with_room() {
+        let disk = Disk::mem(128);
+        let buffer = memtable_of(&plan_keys('b', 0..5));
+        let planned = |counts: &[usize]| tiering_plan(&disk, counts, &buffer);
+        assert_eq!(planned(&[1, 2]), tiered(1, false, 0));
+        assert_eq!(planned(&[2, 1]), tiered(2, false, 0));
+        assert_eq!(planned(&[2, 2, 1, 2]), tiered(3, false, 2));
+        assert_eq!(planned(&[2, 2, 2]), tiered(4, true, 4));
+        let opts = DbOptions::in_memory().merge_policy(MergePolicy::Tiering);
+        let version = tree(vec![vec![run_of(&disk, plan_keys('k', 0..1))]]);
+        assert_eq!(plan(&opts, &version, Arriving::Landed(1)), Step::Done);
+    }
+
+    /// Tiering's merge drops tombstones exactly when nothing below the
+    /// merged levels holds data: not over the runs the destination keeps,
+    /// nor over a deeper level.
+    #[test]
+    fn tiering_plan_drops_tombstones_only_over_an_empty_rest() {
+        let disk = Disk::mem(128);
+        let buffer = memtable_of(&plan_keys('b', 0..5));
+        let planned = |counts: &[usize]| tiering_plan(&disk, counts, &buffer);
+        assert_eq!(planned(&[]), tiered(1, true, 0));
+        assert_eq!(planned(&[0, 0]), tiered(1, true, 0));
+        assert_eq!(planned(&[1]), tiered(1, false, 0));
+        assert_eq!(planned(&[2]), tiered(2, true, 0));
+        assert_eq!(planned(&[2, 1]), tiered(2, false, 0));
+        assert_eq!(planned(&[2, 0, 1]), tiered(2, false, 0));
+        assert_eq!(planned(&[2, 2]), tiered(3, true, 2));
+    }
+
+    /// An empty buffer merges no run under tiering, however full level 1.
+    #[test]
+    fn tiering_plan_merges_no_run_for_an_empty_buffer() {
+        let disk = Disk::mem(128);
+        let empty = Arc::new(Memtable::new());
+        assert_eq!(tiering_plan(&disk, &[2, 2], &empty), tiered(1, false, 0));
     }
 
     #[test]

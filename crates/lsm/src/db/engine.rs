@@ -21,7 +21,7 @@
 //! with a pointer swap, so `get`/`range` never block on compaction in
 //! either mode.
 
-use crate::compaction::{install_flush, CascadeOutcome};
+use crate::compaction::{filter_params_for, install_flush, CascadeOutcome};
 use crate::entry::{Entry, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
 use crate::iter::{MergingIter, RangeIter, Source};
@@ -30,7 +30,6 @@ use crate::manifest::{Manifest, ManifestState, RunRecord};
 use crate::memtable::Memtable;
 use crate::options::{DbOptions, StorageConfig};
 use crate::page::max_entry_len;
-use crate::policy::FilterContext;
 use crate::run::{recover_run, FilterParams};
 use crate::wal::Wal;
 use bytes::Bytes;
@@ -831,52 +830,26 @@ impl Core {
     /// experiments reset counters afterwards.
     pub(super) fn rebuild_filters(&self) -> Result<()> {
         let _cascade = self.compaction_lock.lock();
-        let (base, extra_entries) = {
+        let (base, extra) = {
             let shared = self.shared.read();
             let extra = shared.memtable.len() as u64
                 + shared.immutables.iter().map(|i| i.entries).sum::<u64>();
             (Arc::clone(&shared.version), extra)
         };
         let mut working = (*base).clone();
-        let num_levels = working.deepest();
-        // Snapshot of every run's position and size.
-        let all: Vec<(usize, usize, u64)> = working
-            .levels()
-            .iter()
-            .enumerate()
-            .flat_map(|(li, level)| {
-                level
-                    .runs()
-                    .iter()
-                    .enumerate()
-                    .map(move |(ri, run)| (li, ri, run.entries()))
-            })
-            .collect();
-        let total: u64 = all.iter().map(|x| x.2).sum::<u64>() + extra_entries;
-        for &(li, ri, entries) in &all {
-            let others: Vec<u64> = all
-                .iter()
-                .filter(|&&(lj, rj, _)| (lj, rj) != (li, ri))
-                .map(|x| x.2)
-                .collect();
-            let ctx = FilterContext {
-                level: li + 1,
-                num_levels,
-                run_entries: entries,
-                total_entries: total,
-                other_run_entries: others,
-                size_ratio: self.opts.size_ratio,
-                merge_policy: self.opts.merge_policy,
-            };
-            let bits = self.opts.filter_policy.bits_per_entry(&ctx);
-            let current = Arc::clone(&working.levels()[li].runs()[ri]);
-            let allocation_drifted = (bits - current.filter_bits_per_entry()).abs() > 1e-9;
-            let variant_changed = current.filter_variant() != self.opts.filter_variant;
-            if allocation_drifted || variant_changed {
-                let params = FilterParams::new(bits, self.opts.filter_variant);
-                let rebuilt = recover_run(&self.disk, current.id(), params)?;
-                let rebuilt = Arc::new(rebuilt.keeping_novel_count_of(&current));
-                working.levels_mut()[li].replace_run(ri, rebuilt);
+        for li in 0..working.depth() {
+            for ri in 0..working.levels()[li].run_count() {
+                let current = Arc::clone(&working.levels()[li].runs()[ri]);
+                let entries = current.entries();
+                let params =
+                    filter_params_for(&self.opts, &working, li + 1, entries, extra, Some(&current));
+                let allocation_drifted =
+                    (params.bits_per_entry - current.filter_bits_per_entry()).abs() > 1e-9;
+                if allocation_drifted || current.filter_variant() != params.variant {
+                    let rebuilt = recover_run(&self.disk, current.id(), params)?;
+                    let rebuilt = Arc::new(rebuilt.keeping_novel_count_of(&current));
+                    working.levels_mut()[li].replace_run(ri, rebuilt);
+                }
             }
         }
         let new_version = Arc::new(working);

@@ -272,57 +272,45 @@ fn telemetry_labels_io_rows_with_active_backend() {
     std::fs::remove_dir_all(&d).unwrap();
 }
 
-/// Device-true latencies: with the page cache out of the way, re-reading
-/// the same pages cannot get page-cache-fast, so the direct backend's
-/// re-reads stay at device speed while the buffered backend's come out of
-/// the page cache. Each side is timed as the mean of its re-read lookups.
-/// Latency physics vary by host, so the comparison degrades to a logged
-/// skip rather than a flaky failure; the structural assertions above stay
-/// hard.
+/// Re-reads through both backends return the 40-byte value each key was
+/// written with, every time — the direct store's too, whether it runs
+/// direct or fell back to buffered I/O (tmpfs). The re-reads are timed,
+/// and the means printed: direct re-reads go to the device while buffered
+/// ones come out of the page cache, but which is faster depends on the
+/// host, so the timing asserts nothing.
 #[test]
-fn direct_reads_stay_at_device_speed() {
-    let d_buf = temp_dir("mode-buf");
-    let d_dir = temp_dir("mode-dir");
+fn timed_re_reads_return_the_value_written_on_both_backends() {
     let mut means = Vec::new();
-    for (dir, backend) in [(&d_buf, IoBackend::Buffered), (&d_dir, IoBackend::Direct)] {
-        let db = Db::open(options(dir, backend)).unwrap();
+    for backend in [IoBackend::Buffered, IoBackend::Direct] {
+        let dir = temp_dir(&format!("re-read-{backend:?}"));
+        let db = Db::open(options(&dir, backend)).unwrap();
         for i in 0..3000 {
             db.put(format!("key{i:05}").into_bytes(), vec![b'v'; 40])
                 .unwrap();
         }
         db.flush().unwrap();
-        if backend == IoBackend::Direct && db.io_backend_info().fallback.is_some() {
-            eprintln!("skip: direct unavailable, latency comparison meaningless");
-            drop(db);
-            std::fs::remove_dir_all(&d_buf).unwrap();
-            std::fs::remove_dir_all(&d_dir).unwrap();
-            return;
-        }
-        // Re-read the same keys repeatedly: buffered re-reads come out of
-        // the OS page cache, direct re-reads go to the device every time.
         let keys: Vec<String> = (0..3000).step_by(5).map(|i| format!("key{i:05}")).collect();
         let started = std::time::Instant::now();
         for _ in 0..4 {
             for key in &keys {
-                let _ = db.get(key.as_bytes()).unwrap();
+                let value = db.get(key.as_bytes()).unwrap();
+                assert_eq!(
+                    value.as_deref(),
+                    Some(&[b'v'; 40][..]),
+                    "{backend:?}: {key}"
+                );
             }
         }
-        means.push(started.elapsed().as_secs_f64() * 1e6 / (4 * keys.len()) as f64);
+        let mean = started.elapsed().as_secs_f64() * 1e6 / (4 * keys.len()) as f64;
+        let fallback = match db.io_backend_info().fallback {
+            Some(_) => " (fell back to buffered)",
+            None => "",
+        };
+        means.push(format!("{backend:?}{fallback} {mean:.1}us"));
         drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let (buffered, direct) = (means[0], means[1]);
-    if direct < buffered {
-        // Anything from a saturated host to an exotic storage stack can
-        // invert one run's means; the invariant worth failing on is the
-        // ledger/image parity above, not one box's latency physics.
-        eprintln!(
-            "skip: direct mean {direct:.1}us not above buffered {buffered:.1}us on this host"
-        );
-    } else {
-        eprintln!("direct re-reads {direct:.1}us vs buffered {buffered:.1}us");
-    }
-    std::fs::remove_dir_all(&d_buf).unwrap();
-    std::fs::remove_dir_all(&d_dir).unwrap();
+    eprintln!("mean re-read: {}", means.join(", "));
 }
 
 /// WAL group commit under 8 concurrent writers, at one shard and at four:
