@@ -36,6 +36,9 @@ pub(crate) struct CascadeOutcome {
     pub max_partitions: u32,
     /// Most worker threads any single merge used (0 when no merge ran).
     pub max_threads: u32,
+    /// The runs the flush merged away. Their caller marks them obsolete
+    /// once no durable manifest names them.
+    pub retired: Vec<Arc<Run>>,
 }
 
 impl CascadeOutcome {
@@ -204,7 +207,8 @@ pub(crate) fn plan(opts: &DbOptions, version: &Version, arriving: Arriving) -> S
 /// output, until the plan says done. Mutates `version` in place — callers
 /// hand in a private, not-yet-published clone, so a failure part-way leaves
 /// the *published* tree untouched, and no run the failed flush built stays
-/// on storage.
+/// on storage. The runs merged away are left to the caller, in
+/// `outcome.retired`.
 ///
 /// Each merge's filter is the one the policy gives at its level to the run
 /// the stepwise cascade would have built there, priced with the inputs
@@ -285,6 +289,15 @@ pub(crate) fn install_flush(
             run.mark_obsolete();
         }
         let (output, report) = merged?;
+        // No manifest names the run this flush built, so it goes once
+        // merged away; the tree's own runs wait for the manifest that no
+        // longer names them.
+        for input in inputs {
+            match &unconsumed {
+                Some(run) if Arc::ptr_eq(run, &input) => input.mark_obsolete(),
+                _ => outcome.retired.push(input),
+            }
+        }
         if let (Some(t), Some(started)) = (timed, started) {
             t.record_nanos(OpKind::Merge, started.elapsed().as_nanos() as u64);
         }

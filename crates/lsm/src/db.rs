@@ -18,9 +18,8 @@ use crate::stats::{CompactionStats, DbStats, LookupStats, PipelineGauges, Pipeli
 use bytes::Bytes;
 use engine::{Core, Shard};
 use monkey_obs::{OpKind, Telemetry, TelemetryReport};
-use monkey_storage::{BackendInfo, Disk, IoSnapshot};
+use monkey_storage::{BackendInfo, Disk, Fs, IoSnapshot, OsFs};
 use report::merged;
-use std::io::Write;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -67,8 +66,15 @@ impl Db {
     /// fixed at creation (recorded in a `SHARDS` meta file) and reopening
     /// honors what is on disk, whatever the new options request.
     pub fn open(opts: DbOptions) -> Result<Arc<Self>> {
-        let n = Self::resolve_shards(&opts)?;
-        Self::assemble(opts, n, None)
+        Self::open_with_fs(opts, Arc::new(OsFs))
+    }
+
+    /// [`open`](Self::open), with every file of the store — run files, WAL
+    /// segments, manifests, the `SHARDS` meta — and every directory that
+    /// holds them reached through `fs`. A volatile store has none.
+    pub fn open_with_fs(opts: DbOptions, fs: Arc<dyn Fs>) -> Result<Arc<Self>> {
+        let n = Self::resolve_shards(&opts, &*fs)?;
+        Self::assemble(opts, n, None, fs)
     }
 
     /// Opens a volatile database over a caller-supplied [`Disk`] — used by
@@ -78,7 +84,7 @@ impl Db {
     /// be partitioned.
     pub fn open_with_disk(mut opts: DbOptions, disk: Arc<Disk>) -> Result<Arc<Self>> {
         opts.shards = 1;
-        Self::assemble(opts, 1, Some(disk))
+        Self::assemble(opts, 1, Some(disk), Arc::new(OsFs))
     }
 
     /// Opens the store's `n` shards — over `disk` when the caller supplied
@@ -86,12 +92,17 @@ impl Db {
     /// in front of them. The clock origin is taken once, before any shard
     /// opens, so the shards' telemetry timestamps share one timeline
     /// however long each shard takes to recover.
-    fn assemble(opts: DbOptions, n: usize, disk: Option<Arc<Disk>>) -> Result<Arc<Self>> {
+    fn assemble(
+        opts: DbOptions,
+        n: usize,
+        disk: Option<Arc<Disk>>,
+        fs: Arc<dyn Fs>,
+    ) -> Result<Arc<Self>> {
         let origin = Instant::now();
         let shards = (0..n)
             .map(|index| {
                 let shard_opts = Self::shard_options(&opts, index, n);
-                Shard::open(shard_opts, index, disk.clone(), origin)
+                Shard::open(shard_opts, index, disk.clone(), &fs, origin)
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(Arc::new(Db { opts, shards }))
@@ -116,32 +127,28 @@ impl Db {
     /// while the shards open, therefore leaves either no shard directory
     /// or all of them, some possibly still empty: the next open agrees
     /// with both.
-    fn resolve_shards(opts: &DbOptions) -> Result<usize> {
+    fn resolve_shards(opts: &DbOptions, fs: &dyn Fs) -> Result<usize> {
         let requested = opts.shards.max(1);
         let StorageConfig::Directory(root) = &opts.storage else {
             return Ok(requested);
         };
         let meta = root.join(SHARDS_META);
-        let (mut occupied, mut any_shard_dir) = (false, false);
+        let names = fs.list(root).unwrap_or_default();
+        let occupied = !names.is_empty();
         // Each shard directory's index and whether it holds anything; a
         // foreign name under the `shard-` prefix counts as an index no meta
         // can cover, and anything that is not a readable directory as full.
         let mut shard_dirs = Vec::new();
-        for dirent in std::fs::read_dir(root).into_iter().flatten() {
-            let dirent = dirent?;
-            occupied = true;
-            let name = dirent.file_name().to_string_lossy().into_owned();
-            let Some(suffix) = name.strip_prefix("shard-") else {
-                continue;
-            };
-            any_shard_dir = true;
-            let index = suffix.parse().ok().filter(|&i| shard_dir(i) == name);
-            let filled = std::fs::read_dir(dirent.path()).map_or(true, |mut d| d.next().is_some());
+        for name in names.iter().filter(|name| name.starts_with("shard-")) {
+            let index = name["shard-".len()..].parse().ok();
+            let index = index.filter(|&i| shard_dir(i) == *name);
+            let filled = fs.list(&root.join(name)).map_or(true, |d| !d.is_empty());
             shard_dirs.push((index.unwrap_or(usize::MAX), filled));
         }
         let corrupt = |why: String| LsmError::Corruption(format!("{}: {why}", root.display()));
-        let n = match std::fs::read_to_string(&meta) {
+        let n = match fs.read(&meta) {
             Ok(text) => {
+                let text = String::from_utf8_lossy(&text);
                 let n = text.trim().parse::<usize>().ok().filter(|&n| n >= 2);
                 let n =
                     n.ok_or_else(|| corrupt(format!("malformed {SHARDS_META} meta: {text:?}")))?;
@@ -155,7 +162,7 @@ impl Db {
                 n
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                if any_shard_dir {
+                if !shard_dirs.is_empty() {
                     return Err(corrupt(format!(
                         "shard directories but no {SHARDS_META} meta"
                     )));
@@ -163,19 +170,19 @@ impl Db {
                 if occupied || requested == 1 {
                     return Ok(1);
                 }
-                std::fs::create_dir_all(root)?;
-                let mut file = std::fs::File::create(&meta)?;
-                file.write_all(format!("{requested}\n").as_bytes())?;
-                file.sync_all()?;
-                std::fs::File::open(root)?.sync_all()?;
+                fs.create_dir(root)?;
+                let file = fs.create(&meta, false)?;
+                fs.write_at(&file, 0, format!("{requested}\n").as_bytes())?;
+                fs.sync(&file)?;
+                fs.sync_dir(root)?;
                 requested
             }
             Err(e) => return Err(e.into()),
         };
+        // Creating a shard directory syncs the root.
         for index in 0..n {
-            std::fs::create_dir_all(root.join(shard_dir(index)))?;
+            fs.create_dir(&root.join(shard_dir(index)))?;
         }
-        std::fs::File::open(root)?.sync_all()?;
         Ok(n)
     }
 

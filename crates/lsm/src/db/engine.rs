@@ -35,7 +35,7 @@ use crate::wal::Wal;
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
 use monkey_obs::{EventKind, LookupTable, OpKind, Telemetry};
-use monkey_storage::Disk;
+use monkey_storage::{Disk, Fs};
 use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -302,9 +302,16 @@ impl Core {
     /// The flush stage: sort-merge one frozen memtable into the tree — it
     /// is the youngest input of the merge policy's first step, read where
     /// it lies — on a private clone of the current version, publish the
-    /// successor, persist the manifest, prune the WAL. Caller holds
-    /// `compaction_lock`; the shared lock is taken only for the final
-    /// pointer swap.
+    /// successor, persist the manifest, retire the runs merged away, prune
+    /// the WAL. Caller holds `compaction_lock`; the shared lock is taken
+    /// only for the final pointer swap.
+    ///
+    /// A run merged away is deleted only once a durable manifest no longer
+    /// names it, and the WAL segments only once one names the flush's
+    /// output. When the manifest cannot be stored, the flush has been
+    /// published but deletes and prunes nothing: the runs it merged away
+    /// stay on storage until a reopen finds them unnamed
+    /// ([`Core::open`]), and the WAL still covers its entries.
     fn flush_immutable(&self, imm: &ImmutableMemtable) -> Result<()> {
         let tel = self.telemetry.as_deref();
         let flush_started = match tel {
@@ -369,6 +376,9 @@ impl Core {
         self.signals.stall_cv.notify_all();
         self.retag_attribution(&new_version);
         self.persist_manifest(&new_version, next_seq)?;
+        for run in &outcome.retired {
+            run.mark_obsolete();
+        }
         if let Some(segment) = imm.wal_segment {
             self.wal.prune_upto(segment)?;
         }
@@ -380,10 +390,13 @@ impl Core {
         Ok(())
     }
 
+    /// Stores the manifest naming `version`'s runs, once their directory
+    /// entries are durable.
     fn persist_manifest(&self, version: &Version, next_seq: u64) -> Result<()> {
         let Some(manifest) = &self.manifest else {
             return Ok(());
         };
+        self.disk.sync_dir()?;
         let mut runs = Vec::new();
         for (idx, level) in version.levels().iter().enumerate() {
             for (age, run) in level.runs().iter().enumerate() {
@@ -460,16 +473,18 @@ fn worker_loop(core: Arc<Core>) {
 
 impl Core {
     /// Opens one shard's engine. Pages live where `opts.storage` says — a
-    /// directory-backed store recovers its tree from the manifest and
-    /// replays its WAL segments — unless the caller supplies its own `disk`
-    /// (fault injection, slow devices, bespoke caches): such a store is
-    /// volatile, with no WAL or manifest. A telemetry hub stamps its
-    /// events with `index`, the shard's place in the store, and counts its
-    /// clock from `origin`, which every shard of one store shares.
+    /// directory-backed store, its files reached through `fs`, recovers
+    /// its tree from the manifest, deletes the run files the manifest does
+    /// not name, and replays its WAL segments — unless the caller supplies
+    /// its own `disk` (fault injection, slow devices, bespoke caches): such
+    /// a store is volatile, with no WAL or manifest. A telemetry hub stamps
+    /// its events with `index`, the shard's place in the store, and counts
+    /// its clock from `origin`, which every shard of one store shares.
     fn open(
         opts: DbOptions,
         index: usize,
         supplied: Option<Arc<Disk>>,
+        fs: &Arc<dyn Fs>,
         origin: Instant,
     ) -> Result<Arc<Core>> {
         let volatile = |disk| (disk, Wal::disabled(), None, Vec::new(), None);
@@ -487,12 +502,16 @@ impl Core {
                 volatile(Disk::mem_cached(opts.page_size, *cache))
             }
             (None, StorageConfig::Directory(dir)) => {
-                std::fs::create_dir_all(dir)?;
+                fs.create_dir(dir)?;
+                let pages = dir.join("pages");
                 let disk =
-                    Disk::file_with(dir.join("pages"), opts.page_size, opts.io_backend, None)?;
-                let manifest = Manifest::at(dir.join("MANIFEST"));
+                    Disk::file_on(Arc::clone(fs), pages, opts.page_size, opts.io_backend, None)?;
+                let io = Arc::clone(disk.io_stats());
+                let manifest =
+                    Manifest::with_fs(Arc::clone(fs), Arc::clone(&io), dir.join("MANIFEST"));
                 let state = manifest.load()?;
-                let (wal, replayed) = Wal::open(dir, opts.wal_sync_each_append)?;
+                let (wal, replayed) =
+                    Wal::open_with(Arc::clone(fs), io, dir, opts.wal_sync_each_append)?;
                 (disk, wal, Some(manifest), replayed, state)
             }
         };
@@ -502,6 +521,17 @@ impl Core {
         if let Some(state) = &manifest_state {
             Self::recover_version(&disk, state, &mut version)?;
             next_seq = state.next_seq;
+        }
+        if manifest.is_some() {
+            // A run file no manifest names is a flush's that failed or
+            // crashed before its manifest landed — the WAL still holds its
+            // entries — or a merged-away run whose delete did not happen.
+            let named = manifest_state.as_ref().map_or(&[][..], |state| &state.runs);
+            for id in disk.list_runs() {
+                if !named.iter().any(|run| run.id == id) {
+                    disk.delete_run(id)?;
+                }
+            }
         }
         let memtable = Memtable::new();
         for entry in replayed {
@@ -584,9 +614,10 @@ impl Shard {
         opts: DbOptions,
         index: usize,
         disk: Option<Arc<Disk>>,
+        fs: &Arc<dyn Fs>,
         origin: Instant,
     ) -> Result<Shard> {
-        let core = Core::open(opts, index, disk, origin)?;
+        let core = Core::open(opts, index, disk, fs, origin)?;
         let worker = if core.opts.background_compaction {
             let worker_core = Arc::clone(&core);
             Some(

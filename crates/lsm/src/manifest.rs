@@ -4,8 +4,10 @@
 //! complete snapshot of the level layout — which run ids live at which
 //! level, in age order — plus the sequence-number high-water mark and the
 //! tuning parameters the layout was built with. The snapshot is written to
-//! a temp file and atomically renamed, so a crash leaves either the old or
-//! the new manifest, never a torn one.
+//! a temp file, synced and atomically renamed, so a crash leaves either the
+//! old or the new manifest, never a torn one; the directory is synced after
+//! the rename, so once a store returns, a crash leaves the new one. Every
+//! step goes through the store's [`Fs`] seam.
 //!
 //! The format is plain text for debuggability:
 //!
@@ -24,9 +26,10 @@
 use crate::error::{LsmError, Result};
 use crate::policy::MergePolicy;
 use monkey_bloom::FilterVariant;
+use monkey_storage::{Fs, IoStats, OsFs, SyncKind};
 use std::fmt::Write as _;
-use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One run's position in the tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,34 +69,56 @@ pub struct ManifestState {
 
 /// Writer/reader for the manifest file.
 pub struct Manifest {
+    fs: Arc<dyn Fs>,
+    /// The store's I/O counters: each sync is counted there by kind.
+    io: Arc<IoStats>,
     path: PathBuf,
 }
 
 impl Manifest {
     /// Creates a manifest handle at `path` (file need not exist yet).
     pub fn at(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into() }
+        Self::with_fs(Arc::new(OsFs), Arc::default(), path)
+    }
+
+    /// [`at`](Self::at), reached through `fs` and counting syncs in `io`.
+    pub(crate) fn with_fs(fs: Arc<dyn Fs>, io: Arc<IoStats>, path: impl Into<PathBuf>) -> Self {
+        let path = path.into();
+        Self { fs, io, path }
     }
 
     /// Loads the current snapshot; `None` when no manifest exists yet.
     pub fn load(&self) -> Result<Option<ManifestState>> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
+        let bytes = match self.fs.read(&self.path) {
+            Ok(bytes) => bytes,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
             Err(e) => return Err(e.into()),
         };
+        let text = String::from_utf8(bytes)
+            .map_err(|e| LsmError::Corruption(format!("manifest is not UTF-8: {e}")))?;
         parse(&text).map(Some)
     }
 
-    /// Atomically replaces the manifest with `state`.
+    /// Replaces the manifest with `state`: written to a temporary file,
+    /// synced, renamed over the manifest, and the directory synced.
     pub fn store(&self, state: &ManifestState) -> Result<()> {
         let tmp = self.path.with_extension("tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(render(state).as_bytes())?;
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
+        let file = match self.fs.create(&tmp, false) {
+            // What a store that failed or crashed part-way left.
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
+                self.fs.remove(&tmp)?;
+                self.fs.create(&tmp, false)?
+            }
+            created => created?,
+        };
+        self.fs.write_at(&file, 0, render(state).as_bytes())?;
+        self.fs.sync(&file)?;
+        self.io.add_sync(SyncKind::Manifest);
+        drop(file);
+        self.fs.rename(&tmp, &self.path)?;
+        let dir = (self.path.parent()).filter(|dir| !dir.as_os_str().is_empty());
+        self.fs.sync_dir(dir.unwrap_or(Path::new(".")))?;
+        self.io.add_sync(SyncKind::Dir);
         Ok(())
     }
 }
@@ -240,6 +265,8 @@ mod tests {
         let mut next = sample();
         next.next_seq = 100;
         next.runs.clear();
+        // A temporary a failed store left behind is replaced.
+        std::fs::write(path.with_extension("tmp"), b"a torn store").unwrap();
         m.store(&next).unwrap();
         assert_eq!(m.load().unwrap().unwrap(), next);
         assert!(!path.with_extension("tmp").exists(), "temp file cleaned up");

@@ -135,12 +135,17 @@ pub fn merge(
         fused: 0,
         below: None,
     };
-    merge_step(disk, head, inputs, dest, threads, |_| filter)
+    let merged = merge_step(disk, head, inputs, dest, threads, |_| filter)?;
+    for input in inputs {
+        input.mark_obsolete();
+    }
+    Ok(merged)
 }
 
 /// [`merge`] as a step of a flush cascade, landing at `dest`. The output's
 /// filter is priced by `filter` from the report's `young_keys`, once the
-/// merge has counted them.
+/// merge has counted them. The inputs are left as they are: a flush
+/// retires them once its manifest no longer names them.
 pub(crate) fn merge_step(
     disk: &Arc<Disk>,
     head: Option<Source>,
@@ -173,9 +178,6 @@ pub(crate) fn merge_step(
         if let Some(attr) = disk.attribution() {
             attr.untag_run(run_id);
         }
-    }
-    for input in inputs {
-        input.mark_obsolete();
     }
     Ok((output, report))
 }

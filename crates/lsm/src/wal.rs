@@ -25,11 +25,16 @@
 //! drained in order under the segment lock, so the on-disk record order
 //! always matches sequence order.
 //!
-//! A failed `write` or `sync_data` **poisons** the log: the batch may never
-//! reach the disk, and replay stops at the first bad record, so nothing
-//! written after it could be recovered either. From then on `commit`,
-//! `seal_current` and `flush_pending` return that error (LevelDB's sticky
-//! background error).
+//! Segments are created, written, synced, listed, read and removed through
+//! the store's [`Fs`] seam. A new segment's directory is synced before the
+//! segment is used, so a record committed into it is found by a replay
+//! after a crash.
+//!
+//! A failed write, sync or rotation **poisons** the log: the batch may
+//! never reach the disk, and replay stops at the first bad record, so
+//! nothing written after it could be recovered either. From then on
+//! `commit`, `seal_current` and `flush_pending` return that error
+//! (LevelDB's sticky background error).
 //!
 //! Record wire format:
 //!
@@ -46,9 +51,8 @@ use crate::error::{LsmError, Result};
 use bytes::Bytes;
 use monkey_bloom::hash::xxh64;
 use monkey_obs::{EventKind, Telemetry};
+use monkey_storage::{Fs, FsFile, IoStats, OsFs, SyncKind};
 use parking_lot::{Mutex, MutexGuard};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock, PoisonError};
@@ -81,7 +85,9 @@ struct PendingRecord {
 struct ActiveSegment {
     id: u64,
     /// Shared so a leader can fsync the file with the lock released.
-    file: Arc<File>,
+    file: Arc<FsFile>,
+    /// Bytes written to `file`: where the next batch goes.
+    len: u64,
     /// A leader is fsyncing `file` off the lock; everyone else waits on
     /// [`WalInner::idle`].
     syncing: bool,
@@ -90,11 +96,12 @@ struct ActiveSegment {
 }
 
 impl ActiveSegment {
-    /// Makes segment `id + 1` in `dir` the active one; returns `id`.
-    fn rotate(&mut self, dir: &Path) -> Result<u64> {
+    /// Makes segment `id + 1` of `wal` the active one; returns `id`.
+    fn rotate(&mut self, wal: &WalInner) -> std::io::Result<u64> {
         let sealed = self.id;
-        self.file = Arc::new(create_segment(dir, sealed + 1)?);
+        self.file = Arc::new(create_segment(&*wal.fs, &wal.io, &wal.dir, sealed + 1)?);
         self.id = sealed + 1;
+        self.len = 0;
         Ok(sealed)
     }
 
@@ -108,6 +115,9 @@ impl ActiveSegment {
 type SegmentGuard<'a> = MutexGuard<'a, ActiveSegment>;
 
 struct WalInner {
+    fs: Arc<dyn Fs>,
+    /// The store's I/O counters: each sync is counted there by kind.
+    io: Arc<IoStats>,
     dir: PathBuf,
     /// Records enqueued (in seq order) but not yet written to the file.
     pending: Mutex<Vec<PendingRecord>>,
@@ -166,9 +176,13 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
     dir.join(format!("wal-{id:06}.log"))
 }
 
-fn create_segment(dir: &Path, id: u64) -> std::io::Result<File> {
-    let path = segment_path(dir, id);
-    OpenOptions::new().create(true).append(true).open(path)
+/// Creates segment `id` and syncs `dir`, so the segment is found after a
+/// crash before any record is committed into it.
+fn create_segment(fs: &dyn Fs, io: &IoStats, dir: &Path, id: u64) -> std::io::Result<FsFile> {
+    let file = fs.create(&segment_path(dir, id), false)?;
+    fs.sync_dir(dir)?;
+    io.add_sync(SyncKind::Dir);
+    Ok(file)
 }
 
 /// Parses a directory entry name into a segment id.
@@ -199,15 +213,23 @@ impl Wal {
     /// record from every segment in segment order. Returns the WAL (with a
     /// fresh active segment) and the replayed entries in append order.
     pub fn open(dir: impl AsRef<Path>, sync_each_append: bool) -> Result<(Self, Vec<Entry>)> {
+        Self::open_with(Arc::new(OsFs), Arc::default(), dir, sync_each_append)
+    }
+
+    /// [`open`](Self::open) through `fs`, counting syncs in `io`.
+    pub(crate) fn open_with(
+        fs: Arc<dyn Fs>,
+        io: Arc<IoStats>,
+        dir: impl AsRef<Path>,
+        sync_each_append: bool,
+    ) -> Result<(Self, Vec<Entry>)> {
         let dir = dir.as_ref().to_path_buf();
-        let mut ids: Vec<u64> = std::fs::read_dir(&dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| segment_id_of(&e.file_name().to_string_lossy()))
-            .collect();
+        let names = fs.list(&dir)?;
+        let mut ids: Vec<u64> = names.iter().filter_map(|n| segment_id_of(n)).collect();
         ids.sort_unstable();
         let mut entries = Vec::new();
         for &id in &ids {
-            let buf = std::fs::read(segment_path(&dir, id))?;
+            let buf = fs.read(&segment_path(&dir, id))?;
             let (mut seg_entries, clean) = replay(&buf);
             entries.append(&mut seg_entries);
             if !clean {
@@ -217,15 +239,18 @@ impl Wal {
             }
         }
         let next_id = ids.last().map_or(1, |id| id + 1);
-        let file = create_segment(&dir, next_id)?;
+        let file = create_segment(&*fs, &io, &dir, next_id)?;
         Ok((
             Self {
                 inner: Some(WalInner {
+                    fs,
+                    io,
                     dir,
                     pending: Mutex::new(Vec::new()),
                     segment: Mutex::new(ActiveSegment {
                         id: next_id,
                         file: Arc::new(file),
+                        len: 0,
                         syncing: false,
                         poisoned: None,
                     }),
@@ -296,8 +321,8 @@ impl Wal {
     /// `seal`ing, a `sync_data` runs in between with the lock released and
     /// the segment marked `syncing` (other committers wait on the condvar
     /// and are woken once the lock is free again); a seal then opens the
-    /// next segment and returns the sealed id. A failed `write` or sync
-    /// poisons the log.
+    /// next segment and returns the sealed id. A failed write, sync or
+    /// rotation poisons the log.
     fn write_batch(
         &self,
         inner: &WalInner,
@@ -314,9 +339,10 @@ impl Wal {
                 buf.extend_from_slice(&checksum.to_le_bytes());
                 buf.extend_from_slice(&record.body);
             }
-            if let Err(e) = (&*segment.file).write_all(&buf) {
+            if let Err(e) = inner.fs.write_at(&segment.file, segment.len, &buf) {
                 return Err(segment.poison(e));
             }
+            segment.len += buf.len() as u64;
             let commit_no = inner.group_commits.fetch_add(1, Ordering::Relaxed) + 1;
             let records = batch.len() as u64;
             inner.batched_appends.fetch_add(records, Ordering::Relaxed);
@@ -340,16 +366,20 @@ impl Wal {
         segment.syncing = true;
         let file = Arc::clone(&segment.file);
         drop(segment);
-        let synced = file.sync_data();
+        let synced = inner.fs.sync(&file);
         let mut segment = inner.segment.lock();
         segment.syncing = false;
         let result = match synced {
             Err(e) => Err(segment.poison(e)),
             Ok(()) => {
                 inner.syncs.fetch_add(1, Ordering::Relaxed);
+                inner.io.add_sync(SyncKind::Wal);
                 publish();
                 match seal {
-                    true => segment.rotate(&inner.dir).map(Some),
+                    true => match segment.rotate(inner) {
+                        Ok(sealed) => Ok(Some(sealed)),
+                        Err(e) => Err(segment.poison(e)),
+                    },
                     false => Ok(None),
                 }
             }
@@ -379,13 +409,9 @@ impl Wal {
         };
         // The active segment is never pruned (its id is always > any seal
         // point handed to a flush).
-        for dirent in std::fs::read_dir(&inner.dir)? {
-            let dirent = dirent?;
-            let name = dirent.file_name().to_string_lossy().into_owned();
-            if let Some(seg_id) = segment_id_of(&name) {
-                if seg_id <= id {
-                    std::fs::remove_file(dirent.path())?;
-                }
+        for name in inner.fs.list(&inner.dir)? {
+            if segment_id_of(&name).is_some_and(|seg_id| seg_id <= id) {
+                inner.fs.remove(&inner.dir.join(name))?;
             }
         }
         Ok(())
@@ -719,31 +745,37 @@ mod tests {
 
     /// A failed sync poisons the log. From then on `append`,
     /// `seal_current` and `flush_pending` refuse, in either mode, and a
-    /// reopen replays exactly the records acknowledged before the failure.
-    /// `/dev/null` makes the failure real: it takes writes, but its
-    /// `fdatasync` fails with `EINVAL`.
-    #[cfg(target_os = "linux")]
+    /// reopen replays the records acknowledged before the failure and
+    /// nothing written after it. The seam's fault plan fails the sync: in
+    /// fsync-per-append mode it lets the next record's write through and
+    /// fails its sync, otherwise it fails the seal's sync, the seal's first
+    /// write-side operation.
     #[test]
     fn a_failed_sync_poisons_the_log() {
+        use monkey_storage::{FaultKind, FlakyBackend};
         for sync_each_append in [true, false] {
             let dir = tmp(&format!("poison-{sync_each_append}"));
             {
-                let (wal, _) = Wal::open(&dir, sync_each_append).unwrap();
+                let fs = FlakyBackend::new(OsFs, FaultKind::Writes);
+                let (wal, _) =
+                    Wal::open_with(fs.clone(), Arc::default(), &dir, sync_each_append).unwrap();
                 for (seq, key) in [b"a", b"b"].iter().enumerate() {
                     wal.append(&Entry::put(key.to_vec(), b"v".to_vec(), seq as u64))
                         .unwrap();
                 }
-                let inner = wal.inner.as_ref().unwrap();
-                inner.segment.lock().file =
-                    Arc::new(OpenOptions::new().append(true).open("/dev/null").unwrap());
                 if sync_each_append {
                     // The leader's own sync fails: its put is refused.
+                    fs.arm(1);
                     let lost = Entry::put(b"lost".to_vec(), b"v".to_vec(), 2);
-                    assert!(wal.append(&lost).is_err());
+                    let err = wal.append(&lost).unwrap_err();
+                    assert!(err.to_string().contains("injected fault on sync"), "{err}");
                 } else {
                     // The seal's sync fails.
-                    assert!(wal.seal_current().is_err());
+                    fs.arm(0);
+                    let err = wal.seal_current().unwrap_err();
+                    assert!(err.to_string().contains("injected fault on sync"), "{err}");
                 }
+                fs.disarm();
                 let after = Entry::put(b"after".to_vec(), b"v".to_vec(), 3);
                 assert!(
                     wal.append(&after).is_err(),
@@ -753,9 +785,16 @@ mod tests {
                 assert!(wal.flush_pending().is_err(), "... and flushes");
                 assert_eq!(wal.stats().syncs, if sync_each_append { 2 } else { 0 });
             }
+            // The refused record was written before its sync failed, so
+            // this reopen finds it, as a replay may find any record whose
+            // sync did not return. Nothing after the poison was written.
             let (_wal, replayed) = Wal::open(&dir, false).unwrap();
             let keys: Vec<&[u8]> = replayed.iter().map(|e| e.key.as_ref()).collect();
-            assert_eq!(keys, [b"a", b"b"], "sync_each_append = {sync_each_append}");
+            let want: &[&[u8]] = match sync_each_append {
+                true => &[b"a", b"b", b"lost"],
+                false => &[b"a", b"b"],
+            };
+            assert_eq!(keys, want, "sync_each_append = {sync_each_append}");
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

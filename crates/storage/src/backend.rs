@@ -6,15 +6,15 @@
 //! LSM-tree contract: "the runs at Level 1 and higher are immutable" (§2).
 
 use crate::aligned::PoolStats;
-use crate::direct::{discover_alignment, EINVAL, O_DIRECT};
+use crate::direct::{discover_alignment, EINVAL};
 use crate::error::{Result, StorageError};
+use crate::fs::Fs;
 use crate::handles::RunHandles;
 use bytes::Bytes;
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Identifier of a run within a backend. Monotonically increasing; never
 /// reused, so stale ids fail loudly instead of aliasing new data.
@@ -50,6 +50,13 @@ pub trait Backend: Send + Sync + 'static {
 
     /// Seals a run: no further appends; data is durable after this returns.
     fn seal(&self, run: RunId) -> Result<()>;
+
+    /// Makes the set of runs durable: a run sealed or deleted before this
+    /// returns is, or is not, in the backend after a crash. Nothing to do
+    /// for a backend with no directory.
+    fn sync_dir(&self) -> Result<()> {
+        Ok(())
+    }
 
     /// Reads one page of a sealed (or in-construction) run.
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes>;
@@ -161,7 +168,8 @@ impl Backend for MemBackend {
 
 /// One file per run in a directory, named `<id>.run`, every descriptor
 /// held by a [`RunHandles`] table and every page read into a frame of its
-/// pool. Opened two ways over the same layout, so a directory written one
+/// pool. Files are created, written, sealed, listed and deleted through an
+/// [`Fs`]. Opened two ways over the same layout, so a directory written one
 /// way reads back the other: [`open`](Self::open) goes through the OS page
 /// cache, [`open_direct`](Self::open_direct) opens each file `O_DIRECT` at
 /// the alignment the directory's filesystem was probed to accept.
@@ -174,16 +182,16 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Opens (creating if needed) a buffered backend rooted at `dir` with
-    /// the given page size. Existing `.run` files become visible via
-    /// [`Backend::list`].
-    pub fn open(dir: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
+    /// Opens (creating if needed) a buffered backend rooted at `dir` on
+    /// `fs`, with the given page size. Existing `.run` files become visible
+    /// via [`Backend::list`].
+    pub fn open(fs: Arc<dyn Fs>, dir: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
+        fs.create_dir(&dir)?;
         Ok(Self {
             page_size,
             align: 1,
-            handles: RunHandles::new(dir, page_size, 0, 1),
+            handles: RunHandles::new(fs, dir, page_size, false, 1),
         })
     }
 
@@ -192,12 +200,13 @@ impl FileBackend {
     /// here" — the caller should fall back to [`open`](Self::open) and
     /// surface the reason; hard I/O errors come back as the outer error.
     pub fn open_direct(
+        fs: Arc<dyn Fs>,
         dir: impl Into<PathBuf>,
         page_size: usize,
     ) -> Result<std::result::Result<Self, String>> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        let align = match discover_alignment(&dir) {
+        fs.create_dir(&dir)?;
+        let align = match discover_alignment(&*fs, &dir) {
             Ok(align) => align,
             Err(reason) => return Ok(Err(reason)),
         };
@@ -209,7 +218,7 @@ impl FileBackend {
         Ok(Ok(Self {
             page_size,
             align,
-            handles: RunHandles::new(dir, page_size, O_DIRECT, align.max(4096)),
+            handles: RunHandles::new(fs, dir, page_size, true, align.max(4096)),
         }))
     }
 
@@ -247,9 +256,10 @@ impl Backend for FileBackend {
             });
         }
         let handle = self.handles.for_append(run, first_page)?;
+        let fs = self.handles.fs();
         if !self.is_direct() {
             // One positional write for the whole extent.
-            handle.write_pages(first_page, data)?;
+            fs.write_at(&handle.file, self.offset(first_page), data)?;
             return Ok(());
         }
         // `O_DIRECT` demands an aligned source and the caller's extent has
@@ -257,13 +267,13 @@ impl Backend for FileBackend {
         let mut frame = self.handles.frames().acquire();
         for (page_no, page) in (first_page..).zip(data.chunks(page_size)) {
             frame.as_mut_slice().copy_from_slice(page);
-            match handle.write_pages(page_no, frame.as_ref()) {
+            match fs.write_at(&handle.file, self.offset(page_no), frame.as_ref()) {
                 // The filesystem reneging on the probe: through the page
                 // cache instead of failing the flush.
-                Err(e) if e.raw_os_error() == Some(EINVAL) => OpenOptions::new()
-                    .write(true)
-                    .open(self.handles.path(run))?
-                    .write_all_at(page, self.offset(page_no))?,
+                Err(e) if e.raw_os_error() == Some(EINVAL) => {
+                    let buffered = fs.open(&self.handles.path(run), false)?;
+                    fs.write_at(&buffered, self.offset(page_no), page)?
+                }
                 other => other?,
             }
         }
@@ -271,9 +281,13 @@ impl Backend for FileBackend {
     }
 
     /// The durability barrier. `O_DIRECT` already put the data on the
-    /// device; there the fsync makes the file's length durable.
+    /// device; there the sync makes the file's length durable.
     fn seal(&self, run: RunId) -> Result<()> {
         self.handles.seal(run)
+    }
+
+    fn sync_dir(&self) -> Result<()> {
+        self.handles.sync_dir()
     }
 
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
@@ -286,7 +300,7 @@ impl Backend for FileBackend {
             // As for appends. By path, so a run deleted since the lookup is
             // `NotFound` here, as it is to every later read.
             Err(e) if self.is_direct() && e.raw_os_error() == Some(EINVAL) => {
-                File::open(self.handles.path(run))
+                (self.handles.fs().open(&self.handles.path(run), false))
                     .map_err(|e| RunHandles::not_found(run, e))?
                     .read_exact_at(frame.as_mut_slice(), self.offset(page_no))?
             }
@@ -315,6 +329,7 @@ impl Backend for FileBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OsFs;
 
     fn roundtrip(backend: &dyn Backend, page_size: usize) {
         let data_a: Vec<u8> = (0..page_size).map(|i| (i % 251) as u8).collect();
@@ -351,7 +366,7 @@ mod tests {
     fn file_backend_roundtrip() {
         let dir = std::env::temp_dir().join(format!("monkey-fb-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let backend = FileBackend::open(&dir, 64).unwrap();
+        let backend = FileBackend::open(Arc::new(OsFs), &dir, 64).unwrap();
         roundtrip(&backend, 64);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -368,7 +383,7 @@ mod tests {
     fn file_rejects_wrong_page_size() {
         let dir = std::env::temp_dir().join(format!("monkey-fb2-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let b = FileBackend::open(&dir, 64).unwrap();
+        let b = FileBackend::open(Arc::new(OsFs), &dir, 64).unwrap();
         assert!(matches!(
             b.append_page(1, 0, &[0; 63]),
             Err(StorageError::BadPageSize { got: 63, want: 64 })
@@ -381,11 +396,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("monkey-fb3-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         {
-            let b = FileBackend::open(&dir, 32).unwrap();
+            let b = FileBackend::open(Arc::new(OsFs), &dir, 32).unwrap();
             b.append_page(42, 0, &[7u8; 32]).unwrap();
             b.seal(42).unwrap();
         }
-        let b = FileBackend::open(&dir, 32).unwrap();
+        let b = FileBackend::open(Arc::new(OsFs), &dir, 32).unwrap();
         assert_eq!(b.list(), vec![42]);
         assert_eq!(&b.read_page(42, 0).unwrap()[..], &[7u8; 32][..]);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -17,18 +17,8 @@
 //! degrade to the buffered backend and surface the reason once.
 
 use crate::aligned::AlignedPool;
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::os::unix::fs::FileExt;
-use std::os::unix::fs::OpenOptionsExt;
+use crate::fs::Fs;
 use std::path::Path;
-
-/// `O_DIRECT` differs per architecture (it is one of the few fcntl flags
-/// that does).
-#[cfg(any(target_arch = "arm", target_arch = "aarch64"))]
-pub(crate) const O_DIRECT: i32 = 0o200000;
-#[cfg(not(any(target_arch = "arm", target_arch = "aarch64")))]
-pub(crate) const O_DIRECT: i32 = 0o40000;
 
 /// What an `O_DIRECT` transfer fails with when buffer, length or offset is
 /// finer than the device allows — from the probe, or from a filesystem
@@ -108,22 +98,19 @@ impl BackendInfo {
     }
 }
 
-/// Walks the alignment ladder for `dir`, which exists: open a probe file with
-/// `O_DIRECT`, then try reads of 512 and 4096 bytes. Returns the first
-/// granularity the filesystem accepts, or the reason none did.
-pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, String> {
+/// Walks the alignment ladder for `dir`, which exists on `fs`: open a probe
+/// file with `O_DIRECT`, then try reads of 512 and 4096 bytes. Returns the
+/// first granularity the filesystem accepts, or the reason none did.
+pub(crate) fn discover_alignment(fs: &dyn Fs, dir: &Path) -> std::result::Result<usize, String> {
     let probe_path = dir.join(".dio-probe");
+    let _ = fs.remove(&probe_path); // one a crash left behind
     let outcome = (|| {
         {
-            let mut f = File::create(&probe_path).map_err(|e| format!("probe create: {e}"))?;
-            f.write_all(&[0u8; 8192])
-                .map_err(|e| format!("probe write: {e}"))?;
-            f.sync_all().map_err(|e| format!("probe sync: {e}"))?;
+            let f = (fs.create(&probe_path, false)).map_err(|e| format!("probe create: {e}"))?;
+            (fs.write_at(&f, 0, &[0u8; 8192])).map_err(|e| format!("probe write: {e}"))?;
+            fs.sync(&f).map_err(|e| format!("probe sync: {e}"))?;
         }
-        let f = OpenOptions::new()
-            .read(true)
-            .custom_flags(O_DIRECT)
-            .open(&probe_path)
+        let f = (fs.open(&probe_path, true))
             .map_err(|e| format!("O_DIRECT open rejected ({e}) — page cache it is"))?;
         let pool = AlignedPool::new(4096, 4096);
         let mut buf = pool.acquire();
@@ -137,15 +124,16 @@ pub(crate) fn discover_alignment(dir: &Path) -> std::result::Result<usize, Strin
         }
         Err("no supported O_DIRECT alignment at or below 4096".to_string())
     })();
-    let _ = std::fs::remove_file(&probe_path);
+    let _ = fs.remove(&probe_path);
     outcome
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, FileBackend, StorageError};
+    use crate::{Backend, FileBackend, OsFs, StorageError};
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmp(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("monkey-direct-{}-{name}", std::process::id()));
@@ -156,7 +144,7 @@ mod tests {
     /// Opens a direct backend or skips the test where the filesystem
     /// (e.g. tmpfs) rejects O_DIRECT.
     fn open_or_skip(dir: &Path, page_size: usize) -> Option<FileBackend> {
-        match FileBackend::open_direct(dir, page_size).unwrap() {
+        match FileBackend::open_direct(Arc::new(OsFs), dir, page_size).unwrap() {
             Ok(b) => Some(b),
             Err(reason) => {
                 eprintln!("skipping: {reason}");
@@ -220,7 +208,7 @@ mod tests {
     fn misaligned_page_size_reports_fallback() {
         let dir = tmp("misaligned");
         // 96-byte pages can never satisfy a 512-byte block granularity.
-        match FileBackend::open_direct(&dir, 96).unwrap() {
+        match FileBackend::open_direct(Arc::new(OsFs), &dir, 96).unwrap() {
             Ok(b) => panic!("96-byte pages accepted with align {}", b.align()),
             Err(reason) => assert!(reason.contains("96"), "{reason}"),
         }
@@ -236,7 +224,7 @@ mod tests {
         b.append_page(7, 0, &vec![9u8; 4096]).unwrap();
         b.seal(7).unwrap();
         drop(b);
-        let buffered = FileBackend::open(&dir, 4096).unwrap();
+        let buffered = FileBackend::open(Arc::new(OsFs), &dir, 4096).unwrap();
         assert_eq!(buffered.list(), vec![7]);
         assert_eq!(&buffered.read_page(7, 0).unwrap()[..], &[9u8; 4096][..]);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -12,7 +12,8 @@ use crate::backend::{Backend, FileBackend, MemBackend, RunId};
 use crate::cache::{BlockCache, CacheConfig, CacheStats};
 use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
-use crate::iostats::{IoSnapshot, IoStats};
+use crate::fs::{Fs, OsFs};
+use crate::iostats::{IoSnapshot, IoStats, SyncKind};
 use bytes::Bytes;
 use monkey_obs::IoAttribution;
 use std::path::Path;
@@ -27,7 +28,9 @@ pub type PageCheck = fn(&[u8]) -> std::result::Result<(), String>;
 /// A counted, optionally cached page store.
 pub struct Disk {
     backend: Arc<dyn Backend>,
-    stats: IoStats,
+    /// Shared with the store's WAL and manifest, which count their syncs
+    /// here.
+    stats: Arc<IoStats>,
     cache: Option<BlockCache>,
     page_size: usize,
     next_run: AtomicU64,
@@ -80,12 +83,23 @@ impl Disk {
         requested: IoBackend,
         cache: Option<BlockCache>,
     ) -> Result<Arc<Self>> {
+        Self::file_on(Arc::new(OsFs), dir, page_size, requested, cache)
+    }
+
+    /// [`file_with`](Self::file_with), its run files reached through `fs`.
+    pub fn file_on(
+        fs: Arc<dyn Fs>,
+        dir: impl AsRef<Path>,
+        page_size: usize,
+        requested: IoBackend,
+        cache: Option<BlockCache>,
+    ) -> Result<Arc<Self>> {
         let dir = dir.as_ref();
         let (backend, fallback) = match requested {
-            IoBackend::Buffered => (FileBackend::open(dir, page_size)?, None),
-            IoBackend::Direct => match FileBackend::open_direct(dir, page_size)? {
+            IoBackend::Buffered => (FileBackend::open(fs, dir, page_size)?, None),
+            IoBackend::Direct => match FileBackend::open_direct(Arc::clone(&fs), dir, page_size)? {
                 Ok(direct) => (direct, None),
-                Err(reason) => (FileBackend::open(dir, page_size)?, Some(reason)),
+                Err(reason) => (FileBackend::open(fs, dir, page_size)?, Some(reason)),
             },
         };
         let direct = backend.is_direct();
@@ -124,7 +138,7 @@ impl Disk {
         let next = backend.list().last().map_or(0, |id| id + 1);
         Arc::new(Self {
             backend,
-            stats: IoStats::new(),
+            stats: Arc::new(IoStats::new()),
             cache,
             page_size,
             next_run: AtomicU64::new(next),
@@ -281,9 +295,23 @@ impl Disk {
         self.backend.delete(run)
     }
 
+    /// Makes the set of runs durable (see [`Backend::sync_dir`]): a run
+    /// sealed before this returns is found by a reopen after a crash.
+    pub fn sync_dir(&self) -> Result<()> {
+        self.backend.sync_dir()?;
+        self.stats.add_sync(SyncKind::Dir);
+        Ok(())
+    }
+
     /// Live I/O counters.
     pub fn io(&self) -> IoSnapshot {
         self.stats.snapshot()
+    }
+
+    /// The counters themselves, for the WAL and manifest of the store
+    /// this disk belongs to.
+    pub fn io_stats(&self) -> &Arc<IoStats> {
+        &self.stats
     }
 
     /// Resets the I/O counters (between experiment phases).
@@ -348,9 +376,10 @@ impl RunWriter {
     }
 
     /// Seals the run, making it durable and readable. Returns its id.
-    /// On file backends this is the durability barrier (`fsync`).
+    /// On file backends this is the durability barrier (the seam's sync).
     pub fn seal(mut self) -> Result<RunId> {
         self.disk.backend.seal(self.id)?;
+        self.disk.stats.add_sync(SyncKind::Run);
         self.sealed = true;
         Ok(self.id)
     }

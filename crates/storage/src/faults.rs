@@ -3,28 +3,36 @@
 //!
 //! Storage failures are rare but inevitable; the engine above must surface
 //! them as errors without corrupting in-memory state or leaking storage.
-//! [`FlakyBackend`] wraps any [`Backend`] and injects [`StorageError::Io`]
-//! failures according to a budget: fail everything after the first `n`
-//! operations, fail reads only, or fail writes only.
+//! [`FlakyBackend`] wraps any [`Backend`] — or any [`Fs`], the seam every
+//! durable file of a store crosses — and injects I/O errors according to a
+//! budget: fail everything after the first `n` operations, fail reads
+//! only, or fail writes only.
 
 use crate::backend::{Backend, RunId};
-use crate::error::{Result, StorageError};
+use crate::error::Result;
+use crate::fs::{Fs, FsFile};
 use bytes::Bytes;
+use std::fmt::Arguments;
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which operations the fault plan applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Fail page reads.
+    /// Fail page reads, and the seam's opens, reads and listings.
     Reads,
-    /// Fail page appends.
+    /// Fail page appends, run seals and backend directory syncs, and every
+    /// seam operation that changes a file or a directory: create, write,
+    /// sync, rename, remove, directory create and directory sync.
     Writes,
     /// Fail both.
     All,
 }
 
-/// A backend that starts failing after a configured number of operations.
+/// A backend, or a filesystem seam, that starts failing after a configured
+/// number of operations.
 pub struct FlakyBackend<B> {
     inner: B,
     kind: FaultKind,
@@ -34,7 +42,7 @@ pub struct FlakyBackend<B> {
     injected: AtomicU64,
 }
 
-impl<B: Backend> FlakyBackend<B> {
+impl<B> FlakyBackend<B> {
     /// Wraps `inner`; faults are disarmed until [`arm`](Self::arm) is called.
     pub fn new(inner: B, kind: FaultKind) -> Arc<Self> {
         Arc::new(Self {
@@ -62,7 +70,7 @@ impl<B: Backend> FlakyBackend<B> {
         self.injected.load(Ordering::SeqCst)
     }
 
-    fn maybe_fail(&self, op: FaultKind, what: &str) -> Result<()> {
+    fn maybe_fail(&self, op: FaultKind, what: Arguments) -> io::Result<()> {
         if !self.armed.load(Ordering::SeqCst) {
             return Ok(());
         }
@@ -79,9 +87,7 @@ impl<B: Backend> FlakyBackend<B> {
             .unwrap();
         if prev == 0 {
             self.injected.fetch_add(1, Ordering::SeqCst);
-            return Err(StorageError::Io(std::io::Error::other(format!(
-                "injected fault on {what}"
-            ))));
+            return Err(io::Error::other(format!("injected fault on {what}")));
         }
         Ok(())
     }
@@ -89,16 +95,22 @@ impl<B: Backend> FlakyBackend<B> {
 
 impl<B: Backend> Backend for FlakyBackend<B> {
     fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, "append_page")?;
+        self.maybe_fail(FaultKind::Writes, format_args!("append_page"))?;
         self.inner.append_page(run, page_no, data)
     }
 
     fn seal(&self, run: RunId) -> Result<()> {
+        self.maybe_fail(FaultKind::Writes, format_args!("seal of run {run}"))?;
         self.inner.seal(run)
     }
 
+    fn sync_dir(&self) -> Result<()> {
+        self.maybe_fail(FaultKind::Writes, format_args!("sync_dir"))?;
+        self.inner.sync_dir()
+    }
+
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        self.maybe_fail(FaultKind::Reads, "read_page")?;
+        self.maybe_fail(FaultKind::Reads, format_args!("read_page"))?;
         self.inner.read_page(run, page_no)
     }
 
@@ -112,6 +124,65 @@ impl<B: Backend> Backend for FlakyBackend<B> {
 
     fn list(&self) -> Vec<RunId> {
         self.inner.list()
+    }
+}
+
+impl<F: Fs> Fs for FlakyBackend<F> {
+    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        let what = format_args!("create of {}", path.display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.create(path, direct)
+    }
+
+    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        self.maybe_fail(FaultKind::Reads, format_args!("open of {}", path.display()))?;
+        self.inner.open(path, direct)
+    }
+
+    fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
+        let what = format_args!("write to {}", file.path().display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.write_at(file, offset, data)
+    }
+
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.maybe_fail(FaultKind::Reads, format_args!("read of {}", path.display()))?;
+        self.inner.read(path)
+    }
+
+    fn sync(&self, file: &FsFile) -> io::Result<()> {
+        let what = format_args!("sync of {}", file.path().display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.sync(file)
+    }
+
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        let what = format_args!("rename of {}", from.display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.rename(from, to)
+    }
+
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        let what = format_args!("remove of {}", path.display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.remove(path)
+    }
+
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.maybe_fail(FaultKind::Reads, format_args!("list of {}", dir.display()))?;
+        self.inner.list(dir)
+    }
+
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        let what = format_args!("create_dir of {}", dir.display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.create_dir(dir)
+    }
+
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        let what = format_args!("sync_dir of {}", dir.display());
+        self.maybe_fail(FaultKind::Writes, what)?;
+        self.inner.sync_dir(dir)
     }
 }
 
@@ -174,6 +245,10 @@ impl<B: Backend> Backend for SlowBackend<B> {
         self.inner.seal(run)
     }
 
+    fn sync_dir(&self) -> Result<()> {
+        self.inner.sync_dir()
+    }
+
     fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
         self.nap(&self.read_delay_us);
         self.inner.read_page(run, page_no)
@@ -215,6 +290,37 @@ mod tests {
         assert_eq!(b.injected(), 1);
         // Reads unaffected by a writes-only plan.
         assert!(b.read_page(1, 0).is_ok());
+    }
+
+    #[test]
+    fn a_writes_plan_fails_seals_and_the_seams_syncs() {
+        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
+        b.append_page(1, 0, &[0u8; 8]).unwrap();
+        b.arm(1);
+        b.seal(1).unwrap();
+        let err = b.sync_dir().unwrap_err();
+        assert!(
+            err.to_string().contains("injected fault on sync_dir"),
+            "{err}"
+        );
+        assert!(b.seal(1).is_err(), "the budget stays spent");
+
+        let dir = std::env::temp_dir().join(format!("monkey-flaky-fs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let fs = FlakyBackend::new(crate::OsFs, FaultKind::Writes);
+        fs.create_dir(&dir).unwrap();
+        let file = fs.create(&dir.join("f"), false).unwrap();
+        fs.arm(1);
+        fs.write_at(&file, 0, b"x").unwrap();
+        assert!(fs.sync(&file).is_err());
+        assert!(fs.sync_dir(&dir).is_err());
+        assert_eq!(fs.injected(), 2);
+        // A writes plan leaves reads alone.
+        assert_eq!(fs.read(&dir.join("f")).unwrap(), b"x");
+        assert_eq!(fs.list(&dir).unwrap(), ["f"]);
+        fs.disarm();
+        fs.sync(&file).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -25,10 +25,9 @@
 use crate::aligned::AlignedPool;
 use crate::backend::RunId;
 use crate::error::{Result, StorageError};
+use crate::fs::{Fs, FsFile};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
-use std::os::unix::fs::{FileExt, OpenOptionsExt};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -36,8 +35,8 @@ use std::sync::{Arc, OnceLock};
 /// Run files the process keeps open across all its tables (every shard
 /// has one): half the usual 1024-descriptor soft limit, an order of
 /// magnitude above any tree's live runs. Not a knob — reads are correct
-/// at any value, and only a store with more live runs than this (value
-/// logs) ever reaches it.
+/// at any value, and only a process whose open stores together hold more
+/// live runs than this ever reaches it.
 const RESIDENT_MAX: usize = 512;
 
 /// Run files currently open in this process.
@@ -47,14 +46,14 @@ static OPEN_RUN_FILES: AtomicUsize = AtomicUsize::new(0);
 /// fixed at seal (or at the first read after a reopen); a run still under
 /// construction is measured on every call.
 pub(crate) struct RunHandle {
-    file: File,
+    pub(crate) file: FsFile,
     page_size: usize,
     sealed_pages: OnceLock<u32>,
 }
 
 impl RunHandle {
     fn file_pages(&self) -> std::io::Result<u32> {
-        Ok((self.file.metadata()?.len() / self.page_size as u64) as u32)
+        Ok((self.file.len()? / self.page_size as u64) as u32)
     }
 
     /// Whole pages in the run.
@@ -81,13 +80,6 @@ impl RunHandle {
         self.file
             .read_exact_at(buf, page_no as u64 * self.page_size as u64)
     }
-
-    /// One positional write of the whole pages in `data`, the first of
-    /// them page `first_page`.
-    pub(crate) fn write_pages(&self, first_page: u32, data: &[u8]) -> std::io::Result<()> {
-        self.file
-            .write_all_at(data, first_page as u64 * self.page_size as u64)
-    }
 }
 
 impl Drop for RunHandle {
@@ -98,10 +90,12 @@ impl Drop for RunHandle {
 
 /// The table itself: `RunId → Arc<RunHandle>` over one directory.
 pub(crate) struct RunHandles {
+    /// Where the run files are created, synced, listed and removed.
+    fs: Arc<dyn Fs>,
     dir: PathBuf,
     page_size: usize,
-    /// Extra `open(2)` flags for every run file (`O_DIRECT` or none).
-    open_flags: i32,
+    /// Whether every run file is opened `O_DIRECT`.
+    direct: bool,
     /// Where every page read from these files lands.
     frames: AlignedPool,
     table: RwLock<HashMap<RunId, Arc<RunHandle>>>,
@@ -117,13 +111,20 @@ pub(crate) struct RunHandles {
 }
 
 impl RunHandles {
-    /// A table over `dir` whose files are opened with `open_flags` and
-    /// read into page frames aligned to `frame_align`.
-    pub(crate) fn new(dir: PathBuf, page_size: usize, open_flags: i32, frame_align: usize) -> Self {
+    /// A table over `dir` on `fs` whose files are opened `O_DIRECT` when
+    /// `direct` and read into page frames aligned to `frame_align`.
+    pub(crate) fn new(
+        fs: Arc<dyn Fs>,
+        dir: PathBuf,
+        page_size: usize,
+        direct: bool,
+        frame_align: usize,
+    ) -> Self {
         Self {
+            fs,
             dir,
             page_size,
-            open_flags,
+            direct,
             frames: AlignedPool::new(page_size, frame_align),
             table: RwLock::new(HashMap::new()),
             cold: Mutex::new(()),
@@ -135,6 +136,11 @@ impl RunHandles {
     /// The pool this table's page frames come from.
     pub(crate) fn frames(&self) -> &AlignedPool {
         &self.frames
+    }
+
+    /// The seam this table's files are reached through.
+    pub(crate) fn fs(&self) -> &dyn Fs {
+        &*self.fs
     }
 
     pub(crate) fn path(&self, run: RunId) -> PathBuf {
@@ -152,12 +158,10 @@ impl RunHandles {
     fn open(&self, run: RunId, create: bool) -> std::io::Result<RunHandle> {
         #[cfg(test)]
         self.opens.fetch_add(1, Ordering::Relaxed);
-        let mut opts = OpenOptions::new();
-        opts.read(true).custom_flags(self.open_flags);
-        if create {
-            opts.write(true).create_new(true);
-        }
-        let file = opts.open(self.path(run))?;
+        let file = match create {
+            true => self.fs.create(&self.path(run), self.direct)?,
+            false => self.fs.open(&self.path(run), self.direct)?,
+        };
         OPEN_RUN_FILES.fetch_add(1, Ordering::Relaxed);
         Ok(RunHandle {
             file,
@@ -214,7 +218,7 @@ impl RunHandles {
             return Ok(());
         };
         if handle.sealed_pages.get().is_none() {
-            handle.file.sync_all()?;
+            self.fs.sync(&handle.file)?;
             let _ = handle.sealed_pages.set(handle.file_pages()?);
         }
         Ok(())
@@ -242,23 +246,22 @@ impl RunHandles {
     pub(crate) fn delete(&self, run: RunId) -> Result<()> {
         let _cold = self.cold.lock();
         self.table.write().remove(&run);
-        std::fs::remove_file(self.path(run)).map_err(|e| Self::not_found(run, e))
+        (self.fs.remove(&self.path(run))).map_err(|e| Self::not_found(run, e))
     }
 
     /// Ids of the `.run` files in the directory, ascending.
     pub(crate) fn list(&self) -> Vec<RunId> {
-        let mut ids: Vec<RunId> = std::fs::read_dir(&self.dir)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .filter_map(|entry| {
-                let name = entry.file_name();
-                let hex = name.to_str()?.strip_suffix(".run")?;
-                RunId::from_str_radix(hex, 16).ok()
-            })
+        let names = self.fs.list(&self.dir).unwrap_or_default();
+        let mut ids: Vec<RunId> = (names.iter())
+            .filter_map(|name| RunId::from_str_radix(name.strip_suffix(".run")?, 16).ok())
             .collect();
         ids.sort_unstable();
         ids
+    }
+
+    /// Makes the directory's set of run files durable.
+    pub(crate) fn sync_dir(&self) -> Result<()> {
+        Ok(self.fs.sync_dir(&self.dir)?)
     }
 
     #[cfg(test)]
@@ -275,7 +278,7 @@ impl RunHandles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, FileBackend};
+    use crate::{Backend, FileBackend, OsFs};
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
@@ -290,8 +293,8 @@ mod tests {
     /// The buffered backend over `dir` and — where the filesystem accepts
     /// `O_DIRECT` — the direct one over the same files.
     fn open_both(dir: &std::path::Path) -> Vec<FileBackend> {
-        let mut both = vec![FileBackend::open(dir, PAGE).unwrap()];
-        match FileBackend::open_direct(dir, PAGE).unwrap() {
+        let mut both = vec![FileBackend::open(Arc::new(OsFs), dir, PAGE).unwrap()];
+        match FileBackend::open_direct(Arc::new(OsFs), dir, PAGE).unwrap() {
             Ok(direct) => both.push(direct),
             Err(reason) => eprintln!("direct half skipped: {reason}"),
         }
@@ -380,7 +383,11 @@ mod tests {
     #[test]
     fn reopen_installs_handles_on_first_read() {
         let dir = tmp("reopen");
-        build(&FileBackend::open(&dir, PAGE).unwrap(), 10, 6);
+        build(
+            &FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap(),
+            10,
+            6,
+        );
         for b in open_both(&dir) {
             let handles = &b.handles;
             assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
@@ -404,7 +411,7 @@ mod tests {
         const RUNS: u64 = 24;
         const READERS: usize = 3;
         let dir = tmp("race");
-        let seed = FileBackend::open(&dir, PAGE).unwrap();
+        let seed = FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap();
         for run in 0..RUNS {
             build(&seed, run, 4);
         }

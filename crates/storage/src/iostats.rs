@@ -7,13 +7,29 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live, shared I/O counters for one [`crate::Disk`].
+/// What a counted sync made durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SyncKind {
+    /// A sealed run's pages.
+    Run,
+    /// A WAL segment's records: a group commit's, or a seal's.
+    Wal,
+    /// The manifest's temporary file, before the rename installs it.
+    Manifest,
+    /// A directory's names: the runs a manifest is about to name, or a
+    /// renamed manifest or a new WAL segment in the shard's directory.
+    Dir,
+}
+
+/// Live, shared I/O counters for one [`crate::Disk`] and the WAL and
+/// manifest of the store it belongs to.
 #[derive(Debug, Default)]
 pub struct IoStats {
     page_reads: AtomicU64,
     page_writes: AtomicU64,
     seeks: AtomicU64,
     cache_hits: AtomicU64,
+    syncs: [AtomicU64; 4],
 }
 
 impl IoStats {
@@ -46,13 +62,24 @@ impl IoStats {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one sync of `kind`.
+    #[inline]
+    pub fn add_sync(&self, kind: SyncKind) {
+        self.syncs[kind as usize].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Takes a consistent-enough snapshot of all counters.
     pub fn snapshot(&self) -> IoSnapshot {
+        let syncs = |kind: SyncKind| self.syncs[kind as usize].load(Ordering::Relaxed);
         IoSnapshot {
             page_reads: self.page_reads.load(Ordering::Relaxed),
             page_writes: self.page_writes.load(Ordering::Relaxed),
             seeks: self.seeks.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            run_syncs: syncs(SyncKind::Run),
+            wal_syncs: syncs(SyncKind::Wal),
+            manifest_syncs: syncs(SyncKind::Manifest),
+            dir_syncs: syncs(SyncKind::Dir),
         }
     }
 
@@ -62,6 +89,9 @@ impl IoStats {
         self.page_writes.store(0, Ordering::Relaxed);
         self.seeks.store(0, Ordering::Relaxed);
         self.cache_hits.store(0, Ordering::Relaxed);
+        for syncs in &self.syncs {
+            syncs.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -77,6 +107,14 @@ pub struct IoSnapshot {
     pub seeks: u64,
     /// Reads absorbed by the block cache (not I/Os).
     pub cache_hits: u64,
+    /// Runs sealed ([`SyncKind::Run`]).
+    pub run_syncs: u64,
+    /// WAL segment syncs ([`SyncKind::Wal`]).
+    pub wal_syncs: u64,
+    /// Manifest syncs ([`SyncKind::Manifest`]).
+    pub manifest_syncs: u64,
+    /// Directory syncs ([`SyncKind::Dir`]).
+    pub dir_syncs: u64,
 }
 
 impl IoSnapshot {
@@ -88,6 +126,10 @@ impl IoSnapshot {
             page_writes: self.page_writes.saturating_sub(earlier.page_writes),
             seeks: self.seeks.saturating_sub(earlier.seeks),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
+            run_syncs: self.run_syncs.saturating_sub(earlier.run_syncs),
+            wal_syncs: self.wal_syncs.saturating_sub(earlier.wal_syncs),
+            manifest_syncs: self.manifest_syncs.saturating_sub(earlier.manifest_syncs),
+            dir_syncs: self.dir_syncs.saturating_sub(earlier.dir_syncs),
         }
     }
 
@@ -97,10 +139,14 @@ impl IoSnapshot {
         self.page_writes += other.page_writes;
         self.seeks += other.seeks;
         self.cache_hits += other.cache_hits;
+        self.run_syncs += other.run_syncs;
+        self.wal_syncs += other.wal_syncs;
+        self.manifest_syncs += other.manifest_syncs;
+        self.dir_syncs += other.dir_syncs;
     }
 
-    /// Total I/Os: reads plus writes (seeks are attributes of those I/Os,
-    /// not extra transfers).
+    /// Total I/Os: page reads plus page writes (seeks are attributes of
+    /// those I/Os, not extra transfers; syncs move no page).
     pub fn total_ios(&self) -> u64 {
         self.page_reads + self.page_writes
     }
@@ -125,12 +171,17 @@ mod tests {
         s.add_writes(2);
         s.add_seek();
         s.add_cache_hit();
+        s.add_sync(SyncKind::Wal);
+        s.add_sync(SyncKind::Dir);
+        s.add_sync(SyncKind::Dir);
         let snap = s.snapshot();
         assert_eq!(snap.page_reads, 3);
         assert_eq!(snap.page_writes, 2);
         assert_eq!(snap.seeks, 1);
         assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.total_ios(), 5);
+        let syncs = [snap.run_syncs, snap.wal_syncs, snap.manifest_syncs];
+        assert_eq!((syncs, snap.dir_syncs), ([0, 1, 0], 2));
+        assert_eq!(snap.total_ios(), 5, "syncs are not page I/Os");
     }
 
     #[test]
@@ -164,6 +215,7 @@ mod tests {
         s.add_writes(1);
         s.add_seek();
         s.add_cache_hit();
+        s.add_sync(SyncKind::Run);
         s.reset();
         assert_eq!(s.snapshot(), IoSnapshot::default());
     }

@@ -21,7 +21,11 @@
 //! * a **device model** ([`DeviceModel`]) translating I/O counts into
 //!   modeled latency for a disk or flash device, including the paper's
 //!   write/read cost ratio `φ` and its 10 ms disk-seek / ~100 µs flash-read
-//!   reference points (§4.4).
+//!   reference points (§4.4);
+//! * the **durable-directory seam** ([`Fs`]): every file a durable store
+//!   keeps is created, written, synced, renamed, listed and removed
+//!   through it, and [`OsFs`] is the only code that calls `std::fs` for
+//!   them.
 
 #![warn(missing_docs)]
 
@@ -30,6 +34,7 @@ pub mod cache;
 pub mod device;
 pub mod error;
 pub mod faults;
+pub mod fs;
 pub mod iostats;
 
 mod backend;
@@ -45,4 +50,5 @@ pub use direct::{BackendInfo, IoBackend};
 pub use disk::{Disk, PageCheck, RunWriter};
 pub use error::{Result, StorageError};
 pub use faults::{FaultKind, FlakyBackend, SlowBackend};
-pub use iostats::{IoSnapshot, IoStats};
+pub use fs::{Fs, FsFile, OsFs};
+pub use iostats::{IoSnapshot, IoStats, SyncKind};

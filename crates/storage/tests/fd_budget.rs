@@ -6,8 +6,9 @@
 //! next read reopens it. This file holds one test on purpose — the budget
 //! is process-wide, and a test binary is one process.
 
-use monkey_storage::{Backend, FileBackend, StorageError};
+use monkey_storage::{Backend, FileBackend, OsFs, StorageError};
 use std::path::Path;
+use std::sync::Arc;
 
 const PAGE: usize = 4096;
 /// `RESIDENT_MAX` in `src/handles.rs`.
@@ -79,8 +80,11 @@ fn resident_descriptors_stay_under_the_budget() {
     }
     let dir = std::env::temp_dir().join(format!("monkey-fd-budget-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    exercise(&FileBackend::open(&dir, PAGE).unwrap(), &dir);
-    match FileBackend::open_direct(&dir, PAGE).unwrap() {
+    exercise(
+        &FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap(),
+        &dir,
+    );
+    match FileBackend::open_direct(Arc::new(OsFs), &dir, PAGE).unwrap() {
         Ok(direct) => exercise(&direct, &dir),
         Err(reason) => eprintln!("direct half skipped: {reason}"),
     }

@@ -32,7 +32,7 @@ use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::memtable::Memtable;
 use monkey_lsm::Entry;
-use monkey_storage::{Backend, BlockCache, CacheConfig, Disk, FileBackend, PoolStats, RunId};
+use monkey_storage::{Backend, BlockCache, CacheConfig, Disk, FileBackend, OsFs, PoolStats, RunId};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
@@ -285,8 +285,8 @@ fn a_merge_holds_one_frame_per_input() {
     const INPUTS: u32 = 5;
     const ENTRIES_PER_RUN: u32 = 2_000;
     let dir = temp_dir("merge");
-    let buffered = FileBackend::open(dir.join("buffered"), PAGE).unwrap();
-    let direct = FileBackend::open_direct(dir.join("direct"), PAGE)
+    let buffered = FileBackend::open(Arc::new(OsFs), dir.join("buffered"), PAGE).unwrap();
+    let direct = FileBackend::open_direct(Arc::new(OsFs), dir.join("direct"), PAGE)
         .unwrap()
         .map_err(|reason| eprintln!("direct half skipped: {reason}"));
     for inner in std::iter::once(buffered).chain(direct.ok()) {
