@@ -715,7 +715,10 @@ mod tests {
         let old = run_of(&disk, vec![put("k", "v", 1)]);
         let merged = merge_runs(&disk, &[young, old], true, 1, 10.0).unwrap();
         assert!(merged.is_none(), "nothing left to write");
-        assert!(disk.list_runs().is_empty(), "all storage reclaimed");
+        assert!(
+            disk.list_runs().unwrap().is_empty(),
+            "all storage reclaimed"
+        );
     }
 
     #[test]

@@ -133,7 +133,10 @@ impl Db {
             return Ok(requested);
         };
         let meta = root.join(SHARDS_META);
-        let names = fs.list(root).unwrap_or_default();
+        let names = match fs.list(root) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            names => names?,
+        };
         let occupied = !names.is_empty();
         // Each shard directory's index and whether it holds anything; a
         // foreign name under the `shard-` prefix counts as an index no meta
@@ -917,9 +920,9 @@ mod tests {
 
     #[test]
     fn background_error_is_deferred_then_surfaced() {
-        use monkey_storage::{Backend, Disk, FaultKind, FlakyBackend, MemBackend};
-        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 256, None);
+        use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+        let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
+        let disk = Disk::file_on(backend.clone(), "runs", 256, IoBackend::Buffered, None).unwrap();
         let db = Db::open_with_disk(
             DbOptions::in_memory()
                 .page_size(256)
@@ -938,7 +941,7 @@ mod tests {
         db.pause_compaction();
         fill(&db, 60); // enough to rotate at least once
         assert!(db.pipeline_gauges().immutable_queue_depth > 0);
-        backend.arm(0); // every page write fails
+        backend.arm(0); // every write fails
         db.resume_compaction();
         // The worker hits the fault; wait for it to record the failure.
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -30,7 +30,7 @@ use crate::manifest::{Manifest, ManifestState, RunRecord};
 use crate::memtable::Memtable;
 use crate::options::{DbOptions, StorageConfig};
 use crate::page::max_entry_len;
-use crate::run::{recover_run, FilterParams};
+use crate::run::{recover_run, FilterParams, Run};
 use crate::wal::Wal;
 use bytes::Bytes;
 use monkey_bloom::hash_pair;
@@ -104,6 +104,9 @@ pub(super) struct Core {
     compaction_lock: Mutex<()>,
     pub(super) wal: Wal,
     manifest: Option<Manifest>,
+    /// Runs merged away whose retirement waits for a manifest store: one
+    /// failed, so the manifest on storage may still name them.
+    retiring: Mutex<Vec<Arc<Run>>>,
     pub(super) compactions: CompactionCounters,
     /// Point-lookup probe traffic per level, kept whatever
     /// `DbOptions::telemetry` says: the one record that
@@ -309,9 +312,10 @@ impl Core {
     /// A run merged away is deleted only once a durable manifest no longer
     /// names it, and the WAL segments only once one names the flush's
     /// output. When the manifest cannot be stored, the flush has been
-    /// published but deletes and prunes nothing: the runs it merged away
-    /// stay on storage until a reopen finds them unnamed
-    /// ([`Core::open`]), and the WAL still covers its entries.
+    /// published but deletes and prunes nothing: the WAL still covers its
+    /// entries, and the runs it merged away stay on storage until the next
+    /// manifest store succeeds — or, if none does before the process ends,
+    /// until a reopen finds them unnamed ([`Core::open`]).
     fn flush_immutable(&self, imm: &ImmutableMemtable) -> Result<()> {
         let tel = self.telemetry.as_deref();
         let flush_started = match tel {
@@ -375,10 +379,7 @@ impl Core {
         }
         self.signals.stall_cv.notify_all();
         self.retag_attribution(&new_version);
-        self.persist_manifest(&new_version, next_seq)?;
-        for run in &outcome.retired {
-            run.mark_obsolete();
-        }
+        self.persist_manifest(&new_version, next_seq, outcome.retired)?;
         if let Some(segment) = imm.wal_segment {
             self.wal.prune_upto(segment)?;
         }
@@ -390,9 +391,28 @@ impl Core {
         Ok(())
     }
 
+    /// Stores the manifest naming `version`'s runs, then retires `retired`
+    /// — runs no version names any more — with those a failed store left
+    /// waiting: the manifest just stored names none of them. When the store
+    /// fails, they all wait for the next one.
+    fn persist_manifest(
+        &self,
+        version: &Version,
+        next_seq: u64,
+        retired: Vec<Arc<Run>>,
+    ) -> Result<()> {
+        let mut retiring = self.retiring.lock();
+        retiring.extend(retired);
+        self.store_manifest(version, next_seq)?;
+        for run in retiring.drain(..) {
+            run.mark_obsolete();
+        }
+        Ok(())
+    }
+
     /// Stores the manifest naming `version`'s runs, once their directory
     /// entries are durable.
-    fn persist_manifest(&self, version: &Version, next_seq: u64) -> Result<()> {
+    fn store_manifest(&self, version: &Version, next_seq: u64) -> Result<()> {
         let Some(manifest) = &self.manifest else {
             return Ok(());
         };
@@ -527,7 +547,7 @@ impl Core {
             // crashed before its manifest landed — the WAL still holds its
             // entries — or a merged-away run whose delete did not happen.
             let named = manifest_state.as_ref().map_or(&[][..], |state| &state.runs);
-            for id in disk.list_runs() {
+            for id in disk.list_runs()? {
                 if !named.iter().any(|run| run.id == id) {
                     disk.delete_run(id)?;
                 }
@@ -578,6 +598,7 @@ impl Core {
             compaction_lock: Mutex::new(()),
             wal,
             manifest,
+            retiring: Mutex::default(),
             compactions: CompactionCounters::default(),
             lookups,
             pipeline: PipelineCounters::default(),
@@ -891,8 +912,7 @@ impl Core {
             next_seq = shared.next_seq;
         }
         self.retag_attribution(&new_version);
-        self.persist_manifest(&new_version, next_seq)?;
-        Ok(())
+        self.persist_manifest(&new_version, next_seq, Vec::new())
     }
 
     /// Deep integrity check: reads every page of every run (counted I/O)

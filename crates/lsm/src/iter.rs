@@ -675,10 +675,9 @@ mod tests {
 
     #[test]
     fn error_from_source_drains_positioned_entries_then_surfaces_and_fuses() {
-        use monkey_storage::{Backend, Disk, FaultKind, FlakyBackend, MemBackend};
-        use std::sync::Arc;
-        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
-        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
+        use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+        let backend = FlakyBackend::new(MemFs::new(), FaultKind::Reads);
+        let disk = Disk::file_on(backend.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
         // 3 header bytes, 2 of key, 16 of value and a 2-byte offset: two
         // entries fill 46 of the 54 bytes after the page header, a third
         // would not fit.

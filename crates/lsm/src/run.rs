@@ -969,16 +969,16 @@ mod tests {
         let disk = Disk::mem(64);
         let b = RunBuilder::new(Arc::clone(&disk));
         assert!(b.finish(10.0).unwrap().is_none());
-        assert!(disk.list_runs().is_empty(), "no leaked storage");
+        assert!(disk.list_runs().unwrap().is_empty(), "no leaked storage");
     }
 
     #[test]
     fn pages_leave_in_extents_and_a_failed_extent_surfaces_later_and_leaks_nothing() {
-        use monkey_storage::{Backend, FaultKind, FlakyBackend, MemBackend};
+        use monkey_storage::{FaultKind, FlakyBackend, IoBackend, MemFs};
         const PAGE: usize = 4096;
         let per_extent = (WRITE_EXTENT_BYTES / PAGE) as u64;
-        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, PAGE, None);
+        let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
+        let disk = Disk::file_on(backend.clone(), "runs", PAGE, IoBackend::Buffered, None).unwrap();
         // One entry a page, `pages` pages: returns the page being built
         // when a push failed, or the outcome of `finish`.
         let build = |pages: u64| -> std::result::Result<Result<Option<Run>>, u64> {
@@ -1000,15 +1000,19 @@ mod tests {
         let run = build(pages).unwrap().unwrap().unwrap();
         assert_eq!((run.pages() as u64, disk.io().page_writes), (pages, pages));
 
-        // The tenth page write fails: that is inside the first extent,
-        // which leaves when the page after it is finished.
-        backend.arm(9);
+        // The run's file is created, then its first extent's write fails:
+        // it leaves when the page after it is finished.
+        backend.arm_once(1);
         assert_eq!(build(pages).unwrap_err(), per_extent + 1);
-        // A fault inside the last, partial extent surfaces at `finish`.
-        backend.arm(per_extent + 9);
+        // A fault on the last, partial extent surfaces at `finish`.
+        backend.arm_once(2);
         assert!(build(pages).unwrap().is_err());
-        backend.disarm();
-        assert_eq!(disk.list_runs(), vec![run.id()], "no partial run left");
+        assert_eq!(backend.injected(), 2);
+        assert_eq!(
+            disk.list_runs().unwrap(),
+            vec![run.id()],
+            "no partial run left"
+        );
     }
 
     #[test]

@@ -7,14 +7,77 @@
 use bytes::Bytes;
 use monkey_lsm::manifest::Manifest;
 use monkey_lsm::{Db, DbOptions, DbStats, IoBackend, LsmError, MergePolicy};
-use monkey_storage::{
-    Backend, BlockCache, Disk, FaultKind, FlakyBackend, Fs, FsFile, MemBackend, OsFs,
-};
+use monkey_storage::{BlockCache, Disk, FaultKind, FlakyBackend, Fs, FsFile, MemFs, OsFs};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-fn flaky_db(kind: FaultKind) -> (Arc<Db>, Arc<FlakyBackend<MemBackend>>) {
+/// A memory fs whose every operation but `remove` crosses `plan`. A
+/// volatile store has no reopen to sweep up a run whose delete failed, so
+/// its faults land on the operations that build runs — create, extent
+/// write, seal sync — and on reads, never on a delete.
+struct SparingRemoves {
+    plan: Arc<FlakyBackend<MemFs>>,
+    mem: MemFs,
+}
+
+impl Fs for SparingRemoves {
+    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        self.plan.create(path, direct)
+    }
+    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        self.plan.open(path, direct)
+    }
+    fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
+        self.plan.write_at(file, offset, data)
+    }
+    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.plan.read_at(file, offset, buf)
+    }
+    fn len(&self, file: &FsFile) -> io::Result<u64> {
+        self.plan.len(file)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.plan.read(path)
+    }
+    fn sync(&self, file: &FsFile) -> io::Result<()> {
+        self.plan.sync(file)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.plan.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        self.mem.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        self.plan.list(dir)
+    }
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        self.plan.create_dir(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        self.plan.sync_dir(dir)
+    }
+}
+
+/// A volatile disk of 256-byte pages over a memory fs faulted by a plan
+/// of `kind`, deletes spared, and an LRU cache of `cache_bytes` if any.
+fn flaky_disk(
+    kind: FaultKind,
+    cache_bytes: Option<usize>,
+) -> (Arc<Disk>, Arc<FlakyBackend<MemFs>>) {
+    let mem = MemFs::new();
+    let plan = FlakyBackend::new(mem.clone(), kind);
+    let fs = Arc::new(SparingRemoves {
+        plan: plan.clone(),
+        mem,
+    });
+    let cache = cache_bytes.map(BlockCache::new);
+    let disk = Disk::file_on(fs, "runs", 256, IoBackend::Buffered, cache).unwrap();
+    (disk, plan)
+}
+
+fn flaky_db(kind: FaultKind) -> (Arc<Db>, Arc<FlakyBackend<MemFs>>) {
     flaky_db_with(kind, MergePolicy::Leveling, 2)
 }
 
@@ -22,11 +85,8 @@ fn flaky_db_with(
     kind: FaultKind,
     policy: MergePolicy,
     size_ratio: usize,
-) -> (Arc<Db>, Arc<FlakyBackend<MemBackend>>) {
-    let backend = FlakyBackend::new(MemBackend::new(), kind);
-    let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 256, None);
-    // Build options whose storage we bypass: open an in-memory Db, then
-    // rebuild with our counted flaky disk via the same configuration.
+) -> (Arc<Db>, Arc<FlakyBackend<MemFs>>) {
+    let (disk, backend) = flaky_disk(kind, None);
     let opts = DbOptions::in_memory()
         .page_size(256)
         .buffer_capacity(512)
@@ -45,7 +105,7 @@ fn write_fault_surfaces_and_recovers() {
         db.put(format!("k{i:04}").into_bytes(), vec![b'v'; 32])
             .unwrap();
     }
-    // Arm: the very next page write fails — the flush that a future put
+    // Arm: the very next write fails — the flush that a future put
     // triggers must return an error.
     backend.arm(0);
     let mut saw_error = false;
@@ -118,7 +178,7 @@ fn failed_merge_does_not_leak_runs() {
             .unwrap();
     }
     let runs_before = db.stats().runs;
-    let live_before = db.disk().list_runs().len();
+    let live_before = db.disk().list_runs().unwrap().len();
     // Every write fails now: the next flush/merge dies mid-build.
     backend.arm(0);
     let mut failures = 0;
@@ -135,7 +195,7 @@ fn failed_merge_does_not_leak_runs() {
     // Half-built runs were cleaned up: live storage runs equals the
     // tree's run count (the aborted builder deleted its partial output).
     let stats = db.stats();
-    let live_after = db.disk().list_runs().len();
+    let live_after = db.disk().list_runs().unwrap().len();
     assert!(
         live_after <= stats.runs + 1,
         "no leaked storage: {live_after} live vs {} tracked (was {live_before}/{runs_before})",
@@ -167,7 +227,7 @@ fn tree(db: &Db) -> Tree {
         .map(|l| (l.runs, l.entries, l.bytes, l.filter_bits))
         .collect();
     let disk = db.disk();
-    let mut runs: Vec<Vec<Bytes>> = (disk.list_runs().into_iter())
+    let mut runs: Vec<Vec<Bytes>> = (disk.list_runs().unwrap().into_iter())
         .map(|run| {
             let pages = disk.run_pages(run).unwrap();
             (0..pages)
@@ -179,8 +239,8 @@ fn tree(db: &Db) -> Tree {
     (shape, runs)
 }
 
-/// Walks a write fault through **every** page write and run seal of one
-/// flush: the first flush of a batch trace for which
+/// Walks a write fault through **every** run file create, extent write and
+/// run seal of one flush: the first flush of a batch trace for which
 /// `pick(before, after, merges)` holds on a fault-free store. At each write
 /// index a fresh store replays the batches before it and flushes with the
 /// fault armed. The failed flush leaves no run file that no version names,
@@ -193,7 +253,7 @@ fn sweep_write_faults(
     pick: impl Fn(&DbStats, &DbStats, u64) -> bool,
 ) -> (usize, usize) {
     let check = |db: &Db, puts: usize, when: &str| {
-        let (live, tracked) = (db.disk().list_runs().len(), db.stats().runs);
+        let (live, tracked) = (db.disk().list_runs().unwrap().len(), db.stats().runs);
         assert_eq!(live, tracked, "{when}: {live} run files for {tracked} runs");
         for i in 0..puts {
             assert!(
@@ -230,7 +290,7 @@ fn sweep_write_faults(
             break;
         };
         failures += 1;
-        seals += err.to_string().contains("injected fault on seal") as usize;
+        seals += err.to_string().contains("injected fault on sync") as usize;
         backend.disarm();
         let when = format!("{policy:?}, fault at write {allowed}");
         check(&db, batches * BATCH, &when);
@@ -251,6 +311,7 @@ fn sweep_write_faults(
 #[test]
 fn failed_cascade_leaks_no_run_at_any_write_index() {
     let stepwise = |_: &DbStats, _: &DbStats, merges: u64| merges >= 2;
+    // Two runs built: a create, an extent write and a seal each at least.
     let (failures, seals) = sweep_write_faults(MergePolicy::Leveling, 2, stepwise);
     assert!(failures >= 6, "only {failures} write indices");
     assert!(seals >= 2, "a run seal per merge: {seals}");
@@ -268,8 +329,9 @@ fn failed_fused_merge_leaks_no_run_at_any_write_index() {
         merges == 1 && (0..2).all(|level| runs(before, level) > 0 && runs(after, level) == 0)
     };
     for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
+        // One run built: its create, extent write and seal at least.
         let (failures, seals) = sweep_write_faults(policy, size_ratio, fused_two);
-        assert!(failures >= 6, "{policy:?}: only {failures} write indices");
+        assert!(failures >= 3, "{policy:?}: only {failures} write indices");
         assert!(seals >= 1, "{policy:?}: no seal index");
     }
 }
@@ -278,12 +340,7 @@ fn failed_fused_merge_leaks_no_run_at_any_write_index() {
 fn cache_masks_read_faults_for_hot_pages() {
     // A warm block cache serves hot pages even while the backend is down —
     // the availability bonus the paper's Figure 12 setup implies.
-    let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
-    let disk = Disk::with_backend(
-        backend.clone() as Arc<dyn Backend>,
-        256,
-        Some(BlockCache::new(1 << 20)),
-    );
+    let (disk, backend) = flaky_disk(FaultKind::Reads, Some(1 << 20));
     let opts = DbOptions::in_memory()
         .page_size(256)
         .buffer_capacity(512)
@@ -318,7 +375,7 @@ fn scan_yields_what_it_had_read_then_the_error_then_ends() {
     }
     db.flush().unwrap();
     let disk = db.disk();
-    let runs = disk.list_runs();
+    let runs = disk.list_runs().unwrap();
     assert_eq!(runs.len(), 1, "one flush, one run");
     assert!(disk.run_pages(runs[0]).unwrap() >= 3);
     let first_page =
@@ -346,13 +403,11 @@ fn scan_yields_what_it_had_read_then_the_error_then_ends() {
 
 /// A seam that logs every operation — its name and the path it touched,
 /// relative to the store's root (`.` for the root itself) — before handing
-/// it on. Given the fault plan of the seam it wraps, it disarms the plan
-/// once the plan has injected a fault, so that one operation fails alone.
+/// it on.
 struct Recorder {
     inner: Arc<dyn Fs>,
     root: PathBuf,
     ops: Mutex<Vec<(&'static str, String)>>,
-    one_fault: Option<Arc<FlakyBackend<OsFs>>>,
 }
 
 /// The seam operations that change a file or a directory, which a
@@ -367,20 +422,14 @@ const WRITE_OPS: [&str; 7] = [
     "sync_dir",
 ];
 
+/// The seam operations that read, which a [`FaultKind::Reads`] plan
+/// counts.
+const READ_OPS: [&str; 5] = ["open", "read_at", "len", "read", "list"];
+
 impl Recorder {
-    fn new(
-        inner: Arc<dyn Fs>,
-        root: &Path,
-        one_fault: Option<Arc<FlakyBackend<OsFs>>>,
-    ) -> Arc<Self> {
-        let root = root.to_path_buf();
-        let ops = Mutex::default();
-        Arc::new(Self {
-            inner,
-            root,
-            ops,
-            one_fault,
-        })
+    fn new(inner: Arc<dyn Fs>, root: &Path) -> Arc<Self> {
+        let (root, ops) = (root.to_path_buf(), Mutex::default());
+        Arc::new(Self { inner, root, ops })
     }
 
     fn pass<T>(
@@ -395,11 +444,7 @@ impl Recorder {
             false => name.to_string_lossy().into_owned(),
         };
         self.ops.lock().unwrap().push((op, name));
-        let result = call(&*self.inner);
-        if let Some(plan) = self.one_fault.as_ref().filter(|plan| plan.injected() > 0) {
-            plan.disarm();
-        }
-        result
+        call(&*self.inner)
     }
 
     /// The operations logged since the last call.
@@ -417,6 +462,12 @@ impl Fs for Recorder {
     }
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
         self.pass("write", file.path(), |fs| fs.write_at(file, offset, data))
+    }
+    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.pass("read_at", file.path(), |fs| fs.read_at(file, offset, buf))
+    }
+    fn len(&self, file: &FsFile) -> io::Result<u64> {
+        self.pass("len", file.path(), |fs| fs.len(file))
     }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         self.pass("read", path, |fs| fs.read(path))
@@ -511,7 +562,7 @@ fn wal_segments(dir: &Path) -> usize {
 #[test]
 fn a_durable_flush_makes_its_bytes_durable_in_order() {
     let dir = temp_store("order");
-    let recorder = Recorder::new(Arc::new(OsFs), &dir, None);
+    let recorder = Recorder::new(Arc::new(OsFs), &dir);
     let db = durable_store(&dir, recorder.clone());
     let merges = db.compaction_stats().merges;
     recorder.take();
@@ -585,7 +636,7 @@ fn a_flush_syncs_each_kind_a_pinned_number_of_times() {
     let mut sealed_per_flush = Vec::new();
     for batch in 0..48 {
         put_batch(&db, batch);
-        let newest = |db: &Db| db.disk().list_runs().last().copied();
+        let newest = |db: &Db| db.disk().list_runs().unwrap().last().copied();
         let (before, newest_before) = (db.io(), newest(&db));
         db.flush().unwrap();
         let io = db.io() - before;
@@ -620,14 +671,17 @@ fn a_flush_syncs_each_kind_a_pinned_number_of_times() {
 /// failing that write alone, so the flush goes on past it. The error
 /// surfaces — unless the fault hit a merged-away run's delete, which
 /// the run's last reference issues and cannot report: that run stays on
-/// storage until a reopen. Then, with the fault disarmed, a reopen returns
+/// storage until a reopen. After a fault alone, the next flush in the same
+/// process leaves no run file the manifest does not name: the runs a
+/// failed manifest store kept go with the next one that succeeds. Then,
+/// with the fault disarmed, a reopen returns
 /// every acknowledged put, and the run files on storage are exactly those
 /// the manifest names; after one more put and flush, one WAL segment is
 /// left, the one the store is writing.
 #[test]
 fn failed_durable_flush_loses_nothing_at_any_seam_write() {
     let reference = temp_store("sweep-ref");
-    let recorder = Recorder::new(Arc::new(OsFs), &reference, None);
+    let recorder = Recorder::new(Arc::new(OsFs), &reference);
     let db = durable_store(&reference, recorder.clone());
     recorder.take();
     db.flush().unwrap();
@@ -643,15 +697,24 @@ fn failed_durable_flush_loses_nothing_at_any_seam_write() {
         );
     }
 
+    // The rotation's writes come first: the WAL seal, the new segment and
+    // the directory sync that names it. A fault there poisons the log, by
+    // design, so only a reopen can show what that flush left behind.
+    let rotation = writes
+        .iter()
+        .position(|(_, name)| name.starts_with("pages/"));
+    let rotation = rotation.expect("the flush writes a run");
     let puts = DURABLE_BATCHES * BATCH;
     let indices = writes.iter().enumerate();
     for ((index, (op, name)), alone) in indices.flat_map(|w| [(w, false), (w, true)]) {
         let when = format!("fault at write {index} ({op} of {name}), alone: {alone}");
         let dir = temp_store("sweep");
         let plan = FlakyBackend::new(OsFs, FaultKind::Writes);
-        let fs = Recorder::new(plan.clone(), &dir, alone.then(|| plan.clone()));
-        let db = durable_store(&dir, fs);
-        plan.arm(index as u64);
+        let db = durable_store(&dir, plan.clone());
+        match alone {
+            true => plan.arm_once(index as u64),
+            false => plan.arm(index as u64),
+        }
         let flushed = db.flush();
         assert!(plan.injected() > 0, "{when}: never reached");
         let deferred = *op == "remove" && name.ends_with(".run");
@@ -659,6 +722,14 @@ fn failed_durable_flush_loses_nothing_at_any_seam_write() {
             assert!(deferred, "{when}: the error did not surface");
         }
         plan.disarm();
+        if alone && !deferred && index >= rotation {
+            // What the failed flush merged away goes with the next
+            // manifest store, in this process.
+            db.put(&b"retry"[..], &b"v"[..]).unwrap();
+            db.flush().unwrap();
+            let (on_disk, named) = runs_on_disk_and_named(&dir);
+            assert_eq!(on_disk, named, "{when}, then a flush before any reopen");
+        }
         drop(db);
 
         let db = Db::open(durable_opts(&dir)).unwrap();
@@ -681,6 +752,49 @@ fn failed_durable_flush_loses_nothing_at_any_seam_write() {
             "{when}: WAL segments no replay covers"
         );
         drop(db);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A listing of `pages/` that fails is an error at open, never an empty
+/// store: an open whose disk could not list its runs would hand out run
+/// ids from 0 again, and one whose sweep could not would keep runs no
+/// manifest names. Each listing a reopen makes, failed, fails `open`, and
+/// no run file is deleted.
+#[test]
+fn a_failed_run_listing_fails_the_open_and_deletes_nothing() {
+    let closed_store = |name: &str| {
+        let dir = temp_store(name);
+        let db = durable_store(&dir, Arc::new(OsFs));
+        db.flush().unwrap();
+        drop(db);
+        dir
+    };
+    let reference = closed_store("listing-ref");
+    let recorder = Recorder::new(Arc::new(OsFs), &reference);
+    drop(Db::open_with_fs(durable_opts(&reference), recorder.clone()).unwrap());
+    let reads = (recorder.take().into_iter()).filter(|(op, _)| READ_OPS.contains(op));
+    let listings: Vec<usize> = (reads.enumerate())
+        .filter(|(_, (op, name))| *op == "list" && name == "pages")
+        .map(|(index, _)| index)
+        .collect();
+    assert_eq!(listings.len(), 2, "the disk's, and the sweep's");
+    std::fs::remove_dir_all(&reference).unwrap();
+    for index in listings {
+        let dir = closed_store("listing");
+        let (runs, _) = runs_on_disk_and_named(&dir);
+        assert!(!runs.is_empty());
+        let plan = FlakyBackend::new(OsFs, FaultKind::Reads);
+        plan.arm_once(index as u64);
+        let Err(err) = Db::open_with_fs(durable_opts(&dir), plan.clone()) else {
+            panic!("read {index}: the open went on past a failed listing");
+        };
+        assert!(
+            err.to_string().contains("injected fault on list of"),
+            "{err}"
+        );
+        let (after, _) = runs_on_disk_and_named(&dir);
+        assert_eq!(after, runs, "read {index}: run files deleted");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

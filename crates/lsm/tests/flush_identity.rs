@@ -356,7 +356,7 @@ fn check_tree(db: &Db, dir: Option<&Path>, reference: &Reference) -> Result<(), 
                 prop_assert_eq!(record.bits_per_entry, run.filter_bits_per_entry());
                 prop_assert_eq!(&pages_of(disk, record.id), want, "run {:?}", record);
             }
-            let mut on_disk = disk.list_runs();
+            let mut on_disk = disk.list_runs().unwrap();
             let mut named: Vec<RunId> = records.iter().map(|r| r.id).collect();
             on_disk.sort_unstable();
             named.sort_unstable();
@@ -365,6 +365,7 @@ fn check_tree(db: &Db, dir: Option<&Path>, reference: &Reference) -> Result<(), 
         None => {
             let mut got: Vec<Vec<Bytes>> = disk
                 .list_runs()
+                .unwrap()
                 .into_iter()
                 .map(|run| pages_of(disk, run))
                 .collect();

@@ -7,7 +7,7 @@
 use monkey_lsm::compaction::build_run_from_sorted;
 use monkey_lsm::merge::merge_runs_with;
 use monkey_lsm::{Db, DbOptions, Entry, LsmError, MergePolicy, Run};
-use monkey_storage::{Backend, Disk, FaultKind, FlakyBackend, MemBackend};
+use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,7 +103,7 @@ proptest! {
 fn disk_image(db: &Db) -> BTreeMap<u64, Vec<bytes::Bytes>> {
     let disk = db.disk();
     let mut image = BTreeMap::new();
-    for id in disk.list_runs() {
+    for id in disk.list_runs().unwrap() {
         let pages = disk.run_pages(id).unwrap();
         let bytes: Vec<_> = (0..pages).map(|p| disk.read_page(id, p).unwrap()).collect();
         image.insert(id, bytes);
@@ -170,8 +170,8 @@ fn db_state_is_thread_count_invariant_under_both_policies() {
 /// a retry after the fault clears loses nothing.
 #[test]
 fn worker_pool_merge_fault_fails_cascade_cleanly() {
-    let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-    let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 256, None);
+    let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
+    let disk = Disk::file_on(backend.clone(), "runs", 256, IoBackend::Buffered, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(256)
@@ -201,8 +201,8 @@ fn worker_pool_merge_fault_fails_cascade_cleanly() {
             .unwrap();
     }
     let tracked_before = db.stats().runs;
-    let live_before = db.disk().list_runs().len();
-    backend.arm(0); // every page write now fails
+    let live_before = db.disk().list_runs().unwrap().len();
+    backend.arm(0); // every write now fails
     db.resume_compaction();
     let deadline = Instant::now() + Duration::from_secs(10);
     while db.pipeline_stats().background_errors == 0 {
@@ -213,7 +213,7 @@ fn worker_pool_merge_fault_fails_cascade_cleanly() {
     // No partial run was installed or leaked while the fault was armed.
     assert_eq!(db.stats().runs, tracked_before, "no partial run installed");
     assert!(
-        db.disk().list_runs().len() <= live_before,
+        db.disk().list_runs().unwrap().len() <= live_before,
         "aborted builders must delete their unsealed output"
     );
     // The deferred error surfaces on the next foreground call...

@@ -155,8 +155,7 @@ pub struct ShardBreakdown {
 pub struct IoBackendReport {
     /// What the options asked for (`"buffered"`, `"direct"`).
     pub requested: String,
-    /// What is actually running (`"buffered"`, `"direct"`, `"mem"`,
-    /// `"custom"`).
+    /// What is actually running (`"buffered"`, `"direct"`, `"mem"`).
     pub kind: String,
     /// Logical-block alignment the backend discovered for the data
     /// directory, in bytes; 0 when alignment is not a concept (buffered,

@@ -12,9 +12,10 @@
 //! requires buffer address, length, and file offset aligned to the
 //! filesystem's logical block size, and the probe walks the ladder
 //! 512 B → 4 KiB. Unsupported filesystems (tmpfs rejects `O_DIRECT` at
-//! `open`) and page sizes that are not a multiple of the discovered
-//! alignment report a fallback reason instead of failing, so callers
-//! degrade to the buffered backend and surface the reason once.
+//! `open`, and so does a [`MemFs`](crate::MemFs)) and page sizes that are
+//! not a multiple of the discovered alignment report a fallback reason
+//! instead of failing, so callers degrade to the buffered backend and
+//! surface the reason once.
 
 use crate::aligned::AlignedPool;
 use crate::fs::Fs;
@@ -63,7 +64,7 @@ impl IoBackend {
 pub struct BackendInfo {
     /// The backend the options asked for.
     pub requested: IoBackend,
-    /// The active path: `"mem"`, `"buffered"`, `"direct"`, or `"custom"`.
+    /// The active path: `"mem"`, `"buffered"` or `"direct"`.
     pub kind: &'static str,
     /// Discovered logical-block alignment in bytes (0 when not direct).
     pub align: usize,
@@ -77,16 +78,6 @@ impl BackendInfo {
         Self {
             requested: IoBackend::Buffered,
             kind: "mem",
-            align: 0,
-            fallback: None,
-        }
-    }
-
-    /// Info for a caller-supplied backend the disk knows nothing about.
-    pub fn custom() -> Self {
-        Self {
-            requested: IoBackend::Buffered,
-            kind: "custom",
             align: 0,
             fallback: None,
         }
@@ -115,9 +106,8 @@ pub(crate) fn discover_alignment(fs: &dyn Fs, dir: &Path) -> std::result::Result
         let pool = AlignedPool::new(4096, 4096);
         let mut buf = pool.acquire();
         for align in [512usize, 4096] {
-            match f.read_at(&mut buf.as_mut_slice()[..align], 0) {
-                Ok(n) if n == align => return Ok(align),
-                Ok(n) => return Err(format!("probe read returned {n} of {align} bytes")),
+            match fs.read_at(&f, 0, &mut buf.as_mut_slice()[..align]) {
+                Ok(()) => return Ok(align),
                 Err(e) if e.raw_os_error() == Some(EINVAL) => continue,
                 Err(e) => return Err(format!("probe read: {e}")),
             }
@@ -131,7 +121,7 @@ pub(crate) fn discover_alignment(fs: &dyn Fs, dir: &Path) -> std::result::Result
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, FileBackend, OsFs, StorageError};
+    use crate::{FileBackend, OsFs, StorageError};
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -173,8 +163,8 @@ mod tests {
         assert!(b.align() == 512 || b.align() == 4096, "align {}", b.align());
         let pages: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; 4096]).collect();
         // A single page, then an extent: both bounce through aligned frames.
-        b.append_page(3, 0, &pages[0]).unwrap();
-        b.append_pages(3, 1, &pages[1..].concat(), 4096).unwrap();
+        b.append_pages(3, 0, &pages[0]).unwrap();
+        b.append_pages(3, 1, &pages[1..].concat()).unwrap();
         b.seal(3).unwrap();
         assert_eq!(b.pages(3).unwrap(), 6);
         let read: Vec<_> = (0..6).map(|p| b.read_page(3, p).unwrap()).collect();
@@ -183,11 +173,11 @@ mod tests {
         }
         // Reads recycled the frames the appends bounced through, and hold
         // theirs until the `Bytes` drop.
-        let frames = b.frame_stats().unwrap();
+        let frames = b.frame_stats();
         assert!(frames.recycled > 0);
         assert_eq!(frames.outstanding, 6);
         drop(read);
-        assert_eq!(b.frame_stats().unwrap().outstanding, 0);
+        assert_eq!(b.frame_stats().outstanding, 0);
         assert!(matches!(
             b.read_page(3, 6),
             Err(StorageError::NotFound {
@@ -200,7 +190,7 @@ mod tests {
             Err(StorageError::NotFound { run: 9, page: None })
         ));
         b.delete(3).unwrap();
-        assert!(b.list().is_empty());
+        assert!(b.list().unwrap().is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -221,11 +211,11 @@ mod tests {
         let Some(b) = open_or_skip(&dir, 4096) else {
             return;
         };
-        b.append_page(7, 0, &vec![9u8; 4096]).unwrap();
+        b.append_pages(7, 0, &vec![9u8; 4096]).unwrap();
         b.seal(7).unwrap();
         drop(b);
         let buffered = FileBackend::open(Arc::new(OsFs), &dir, 4096).unwrap();
-        assert_eq!(buffered.list(), vec![7]);
+        assert_eq!(buffered.list().unwrap(), vec![7]);
         assert_eq!(&buffered.read_page(7, 0).unwrap()[..], &[9u8; 4096][..]);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -1,18 +1,19 @@
 //! The [`Disk`]: the storage facade the LSM engine talks to.
 //!
-//! `Disk` combines a [`Backend`] with [`IoStats`] accounting and an optional
-//! [`BlockCache`]. Every page that physically moves to or from the backend
-//! is counted; cache hits are recorded but are not I/Os. This is the
-//! boundary where the reproduction's measurements are taken — and, once a
-//! [`PageCheck`] is attached, where page bytes are checked: once, as they
-//! leave the backend, before the cache may hold them.
+//! `Disk` combines a [`FileBackend`] — run files on the OS's filesystem,
+//! or on a [`MemFs`] for the in-memory disk — with [`IoStats`] accounting
+//! and an optional [`BlockCache`]. Every page that physically moves to or
+//! from the backend is counted; cache hits are recorded but are not I/Os.
+//! This is the boundary where the reproduction's measurements are taken —
+//! and, once a [`PageCheck`] is attached, where page bytes are checked:
+//! once, as they leave the backend, before the cache may hold them.
 
 use crate::aligned::PoolStats;
-use crate::backend::{Backend, FileBackend, MemBackend, RunId};
+use crate::backend::{FileBackend, RunId};
 use crate::cache::{BlockCache, CacheConfig, CacheStats};
 use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
-use crate::fs::{Fs, OsFs};
+use crate::fs::{Fs, MemFs, OsFs};
 use crate::iostats::{IoSnapshot, IoStats, SyncKind};
 use bytes::Bytes;
 use monkey_obs::IoAttribution;
@@ -27,7 +28,7 @@ pub type PageCheck = fn(&[u8]) -> std::result::Result<(), String>;
 
 /// A counted, optionally cached page store.
 pub struct Disk {
-    backend: Arc<dyn Backend>,
+    backend: FileBackend,
     /// Shared with the store's WAL and manifest, which count their syncs
     /// here.
     stats: Arc<IoStats>,
@@ -46,25 +47,23 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates an in-memory simulated disk (the experiment default).
+    /// Creates an in-memory simulated disk (the experiment default): the
+    /// run store over a fresh [`MemFs`], so its pages are counted, read
+    /// and written by the code a durable store runs.
     pub fn mem(page_size: usize) -> Arc<Self> {
-        Self::with_backend_info(
-            Arc::new(MemBackend::new()),
-            page_size,
-            None,
-            BackendInfo::mem(),
-        )
+        Self::mem_with(page_size, None)
     }
 
     /// Creates an in-memory disk with an LRU block cache of `cache_bytes`.
     pub fn mem_cached(page_size: usize, cache_bytes: usize) -> Arc<Self> {
         let config = CacheConfig::lru(cache_bytes).with_page_size(page_size);
-        Self::with_backend_info(
-            Arc::new(MemBackend::new()),
-            page_size,
-            Some(BlockCache::with_config(config)),
-            BackendInfo::mem(),
-        )
+        Self::mem_with(page_size, Some(BlockCache::with_config(config)))
+    }
+
+    fn mem_with(page_size: usize, cache: Option<BlockCache>) -> Arc<Self> {
+        let fs = Arc::new(MemFs::new());
+        let backend = FileBackend::open(fs, "runs", page_size).expect("memory takes a directory");
+        Self::new(backend, page_size, cache, BackendInfo::mem()).expect("memory lists")
     }
 
     /// Opens a file-backed disk rooted at `dir` (buffered I/O).
@@ -87,6 +86,7 @@ impl Disk {
     }
 
     /// [`file_with`](Self::file_with), its run files reached through `fs`.
+    /// A directory that cannot be listed is an error: its runs are unknown.
     pub fn file_on(
         fs: Arc<dyn Fs>,
         dir: impl AsRef<Path>,
@@ -109,34 +109,19 @@ impl Disk {
             align: if direct { backend.align() } else { 0 },
             fallback,
         };
-        Ok(Self::with_backend_info(
-            Arc::new(backend),
-            page_size,
-            cache,
-            info,
-        ))
+        Self::new(backend, page_size, cache, info)
     }
 
-    /// Wraps an arbitrary backend (for tests and custom deployments).
-    pub fn with_backend(
-        backend: Arc<dyn Backend>,
-        page_size: usize,
-        cache: Option<BlockCache>,
-    ) -> Arc<Self> {
-        Self::with_backend_info(backend, page_size, cache, BackendInfo::custom())
-    }
-
-    fn with_backend_info(
-        backend: Arc<dyn Backend>,
+    fn new(
+        backend: FileBackend,
         page_size: usize,
         cache: Option<BlockCache>,
         info: BackendInfo,
-    ) -> Arc<Self> {
-        assert!(page_size > 0, "page size must be positive");
-        // Resume run-id allocation above any existing run (file backend
+    ) -> Result<Arc<Self>> {
+        // Resume run-id allocation above any existing run (a directory
         // reopened over a previous database).
-        let next = backend.list().last().map_or(0, |id| id + 1);
-        Arc::new(Self {
+        let next = backend.list()?.last().map_or(0, |id| id + 1);
+        Ok(Arc::new(Self {
             backend,
             stats: Arc::new(IoStats::new()),
             cache,
@@ -145,7 +130,7 @@ impl Disk {
             info,
             attribution: OnceLock::new(),
             page_check: OnceLock::new(),
-        })
+        }))
     }
 
     /// Attaches the check every page read from the backend must pass.
@@ -272,10 +257,8 @@ impl Disk {
         &self.info
     }
 
-    /// Counters of the pool the backend's page frames come from, when it
-    /// reads into one (the file backends do; the in-memory disk hands out
-    /// the pages it stores).
-    pub fn frame_stats(&self) -> Option<PoolStats> {
+    /// Counters of the pool every page read from the backend lands in.
+    pub fn frame_stats(&self) -> PoolStats {
         self.backend.frame_stats()
     }
 
@@ -295,7 +278,7 @@ impl Disk {
         self.backend.delete(run)
     }
 
-    /// Makes the set of runs durable (see [`Backend::sync_dir`]): a run
+    /// Makes the set of runs durable (see [`FileBackend::sync_dir`]): a run
     /// sealed before this returns is found by a reopen after a crash.
     pub fn sync_dir(&self) -> Result<()> {
         self.backend.sync_dir()?;
@@ -324,8 +307,9 @@ impl Disk {
         self.cache.as_ref().map(BlockCache::stats)
     }
 
-    /// Runs present on the backend (recovery support).
-    pub fn list_runs(&self) -> Vec<RunId> {
+    /// Runs present on the backend, ascending (recovery support). A
+    /// listing that fails is an error, never an empty store.
+    pub fn list_runs(&self) -> Result<Vec<RunId>> {
         self.backend.list()
     }
 }
@@ -354,19 +338,11 @@ impl RunWriter {
     /// page is counted and attributed as a write of its own; the backend
     /// receives the extent in one call. On failure some of the extent's
     /// pages may have reached the backend: the writer deletes the partial
-    /// run when it is dropped.
+    /// run when it is dropped. An extent that is not a whole number of
+    /// pages, at least one, is a `BadPageSize` error.
     pub fn append(&mut self, pages: &[u8]) -> Result<()> {
-        let page_size = self.disk.page_size;
-        if pages.is_empty() || !pages.len().is_multiple_of(page_size) {
-            return Err(StorageError::BadPageSize {
-                got: pages.len(),
-                want: page_size,
-            });
-        }
-        let count = (pages.len() / page_size) as u32;
-        self.disk
-            .backend
-            .append_pages(self.id, self.pages, pages, page_size)?;
+        self.disk.backend.append_pages(self.id, self.pages, pages)?;
+        let count = (pages.len() / self.disk.page_size) as u32;
         self.disk.stats.add_writes(count as u64);
         for _ in 0..count {
             self.disk.attr_write(self.id);
@@ -494,7 +470,7 @@ mod tests {
             id = w.id();
         } // dropped without seal
         assert!(disk.run_pages(id).is_err());
-        assert!(disk.list_runs().is_empty());
+        assert!(disk.list_runs().unwrap().is_empty());
     }
 
     #[test]
@@ -641,24 +617,25 @@ mod tests {
     #[test]
     fn failed_extent_is_counted_per_page_and_leaves_no_partial_run() {
         use crate::faults::{FaultKind, FlakyBackend};
-        let backend = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-        let disk = Disk::with_backend(backend.clone() as Arc<dyn Backend>, 64, None);
+        let fs = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
+        let disk = Disk::file_on(fs.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
         let attr = Arc::new(IoAttribution::new());
         disk.attach_attribution(Arc::clone(&attr));
         let extent = vec![5u8; 8 * 64];
 
-        // The fault budget is per page: an 8-page extent dies on its
-        // fourth page, the first extent of the run or a later one.
+        // An extent is one write at the seam, and it fails whole: the
+        // first extent of the run, once the run's file is created, or a
+        // later one.
         for extents_before in [0u32, 2] {
-            backend.disarm();
             let mut w = disk.begin_run();
             attr.tag_run(w.id(), 1);
             for _ in 0..extents_before {
                 w.append(&extent).unwrap();
             }
             let (id, written) = (w.id(), disk.io().page_writes);
-            backend.arm(3);
+            fs.arm(u64::from(extents_before == 0));
             assert!(w.append(&extent).is_err());
+            fs.disarm();
             assert_eq!(w.pages_written(), extents_before * 8, "appended pages only");
             assert_eq!(
                 disk.io().page_writes,
@@ -667,12 +644,12 @@ mod tests {
             );
             assert_eq!(
                 disk.run_pages(id).unwrap(),
-                extents_before * 8 + 3,
+                extents_before * 8,
                 "the pages ahead of the fault did reach the backend"
             );
             drop(w);
             assert!(
-                disk.list_runs().is_empty(),
+                disk.list_runs().unwrap().is_empty(),
                 "partial run deleted with its writer"
             );
         }
@@ -757,7 +734,7 @@ mod tests {
             first_id = w.seal().unwrap();
         }
         let disk = Disk::file(&dir, 64).unwrap();
-        assert_eq!(disk.list_runs(), vec![first_id]);
+        assert_eq!(disk.list_runs().unwrap(), vec![first_id]);
         let w = disk.begin_run();
         assert!(w.id() > first_id, "ids must not alias old runs");
         std::fs::remove_dir_all(&dir).unwrap();

@@ -1,62 +1,84 @@
-//! Fault injection for testing: a backend wrapper that fails I/O on
-//! command.
+//! Fault injection for testing: a wrapper of the storage seam that fails
+//! or delays its operations on command.
 //!
 //! Storage failures are rare but inevitable; the engine above must surface
 //! them as errors without corrupting in-memory state or leaking storage.
-//! [`FlakyBackend`] wraps any [`Backend`] — or any [`Fs`], the seam every
-//! durable file of a store crosses — and injects I/O errors according to a
-//! budget: fail everything after the first `n` operations, fail reads
-//! only, or fail writes only.
+//! [`FlakyBackend`] wraps any [`Fs`] — the seam every file of a store,
+//! volatile or durable, crosses — and injects I/O errors according to a
+//! budget: fail every targeted operation after the first `n`, or only the
+//! one after them, on reads, on writes, or on both. It also sleeps before
+//! page reads, writes and syncs on command, a stand-in for a slow device.
 
-use crate::backend::{Backend, RunId};
-use crate::error::Result;
 use crate::fs::{Fs, FsFile};
-use bytes::Bytes;
 use std::fmt::Arguments;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Which operations the fault plan applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Fail page reads, and the seam's opens, reads and listings.
+    /// Fail every seam operation that reads: open, positional read,
+    /// length, whole-file read and listing.
     Reads,
-    /// Fail page appends, run seals and backend directory syncs, and every
-    /// seam operation that changes a file or a directory: create, write,
-    /// sync, rename, remove, directory create and directory sync.
+    /// Fail every seam operation that changes a file or a directory:
+    /// create, write, sync, rename, remove, directory create and directory
+    /// sync.
     Writes,
     /// Fail both.
     All,
 }
 
-/// A backend, or a filesystem seam, that starts failing after a configured
-/// number of operations.
-pub struct FlakyBackend<B> {
-    inner: B,
+/// A filesystem seam that starts failing after a configured number of
+/// operations, and that can be slowed down.
+pub struct FlakyBackend<F> {
+    inner: F,
     kind: FaultKind,
     /// Operations (of the targeted kind) still allowed to succeed.
     budget: AtomicU64,
     armed: AtomicBool,
+    /// Whether the plan disarms itself once it has injected a fault.
+    once: AtomicBool,
     injected: AtomicU64,
+    read_delay_us: AtomicU64,
+    write_delay_us: AtomicU64,
+    sync_delay_us: AtomicU64,
 }
 
-impl<B> FlakyBackend<B> {
-    /// Wraps `inner`; faults are disarmed until [`arm`](Self::arm) is called.
-    pub fn new(inner: B, kind: FaultKind) -> Arc<Self> {
+impl<F> FlakyBackend<F> {
+    /// Wraps `inner`; faults are disarmed until [`arm`](Self::arm) is
+    /// called, and there is no delay until one is set.
+    pub fn new(inner: F, kind: FaultKind) -> Arc<Self> {
         Arc::new(Self {
             inner,
             kind,
             budget: AtomicU64::new(u64::MAX),
             armed: AtomicBool::new(false),
+            once: AtomicBool::new(false),
             injected: AtomicU64::new(0),
+            read_delay_us: AtomicU64::new(0),
+            write_delay_us: AtomicU64::new(0),
+            sync_delay_us: AtomicU64::new(0),
         })
     }
 
-    /// Starts failing targeted operations after `allow` more of them.
+    /// Starts failing targeted operations after `allow` more of them: a
+    /// dying disk.
     pub fn arm(&self, allow: u64) {
+        self.arm_with(allow, false);
+    }
+
+    /// Fails the one targeted operation after `allow` more of them, and
+    /// none after it: a fault the operations that follow do not see.
+    pub fn arm_once(&self, allow: u64) {
+        self.arm_with(allow, true);
+    }
+
+    fn arm_with(&self, allow: u64, once: bool) {
         self.budget.store(allow, Ordering::SeqCst);
+        self.once.store(once, Ordering::SeqCst);
         self.armed.store(true, Ordering::SeqCst);
     }
 
@@ -68,6 +90,31 @@ impl<B> FlakyBackend<B> {
     /// Number of faults injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::SeqCst)
+    }
+
+    /// Sleeps `micros` before every positional read — a page read.
+    /// The delays can be changed while I/O is running.
+    pub fn set_read_delay_micros(&self, micros: u64) {
+        self.read_delay_us.store(micros, Ordering::SeqCst);
+    }
+
+    /// Sleeps `micros` before every write — one extent of a run.
+    pub fn set_write_delay_micros(&self, micros: u64) {
+        self.write_delay_us.store(micros, Ordering::SeqCst);
+    }
+
+    /// Sleeps `micros` before every file sync — a run's seal among them —
+    /// modelling a device with expensive flushes, so tests can observe
+    /// that batching coalesces rather than multiplies them.
+    pub fn set_sync_delay_micros(&self, micros: u64) {
+        self.sync_delay_us.store(micros, Ordering::SeqCst);
+    }
+
+    fn nap(&self, micros: &AtomicU64) {
+        let us = micros.load(Ordering::SeqCst);
+        if us > 0 {
+            std::thread::sleep(Duration::from_micros(us));
+        }
     }
 
     fn maybe_fail(&self, op: FaultKind, what: Arguments) -> io::Result<()> {
@@ -86,44 +133,13 @@ impl<B> FlakyBackend<B> {
             })
             .unwrap();
         if prev == 0 {
+            if self.once.load(Ordering::SeqCst) {
+                self.disarm();
+            }
             self.injected.fetch_add(1, Ordering::SeqCst);
             return Err(io::Error::other(format!("injected fault on {what}")));
         }
         Ok(())
-    }
-}
-
-impl<B: Backend> Backend for FlakyBackend<B> {
-    fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, format_args!("append_page"))?;
-        self.inner.append_page(run, page_no, data)
-    }
-
-    fn seal(&self, run: RunId) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, format_args!("seal of run {run}"))?;
-        self.inner.seal(run)
-    }
-
-    fn sync_dir(&self) -> Result<()> {
-        self.maybe_fail(FaultKind::Writes, format_args!("sync_dir"))?;
-        self.inner.sync_dir()
-    }
-
-    fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        self.maybe_fail(FaultKind::Reads, format_args!("read_page"))?;
-        self.inner.read_page(run, page_no)
-    }
-
-    fn pages(&self, run: RunId) -> Result<u32> {
-        self.inner.pages(run)
-    }
-
-    fn delete(&self, run: RunId) -> Result<()> {
-        self.inner.delete(run)
-    }
-
-    fn list(&self) -> Vec<RunId> {
-        self.inner.list()
     }
 }
 
@@ -140,9 +156,23 @@ impl<F: Fs> Fs for FlakyBackend<F> {
     }
 
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
+        self.nap(&self.write_delay_us);
         let what = format_args!("write to {}", file.path().display());
         self.maybe_fail(FaultKind::Writes, what)?;
         self.inner.write_at(file, offset, data)
+    }
+
+    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        self.nap(&self.read_delay_us);
+        let what = format_args!("read from {}", file.path().display());
+        self.maybe_fail(FaultKind::Reads, what)?;
+        self.inner.read_at(file, offset, buf)
+    }
+
+    fn len(&self, file: &FsFile) -> io::Result<u64> {
+        let what = format_args!("length of {}", file.path().display());
+        self.maybe_fail(FaultKind::Reads, what)?;
+        self.inner.len(file)
     }
 
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
@@ -151,6 +181,7 @@ impl<F: Fs> Fs for FlakyBackend<F> {
     }
 
     fn sync(&self, file: &FsFile) -> io::Result<()> {
+        self.nap(&self.sync_delay_us);
         let what = format_args!("sync of {}", file.path().display());
         self.maybe_fail(FaultKind::Writes, what)?;
         self.inner.sync(file)
@@ -186,124 +217,60 @@ impl<F: Fs> Fs for FlakyBackend<F> {
     }
 }
 
-/// A backend that sleeps before each page read/write — a stand-in for a
-/// slow device, used to make background flushes and merge cascades take
-/// real wall-clock time so concurrency tests can observe that foreground
-/// operations keep making progress while maintenance work is in flight.
-pub struct SlowBackend<B> {
-    inner: B,
-    read_delay_us: AtomicU64,
-    write_delay_us: AtomicU64,
-    sync_delay_us: AtomicU64,
-}
-
-impl<B: Backend> SlowBackend<B> {
-    /// Wraps `inner` with zero delay (set delays later, even while I/O is
-    /// running — the knobs are atomic).
-    pub fn new(inner: B) -> Arc<Self> {
-        Arc::new(Self {
-            inner,
-            read_delay_us: AtomicU64::new(0),
-            write_delay_us: AtomicU64::new(0),
-            sync_delay_us: AtomicU64::new(0),
-        })
-    }
-
-    /// Sleeps `micros` before every page read.
-    pub fn set_read_delay_micros(&self, micros: u64) {
-        self.read_delay_us.store(micros, Ordering::SeqCst);
-    }
-
-    /// Sleeps `micros` before every page append.
-    pub fn set_write_delay_micros(&self, micros: u64) {
-        self.write_delay_us.store(micros, Ordering::SeqCst);
-    }
-
-    /// Sleeps `micros` before every seal (the durability barrier) — models
-    /// a device with expensive flushes, so tests can observe that batching
-    /// coalesces rather than multiplies them.
-    pub fn set_sync_delay_micros(&self, micros: u64) {
-        self.sync_delay_us.store(micros, Ordering::SeqCst);
-    }
-
-    fn nap(&self, micros: &AtomicU64) {
-        let us = micros.load(Ordering::SeqCst);
-        if us > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(us));
-        }
-    }
-}
-
-impl<B: Backend> Backend for SlowBackend<B> {
-    fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> Result<()> {
-        self.nap(&self.write_delay_us);
-        self.inner.append_page(run, page_no, data)
-    }
-
-    fn seal(&self, run: RunId) -> Result<()> {
-        self.nap(&self.sync_delay_us);
-        self.inner.seal(run)
-    }
-
-    fn sync_dir(&self) -> Result<()> {
-        self.inner.sync_dir()
-    }
-
-    fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        self.nap(&self.read_delay_us);
-        self.inner.read_page(run, page_no)
-    }
-
-    fn pages(&self, run: RunId) -> Result<u32> {
-        self.inner.pages(run)
-    }
-
-    fn delete(&self, run: RunId) -> Result<()> {
-        self.inner.delete(run)
-    }
-
-    fn list(&self) -> Vec<RunId> {
-        self.inner.list()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::MemBackend;
+    use crate::MemFs;
+    use std::time::Instant;
+
+    /// A plan over a memory fs holding the empty file `f`, and `f` open.
+    fn flaky(kind: FaultKind) -> (Arc<FlakyBackend<MemFs>>, FsFile) {
+        let fs = FlakyBackend::new(MemFs::new(), kind);
+        let file = fs.create(Path::new("f"), false).unwrap();
+        (fs, file)
+    }
 
     #[test]
     fn disarmed_passes_through() {
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::All);
-        b.append_page(1, 0, &[0u8; 8]).unwrap();
-        assert_eq!(&b.read_page(1, 0).unwrap()[..], &[0u8; 8]);
+        let (b, f) = flaky(FaultKind::All);
+        b.write_at(&f, 0, &[0u8; 8]).unwrap();
+        let mut page = [1u8; 8];
+        b.read_at(&f, 0, &mut page).unwrap();
+        assert_eq!(page, [0u8; 8]);
         assert_eq!(b.injected(), 0);
     }
 
     #[test]
     fn fails_after_budget() {
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
+        let (b, f) = flaky(FaultKind::Writes);
         b.arm(2);
-        b.append_page(1, 0, &[0u8; 8]).unwrap();
-        b.append_page(1, 1, &[0u8; 8]).unwrap();
-        assert!(b.append_page(1, 2, &[0u8; 8]).is_err());
-        assert_eq!(b.injected(), 1);
+        b.write_at(&f, 0, &[0u8; 8]).unwrap();
+        b.write_at(&f, 8, &[0u8; 8]).unwrap();
+        assert!(b.write_at(&f, 16, &[0u8; 8]).is_err());
+        assert!(b.write_at(&f, 16, &[0u8; 8]).is_err(), "a dying disk");
+        assert_eq!(b.injected(), 2);
         // Reads unaffected by a writes-only plan.
-        assert!(b.read_page(1, 0).is_ok());
+        assert!(b.read_at(&f, 0, &mut [0u8; 8]).is_ok());
+        // A single fault: the operations after it pass.
+        b.arm_once(1);
+        b.sync(&f).unwrap();
+        assert!(b.remove(Path::new("f")).is_err());
+        b.remove(Path::new("f")).unwrap();
+        assert_eq!(b.injected(), 3);
     }
 
     #[test]
     fn a_writes_plan_fails_seals_and_the_seams_syncs() {
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Writes);
-        b.append_page(1, 0, &[0u8; 8]).unwrap();
+        let (b, f) = flaky(FaultKind::Writes);
+        b.create_dir(Path::new("d")).unwrap();
         b.arm(1);
-        b.seal(1).unwrap();
-        let err = b.sync_dir().unwrap_err();
+        b.sync(&f).unwrap();
+        let err = b.sync_dir(Path::new("d")).unwrap_err();
         assert!(
             err.to_string().contains("injected fault on sync_dir"),
             "{err}"
         );
-        assert!(b.seal(1).is_err(), "the budget stays spent");
+        assert!(b.sync(&f).is_err(), "the budget stays spent");
 
         let dir = std::env::temp_dir().join(format!("monkey-flaky-fs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -325,36 +292,40 @@ mod tests {
 
     #[test]
     fn reads_only_plan() {
-        let b = FlakyBackend::new(MemBackend::new(), FaultKind::Reads);
-        b.append_page(1, 0, &[0u8; 8]).unwrap();
+        let (b, f) = flaky(FaultKind::Reads);
+        b.write_at(&f, 0, &[0u8; 8]).unwrap();
         b.arm(0);
-        assert!(b.read_page(1, 0).is_err());
-        assert!(b.append_page(1, 1, &[0u8; 8]).is_ok());
+        assert!(b.read_at(&f, 0, &mut [0u8; 8]).is_err());
+        assert!(b.len(&f).is_err());
+        assert!(b.list(Path::new("")).is_err());
+        assert!(b.write_at(&f, 8, &[0u8; 8]).is_ok());
         b.disarm();
-        assert!(b.read_page(1, 0).is_ok());
+        assert!(b.read_at(&f, 0, &mut [0u8; 8]).is_ok());
     }
 
     #[test]
     fn slow_backend_delays_syncs() {
-        let b = SlowBackend::new(MemBackend::new());
-        b.append_page(1, 0, &[0u8; 8]).unwrap();
+        let (b, f) = flaky(FaultKind::All);
+        b.write_at(&f, 0, &[0u8; 8]).unwrap();
         b.set_sync_delay_micros(2_000);
-        let t0 = std::time::Instant::now();
-        b.seal(1).unwrap();
-        assert!(t0.elapsed() >= std::time::Duration::from_micros(2_000));
+        let t0 = Instant::now();
+        b.sync(&f).unwrap();
+        assert!(t0.elapsed() >= Duration::from_micros(2_000));
     }
 
     #[test]
     fn slow_backend_delays_then_passes_through() {
-        let b = SlowBackend::new(MemBackend::new());
-        b.append_page(1, 0, &[7u8; 8]).unwrap();
+        let (b, f) = flaky(FaultKind::All);
+        b.write_at(&f, 0, &[7u8; 8]).unwrap();
         b.set_read_delay_micros(2_000);
-        let t0 = std::time::Instant::now();
-        assert_eq!(&b.read_page(1, 0).unwrap()[..], &[7u8; 8]);
-        assert!(t0.elapsed() >= std::time::Duration::from_micros(2_000));
+        let t0 = Instant::now();
+        let mut page = [0u8; 8];
+        b.read_at(&f, 0, &mut page).unwrap();
+        assert_eq!(page, [7u8; 8]);
+        assert!(t0.elapsed() >= Duration::from_micros(2_000));
         b.set_read_delay_micros(0);
-        assert_eq!(b.list(), vec![1]);
-        b.delete(1).unwrap();
-        assert!(b.list().is_empty());
+        assert_eq!(b.list(Path::new("")).unwrap(), ["f"]);
+        b.remove(Path::new("f")).unwrap();
+        assert!(b.list(Path::new("")).unwrap().is_empty());
     }
 }

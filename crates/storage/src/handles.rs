@@ -1,11 +1,11 @@
-//! Run-handle table: the open descriptors of a directory's run files.
+//! Run-handle table: the open files of a directory's runs.
 //!
 //! The file backend keeps its runs as `<id>.run` files in a directory.
-//! A page read must cost one positional read on an already-open
-//! descriptor — no `open`, `fstat`, `lseek`, `close`, or path formatting —
-//! so every run's [`File`] and, once the run is sealed, its page count
-//! live here from the run's first append (or its first read after a
-//! reopen) until [`RunHandles::delete`].
+//! A page read must cost one positional read on an already-open file — no
+//! `open`, `fstat`, `lseek`, `close`, or path formatting — so every run's
+//! [`FsFile`] and, once the run is sealed, its page count live here from
+//! the run's first append (or its first read after a reopen) until
+//! [`RunHandles::delete`].
 //!
 //! The hit path is a shared-lock map lookup plus an `Arc` clone. Readers
 //! keep the `Arc` across the read, so a concurrent delete never waits for
@@ -21,6 +21,9 @@
 //! run files, installing a handle drops some sealed run's entry from the
 //! same table, and that run's next read reopens it like a run found after
 //! a restart. Which entry goes is arbitrary, and a miss costs one `open`.
+//! A [`MemFs`](crate::MemFs) file counts as well though it holds no
+//! descriptor: its miss is a map lookup, and the budget exists for
+//! processes whose runs are files.
 
 use crate::aligned::AlignedPool;
 use crate::backend::RunId;
@@ -47,39 +50,7 @@ static OPEN_RUN_FILES: AtomicUsize = AtomicUsize::new(0);
 /// construction is measured on every call.
 pub(crate) struct RunHandle {
     pub(crate) file: FsFile,
-    page_size: usize,
     sealed_pages: OnceLock<u32>,
-}
-
-impl RunHandle {
-    fn file_pages(&self) -> std::io::Result<u32> {
-        Ok((self.file.len()? / self.page_size as u64) as u32)
-    }
-
-    /// Whole pages in the run.
-    pub(crate) fn pages(&self) -> Result<u32> {
-        match self.sealed_pages.get() {
-            Some(&pages) => Ok(pages),
-            None => Ok(self.file_pages()?),
-        }
-    }
-
-    /// `Ok` when page `page_no` exists; otherwise the `NotFound` naming it.
-    pub(crate) fn check_page(&self, run: RunId, page_no: u32) -> Result<()> {
-        if page_no >= self.pages()? {
-            return Err(StorageError::NotFound {
-                run,
-                page: Some(page_no),
-            });
-        }
-        Ok(())
-    }
-
-    /// One positional read of page `page_no` into `buf` (one page long).
-    pub(crate) fn read_page(&self, page_no: u32, buf: &mut [u8]) -> std::io::Result<()> {
-        self.file
-            .read_exact_at(buf, page_no as u64 * self.page_size as u64)
-    }
 }
 
 impl Drop for RunHandle {
@@ -147,6 +118,19 @@ impl RunHandles {
         self.dir.join(format!("{run:016x}.run"))
     }
 
+    /// Whole pages in the file behind `handle`, measured.
+    fn file_pages(&self, handle: &RunHandle) -> std::io::Result<u32> {
+        Ok((self.fs.len(&handle.file)? / self.page_size as u64) as u32)
+    }
+
+    /// Whole pages in the run behind `handle`.
+    pub(crate) fn pages(&self, handle: &RunHandle) -> Result<u32> {
+        match handle.sealed_pages.get() {
+            Some(&pages) => Ok(pages),
+            None => Ok(self.file_pages(handle)?),
+        }
+    }
+
     pub(crate) fn not_found(run: RunId, e: std::io::Error) -> StorageError {
         if e.kind() == std::io::ErrorKind::NotFound {
             StorageError::NotFound { run, page: None }
@@ -165,7 +149,6 @@ impl RunHandles {
         OPEN_RUN_FILES.fetch_add(1, Ordering::Relaxed);
         Ok(RunHandle {
             file,
-            page_size: self.page_size,
             sealed_pages: OnceLock::new(),
         })
     }
@@ -219,7 +202,7 @@ impl RunHandles {
         };
         if handle.sealed_pages.get().is_none() {
             self.fs.sync(&handle.file)?;
-            let _ = handle.sealed_pages.set(handle.file_pages()?);
+            let _ = handle.sealed_pages.set(self.file_pages(&handle)?);
         }
         Ok(())
     }
@@ -238,7 +221,7 @@ impl RunHandles {
         // A run under construction is always in the table, so nothing
         // appends to this one: whatever is on disk is the whole run.
         let handle = self.open(run, false).map_err(|e| Self::not_found(run, e))?;
-        let _ = handle.sealed_pages.set(handle.file_pages()?);
+        let _ = handle.sealed_pages.set(self.file_pages(&handle)?);
         Ok(self.install(run, handle))
     }
 
@@ -250,13 +233,13 @@ impl RunHandles {
     }
 
     /// Ids of the `.run` files in the directory, ascending.
-    pub(crate) fn list(&self) -> Vec<RunId> {
-        let names = self.fs.list(&self.dir).unwrap_or_default();
+    pub(crate) fn list(&self) -> Result<Vec<RunId>> {
+        let names = self.fs.list(&self.dir)?;
         let mut ids: Vec<RunId> = (names.iter())
             .filter_map(|name| RunId::from_str_radix(name.strip_suffix(".run")?, 16).ok())
             .collect();
         ids.sort_unstable();
-        ids
+        Ok(ids)
     }
 
     /// Makes the directory's set of run files durable.
@@ -278,7 +261,7 @@ impl RunHandles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Backend, FileBackend, OsFs};
+    use crate::{FileBackend, OsFs};
     use std::sync::atomic::AtomicBool;
     use std::sync::Barrier;
 
@@ -307,7 +290,7 @@ mod tests {
 
     fn build(b: &FileBackend, run: RunId, pages: u32) {
         for p in 0..pages {
-            b.append_page(run, p, &page(run, p)).unwrap();
+            b.append_pages(run, p, &page(run, p)).unwrap();
         }
         b.seal(run).unwrap();
     }
@@ -360,9 +343,9 @@ mod tests {
         let dir = tmp("building");
         for (i, b) in open_both(&dir).iter().enumerate() {
             let run = 3 + i as u64;
-            b.append_page(run, 0, &page(run, 0)).unwrap();
+            b.append_pages(run, 0, &page(run, 0)).unwrap();
             assert_eq!(b.pages(run).unwrap(), 1);
-            b.append_page(run, 1, &page(run, 1)).unwrap();
+            b.append_pages(run, 1, &page(run, 1)).unwrap();
             assert_eq!(b.pages(run).unwrap(), 2, "length re-read while building");
             assert_eq!(&b.read_page(run, 1).unwrap()[..], &page(run, 1)[..]);
             assert!(matches!(
@@ -372,7 +355,7 @@ mod tests {
             b.seal(run).unwrap();
             assert_eq!(b.pages(run).unwrap(), 2);
             assert!(
-                b.append_page(run, 2, &page(run, 2)).is_err(),
+                b.append_pages(run, 2, &page(run, 2)).is_err(),
                 "a sealed run's length is cached, so it must stay fixed"
             );
             assert_eq!(b.handles.opens(), 1);
@@ -391,7 +374,7 @@ mod tests {
         for b in open_both(&dir) {
             let handles = &b.handles;
             assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
-            assert_eq!(b.list(), vec![10]);
+            assert_eq!(b.list().unwrap(), vec![10]);
             let on_disk = std::fs::metadata(handles.path(10)).unwrap().len();
             assert_eq!(b.pages(10).unwrap() as u64, on_disk / PAGE as u64);
             assert_eq!((handles.len(), handles.opens()), (1, 1), "first use opens");

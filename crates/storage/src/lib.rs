@@ -6,11 +6,12 @@
 //! reference lines in its Figure 11 are drawn at "0.2 I/Os per lookup" and
 //! "1 I/O per lookup". This crate therefore provides:
 //!
-//! * a page-granular storage abstraction ([`Disk`]) over two backends — an
-//!   in-memory simulated disk ([`MemBackend`]) used by the experiment
-//!   harness for deterministic I/O counts, and a real file-per-run backend
-//!   ([`FileBackend`], through the page cache or `O_DIRECT`) used for
-//!   durability and integration tests;
+//! * a page-granular storage abstraction ([`Disk`]) over one run store,
+//!   a file per run ([`FileBackend`]), on either implementation of the
+//!   storage seam: memory ([`MemFs`]), the simulated disk the experiment
+//!   harness counts deterministic I/Os on, or the operating system's
+//!   filesystem ([`OsFs`], through the page cache or `O_DIRECT`), which
+//!   durable stores and the perf ledger run on;
 //! * exact **I/O accounting** ([`IoStats`]): every page read, page write,
 //!   and seek is counted atomically and can be snapshotted and diffed
 //!   around an operation;
@@ -22,10 +23,9 @@
 //!   modeled latency for a disk or flash device, including the paper's
 //!   write/read cost ratio `φ` and its 10 ms disk-seek / ~100 µs flash-read
 //!   reference points (§4.4);
-//! * the **durable-directory seam** ([`Fs`]): every file a durable store
-//!   keeps is created, written, synced, renamed, listed and removed
-//!   through it, and [`OsFs`] is the only code that calls `std::fs` for
-//!   them.
+//! * the **storage seam** ([`Fs`]): every file a store keeps is created,
+//!   written, read, synced, renamed, listed and removed through it, and
+//!   [`FlakyBackend`] wraps it to fail or slow any of those operations.
 
 #![warn(missing_docs)]
 
@@ -43,12 +43,12 @@ mod disk;
 mod handles;
 
 pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
-pub use backend::{Backend, FileBackend, MemBackend, RunId};
+pub use backend::{FileBackend, RunId};
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use device::DeviceModel;
 pub use direct::{BackendInfo, IoBackend};
 pub use disk::{Disk, PageCheck, RunWriter};
 pub use error::{Result, StorageError};
-pub use faults::{FaultKind, FlakyBackend, SlowBackend};
-pub use fs::{Fs, FsFile, OsFs};
+pub use faults::{FaultKind, FlakyBackend};
+pub use fs::{Fs, FsFile, MemFs, OsFs};
 pub use iostats::{IoSnapshot, IoStats, SyncKind};

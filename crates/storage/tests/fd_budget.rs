@@ -6,7 +6,7 @@
 //! next read reopens it. This file holds one test on purpose — the budget
 //! is process-wide, and a test binary is one process.
 
-use monkey_storage::{Backend, FileBackend, OsFs, StorageError};
+use monkey_storage::{FileBackend, OsFs, StorageError};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -30,13 +30,13 @@ fn run_fds(dir: &Path) -> usize {
         .count()
 }
 
-fn exercise(b: &dyn Backend, dir: &Path) {
+fn exercise(b: &FileBackend, dir: &Path) {
     // A run under construction from before the pressure to after it.
     let building = RUNS + 1;
-    b.append_page(building, 0, &page(building, 0)).unwrap();
+    b.append_pages(building, 0, &page(building, 0)).unwrap();
     for run in 0..RUNS {
-        b.append_page(run, 0, &page(run, 0)).unwrap();
-        b.append_page(run, 1, &page(run, 1)).unwrap();
+        b.append_pages(run, 0, &page(run, 0)).unwrap();
+        b.append_pages(run, 1, &page(run, 1)).unwrap();
         b.seal(run).unwrap();
         assert!(
             run_fds(dir) <= BUDGET,
@@ -54,7 +54,7 @@ fn exercise(b: &dyn Backend, dir: &Path) {
         }
         assert!(run_fds(dir) <= BUDGET);
     }
-    b.append_page(building, 1, &page(building, 1)).unwrap();
+    b.append_pages(building, 1, &page(building, 1)).unwrap();
     b.seal(building).unwrap();
     assert_eq!(
         &b.read_page(building, 1).unwrap()[..],
@@ -69,7 +69,7 @@ fn exercise(b: &dyn Backend, dir: &Path) {
         ));
     }
     assert_eq!(run_fds(dir), 0);
-    assert!(b.list().is_empty());
+    assert!(b.list().unwrap().is_empty());
 }
 
 #[test]

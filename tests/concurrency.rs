@@ -4,7 +4,6 @@
 
 use monkey::{Db, DbOptions, DbOptionsExt, MergePolicy};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 fn options(policy: MergePolicy) -> DbOptions {
     DbOptions::in_memory()
@@ -116,9 +115,9 @@ fn concurrent_distinct_writers_via_external_mutex_pattern() {
 
 #[test]
 fn readers_progress_while_merge_cascade_is_in_flight() {
-    use monkey_storage::{Backend, Disk, MemBackend, SlowBackend};
-    let slow = SlowBackend::new(MemBackend::new());
-    let disk = Disk::with_backend(slow.clone() as Arc<dyn Backend>, 512, None);
+    use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+    let slow = FlakyBackend::new(MemFs::new(), FaultKind::All);
+    let disk = Disk::file_on(slow.clone(), "runs", 512, IoBackend::Buffered, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(512)
@@ -139,7 +138,7 @@ fn readers_progress_while_merge_cascade_is_in_flight() {
     db.flush().unwrap();
     // Park several frozen memtables, then let the worker drain them
     // against a slow disk: each flush plus its leveling cascade now costs
-    // milliseconds of simulated device time per page.
+    // milliseconds of simulated device time per run written.
     db.pause_compaction();
     for i in 600..900u32 {
         db.put(format!("k{i:04}").into_bytes(), vec![b'v'; 24])
@@ -170,9 +169,9 @@ fn readers_progress_while_merge_cascade_is_in_flight() {
 
 #[test]
 fn writers_stall_at_the_backpressure_bound_and_recover() {
-    use monkey_storage::{Backend, Disk, MemBackend, SlowBackend};
-    let slow = SlowBackend::new(MemBackend::new());
-    let disk = Disk::with_backend(slow.clone() as Arc<dyn Backend>, 512, None);
+    use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+    let slow = FlakyBackend::new(MemFs::new(), FaultKind::All);
+    let disk = Disk::file_on(slow.clone(), "runs", 512, IoBackend::Buffered, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(512)

@@ -1,8 +1,10 @@
 //! Durability: WAL replay, manifest recovery, and filter reconstruction
 //! for directory-backed databases across (simulated) crashes.
 
-use monkey::{Db, DbOptions, DbOptionsExt, MergePolicy};
+use monkey::{Db, DbOptions, DbOptionsExt, IoBackend, MergePolicy};
+use monkey_storage::{Fs, MemFs};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("monkey-recovery-{}-{name}", std::process::id()));
@@ -246,4 +248,37 @@ fn empty_directory_database_opens_and_reopens() {
     let db = Db::open(opts(&d)).unwrap();
     assert!(db.get(b"anything").unwrap().is_none());
     std::fs::remove_dir_all(&d).unwrap();
+}
+
+/// A durable store on a memory fs: its run files, WAL segments and
+/// manifest are the ones it keeps on disk, held in memory. Every
+/// acknowledged put, flushed into runs or only in the WAL, reads back
+/// after a reopen over the same files.
+#[test]
+fn durable_store_round_trips_on_a_memory_fs() {
+    let fs: Arc<dyn Fs> = Arc::new(MemFs::new());
+    let d = PathBuf::from("/store");
+    let key = |i: u32| format!("key{i:05}").into_bytes();
+    {
+        let db = Db::open_with_fs(opts(&d), Arc::clone(&fs)).unwrap();
+        for i in 0..600u32 {
+            db.put(key(i), vec![b'v'; 40]).unwrap();
+        }
+        db.flush().unwrap();
+        assert!(db.stats().runs > 0);
+        for i in 600..620u32 {
+            db.put(key(i), vec![b'w'; 40]).unwrap();
+        }
+    }
+    let names = fs.list(&d).unwrap();
+    assert!(names.iter().any(|n| n == "MANIFEST"), "{names:?}");
+    // Memory has no device for `O_DIRECT`: a direct request falls back.
+    let db = Db::open_with_fs(opts(&d).io_backend(IoBackend::Direct), fs).unwrap();
+    let fallback = db.io_backend_info().fallback;
+    assert!(fallback.is_some_and(|why| why.contains("O_DIRECT")));
+    for i in 0..620u32 {
+        let want = if i < 600 { b'v' } else { b'w' };
+        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&[want; 40][..]));
+    }
+    assert!(db.stats().runs > 0, "the runs were found again");
 }

@@ -124,7 +124,7 @@ fn the_largest_admissible_entry_flushes_with_a_maximal_key_and_seq() {
     // The key sorts first and fills a page of its own: the prefix length
     // (65 535 as a varint), the key, then an empty suffix's length.
     let disk = db.disk();
-    let run = disk.list_runs()[0];
+    let run = disk.list_runs().unwrap()[0];
     let first = disk.read_page(run, 0).unwrap();
     assert_eq!(&first[10..13], &[0xff, 0xff, 0x03]);
     assert_eq!(&first[13..13 + key.len()], &key[..]);

@@ -32,9 +32,10 @@ use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::memtable::Memtable;
 use monkey_lsm::Entry;
-use monkey_storage::{Backend, BlockCache, CacheConfig, Disk, FileBackend, OsFs, PoolStats, RunId};
+use monkey_storage::{BlockCache, CacheConfig, Disk, Fs, FsFile, IoBackend, OsFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
@@ -133,10 +134,7 @@ const RESIDENT_SLACK: i64 = 64 << 10;
 /// since `base` by no more than `M_filters + M_pointers`, the pool's idle
 /// frames and the slack.
 fn assert_memory_is_accounted(db: &Db, base: i64, data_bytes: i64, when: &str) {
-    let frames = db
-        .disk()
-        .frame_stats()
-        .expect("a file disk reads into a pool");
+    let frames = db.disk().frame_stats();
     assert_eq!(frames.outstanding, 0, "{when}: {frames:?}");
     let stats = db.stats();
     let accounted = (stats.filter_bits + stats.fence_bits) as i64 / 8;
@@ -167,20 +165,20 @@ fn no_frame_outlives_its_readers() {
     // value its page's frame, rows none — they hold a copy of what they
     // return, one block a page.
     let value = db.get(&key(17)).unwrap().expect("key 17 was written");
-    assert_eq!(db.disk().frame_stats().unwrap().outstanding, 1);
+    assert_eq!(db.disk().frame_stats().outstanding, 1);
     let rows: Vec<_> = db
         .range(&key(1000), Some(&key(1200)))
         .unwrap()
         .map(|row| row.unwrap())
         .collect();
     assert_eq!(rows.len(), 200);
-    let pinned = db.disk().frame_stats().unwrap().outstanding;
+    let pinned = db.disk().frame_stats().outstanding;
     assert_eq!(
         pinned, 1,
         "a value and rows over two runs pin {pinned} frames"
     );
     drop((value, rows));
-    assert_eq!(db.disk().frame_stats().unwrap().outstanding, 0);
+    assert_eq!(db.disk().frame_stats().outstanding, 0);
 
     // Recovery streams every page of every run to rebuild fences and
     // filters, and keeps none of them.
@@ -209,14 +207,14 @@ fn a_released_burst_of_pages_is_reused_not_reallocated() {
     let burst = |db: &Db| {
         let mut held = Vec::new();
         let mut i = 0;
-        while db.disk().frame_stats().unwrap().outstanding < BURST_PAGES {
+        while db.disk().frame_stats().outstanding < BURST_PAGES {
             held.push(db.get(&key(i)).unwrap().expect("every key was written"));
             i = (i + 7) % N;
         }
         held.len()
     };
     let lookups = burst(&db);
-    let frames = db.disk().frame_stats().unwrap();
+    let frames = db.disk().frame_stats();
     assert_eq!(frames.outstanding, 0, "the burst is released: {frames:?}");
     assert!(
         frames.idle >= BURST_PAGES,
@@ -230,51 +228,60 @@ fn a_released_burst_of_pages_is_reused_not_reallocated() {
         0,
         "page-sized allocations over {lookups} lookups pinning {BURST_PAGES} pages"
     );
-    assert_eq!(db.disk().frame_stats().unwrap().allocated, allocated);
+    assert_eq!(db.disk().frame_stats().allocated, allocated);
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The file backend, noting after every page read how many frames of its
-/// pool are out.
+/// The OS filesystem, noting after every page read how many frames of
+/// the pool of `disk` — the disk reading through it — are out.
+#[derive(Default)]
 struct FrameSampler {
-    inner: FileBackend,
+    disk: std::sync::OnceLock<std::sync::Weak<Disk>>,
     most_outstanding: AtomicU64,
 }
 
-impl Backend for FrameSampler {
-    fn append_page(&self, run: RunId, page_no: u32, data: &[u8]) -> monkey_storage::Result<()> {
-        self.inner.append_page(run, page_no, data)
+impl Fs for FrameSampler {
+    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
+        OsFs.read_at(file, offset, buf)?;
+        if let Some(disk) = self.disk.get().and_then(std::sync::Weak::upgrade) {
+            let out = disk.frame_stats().outstanding;
+            self.most_outstanding.fetch_max(out, Relaxed);
+        }
+        Ok(())
     }
-    fn append_pages(
-        &self,
-        run: RunId,
-        first_page: u32,
-        data: &[u8],
-        page_size: usize,
-    ) -> monkey_storage::Result<()> {
-        self.inner.append_pages(run, first_page, data, page_size)
+    fn create(&self, path: &Path, direct: bool) -> std::io::Result<FsFile> {
+        OsFs.create(path, direct)
     }
-    fn seal(&self, run: RunId) -> monkey_storage::Result<()> {
-        self.inner.seal(run)
+    fn open(&self, path: &Path, direct: bool) -> std::io::Result<FsFile> {
+        OsFs.open(path, direct)
     }
-    fn read_page(&self, run: RunId, page_no: u32) -> monkey_storage::Result<Bytes> {
-        let page = self.inner.read_page(run, page_no)?;
-        let out = self.inner.frame_stats().expect("a file pool").outstanding;
-        self.most_outstanding.fetch_max(out, Relaxed);
-        Ok(page)
+    fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> std::io::Result<()> {
+        OsFs.write_at(file, offset, data)
     }
-    fn pages(&self, run: RunId) -> monkey_storage::Result<u32> {
-        self.inner.pages(run)
+    fn len(&self, file: &FsFile) -> std::io::Result<u64> {
+        OsFs.len(file)
     }
-    fn delete(&self, run: RunId) -> monkey_storage::Result<()> {
-        self.inner.delete(run)
+    fn read(&self, path: &Path) -> std::io::Result<Vec<u8>> {
+        OsFs.read(path)
     }
-    fn list(&self) -> Vec<RunId> {
-        self.inner.list()
+    fn sync(&self, file: &FsFile) -> std::io::Result<()> {
+        OsFs.sync(file)
     }
-    fn frame_stats(&self) -> Option<PoolStats> {
-        self.inner.frame_stats()
+    fn rename(&self, from: &Path, to: &Path) -> std::io::Result<()> {
+        OsFs.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> std::io::Result<()> {
+        OsFs.remove(path)
+    }
+    fn list(&self, dir: &Path) -> std::io::Result<Vec<String>> {
+        OsFs.list(dir)
+    }
+    fn create_dir(&self, dir: &Path) -> std::io::Result<()> {
+        OsFs.create_dir(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
+        OsFs.sync_dir(dir)
     }
 }
 
@@ -285,16 +292,15 @@ fn a_merge_holds_one_frame_per_input() {
     const INPUTS: u32 = 5;
     const ENTRIES_PER_RUN: u32 = 2_000;
     let dir = temp_dir("merge");
-    let buffered = FileBackend::open(Arc::new(OsFs), dir.join("buffered"), PAGE).unwrap();
-    let direct = FileBackend::open_direct(Arc::new(OsFs), dir.join("direct"), PAGE)
-        .unwrap()
-        .map_err(|reason| eprintln!("direct half skipped: {reason}"));
-    for inner in std::iter::once(buffered).chain(direct.ok()) {
-        let sampler = Arc::new(FrameSampler {
-            inner,
-            most_outstanding: AtomicU64::new(0),
-        });
-        let disk = Disk::with_backend(Arc::clone(&sampler) as Arc<dyn Backend>, PAGE, None);
+    for io in [IoBackend::Buffered, IoBackend::Direct] {
+        let sampler = Arc::new(FrameSampler::default());
+        let at = dir.join(io.name());
+        let disk = Disk::file_on(sampler.clone(), at, PAGE, io, None).unwrap();
+        if let Some(reason) = &disk.backend_info().fallback {
+            eprintln!("direct half skipped: {reason}");
+            continue;
+        }
+        sampler.disk.set(Arc::downgrade(&disk)).unwrap();
         let inputs: Vec<_> = (0..INPUTS)
             .map(|r| {
                 let sorted = (0..ENTRIES_PER_RUN)
@@ -315,7 +321,7 @@ fn a_merge_holds_one_frame_per_input() {
             "{most} frames out at once over {INPUTS} inputs"
         );
         drop((inputs, out));
-        assert_eq!(disk.frame_stats().unwrap().outstanding, 0);
+        assert_eq!(disk.frame_stats().outstanding, 0);
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -55,7 +55,7 @@ fn load(db: &Db, n: u32) {
 /// Every run's keys, page by page, decoded from storage.
 fn layout(db: &Db) -> Vec<Vec<Vec<Vec<u8>>>> {
     let disk = db.disk();
-    let runs = disk.list_runs();
+    let runs = disk.list_runs().unwrap();
     assert_eq!(runs.len(), db.stats().runs, "no half-dead runs on disk");
     runs.iter()
         .map(|&run| {

@@ -7,10 +7,11 @@
 //! test binary of its own) holds that:
 //!
 //! * a bounded `Db::range` allocates a fixed number of blocks for the scan
-//!   itself — whatever the number of runs — plus whatever the disk spends
-//!   fetching each page, plus one row block for each page it hands out
-//!   rows from (a page stores its keys' shared prefix once, so a row's key
-//!   and value are sliced from the page's rows put back together); a
+//!   itself — whatever the number of runs — plus one block per page fetch
+//!   (the reference count of its frame), plus one row block for each page
+//!   it hands out rows from (a page stores its keys' shared prefix once,
+//!   so a row's key and value are sliced from the page's rows put back
+//!   together); a
 //!   200-entry scan costs a 100-entry scan plus its extra page fetches and
 //!   row blocks, and nothing per entry;
 //! * a `get` a run file answers allocates what it did before pages stored
@@ -96,6 +97,10 @@ const SCAN_BLOCKS: u64 = 3;
 /// thread allocates: [`warm_row_blocks`].)
 const ROW_BLOCK: u64 = 1;
 
+/// What a page fetch from a warm pool allocates: the reference count of
+/// the frame the page is read into.
+const PAGE_FETCH: u64 = 1;
+
 /// What a `get` answered by a run file allocated before pages stored their
 /// keys' shared prefix once: the reference count of the frame its page is
 /// read into.
@@ -145,7 +150,7 @@ fn row_pages(db: &Db, lo: u32, entries: u32) -> u64 {
     let (lo, hi) = (key(lo), key(lo + entries));
     let disk = db.disk();
     let mut pages = 0;
-    for run in disk.list_runs() {
+    for run in disk.list_runs().unwrap() {
         for p in 0..disk.run_pages(run).unwrap() {
             let mut cursor = PageCursor::new(disk.read_page(run, p).unwrap()).unwrap();
             while let Some(key) = cursor.key() {
@@ -163,10 +168,11 @@ fn row_pages(db: &Db, lo: u32, entries: u32) -> u64 {
 #[test]
 fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
     const N: u32 = 6000;
-    // The in-memory disk hands out the pages it stores: a fetch allocates
-    // nothing, so the scan's own blocks and a row block for each page that
-    // hands out rows are all there is — for one entry or two thousand,
-    // over two runs.
+    // The in-memory disk reads each page into a recycled frame of its
+    // pool as a file disk does: a fetch allocates the reference count the
+    // frame's readers share, so that, the scan's own blocks and a row
+    // block for each page that hands out rows are all there is — for one
+    // entry or two thousand, over two runs.
     let mem = two_level_store(DbOptions::in_memory(), N);
     warm_row_blocks(&mem);
     for entries in [1, 100, 200, 2000] {
@@ -175,23 +181,21 @@ fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
         assert!(pages >= 2, "{entries} entries: both runs read");
         assert_eq!(
             allocs,
-            SCAN_BLOCKS + rows * ROW_BLOCK,
+            SCAN_BLOCKS + pages * PAGE_FETCH + rows * ROW_BLOCK,
             "{entries} entries over {pages} pages, {rows} of them handing out rows"
         );
     }
 
-    // A file-backed disk (buffered, or direct under `MONKEY_IO_BACKEND`)
-    // reads each page into a recycled frame of its pool and allocates one
-    // small block for it — the reference count the frame's readers share;
-    // the scan adds its own blocks and nothing else.
+    // So does a file-backed disk (buffered, or direct under
+    // `MONKEY_IO_BACKEND`); the scan adds its own blocks and nothing else.
     let dir = std::env::temp_dir().join(format!("monkey-scan-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let file = two_level_store(DbOptions::at_path(&dir), N);
     let disk = file.disk();
-    let run = disk.list_runs()[0];
+    let run = disk.list_runs().unwrap()[0];
     disk.read_page(run, 0).unwrap(); // the run's handle is open from here on
     let (per_fetch, _) = allocs_in(|| disk.read_page_sequential(run, 1).unwrap());
-    assert_eq!(per_fetch, 1);
+    assert_eq!(per_fetch, PAGE_FETCH);
     let (short_rows, long_rows) = (row_pages(&file, 1000, 100), row_pages(&file, 1000, 200));
     let (short, short_pages) = scan(&file, 1000, 100);
     let (long, long_pages) = scan(&file, 1000, 200);
@@ -287,8 +291,8 @@ fn a_merge_allocates_per_page_not_per_entry() {
         many < few + few / 10 + 8,
         "{many} allocations for 16 000 entries, {few} for 4 000, over ~{few_pages} pages each"
     );
-    // Per page written: the block the in-memory disk stores it in. Per
-    // page read: nothing — the disk hands out the page it stores.
+    // Per page read: the reference count of the frame it lands in. Per
+    // page written: a share of the growth of the run's file in memory.
     assert!(
         few < few_pages + 64,
         "{few} allocations over {few_pages} pages"
