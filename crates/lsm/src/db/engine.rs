@@ -733,8 +733,9 @@ impl Core {
     /// level shallow-to-deep (runs youngest-to-oldest), stopping at the
     /// first version found (§2).
     ///
-    /// One brief shared-lock critical section snapshots the memtable probe
-    /// result, the immutable list, and the version; every disk probe runs
+    /// One brief shared-lock critical section probes the buffer and the
+    /// frozen memtables where they lie — a lookup that misses them all
+    /// allocates nothing — and snapshots the version; every disk probe runs
     /// with **no lock held**, so an in-flight flush or merge cascade never
     /// delays the lookup. The key is hashed **once**, when the lookup
     /// first reaches the disk levels.
@@ -751,24 +752,19 @@ impl Core {
     }
 
     fn get_impl(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let (immutables, version) = {
+        let version = {
             let shared = self.shared.read();
             if let Some(entry) = shared.memtable.get(key) {
                 return Ok(visible(entry));
             }
-            let immutables: Vec<Arc<Memtable>> = shared
-                .immutables
-                .iter()
-                .map(|imm| Arc::clone(&imm.memtable))
-                .collect();
-            (immutables, Arc::clone(&shared.version))
-        };
-        // Frozen memtables, newest first.
-        for imm in immutables.iter().rev() {
-            if let Some(entry) = imm.get(key) {
-                return Ok(visible(entry));
+            // Frozen memtables, newest first.
+            for imm in shared.immutables.iter().rev() {
+                if let Some(entry) = imm.memtable.get(key) {
+                    return Ok(visible(entry));
+                }
             }
-        }
+            Arc::clone(&shared.version)
+        };
         let pair = hash_pair(key); // the lookup's only hash computation
         self.lookups.record_key_hash();
         for (li, level) in version.levels().iter().enumerate() {

@@ -585,6 +585,12 @@ impl Parsed {
     }
 }
 
+/// A range of page offsets as a range to index the page with.
+#[inline]
+fn span(range: &Range<u32>) -> Range<usize> {
+    range.start as usize..range.end as usize
+}
+
 /// A cursor positioned on one entry of an encoded page. Opening it parses
 /// the page header and prefix; each step validates one entry header
 /// against the page's entry area. The checksum is not its business (see
@@ -600,9 +606,11 @@ impl Parsed {
 pub struct PageCursor {
     page: Bytes,
     /// Where the page's prefix lies; the entries start where it ends.
-    prefix: Range<usize>,
-    /// End of the entry area: where the offset array starts.
-    end: usize,
+    prefix: Range<u32>,
+    /// End of the entry area: where the offset array starts. (A page's
+    /// offsets are `u32`s at most, and so are the cursor's counters: a
+    /// run cursor holds one of these, and a merge one per input.)
+    end: u32,
     /// The current entry's key, whole.
     key: KeyBuf,
     /// The current entry's value.
@@ -610,14 +618,14 @@ pub struct PageCursor {
     seq: u64,
     kind: EntryKind,
     /// Entries from the current one on; 0 = past the end.
-    remaining: usize,
+    remaining: u32,
     /// The row block owned entries slice their keys and values from, once
     /// built — consecutive entries' keys, whole, each followed by its value
     /// — and the [`remaining`](Self::remaining) count at which the cursor
     /// is past its last row.
     rows: OnceCell<(Bytes, usize)>,
     /// Where the current entry's key starts in the row block.
-    rows_at: usize,
+    rows_at: u32,
 }
 
 impl PageCursor {
@@ -662,8 +670,8 @@ impl PageCursor {
                 page.len()
             )));
         };
-        (self.page, self.end) = (page, end);
-        self.prefix = PAGE_HEADER_LEN..PAGE_HEADER_LEN;
+        (self.page, self.end) = (page, end as u32);
+        self.prefix = PAGE_HEADER_LEN as u32..PAGE_HEADER_LEN as u32;
         if count == 0 {
             return Ok(());
         }
@@ -681,11 +689,23 @@ impl PageCursor {
                 "page prefix of {len} bytes runs past the entry area"
             )));
         }
-        self.prefix = pos..pos + len as usize;
-        self.key.start(&self.page[self.prefix.clone()]);
-        self.load(self.prefix.end)?;
-        self.remaining = count;
+        self.prefix = pos as u32..(pos + len as usize) as u32;
+        self.key.start(&self.page[span(&self.prefix)]);
+        self.load(self.prefix.end as usize)?;
+        self.remaining = count as u32;
         Ok(())
+    }
+
+    /// End of the entry area.
+    #[inline]
+    fn end(&self) -> usize {
+        self.end as usize
+    }
+
+    /// The page's prefix.
+    #[inline]
+    fn prefix(&self) -> &[u8] {
+        &self.page[span(&self.prefix)]
     }
 
     /// Entries on the page (none on a cursor over nothing).
@@ -697,7 +717,7 @@ impl PageCursor {
 
     /// Entries from the current one on.
     pub fn remaining(&self) -> usize {
-        self.remaining
+        self.remaining as usize
     }
 
     /// The current entry's key, whole; `None` past the end.
@@ -735,7 +755,8 @@ impl PageCursor {
     pub(crate) fn to_entry_below(&self, hi: Option<&[u8]>) -> Option<Entry> {
         (self.remaining > 0).then(|| {
             let (rows, _) = self.rows.get_or_init(|| self.row_block(hi));
-            let (key, value) = (self.rows_at, self.rows_at + self.key.len);
+            let key = self.rows_at as usize;
+            let value = key + self.key.len;
             Entry {
                 key: rows.slice(key..value),
                 value: rows.slice(value..value + self.value.len()),
@@ -755,8 +776,8 @@ impl PageCursor {
         if let Some(&(_, past)) = self.rows.get() {
             // Past the block's last row, the next owned entry builds a new
             // one.
-            self.rows_at += row_len;
-            if self.remaining == past {
+            self.rows_at += row_len as u32;
+            if self.remaining() == past {
                 self.drop_rows();
             }
         }
@@ -786,7 +807,7 @@ impl PageCursor {
             return Ok(None);
         }
         let e = self.parse(self.offset_of(i)?)?;
-        let prefix = &self.page[self.prefix.clone()];
+        let prefix = self.prefix();
         let found = key.strip_prefix(prefix) == Some(&self.page[e.suffix()]);
         Ok(found.then(|| Hit {
             value: self.page.slice(e.value()),
@@ -800,11 +821,11 @@ impl PageCursor {
     /// search [`search`](Self::search) makes.
     pub(crate) fn seek(&mut self, key: &[u8]) -> Result<()> {
         let i = self.find(key)?;
-        if i > self.count() - self.remaining {
+        if i > self.count() - self.remaining() {
             if i < self.count() {
                 self.load(self.offset_of(i)?)?;
             }
-            self.remaining = self.count() - i;
+            self.remaining = (self.count() - i) as u32;
             self.drop_rows();
         }
         Ok(())
@@ -813,18 +834,18 @@ impl PageCursor {
     /// The index of the first entry from the current one on whose key is
     /// not below `key`; the entry count when there is none.
     fn find(&self, key: &[u8]) -> Result<usize> {
-        let from = self.count() - self.remaining;
+        let from = self.count() - self.remaining();
         if self.remaining == 0 {
             return Ok(from);
         }
-        let prefix = &self.page[self.prefix.clone()];
+        let prefix = self.prefix();
         let Some(rest) = key.strip_prefix(prefix) else {
             // Every key starts with the prefix, so a probe that does not
             // sorts below all of them or above all of them.
             return Ok(if key < prefix { from } else { self.count() });
         };
         let mut lo = from;
-        let stride = self.remaining.isqrt();
+        let stride = self.remaining().isqrt();
         while lo + stride <= self.count() && self.suffix_of(lo + stride - 1)? < rest {
             lo += stride;
         }
@@ -844,7 +865,7 @@ impl PageCursor {
             2 => u16::from_le_bytes([slot[0], slot[1]]) as usize,
             _ => u32::from_le_bytes(slot.try_into().unwrap()) as usize,
         };
-        if !(self.prefix.end..self.end).contains(&off) {
+        if !(self.prefix.end as usize..self.end()).contains(&off) {
             return Err(LsmError::Corruption(format!(
                 "offset {off} of entry {i} points outside the entry area"
             )));
@@ -857,7 +878,7 @@ impl PageCursor {
     #[inline]
     fn suffix_of(&self, i: usize) -> Result<&[u8]> {
         let off = self.offset_of(i)?;
-        let area = &self.page[..self.end];
+        let area = &self.page[..self.end()];
         let mut pos = off;
         let suffix = read_varint(area, &mut pos).and_then(|len| {
             skip_varint(area, &mut pos)?;
@@ -872,7 +893,7 @@ impl PageCursor {
     fn parse(&self, off: usize) -> Result<Parsed> {
         let corrupt =
             |what: &str| LsmError::Corruption(format!("entry at page offset {off} {what}"));
-        let area = &self.page[..self.end];
+        let area = &self.page[..self.end()];
         let mut pos = off;
         let (Some(suffix_len), Some(value_len), Some(&tag)) = (
             read_varint(area, &mut pos),
@@ -893,7 +914,7 @@ impl PageCursor {
         if suffix_len > (MAX_KEY_LEN - self.prefix.len()) as u64 {
             return Err(corrupt("has a key longer than a key can be"));
         }
-        let room = (self.end - pos) as u64;
+        let room = (self.end() - pos) as u64;
         if value_len
             .checked_add(suffix_len)
             .is_none_or(|body| body > room)
@@ -915,7 +936,7 @@ impl PageCursor {
     fn load(&mut self, off: usize) -> Result<()> {
         let e = self.parse(off)?;
         self.key
-            .set(&self.page[self.prefix.clone()], &self.page[e.suffix()]);
+            .set(&self.page[span(&self.prefix)], &self.page[e.suffix()]);
         (self.value, self.seq, self.kind) = (e.value(), e.seq, e.kind);
         Ok(())
     }
@@ -926,7 +947,7 @@ impl PageCursor {
     /// long prefix takes a block per two pages' worth of rows), or up to an
     /// entry that does not parse, where the cursor will stop with an error.
     fn row_block(&self, hi: Option<&[u8]>) -> (Bytes, usize) {
-        let prefix = &self.page[self.prefix.clone()];
+        let prefix = self.prefix();
         GATHER.with_borrow_mut(|rows| {
             rows.clear();
             // Sized once, the buffer never grows again.
@@ -939,7 +960,7 @@ impl PageCursor {
                 rows.extend_from_slice(&self.page[suffix_and_value]);
                 count += 1;
             }
-            (Bytes::copy_from_slice(rows), self.remaining - count)
+            (Bytes::copy_from_slice(rows), self.remaining() - count)
         })
     }
 
@@ -958,8 +979,8 @@ impl PageCursor {
         &'a self,
         hi: Option<&'a [u8]>,
     ) -> impl Iterator<Item = Range<usize>> + 'a {
-        let area = &self.page[..self.end];
-        let prefix = &self.page[self.prefix.clone()];
+        let area = &self.page[..self.end()];
+        let prefix = self.prefix();
         // Every key starts with the prefix: a bound that does not sorts
         // above all of them (no stop) or at or below all of them (stop at
         // once, at the empty suffix).
@@ -969,7 +990,7 @@ impl PageCursor {
         });
         let budget = self.row_budget();
         let (mut len, mut pos) = (self.key.len + self.value.len(), self.value.end);
-        (1..self.remaining).map_while(move |_| {
+        (1..self.remaining()).map_while(move |_| {
             let suffix_len = read_varint(area, &mut pos)? as usize;
             let value_len = read_varint(area, &mut pos)? as usize;
             skip_varint(area, &mut pos)?; // the sequence number

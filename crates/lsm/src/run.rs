@@ -392,8 +392,9 @@ impl Run {
     /// page `lo` is on and a search of it the entry, and the cursor stops
     /// before the first page whose fence is not below `hi` — that page
     /// starts at or past `hi`. `lo` past the run's last key, or `hi` at or
-    /// below its first, costs no I/O. The scan reads one page at a time
-    /// and only when the cursor runs dry (see [`RunCursor`]).
+    /// below its first, costs no I/O. A bounded scan declares the pages up
+    /// to that fence and reads them in extents; a scan to the end declares
+    /// none and reads one page at a time (see [`RunCursor`]).
     pub fn scan_from(self: &Arc<Self>, lo: &[u8], hi: Option<&[u8]>) -> Result<RunCursor> {
         let start = if lo > self.max_key.as_ref() {
             self.pages
@@ -405,17 +406,40 @@ impl Run {
         let end = hi.map_or(self.pages, |hi| {
             self.fences.partition_point(|f| f < hi) as u32
         });
+        let declared = hi.is_some();
         // A scan seeks to wherever it starts.
-        RunCursor::open(&self.disk, self.id, Some(self), start..end, true, Some(lo))
+        RunCursor::open(self, start..end, declared, true, Some(lo))
     }
 
-    /// Opens a cursor over whole `pages` of the run for a merge. The slices
-    /// a partitioned merge cuts a run into share the run's one seek, charged
-    /// to whoever reads page 0, so a merge counts a seek per input run and a
-    /// read per input page however it is cut.
+    /// Opens a cursor over whole `pages` of the run for a merge, which it
+    /// declares: they are read in extents. The slices a partitioned merge
+    /// cuts a run into share the run's one seek, charged to whoever reads
+    /// page 0, so a merge counts a seek per input run and a read per input
+    /// page however it is cut.
     pub(crate) fn merge_pages(self: &Arc<Self>, pages: Range<u32>) -> Result<RunCursor> {
         let seek = pages.start == 0;
-        RunCursor::open(&self.disk, self.id, Some(self), pages, seek, None)
+        RunCursor::open(self, pages, true, seek, None)
+    }
+
+    /// A run known by its file alone — no fences, no keys, an
+    /// always-positive filter — to read its pages through before anything
+    /// else about it is known ([`recover_run`]).
+    fn file(disk: &Arc<Disk>, id: RunId, pages: u32) -> Self {
+        Self {
+            disk: Arc::clone(disk),
+            id,
+            entries: 0,
+            tombstones: 0,
+            pages,
+            fences: FenceIndex::default(),
+            max_key: Bytes::new(),
+            filter: Filter::with_bits_per_entry(FilterVariant::Standard, 0, 0.0),
+            bytes: 0,
+            filter_bpe: 0.0,
+            min_entry_bytes: 0,
+            novel_below: None,
+            obsolete: AtomicBool::new(false),
+        }
     }
 }
 
@@ -663,45 +687,54 @@ pub(crate) const WRITE_EXTENT_BYTES: usize = 256 << 10;
 ///
 /// The first page fetched with `seek` set costs a seek + read; every other
 /// page a sequential read only, matching Eq. 11's range-lookup cost model.
-/// A page is fetched when the cursor runs dry and not before: reads are
-/// synchronous, so fetching ahead would overlap nothing, a bounded scan
-/// would pay for a page it never decodes, and a merge would pin frames no
-/// budget counts. A cursor therefore reads exactly the pages it decodes —
-/// one per run for a scan dropped after its first entry — and holds one
-/// frame. The cursor pins its [`Run`], so a run superseded mid-scan stays
-/// readable until the cursor drops.
+///
+/// Pages are fetched when the cursor runs dry and not before. A cursor
+/// whose range is *declared* — a merge's, recovery's, a bounded scan's,
+/// all of which decode every page of it — then reads the next stretch of
+/// the range, one extent at most, in one positional read
+/// ([`Disk::read_pages`]) and hands its pages out one at a time, as slices
+/// of that read. A cursor whose range is not declared (a scan to the end
+/// of the run, which its caller may drop at any entry) reads one page per
+/// fetch, so it reads exactly the pages it decodes — one per run for a
+/// scan dropped after its first entry. Either way a cursor reads no page
+/// outside its range and holds one frame, a page's or an extent's. The
+/// cursor pins its [`Run`], so a run superseded mid-scan stays readable
+/// until the cursor drops.
 pub struct RunCursor {
-    disk: Arc<Disk>,
-    id: RunId,
-    _pin: Option<Arc<Run>>,
+    run: Arc<Run>,
     /// The page under the cursor (spent or empty once exhausted).
     page: PageCursor,
-    /// Next page number to fetch from disk, up to `end`.
+    /// Pages read and not yet opened, back to back: the rest of the last
+    /// fetch.
+    fetched: Bytes,
+    /// Number of the next page to open, up to `end`.
     next_page: u32,
     end: u32,
+    /// Whether the range is declared: fetched in extents, not by the page.
+    declared: bool,
     /// The next fetch pays the seek.
     seek: bool,
 }
 
 impl RunCursor {
-    /// Opens a cursor over `pages` of run `id`, positioned on the first
-    /// entry with key `>= lo` (the first entry without `lo`). With `seek`
-    /// the first fetch is charged a seek.
+    /// Opens a cursor over `pages` of `run`, positioned on the first entry
+    /// with key `>= lo` (the first entry without `lo`). A `declared` range
+    /// is fetched in extents. With `seek` the first fetch is charged a
+    /// seek.
     fn open(
-        disk: &Arc<Disk>,
-        id: RunId,
-        pin: Option<&Arc<Run>>,
+        run: &Arc<Run>,
         pages: Range<u32>,
+        declared: bool,
         seek: bool,
         lo: Option<&[u8]>,
     ) -> Result<Self> {
         let mut cursor = Self {
-            disk: Arc::clone(disk),
-            id,
-            _pin: pin.cloned(),
+            run: Arc::clone(run),
             page: PageCursor::empty(),
+            fetched: Bytes::new(),
             next_page: pages.start,
             end: pages.end.max(pages.start),
+            declared,
             seek,
         };
         cursor.settle()?;
@@ -741,9 +774,10 @@ impl RunCursor {
         stepped
     }
 
-    /// Exhausts the cursor, letting go of the page it holds.
+    /// Exhausts the cursor, letting go of the frame it holds.
     pub(crate) fn close(&mut self) {
         self.page = PageCursor::empty();
+        self.fetched = Bytes::new();
         self.next_page = self.end;
     }
 
@@ -760,17 +794,29 @@ impl RunCursor {
 
     /// The next page to decode, or `None` past the range's last one.
     fn take_page(&mut self) -> Result<Option<Bytes>> {
-        if self.next_page >= self.end {
-            return Ok(None);
+        if self.fetched.is_empty() {
+            if self.next_page >= self.end {
+                return Ok(None);
+            }
+            let upto = match self.declared {
+                true => self.end,
+                false => self.next_page + 1,
+            };
+            // The first fetch of a scan pays a seek; the rest are
+            // sequential.
+            let seek = std::mem::replace(&mut self.seek, false);
+            let (disk, id) = (&self.run.disk, self.run.id);
+            self.fetched = disk.read_pages(id, self.next_page..upto, seek)?;
         }
-        let page_no = self.next_page;
         self.next_page += 1;
-        // The first page of a scan pays a seek; the rest are sequential.
-        let page = if std::mem::replace(&mut self.seek, false) {
-            self.disk.read_page(self.id, page_no)?
-        } else {
-            self.disk.read_page_sequential(self.id, page_no)?
-        };
+        let page_size = self.run.disk.page_size();
+        if self.fetched.len() == page_size {
+            // The last page of the fetch: the cursor keeps no other hold
+            // on its frame.
+            return Ok(Some(std::mem::take(&mut self.fetched)));
+        }
+        let page = self.fetched.slice(..page_size);
+        self.fetched = self.fetched.slice(page_size..);
         Ok(Some(page))
     }
 }
@@ -797,7 +843,8 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     // Last key of the most recently finished page: the next fence's
     // separator is cut against it, and at the end it is the run's max key.
     let mut page_last = Vec::new();
-    let mut cursor = RunCursor::open(disk, id, None, 0..pages, true, None)?;
+    let file = Arc::new(Run::file(disk, id, pages));
+    let mut cursor = file.merge_pages(0..pages)?;
     while let Some(e) = cursor.page.entry() {
         // The cursor steps over empty pages, which then never get a fence.
         if cursor.page_no() as usize == fences.len() {

@@ -7,73 +7,25 @@
 use bytes::Bytes;
 use monkey_lsm::manifest::Manifest;
 use monkey_lsm::{Db, DbOptions, DbStats, IoBackend, LsmError, MergePolicy};
-use monkey_storage::{BlockCache, Disk, FaultKind, FlakyBackend, Fs, FsFile, MemFs, OsFs};
+use monkey_storage::{
+    BlockCache, Disk, FaultKind, FlakyBackend, Fs, FsFile, MemFs, OsFs, READ_EXTENT_BYTES,
+};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// A memory fs whose every operation but `remove` crosses `plan`. A
-/// volatile store has no reopen to sweep up a run whose delete failed, so
-/// its faults land on the operations that build runs — create, extent
-/// write, seal sync — and on reads, never on a delete.
-struct SparingRemoves {
-    plan: Arc<FlakyBackend<MemFs>>,
-    mem: MemFs,
-}
-
-impl Fs for SparingRemoves {
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.plan.create(path, direct)
-    }
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.plan.open(path, direct)
-    }
-    fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
-        self.plan.write_at(file, offset, data)
-    }
-    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        self.plan.read_at(file, offset, buf)
-    }
-    fn len(&self, file: &FsFile) -> io::Result<u64> {
-        self.plan.len(file)
-    }
-    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
-        self.plan.read(path)
-    }
-    fn sync(&self, file: &FsFile) -> io::Result<()> {
-        self.plan.sync(file)
-    }
-    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
-        self.plan.rename(from, to)
-    }
-    fn remove(&self, path: &Path) -> io::Result<()> {
-        self.mem.remove(path)
-    }
-    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
-        self.plan.list(dir)
-    }
-    fn create_dir(&self, dir: &Path) -> io::Result<()> {
-        self.plan.create_dir(dir)
-    }
-    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
-        self.plan.sync_dir(dir)
-    }
-}
-
-/// A volatile disk of 256-byte pages over a memory fs faulted by a plan
-/// of `kind`, deletes spared, and an LRU cache of `cache_bytes` if any.
+/// A volatile disk of `page_size`-byte pages over a memory fs faulted by
+/// a plan of `kind`, and an LRU cache of `cache_bytes` if any. A volatile
+/// store has no reopen to sweep up a run whose delete failed: the disk
+/// deletes it again at its next run, delete or directory sync.
 fn flaky_disk(
     kind: FaultKind,
+    page_size: usize,
     cache_bytes: Option<usize>,
 ) -> (Arc<Disk>, Arc<FlakyBackend<MemFs>>) {
-    let mem = MemFs::new();
-    let plan = FlakyBackend::new(mem.clone(), kind);
-    let fs = Arc::new(SparingRemoves {
-        plan: plan.clone(),
-        mem,
-    });
+    let plan = FlakyBackend::new(MemFs::new(), kind);
     let cache = cache_bytes.map(BlockCache::new);
-    let disk = Disk::file_on(fs, "runs", 256, IoBackend::Buffered, cache).unwrap();
+    let disk = Disk::file_on(plan.clone(), "runs", page_size, IoBackend::Buffered, cache).unwrap();
     (disk, plan)
 }
 
@@ -81,15 +33,26 @@ fn flaky_db(kind: FaultKind) -> (Arc<Db>, Arc<FlakyBackend<MemFs>>) {
     flaky_db_with(kind, MergePolicy::Leveling, 2)
 }
 
+/// A store of 256-byte pages and a 512-byte buffer on a flaky disk.
 fn flaky_db_with(
     kind: FaultKind,
     policy: MergePolicy,
     size_ratio: usize,
 ) -> (Arc<Db>, Arc<FlakyBackend<MemFs>>) {
-    let (disk, backend) = flaky_disk(kind, None);
+    flaky_db_shaped(kind, policy, size_ratio, 256, 512)
+}
+
+fn flaky_db_shaped(
+    kind: FaultKind,
+    policy: MergePolicy,
+    size_ratio: usize,
+    page_size: usize,
+    buffer: usize,
+) -> (Arc<Db>, Arc<FlakyBackend<MemFs>>) {
+    let (disk, backend) = flaky_disk(kind, page_size, None);
     let opts = DbOptions::in_memory()
-        .page_size(256)
-        .buffer_capacity(512)
+        .page_size(page_size)
+        .buffer_capacity(buffer)
         .size_ratio(size_ratio)
         .merge_policy(policy)
         .uniform_filters(8.0);
@@ -239,42 +202,61 @@ fn tree(db: &Db) -> Tree {
     (shape, runs)
 }
 
-/// Walks a write fault through **every** run file create, extent write and
-/// run seal of one flush: the first flush of a batch trace for which
-/// `pick(before, after, merges)` holds on a fault-free store. At each write
-/// index a fresh store replays the batches before it and flushes with the
-/// fault armed. The failed flush leaves no run file that no version names,
-/// the frozen memtable still answers for every acknowledged key, and the
-/// retry installs the tree the fault-free store laid down. Returns how
-/// many indices failed, and how many of them failed a seal.
+/// Holds a store to every acknowledged key of the first `puts`, and —
+/// with `settled` — to exactly the run files its tree tracks.
+fn check(db: &Db, puts: usize, settled: bool, when: &str) {
+    if settled {
+        let (live, tracked) = (db.disk().list_runs().unwrap().len(), db.stats().runs);
+        assert_eq!(live, tracked, "{when}: {live} run files for {tracked} runs");
+    }
+    for i in 0..puts {
+        assert!(
+            db.get(&sweep_key(i)).unwrap().is_some(),
+            "{when}: key {i} lost"
+        );
+    }
+}
+
+/// The batches of a fault-free trace up to the first flush for which
+/// `pick(before, after, merges)` holds, and the tree that flush lays down.
+fn trace_to(
+    db: &Db,
+    put: impl Fn(&Db, usize),
+    pick: impl Fn(&DbStats, &DbStats, u64) -> bool,
+) -> (usize, Tree) {
+    let mut batches = 0;
+    loop {
+        assert!(batches < 1000, "no flush to sweep");
+        put(db, batches);
+        batches += 1;
+        let (before, merges) = (db.stats(), db.compaction_stats().merges);
+        db.flush().unwrap();
+        if pick(&before, &db.stats(), db.compaction_stats().merges - merges) {
+            return (batches, tree(db));
+        }
+    }
+}
+
+/// Walks a write fault through **every** run file create, extent write,
+/// run seal and run delete of one flush: the first flush of a batch trace
+/// for which `pick(before, after, merges)` holds on a fault-free store. At
+/// each write index a fresh store replays the batches before it and
+/// flushes with the fault armed. A failed flush loses no acknowledged key
+/// — the frozen memtable still answers for them — and its retry leaves no
+/// run file that no version names and installs the tree the fault-free
+/// store laid down. A fault on the delete of a run the flush merged away
+/// cannot surface — the run's last reference issues it — and leaves the
+/// run on storage until the next flush, which deletes it. Returns how many
+/// indices failed the flush, and how many of them failed a seal.
 fn sweep_write_faults(
     policy: MergePolicy,
     size_ratio: usize,
     pick: impl Fn(&DbStats, &DbStats, u64) -> bool,
 ) -> (usize, usize) {
-    let check = |db: &Db, puts: usize, when: &str| {
-        let (live, tracked) = (db.disk().list_runs().unwrap().len(), db.stats().runs);
-        assert_eq!(live, tracked, "{when}: {live} run files for {tracked} runs");
-        for i in 0..puts {
-            assert!(
-                db.get(&sweep_key(i)).unwrap().is_some(),
-                "{when}: key {i} lost"
-            );
-        }
-    };
     let (db, _) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
-    let mut batches = 0;
-    let want = loop {
-        assert!(batches < 1000, "{policy:?}: no flush to sweep");
-        put_batch(&db, batches);
-        batches += 1;
-        let (before, merges) = (db.stats(), db.compaction_stats().merges);
-        db.flush().unwrap();
-        if pick(&before, &db.stats(), db.compaction_stats().merges - merges) {
-            break tree(&db);
-        }
-    };
-    let (mut failures, mut seals) = (0, 0);
+    let (batches, want) = trace_to(&db, put_batch, pick);
+    let puts = batches * BATCH;
+    let (mut failures, mut seals, mut deletes) = (0, 0, 0);
     for allowed in 0.. {
         let (db, backend) = flaky_db_with(FaultKind::Writes, policy, size_ratio);
         for batch in 0..batches {
@@ -284,20 +266,37 @@ fn sweep_write_faults(
             put_batch(&db, batch);
         }
         backend.arm(allowed);
-        let Err(err) = db.flush() else {
-            // The fault has walked off the end of the flush.
-            assert_eq!(tree(&db), want, "{policy:?}: the fault-free flush");
-            break;
-        };
-        failures += 1;
-        seals += err.to_string().contains("injected fault on sync") as usize;
+        let flushed = db.flush();
         backend.disarm();
         let when = format!("{policy:?}, fault at write {allowed}");
-        check(&db, batches * BATCH, &when);
-        db.flush().unwrap();
-        check(&db, batches * BATCH, &format!("{when}, retried"));
-        assert_eq!(tree(&db), want, "{when}: the retry lays down another tree");
+        match flushed {
+            // The fault has walked off the end of the flush.
+            Ok(()) if backend.injected() == 0 => {
+                assert_eq!(tree(&db), want, "{policy:?}: the fault-free flush");
+                break;
+            }
+            Ok(()) => {
+                deletes += 1;
+                assert_eq!(tree(&db).0, want.0, "{when}: the tree the flush installed");
+                check(&db, puts, false, &when);
+                put_batch(&db, batches);
+                db.flush().unwrap();
+                check(&db, puts + BATCH, true, &format!("{when}, then a flush"));
+            }
+            Err(err) => {
+                failures += 1;
+                seals += err.to_string().contains("injected fault on sync") as usize;
+                check(&db, puts, false, &when);
+                db.flush().unwrap();
+                check(&db, puts, true, &format!("{when}, retried"));
+                assert_eq!(tree(&db), want, "{when}: the retry lays down another tree");
+            }
+        }
     }
+    assert!(
+        deletes >= 1,
+        "{policy:?}: no fault on a merged-away run's delete"
+    );
     (failures, seals)
 }
 
@@ -336,11 +335,119 @@ fn failed_fused_merge_leaks_no_run_at_any_write_index() {
     }
 }
 
+/// Walks a read fault through every read of one flush whose merge reads an
+/// input of more than two extents (`READ_EXTENT_BYTES` each), an extent a
+/// read: the first flush of a batch trace that changes a level holding
+/// that much. At each read index a fresh store replays the batches and
+/// flushes with the fault armed. The flush fails, loses no acknowledged
+/// key and leaves no run file that no version names; its retry installs
+/// the tree the fault-free store laid down.
+#[test]
+fn failed_extent_read_leaks_no_run_at_any_read_index() {
+    const PAGE: usize = 4096;
+    const PER_BATCH: usize = 32;
+    let extent = READ_EXTENT_BYTES;
+    let open = || flaky_db_shaped(FaultKind::Reads, MergePolicy::Leveling, 2, PAGE, 64 << 10);
+    // Under one buffer: only `flush` rotates.
+    let put = |db: &Db, batch: usize| {
+        for i in batch * PER_BATCH..(batch + 1) * PER_BATCH {
+            db.put(sweep_key(i), vec![b'v'; 200]).unwrap();
+        }
+    };
+    let merges_a_long_run = |before: &DbStats, after: &DbStats, merges: u64| {
+        let pairs = before.levels.iter().zip(&after.levels);
+        merges > 0
+            && pairs
+                .into_iter()
+                .any(|(b, a)| b.bytes > 2 * extent as u64 && b.bytes != a.bytes)
+    };
+    let (db, _) = open();
+    let (batches, want) = trace_to(&db, put, merges_a_long_run);
+    let puts = batches * PER_BATCH;
+    let mut failures = 0;
+    for allowed in 0.. {
+        let (db, backend) = open();
+        for batch in 0..batches {
+            if batch > 0 {
+                db.flush().unwrap();
+            }
+            put(&db, batch);
+        }
+        backend.arm(allowed);
+        let flushed = db.flush();
+        backend.disarm();
+        let Err(err) = flushed else {
+            assert_eq!(backend.injected(), 0, "a read fault the flush swallowed");
+            assert_eq!(tree(&db), want, "the fault-free flush");
+            break;
+        };
+        failures += 1;
+        let when = format!("fault at read {allowed}: {err}");
+        assert!(matches!(err, LsmError::Storage(_)), "{when}");
+        check(&db, puts, true, &when);
+        db.flush().unwrap();
+        assert_eq!(tree(&db), want, "{when}: the retry lays down another tree");
+    }
+    // The long input alone is three extents or more: a read index each.
+    assert!(failures >= 3, "only {failures} read indices");
+}
+
+/// The merge kernel's drain rule where a bounded scan reads a run in
+/// extents: when the run's second extent read fails, the scan has yielded
+/// every entry of its first extent and of the buffer below it, yields the
+/// entry the buffer's cursor is positioned on, then the error, then ends.
+#[test]
+fn a_scan_whose_extent_read_fails_yields_what_the_other_sources_hold_then_the_error() {
+    const PAGE: usize = 4096;
+    const N: usize = 2000;
+    let extent = (READ_EXTENT_BYTES / PAGE) as u32;
+    let (db, backend) = flaky_db_shaped(FaultKind::Reads, MergePolicy::Leveling, 2, PAGE, 1 << 20);
+    let key = |i: usize| format!("k{i:04}").into_bytes();
+    // Even keys in one run, odd keys in the buffer.
+    for i in (0..N).step_by(2) {
+        db.put(key(i), vec![b'v'; 100]).unwrap();
+    }
+    db.flush().unwrap();
+    for i in (1..N).step_by(2) {
+        db.put(key(i), vec![b'v'; 100]).unwrap();
+    }
+    let disk = db.disk();
+    let runs = disk.list_runs().unwrap();
+    assert_eq!(runs.len(), 1, "one flush, one run");
+    assert!(disk.run_pages(runs[0]).unwrap() > 2 * extent);
+    // The last key of the run's first extent.
+    let last_page = disk.read_page(runs[0], extent - 1).unwrap();
+    let mut page = monkey_lsm::page::PageCursor::new(last_page).unwrap();
+    let mut last = Vec::new();
+    while let Some(k) = page.key() {
+        last = k.to_vec();
+        page.advance().unwrap();
+    }
+    let last: usize = std::str::from_utf8(&last[1..]).unwrap().parse().unwrap();
+
+    backend.arm_once(1); // the first extent reads; the second does not
+    let mut scan = db.range(b"k", Some(b"l")).unwrap();
+    for i in 0..=last + 1 {
+        let (got, _) = scan.next().unwrap().unwrap();
+        assert_eq!(got.as_ref(), key(i).as_slice());
+    }
+    let err = scan.next().unwrap().unwrap_err();
+    assert!(
+        matches!(err, LsmError::Storage(_)),
+        "unexpected error {err}"
+    );
+    assert!(scan.next().is_none(), "the cursor fuses after the error");
+    assert_eq!(backend.injected(), 1, "and reads nothing more");
+
+    backend.disarm();
+    assert_eq!(db.range(b"k", Some(b"l")).unwrap().count(), N);
+}
+
 #[test]
 fn cache_masks_read_faults_for_hot_pages() {
     // A warm block cache serves hot pages even while the backend is down —
     // the availability bonus the paper's Figure 12 setup implies.
-    let (disk, backend) = flaky_disk(FaultKind::Reads, Some(1 << 20));
+    let (disk, backend) = flaky_disk(FaultKind::Reads, 256, Some(1 << 20));
     let opts = DbOptions::in_memory()
         .page_size(256)
         .buffer_capacity(512)

@@ -1,13 +1,19 @@
 //! The page-frame pool: where every page read from a run file lands.
 //!
-//! A page frame lives exactly as long as something is reading it, and then
-//! goes back to the engine, not to malloc. The file backend reads into
+//! A frame lives exactly as long as something is reading it, and then goes
+//! back to the engine, not to malloc. The file backend reads into
 //! [`AlignedBuf`]s drawn from an [`AlignedPool`]: a frame is allocated
 //! (zeroed) once, frozen into a zero-copy [`Bytes`] when a read lands in
 //! it, and returned to the pool's free list when the last clone of that
 //! `Bytes` — a cursor, a cached page, a value handed to the caller —
-//! drops. In steady state a page read therefore allocates no page-sized
+//! drops. In steady state a read therefore allocates no frame-sized
 //! block, zeroes nothing and copies nothing.
+//!
+//! A frame comes in two sizes: a *page frame* holds one page (a point
+//! lookup's read, a cached page), an *extent frame* the run of pages one
+//! sequential read brings in at once, which a cursor hands out page by
+//! page as slices of it. Each size has its own free list; the idle budget
+//! is one, in bytes, for both.
 //!
 //! Frames carry an explicit address alignment because O_DIRECT transfers
 //! require the user buffer's *address* to be aligned to the device's
@@ -27,65 +33,83 @@ use parking_lot::Mutex;
 use std::alloc::{alloc_zeroed, dealloc, Layout};
 use std::sync::Arc;
 
-/// Bytes of idle frames a pool keeps for reuse: the largest burst of pages
-/// a reader can release at once without the next burst paying for fresh
-/// memory (8 192 frames of 4 KiB). One constant for every pool; what is
-/// pinned beyond it is allocated and freed as it comes.
+/// Bytes of idle frames a pool keeps for reuse, page and extent frames
+/// together: the largest burst of pages a reader can release at once
+/// without the next burst paying for fresh memory (8 192 frames of 4 KiB).
+/// One constant for every pool; what is pinned beyond it is allocated and
+/// freed as it comes.
 pub const IDLE_FRAME_BYTES: usize = 32 << 20;
 
-/// Counters of a pool (for tests and the backend info gauge).
+/// Counters of a pool (for tests and the backend info gauge), over frames
+/// of both sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStats {
     /// Frames ever allocated from the system allocator.
     pub allocated: u64,
     /// Acquisitions served by recycling a previously returned frame.
     pub recycled: u64,
-    /// Frames sitting in the free list right now.
+    /// Frames sitting in the free lists right now.
     pub idle: u64,
     /// Frames acquired and not yet returned: held by a reader, a cursor,
     /// a cache, or a `Bytes` someone kept.
     pub outstanding: u64,
+    /// Bytes of the idle frames: what the pool holds that nobody reads.
+    pub idle_bytes: u64,
 }
 
-/// The free list — a stack threaded through the idle frames themselves
-/// (each one's first word points at the next), so returning a frame never
-/// allocates — and the counters, all under the pool's one lock.
+/// Which of a pool's two frame sizes a frame has.
+#[derive(Clone, Copy)]
+enum Size {
+    Page = 0,
+    Extent = 1,
+}
+
+/// The free lists — a stack per frame size threaded through the idle
+/// frames themselves (each one's first word points at the next), so
+/// returning a frame never allocates — and the counters, all under the
+/// pool's one lock.
 struct FreeList {
-    head: *mut u8,
+    heads: [*mut u8; 2],
     stats: PoolStats,
 }
 
-// SAFETY: `head` and the chain behind it are unique owners of idle frames;
-// they are only reached through the `Mutex` that holds the list.
+// SAFETY: `heads` and the chains behind them are unique owners of idle
+// frames; they are only reached through the `Mutex` that holds the lists.
 unsafe impl Send for FreeList {}
 
 struct PoolInner {
-    size: usize,
-    /// What a frame is allocated as: `size` bytes (at least a pointer's
-    /// worth, for the free list's link) at the pool's alignment.
-    layout: Layout,
-    max_idle: u64,
+    /// Bytes of a page frame and of an extent frame.
+    sizes: [usize; 2],
+    /// What a frame of each size is allocated as: that many bytes (at
+    /// least a pointer's worth, for the free list's link) at the pool's
+    /// alignment.
+    layouts: [Layout; 2],
+    max_idle_bytes: u64,
     free: Mutex<FreeList>,
 }
 
 impl Drop for PoolInner {
     fn drop(&mut self) {
-        let mut frame = self.free.get_mut().head;
-        while !frame.is_null() {
-            // SAFETY: every frame on the list came from
-            // `alloc_zeroed(self.layout)`, is owned by the list alone, and
-            // holds the link `AlignedBuf::drop` wrote into its first word.
-            unsafe {
-                let next = frame.cast::<*mut u8>().read();
-                dealloc(frame, self.layout);
-                frame = next;
+        for (&head, &layout) in self.free.get_mut().heads.iter().zip(&self.layouts) {
+            let mut frame = head;
+            while !frame.is_null() {
+                // SAFETY: every frame on a list came from
+                // `alloc_zeroed(layout)` of that list's size, is owned by
+                // the list alone, and holds the link `AlignedBuf::drop`
+                // wrote into its first word.
+                unsafe {
+                    let next = frame.cast::<*mut u8>().read();
+                    dealloc(frame, layout);
+                    frame = next;
+                }
             }
         }
     }
 }
 
-/// A pool of fixed-size page frames whose addresses are aligned to a fixed
-/// power-of-two boundary. Cloning shares the pool.
+/// A pool of page frames and extent frames of two fixed sizes, whose
+/// addresses are aligned to a fixed power-of-two boundary. Cloning shares
+/// the pool.
 #[derive(Clone)]
 pub struct AlignedPool {
     inner: Arc<PoolInner>,
@@ -93,64 +117,90 @@ pub struct AlignedPool {
 
 impl AlignedPool {
     /// Creates a pool of `size`-byte frames aligned to `align` (a power of
-    /// two), keeping idle frames up to [`IDLE_FRAME_BYTES`].
+    /// two), keeping idle frames up to [`IDLE_FRAME_BYTES`]. Its extent
+    /// frames are page frames.
     pub fn new(size: usize, align: usize) -> Self {
-        Self::with_max_idle(size, align, IDLE_FRAME_BYTES / size.max(1))
+        Self::with_extent(size, size, align)
     }
 
-    fn with_max_idle(size: usize, align: usize, max_idle: usize) -> Self {
-        assert!(size > 0, "buffer size must be positive");
+    /// Creates a pool of `size`-byte page frames and `extent`-byte extent
+    /// frames aligned to `align` (a power of two), keeping idle frames of
+    /// both sizes up to [`IDLE_FRAME_BYTES`] together.
+    pub fn with_extent(size: usize, extent: usize, align: usize) -> Self {
+        Self::with_max_idle([size, extent], align, IDLE_FRAME_BYTES)
+    }
+
+    fn with_max_idle(sizes: [usize; 2], align: usize, max_idle_bytes: usize) -> Self {
+        assert!(sizes.iter().all(|&s| s > 0), "buffer size must be positive");
         assert!(
             align.is_power_of_two(),
             "alignment must be a power of two, got {align}"
         );
         let link = Layout::new::<*mut u8>();
-        let layout = Layout::from_size_align(size.max(link.size()), align.max(link.align()))
-            .expect("invalid aligned-pool layout");
+        let layouts = sizes.map(|size| {
+            Layout::from_size_align(size.max(link.size()), align.max(link.align()))
+                .expect("invalid aligned-pool layout")
+        });
         Self {
             inner: Arc::new(PoolInner {
-                size,
-                layout,
-                max_idle: max_idle as u64,
+                sizes,
+                layouts,
+                max_idle_bytes: max_idle_bytes as u64,
                 free: Mutex::new(FreeList {
-                    head: std::ptr::null_mut(),
+                    heads: [std::ptr::null_mut(); 2],
                     stats: PoolStats::default(),
                 }),
             }),
         }
     }
 
-    /// Buffer size in bytes.
+    /// Page-frame size in bytes.
     pub fn buf_size(&self) -> usize {
-        self.inner.size
+        self.inner.sizes[Size::Page as usize]
+    }
+
+    /// Extent-frame size in bytes.
+    pub fn extent_size(&self) -> usize {
+        self.inner.sizes[Size::Extent as usize]
     }
 
     /// Guaranteed address alignment in bytes.
     pub fn align(&self) -> usize {
-        self.inner.layout.align()
+        self.inner.layouts[0].align()
     }
 
-    /// Takes a frame from the free list, or allocates a fresh zeroed one.
-    /// A recycled frame holds whatever its last reader left in it.
+    /// Takes a page frame from its free list, or allocates a fresh zeroed
+    /// one. A recycled frame holds whatever its last reader left in it.
     pub fn acquire(&self) -> AlignedBuf {
+        self.acquire_sized(Size::Page)
+    }
+
+    /// [`acquire`](Self::acquire) for an extent frame.
+    pub fn acquire_extent(&self) -> AlignedBuf {
+        self.acquire_sized(Size::Extent)
+    }
+
+    fn acquire_sized(&self, size: Size) -> AlignedBuf {
+        let class = size as usize;
         let recycled = {
             let mut free = self.inner.free.lock();
             free.stats.outstanding += 1;
-            let head = free.head;
+            let head = free.heads[class];
             if head.is_null() {
                 free.stats.allocated += 1;
             } else {
                 // SAFETY: a non-null head is an idle frame this list owns,
                 // with the next link in its first word.
-                free.head = unsafe { head.cast::<*mut u8>().read() };
+                free.heads[class] = unsafe { head.cast::<*mut u8>().read() };
                 free.stats.idle -= 1;
+                free.stats.idle_bytes -= self.inner.sizes[class] as u64;
                 free.stats.recycled += 1;
             }
             head
         };
         let ptr = if recycled.is_null() {
             // SAFETY: the layout has non-zero size (checked in new()).
-            let ptr = unsafe { alloc_zeroed(self.inner.layout) };
+            let ptr = unsafe { alloc_zeroed(self.inner.layouts[class]) };
             assert!(!ptr.is_null(), "page-frame allocation failed");
             ptr
         } else {
@@ -158,6 +208,7 @@ impl AlignedPool {
         };
         AlignedBuf {
             ptr,
+            size,
             pool: Arc::clone(&self.inner),
         }
     }
@@ -174,6 +225,7 @@ impl AlignedPool {
 /// their storage when the last clone goes away.
 pub struct AlignedBuf {
     ptr: *mut u8,
+    size: Size,
     pool: Arc<PoolInner>,
 }
 
@@ -185,19 +237,25 @@ unsafe impl Send for AlignedBuf {}
 unsafe impl Sync for AlignedBuf {}
 
 impl AlignedBuf {
+    /// Bytes in the frame.
+    #[inline]
+    fn len(&self) -> usize {
+        self.pool.sizes[self.size as usize]
+    }
+
     /// The buffer's full extent, mutable.
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [u8] {
         // SAFETY: ptr is a live, initialised, unique allocation of at
-        // least pool.size bytes, and `&mut self` makes this the only view.
-        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.pool.size) }
+        // least `len()` bytes, and `&mut self` makes this the only view.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.len()) }
     }
 
     /// Freezes the buffer into an immutable, cheaply-cloneable [`Bytes`]
     /// of its first `len` bytes — zero-copy; the allocation returns to
     /// the pool when the last clone drops.
     pub fn freeze(self, len: usize) -> Bytes {
-        assert!(len <= self.pool.size, "freeze length exceeds buffer");
+        assert!(len <= self.len(), "freeze length exceeds buffer");
         Bytes::from_owner(FrozenBuf { buf: self, len })
     }
 }
@@ -206,27 +264,29 @@ impl AsRef<[u8]> for AlignedBuf {
     #[inline]
     fn as_ref(&self) -> &[u8] {
         // SAFETY: ptr is a live, initialised allocation of at least
-        // pool.size bytes that only `&mut self` methods write to.
-        unsafe { std::slice::from_raw_parts(self.ptr, self.pool.size) }
+        // `len()` bytes that only `&mut self` methods write to.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len()) }
     }
 }
 
 impl Drop for AlignedBuf {
     fn drop(&mut self) {
+        let (class, bytes) = (self.size as usize, self.len() as u64);
         let mut free = self.pool.free.lock();
         free.stats.outstanding -= 1;
-        if free.stats.idle < self.pool.max_idle {
+        if free.stats.idle_bytes + bytes <= self.pool.max_idle_bytes {
             // SAFETY: the frame is at least a pointer long and at least
             // pointer-aligned (see `with_max_idle`), and nothing else can
             // reach it: this is its unique owner's drop.
-            unsafe { self.ptr.cast::<*mut u8>().write(free.head) };
-            free.head = self.ptr;
+            unsafe { self.ptr.cast::<*mut u8>().write(free.heads[class]) };
+            free.heads[class] = self.ptr;
             free.stats.idle += 1;
+            free.stats.idle_bytes += bytes;
         } else {
             drop(free);
-            // SAFETY: the pointer came from alloc_zeroed with this layout
-            // and is owned by nothing else.
-            unsafe { dealloc(self.ptr, self.pool.layout) };
+            // SAFETY: the pointer came from alloc_zeroed with this size's
+            // layout and is owned by nothing else.
+            unsafe { dealloc(self.ptr, self.pool.layouts[class]) };
         }
     }
 }
@@ -298,13 +358,14 @@ mod tests {
                 recycled: 1,
                 idle: 0,
                 outstanding: 1,
+                idle_bytes: 0,
             }
         );
     }
 
     #[test]
     fn idle_frames_are_bounded_and_reused_newest_first() {
-        let pool = AlignedPool::with_max_idle(512, 512, 2);
+        let pool = AlignedPool::with_max_idle([512, 512], 512, 2 * 512);
         let bufs: Vec<AlignedBuf> = (0..5).map(|_| pool.acquire()).collect();
         assert_eq!(pool.stats().allocated, 5);
         assert_eq!(pool.stats().outstanding, 5);
@@ -330,8 +391,34 @@ mod tests {
     fn the_idle_budget_is_one_constant_in_bytes() {
         for size in [512usize, 4096, 65536] {
             let pool = AlignedPool::new(size, 512);
-            assert_eq!(pool.inner.max_idle as usize * size, IDLE_FRAME_BYTES);
+            assert_eq!(pool.inner.max_idle_bytes as usize, IDLE_FRAME_BYTES);
+            let pool = AlignedPool::with_extent(size, 16 * size, 512);
+            assert_eq!(pool.inner.max_idle_bytes as usize, IDLE_FRAME_BYTES);
         }
+    }
+
+    #[test]
+    fn page_and_extent_frames_share_one_idle_budget() {
+        // Room for four pages: an idle extent of three leaves room for one.
+        let pool = AlignedPool::with_max_idle([512, 3 * 512], 512, 4 * 512);
+        let mut extent = pool.acquire_extent();
+        assert_eq!(extent.as_mut_slice().len(), 3 * 512);
+        assert_eq!(extent.as_mut_slice().as_ptr() as usize % 512, 0);
+        let pages: Vec<AlignedBuf> = (0..3).map(|_| pool.acquire()).collect();
+        assert_eq!(pool.stats().outstanding, 4);
+        drop(extent);
+        drop(pages); // one of three fits beside the extent, two deallocate
+        let stats = pool.stats();
+        assert_eq!((stats.idle, stats.idle_bytes), (2, 4 * 512));
+        // Each size recycles from its own list.
+        let (extent, page) = (pool.acquire_extent(), pool.acquire());
+        assert_eq!(extent.as_ref().len(), 3 * 512);
+        assert_eq!(page.as_ref().len(), 512);
+        let stats = pool.stats();
+        assert_eq!((stats.recycled, stats.allocated), (2, 4));
+        assert_eq!((stats.idle, stats.idle_bytes), (0, 0));
+        drop(extent.freeze(1024)); // a frozen extent returns whole
+        assert_eq!(pool.stats().idle_bytes, 3 * 512);
     }
 
     #[test]

@@ -17,6 +17,16 @@ use bytes::Bytes;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Bytes one sequential read brings in at most: a cursor over a range of
+/// a run's pages reads the next stretch of it, this long at most, in one
+/// positional read, and hands its pages out one at a time.
+pub const READ_EXTENT_BYTES: usize = 32 << 10;
+
+/// Pages of `page_size` bytes in one read extent: at least one.
+pub(crate) fn extent_pages(page_size: usize) -> u32 {
+    (READ_EXTENT_BYTES / page_size).max(1) as u32
+}
+
 /// Identifier of a run within a backend. Monotonically increasing; never
 /// reused, so stale ids fail loudly instead of aliasing new data.
 pub type RunId = u64;
@@ -141,29 +151,62 @@ impl FileBackend {
         self.handles.sync_dir()
     }
 
-    /// Reads one page of a sealed (or in-construction) run into a frame of
-    /// the pool: one positional read, and no page-sized allocation, zeroing
-    /// or copy besides once the pool is warm.
+    /// Pages one sequential read brings in at most: [`READ_EXTENT_BYTES`]
+    /// of them, and at least one.
+    pub fn extent_pages(&self) -> u32 {
+        extent_pages(self.page_size)
+    }
+
+    /// Reads one page of a sealed (or in-construction) run into a page
+    /// frame of the pool: one positional read, and no page-sized
+    /// allocation, zeroing or copy besides once the pool is warm.
     pub fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
+        self.read_pages(run, page_no, 1)
+    }
+
+    /// Reads `count` pages of a run from page `first` on — at least one,
+    /// at most [`extent_pages`](Self::extent_pages) — back to back, in one
+    /// positional read into one frame of the pool: a page frame for one
+    /// page, an extent frame for more. A page past the run's end is
+    /// `NotFound`, naming the first such page.
+    pub fn read_pages(&self, run: RunId, first: u32, count: u32) -> Result<Bytes> {
+        assert!(
+            (1..=self.extent_pages()).contains(&count),
+            "a read of {count} pages"
+        );
         let handle = self.handles.get(run)?;
-        if page_no >= self.handles.pages(&handle)? {
-            let page = Some(page_no);
+        let pages = self.handles.pages(&handle)?;
+        if first.saturating_add(count) > pages {
+            let page = Some(first.max(pages));
             return Err(StorageError::NotFound { run, page });
         }
-        let (fs, offset) = (self.handles.fs(), self.offset(page_no));
-        let mut frame = self.handles.frames().acquire();
-        match fs.read_at(&handle.file, offset, frame.as_mut_slice()) {
+        let (fs, offset) = (self.handles.fs(), self.offset(first));
+        let len = count as usize * self.page_size;
+        let mut frame = match count {
+            1 => self.handles.frames().acquire(),
+            _ => self.handles.frames().acquire_extent(),
+        };
+        let buf = &mut frame.as_mut_slice()[..len];
+        match fs.read_at(&handle.file, offset, buf) {
             // As for appends. By path, so a run deleted since the lookup is
             // `NotFound` here, as it is to every later read.
             Err(e) if self.is_direct() && e.raw_os_error() == Some(EINVAL) => {
                 let path = self.handles.path(run);
                 let buffered = fs.open(&path, false);
                 let buffered = buffered.map_err(|e| RunHandles::not_found(run, e))?;
-                fs.read_at(&buffered, offset, frame.as_mut_slice())?
+                fs.read_at(&buffered, offset, buf)?
             }
             other => other?,
         }
-        Ok(frame.freeze(self.page_size))
+        Ok(frame.freeze(len))
+    }
+
+    /// A copy of `page` in a page frame of its own: what a page of an
+    /// extent is cached as, so that the cache never pins an extent.
+    pub(crate) fn page_copy(&self, page: &[u8]) -> Bytes {
+        let mut frame = self.handles.frames().acquire();
+        frame.as_mut_slice().copy_from_slice(page);
+        frame.freeze(self.page_size)
     }
 
     /// Number of pages currently in the run.

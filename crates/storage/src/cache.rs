@@ -268,6 +268,18 @@ impl BlockCache {
         Some(shard.nodes[n as usize].data.clone())
     }
 
+    /// Whether a page is absent, counting a miss when it is. A cached page
+    /// is left as it is — neither counted nor touched — for the
+    /// [`get`](Self::get) that serves it: what a read that brings in pages
+    /// after the first probes them with.
+    pub fn lacks(&self, run: RunId, page_no: u32) -> bool {
+        let key = (run, page_no);
+        let mut shard = self.shards[Self::shard_index(key)].lock();
+        let absent = !shard.index.contains_key(&key);
+        shard.stats.misses += absent as u64;
+        absent
+    }
+
     /// Inserts a page read from storage at the front of its shard's LRU
     /// list, evicting from the tail until the shard is within budget.
     pub fn insert(&self, run: RunId, page_no: u32, data: Bytes) {

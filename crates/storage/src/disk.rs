@@ -17,6 +17,8 @@ use crate::fs::{Fs, MemFs, OsFs};
 use crate::iostats::{IoSnapshot, IoStats, SyncKind};
 use bytes::Bytes;
 use monkey_obs::IoAttribution;
+use parking_lot::Mutex;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -44,6 +46,11 @@ pub struct Disk {
     /// The page check, attached once by whoever gives the pages a format.
     /// Run on every physical read before cache admission, never on a hit.
     page_check: OnceLock<PageCheck>,
+    /// Runs whose delete failed, retried at the next
+    /// [`begin_run`](Self::begin_run), [`delete_run`](Self::delete_run)
+    /// and [`sync_dir`](Self::sync_dir). A durable store's reopen sweeps
+    /// up a run no manifest names; a volatile store never reopens.
+    undeleted: Mutex<Vec<RunId>>,
 }
 
 impl Disk {
@@ -130,6 +137,7 @@ impl Disk {
             info,
             attribution: OnceLock::new(),
             page_check: OnceLock::new(),
+            undeleted: Mutex::new(Vec::new()),
         }))
     }
 
@@ -189,6 +197,7 @@ impl Disk {
     /// Begins building a new run. Pages stream to the backend as they are
     /// appended; writes are counted as they happen.
     pub fn begin_run(self: &Arc<Self>) -> RunWriter {
+        self.retry_deletes();
         let id = self.next_run.fetch_add(1, Ordering::Relaxed);
         RunWriter {
             disk: Arc::clone(self),
@@ -211,33 +220,10 @@ impl Disk {
         Some(data)
     }
 
-    /// One physical page read plus the miss-side bookkeeping: counted,
-    /// attributed, checked, and admitted to the cache. A page that fails
-    /// the check was still read — it is counted — but is never cached.
-    #[inline]
-    fn read_miss(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        let data = self.backend.read_page(run, page_no)?;
-        self.stats.add_reads(1);
-        self.attr_read(run);
-        if let Some(check) = self.page_check.get() {
-            check(&data).map_err(|why| {
-                StorageError::Corruption(format!("page {page_no} of run {run}: {why}"))
-            })?;
-        }
-        if let Some(cache) = &self.cache {
-            cache.insert(run, page_no, data.clone());
-        }
-        Ok(data)
-    }
-
     /// Reads one page with a random access: counts one seek plus one page
     /// read on a cache miss, or a cache hit otherwise.
     pub fn read_page(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        if let Some(data) = self.cache_probe(run, page_no) {
-            return Ok(data);
-        }
-        self.stats.add_seek();
-        self.read_miss(run, page_no)
+        self.read_pages(run, page_no..page_no.saturating_add(1), true)
     }
 
     /// Reads one page as the continuation of a sequential scan: counts a
@@ -246,10 +232,58 @@ impl Disk {
     /// the rest, matching the paper's range-lookup cost model (Eq. 11: one
     /// seek per run, then sequential pages).
     pub fn read_page_sequential(&self, run: RunId, page_no: u32) -> Result<Bytes> {
-        if let Some(data) = self.cache_probe(run, page_no) {
-            return Ok(data);
+        self.read_pages(run, page_no..page_no.saturating_add(1), false)
+    }
+
+    /// Reads the first stretch of `pages` of a run — one extent at most,
+    /// one page at least — in one positional read, and returns the pages
+    /// that came in, back to back. Counts one seek when `seek` is set and
+    /// one page read per page, attributes each page to the run, and checks
+    /// each one before anyone sees it; a page that fails the check was
+    /// still read, and is counted, but nothing of the read is cached.
+    ///
+    /// On a disk with a block cache, the stretch stops before the first
+    /// page the cache holds, and a first page the cache holds is served
+    /// as a hit, with no seek: every page is probed once, as it was when
+    /// pages were read one at a time. A page read alone is admitted as it
+    /// came in; a page of a longer stretch as a copy in a page frame of
+    /// its own, so that the cache never pins an extent.
+    pub fn read_pages(&self, run: RunId, pages: Range<u32>, seek: bool) -> Result<Bytes> {
+        let first = pages.start;
+        let mut count = (pages.end.saturating_sub(first)).clamp(1, self.backend.extent_pages());
+        if let Some(cache) = &self.cache {
+            if let Some(data) = self.cache_probe(run, first) {
+                return Ok(data);
+            }
+            count = (1..count)
+                .find(|&i| !cache.lacks(run, first + i))
+                .unwrap_or(count);
         }
-        self.read_miss(run, page_no)
+        if seek {
+            self.stats.add_seek();
+        }
+        let data = self.backend.read_pages(run, first, count)?;
+        self.stats.add_reads(count as u64);
+        for _ in 0..count {
+            self.attr_read(run);
+        }
+        let read = (first..).zip(data.chunks_exact(self.page_size));
+        if let Some(check) = self.page_check.get() {
+            for (page_no, page) in read.clone() {
+                check(page).map_err(|why| {
+                    StorageError::Corruption(format!("page {page_no} of run {run}: {why}"))
+                })?;
+            }
+        }
+        if let Some(cache) = &self.cache {
+            match count {
+                1 => cache.insert(run, first, data.clone()),
+                _ => read.for_each(|(page_no, page)| {
+                    cache.insert(run, page_no, self.backend.page_copy(page))
+                }),
+            }
+        }
+        Ok(data)
     }
 
     /// What physically backs this disk, after fallback resolution.
@@ -268,19 +302,42 @@ impl Disk {
     }
 
     /// Deletes a run, purges it from the cache, and drops its level tag.
+    /// A delete that fails is retried later (see [`Disk`]'s undeleted
+    /// runs), and its error is returned.
     pub fn delete_run(&self, run: RunId) -> Result<()> {
+        self.retry_deletes();
         if let Some(cache) = &self.cache {
             cache.evict_run(run);
         }
         if let Some(a) = self.attribution.get() {
             a.untag_run(run);
         }
-        self.backend.delete(run)
+        self.delete(run)
+    }
+
+    /// Deletes a run's file, keeping its id for a retry when that fails
+    /// for any reason but the file being gone.
+    fn delete(&self, run: RunId) -> Result<()> {
+        let deleted = self.backend.delete(run);
+        if deleted.as_ref().is_err_and(|e| !gone(e)) {
+            self.undeleted.lock().push(run);
+        }
+        deleted
+    }
+
+    /// Deletes again the runs whose delete failed, keeping those that fail
+    /// again.
+    fn retry_deletes(&self) {
+        let mut undeleted = self.undeleted.lock();
+        undeleted.retain(|&run| self.backend.delete(run).is_err_and(|e| !gone(&e)));
     }
 
     /// Makes the set of runs durable (see [`FileBackend::sync_dir`]): a run
-    /// sealed before this returns is found by a reopen after a crash.
+    /// sealed before this returns is found by a reopen after a crash, and
+    /// one deleted before it — a failed delete retried here among them —
+    /// is not.
     pub fn sync_dir(&self) -> Result<()> {
+        self.retry_deletes();
         self.backend.sync_dir()?;
         self.stats.add_sync(SyncKind::Dir);
         Ok(())
@@ -312,6 +369,11 @@ impl Disk {
     pub fn list_runs(&self) -> Result<Vec<RunId>> {
         self.backend.list()
     }
+}
+
+/// Whether a failed delete failed because the run is not there.
+fn gone(e: &StorageError) -> bool {
+    matches!(e, StorageError::NotFound { .. })
 }
 
 /// Streaming writer for a run under construction.
@@ -366,9 +428,10 @@ impl Drop for RunWriter {
         // An abandoned writer (error path mid-merge) must not leak a
         // half-built run — nor the leading pages of an extent that failed
         // part-way, which `pages` does not count. A run that never got a
-        // page does not exist, and the delete says so.
+        // page does not exist, and the delete says so; one whose delete
+        // fails is retried by the disk.
         if !self.sealed {
-            let _ = self.disk.backend.delete(self.id);
+            let _ = self.disk.delete(self.id);
         }
     }
 }
@@ -376,6 +439,8 @@ impl Drop for RunWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::READ_EXTENT_BYTES;
+    use crate::faults::{FaultKind, FlakyBackend};
 
     fn page(disk: &Disk, fill: u8) -> Vec<u8> {
         vec![fill; disk.page_size()]
@@ -418,6 +483,118 @@ mod tests {
         let io = disk.io();
         assert_eq!(io.page_reads, 5);
         assert_eq!(io.seeks, 1);
+    }
+
+    /// A run of `pages` 4 KiB pages on `disk`, page `p` filled with `p`.
+    fn run_of(disk: &Arc<Disk>, pages: u8) -> RunId {
+        let mut w = disk.begin_run();
+        for p in 0..pages {
+            w.append(&page(disk, p)).unwrap();
+        }
+        w.seal().unwrap()
+    }
+
+    #[test]
+    fn an_extent_is_one_read_of_at_most_one_extent_counted_per_page() {
+        const PAGE: usize = 4096;
+        let extent = READ_EXTENT_BYTES / PAGE;
+        let fs = FlakyBackend::new(MemFs::new(), FaultKind::Reads);
+        let disk = Disk::file_on(fs.clone(), "runs", PAGE, IoBackend::Buffered, None).unwrap();
+        let attr = Arc::new(IoAttribution::new());
+        disk.attach_attribution(Arc::clone(&attr));
+        let id = run_of(&disk, 2 * extent as u8 + 3);
+        attr.tag_run(id, 1);
+        disk.reset_io();
+        // One positional read each: the second read would fail.
+        for (range, seek, got) in [(1..4, true, 3), (4..100, false, extent)] {
+            fs.arm_once(1);
+            let pages = disk.read_pages(id, range.clone(), seek).unwrap();
+            assert_eq!(pages.len(), got * PAGE, "{range:?}");
+            for (p, page) in (range.start..).zip(pages.chunks(PAGE)) {
+                assert!(page.iter().all(|&b| b == p as u8), "page {p}");
+            }
+            let again = disk.read_pages(id, range, false);
+            assert!(again.is_err(), "one read only");
+            fs.disarm();
+        }
+        let io = disk.io();
+        assert_eq!((io.page_reads, io.seeks), (3 + extent as u64, 1));
+        assert_eq!(attr.snapshot()[1].reads, 3 + extent as u64);
+        // An extent frame, out while its pages are.
+        let pages = disk.read_pages(id, 0..extent as u32, false).unwrap();
+        let tail = pages.slice(PAGE..2 * PAGE);
+        drop(pages);
+        assert_eq!(disk.frame_stats().outstanding, 1);
+        drop(tail);
+        let frames = disk.frame_stats();
+        assert_eq!(frames.outstanding, 0);
+        assert!(frames.idle_bytes >= READ_EXTENT_BYTES as u64, "{frames:?}");
+        // A stretch past the run's end names its first missing page.
+        assert!(matches!(
+            disk.read_pages(id, 2 * extent as u32..100, false),
+            Err(StorageError::NotFound { page: Some(p), .. }) if p == 2 * extent as u32 + 3
+        ));
+    }
+
+    #[test]
+    fn an_extent_stops_at_a_cached_page_and_caches_copies() {
+        const PAGE: usize = 4096;
+        let disk = Disk::mem_cached(PAGE, 1 << 20);
+        let id = run_of(&disk, 8);
+        disk.read_page(id, 3).unwrap(); // page 3 is cached
+        disk.reset_io();
+        let cached = disk.cache_stats().unwrap();
+        let first = disk.read_pages(id, 0..8, true).unwrap();
+        assert_eq!(first.len(), 3 * PAGE, "up to the cached page");
+        let hit = disk.read_pages(id, 3..8, false).unwrap();
+        assert_eq!((hit.len(), hit[0]), (PAGE, 3), "served as a hit");
+        let rest = disk.read_pages(id, 4..8, false).unwrap();
+        assert_eq!(rest.len(), 4 * PAGE);
+        let io = disk.io();
+        assert_eq!((io.page_reads, io.seeks, io.cache_hits), (7, 1, 1));
+        let stats = disk.cache_stats().unwrap();
+        assert_eq!(stats.misses - cached.misses, 7, "every page probed once");
+        assert_eq!(stats.hits - cached.hits, 1);
+        // Every page now hits, and none of them pins an extent: each is a
+        // page frame of its own.
+        drop((first, hit, rest));
+        assert_eq!(disk.frame_stats().outstanding, 8);
+        assert_eq!(disk.read_pages(id, 0..8, true).unwrap().len(), PAGE);
+        assert_eq!(disk.io().page_reads, 7);
+    }
+
+    #[test]
+    fn a_run_whose_delete_failed_is_deleted_at_the_next_run() {
+        let fs = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
+        let disk = Disk::file_on(fs.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
+        let (merged, partial) = (run_of(&disk, 2), disk.begin_run());
+        let mut partial = partial;
+        partial.append(&page(&disk, 1)).unwrap();
+        let partial_id = partial.id();
+        fs.arm(0);
+        assert!(disk.delete_run(merged).is_err());
+        drop(partial); // its delete fails too
+        fs.disarm();
+        assert_eq!(disk.list_runs().unwrap(), vec![merged, partial_id]);
+        fs.arm(0);
+        drop(disk.begin_run()); // the retry fails: the runs wait for the next
+        fs.disarm();
+        assert_eq!(disk.list_runs().unwrap(), vec![merged, partial_id]);
+        drop(disk.begin_run());
+        assert!(
+            disk.list_runs().unwrap().is_empty(),
+            "retried at the next run"
+        );
+        // The same at the next delete, and at a directory sync.
+        let retries: [fn(&Disk) -> Result<()>; 2] = [Disk::sync_dir, |d| d.delete_run(u64::MAX)];
+        for retry in retries {
+            let id = run_of(&disk, 1);
+            fs.arm(0);
+            assert!(disk.delete_run(id).is_err());
+            fs.disarm();
+            let _ = retry(&disk);
+            assert!(disk.list_runs().unwrap().is_empty());
+        }
     }
 
     #[test]
@@ -591,6 +768,16 @@ mod tests {
                         let (a, b) = (disk.read_page(extents, p), disk.read_page(singles, p));
                         assert_eq!(a.unwrap(), b.unwrap(), "page {p} of {pages}");
                     }
+                    // Read back in extents, as a cursor over the whole run
+                    // does: into aligned extent frames under `O_DIRECT`.
+                    let mut p = 0;
+                    while p < pages {
+                        let got = disk.read_pages(singles, p as u32..pages as u32, false);
+                        for page in got.unwrap().chunks(PAGE) {
+                            assert_eq!(page, &content(p)[..], "page {p} of {pages}");
+                            p += 1;
+                        }
+                    }
                     disk.delete_run(extents).unwrap();
                     disk.delete_run(singles).unwrap();
                 }
@@ -616,7 +803,6 @@ mod tests {
 
     #[test]
     fn failed_extent_is_counted_per_page_and_leaves_no_partial_run() {
-        use crate::faults::{FaultKind, FlakyBackend};
         let fs = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
         let disk = Disk::file_on(fs.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
         let attr = Arc::new(IoAttribution::new());

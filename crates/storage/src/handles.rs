@@ -26,7 +26,7 @@
 //! processes whose runs are files.
 
 use crate::aligned::AlignedPool;
-use crate::backend::RunId;
+use crate::backend::{extent_pages, RunId};
 use crate::error::{Result, StorageError};
 use crate::fs::{Fs, FsFile};
 use parking_lot::{Mutex, RwLock};
@@ -67,7 +67,7 @@ pub(crate) struct RunHandles {
     page_size: usize,
     /// Whether every run file is opened `O_DIRECT`.
     direct: bool,
-    /// Where every page read from these files lands.
+    /// Where every page and extent read from these files lands.
     frames: AlignedPool,
     table: RwLock<HashMap<RunId, Arc<RunHandle>>>,
     /// Serialises the two cold paths that pair a table update with a
@@ -83,7 +83,8 @@ pub(crate) struct RunHandles {
 
 impl RunHandles {
     /// A table over `dir` on `fs` whose files are opened `O_DIRECT` when
-    /// `direct` and read into page frames aligned to `frame_align`.
+    /// `direct` and read into page and extent frames aligned to
+    /// `frame_align`.
     pub(crate) fn new(
         fs: Arc<dyn Fs>,
         dir: PathBuf,
@@ -96,7 +97,11 @@ impl RunHandles {
             dir,
             page_size,
             direct,
-            frames: AlignedPool::new(page_size, frame_align),
+            frames: AlignedPool::with_extent(
+                page_size,
+                extent_pages(page_size) as usize * page_size,
+                frame_align,
+            ),
             table: RwLock::new(HashMap::new()),
             cold: Mutex::new(()),
             #[cfg(test)]
@@ -104,7 +109,7 @@ impl RunHandles {
         }
     }
 
-    /// The pool this table's page frames come from.
+    /// The pool this table's page and extent frames come from.
     pub(crate) fn frames(&self) -> &AlignedPool {
         &self.frames
     }

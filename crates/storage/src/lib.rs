@@ -43,7 +43,7 @@ mod disk;
 mod handles;
 
 pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
-pub use backend::{FileBackend, RunId};
+pub use backend::{FileBackend, RunId, READ_EXTENT_BYTES};
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use device::DeviceModel;
 pub use direct::{BackendInfo, IoBackend};

@@ -1,8 +1,10 @@
-//! A page frame lives exactly as long as something is reading it.
+//! A frame lives exactly as long as something is reading it.
 //!
-//! The file backend reads every page into a frame from its pool; the frame
-//! goes back to the pool when the last `Bytes` over it — a cursor, a value
-//! handed to the caller — drops. A scan's rows are not among them: they
+//! The file backend reads every page into a frame from its pool — a page
+//! frame for a page read alone, an extent frame for a stretch of pages a
+//! cursor reads at once and hands out as slices; the frame goes back to
+//! the pool when the last `Bytes` over it — a cursor, a value handed to
+//! the caller — drops. A scan's rows are not among them: they
 //! are slices of a row block their page's rows are copied into. Nothing
 //! the engine keeps for the
 //! life of a run (its fences, its key range, its filter) slices a page, so
@@ -15,12 +17,14 @@
 //!
 //! * after load + `flush` + `rebuild_filters`, and again after a reopen, the
 //!   pool reports zero frames outstanding and the heap's live bytes stay
-//!   within filters + fences + the pool's idle frames + a stated constant —
-//!   a small fraction of the data, which a page pinned per fence is not;
+//!   within filters + fences + the pool's idle frames of both sizes + a
+//!   stated constant — a small fraction of the data, which a page pinned
+//!   per fence is not;
 //! * a burst of point lookups whose values pin 4 096 pages and let them go
 //!   makes the same lookups, run again, allocate no page-sized block at
 //!   all;
-//! * a merge holds one frame per input run, whatever the runs' length;
+//! * a merge holds one frame per input run — an extent, whatever the runs'
+//!   length;
 //! * a full buffer's heap is its encoded bytes and a fifth more at most
 //!   (plus the displaced versions an overwrite leaves in its arena until
 //!   rotation), and all of it goes when the buffer drops;
@@ -132,13 +136,13 @@ const RESIDENT_SLACK: i64 = 64 << 10;
 
 /// Holds the store to its memory account: no frame out, and the heap grown
 /// since `base` by no more than `M_filters + M_pointers`, the pool's idle
-/// frames and the slack.
+/// page and extent frames and the slack.
 fn assert_memory_is_accounted(db: &Db, base: i64, data_bytes: i64, when: &str) {
     let frames = db.disk().frame_stats();
     assert_eq!(frames.outstanding, 0, "{when}: {frames:?}");
     let stats = db.stats();
     let accounted = (stats.filter_bits + stats.fence_bits) as i64 / 8;
-    let idle = frames.idle as i64 * PAGE as i64;
+    let idle = frames.idle_bytes as i64;
     let held = LIVE.load(Relaxed) - base;
     assert!(
         held <= accounted + idle + RESIDENT_SLACK,
@@ -157,7 +161,7 @@ fn no_frame_outlives_its_readers() {
     let db = load(&dir, N);
     let data_bytes = db.stats().levels.iter().map(|l| l.bytes).sum::<u64>() as i64;
     assert!(data_bytes > 8 << 20, "{data_bytes} bytes of entries");
-    // Every run is streamed once more, page by page.
+    // Every run is streamed once more, extent by extent.
     db.rebuild_filters().unwrap();
     assert_memory_is_accounted(&db, base, data_bytes, "after rebuild_filters");
 
@@ -313,8 +317,9 @@ fn a_merge_holds_one_frame_per_input() {
         assert!(inputs.iter().all(|run| run.pages() >= 32), "{inputs:?}");
         let out = merge_runs(&disk, &inputs, false, 2, 8.0).unwrap().unwrap();
         assert_eq!(out.entries(), (INPUTS * ENTRIES_PER_RUN) as u64);
-        // Each input's cursor holds the page under it, and the one being
-        // replaced lets go of its spent page once the next has arrived.
+        // Each input's cursor holds the extent under it — every input is
+        // longer than one — and the one being replaced lets go of its
+        // spent extent once the next has arrived.
         let most = sampler.most_outstanding.load(Relaxed);
         assert!(
             (INPUTS as u64..=INPUTS as u64 + 1).contains(&most),

@@ -2,14 +2,20 @@
 //! which descriptors the store holds while it runs.
 //!
 //! * A scan reads exactly the pages it decodes. A scan's `RunCursor` fetches
-//!   a page when the one under it runs dry, never ahead of it, and never a
-//!   page whose fence is not below the scan's upper bound, so a bounded
+//!   when the page under it runs dry, never ahead of it, and never a page
+//!   whose fence is not below the scan's upper bound, so a bounded
 //!   `Db::range` costs — per run — the pages holding a key the merge
 //!   inspected below that fence, plus one seek; the tests rebuild that set
 //!   from the run files themselves and hold `IoStats` to it on the
 //!   in-memory disk and the file backend opened both ways. A scan whose
 //!   bound is a page's whole first key reads only the pages holding keys
 //!   below it.
+//! * A bounded scan declares its pages — up to that fence — and fetches
+//!   them in extents: one positional read per run while they fit one
+//!   extent, ⌈pages ÷ extent⌉ reads per run when they do not, over the
+//!   same pages. A scan to the end declares none and reads a page per
+//!   fetch, so a scan dropped after one entry reads one page per run. A
+//!   counting `Fs` holds the reads to that.
 //! * The file backend keeps the descriptors of its runs open (the
 //!   run-handle table in `monkey-storage`). The hygiene test counts
 //!   `/proc/self/fd` entries that point into its own store directory:
@@ -19,8 +25,11 @@
 
 use monkey::{Db, DbOptions, IoBackend, MergePolicy};
 use monkey_lsm::page::PageCursor;
+use monkey_storage::{Fs, FsFile, OsFs, READ_EXTENT_BYTES};
 use std::collections::BTreeSet;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -338,6 +347,142 @@ fn leveled_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys() {
 #[test]
 fn tiered_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys() {
     a_scan_to_a_whole_key_fence_reads_only_the_pages_holding_its_keys(MergePolicy::Tiering);
+}
+
+/// The OS filesystem, counting the positional reads of run files.
+#[derive(Default)]
+struct ReadCounter {
+    reads: AtomicU64,
+}
+
+impl Fs for ReadCounter {
+    fn read_at(&self, file: &FsFile, offset: u64, buf: &mut [u8]) -> io::Result<()> {
+        if file.path().extension().is_some_and(|ext| ext == "run") {
+            self.reads.fetch_add(1, Relaxed);
+        }
+        OsFs.read_at(file, offset, buf)
+    }
+    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        OsFs.create(path, direct)
+    }
+    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+        OsFs.open(path, direct)
+    }
+    fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
+        OsFs.write_at(file, offset, data)
+    }
+    fn len(&self, file: &FsFile) -> io::Result<u64> {
+        OsFs.len(file)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        OsFs.read(path)
+    }
+    fn sync(&self, file: &FsFile) -> io::Result<()> {
+        OsFs.sync(file)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        OsFs.rename(from, to)
+    }
+    fn remove(&self, path: &Path) -> io::Result<()> {
+        OsFs.remove(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<String>> {
+        OsFs.list(dir)
+    }
+    fn create_dir(&self, dir: &Path) -> io::Result<()> {
+        OsFs.create_dir(dir)
+    }
+    fn sync_dir(&self, dir: &Path) -> io::Result<()> {
+        OsFs.sync_dir(dir)
+    }
+}
+
+/// Positional reads a bounded scan of `[lo, hi)` issues: per run it
+/// reads, its declared pages — from the one `lo` lands on to the last
+/// whose fence is below `hi` — `extent` pages at a time.
+fn extent_reads(layout: &[Vec<Vec<Vec<u8>>>], lo: &[u8], hi: &[u8], extent: usize) -> u64 {
+    (layout.iter())
+        .filter(|pages| lo <= pages.last().unwrap().last().unwrap().as_slice())
+        .map(|pages| {
+            let (start, end) = cursor_pages(pages, lo, Some(hi));
+            end.saturating_sub(start).div_ceil(extent) as u64
+        })
+        .sum()
+}
+
+fn scan_reads_its_declared_pages_in_extents(policy: MergePolicy) {
+    const N: u32 = 3000;
+    let extent = READ_EXTENT_BYTES / 4096;
+    let dir = temp_dir(&format!("extents-{policy:?}"));
+    let fs = Arc::new(ReadCounter::default());
+    // The I/O backend the environment asks for: under
+    // `MONKEY_IO_BACKEND=direct` every extent lands in an aligned frame.
+    let db = Db::open_with_fs(shape(DbOptions::at_path(&dir), policy), fs.clone()).unwrap();
+    load(&db, N);
+    let runs = layout(&db);
+    assert!(runs.len() >= 2, "want a multi-run tree");
+    let counted = |scan: &dyn Fn() -> usize| {
+        db.reset_io();
+        let before = fs.reads.load(Relaxed);
+        let rows = scan();
+        let io = db.io();
+        (
+            rows,
+            fs.reads.load(Relaxed) - before,
+            io.page_reads,
+            io.seeks,
+        )
+    };
+
+    // The ledger's shape: 100 entries, one read per run.
+    let (lo, hi) = (key(1000), key(1100));
+    let (rows, reads, pages, seeks) = counted(&|| db.range(&lo, Some(&hi)).unwrap().count());
+    assert_eq!(rows, 100);
+    assert_eq!(reads, runs.len() as u64, "{policy:?}: one read per run");
+    assert!(pages > reads, "{policy:?}: {pages} pages in {reads} reads");
+    assert_eq!(
+        (pages, seeks),
+        expected_io(&runs, &lo, Some(&hi), usize::MAX)
+    );
+
+    // Longer than an extent: the same pages, an extent a read.
+    let (lo, hi) = (key(700), key(1900));
+    let (rows, reads, pages, seeks) = counted(&|| db.range(&lo, Some(&hi)).unwrap().count());
+    assert_eq!(rows, 1200);
+    let per_run = extent_reads(&runs, &lo, &hi, extent);
+    assert!(per_run > runs.len() as u64, "{policy:?}: {per_run} reads");
+    assert_eq!(
+        reads, per_run,
+        "{policy:?}: ⌈pages ÷ {extent}⌉ reads per run"
+    );
+    assert_eq!(
+        (pages, seeks),
+        expected_io(&runs, &lo, Some(&hi), usize::MAX)
+    );
+
+    // A scan to the end declares no range: a read per page, read whole or
+    // dropped after one entry.
+    let (rows, reads, pages, _) = counted(&|| db.range(b"", None).unwrap().count());
+    assert_eq!(rows, N as usize);
+    let all: usize = runs.iter().map(Vec::len).sum();
+    assert_eq!((reads, pages), (all as u64, all as u64), "{policy:?}");
+    let (_, reads, pages, seeks) = counted(&|| db.range(b"", None).unwrap().take(1).count());
+    assert_eq!(
+        (reads, pages, seeks),
+        (runs.len() as u64, runs.len() as u64, runs.len() as u64)
+    );
+    drop(db);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn leveled_scan_reads_its_declared_pages_in_extents() {
+    scan_reads_its_declared_pages_in_extents(MergePolicy::Leveling);
+}
+
+#[test]
+fn tiered_scan_reads_its_declared_pages_in_extents() {
+    scan_reads_its_declared_pages_in_extents(MergePolicy::Tiering);
 }
 
 /// Open descriptors of this process that point into `dir`: `(all, runs)`.
