@@ -67,16 +67,25 @@
 //! Values are copied in with the keys so that a row pins one block sized
 //! to the rows taken, not the block and the page's frame too: the frame
 //! goes back to the pool when the cursor moves on (EXPERIMENTS.md measures
-//! what either choice costs the ledger's `scan`). [`search`](PageCursor::search) compares the probe
-//! with the prefix once and then with suffixes, and returns a [`Hit`]: a
-//! lookup needs the value, not a key, so it copies nothing and slices the
-//! value from the page.
+//! what either choice costs the ledger's `scan`).
 //!
-//! The checksum is XXH64 over everything after it (prefix, entries,
-//! padding and offsets), seeded with both bytes of the count, so any bit
-//! flipped at rest or in flight surfaces as a corruption error instead of
-//! wrong data. [`PageBuilder::finish`] stamps it and [`check`] verifies
-//! it.
+//! **Searching.** A point lookup does not open a cursor: [`search`] parses
+//! the header and the prefix — the first half of opening one — compares
+//! the probe with the prefix once and then with suffixes in place, and
+//! returns a [`Hit`]. A lookup needs the value, not a key, so it decodes
+//! no entry it does not compare, copies no key and slices the value from
+//! the page. [`PageCursor::search`] is the same search from the entry
+//! under a cursor; both go through one parse of the header and one set of
+//! bounds checks.
+//!
+//! The checksum is [`long_hash`] over everything after it (prefix,
+//! entries, padding and offsets), seeded with both bytes of the count, so
+//! any bit flipped at rest or in flight surfaces as a corruption error
+//! instead of wrong data. [`PageBuilder::finish`] stamps it and [`check`]
+//! verifies it. It is the hash of the page and of nothing else in the
+//! store (keys, the WAL and the shard router keep XXH64): its eight lanes
+//! vectorise, and over a 4 086-byte body it takes about 250 ns where XXH64
+//! took about 400.
 //!
 //! A page is checked **once, where its bytes enter memory**: runs attach
 //! [`check`] to their [`Disk`](monkey_storage::Disk),
@@ -99,7 +108,7 @@
 use crate::entry::{Entry, EntryKind, EntryRef, Hit, ENTRY_HEADER_LEN};
 use crate::error::{LsmError, Result};
 use bytes::Bytes;
-use monkey_bloom::hash::xxh64;
+use monkey_bloom::hash::long_hash;
 use std::cell::{OnceCell, RefCell};
 use std::ops::Range;
 
@@ -466,11 +475,11 @@ impl PageBuilder {
     }
 }
 
-/// The checksum of a page: XXH64 of everything after the header, seeded
-/// with the count it does not cover.
+/// The checksum of a page: [`long_hash`] of everything after the header,
+/// seeded with the count it does not cover.
 fn checksum(page: &[u8]) -> u64 {
     let count = u16::from_le_bytes([page[0], page[1]]);
-    xxh64(&page[PAGE_HEADER_LEN..], PAGE_SEED ^ count as u64)
+    long_hash(&page[PAGE_HEADER_LEN..], PAGE_SEED ^ count as u64)
 }
 
 /// Stamps the checksum of a page whose count and body are in place.
@@ -591,92 +600,55 @@ fn span(range: &Range<u32>) -> Range<usize> {
     range.start as usize..range.end as usize
 }
 
-/// A cursor positioned on one entry of an encoded page. Opening it parses
-/// the page header and prefix; each step validates one entry header
-/// against the page's entry area. The checksum is not its business (see
-/// the module doc). The entry under the cursor is read **borrowed** — its
-/// key from the cursor's own key buffer, its value from the page bytes —
-/// by [`key`](Self::key) and [`entry`](Self::entry), with no `Bytes`
-/// refcount traffic; only [`to_entry`](Self::to_entry) /
-/// [`next_entry`](Self::next_entry) build an owned [`Entry`], whose key
-/// and value are `Bytes` slices of the page's row block.
-///
-/// Point lookups ([`search`](Self::search)), scans, merges and recovery
-/// all read pages through this one type.
-pub struct PageCursor {
-    page: Bytes,
+/// An encoded page whose header and prefix are parsed and bounds-checked:
+/// what a lookup searches ([`search`]) and a [`PageCursor`] steps through.
+/// Every check between the page's bytes and an entry read from them is
+/// here, once for both.
+struct Page {
+    bytes: Bytes,
     /// Where the page's prefix lies; the entries start where it ends.
     prefix: Range<u32>,
     /// End of the entry area: where the offset array starts. (A page's
-    /// offsets are `u32`s at most, and so are the cursor's counters: a
-    /// run cursor holds one of these, and a merge one per input.)
+    /// offsets are `u32`s at most, and so are a cursor's counters: a run
+    /// cursor holds one of these, and a merge one per input.)
     end: u32,
-    /// The current entry's key, whole.
-    key: KeyBuf,
-    /// The current entry's value.
-    value: Range<usize>,
-    seq: u64,
-    kind: EntryKind,
-    /// Entries from the current one on; 0 = past the end.
-    remaining: u32,
-    /// The row block owned entries slice their keys and values from, once
-    /// built — consecutive entries' keys, whole, each followed by its value
-    /// — and the [`remaining`](Self::remaining) count at which the cursor
-    /// is past its last row.
-    rows: OnceCell<(Bytes, usize)>,
-    /// Where the current entry's key starts in the row block.
-    rows_at: u32,
 }
 
-impl PageCursor {
-    /// Opens a cursor on the page's first entry.
-    pub fn new(page: Bytes) -> Result<Self> {
-        let mut cursor = Self::empty();
-        cursor.open(page)?;
-        Ok(cursor)
-    }
-
-    /// A cursor over nothing (and holding nothing).
-    pub(crate) fn empty() -> Self {
+impl Page {
+    /// No page (and holding nothing): no entries.
+    fn empty() -> Self {
         Self {
-            page: Bytes::new(),
+            bytes: Bytes::new(),
             prefix: 0..0,
             end: 0,
-            key: KeyBuf::new(),
-            value: 0..0,
-            seq: 0,
-            kind: EntryKind::Put,
-            remaining: 0,
-            rows: OnceCell::new(),
-            rows_at: 0,
         }
     }
 
-    /// Puts the cursor on the first entry of `page`, keeping the key
-    /// buffer it has. After an error it is past the end.
-    pub(crate) fn open(&mut self, page: Bytes) -> Result<()> {
-        self.remaining = 0;
-        self.drop_rows();
-        let Some(header) = page.get(..PAGE_HEADER_LEN) else {
+    /// Parses the header and the prefix of `bytes`; reads no entry.
+    fn open(bytes: Bytes) -> Result<Self> {
+        let Some(header) = bytes.get(..PAGE_HEADER_LEN) else {
             return Err(LsmError::Corruption("page shorter than header".into()));
         };
         let count = u16::from_le_bytes([header[0], header[1]]) as usize;
-        let Some(end) = (page.len() - PAGE_HEADER_LEN)
-            .checked_sub(count * offset_width(page.len()))
+        let Some(end) = (bytes.len() - PAGE_HEADER_LEN)
+            .checked_sub(count * offset_width(bytes.len()))
             .map(|area| PAGE_HEADER_LEN + area)
         else {
             return Err(LsmError::Corruption(format!(
                 "{count} offsets overflow a page of {} bytes",
-                page.len()
+                bytes.len()
             )));
         };
-        (self.page, self.end) = (page, end as u32);
-        self.prefix = PAGE_HEADER_LEN as u32..PAGE_HEADER_LEN as u32;
+        let mut page = Self {
+            bytes,
+            prefix: PAGE_HEADER_LEN as u32..PAGE_HEADER_LEN as u32,
+            end: end as u32,
+        };
         if count == 0 {
-            return Ok(());
+            return Ok(page);
         }
         let mut pos = PAGE_HEADER_LEN;
-        let Some(len) = read_varint(&self.page[..end], &mut pos) else {
+        let Some(len) = read_varint(page.area(), &mut pos) else {
             return Err(LsmError::Corruption("page prefix length truncated".into()));
         };
         if len > MAX_KEY_LEN as u64 {
@@ -689,11 +661,8 @@ impl PageCursor {
                 "page prefix of {len} bytes runs past the entry area"
             )));
         }
-        self.prefix = pos as u32..(pos + len as usize) as u32;
-        self.key.start(&self.page[span(&self.prefix)]);
-        self.load(self.prefix.end as usize)?;
-        self.remaining = count as u32;
-        Ok(())
+        page.prefix = pos as u32..(pos + len as usize) as u32;
+        Ok(page)
     }
 
     /// End of the entry area.
@@ -702,154 +671,62 @@ impl PageCursor {
         self.end as usize
     }
 
+    /// The page up to the end of its entry area.
+    #[inline]
+    fn area(&self) -> &[u8] {
+        &self.bytes[..self.end()]
+    }
+
     /// The page's prefix.
     #[inline]
     fn prefix(&self) -> &[u8] {
-        &self.page[span(&self.prefix)]
+        &self.bytes[span(&self.prefix)]
     }
 
-    /// Entries on the page (none on a cursor over nothing).
+    /// Entries on the page (none on no page).
+    #[inline]
     fn count(&self) -> usize {
-        self.page
+        self.bytes
             .get(..2)
             .map_or(0, |count| u16::from_le_bytes([count[0], count[1]]) as usize)
     }
 
-    /// Entries from the current one on.
-    pub fn remaining(&self) -> usize {
-        self.remaining as usize
-    }
-
-    /// The current entry's key, whole; `None` past the end.
-    #[inline]
-    pub fn key(&self) -> Option<&[u8]> {
-        (self.remaining > 0).then(|| self.key.get())
-    }
-
-    /// The current entry's sequence number (meaningless past the end).
-    #[inline]
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The current entry, borrowed; `None` past the end.
-    #[inline]
-    pub fn entry(&self) -> Option<EntryRef<'_>> {
-        (self.remaining > 0).then(|| EntryRef {
-            key: self.key.get(),
-            value: &self.page[self.value.clone()],
-            seq: self.seq,
-            kind: self.kind,
-        })
-    }
-
-    /// The current entry, owned: key and value are slices of the page's
-    /// row block, built on the first call for a page. `None` past the end.
-    pub fn to_entry(&self) -> Option<Entry> {
-        self.to_entry_below(None)
-    }
-
-    /// [`to_entry`](Self::to_entry) for a reader that takes no entry whose
-    /// key is at or past `hi` (a bounded scan): a row block it builds stops
-    /// there, so the entries past the bound are neither walked nor copied.
-    pub(crate) fn to_entry_below(&self, hi: Option<&[u8]>) -> Option<Entry> {
-        (self.remaining > 0).then(|| {
-            let (rows, _) = self.rows.get_or_init(|| self.row_block(hi));
-            let key = self.rows_at as usize;
-            let value = key + self.key.len;
-            Entry {
-                key: rows.slice(key..value),
-                value: rows.slice(value..value + self.value.len()),
-                seq: self.seq,
-                kind: self.kind,
-            }
-        })
-    }
-
-    /// Steps to the next entry, validating its header.
-    pub fn advance(&mut self) -> Result<()> {
-        let row_len = self.key.len + self.value.len();
-        if self.remaining > 1 {
-            self.load(self.value.end)?;
-        }
-        self.remaining = self.remaining.saturating_sub(1);
-        if let Some(&(_, past)) = self.rows.get() {
-            // Past the block's last row, the next owned entry builds a new
-            // one.
-            self.rows_at += row_len as u32;
-            if self.remaining() == past {
-                self.drop_rows();
-            }
-        }
-        Ok(())
-    }
-
-    /// Returns the current entry, owned, and steps past it.
-    pub fn next_entry(&mut self) -> Result<Option<Entry>> {
-        let entry = self.to_entry();
-        self.advance()?;
-        Ok(entry)
-    }
-
-    /// Finds the newest version of `key` among the entries from the
-    /// current one on: its value, sequence number and kind.
-    ///
-    /// Entries are in internal order (key asc, seq desc), so the first
-    /// entry whose key is not below `key` is its newest version. The
-    /// search compares `key` with the page's prefix once, then finds the
-    /// entry among the suffixes through the offset array, `√n` entries a
-    /// jump and then one at a time (see the module doc). A step decodes
-    /// only what it takes to find a suffix and compares it in place;
-    /// nothing is copied, and the value found is a slice of the page.
-    pub fn search(self, key: &[u8]) -> Result<Option<Hit>> {
-        let i = self.find(key)?;
+    /// Finds the newest version of `key` among the entries from entry
+    /// `from` on: its value, sequence number and kind (see
+    /// [`PageCursor::search`]).
+    fn search(&self, key: &[u8], from: usize) -> Result<Option<Hit>> {
+        let i = self.find(key, from)?;
         if i == self.count() {
             return Ok(None);
         }
         let e = self.parse(self.offset_of(i)?)?;
-        let prefix = self.prefix();
-        let found = key.strip_prefix(prefix) == Some(&self.page[e.suffix()]);
+        let found = key.strip_prefix(self.prefix()) == Some(&self.bytes[e.suffix()]);
         Ok(found.then(|| Hit {
-            value: self.page.slice(e.value()),
+            value: self.bytes.slice(e.value()),
             seq: e.seq,
             kind: e.kind,
         }))
     }
 
-    /// Moves the cursor to the first entry, from the current one on, whose
-    /// key is not below `key` — past the end when there is none — by the
-    /// search [`search`](Self::search) makes.
-    pub(crate) fn seek(&mut self, key: &[u8]) -> Result<()> {
-        let i = self.find(key)?;
-        if i > self.count() - self.remaining() {
-            if i < self.count() {
-                self.load(self.offset_of(i)?)?;
-            }
-            self.remaining = (self.count() - i) as u32;
-            self.drop_rows();
-        }
-        Ok(())
-    }
-
-    /// The index of the first entry from the current one on whose key is
-    /// not below `key`; the entry count when there is none.
-    fn find(&self, key: &[u8]) -> Result<usize> {
-        let from = self.count() - self.remaining();
-        if self.remaining == 0 {
-            return Ok(from);
+    /// The index of the first entry from entry `from` on whose key is not
+    /// below `key`; the entry count when there is none.
+    fn find(&self, key: &[u8], from: usize) -> Result<usize> {
+        let count = self.count();
+        if from >= count {
+            return Ok(count);
         }
         let prefix = self.prefix();
         let Some(rest) = key.strip_prefix(prefix) else {
             // Every key starts with the prefix, so a probe that does not
             // sorts below all of them or above all of them.
-            return Ok(if key < prefix { from } else { self.count() });
+            return Ok(if key < prefix { from } else { count });
         };
         let mut lo = from;
-        let stride = self.remaining().isqrt();
-        while lo + stride <= self.count() && self.suffix_of(lo + stride - 1)? < rest {
+        let stride = (count - from).isqrt();
+        while lo + stride <= count && self.suffix_of(lo + stride - 1)? < rest {
             lo += stride;
         }
-        while lo < self.count() && self.suffix_of(lo)? < rest {
+        while lo < count && self.suffix_of(lo)? < rest {
             lo += 1;
         }
         Ok(lo)
@@ -859,8 +736,8 @@ impl PageCursor {
     /// point into the entry area.
     #[inline]
     fn offset_of(&self, i: usize) -> Result<usize> {
-        let width = offset_width(self.page.len());
-        let slot = &self.page[self.page.len() - (i + 1) * width..][..width];
+        let width = offset_width(self.bytes.len());
+        let slot = &self.bytes[self.bytes.len() - (i + 1) * width..][..width];
         let off = match width {
             2 => u16::from_le_bytes([slot[0], slot[1]]) as usize,
             _ => u32::from_le_bytes(slot.try_into().unwrap()) as usize,
@@ -878,7 +755,7 @@ impl PageCursor {
     #[inline]
     fn suffix_of(&self, i: usize) -> Result<&[u8]> {
         let off = self.offset_of(i)?;
-        let area = &self.page[..self.end()];
+        let area = self.area();
         let mut pos = off;
         let suffix = read_varint(area, &mut pos).and_then(|len| {
             skip_varint(area, &mut pos)?;
@@ -893,7 +770,7 @@ impl PageCursor {
     fn parse(&self, off: usize) -> Result<Parsed> {
         let corrupt =
             |what: &str| LsmError::Corruption(format!("entry at page offset {off} {what}"));
-        let area = &self.page[..self.end()];
+        let area = self.area();
         let mut pos = off;
         let (Some(suffix_len), Some(value_len), Some(&tag)) = (
             read_varint(area, &mut pos),
@@ -930,14 +807,204 @@ impl PageCursor {
             kind,
         })
     }
+}
+
+/// Finds the newest version of `key` on `page`: the search
+/// [`PageCursor::search`] makes, without positioning a cursor — the page's
+/// header and prefix are parsed, and no entry is decoded or key copied
+/// but those the search compares. A point lookup's page search.
+pub fn search(page: Bytes, key: &[u8]) -> Result<Option<Hit>> {
+    Page::open(page)?.search(key, 0)
+}
+
+/// A cursor positioned on one entry of an encoded page. Opening it parses
+/// the page header and prefix, then loads the first entry; each step
+/// validates one entry header against the page's entry area. The checksum
+/// is not its business (see the module doc). The entry under the cursor is
+/// read **borrowed** — its key from the cursor's own key buffer, its value
+/// from the page bytes — by [`key`](Self::key) and [`entry`](Self::entry),
+/// with no `Bytes` refcount traffic; only [`to_entry`](Self::to_entry) /
+/// [`next_entry`](Self::next_entry) build an owned [`Entry`], whose key
+/// and value are `Bytes` slices of the page's row block.
+///
+/// Scans, merges and recovery read pages through this type; a point lookup
+/// searches a page with [`search`], the first half of opening one.
+pub struct PageCursor {
+    page: Page,
+    /// The current entry's key, whole.
+    key: KeyBuf,
+    /// Where the current entry's value lies on the page.
+    value: Range<u32>,
+    seq: u64,
+    kind: EntryKind,
+    /// Entries from the current one on; 0 = past the end.
+    remaining: u32,
+    /// The row block owned entries slice their keys and values from, once
+    /// built — consecutive entries' keys, whole, each followed by its value
+    /// — and the [`remaining`](Self::remaining) count at which the cursor
+    /// is past its last row.
+    rows: OnceCell<(Bytes, usize)>,
+    /// Where the current entry's key starts in the row block.
+    rows_at: u32,
+}
+
+impl PageCursor {
+    /// Opens a cursor on the page's first entry.
+    pub fn new(page: Bytes) -> Result<Self> {
+        let mut cursor = Self::empty();
+        cursor.open(page)?;
+        Ok(cursor)
+    }
+
+    /// A cursor over nothing (and holding nothing).
+    pub(crate) fn empty() -> Self {
+        Self {
+            page: Page::empty(),
+            key: KeyBuf::new(),
+            value: 0..0,
+            seq: 0,
+            kind: EntryKind::Put,
+            remaining: 0,
+            rows: OnceCell::new(),
+            rows_at: 0,
+        }
+    }
+
+    /// Puts the cursor on the first entry of `page`, keeping the key
+    /// buffer it has. After an error it is past the end.
+    pub(crate) fn open(&mut self, page: Bytes) -> Result<()> {
+        self.remaining = 0;
+        self.drop_rows();
+        self.page = Page::open(page)?;
+        let count = self.page.count();
+        if count > 0 {
+            self.key.start(self.page.prefix());
+            self.load(self.page.prefix.end as usize)?;
+            self.remaining = count as u32;
+        }
+        Ok(())
+    }
+
+    /// Entries from the current one on.
+    pub fn remaining(&self) -> usize {
+        self.remaining as usize
+    }
+
+    /// Index of the current entry on the page.
+    fn position(&self) -> usize {
+        self.page.count() - self.remaining()
+    }
+
+    /// The current entry's key, whole; `None` past the end.
+    #[inline]
+    pub fn key(&self) -> Option<&[u8]> {
+        (self.remaining > 0).then(|| self.key.get())
+    }
+
+    /// The current entry's sequence number (meaningless past the end).
+    #[inline]
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The current entry, borrowed; `None` past the end.
+    #[inline]
+    pub fn entry(&self) -> Option<EntryRef<'_>> {
+        (self.remaining > 0).then(|| EntryRef {
+            key: self.key.get(),
+            value: &self.page.bytes[span(&self.value)],
+            seq: self.seq,
+            kind: self.kind,
+        })
+    }
+
+    /// The current entry, owned: key and value are slices of the page's
+    /// row block, built on the first call for a page. `None` past the end.
+    pub fn to_entry(&self) -> Option<Entry> {
+        self.to_entry_below(None)
+    }
+
+    /// [`to_entry`](Self::to_entry) for a reader that takes no entry whose
+    /// key is at or past `hi` (a bounded scan): a row block it builds stops
+    /// there, so the entries past the bound are neither walked nor copied.
+    pub(crate) fn to_entry_below(&self, hi: Option<&[u8]>) -> Option<Entry> {
+        (self.remaining > 0).then(|| {
+            let (rows, _) = self.rows.get_or_init(|| self.row_block(hi));
+            let key = self.rows_at as usize;
+            let value = key + self.key.len;
+            Entry {
+                key: rows.slice(key..value),
+                value: rows.slice(value..value + self.value.len()),
+                seq: self.seq,
+                kind: self.kind,
+            }
+        })
+    }
+
+    /// Steps to the next entry, validating its header.
+    pub fn advance(&mut self) -> Result<()> {
+        let row_len = self.key.len + self.value.len();
+        if self.remaining > 1 {
+            self.load(self.value.end as usize)?;
+        }
+        self.remaining = self.remaining.saturating_sub(1);
+        if let Some(&(_, past)) = self.rows.get() {
+            // Past the block's last row, the next owned entry builds a new
+            // one.
+            self.rows_at += row_len as u32;
+            if self.remaining() == past {
+                self.drop_rows();
+            }
+        }
+        Ok(())
+    }
+
+    /// Returns the current entry, owned, and steps past it.
+    pub fn next_entry(&mut self) -> Result<Option<Entry>> {
+        let entry = self.to_entry();
+        self.advance()?;
+        Ok(entry)
+    }
+
+    /// Finds the newest version of `key` among the entries from the
+    /// current one on: its value, sequence number and kind.
+    ///
+    /// Entries are in internal order (key asc, seq desc), so the first
+    /// entry whose key is not below `key` is its newest version. The
+    /// search compares `key` with the page's prefix once, then finds the
+    /// entry among the suffixes through the offset array, `√n` entries a
+    /// jump and then one at a time (see the module doc). A step decodes
+    /// only what it takes to find a suffix and compares it in place;
+    /// nothing is copied, and the value found is a slice of the page.
+    pub fn search(self, key: &[u8]) -> Result<Option<Hit>> {
+        self.page.search(key, self.position())
+    }
+
+    /// Moves the cursor to the first entry, from the current one on, whose
+    /// key is not below `key` — past the end when there is none — by the
+    /// search [`search`](Self::search) makes.
+    pub(crate) fn seek(&mut self, key: &[u8]) -> Result<()> {
+        let (from, count) = (self.position(), self.page.count());
+        let i = self.page.find(key, from)?;
+        if i > from {
+            if i < count {
+                self.load(self.page.offset_of(i)?)?;
+            }
+            self.remaining = (count - i) as u32;
+            self.drop_rows();
+        }
+        Ok(())
+    }
 
     /// Positions the cursor on the entry whose header starts at `off`; the
     /// cursor does not move when the entry is malformed.
     fn load(&mut self, off: usize) -> Result<()> {
-        let e = self.parse(off)?;
+        let e = self.page.parse(off)?;
         self.key
-            .set(&self.page[span(&self.prefix)], &self.page[e.suffix()]);
-        (self.value, self.seq, self.kind) = (e.value(), e.seq, e.kind);
+            .set(self.page.prefix(), &self.page.bytes[e.suffix()]);
+        let value = e.value();
+        self.value = value.start as u32..value.end as u32;
+        (self.seq, self.kind) = (e.seq, e.kind);
         Ok(())
     }
 
@@ -947,17 +1014,17 @@ impl PageCursor {
     /// long prefix takes a block per two pages' worth of rows), or up to an
     /// entry that does not parse, where the cursor will stop with an error.
     fn row_block(&self, hi: Option<&[u8]>) -> (Bytes, usize) {
-        let prefix = self.prefix();
+        let prefix = self.page.prefix();
         GATHER.with_borrow_mut(|rows| {
             rows.clear();
             // Sized once, the buffer never grows again.
             rows.reserve(self.row_budget());
             rows.extend_from_slice(self.key.get());
-            rows.extend_from_slice(&self.page[self.value.clone()]);
+            rows.extend_from_slice(&self.page.bytes[span(&self.value)]);
             let mut count = 1;
             for suffix_and_value in self.following_rows(hi) {
                 rows.extend_from_slice(prefix);
-                rows.extend_from_slice(&self.page[suffix_and_value]);
+                rows.extend_from_slice(&self.page.bytes[suffix_and_value]);
                 count += 1;
             }
             (Bytes::copy_from_slice(rows), self.remaining() - count)
@@ -967,7 +1034,7 @@ impl PageCursor {
     /// The most bytes a row block takes: two pages, or the row it starts
     /// with.
     fn row_budget(&self) -> usize {
-        (2 * self.page.len()).max(self.key.len + self.value.len())
+        (2 * self.page.bytes.len()).max(self.key.len + self.value.len())
     }
 
     /// Where the suffix and value of each entry after the current one lie
@@ -979,8 +1046,8 @@ impl PageCursor {
         &'a self,
         hi: Option<&'a [u8]>,
     ) -> impl Iterator<Item = Range<usize>> + 'a {
-        let area = &self.page[..self.end()];
-        let prefix = self.prefix();
+        let area = self.page.area();
+        let prefix = self.page.prefix();
         // Every key starts with the prefix: a bound that does not sorts
         // above all of them (no stop) or at or below all of them (stop at
         // once, at the empty suffix).
@@ -989,7 +1056,7 @@ impl PageCursor {
             None => (hi < prefix).then_some(&[][..]),
         });
         let budget = self.row_budget();
-        let (mut len, mut pos) = (self.key.len + self.value.len(), self.value.end);
+        let (mut len, mut pos) = (self.key.len + self.value.len(), self.value.end as usize);
         (1..self.remaining()).map_while(move |_| {
             let suffix_len = read_varint(area, &mut pos)? as usize;
             let value_len = read_varint(area, &mut pos)? as usize;
@@ -1548,11 +1615,49 @@ mod tests {
         assert_eq!(check(&page), Ok(()));
     }
 
-    /// Drives a cursor over `page` every way the engine does — `search`,
-    /// `seek`, and a walk by `next_entry` — until the page ends or a call
-    /// errs. An `Err` anywhere is fine; a panic fails the property.
+    #[test]
+    #[cfg_attr(miri, ignore = "32 768 hashes of a 4 KiB page")]
+    fn check_rejects_any_flipped_bit_of_a_full_page() {
+        // A full ledger-shaped page: every bit of its 4 KiB, across all
+        // of the hash's stripes and blocks and the padded last stripe.
+        let key = |i: u64| format!("{:016}", 4_321_098_765_432_170 + 3 * i).into_bytes();
+        let (count, page) = fill((0..100).map(|i| ledger_entry(key(i))));
+        assert_eq!(count, 33);
+        let good = page.to_vec();
+        assert_eq!(check(&good), Ok(()));
+        let mut page = good.clone();
+        for bit in 0..good.len() * 8 {
+            page[bit / 8] ^= 1 << (bit % 8);
+            assert!(check(&page).is_err(), "bit {bit}");
+            page[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+
+    #[test]
+    fn checksum_pinned_vectors() {
+        // The page checksum is part of the on-disk format: these pin it
+        // for the 4 086-byte body of a 4 KiB page and the 54-byte body of
+        // a 64-byte one, at two counts (vectors produced by this
+        // implementation, asserted stable forever).
+        let page = |size: usize, count: u16| {
+            let mut page: Vec<u8> = (0..size as u32)
+                .map(|i| (i.wrapping_mul(0x9E37_79B1) >> 11) as u8)
+                .collect();
+            page[..2].copy_from_slice(&count.to_le_bytes());
+            page
+        };
+        assert_eq!(checksum(&page(4096, 0)), 0xbb56_3a1d_78ea_c1f2);
+        assert_eq!(checksum(&page(4096, 33)), 0x6c46_2895_123a_fecd);
+        assert_eq!(checksum(&page(64, 0)), 0x8c7f_6f75_9c43_deac);
+        assert_eq!(checksum(&page(64, 33)), 0x40f5_fa17_7801_8d17);
+    }
+
+    /// Drives `page` every way the engine does — a lookup's [`search`],
+    /// and a cursor's `search`, `seek`, and walk by `next_entry` — until
+    /// the page ends or a call errs. An `Err` anywhere is fine; a panic fails the property.
     fn walk(page: &[u8], probe: &[u8]) {
         let page = Bytes::copy_from_slice(page);
+        let _ = search(page.clone(), probe);
         if let Ok(cursor) = PageCursor::new(page.clone()) {
             let _ = cursor.search(probe);
         }
@@ -1677,9 +1782,9 @@ mod tests {
     }
 
     /// Builds a page of as many of `entries` (in internal order) as fit
-    /// `page_size`, then holds `search` — from the first entry and from
-    /// the second — and `seek` to a linear walk, for every probe and
-    /// every key held.
+    /// `page_size`, then holds a lookup's [`search`], a cursor's `search`
+    /// — from the first entry and from the second — and `seek` to a linear
+    /// walk, for every probe and every key held.
     fn check_search(
         entries: &[Entry],
         probes: &[Vec<u8>],
@@ -1695,11 +1800,14 @@ mod tests {
         let page = Bytes::copy_from_slice(b.finish());
         let held = entries.iter().map(|e| e.key.to_vec());
         for probe in probes.iter().cloned().chain(held) {
+            let want = linear_search(entries, &probe);
             let got = PageCursor::new(page.clone())
                 .unwrap()
                 .search(&probe)
                 .unwrap();
-            proptest::prop_assert_eq!(got, linear_search(entries, &probe));
+            proptest::prop_assert_eq!(&got, &want);
+            // A lookup's search, which opens no cursor, finds the same.
+            proptest::prop_assert_eq!(search(page.clone(), &probe).unwrap(), want);
             // A seek lands on the first entry not below the probe.
             let mut cursor = PageCursor::new(page.clone()).unwrap();
             cursor.seek(&probe).unwrap();

@@ -361,8 +361,8 @@ impl Run {
     ///    no I/O;
     /// 3. the fence binary search for the one page that can hold the key;
     /// 4. that page's read — checksummed by the disk if it came from the
-    ///    backend, not re-checked if it came from the cache — and an
-    ///    in-place search of it.
+    ///    backend, not re-checked if it came from the cache — and a search
+    ///    of it in place ([`page::search`]), which positions no cursor.
     pub fn get_hashed(&self, key: &[u8], pair: HashPair) -> Result<RunLookup> {
         if !self.covers(key) {
             return Ok(RunLookup::out_of_range());
@@ -377,10 +377,11 @@ impl Run {
             });
         }
         // The single I/O, then a search of the page in place: the value
-        // found is a slice of the page, and nothing is allocated.
+        // found is a slice of the page, no key is copied and nothing is
+        // allocated.
         let page = self.disk.read_page(self.id, self.page_in_range(key))?;
         Ok(RunLookup {
-            entry: PageCursor::new(page)?.search(key)?,
+            entry: page::search(page, key)?,
             probed_filter,
             filter_negative: false,
             page_read: true,

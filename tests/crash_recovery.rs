@@ -270,8 +270,21 @@ fn durable_store_round_trips_on_a_memory_fs() {
             db.put(key(i), vec![b'w'; 40]).unwrap();
         }
     }
+    // A manifest at the root, or — when the store is split into shards
+    // (a `MONKEY_SHARDS` override) — one in each `shard-NNN` directory the
+    // `SHARDS` meta stands beside.
     let names = fs.list(&d).unwrap();
-    assert!(names.iter().any(|n| n == "MANIFEST"), "{names:?}");
+    let manifest_dirs = match names.iter().any(|n| n == "SHARDS") {
+        false => vec![d.clone()],
+        true => (names.iter().filter(|n| n.starts_with("shard-")))
+            .map(|n| d.join(n))
+            .collect(),
+    };
+    assert!(!manifest_dirs.is_empty(), "{names:?}");
+    for dir in &manifest_dirs {
+        let names = fs.list(dir).unwrap();
+        assert!(names.iter().any(|n| n == "MANIFEST"), "{dir:?}: {names:?}");
+    }
     // Memory has no device for `O_DIRECT`: a direct request falls back.
     let db = Db::open_with_fs(opts(&d).io_backend(IoBackend::Direct), fs).unwrap();
     let fallback = db.io_backend_info().fallback;
