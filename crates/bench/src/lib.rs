@@ -11,7 +11,7 @@
 
 pub mod figures;
 
-use monkey::{Db, DbOptions, DbOptionsExt, FilterVariant, IoBackend, MergePolicy};
+use monkey::{Db, DbOptions, DbOptionsExt, FilterVariant, MergePolicy};
 use monkey_storage::{DeviceModel, IoSnapshot};
 use monkey_workload::{KeySpace, TemporalSampler};
 use rand::rngs::StdRng;
@@ -99,10 +99,9 @@ impl ExpConfig {
         self
     }
 
-    /// Builds the engine options for this configuration. `shards`,
-    /// `compaction_threads` and `io_backend` are set explicitly because
-    /// their defaults read `MONKEY_*` environment variables, which must not
-    /// change a figure.
+    /// Builds the engine options for this configuration. `shards` and
+    /// `compaction_threads` are set explicitly because their defaults read
+    /// `MONKEY_*` environment variables, which must not change a figure.
     pub fn options(&self) -> DbOptions {
         let base = if self.cache_bytes > 0 {
             DbOptions::in_memory_cached(self.cache_bytes)
@@ -116,8 +115,7 @@ impl ExpConfig {
             .merge_policy(self.policy)
             .filter_variant(self.variant)
             .shards(1)
-            .compaction_threads(1)
-            .io_backend(IoBackend::Buffered);
+            .compaction_threads(1);
         match self.filters {
             FilterKind::None => base.uniform_filters(0.0),
             FilterKind::Uniform(bpe) => base.uniform_filters(bpe),

@@ -90,7 +90,6 @@ fn figures_ignore_the_environment() {
         .current_dir(&dir)
         .env("MONKEY_SHARDS", "4")
         .env("MONKEY_COMPACTION_THREADS", "4")
-        .env("MONKEY_IO_BACKEND", "direct")
         .status()
         .unwrap();
     assert!(status.success(), "figures range_cost: {status}");

@@ -78,10 +78,10 @@ impl Db {
     }
 
     /// Opens a volatile database over a caller-supplied [`Disk`] — used by
-    /// tests and simulations that need a custom backend (fault injection,
-    /// slow devices, bespoke caches). No WAL or manifest is attached, and
-    /// the store always runs one shard: one externally-owned disk cannot
-    /// be partitioned.
+    /// tests and simulations whose run files sit on a `FlakyBackend`-wrapped
+    /// `Fs` (faults or delays on command) or behind a block cache. No WAL
+    /// or manifest is attached, and the store always runs one shard: one
+    /// externally-owned disk cannot be partitioned.
     pub fn open_with_disk(mut opts: DbOptions, disk: Arc<Disk>) -> Result<Arc<Self>> {
         opts.shards = 1;
         Self::assemble(opts, 1, Some(disk), Arc::new(OsFs))
@@ -174,7 +174,7 @@ impl Db {
                     return Ok(1);
                 }
                 fs.create_dir(root)?;
-                let file = fs.create(&meta, false)?;
+                let file = fs.create(&meta)?;
                 fs.write_at(&file, 0, format!("{requested}\n").as_bytes())?;
                 fs.sync(&file)?;
                 fs.sync_dir(root)?;
@@ -350,9 +350,9 @@ impl Db {
         merged(self.cores().map(Core::pipeline_stats), PipelineStats::merge).unwrap_or_default()
     }
 
-    /// Which disk backend this store is running on: the requested kind,
-    /// the active kind after the runtime fallback ladder, and the
-    /// discovered alignment.
+    /// Which disk backend this store runs on: `"mem"` or `"buffered"`.
+    /// Stays only because the perf ledger names it; ROADMAP item 15(a)
+    /// removes it.
     pub fn io_backend_info(&self) -> BackendInfo {
         self.shards[0].core.disk.backend_info().clone()
     }
@@ -920,9 +920,9 @@ mod tests {
 
     #[test]
     fn background_error_is_deferred_then_surfaced() {
-        use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+        use monkey_storage::{Disk, FaultKind, FlakyBackend, MemFs};
         let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
-        let disk = Disk::file_on(backend.clone(), "runs", 256, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(backend.clone(), "runs", 256, None).unwrap();
         let db = Db::open_with_disk(
             DbOptions::in_memory()
                 .page_size(256)

@@ -496,8 +496,9 @@ impl Core {
     /// directory-backed store, its files reached through `fs`, recovers
     /// its tree from the manifest, deletes the run files the manifest does
     /// not name, and replays its WAL segments — unless the caller supplies
-    /// its own `disk` (fault injection, slow devices, bespoke caches): such
-    /// a store is volatile, with no WAL or manifest. A telemetry hub stamps
+    /// its own `disk` (run files on a `FlakyBackend`-wrapped `Fs` that
+    /// fails or slows them, or a block cache): such a store is volatile,
+    /// with no WAL or manifest. A telemetry hub stamps
     /// its events with `index`, the shard's place in the store, and counts
     /// its clock from `origin`, which every shard of one store shares.
     fn open(
@@ -524,8 +525,7 @@ impl Core {
             (None, StorageConfig::Directory(dir)) => {
                 fs.create_dir(dir)?;
                 let pages = dir.join("pages");
-                let disk =
-                    Disk::file_on(Arc::clone(fs), pages, opts.page_size, opts.io_backend, None)?;
+                let disk = Disk::file_on(Arc::clone(fs), pages, opts.page_size, None)?;
                 let io = Arc::clone(disk.io_stats());
                 let manifest =
                     Manifest::with_fs(Arc::clone(fs), Arc::clone(&io), dir.join("MANIFEST"));
@@ -571,16 +571,6 @@ impl Core {
         if let Some(t) = &telemetry {
             disk.attach_attribution(Arc::clone(t.attribution()));
             wal.attach_telemetry(Arc::clone(t));
-            // Surface a requested-but-unusable O_DIRECT backend exactly
-            // once, at open — quietly running buffered when the operator
-            // asked for device-true I/O would invalidate every latency
-            // figure they read off the dashboard.
-            let info = disk.backend_info();
-            if let Some(reason) = &info.fallback {
-                t.event(EventKind::IoBackendFallback {
-                    reason: reason.clone(),
-                });
-            }
         }
         let core = Arc::new(Core {
             disk,

@@ -13,7 +13,6 @@ use monkey_obs::{
     LevelReport, OpKind, OpLatencyReport, ShardBreakdown, Telemetry, TelemetryReport, MAX_LEVELS,
     OP_KINDS,
 };
-use monkey_storage::BackendInfo;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
@@ -147,16 +146,6 @@ impl Core {
     }
 }
 
-/// Renders the storage layer's backend identity for telemetry reports.
-fn io_backend_report(info: &BackendInfo) -> IoBackendReport {
-    IoBackendReport {
-        requested: info.requested.name().to_string(),
-        kind: info.kind.to_string(),
-        align: info.align as u64,
-        fallback: info.fallback.clone(),
-    }
-}
-
 /// Assembles the store's telemetry report from its shards: latency
 /// histograms, per-level tables and counters merge, the event rings are
 /// drained into one timeline, and the model's expectations are taken over
@@ -247,9 +236,11 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         events,
         events_dropped: hubs.iter().map(|h| h.events_dropped()).sum(),
         shards: breakdown(cores, &hubs, &per_shard, op_count(OpKind::Range)),
-        // Every shard opens with the same backend options against the
-        // same filesystem, so the first speaks for the store.
-        io_backend: io_backend_report(cores.first()?.disk.backend_info()),
+        // Every shard's disk is of one kind, so the first speaks for the
+        // store.
+        io_backend: IoBackendReport {
+            kind: cores.first()?.disk.backend_info().kind.to_string(),
+        },
     })
 }
 

@@ -675,9 +675,9 @@ mod tests {
 
     #[test]
     fn error_from_source_drains_positioned_entries_then_surfaces_and_fuses() {
-        use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+        use monkey_storage::{Disk, FaultKind, FlakyBackend, MemFs};
         let backend = FlakyBackend::new(MemFs::new(), FaultKind::Reads);
-        let disk = Disk::file_on(backend.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(backend.clone(), "runs", 64, None).unwrap();
         // 3 header bytes, 2 of key, 16 of value and a 2-byte offset: two
         // entries fill 46 of the 54 bytes after the page header, a third
         // would not fit.

@@ -103,11 +103,11 @@ impl Manifest {
     /// synced, renamed over the manifest, and the directory synced.
     pub fn store(&self, state: &ManifestState) -> Result<()> {
         let tmp = self.path.with_extension("tmp");
-        let file = match self.fs.create(&tmp, false) {
+        let file = match self.fs.create(&tmp) {
             // What a store that failed or crashed part-way left.
             Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
                 self.fs.remove(&tmp)?;
-                self.fs.create(&tmp, false)?
+                self.fs.create(&tmp)?
             }
             created => created?,
         };

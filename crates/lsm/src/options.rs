@@ -46,13 +46,6 @@ pub struct DbOptions {
     /// leader writes and syncs all their records at once. No put returns
     /// before its record is synced.
     pub wal_sync_each_append: bool,
-    /// Physical I/O path for run pages on durable stores
-    /// ([`StorageConfig::Directory`]): buffered `pread`/`pwrite` (the
-    /// historical default) or `O_DIRECT` (device-true latencies, page cache
-    /// bypassed). A `Direct` request that cannot be honored (tmpfs,
-    /// misaligned page size) falls back to buffered and surfaces a one-time
-    /// `IoBackendFallback` event plus the `monkey_io_backend_info` gauge.
-    pub io_backend: IoBackend,
     /// Run flushes and merge cascades on a dedicated background thread.
     /// When off (the default, and what the experiment harness uses), a put
     /// that fills the buffer drains it inline on the calling thread —
@@ -123,14 +116,12 @@ impl DbOptions {
             filter_policy: Arc::new(UniformFilterPolicy::new(10.0)),
             filter_variant: FilterVariant::Standard,
             wal_sync_each_append: false,
-            // The three env overrides let CI (and ad-hoc experiments) run
-            // the whole suite device-true, under a parallel merge engine or
-            // sharded without touching every call site that builds options.
-            io_backend: env_override("MONKEY_IO_BACKEND", IoBackend::parse)
-                .unwrap_or(IoBackend::Buffered),
             background_compaction: false,
             max_immutable_memtables: 2,
             telemetry: false,
+            // The two env overrides let CI (and ad-hoc experiments) run the
+            // whole suite under a parallel merge engine or sharded without
+            // touching every call site that builds options.
             compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
                 .unwrap_or(1),
             shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
@@ -194,10 +185,9 @@ impl DbOptions {
         self
     }
 
-    /// Selects the physical I/O backend for run pages (see
-    /// [`DbOptions::io_backend`]).
-    pub fn io_backend(mut self, backend: IoBackend) -> Self {
-        self.io_backend = backend;
+    /// Run pages take one I/O path, buffered, whatever this says. Stays
+    /// only because the perf ledger names it; ROADMAP item 15(a) removes it.
+    pub fn io_backend(self, _: IoBackend) -> Self {
         self
     }
 
@@ -266,7 +256,6 @@ impl std::fmt::Debug for DbOptions {
             .field("filter_policy", &self.filter_policy.name())
             .field("filter_variant", &self.filter_variant)
             .field("wal_sync_each_append", &self.wal_sync_each_append)
-            .field("io_backend", &self.io_backend.name())
             .field("background_compaction", &self.background_compaction)
             .field("max_immutable_memtables", &self.max_immutable_memtables)
             .field("telemetry", &self.telemetry)
@@ -372,20 +361,11 @@ mod tests {
         DbOptions::in_memory().shards(0);
     }
 
-    #[test]
-    fn io_backend_knob() {
-        // Not asserting the default here: CI runs the suite with
-        // MONKEY_IO_BACKEND set, which base() honors by design.
-        let o = DbOptions::in_memory().io_backend(IoBackend::Direct);
-        assert_eq!(o.io_backend, IoBackend::Direct);
-    }
-
     /// A child process — this test binary, running one test that builds
     /// options — under each override set to a value it does not take.
     #[test]
     fn unparseable_override_fails_naming_variable_and_value() {
         for (name, value) in [
-            ("MONKEY_IO_BACKEND", "dirct"),
             ("MONKEY_COMPACTION_THREADS", "four"),
             ("MONKEY_SHARDS", "0"),
         ] {

@@ -1022,11 +1022,11 @@ mod tests {
 
     #[test]
     fn pages_leave_in_extents_and_a_failed_extent_surfaces_later_and_leaks_nothing() {
-        use monkey_storage::{FaultKind, FlakyBackend, IoBackend, MemFs};
+        use monkey_storage::{FaultKind, FlakyBackend, MemFs};
         const PAGE: usize = 4096;
         let per_extent = (WRITE_EXTENT_BYTES / PAGE) as u64;
         let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
-        let disk = Disk::file_on(backend.clone(), "runs", PAGE, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(backend.clone(), "runs", PAGE, None).unwrap();
         // One entry a page, `pages` pages: returns the page being built
         // when a push failed, or the outcome of `finish`.
         let build = |pages: u64| -> std::result::Result<Result<Option<Run>>, u64> {
@@ -1131,37 +1131,29 @@ mod tests {
         );
     }
 
-    /// The same contract over run files, buffered and direct: the open
-    /// cursor pins the run (and its descriptor), the file goes with the
-    /// last reference.
+    /// The same contract over run files: the open cursor pins the run (and
+    /// its descriptor), the file goes with the last reference.
     #[test]
     fn obsolete_run_file_reclaimed_on_last_drop() {
-        use monkey_storage::IoBackend;
-        for backend in [IoBackend::Buffered, IoBackend::Direct] {
-            let dir = std::env::temp_dir().join(format!(
-                "monkey-run-obsolete-{}-{}",
-                std::process::id(),
-                backend.name()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let disk = Disk::file_with(&dir, 4096, backend, None).unwrap();
-            let keys: Vec<String> = (0..400).map(|i| format!("key{i:04}")).collect();
-            let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            let run = build(&disk, &refs, 10.0);
-            assert!(run.pages() > 1);
-            let file = dir.join(format!("{:016x}.run", run.id()));
-            let id = run.id();
-            let cursor = run.scan_from(b"", None).unwrap();
-            assert_eq!(cursor.page().key(), Some(b"key0000".as_slice()));
-            run.mark_obsolete();
-            drop(run);
-            assert!(file.exists(), "the cursor still holds the run");
-            assert_eq!(drain(cursor).len(), 400, "every later page stays readable");
-            // (cursor dropped there)
-            assert!(!file.exists(), "storage reclaimed after last reference");
-            assert!(disk.run_pages(id).is_err());
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        let dir = std::env::temp_dir().join(format!("monkey-run-obsolete-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let disk = Disk::file(&dir, 4096).unwrap();
+        let keys: Vec<String> = (0..400).map(|i| format!("key{i:04}")).collect();
+        let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let run = build(&disk, &refs, 10.0);
+        assert!(run.pages() > 1);
+        let file = dir.join(format!("{:016x}.run", run.id()));
+        let id = run.id();
+        let cursor = run.scan_from(b"", None).unwrap();
+        assert_eq!(cursor.page().key(), Some(b"key0000".as_slice()));
+        run.mark_obsolete();
+        drop(run);
+        assert!(file.exists(), "the cursor still holds the run");
+        assert_eq!(drain(cursor).len(), 400, "every later page stays readable");
+        // (cursor dropped there)
+        assert!(!file.exists(), "storage reclaimed after last reference");
+        assert!(disk.run_pages(id).is_err());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

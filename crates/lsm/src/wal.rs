@@ -179,7 +179,7 @@ fn segment_path(dir: &Path, id: u64) -> PathBuf {
 /// Creates segment `id` and syncs `dir`, so the segment is found after a
 /// crash before any record is committed into it.
 fn create_segment(fs: &dyn Fs, io: &IoStats, dir: &Path, id: u64) -> std::io::Result<FsFile> {
-    let file = fs.create(&segment_path(dir, id), false)?;
+    let file = fs.create(&segment_path(dir, id))?;
     fs.sync_dir(dir)?;
     io.add_sync(SyncKind::Dir);
     Ok(file)

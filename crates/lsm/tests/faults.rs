@@ -6,7 +6,7 @@
 
 use bytes::Bytes;
 use monkey_lsm::manifest::Manifest;
-use monkey_lsm::{Db, DbOptions, DbStats, IoBackend, LsmError, MergePolicy};
+use monkey_lsm::{Db, DbOptions, DbStats, LsmError, MergePolicy};
 use monkey_storage::{
     BlockCache, Disk, FaultKind, FlakyBackend, Fs, FsFile, MemFs, OsFs, READ_EXTENT_BYTES,
 };
@@ -25,7 +25,7 @@ fn flaky_disk(
 ) -> (Arc<Disk>, Arc<FlakyBackend<MemFs>>) {
     let plan = FlakyBackend::new(MemFs::new(), kind);
     let cache = cache_bytes.map(BlockCache::new);
-    let disk = Disk::file_on(plan.clone(), "runs", page_size, IoBackend::Buffered, cache).unwrap();
+    let disk = Disk::file_on(plan.clone(), "runs", page_size, cache).unwrap();
     (disk, plan)
 }
 
@@ -561,11 +561,11 @@ impl Recorder {
 }
 
 impl Fs for Recorder {
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.pass("create", path, |fs| fs.create(path, direct))
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
+        self.pass("create", path, |fs| fs.create(path))
     }
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.pass("open", path, |fs| fs.open(path, direct))
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
+        self.pass("open", path, |fs| fs.open(path))
     }
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
         self.pass("write", file.path(), |fs| fs.write_at(file, offset, data))
@@ -605,8 +605,8 @@ fn temp_store(name: &str) -> PathBuf {
     dir
 }
 
-/// A one-shard durable store that flushes inline, on buffered files, one
-/// merge thread: each flush issues its seam operations in one order.
+/// A one-shard durable store that flushes inline, one merge thread: each
+/// flush issues its seam operations in one order.
 fn durable_opts(dir: &Path) -> DbOptions {
     DbOptions::at_path(dir)
         .page_size(256)
@@ -614,7 +614,6 @@ fn durable_opts(dir: &Path) -> DbOptions {
         .size_ratio(2)
         .merge_policy(MergePolicy::Leveling)
         .uniform_filters(8.0)
-        .io_backend(IoBackend::Buffered)
         .compaction_threads(1)
         .shards(1)
 }

@@ -7,7 +7,7 @@
 use monkey_lsm::compaction::build_run_from_sorted;
 use monkey_lsm::merge::merge_runs_with;
 use monkey_lsm::{Db, DbOptions, Entry, LsmError, MergePolicy, Run};
-use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+use monkey_storage::{Disk, FaultKind, FlakyBackend, MemFs};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -171,7 +171,7 @@ fn db_state_is_thread_count_invariant_under_both_policies() {
 #[test]
 fn worker_pool_merge_fault_fails_cascade_cleanly() {
     let backend = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
-    let disk = Disk::file_on(backend.clone(), "runs", 256, IoBackend::Buffered, None).unwrap();
+    let disk = Disk::file_on(backend.clone(), "runs", 256, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(256)

@@ -33,10 +33,6 @@ pub enum EventKind {
     WalGroupCommit { records: u64 },
     /// A background worker failed; the error is deferred to foreground.
     BackgroundError { message: String },
-    /// A requested `O_DIRECT` backend could not run on this filesystem
-    /// and the store fell back to buffered I/O. Emitted once at open;
-    /// `reason` is the probe failure (e.g. tmpfs rejecting the flag).
-    IoBackendFallback { reason: String },
 }
 
 impl EventKind {
@@ -50,7 +46,6 @@ impl EventKind {
             EventKind::StallEnd { .. } => "stall_end",
             EventKind::WalGroupCommit { .. } => "wal_group_commit",
             EventKind::BackgroundError { .. } => "background_error",
-            EventKind::IoBackendFallback { .. } => "io_backend_fallback",
         }
     }
 
@@ -77,7 +72,6 @@ impl EventKind {
             }
             EventKind::WalGroupCommit { records } => vec![("records", Number(*records))],
             EventKind::BackgroundError { message } => vec![("message", Text(message.clone()))],
-            EventKind::IoBackendFallback { reason } => vec![("reason", Text(reason.clone()))],
         }
     }
 }

@@ -146,23 +146,13 @@ pub struct ShardBreakdown {
     pub cache_hits: u64,
 }
 
-/// Which disk backend is serving a store's pages — the requested kind,
-/// the kind actually active after the runtime fallback ladder, and the
-/// device alignment the active backend discovered. Rendered as the
-/// `monkey_io_backend_info` gauge, so dashboards can tell page-cache-speed
-/// buffered numbers from device-true `O_DIRECT` numbers at a glance.
+/// Which disk backend is serving a store's pages. Rendered as the
+/// `monkey_io_backend_info` gauge, so dashboards can tell a volatile
+/// store's numbers from run files' at a glance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct IoBackendReport {
-    /// What the options asked for (`"buffered"`, `"direct"`).
-    pub requested: String,
-    /// What is actually running (`"buffered"`, `"direct"`, `"mem"`).
+    /// What is running: `"mem"` or `"buffered"`.
     pub kind: String,
-    /// Logical-block alignment the backend discovered for the data
-    /// directory, in bytes; 0 when alignment is not a concept (buffered,
-    /// in-memory).
-    pub align: u64,
-    /// Why a requested direct backend fell back to buffered, when it did.
-    pub fallback: Option<String>,
 }
 
 /// The full report returned by `Db::telemetry_report()`.
@@ -316,8 +306,7 @@ const ZERO_RESULT: Family = Family {
 
 const BACKEND_INFO: Family = Family {
     kind: "gauge",
-    help: "monkey_io_backend_info Active disk backend (requested vs. running kind, \
-           discovered alignment); value is always 1.",
+    help: "monkey_io_backend_info Active disk backend; value is always 1.",
 };
 
 impl Row for OpLatencyReport {
@@ -418,14 +407,7 @@ impl Row for ShardBreakdown {
 }
 
 impl Row for IoBackendReport {
-    const COLUMNS: &'static [Column<Self>] = &[
-        col("requested", "requested", |b| Text(&b.requested)),
-        col("kind", "kind", |b| Text(&b.kind)),
-        col("align", "align", |b| Int(b.align)),
-        col("fallback", "fallback", |b| {
-            b.fallback.as_deref().map_or(Absent, Text)
-        }),
-    ];
+    const COLUMNS: &'static [Column<Self>] = &[col("kind", "kind", |b| Text(&b.kind))];
 }
 
 /// The store-wide table: one row, the report itself.
@@ -863,10 +845,7 @@ mod tests {
             last_merge_threads: 2,
             shards: Vec::new(),
             io_backend: IoBackendReport {
-                requested: "buffered".to_string(),
                 kind: "mem".to_string(),
-                align: 0,
-                fallback: None,
             },
         }
     }
@@ -907,34 +886,13 @@ mod tests {
     fn backend_identity_labels_io_rows_and_renders_info_gauge() {
         let mut r = sample_report();
         r.io_backend = IoBackendReport {
-            requested: "direct".to_string(),
             kind: "buffered".to_string(),
-            align: 512,
-            fallback: Some("tmpfs rejects O_DIRECT".to_string()),
         };
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE monkey_io_backend_info gauge"));
-        assert!(text.contains(
-            "monkey_io_backend_info{requested=\"direct\",kind=\"buffered\",align=\"512\",\
-             fallback=\"tmpfs rejects O_DIRECT\"} 1"
-        ));
+        assert!(text.contains("monkey_io_backend_info{kind=\"buffered\"} 1"));
         let json = r.to_json();
-        assert!(json.contains(
-            "\"io_backend\":{\"requested\":\"direct\",\"kind\":\"buffered\",\"align\":512,\
-             \"fallback\":\"tmpfs rejects O_DIRECT\"}"
-        ));
-        // No fallback → no fallback label or key.
-        r.io_backend = IoBackendReport {
-            requested: "direct".to_string(),
-            kind: "direct".to_string(),
-            align: 4096,
-            fallback: None,
-        };
-        let text = r.to_prometheus();
-        assert!(text.contains(
-            "monkey_io_backend_info{requested=\"direct\",kind=\"direct\",align=\"4096\"} 1"
-        ));
-        assert!(!r.to_json().contains("\"fallback\""));
+        assert!(json.contains("\"io_backend\":{\"kind\":\"buffered\"}"));
     }
 
     /// Every sample follows exactly one `# HELP` and one `# TYPE` line of

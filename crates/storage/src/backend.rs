@@ -8,9 +8,8 @@
 //! [`Fs`]: the operating system's for a durable store, memory for a
 //! volatile one — the same code counts and serves the pages of both.
 
-use crate::aligned::PoolStats;
-use crate::direct::{discover_alignment, EINVAL};
 use crate::error::{Result, StorageError};
+use crate::frames::PoolStats;
 use crate::fs::Fs;
 use crate::handles::RunHandles;
 use bytes::Bytes;
@@ -34,68 +33,23 @@ pub type RunId = u64;
 /// One file per run in a directory, named `<id>.run`, every open file held
 /// by a [`RunHandles`] table and every page read into a frame of its pool.
 /// Files are created, written, read, sealed, listed and deleted through an
-/// [`Fs`]. Opened two ways over the same layout, so a directory written one
-/// way reads back the other: [`open`](Self::open) goes through the OS page
-/// cache (or memory), [`open_direct`](Self::open_direct) opens each file
-/// `O_DIRECT` at the alignment the directory's filesystem was probed to
-/// accept.
+/// [`Fs`], the OS page cache's or memory's.
 pub struct FileBackend {
     page_size: usize,
-    /// Granularity `O_DIRECT` holds buffer, length and offset to; 1 through
-    /// the page cache, which holds them to nothing.
-    align: usize,
     pub(crate) handles: RunHandles,
 }
 
 impl FileBackend {
-    /// Opens (creating if needed) a buffered backend rooted at `dir` on
-    /// `fs`, with the given page size. Existing `.run` files become visible
-    /// via [`list`](Self::list).
+    /// Opens (creating if needed) a backend rooted at `dir` on `fs`, with
+    /// the given page size. Existing `.run` files become visible via
+    /// [`list`](Self::list).
     pub fn open(fs: Arc<dyn Fs>, dir: impl Into<PathBuf>, page_size: usize) -> Result<Self> {
         let dir = dir.into();
         fs.create_dir(&dir)?;
         Ok(Self {
             page_size,
-            align: 1,
-            handles: RunHandles::new(fs, dir, page_size, false, 1),
+            handles: RunHandles::new(fs, dir, page_size),
         })
-    }
-
-    /// Opens an `O_DIRECT` backend at `dir`, discovering the filesystem's
-    /// alignment. `Err(reason)` in the inner result means "unsupported
-    /// here" — the caller should fall back to [`open`](Self::open) and
-    /// surface the reason; hard I/O errors come back as the outer error.
-    pub fn open_direct(
-        fs: Arc<dyn Fs>,
-        dir: impl Into<PathBuf>,
-        page_size: usize,
-    ) -> Result<std::result::Result<Self, String>> {
-        let dir = dir.into();
-        fs.create_dir(&dir)?;
-        let align = match discover_alignment(&*fs, &dir) {
-            Ok(align) => align,
-            Err(reason) => return Ok(Err(reason)),
-        };
-        if !page_size.is_multiple_of(align) {
-            return Ok(Err(format!(
-                "page size {page_size} is not a multiple of the device alignment {align}"
-            )));
-        }
-        Ok(Ok(Self {
-            page_size,
-            align,
-            handles: RunHandles::new(fs, dir, page_size, true, align.max(4096)),
-        }))
-    }
-
-    /// The logical-block alignment transfers respect: what the probe
-    /// discovered, or 1 through the page cache.
-    pub fn align(&self) -> usize {
-        self.align
-    }
-
-    pub(crate) fn is_direct(&self) -> bool {
-        self.align > 1
     }
 
     fn offset(&self, page_no: u32) -> u64 {
@@ -114,33 +68,15 @@ impl FileBackend {
             });
         }
         let handle = self.handles.for_append(run, first_page)?;
-        let fs = self.handles.fs();
-        if !self.is_direct() {
-            // One positional write for the whole extent.
-            fs.write_at(&handle.file, self.offset(first_page), data)?;
-            return Ok(());
-        }
-        // `O_DIRECT` demands an aligned source and the caller's extent has
-        // no alignment guarantee: each page bounces through a frame.
-        let mut frame = self.handles.frames().acquire();
-        for (page_no, page) in (first_page..).zip(data.chunks(self.page_size)) {
-            frame.as_mut_slice().copy_from_slice(page);
-            match fs.write_at(&handle.file, self.offset(page_no), frame.as_ref()) {
-                // The filesystem reneging on the probe: through the page
-                // cache instead of failing the flush.
-                Err(e) if e.raw_os_error() == Some(EINVAL) => {
-                    let buffered = fs.open(&self.handles.path(run), false)?;
-                    fs.write_at(&buffered, self.offset(page_no), page)?
-                }
-                other => other?,
-            }
-        }
-        Ok(())
+        // One positional write for the whole extent.
+        let file = &handle.file;
+        Ok(self
+            .handles
+            .fs()
+            .write_at(file, self.offset(first_page), data)?)
     }
 
-    /// Seals a run: no further appends, and its data durable. `O_DIRECT`
-    /// already put the data on the device; there the sync makes the file's
-    /// length durable.
+    /// Seals a run: no further appends, and its data durable.
     pub fn seal(&self, run: RunId) -> Result<()> {
         self.handles.seal(run)
     }
@@ -180,24 +116,13 @@ impl FileBackend {
             let page = Some(first.max(pages));
             return Err(StorageError::NotFound { run, page });
         }
-        let (fs, offset) = (self.handles.fs(), self.offset(first));
         let len = count as usize * self.page_size;
         let mut frame = match count {
             1 => self.handles.frames().acquire(),
             _ => self.handles.frames().acquire_extent(),
         };
         let buf = &mut frame.as_mut_slice()[..len];
-        match fs.read_at(&handle.file, offset, buf) {
-            // As for appends. By path, so a run deleted since the lookup is
-            // `NotFound` here, as it is to every later read.
-            Err(e) if self.is_direct() && e.raw_os_error() == Some(EINVAL) => {
-                let path = self.handles.path(run);
-                let buffered = fs.open(&path, false);
-                let buffered = buffered.map_err(|e| RunHandles::not_found(run, e))?;
-                fs.read_at(&buffered, offset, buf)?
-            }
-            other => other?,
-        }
+        (self.handles.fs()).read_at(&handle.file, self.offset(first), buf)?;
         Ok(frame.freeze(len))
     }
 

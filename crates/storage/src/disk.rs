@@ -8,11 +8,10 @@
 //! and, once a [`PageCheck`] is attached, where page bytes are checked:
 //! once, as they leave the backend, before the cache may hold them.
 
-use crate::aligned::PoolStats;
 use crate::backend::{FileBackend, RunId};
 use crate::cache::{BlockCache, CacheConfig, CacheStats};
-use crate::direct::{BackendInfo, IoBackend};
 use crate::error::{Result, StorageError};
+use crate::frames::PoolStats;
 use crate::fs::{Fs, MemFs, OsFs};
 use crate::iostats::{IoSnapshot, IoStats, SyncKind};
 use bytes::Bytes;
@@ -28,6 +27,24 @@ use std::sync::{Arc, OnceLock};
 /// it.
 pub type PageCheck = fn(&[u8]) -> std::result::Result<(), String>;
 
+/// The one physical I/O path run pages take: buffered `pread`/`pwrite`
+/// through the OS page cache. Stays only because the perf ledger names
+/// it; ROADMAP item 15(a) removes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum IoBackend {
+    /// Positional reads and writes through the page cache.
+    #[default]
+    Buffered,
+}
+
+/// What physically backs a [`Disk`], as [`Disk::backend_info`] and the
+/// `monkey_io_backend_info` gauge report it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BackendInfo {
+    /// `"mem"` for a volatile disk, `"buffered"` for run files.
+    pub kind: &'static str,
+}
+
 /// A counted, optionally cached page store.
 pub struct Disk {
     backend: FileBackend,
@@ -37,7 +54,7 @@ pub struct Disk {
     cache: Option<BlockCache>,
     page_size: usize,
     next_run: AtomicU64,
-    /// What physically backs this disk, after fallback resolution.
+    /// What physically backs this disk.
     info: BackendInfo,
     /// Optional per-level I/O attribution table, attached once by the LSM
     /// layer when telemetry is enabled. When unset, the per-I/O cost is a
@@ -70,26 +87,25 @@ impl Disk {
     fn mem_with(page_size: usize, cache: Option<BlockCache>) -> Arc<Self> {
         let fs = Arc::new(MemFs::new());
         let backend = FileBackend::open(fs, "runs", page_size).expect("memory takes a directory");
-        Self::new(backend, page_size, cache, BackendInfo::mem()).expect("memory lists")
+        let info = BackendInfo { kind: "mem" };
+        Self::new(backend, page_size, cache, info).expect("memory lists")
     }
 
-    /// Opens a file-backed disk rooted at `dir` (buffered I/O).
+    /// Opens a file-backed disk rooted at `dir`.
     pub fn file(dir: impl AsRef<Path>, page_size: usize) -> Result<Arc<Self>> {
-        Self::file_with(dir, page_size, IoBackend::Buffered, None)
+        Self::file_on(Arc::new(OsFs), dir, page_size, None)
     }
 
-    /// Opens a file-backed disk rooted at `dir` on the requested I/O
-    /// backend. `Direct` probes the directory's filesystem for `O_DIRECT`
-    /// support and falls back to buffered I/O where it is unavailable;
-    /// [`backend_info`](Self::backend_info) reports the resolution
-    /// (including the fallback reason) so callers can surface it once.
+    /// [`file`](Self::file) with a block cache. The [`IoBackend`] argument
+    /// stays only because the perf ledger names it; ROADMAP item 15(a)
+    /// removes it.
     pub fn file_with(
         dir: impl AsRef<Path>,
         page_size: usize,
-        requested: IoBackend,
+        _: IoBackend,
         cache: Option<BlockCache>,
     ) -> Result<Arc<Self>> {
-        Self::file_on(Arc::new(OsFs), dir, page_size, requested, cache)
+        Self::file_on(Arc::new(OsFs), dir, page_size, cache)
     }
 
     /// [`file_with`](Self::file_with), its run files reached through `fs`.
@@ -98,25 +114,10 @@ impl Disk {
         fs: Arc<dyn Fs>,
         dir: impl AsRef<Path>,
         page_size: usize,
-        requested: IoBackend,
         cache: Option<BlockCache>,
     ) -> Result<Arc<Self>> {
-        let dir = dir.as_ref();
-        let (backend, fallback) = match requested {
-            IoBackend::Buffered => (FileBackend::open(fs, dir, page_size)?, None),
-            IoBackend::Direct => match FileBackend::open_direct(Arc::clone(&fs), dir, page_size)? {
-                Ok(direct) => (direct, None),
-                Err(reason) => (FileBackend::open(fs, dir, page_size)?, Some(reason)),
-            },
-        };
-        let direct = backend.is_direct();
-        let info = BackendInfo {
-            requested,
-            kind: if direct { "direct" } else { "buffered" },
-            align: if direct { backend.align() } else { 0 },
-            fallback,
-        };
-        Self::new(backend, page_size, cache, info)
+        let backend = FileBackend::open(fs, dir.as_ref(), page_size)?;
+        Self::new(backend, page_size, cache, BackendInfo { kind: "buffered" })
     }
 
     fn new(
@@ -286,7 +287,7 @@ impl Disk {
         Ok(data)
     }
 
-    /// What physically backs this disk, after fallback resolution.
+    /// What physically backs this disk.
     pub fn backend_info(&self) -> &BackendInfo {
         &self.info
     }
@@ -499,7 +500,7 @@ mod tests {
         const PAGE: usize = 4096;
         let extent = READ_EXTENT_BYTES / PAGE;
         let fs = FlakyBackend::new(MemFs::new(), FaultKind::Reads);
-        let disk = Disk::file_on(fs.clone(), "runs", PAGE, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(fs.clone(), "runs", PAGE, None).unwrap();
         let attr = Arc::new(IoAttribution::new());
         disk.attach_attribution(Arc::clone(&attr));
         let id = run_of(&disk, 2 * extent as u8 + 3);
@@ -566,7 +567,7 @@ mod tests {
     #[test]
     fn a_run_whose_delete_failed_is_deleted_at_the_next_run() {
         let fs = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
-        let disk = Disk::file_on(fs.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(fs.clone(), "runs", 64, None).unwrap();
         let (merged, partial) = (run_of(&disk, 2), disk.begin_run());
         let mut partial = partial;
         partial.append(&page(&disk, 1)).unwrap();
@@ -721,16 +722,11 @@ mod tests {
         assert_eq!(w.pages_written(), 0);
     }
 
-    /// The three disks a run can be written to — memory, and the file
-    /// backend opened both ways over `dir` (direct falls back to buffered
-    /// where the filesystem refuses `O_DIRECT`).
+    /// The two disks a run can be written to: memory, and run files
+    /// under `dir`.
     fn every_disk(dir: &Path, page_size: usize) -> Vec<Arc<Disk>> {
         let _ = std::fs::remove_dir_all(dir);
-        vec![
-            Disk::mem(page_size),
-            Disk::file_with(dir.join("buffered"), page_size, IoBackend::Buffered, None).unwrap(),
-            Disk::file_with(dir.join("direct"), page_size, IoBackend::Direct, None).unwrap(),
-        ]
+        vec![Disk::mem(page_size), Disk::file(dir, page_size).unwrap()]
     }
 
     #[test]
@@ -769,7 +765,7 @@ mod tests {
                         assert_eq!(a.unwrap(), b.unwrap(), "page {p} of {pages}");
                     }
                     // Read back in extents, as a cursor over the whole run
-                    // does: into aligned extent frames under `O_DIRECT`.
+                    // does.
                     let mut p = 0;
                     while p < pages {
                         let got = disk.read_pages(singles, p as u32..pages as u32, false);
@@ -804,7 +800,7 @@ mod tests {
     #[test]
     fn failed_extent_is_counted_per_page_and_leaves_no_partial_run() {
         let fs = FlakyBackend::new(MemFs::new(), FaultKind::Writes);
-        let disk = Disk::file_on(fs.clone(), "runs", 64, IoBackend::Buffered, None).unwrap();
+        let disk = Disk::file_on(fs.clone(), "runs", 64, None).unwrap();
         let attr = Arc::new(IoAttribution::new());
         disk.attach_attribution(Arc::clone(&attr));
         let extent = vec![5u8; 8 * 64];

@@ -144,15 +144,15 @@ impl<F> FlakyBackend<F> {
 }
 
 impl<F: Fs> Fs for FlakyBackend<F> {
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
         let what = format_args!("create of {}", path.display());
         self.maybe_fail(FaultKind::Writes, what)?;
-        self.inner.create(path, direct)
+        self.inner.create(path)
     }
 
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
         self.maybe_fail(FaultKind::Reads, format_args!("open of {}", path.display()))?;
-        self.inner.open(path, direct)
+        self.inner.open(path)
     }
 
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
@@ -226,7 +226,7 @@ mod tests {
     /// A plan over a memory fs holding the empty file `f`, and `f` open.
     fn flaky(kind: FaultKind) -> (Arc<FlakyBackend<MemFs>>, FsFile) {
         let fs = FlakyBackend::new(MemFs::new(), kind);
-        let file = fs.create(Path::new("f"), false).unwrap();
+        let file = fs.create(Path::new("f")).unwrap();
         (fs, file)
     }
 
@@ -276,7 +276,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let fs = FlakyBackend::new(crate::OsFs, FaultKind::Writes);
         fs.create_dir(&dir).unwrap();
-        let file = fs.create(&dir.join("f"), false).unwrap();
+        let file = fs.create(&dir.join("f")).unwrap();
         fs.arm(1);
         fs.write_at(&file, 0, b"x").unwrap();
         assert!(fs.sync(&file).is_err());

@@ -26,7 +26,7 @@ use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io;
-use std::os::unix::fs::{FileExt, OpenOptionsExt};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -75,12 +75,12 @@ impl std::fmt::Debug for FsFile {
 /// A store's files and directories, as durable storage sees them.
 pub trait Fs: Send + Sync + 'static {
     /// Creates the file at `path`, which must not exist, open for reading
-    /// and writing, `O_DIRECT` when `direct`. Creating never destroys: an
-    /// existing file is an `AlreadyExists` error.
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile>;
+    /// and writing. Creating never destroys: an existing file is an
+    /// `AlreadyExists` error.
+    fn create(&self, path: &Path) -> io::Result<FsFile>;
 
     /// Opens the existing file at `path` for reading and writing.
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile>;
+    fn open(&self, path: &Path) -> io::Result<FsFile>;
 
     /// Writes all of `data` into `file` from byte `offset` on.
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()>;
@@ -120,30 +120,21 @@ pub trait Fs: Send + Sync + 'static {
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OsFs;
 
-/// `O_DIRECT` differs per architecture (it is one of the few fcntl flags
-/// that does).
-#[cfg(any(target_arch = "arm", target_arch = "aarch64"))]
-const O_DIRECT: i32 = 0o200000;
-#[cfg(not(any(target_arch = "arm", target_arch = "aarch64")))]
-const O_DIRECT: i32 = 0o40000;
-
-fn open_options(direct: bool) -> OpenOptions {
+fn read_write() -> OpenOptions {
     let mut opts = OpenOptions::new();
-    opts.read(true)
-        .write(true)
-        .custom_flags(if direct { O_DIRECT } else { 0 });
+    opts.read(true).write(true);
     opts
 }
 
 impl Fs for OsFs {
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        let file = open_options(direct).create_new(true).open(path)?;
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
+        let file = read_write().create_new(true).open(path)?;
         let (path, handle) = (path.to_path_buf(), Handle::Os(file));
         Ok(FsFile { path, handle })
     }
 
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        let file = open_options(direct).open(path)?;
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
+        let file = read_write().open(path)?;
         let (path, handle) = (path.to_path_buf(), Handle::Os(file));
         Ok(FsFile { path, handle })
     }
@@ -206,8 +197,7 @@ impl Fs for OsFs {
 /// volatile disk, and a whole durable store for tests that need no device.
 /// It answers as [`OsFs`] does — `create` is exclusive, `rename` atomic
 /// and replacing, a missing path `NotFound`, a short read `UnexpectedEof`
-/// — except that it refuses `O_DIRECT`, which has no device to reach, and
-/// that syncing does nothing. Clones share the files.
+/// — except that syncing does nothing. Clones share the files.
 #[derive(Clone, Default)]
 pub struct MemFs {
     nodes: Arc<RwLock<HashMap<PathBuf, Node>>>,
@@ -226,11 +216,6 @@ fn not_found(path: &Path) -> io::Error {
 /// The directory `path` is in: the empty path for a bare name.
 fn parent(path: &Path) -> &Path {
     path.parent().unwrap_or(Path::new(""))
-}
-
-/// `O_DIRECT` bypasses a device's cache; memory has neither.
-fn no_direct() -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidInput, "O_DIRECT on a memory fs")
 }
 
 impl MemFs {
@@ -256,10 +241,7 @@ impl MemFs {
 }
 
 impl Fs for MemFs {
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        if direct {
-            return Err(no_direct());
-        }
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
         let mut nodes = self.nodes.write();
         if nodes.contains_key(path) {
             let what = format!("{}: file exists", path.display());
@@ -274,11 +256,8 @@ impl Fs for MemFs {
         Ok(FsFile { path, handle })
     }
 
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
         let bytes = self.file(path)?;
-        if direct {
-            return Err(no_direct());
-        }
         let (path, handle) = (path.to_path_buf(), Handle::Mem(bytes));
         Ok(FsFile { path, handle })
     }
@@ -382,7 +361,7 @@ mod tests {
         let dir = root.join("a/b");
         fs.create_dir(&dir).unwrap();
         fs.create_dir(&dir).unwrap(); // already there: nothing to do
-        let file = fs.create(&dir.join("x.tmp"), false).unwrap();
+        let file = fs.create(&dir.join("x.tmp")).unwrap();
         fs.write_at(&file, 0, b"hello").unwrap();
         fs.write_at(&file, 5, b" world").unwrap();
         fs.sync(&file).unwrap();
@@ -397,11 +376,11 @@ mod tests {
         assert_eq!(fs.list(&dir).unwrap(), ["x"]);
         assert_eq!(fs.read(&dir.join("x")).unwrap(), b"hello world");
         // `create` never replaces what is there.
-        let err = fs.create(&dir.join("x"), false).unwrap_err();
+        let err = fs.create(&dir.join("x")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         fs.remove(&dir.join("x")).unwrap();
         assert!(fs.list(&dir).unwrap().is_empty());
-        let err = fs.open(&dir.join("x"), false).unwrap_err();
+        let err = fs.open(&dir.join("x")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         // The handle outlives the name.
         fs.write_at(&file, 11, b"!").unwrap();
@@ -417,18 +396,13 @@ mod tests {
     }
 
     #[test]
-    fn mem_fs_round_trips_a_file_and_refuses_direct() {
+    fn mem_fs_round_trips_a_file() {
         let fs = MemFs::new();
         round_trip(&fs, Path::new("/store"));
-        let err = fs.create(Path::new("/store/d"), true).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
-        fs.create(Path::new("/store/d"), false).unwrap();
-        assert!(fs.open(Path::new("/store/d"), true).is_err());
+        fs.create(Path::new("/store/d")).unwrap();
         // A file's handle answers only to the kind of fs that opened it.
-        assert!(OsFs
-            .len(&fs.open(Path::new("/store/d"), false).unwrap())
-            .is_err());
-        let err = fs.create(Path::new("/nowhere/f"), false).unwrap_err();
+        assert!(OsFs.len(&fs.open(Path::new("/store/d")).unwrap()).is_err());
+        let err = fs.create(Path::new("/nowhere/f")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 }

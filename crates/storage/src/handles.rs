@@ -25,9 +25,9 @@
 //! descriptor: its miss is a map lookup, and the budget exists for
 //! processes whose runs are files.
 
-use crate::aligned::AlignedPool;
 use crate::backend::{extent_pages, RunId};
 use crate::error::{Result, StorageError};
+use crate::frames::FramePool;
 use crate::fs::{Fs, FsFile};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
@@ -65,10 +65,8 @@ pub(crate) struct RunHandles {
     fs: Arc<dyn Fs>,
     dir: PathBuf,
     page_size: usize,
-    /// Whether every run file is opened `O_DIRECT`.
-    direct: bool,
     /// Where every page and extent read from these files lands.
-    frames: AlignedPool,
+    frames: FramePool,
     table: RwLock<HashMap<RunId, Arc<RunHandle>>>,
     /// Serialises the two cold paths that pair a table update with a
     /// directory operation — the lazy open of a run found on disk, and
@@ -82,26 +80,15 @@ pub(crate) struct RunHandles {
 }
 
 impl RunHandles {
-    /// A table over `dir` on `fs` whose files are opened `O_DIRECT` when
-    /// `direct` and read into page and extent frames aligned to
-    /// `frame_align`.
-    pub(crate) fn new(
-        fs: Arc<dyn Fs>,
-        dir: PathBuf,
-        page_size: usize,
-        direct: bool,
-        frame_align: usize,
-    ) -> Self {
+    /// A table over `dir` on `fs` whose files are read into page and
+    /// extent frames.
+    pub(crate) fn new(fs: Arc<dyn Fs>, dir: PathBuf, page_size: usize) -> Self {
+        let extent = extent_pages(page_size) as usize * page_size;
         Self {
             fs,
             dir,
             page_size,
-            direct,
-            frames: AlignedPool::with_extent(
-                page_size,
-                extent_pages(page_size) as usize * page_size,
-                frame_align,
-            ),
+            frames: FramePool::with_extent(page_size, extent),
             table: RwLock::new(HashMap::new()),
             cold: Mutex::new(()),
             #[cfg(test)]
@@ -110,7 +97,7 @@ impl RunHandles {
     }
 
     /// The pool this table's page and extent frames come from.
-    pub(crate) fn frames(&self) -> &AlignedPool {
+    pub(crate) fn frames(&self) -> &FramePool {
         &self.frames
     }
 
@@ -119,7 +106,7 @@ impl RunHandles {
         &*self.fs
     }
 
-    pub(crate) fn path(&self, run: RunId) -> PathBuf {
+    fn path(&self, run: RunId) -> PathBuf {
         self.dir.join(format!("{run:016x}.run"))
     }
 
@@ -136,7 +123,7 @@ impl RunHandles {
         }
     }
 
-    pub(crate) fn not_found(run: RunId, e: std::io::Error) -> StorageError {
+    fn not_found(run: RunId, e: std::io::Error) -> StorageError {
         if e.kind() == std::io::ErrorKind::NotFound {
             StorageError::NotFound { run, page: None }
         } else {
@@ -148,8 +135,8 @@ impl RunHandles {
         #[cfg(test)]
         self.opens.fetch_add(1, Ordering::Relaxed);
         let file = match create {
-            true => self.fs.create(&self.path(run), self.direct)?,
-            false => self.fs.open(&self.path(run), self.direct)?,
+            true => self.fs.create(&self.path(run))?,
+            false => self.fs.open(&self.path(run))?,
         };
         OPEN_RUN_FILES.fetch_add(1, Ordering::Relaxed);
         Ok(RunHandle {
@@ -278,15 +265,8 @@ mod tests {
         d
     }
 
-    /// The buffered backend over `dir` and — where the filesystem accepts
-    /// `O_DIRECT` — the direct one over the same files.
-    fn open_both(dir: &std::path::Path) -> Vec<FileBackend> {
-        let mut both = vec![FileBackend::open(Arc::new(OsFs), dir, PAGE).unwrap()];
-        match FileBackend::open_direct(Arc::new(OsFs), dir, PAGE).unwrap() {
-            Ok(direct) => both.push(direct),
-            Err(reason) => eprintln!("direct half skipped: {reason}"),
-        }
-        both
+    fn open(dir: &std::path::Path) -> FileBackend {
+        FileBackend::open(Arc::new(OsFs), dir, PAGE).unwrap()
     }
 
     fn page(run: RunId, page_no: u32) -> Vec<u8> {
@@ -303,90 +283,82 @@ mod tests {
     #[test]
     fn warm_reads_open_nothing() {
         let dir = tmp("warm");
-        for (i, b) in open_both(&dir).iter().enumerate() {
-            let (big, small) = (10 * i as u64 + 1, 10 * i as u64 + 2);
-            build(b, big, 8);
-            build(b, small, 3);
-            // Sealing installed both handles: that is all the warm-up.
-            assert_eq!(b.handles.opens(), 2, "one open per run, at creation");
-            for i in 0..10_000u32 {
-                let (run, pages) = if i % 3 == 0 { (small, 3) } else { (big, 8) };
-                let got = b.read_page(run, i % pages).unwrap();
-                assert_eq!(&got[..], &page(run, i % pages)[..]);
-            }
-            assert_eq!(b.pages(big).unwrap(), 8);
-            assert_eq!(b.handles.opens(), 2, "the warm read path opens nothing");
-            assert_eq!(b.handles.len(), 2);
+        let b = open(&dir);
+        let (big, small) = (1, 2);
+        build(&b, big, 8);
+        build(&b, small, 3);
+        // Sealing installed both handles: that is all the warm-up.
+        assert_eq!(b.handles.opens(), 2, "one open per run, at creation");
+        for i in 0..10_000u32 {
+            let (run, pages) = if i % 3 == 0 { (small, 3) } else { (big, 8) };
+            let got = b.read_page(run, i % pages).unwrap();
+            assert_eq!(&got[..], &page(run, i % pages)[..]);
         }
+        assert_eq!(b.pages(big).unwrap(), 8);
+        assert_eq!(b.handles.opens(), 2, "the warm read path opens nothing");
+        assert_eq!(b.handles.len(), 2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn not_found_parity_buffered_vs_direct() {
-        let dir = tmp("parity");
-        for (i, b) in open_both(&dir).iter().enumerate() {
-            let run = 5 + i as u64;
-            build(b, run, 4);
-            let page_of = |e: StorageError| match e {
-                StorageError::NotFound { run: r, page } => (r, page),
-                other => panic!("expected NotFound, got {other:?}"),
-            };
-            assert_eq!(page_of(b.read_page(99, 0).unwrap_err()), (99, None));
-            assert_eq!(page_of(b.pages(99).unwrap_err()), (99, None));
-            assert_eq!(page_of(b.read_page(run, 4).unwrap_err()), (run, Some(4)));
-            assert_eq!(page_of(b.read_page(run, 40).unwrap_err()), (run, Some(40)));
-            b.delete(run).unwrap();
-            assert_eq!(page_of(b.read_page(run, 0).unwrap_err()), (run, None));
-            assert_eq!(page_of(b.pages(run).unwrap_err()), (run, None));
-            assert_eq!(page_of(b.delete(run).unwrap_err()), (run, None));
-        }
+    fn not_found_names_the_missing_run_or_page() {
+        let dir = tmp("not-found");
+        let b = open(&dir);
+        let run = 5;
+        build(&b, run, 4);
+        let page_of = |e: StorageError| match e {
+            StorageError::NotFound { run: r, page } => (r, page),
+            other => panic!("expected NotFound, got {other:?}"),
+        };
+        assert_eq!(page_of(b.read_page(99, 0).unwrap_err()), (99, None));
+        assert_eq!(page_of(b.pages(99).unwrap_err()), (99, None));
+        assert_eq!(page_of(b.read_page(run, 4).unwrap_err()), (run, Some(4)));
+        assert_eq!(page_of(b.read_page(run, 40).unwrap_err()), (run, Some(40)));
+        b.delete(run).unwrap();
+        assert_eq!(page_of(b.read_page(run, 0).unwrap_err()), (run, None));
+        assert_eq!(page_of(b.pages(run).unwrap_err()), (run, None));
+        assert_eq!(page_of(b.delete(run).unwrap_err()), (run, None));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn run_under_construction_is_measured_not_cached() {
         let dir = tmp("building");
-        for (i, b) in open_both(&dir).iter().enumerate() {
-            let run = 3 + i as u64;
-            b.append_pages(run, 0, &page(run, 0)).unwrap();
-            assert_eq!(b.pages(run).unwrap(), 1);
-            b.append_pages(run, 1, &page(run, 1)).unwrap();
-            assert_eq!(b.pages(run).unwrap(), 2, "length re-read while building");
-            assert_eq!(&b.read_page(run, 1).unwrap()[..], &page(run, 1)[..]);
-            assert!(matches!(
-                b.read_page(run, 2),
-                Err(StorageError::NotFound { page: Some(2), .. })
-            ));
-            b.seal(run).unwrap();
-            assert_eq!(b.pages(run).unwrap(), 2);
-            assert!(
-                b.append_pages(run, 2, &page(run, 2)).is_err(),
-                "a sealed run's length is cached, so it must stay fixed"
-            );
-            assert_eq!(b.handles.opens(), 1);
-        }
+        let b = open(&dir);
+        let run = 3;
+        b.append_pages(run, 0, &page(run, 0)).unwrap();
+        assert_eq!(b.pages(run).unwrap(), 1);
+        b.append_pages(run, 1, &page(run, 1)).unwrap();
+        assert_eq!(b.pages(run).unwrap(), 2, "length re-read while building");
+        assert_eq!(&b.read_page(run, 1).unwrap()[..], &page(run, 1)[..]);
+        assert!(matches!(
+            b.read_page(run, 2),
+            Err(StorageError::NotFound { page: Some(2), .. })
+        ));
+        b.seal(run).unwrap();
+        assert_eq!(b.pages(run).unwrap(), 2);
+        assert!(
+            b.append_pages(run, 2, &page(run, 2)).is_err(),
+            "a sealed run's length is cached, so it must stay fixed"
+        );
+        assert_eq!(b.handles.opens(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn reopen_installs_handles_on_first_read() {
         let dir = tmp("reopen");
-        build(
-            &FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap(),
-            10,
-            6,
-        );
-        for b in open_both(&dir) {
-            let handles = &b.handles;
-            assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
-            assert_eq!(b.list().unwrap(), vec![10]);
-            let on_disk = std::fs::metadata(handles.path(10)).unwrap().len();
-            assert_eq!(b.pages(10).unwrap() as u64, on_disk / PAGE as u64);
-            assert_eq!((handles.len(), handles.opens()), (1, 1), "first use opens");
-            assert_eq!(&b.read_page(10, 5).unwrap()[..], &page(10, 5)[..]);
-            assert!(b.read_page(10, 6).is_err());
-            assert_eq!((handles.len(), handles.opens()), (1, 1), "then it is warm");
-        }
+        build(&open(&dir), 10, 6);
+        let b = open(&dir);
+        let handles = &b.handles;
+        assert_eq!((handles.len(), handles.opens()), (0, 0), "nothing eager");
+        assert_eq!(b.list().unwrap(), vec![10]);
+        let on_disk = std::fs::metadata(handles.path(10)).unwrap().len();
+        assert_eq!(b.pages(10).unwrap() as u64, on_disk / PAGE as u64);
+        assert_eq!((handles.len(), handles.opens()), (1, 1), "first use opens");
+        assert_eq!(&b.read_page(10, 5).unwrap()[..], &page(10, 5)[..]);
+        assert!(b.read_page(10, 6).is_err());
+        assert_eq!((handles.len(), handles.opens()), (1, 1), "then it is warm");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -399,49 +371,47 @@ mod tests {
         const RUNS: u64 = 24;
         const READERS: usize = 3;
         let dir = tmp("race");
-        let seed = FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap();
+        let seed = open(&dir);
         for run in 0..RUNS {
             build(&seed, run, 4);
         }
         drop(seed);
-        let both = open_both(&dir);
-        for (which, b) in both.iter().enumerate() {
-            // Each backend deletes its share of the runs: even ones cold
-            // (the first touch races the delete), odd ones warmed first.
-            for run in (0..RUNS).filter(|r| (r / 2) as usize % both.len() == which) {
-                if run % 2 == 1 {
-                    b.read_page(run, 0).unwrap();
-                }
-                let start = Barrier::new(READERS + 1);
-                let deleted = AtomicBool::new(false);
-                std::thread::scope(|s| {
-                    for t in 0..READERS {
-                        let (start, deleted) = (&start, &deleted);
-                        s.spawn(move || {
-                            start.wait();
-                            for p in t as u32.. {
-                                // Read the flag first: a read issued after
-                                // the delete returned must fail.
-                                let after = deleted.load(Ordering::Acquire);
-                                match b.read_page(run, p % 4) {
-                                    Ok(got) => {
-                                        assert!(!after, "run {run} read after its delete");
-                                        assert_eq!(&got[..], &page(run, p % 4)[..]);
-                                    }
-                                    Err(StorageError::NotFound { page: None, .. }) => break,
-                                    Err(e) => panic!("run {run}: {e:?}"),
-                                }
-                            }
-                        });
-                    }
-                    start.wait();
-                    b.delete(run).unwrap();
-                    deleted.store(true, Ordering::Release);
-                });
-                assert!(!b.handles.path(run).exists());
+        let b = open(&dir);
+        // Even runs are cold (the first touch races the delete), odd ones
+        // warmed first.
+        for run in 0..RUNS {
+            if run % 2 == 1 {
+                b.read_page(run, 0).unwrap();
             }
-            assert_eq!(b.handles.len(), 0, "no entry survives its run");
+            let start = Barrier::new(READERS + 1);
+            let deleted = AtomicBool::new(false);
+            std::thread::scope(|s| {
+                for t in 0..READERS {
+                    let (b, start, deleted) = (&b, &start, &deleted);
+                    s.spawn(move || {
+                        start.wait();
+                        for p in t as u32.. {
+                            // Read the flag first: a read issued after the
+                            // delete returned must fail.
+                            let after = deleted.load(Ordering::Acquire);
+                            match b.read_page(run, p % 4) {
+                                Ok(got) => {
+                                    assert!(!after, "run {run} read after its delete");
+                                    assert_eq!(&got[..], &page(run, p % 4)[..]);
+                                }
+                                Err(StorageError::NotFound { page: None, .. }) => break,
+                                Err(e) => panic!("run {run}: {e:?}"),
+                            }
+                        }
+                    });
+                }
+                start.wait();
+                b.delete(run).unwrap();
+                deleted.store(true, Ordering::Release);
+            });
+            assert!(!b.handles.path(run).exists());
         }
+        assert_eq!(b.handles.len(), 0, "no entry survives its run");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -10,8 +10,11 @@
 //!   a file per run ([`FileBackend`]), on either implementation of the
 //!   storage seam: memory ([`MemFs`]), the simulated disk the experiment
 //!   harness counts deterministic I/Os on, or the operating system's
-//!   filesystem ([`OsFs`], through the page cache or `O_DIRECT`), which
-//!   durable stores and the perf ledger run on;
+//!   filesystem ([`OsFs`], through the page cache), which durable stores
+//!   and the perf ledger run on;
+//! * a **page-frame pool** (`frames.rs`, counted by [`PoolStats`]): every
+//!   page read from a run file lands in a frame that goes back to the pool,
+//!   not to malloc, when its last reader drops it;
 //! * exact **I/O accounting** ([`IoStats`]): every page read, page write,
 //!   and seek is counted atomically and can be snapshotted and diffed
 //!   around an operation;
@@ -29,7 +32,6 @@
 
 #![warn(missing_docs)]
 
-pub mod aligned;
 pub mod cache;
 pub mod device;
 pub mod error;
@@ -38,17 +40,16 @@ pub mod fs;
 pub mod iostats;
 
 mod backend;
-mod direct;
 mod disk;
+mod frames;
 mod handles;
 
-pub use aligned::{AlignedBuf, AlignedPool, PoolStats};
 pub use backend::{FileBackend, RunId, READ_EXTENT_BYTES};
 pub use cache::{BlockCache, CacheConfig, CacheStats};
 pub use device::DeviceModel;
-pub use direct::{BackendInfo, IoBackend};
-pub use disk::{Disk, PageCheck, RunWriter};
+pub use disk::{BackendInfo, Disk, IoBackend, PageCheck, RunWriter};
 pub use error::{Result, StorageError};
 pub use faults::{FaultKind, FlakyBackend};
+pub use frames::PoolStats;
 pub use fs::{Fs, FsFile, MemFs, OsFs};
 pub use iostats::{IoSnapshot, IoStats, SyncKind};

@@ -84,9 +84,5 @@ fn resident_descriptors_stay_under_the_budget() {
         &FileBackend::open(Arc::new(OsFs), &dir, PAGE).unwrap(),
         &dir,
     );
-    match FileBackend::open_direct(Arc::new(OsFs), &dir, PAGE).unwrap() {
-        Ok(direct) => exercise(&direct, &dir),
-        Err(reason) => eprintln!("direct half skipped: {reason}"),
-    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

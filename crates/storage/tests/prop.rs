@@ -38,8 +38,8 @@ fn apply(
     let (offset, n) = (u64::from(n % 97), usize::from(n % 50));
     let mut take = |f: io::Result<FsFile>| f.map(|f| drop(open.insert(i, f)));
     Some(match kind {
-        0 => outcome(take(fs.create(&file, false))),
-        1 => outcome(take(fs.open(&file, false))),
+        0 => outcome(take(fs.create(&file))),
+        1 => outcome(take(fs.open(&file))),
         2 => outcome(fs.write_at(open.get(&i)?, offset, &vec![j as u8 + 1; n])),
         3 => {
             let mut buf = vec![0u8; n];

@@ -115,9 +115,9 @@ fn concurrent_distinct_writers_via_external_mutex_pattern() {
 
 #[test]
 fn readers_progress_while_merge_cascade_is_in_flight() {
-    use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+    use monkey_storage::{Disk, FaultKind, FlakyBackend, MemFs};
     let slow = FlakyBackend::new(MemFs::new(), FaultKind::All);
-    let disk = Disk::file_on(slow.clone(), "runs", 512, IoBackend::Buffered, None).unwrap();
+    let disk = Disk::file_on(slow.clone(), "runs", 512, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(512)
@@ -169,9 +169,9 @@ fn readers_progress_while_merge_cascade_is_in_flight() {
 
 #[test]
 fn writers_stall_at_the_backpressure_bound_and_recover() {
-    use monkey_storage::{Disk, FaultKind, FlakyBackend, IoBackend, MemFs};
+    use monkey_storage::{Disk, FaultKind, FlakyBackend, MemFs};
     let slow = FlakyBackend::new(MemFs::new(), FaultKind::All);
-    let disk = Disk::file_on(slow.clone(), "runs", 512, IoBackend::Buffered, None).unwrap();
+    let disk = Disk::file_on(slow.clone(), "runs", 512, None).unwrap();
     let db = Db::open_with_disk(
         DbOptions::in_memory()
             .page_size(512)

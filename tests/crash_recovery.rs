@@ -1,7 +1,7 @@
 //! Durability: WAL replay, manifest recovery, and filter reconstruction
 //! for directory-backed databases across (simulated) crashes.
 
-use monkey::{Db, DbOptions, DbOptionsExt, IoBackend, MergePolicy};
+use monkey::{Db, DbOptions, DbOptionsExt, MergePolicy};
 use monkey_storage::{Fs, MemFs};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -285,10 +285,7 @@ fn durable_store_round_trips_on_a_memory_fs() {
         let names = fs.list(dir).unwrap();
         assert!(names.iter().any(|n| n == "MANIFEST"), "{dir:?}: {names:?}");
     }
-    // Memory has no device for `O_DIRECT`: a direct request falls back.
-    let db = Db::open_with_fs(opts(&d).io_backend(IoBackend::Direct), fs).unwrap();
-    let fallback = db.io_backend_info().fallback;
-    assert!(fallback.is_some_and(|why| why.contains("O_DIRECT")));
+    let db = Db::open_with_fs(opts(&d), fs).unwrap();
     for i in 0..620u32 {
         let want = if i < 600 { b'v' } else { b'w' };
         assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&[want; 40][..]));

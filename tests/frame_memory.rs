@@ -12,8 +12,7 @@
 //! the paper's `M` says it holds: filters, fence pointers and the buffer.
 //!
 //! A counting `#[global_allocator]` (this file is a test binary of its own;
-//! its tests take turns) holds that, on a file-backed store — buffered, or
-//! direct under `MONKEY_IO_BACKEND=direct`:
+//! its tests take turns) holds that, on a file-backed store:
 //!
 //! * after load + `flush` + `rebuild_filters`, and again after a reopen, the
 //!   pool reports zero frames outstanding and the heap's live bytes stay
@@ -36,7 +35,7 @@ use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::memtable::Memtable;
 use monkey_lsm::Entry;
-use monkey_storage::{BlockCache, CacheConfig, Disk, Fs, FsFile, IoBackend, OsFs};
+use monkey_storage::{BlockCache, CacheConfig, Disk, Fs, FsFile, OsFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::Path;
@@ -254,11 +253,11 @@ impl Fs for FrameSampler {
         }
         Ok(())
     }
-    fn create(&self, path: &Path, direct: bool) -> std::io::Result<FsFile> {
-        OsFs.create(path, direct)
+    fn create(&self, path: &Path) -> std::io::Result<FsFile> {
+        OsFs.create(path)
     }
-    fn open(&self, path: &Path, direct: bool) -> std::io::Result<FsFile> {
-        OsFs.open(path, direct)
+    fn open(&self, path: &Path) -> std::io::Result<FsFile> {
+        OsFs.open(path)
     }
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> std::io::Result<()> {
         OsFs.write_at(file, offset, data)
@@ -296,38 +295,31 @@ fn a_merge_holds_one_frame_per_input() {
     const INPUTS: u32 = 5;
     const ENTRIES_PER_RUN: u32 = 2_000;
     let dir = temp_dir("merge");
-    for io in [IoBackend::Buffered, IoBackend::Direct] {
-        let sampler = Arc::new(FrameSampler::default());
-        let at = dir.join(io.name());
-        let disk = Disk::file_on(sampler.clone(), at, PAGE, io, None).unwrap();
-        if let Some(reason) = &disk.backend_info().fallback {
-            eprintln!("direct half skipped: {reason}");
-            continue;
-        }
-        sampler.disk.set(Arc::downgrade(&disk)).unwrap();
-        let inputs: Vec<_> = (0..INPUTS)
-            .map(|r| {
-                let sorted = (0..ENTRIES_PER_RUN)
-                    .map(|i| Entry::put(key(i * INPUTS + r), vec![b'v'; 100], (r + 1) as u64))
-                    .collect();
-                let run = build_run_from_sorted(&disk, sorted, false, 1, 8.0).unwrap();
-                run.expect("a run of entries")
-            })
-            .collect();
-        assert!(inputs.iter().all(|run| run.pages() >= 32), "{inputs:?}");
-        let out = merge_runs(&disk, &inputs, false, 2, 8.0).unwrap().unwrap();
-        assert_eq!(out.entries(), (INPUTS * ENTRIES_PER_RUN) as u64);
-        // Each input's cursor holds the extent under it — every input is
-        // longer than one — and the one being replaced lets go of its
-        // spent extent once the next has arrived.
-        let most = sampler.most_outstanding.load(Relaxed);
-        assert!(
-            (INPUTS as u64..=INPUTS as u64 + 1).contains(&most),
-            "{most} frames out at once over {INPUTS} inputs"
-        );
-        drop((inputs, out));
-        assert_eq!(disk.frame_stats().outstanding, 0);
-    }
+    let sampler = Arc::new(FrameSampler::default());
+    let disk = Disk::file_on(sampler.clone(), &dir, PAGE, None).unwrap();
+    sampler.disk.set(Arc::downgrade(&disk)).unwrap();
+    let inputs: Vec<_> = (0..INPUTS)
+        .map(|r| {
+            let sorted = (0..ENTRIES_PER_RUN)
+                .map(|i| Entry::put(key(i * INPUTS + r), vec![b'v'; 100], (r + 1) as u64))
+                .collect();
+            let run = build_run_from_sorted(&disk, sorted, false, 1, 8.0).unwrap();
+            run.expect("a run of entries")
+        })
+        .collect();
+    assert!(inputs.iter().all(|run| run.pages() >= 32), "{inputs:?}");
+    let out = merge_runs(&disk, &inputs, false, 2, 8.0).unwrap().unwrap();
+    assert_eq!(out.entries(), (INPUTS * ENTRIES_PER_RUN) as u64);
+    // Each input's cursor holds the extent under it — every input is
+    // longer than one — and the one being replaced lets go of its spent
+    // extent once the next has arrived.
+    let most = sampler.most_outstanding.load(Relaxed);
+    assert!(
+        (INPUTS as u64..=INPUTS as u64 + 1).contains(&most),
+        "{most} frames out at once over {INPUTS} inputs"
+    );
+    drop((inputs, out));
+    assert_eq!(disk.frame_stats().outstanding, 0);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -5,6 +5,9 @@
 //! read, synced, renamed, listed and removed through `monkey_storage::Fs`,
 //! whose OS implementation in `fs.rs` is the one place that calls
 //! `std::fs` for them.
+//!
+//! The same walk over every crate's sources holds the `unsafe` census:
+//! which files may say `unsafe`, and how many times.
 
 use std::path::Path;
 
@@ -110,4 +113,40 @@ fn storage_reaches_files_only_through_the_os_fs() {
         found.is_empty(),
         "filesystem use outside the seam: {found:#?}"
     );
+}
+
+/// Every file of a crate's `src` — the workspace's and the vendored ones —
+/// that says `unsafe`, with how many times it does. No other file does.
+const UNSAFE_CENSUS: [(&str, usize); 3] = [
+    ("crates/lsm/src/memtable.rs", 1),
+    ("crates/lsm/src/skiplist.rs", 13),
+    ("vendor/bytes/src/lib.rs", 9),
+];
+
+#[test]
+fn unsafe_is_where_the_census_says() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    for parent in ["crates", "vendor"] {
+        for krate in std::fs::read_dir(root.join(parent)).unwrap() {
+            let src = krate.unwrap().path().join("src");
+            if src.is_dir() {
+                rust_files(&src, &mut files);
+            }
+        }
+    }
+    let mut found: Vec<(String, usize)> = (files.iter())
+        .map(|file| {
+            let mentions = std::fs::read_to_string(file)
+                .unwrap()
+                .matches("unsafe")
+                .count();
+            let name = file.strip_prefix(&root).unwrap().to_string_lossy();
+            (name.into_owned(), mentions)
+        })
+        .filter(|&(_, mentions)| mentions > 0)
+        .collect();
+    found.sort();
+    let census = UNSAFE_CENSUS.map(|(file, mentions)| (file.to_string(), mentions));
+    assert_eq!(found, census);
 }

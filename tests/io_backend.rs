@@ -1,22 +1,20 @@
-//! Raw-speed I/O backend invariants.
+//! One I/O path, whatever holds the files.
 //!
-//! The `O_DIRECT` backend exists to make latency figures
-//! device-true, not to change what the engine does: every run page, every
-//! manifest byte, and every `IoStats` counter must be identical whichever
-//! backend serves the reads. The proptest below pins that — arbitrary
+//! A store's run pages, manifests and WAL segments take the same code on
+//! the operating system's filesystem as on memory: every byte on disk,
+//! every `IoStats` counter and every answer must be identical whichever
+//! `Fs` the store runs on. The proptest below pins that — arbitrary
 //! recorded op traces replay to byte-identical disk images and ledgers on
-//! the buffered and direct backends — and the other tests cover the
-//! fallback ladder, the backend-labeled telemetry, and WAL group commit
-//! (one fsync per group commit, fewer fsyncs than puts under concurrent
-//! writers).
-//!
-//! Direct I/O needs filesystem cooperation (tmpfs has none), so tests
-//! that require an *active* direct backend check `Db::io_backend_info`
-//! and skip gracefully — with a note — when the backend fell back.
+//! `OsFs` and on `MemFs`, and a volatile store of the same shape counts the
+//! same page I/O — and the other tests time re-reads on both kinds of
+//! store and cover WAL group commit (one fsync per group commit, fewer
+//! fsyncs than puts under concurrent writers).
 
-use monkey::{Db, DbOptions, IoBackend, MergePolicy};
+use monkey::{Db, DbOptions, MergePolicy};
 use monkey_bloom::hash::xxh64;
+use monkey_storage::{Fs, MemFs, OsFs};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp_dir(name: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("monkey-iobackend-{}-{name}", std::process::id()));
@@ -24,14 +22,8 @@ fn temp_dir(name: &str) -> PathBuf {
     d
 }
 
-/// Small-tree options sized to push several merge cascades. Page size
-/// 4096 keeps the direct backend eligible on both 512-byte and 4 KiB
-/// logical block sizes.
-fn options(dir: &Path, backend: IoBackend) -> DbOptions {
-    shape(DbOptions::at_path(dir)).io_backend(backend)
-}
-
-/// The tree shape [`options`] gives a directory store, on any storage.
+/// The tree shape the tests give a store, on any storage: small enough to
+/// push several merge cascades.
 fn shape(opts: DbOptions) -> DbOptions {
     opts.page_size(4096)
         .buffer_capacity(16 * 1024)
@@ -41,30 +33,27 @@ fn shape(opts: DbOptions) -> DbOptions {
         .shards(1)
 }
 
-/// Order-independent fingerprint of every byte under `dir`: chained
-/// xxh64 over (relative path, length, content) in sorted path order.
-fn fingerprint_dir(dir: &Path) -> u64 {
-    fn walk(dir: &Path, files: &mut Vec<PathBuf>) {
-        let mut entries: Vec<_> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .collect();
-        entries.sort();
-        for path in entries {
-            if path.is_dir() {
-                walk(&path, files);
-            } else {
-                files.push(path);
+/// Order-independent fingerprint of every byte under `dir` on `fs`:
+/// chained xxh64 over (relative path, length, content) in sorted path
+/// order.
+fn fingerprint_dir(fs: &dyn Fs, dir: &Path) -> u64 {
+    fn walk(fs: &dyn Fs, dir: &Path, files: &mut Vec<PathBuf>) {
+        let mut names = fs.list(dir).unwrap();
+        names.sort();
+        for path in names.iter().map(|name| dir.join(name)) {
+            match fs.list(&path) {
+                Ok(_) => walk(fs, &path, files),
+                Err(_) => files.push(path),
             }
         }
     }
     let mut files = Vec::new();
-    walk(dir, &mut files);
+    walk(fs, dir, &mut files);
     let mut h = 0x4449_4f42_u64; // chain seed
     for path in files {
         let rel = path.strip_prefix(dir).unwrap();
         h = xxh64(rel.to_string_lossy().as_bytes(), h);
-        let content = std::fs::read(&path).unwrap();
+        let content = fs.read(&path).unwrap();
         h = xxh64(&(content.len() as u64).to_le_bytes(), h);
         h = xxh64(&content, h);
     }
@@ -81,10 +70,9 @@ struct Replay {
 }
 
 /// Replays a recorded trace (puts, deletes, flushes, then a read phase of
-/// gets and one full range scan) on a store opened with `opts`, and
-/// returns it with the active backend kind.
-fn run_trace(opts: DbOptions, trace: &[(bool, u16, u8)]) -> (Replay, String) {
-    let db = Db::open(opts).unwrap();
+/// gets and one full range scan) on `db`, and returns it with the active
+/// backend kind.
+fn run_trace(db: Arc<Db>, trace: &[(bool, u16, u8)]) -> (Replay, String) {
     for &(is_put, k, v) in trace {
         let key = format!("key{:05}", k % 400).into_bytes();
         if is_put {
@@ -124,36 +112,31 @@ fn run_trace(opts: DbOptions, trace: &[(bool, u16, u8)]) -> (Replay, String) {
     (replay, db.io_backend_info().kind.to_string())
 }
 
-/// The tentpole invariant: buffered and direct replays of the same trace
-/// are indistinguishable on disk, in the `IoStats` ledger and in their
-/// answers, and an in-memory store of the same shape counts the same page
-/// I/O and run seals and gives the same answers. (When the filesystem rejects `O_DIRECT`
-/// the second store runs buffered via the fallback ladder and the
-/// property still must hold — trivially.)
+/// The invariant: replays of the same trace on a durable store over
+/// `OsFs` and over `MemFs` are indistinguishable on disk, in the `IoStats`
+/// ledger and in their answers, and a volatile store of the same shape
+/// counts the same page I/O and run seals and gives the same answers.
 fn check_backend_parity(
     trace: &[(bool, u16, u8)],
     tag: &str,
 ) -> Result<(), proptest::TestCaseError> {
-    let dir_buf = temp_dir(&format!("par-{tag}-buf"));
-    let dir_dir = temp_dir(&format!("par-{tag}-dir"));
-    let (buf, kind_buf) = run_trace(options(&dir_buf, IoBackend::Buffered), trace);
-    let (direct, kind_dir) = run_trace(options(&dir_dir, IoBackend::Direct), trace);
-    let (mem, kind_mem) = run_trace(shape(DbOptions::in_memory()), trace);
+    let dir = temp_dir(&format!("par-{tag}"));
+    let mem_fs = MemFs::new();
+    let os = Db::open(shape(DbOptions::at_path(&dir))).unwrap();
+    let on_mem_fs = Db::open_with_fs(shape(DbOptions::at_path(&dir)), Arc::new(mem_fs.clone()));
+    let (buf, kind_buf) = run_trace(os, trace);
+    let (on_mem_fs, kind_mem_fs) = run_trace(on_mem_fs.unwrap(), trace);
+    let (mem, kind_mem) = run_trace(Db::open(shape(DbOptions::in_memory())).unwrap(), trace);
     proptest::prop_assert_eq!(kind_buf, "buffered");
+    proptest::prop_assert_eq!(kind_mem_fs, "buffered");
     proptest::prop_assert_eq!(kind_mem, "mem");
     proptest::prop_assert_eq!(
-        fingerprint_dir(&dir_buf),
-        fingerprint_dir(&dir_dir),
-        "disk image diverged across backends (direct ran as {})",
-        kind_dir
+        fingerprint_dir(&OsFs, &dir),
+        fingerprint_dir(&mem_fs, &dir),
+        "disk image diverged between OsFs and MemFs"
     );
-    proptest::prop_assert_eq!(
-        &buf,
-        &direct,
-        "ledger or answers diverged across backends (direct ran as {})",
-        kind_dir
-    );
-    // A memory store has no WAL, manifest or directory to sync; the rest
+    proptest::prop_assert_eq!(&buf, &on_mem_fs, "ledger or answers diverged");
+    // A volatile store has no WAL, manifest or directory to sync; the rest
     // of its ledger, run seals included, is the file store's.
     let io = monkey_storage::IoSnapshot {
         wal_syncs: 0,
@@ -163,8 +146,7 @@ fn check_backend_parity(
     };
     let buf = Replay { io, ..buf };
     proptest::prop_assert_eq!(&buf, &mem, "memory store diverged from buffered");
-    std::fs::remove_dir_all(&dir_buf).unwrap();
-    std::fs::remove_dir_all(&dir_dir).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
     Ok(())
 }
 
@@ -183,143 +165,34 @@ proptest::proptest! {
     }
 }
 
-/// Direct open on a supported filesystem activates (kind `direct`,
-/// non-zero alignment) and round-trips data; on an unsupported one it
-/// reports the fallback instead of failing.
-#[test]
-fn direct_backend_activates_or_reports_fallback() {
-    let d = temp_dir("activate");
-    let db = Db::open(options(&d, IoBackend::Direct)).unwrap();
-    let info = db.io_backend_info();
-    match &info.fallback {
-        None => {
-            assert_eq!(info.kind, "direct", "{info:?}");
-            assert!(info.align == 512 || info.align == 4096, "{info:?}");
-        }
-        Some(reason) => {
-            assert_eq!(info.kind, "buffered");
-            eprintln!("skip: direct unavailable here ({reason}) — fallback path verified instead");
-        }
-    }
-    for i in 0..3000 {
-        db.put(format!("key{i:05}").into_bytes(), vec![b'v'; 40])
-            .unwrap();
-    }
-    db.flush().unwrap();
-    drop(db);
-    // Reopen re-resolves the backend, and either backend must read back
-    // what Direct wrote (the on-disk layout is backend-independent).
-    for backend in [IoBackend::Buffered, IoBackend::Direct] {
-        let db = Db::open(options(&d, backend)).unwrap();
-        for i in (0..3000).step_by(13) {
-            let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
-            assert_eq!(got.as_deref(), Some(&[b'v'; 40][..]), "{backend:?}");
-        }
-        drop(db);
-    }
-    std::fs::remove_dir_all(&d).unwrap();
-}
-
-/// A page size the device alignment cannot divide forces the fallback
-/// ladder: the store still opens, runs buffered, and says why.
-#[test]
-fn unalignable_page_size_falls_back_to_buffered() {
-    let d = temp_dir("unalignable");
-    let db = Db::open(
-        DbOptions::at_path(&d)
-            .page_size(96)
-            .buffer_capacity(2048)
-            .io_backend(IoBackend::Direct),
-    )
-    .unwrap();
-    let info = db.io_backend_info();
-    assert_eq!(info.kind, "buffered");
-    assert!(info.fallback.is_some(), "{info:?}");
-    db.put(b"k".to_vec(), b"v".to_vec()).unwrap();
-    db.flush().unwrap();
-    assert_eq!(db.get(b"k").unwrap().unwrap().as_ref(), b"v");
-    drop(db);
-    std::fs::remove_dir_all(&d).unwrap();
-}
-
-/// Telemetry surfaces the backend identity: the `monkey_io_backend_info`
-/// gauge and — when a requested direct backend fell back — a one-time
-/// event with the reason.
-#[test]
-fn telemetry_labels_io_rows_with_active_backend() {
-    let d = temp_dir("labels");
-    let db = Db::open(options(&d, IoBackend::Direct).telemetry(true)).unwrap();
-    for i in 0..3000 {
-        db.put(format!("key{i:05}").into_bytes(), vec![b'v'; 40])
-            .unwrap();
-    }
-    db.flush().unwrap();
-    for i in (0..3000).step_by(11) {
-        let _ = db.get(format!("key{i:05}").as_bytes()).unwrap();
-    }
-    let info = db.io_backend_info();
-    let report = db.telemetry_report().expect("telemetry on");
-    let prom = report.to_prometheus();
-    assert!(
-        prom.contains("# TYPE monkey_io_backend_info gauge"),
-        "info gauge missing"
-    );
-    assert!(
-        prom.contains(&format!("kind=\"{}\"", info.kind)),
-        "gauge must carry the active kind"
-    );
-    if info.fallback.is_some() {
-        assert!(
-            report
-                .events
-                .iter()
-                .any(|e| e.kind.name() == "io_backend_fallback"),
-            "fallback must surface as a one-time event"
-        );
-    }
-    drop(db);
-    std::fs::remove_dir_all(&d).unwrap();
-}
-
-/// Re-reads through both backends return the 40-byte value each key was
-/// written with, every time — the direct store's too, whether it runs
-/// direct or fell back to buffered I/O (tmpfs). The re-reads are timed,
-/// and the means printed: direct re-reads go to the device while buffered
-/// ones come out of the page cache, but which is faster depends on the
-/// host, so the timing asserts nothing.
+/// Re-reads on a store of run files and on a volatile one return the
+/// 40-byte value each key was written with, every time. The re-reads are
+/// timed, and the means printed; the timing asserts nothing.
 #[test]
 fn timed_re_reads_return_the_value_written_on_both_backends() {
+    let dir = temp_dir("re-read");
     let mut means = Vec::new();
-    for backend in [IoBackend::Buffered, IoBackend::Direct] {
-        let dir = temp_dir(&format!("re-read-{backend:?}"));
-        let db = Db::open(options(&dir, backend)).unwrap();
+    for opts in [DbOptions::at_path(&dir), DbOptions::in_memory()] {
+        let db = Db::open(shape(opts)).unwrap();
         for i in 0..3000 {
             db.put(format!("key{i:05}").into_bytes(), vec![b'v'; 40])
                 .unwrap();
         }
         db.flush().unwrap();
+        let kind = db.io_backend_info().kind;
         let keys: Vec<String> = (0..3000).step_by(5).map(|i| format!("key{i:05}")).collect();
         let started = std::time::Instant::now();
         for _ in 0..4 {
             for key in &keys {
                 let value = db.get(key.as_bytes()).unwrap();
-                assert_eq!(
-                    value.as_deref(),
-                    Some(&[b'v'; 40][..]),
-                    "{backend:?}: {key}"
-                );
+                assert_eq!(value.as_deref(), Some(&[b'v'; 40][..]), "{kind}: {key}");
             }
         }
         let mean = started.elapsed().as_secs_f64() * 1e6 / (4 * keys.len()) as f64;
-        let fallback = match db.io_backend_info().fallback {
-            Some(_) => " (fell back to buffered)",
-            None => "",
-        };
-        means.push(format!("{backend:?}{fallback} {mean:.1}us"));
-        drop(db);
-        std::fs::remove_dir_all(&dir).unwrap();
+        means.push(format!("{kind} {mean:.1}us"));
     }
     eprintln!("mean re-read: {}", means.join(", "));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// WAL group commit under 8 concurrent writers, at one shard and at four:

@@ -7,11 +7,10 @@
 //! therefore never happen is a page that failed the check reaching the
 //! cache — every later read of it would be a hit nobody checks. These tests
 //! flip one byte of a run file under a store and hold `get`, `range`,
-//! `verify` and reopen to an error, on the backend `MONKEY_IO_BACKEND`
-//! selects (CI's `io` job runs them through the `O_DIRECT` frame path).
+//! `verify` and reopen to an error.
 
 use monkey::{Db, DbOptions, LsmError, Result};
-use monkey_storage::{BlockCache, CacheConfig, Disk, StorageError};
+use monkey_storage::{BlockCache, CacheConfig, Disk, OsFs, StorageError};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -83,7 +82,7 @@ fn a_corrupt_page_fails_every_read_and_is_never_cached() {
     let dir = temp_dir("cached");
     let opts = shape(DbOptions::in_memory());
     let cache = BlockCache::with_config(CacheConfig::lru(1 << 20).with_page_size(PAGE));
-    let disk = Disk::file_with(&dir, PAGE, opts.io_backend, Some(cache)).unwrap();
+    let disk = Disk::file_on(Arc::new(OsFs), &dir, PAGE, Some(cache)).unwrap();
     let db = Db::open_with_disk(opts, Arc::clone(&disk)).unwrap();
     load(&db);
     flip_page_zero(&dir);

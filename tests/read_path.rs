@@ -7,9 +7,8 @@
 //!   `Db::range` costs — per run — the pages holding a key the merge
 //!   inspected below that fence, plus one seek; the tests rebuild that set
 //!   from the run files themselves and hold `IoStats` to it on the
-//!   in-memory disk and the file backend opened both ways. A scan whose
-//!   bound is a page's whole first key reads only the pages holding keys
-//!   below it.
+//!   in-memory disk and the file backend. A scan whose bound is a page's
+//!   whole first key reads only the pages holding keys below it.
 //! * A bounded scan declares its pages — up to that fence — and fetches
 //!   them in extents: one positional read per run while they fit one
 //!   extent, ⌈pages ÷ extent⌉ reads per run when they do not, over the
@@ -23,7 +22,7 @@
 //!   store is dropped. The table's fixed budget, for stores with more live
 //!   runs than it holds, is `monkey-storage`'s `fd_budget` test.
 
-use monkey::{Db, DbOptions, IoBackend, MergePolicy};
+use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::page::PageCursor;
 use monkey_storage::{Fs, FsFile, OsFs, READ_EXTENT_BYTES};
 use std::collections::BTreeSet;
@@ -192,17 +191,13 @@ fn cursor_pages(pages: &[Vec<Vec<u8>>], lo: &[u8], hi: Option<&[u8]>) -> (usize,
 
 /// One store per disk kind, same options, same load.
 fn stores(tag: &str, policy: MergePolicy) -> Vec<(String, Arc<Db>, Option<PathBuf>)> {
-    let mut out = vec![(
-        "mem".to_string(),
-        Db::open(shape(DbOptions::in_memory(), policy)).unwrap(),
-        None,
-    )];
-    for backend in [IoBackend::Buffered, IoBackend::Direct] {
-        let dir = temp_dir(&format!("{tag}-{}", backend.name()));
-        let db = Db::open(shape(DbOptions::at_path(&dir), policy).io_backend(backend)).unwrap();
-        out.push((db.io_backend_info().kind.to_string(), db, Some(dir)));
-    }
-    out
+    let dir = temp_dir(&format!("{tag}-buffered"));
+    let file = Db::open(shape(DbOptions::at_path(&dir), policy)).unwrap();
+    let mem = Db::open(shape(DbOptions::in_memory(), policy)).unwrap();
+    vec![
+        ("mem".to_string(), mem, None),
+        ("buffered".to_string(), file, Some(dir)),
+    ]
 }
 
 fn scan_reads_exactly_what_it_decodes(policy: MergePolicy, tag: &str) {
@@ -362,11 +357,11 @@ impl Fs for ReadCounter {
         }
         OsFs.read_at(file, offset, buf)
     }
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        OsFs.create(path, direct)
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
+        OsFs.create(path)
     }
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        OsFs.open(path, direct)
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
+        OsFs.open(path)
     }
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
         OsFs.write_at(file, offset, data)
@@ -415,8 +410,6 @@ fn scan_reads_its_declared_pages_in_extents(policy: MergePolicy) {
     let extent = READ_EXTENT_BYTES / 4096;
     let dir = temp_dir(&format!("extents-{policy:?}"));
     let fs = Arc::new(ReadCounter::default());
-    // The I/O backend the environment asks for: under
-    // `MONKEY_IO_BACKEND=direct` every extent lands in an aligned frame.
     let db = Db::open_with_fs(shape(DbOptions::at_path(&dir), policy), fs.clone()).unwrap();
     load(&db, N);
     let runs = layout(&db);
@@ -514,46 +507,44 @@ fn descriptors_track_live_runs_and_return_to_baseline() {
     // Everything the store holds open besides runs: WAL segment, manifest,
     // lock and the like. A bound, not a count.
     const OTHER_FILES: usize = 8;
-    for backend in [IoBackend::Buffered, IoBackend::Direct] {
-        for policy in [MergePolicy::Leveling, MergePolicy::Tiering] {
-            let dir = temp_dir(&format!("fds-{}-{policy:?}", backend.name()));
-            std::fs::create_dir_all(&dir).unwrap();
-            assert_eq!(fds_into(&dir), (0, 0), "baseline");
-            let db = Db::open(shape(DbOptions::at_path(&dir), policy).io_backend(backend)).unwrap();
-            let mut most_runs = 0;
-            for cycle in 0..40u32 {
-                for i in 0..150u32 {
-                    db.put(key((cycle * 977 + i * 31) % 4000), vec![b'v'; 90])
-                        .unwrap();
-                }
-                db.flush().unwrap();
-                // Touch every run so each one's handle is in use.
-                for probe in (0..4000).step_by(97) {
-                    db.get(&key(probe)).unwrap();
-                }
-                let live = db.stats().runs;
-                let (all, runs) = fds_into(&dir);
-                assert!(
-                    runs <= live,
-                    "cycle {cycle}: {runs} run descriptors for {live} live runs"
-                );
-                assert!(
-                    all <= live + OTHER_FILES,
-                    "cycle {cycle}: {all} descriptors"
-                );
-                most_runs = most_runs.max(live);
+    for policy in [MergePolicy::Leveling, MergePolicy::Tiering] {
+        let dir = temp_dir(&format!("fds-{policy:?}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        assert_eq!(fds_into(&dir), (0, 0), "baseline");
+        let db = Db::open(shape(DbOptions::at_path(&dir), policy)).unwrap();
+        let mut most_runs = 0;
+        for cycle in 0..40u32 {
+            for i in 0..150u32 {
+                db.put(key((cycle * 977 + i * 31) % 4000), vec![b'v'; 90])
+                    .unwrap();
             }
-            assert!(most_runs >= 3, "the cycles built and merged a real tree");
+            db.flush().unwrap();
+            // Touch every run so each one's handle is in use.
+            for probe in (0..4000).step_by(97) {
+                db.get(&key(probe)).unwrap();
+            }
+            let live = db.stats().runs;
+            let (all, runs) = fds_into(&dir);
             assert!(
-                db.compaction_stats().merges > 5,
-                "handles were retired many times over"
+                runs <= live,
+                "cycle {cycle}: {runs} run descriptors for {live} live runs"
             );
-            db.close().unwrap();
-            let (_, runs) = fds_into(&dir);
-            assert_eq!(runs, db.stats().runs, "one descriptor per live run");
-            drop(db);
-            assert_eq!(fds_into(&dir), (0, 0), "back to the baseline");
-            std::fs::remove_dir_all(&dir).unwrap();
+            assert!(
+                all <= live + OTHER_FILES,
+                "cycle {cycle}: {all} descriptors"
+            );
+            most_runs = most_runs.max(live);
         }
+        assert!(most_runs >= 3, "the cycles built and merged a real tree");
+        assert!(
+            db.compaction_stats().merges > 5,
+            "handles were retired many times over"
+        );
+        db.close().unwrap();
+        let (_, runs) = fds_into(&dir);
+        assert_eq!(runs, db.stats().runs, "one descriptor per live run");
+        drop(db);
+        assert_eq!(fds_into(&dir), (0, 0), "back to the baseline");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

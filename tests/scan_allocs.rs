@@ -34,7 +34,7 @@ use monkey::{Db, DbOptions, MergePolicy};
 use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::page::{PageBuilder, PageCursor};
 use monkey_lsm::Entry;
-use monkey_storage::{Disk, Fs, FsFile, IoBackend, MemFs, OsFs};
+use monkey_storage::{Disk, Fs, FsFile, MemFs, OsFs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
@@ -180,11 +180,11 @@ impl Fs for Fetches {
         }
         self.inner.read_at(file, offset, buf)
     }
-    fn create(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.inner.create(path, direct)
+    fn create(&self, path: &Path) -> io::Result<FsFile> {
+        self.inner.create(path)
     }
-    fn open(&self, path: &Path, direct: bool) -> io::Result<FsFile> {
-        self.inner.open(path, direct)
+    fn open(&self, path: &Path) -> io::Result<FsFile> {
+        self.inner.open(path)
     }
     fn write_at(&self, file: &FsFile, offset: u64, data: &[u8]) -> io::Result<()> {
         self.inner.write_at(file, offset, data)
@@ -251,7 +251,7 @@ fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
     // block for each page that hands out rows are all there is — for one
     // entry or two thousand (several extents a run), over two runs.
     let fs = Fetches::over(Arc::new(MemFs::new()));
-    let disk = Disk::file_on(fs.clone(), "runs", PAGE, IoBackend::Buffered, None).unwrap();
+    let disk = Disk::file_on(fs.clone(), "runs", PAGE, None).unwrap();
     let mem = two_level_store(
         DbOptions::in_memory(),
         |opts| Db::open_with_disk(opts, disk),
@@ -271,8 +271,8 @@ fn a_scan_allocates_per_source_set_and_page_fetch_never_per_entry() {
         );
     }
 
-    // So does a file-backed disk (buffered, or direct under
-    // `MONKEY_IO_BACKEND`); the scan adds its own blocks and nothing else.
+    // So does a file-backed disk; the scan adds its own blocks and nothing
+    // else.
     let dir = std::env::temp_dir().join(format!("monkey-scan-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let fs = Fetches::over(Arc::new(OsFs));
@@ -429,8 +429,7 @@ fn a_merge_allocates_per_page_not_per_entry() {
     // of vectors that pass through 4 KiB once as they double.
     let dir = std::env::temp_dir().join(format!("monkey-merge-allocs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let backend = DbOptions::in_memory().io_backend;
-    let file = Disk::file_with(&dir, PAGE, backend, None).unwrap();
+    let file = Disk::file(&dir, PAGE).unwrap();
     merge_allocs(&file, 4_000, few_value);
     let (allocs, page_sized, pages) = merge_allocs(&file, 4_000, few_value);
     assert!(pages >= 800, "{pages} pages read and written");

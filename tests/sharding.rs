@@ -796,7 +796,7 @@ const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_op_latency_micros{op,quantile}",
     "monkey_op_latency_micros_max{op}",
     "monkey_op_latency_samples{op}",
-    "monkey_io_backend_info{requested,kind,align}",
+    "monkey_io_backend_info{kind}",
     "monkey_level_filter_probes_total{level}",
     "monkey_level_filter_false_positives_total{level}",
     "monkey_level_lookup_page_reads_total{level}",
@@ -843,7 +843,7 @@ const ONE_SHARD_JSON_SHAPE: &str = concat!(
     "expected_zero_result_lookup_ios measured_zero_result_lookup_ios lookups ",
     "events seq ts_micros shard event fields records bytes merges deepest_level ",
     "duration_micros events_dropped immutable_queue_depth stalled_writers ",
-    "last_merge_partitions last_merge_threads io_backend requested kind align",
+    "last_merge_partitions last_merge_threads io_backend kind",
 );
 
 /// The keys a per-shard breakdown adds (those not seen earlier in the
