@@ -99,9 +99,9 @@ impl ExpConfig {
         self
     }
 
-    /// Builds the engine options for this configuration. `shards` and
-    /// `compaction_threads` are set explicitly because their defaults read
-    /// `MONKEY_*` environment variables, which must not change a figure.
+    /// Builds the engine options for this configuration. `shards` is set
+    /// explicitly because its default reads the `MONKEY_SHARDS` environment
+    /// variable, which must not change a figure.
     pub fn options(&self) -> DbOptions {
         let base = if self.cache_bytes > 0 {
             DbOptions::in_memory_cached(self.cache_bytes)
@@ -114,8 +114,7 @@ impl ExpConfig {
             .size_ratio(self.size_ratio)
             .merge_policy(self.policy)
             .filter_variant(self.variant)
-            .shards(1)
-            .compaction_threads(1);
+            .shards(1);
         match self.filters {
             FilterKind::None => base.uniform_filters(0.0),
             FilterKind::Uniform(bpe) => base.uniform_filters(bpe),

@@ -89,7 +89,6 @@ fn figures_ignore_the_environment() {
         .arg("range_cost")
         .current_dir(&dir)
         .env("MONKEY_SHARDS", "4")
-        .env("MONKEY_COMPACTION_THREADS", "4")
         .status()
         .unwrap();
     assert!(status.success(), "figures range_cost: {status}");

@@ -14,7 +14,7 @@ use crate::entry::{Entry, EntryView};
 use crate::error::Result;
 use crate::level::{level_capacity_bytes, Level, Version};
 use crate::memtable::Memtable;
-use crate::merge::{merge, merge_runs_with, merge_step, Destination, MergeReport};
+use crate::merge::{merge, merge_step, Destination};
 use crate::options::DbOptions;
 use crate::policy::{FilterContext, MergePolicy};
 use crate::run::{FilterParams, Run};
@@ -31,21 +31,9 @@ pub(crate) struct CascadeOutcome {
     pub merges: u64,
     /// Entries read-and-rewritten by those merges.
     pub entries_rewritten: u64,
-    /// Most key-range partitions any single merge was cut into (0 when the
-    /// cascade performed no merge).
-    pub max_partitions: u32,
-    /// Most worker threads any single merge used (0 when no merge ran).
-    pub max_threads: u32,
     /// The runs the flush merged away. Their caller marks them obsolete
     /// once no durable manifest names them.
     pub retired: Vec<Arc<Run>>,
-}
-
-impl CascadeOutcome {
-    fn absorb(&mut self, report: MergeReport) {
-        self.max_partitions = self.max_partitions.max(report.partitions);
-        self.max_threads = self.max_threads.max(report.threads);
-    }
 }
 
 /// Builds the filter parameters for a run of `run_entries` entries landing
@@ -280,15 +268,14 @@ pub(crate) fn install_flush(
         let rewrites = !inputs.is_empty();
         let timed = telemetry.filter(|_| rewrites);
         let started = timed.map(|_| Instant::now());
-        let threads = opts.compaction_threads;
-        let merged = merge_step(disk, head, &inputs, dest, threads, params);
+        let merged = merge_step(disk, head, &inputs, dest, params);
         if let (Err(_), Some(run)) = (&merged, &unconsumed) {
             // A run is deleted when it drops obsolete, and only merging it
             // away marks it: what this flush built and did not get to merge
             // would stay on storage with no version naming it.
             run.mark_obsolete();
         }
-        let (output, report) = merged?;
+        let output = merged?;
         // No manifest names the run this flush built, so it goes once
         // merged away; the tree's own runs wait for the manifest that no
         // longer names them.
@@ -304,7 +291,6 @@ pub(crate) fn install_flush(
         if rewrites {
             outcome.merges += 1;
             outcome.entries_rewritten += input_entries;
-            outcome.absorb(report);
         }
         let Some(run) = output else {
             // The merge annihilated everything: alone, the buffer's flush
@@ -383,9 +369,8 @@ fn hash_keys(buffer: &Arc<Memtable>) -> (Vec<HashPair>, u64) {
     (hashes, min_bytes)
 }
 
-/// Sort-merges `inputs` into a single new run landing at `level`, on the
-/// calling thread. This is [`merge_runs_with`] at one thread — see the
-/// `merge` module for the parallel partitioned engine and its guarantees.
+/// Sort-merges `inputs` into a single new run landing at `level`: [`merge`]
+/// of runs alone.
 pub fn merge_runs(
     disk: &Arc<Disk>,
     inputs: &[Arc<Run>],
@@ -393,7 +378,7 @@ pub fn merge_runs(
     level: usize,
     filter: impl Into<FilterParams>,
 ) -> Result<Option<Arc<Run>>> {
-    merge_runs_with(disk, inputs, drop_tombstones, level, filter, 1).map(|(run, _)| run)
+    merge(disk, None, inputs, drop_tombstones, level, filter)
 }
 
 /// Builds a run directly from pre-sorted, pre-deduplicated entries:
@@ -414,9 +399,7 @@ pub fn build_run_from_sorted(
         drop_tombstones,
         level,
         filter,
-        1,
     )
-    .map(|(run, _)| run)
 }
 
 #[cfg(test)]

@@ -366,8 +366,7 @@ impl Db {
         .unwrap_or_default()
     }
 
-    /// Maintenance-work counters since open, summed across shards (the
-    /// `last_merge_*` gauges report the widest merge any shard ran).
+    /// Maintenance-work counters since open, summed across shards.
     pub fn compaction_stats(&self) -> CompactionStats {
         merged(
             self.cores().map(Core::compaction_stats),

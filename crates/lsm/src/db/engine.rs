@@ -126,10 +126,6 @@ pub(super) struct CompactionCounters {
     pub(super) flushes: AtomicU64,
     pub(super) merges: AtomicU64,
     pub(super) entries_rewritten: AtomicU64,
-    /// Gauge: key-range partitions of the most recent merge (0 = none yet).
-    pub(super) last_merge_partitions: AtomicU64,
-    /// Gauge: worker threads of the most recent merge (0 = none yet).
-    pub(super) last_merge_threads: AtomicU64,
 }
 
 /// Lifetime counters of the write pipeline (see [`PipelineStats`](crate::PipelineStats)).
@@ -354,14 +350,6 @@ impl Core {
         self.compactions
             .entries_rewritten
             .fetch_add(outcome.entries_rewritten, Relaxed);
-        if outcome.merges > 0 {
-            self.compactions
-                .last_merge_partitions
-                .store(outcome.max_partitions as u64, Relaxed);
-            self.compactions
-                .last_merge_threads
-                .store(outcome.max_threads as u64, Relaxed);
-        }
         let new_version = Arc::new(working);
         let next_seq;
         {

@@ -84,8 +84,6 @@ impl Core {
             flushes: c.flushes.load(Relaxed),
             merges: c.merges.load(Relaxed),
             entries_rewritten: c.entries_rewritten.load(Relaxed),
-            last_merge_partitions: c.last_merge_partitions.load(Relaxed),
-            last_merge_threads: c.last_merge_threads.load(Relaxed),
         }
     }
 
@@ -157,10 +155,6 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         .collect::<Option<_>>()?;
     let per_shard: Vec<DbStats> = cores.iter().map(|c| c.stats()).collect();
     let summed = merged(per_shard.iter().cloned(), DbStats::merge)?;
-    let compactions = merged(
-        cores.iter().map(|c| c.compaction_stats()),
-        CompactionStats::merge,
-    )?;
     let op_count = |k: OpKind| hubs.iter().map(|h| h.op_count(k)).sum::<u64>();
 
     let ops = OP_KINDS
@@ -231,8 +225,6 @@ pub(super) fn telemetry_report(cores: &[&Core]) -> Option<TelemetryReport> {
         lookups: stats.lookups.key_hashes,
         immutable_queue_depth: stats.pipeline_gauges.immutable_queue_depth as u64,
         stalled_writers: stats.pipeline_gauges.stalled_writers as u64,
-        last_merge_partitions: compactions.last_merge_partitions,
-        last_merge_threads: compactions.last_merge_threads,
         events,
         events_dropped: hubs.iter().map(|h| h.events_dropped()).sum(),
         shards: breakdown(cores, &hubs, &per_shard, op_count(OpKind::Range)),

@@ -22,9 +22,8 @@ use std::cmp::Ordering;
 /// each entry as it was when the cursor reached it, so the head a match
 /// was played on is the entry that gets visited.
 pub enum Source {
-    /// Entries already in a vector, in key order: the part of a straddled
-    /// page a merge partition owns, or a run to be built from sorted
-    /// entries.
+    /// Entries already in a vector, in key order: a run to be built from
+    /// sorted entries.
     Entries {
         /// The entries.
         entries: Vec<Entry>,
@@ -96,17 +95,6 @@ impl Source {
         }
     }
 
-    /// The source's entries inside `[lo, hi)` as a source of their own —
-    /// how a partitioned merge cuts its head. Only a memtable is cut this
-    /// way (a new bounded cursor, nothing copied): runs are cut along
-    /// their pages, and nothing merges a vector of entries with runs.
-    pub(crate) fn slice(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Option<Source> {
-        match self {
-            Self::Memtable(cursor) => Some(Self::Memtable(cursor.slice(lo, hi))),
-            Self::Entries { .. } | Self::Run(_) => None,
-        }
-    }
-
     /// [`EntryView::to_entry`] for a reader that takes no entry at or past
     /// `hi`: a run's row block stops there (see
     /// [`PageCursor::to_entry`](crate::page::PageCursor::to_entry)).
@@ -174,8 +162,7 @@ const NO_CONTENDER: usize = usize::MAX;
 /// internal node's loser is unchanged and no replay is needed.
 ///
 /// Ordering is internal order plus a source-index tiebreak — (key asc,
-/// seq desc, source asc) — so the merge is fully deterministic, which the
-/// parallel partitioned merge relies on for byte-identical output.
+/// seq desc, source asc) — so the merge is fully deterministic.
 /// Exhausted sources (and the leaves padding `k` to a power of two) sort
 /// last.
 struct LoserTree {
@@ -393,8 +380,8 @@ impl MergingIter {
     }
 }
 
-/// The merge as owned entries — for consumers that must keep them (a
-/// parallel merge worker's batches).
+/// The merge as owned entries — for consumers that must keep them (a test
+/// holding the sequence to an oracle).
 impl Iterator for MergingIter {
     type Item = Result<Entry>;
 

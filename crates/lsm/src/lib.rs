@@ -71,7 +71,6 @@ pub use db::Db;
 pub use entry::{Entry, EntryKind, Hit};
 pub use error::{LsmError, Result};
 pub use iter::RangeIter;
-pub use merge::MergeReport;
 pub use monkey_bloom::FilterVariant;
 pub use monkey_obs::{
     DriftFlag, Event, EventKind, IoBackendReport, LevelIoSnapshot, LevelLookupSnapshot,

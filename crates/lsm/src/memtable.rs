@@ -105,21 +105,6 @@ impl MemtableCursor {
         self.0.owner().len()
     }
 
-    /// A new cursor over what this one has left inside `[lo, hi)`.
-    pub(crate) fn slice(&self, lo: Option<&[u8]>, hi: Option<&[u8]>) -> Self {
-        let table = self.0.owner();
-        let Some((here, _)) = self.head() else {
-            return table.cursor(None, Some(Bytes::new())); // nothing left: nothing in it
-        };
-        let lo = lo.map_or(here, |lo| lo.max(here));
-        let hi = match (hi, self.0.hi()) {
-            (Some(hi), Some(end)) if end.as_ref() <= hi => Some(end.clone()),
-            (Some(hi), _) => Some(Bytes::copy_from_slice(hi)),
-            (None, end) => end.cloned(),
-        };
-        table.cursor(Some(lo), hi)
-    }
-
     /// Key and sequence number of the current entry; `None` once exhausted.
     #[inline]
     pub fn head(&self) -> Option<(&[u8], u64)> {

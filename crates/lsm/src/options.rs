@@ -63,13 +63,6 @@ pub struct DbOptions {
     /// `Db::lookup_stats()` and the report's measured FPRs are kept either
     /// way.
     pub telemetry: bool,
-    /// Worker threads per merge (≥ 1). With more than one, each merge's key
-    /// space is cut along input fence pointers into that many disjoint
-    /// partitions merged concurrently; the concatenated output is
-    /// byte-identical to the single-threaded merge and the I/O counts are
-    /// unchanged — the same pages are read and written, just on more cores.
-    /// Default 1 (fully sequential, deterministic I/O *ordering* as well).
-    pub compaction_threads: usize,
     /// Keyspace shards (≥ 1). With more than one, the keyspace is hash-
     /// partitioned into this many independent engines behind the `Db`
     /// facade — each with its own memtable, WAL, immutable queue, and
@@ -119,11 +112,9 @@ impl DbOptions {
             background_compaction: false,
             max_immutable_memtables: 2,
             telemetry: false,
-            // The two env overrides let CI (and ad-hoc experiments) run the
-            // whole suite under a parallel merge engine or sharded without
-            // touching every call site that builds options.
-            compaction_threads: env_override("MONKEY_COMPACTION_THREADS", at_least_one)
-                .unwrap_or(1),
+            // The env override lets CI (and ad-hoc experiments) run the
+            // whole suite sharded without touching every call site that
+            // builds options.
             shards: env_override("MONKEY_SHARDS", at_least_one).unwrap_or(1),
         }
     }
@@ -210,11 +201,9 @@ impl DbOptions {
         self
     }
 
-    /// Sets how many worker threads each merge may use (see
-    /// [`DbOptions::compaction_threads`]).
-    pub fn compaction_threads(mut self, n: usize) -> Self {
-        assert!(n >= 1, "at least one compaction thread is required");
-        self.compaction_threads = n;
+    /// Every merge runs on one thread, whatever this says. Stays only
+    /// because the perf ledger names it; ROADMAP item 15(a) removes it.
+    pub fn compaction_threads(self, _: usize) -> Self {
         self
     }
 
@@ -240,7 +229,7 @@ fn env_override<T>(name: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
     parsed
 }
 
-/// Parses a count of threads or shards.
+/// Parses a count of shards.
 fn at_least_one(value: &str) -> Option<usize> {
     value.parse().ok().filter(|&n| n >= 1)
 }
@@ -259,7 +248,6 @@ impl std::fmt::Debug for DbOptions {
             .field("background_compaction", &self.background_compaction)
             .field("max_immutable_memtables", &self.max_immutable_memtables)
             .field("telemetry", &self.telemetry)
-            .field("compaction_threads", &self.compaction_threads)
             .field("shards", &self.shards)
             .finish()
     }
@@ -332,21 +320,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_threads_knob() {
-        // Not asserting the default here: CI runs the suite with
-        // MONKEY_COMPACTION_THREADS set, which base() honors by design.
-        let o = DbOptions::in_memory();
-        assert!(o.compaction_threads >= 1);
-        assert_eq!(o.compaction_threads(4).compaction_threads, 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one compaction thread")]
-    fn zero_compaction_threads_rejected() {
-        DbOptions::in_memory().compaction_threads(0);
-    }
-
-    #[test]
     fn shards_knob() {
         // Not asserting the default here: CI runs the suite with
         // MONKEY_SHARDS set, which base() honors by design.
@@ -365,10 +338,7 @@ mod tests {
     /// options — under each override set to a value it does not take.
     #[test]
     fn unparseable_override_fails_naming_variable_and_value() {
-        for (name, value) in [
-            ("MONKEY_COMPACTION_THREADS", "four"),
-            ("MONKEY_SHARDS", "0"),
-        ] {
+        for (name, value) in [("MONKEY_SHARDS", "0"), ("MONKEY_SHARDS", "four")] {
             let child = std::process::Command::new(std::env::current_exe().unwrap())
                 .args(["--exact", "options::tests::defaults_are_leveldb_like"])
                 .env(name, value)

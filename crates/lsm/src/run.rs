@@ -160,6 +160,7 @@ impl FenceIndex {
     }
 
     /// The fences in page order.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         (0..self.len()).map(|i| self.get(i))
     }
@@ -313,8 +314,8 @@ impl Run {
         self.obsolete.store(true, Ordering::Release);
     }
 
-    /// The fence of every page — the merge partitioner consults these to
-    /// cut the merged key space along page boundaries.
+    /// The fence of every page.
+    #[cfg(test)]
     pub(crate) fn fences(&self) -> &FenceIndex {
         &self.fences
     }
@@ -407,19 +408,14 @@ impl Run {
         let end = hi.map_or(self.pages, |hi| {
             self.fences.partition_point(|f| f < hi) as u32
         });
-        let declared = hi.is_some();
-        // A scan seeks to wherever it starts.
-        RunCursor::open(self, start..end, declared, true, Some(lo))
+        RunCursor::open(self, start..end, hi.is_some(), Some(lo))
     }
 
-    /// Opens a cursor over whole `pages` of the run for a merge, which it
-    /// declares: they are read in extents. The slices a partitioned merge
-    /// cuts a run into share the run's one seek, charged to whoever reads
-    /// page 0, so a merge counts a seek per input run and a read per input
-    /// page however it is cut.
-    pub(crate) fn merge_pages(self: &Arc<Self>, pages: Range<u32>) -> Result<RunCursor> {
-        let seek = pages.start == 0;
-        RunCursor::open(self, pages, true, seek, None)
+    /// Opens a cursor over every page of the run for a merge, which it
+    /// declares: they are read in extents, after one seek, so a merge
+    /// counts a seek per input run and a read per input page.
+    pub(crate) fn merge_pages(self: &Arc<Self>) -> Result<RunCursor> {
+        RunCursor::open(self, 0..self.pages, true, None)
     }
 
     /// A run known by its file alone — no fences, no keys, an
@@ -679,15 +675,15 @@ impl KeyHashes {
 pub(crate) const WRITE_EXTENT_BYTES: usize = 256 << 10;
 
 /// The one page streamer: a cursor positioned on an entry of a run,
-/// stepping through a range of its pages. User scans, whole-run merges,
-/// partition slices of a parallel merge and recovery differ only in the
-/// page range, who pays the seek and the optional lower bound.
+/// stepping through a range of its pages. User scans, whole-run merges
+/// and recovery differ only in the page range, whether it is declared and
+/// the optional lower bound.
 ///
 /// The entry under the cursor is read through [`page`](Self::page),
 /// borrowed from the page bytes; see [`PageCursor`].
 ///
-/// The first page fetched with `seek` set costs a seek + read; every other
-/// page a sequential read only, matching Eq. 11's range-lookup cost model.
+/// The first page fetched costs a seek + read; every other page a
+/// sequential read only, matching Eq. 11's range-lookup cost model.
 ///
 /// Pages are fetched when the cursor runs dry and not before. A cursor
 /// whose range is *declared* — a merge's, recovery's, a bounded scan's,
@@ -720,15 +716,8 @@ pub struct RunCursor {
 impl RunCursor {
     /// Opens a cursor over `pages` of `run`, positioned on the first entry
     /// with key `>= lo` (the first entry without `lo`). A `declared` range
-    /// is fetched in extents. With `seek` the first fetch is charged a
-    /// seek.
-    fn open(
-        run: &Arc<Run>,
-        pages: Range<u32>,
-        declared: bool,
-        seek: bool,
-        lo: Option<&[u8]>,
-    ) -> Result<Self> {
+    /// is fetched in extents.
+    fn open(run: &Arc<Run>, pages: Range<u32>, declared: bool, lo: Option<&[u8]>) -> Result<Self> {
         let mut cursor = Self {
             run: Arc::clone(run),
             page: PageCursor::empty(),
@@ -736,7 +725,7 @@ impl RunCursor {
             next_page: pages.start,
             end: pages.end.max(pages.start),
             declared,
-            seek,
+            seek: true,
         };
         cursor.settle()?;
         if let Some(lo) = lo {
@@ -803,8 +792,7 @@ impl RunCursor {
                 true => self.end,
                 false => self.next_page + 1,
             };
-            // The first fetch of a scan pays a seek; the rest are
-            // sequential.
+            // The first fetch pays a seek; the rest are sequential.
             let seek = std::mem::replace(&mut self.seek, false);
             let (disk, id) = (&self.run.disk, self.run.id);
             self.fetched = disk.read_pages(id, self.next_page..upto, seek)?;
@@ -845,7 +833,7 @@ pub fn recover_run(disk: &Arc<Disk>, id: RunId, params: impl Into<FilterParams>)
     // separator is cut against it, and at the end it is the run's max key.
     let mut page_last = Vec::new();
     let file = Arc::new(Run::file(disk, id, pages));
-    let mut cursor = file.merge_pages(0..pages)?;
+    let mut cursor = file.merge_pages()?;
     while let Some(e) = cursor.page.entry() {
         // The cursor steps over empty pages, which then never get a fence.
         if cursor.page_no() as usize == fences.len() {

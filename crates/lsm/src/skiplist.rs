@@ -525,11 +525,6 @@ impl<O> Cursor<O> {
         &self.owner
     }
 
-    /// The exclusive upper bound the cursor was opened with.
-    pub(crate) fn hi(&self) -> Option<&Bytes> {
-        self.hi.as_ref()
-    }
-
     /// Where the cursor stands on `next`: nowhere at or past `hi`;
     /// otherwise on the node and the value record it holds now, loaded
     /// once, so key, value and sequence number come from one version of

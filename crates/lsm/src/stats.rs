@@ -150,22 +150,14 @@ pub struct CompactionStats {
     /// user updates this is the engine's measured write amplification in
     /// entries (the quantity Eq. 10 models in I/Os).
     pub entries_rewritten: u64,
-    /// Key-range partitions of the most recent merge (1 = sequential;
-    /// 0 = no merge has run yet).
-    pub last_merge_partitions: u64,
-    /// Worker threads of the most recent merge (0 = no merge yet).
-    pub last_merge_threads: u64,
 }
 
 impl CompactionStats {
-    /// Counters sum across shards; the `last_merge_*` gauges keep the
-    /// widest merge any shard ran.
+    /// Counters sum across shards.
     pub fn merge(&mut self, other: &CompactionStats) {
         self.flushes += other.flushes;
         self.merges += other.merges;
         self.entries_rewritten += other.entries_rewritten;
-        self.last_merge_partitions = self.last_merge_partitions.max(other.last_merge_partitions);
-        self.last_merge_threads = self.last_merge_threads.max(other.last_merge_threads);
     }
 }
 
@@ -334,28 +326,20 @@ mod tests {
     }
 
     #[test]
-    fn merged_compaction_stats_keep_the_widest_merge() {
+    fn merged_compaction_stats_sum_across_shards() {
         let mut total = CompactionStats {
             flushes: 2,
             merges: 1,
             entries_rewritten: 10,
-            last_merge_partitions: 4,
-            last_merge_threads: 2,
         };
         total.merge(&CompactionStats {
             flushes: 3,
             merges: 2,
             entries_rewritten: 5,
-            last_merge_partitions: 1,
-            last_merge_threads: 3,
         });
         assert_eq!(
             (total.flushes, total.merges, total.entries_rewritten),
             (5, 3, 15)
-        );
-        assert_eq!(
-            (total.last_merge_partitions, total.last_merge_threads),
-            (4, 3)
         );
     }
 

@@ -597,6 +597,9 @@ impl Fs for Recorder {
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.pass("sync_dir", dir, |fs| fs.sync_dir(dir))
     }
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
 }
 
 fn temp_store(name: &str) -> PathBuf {
@@ -605,8 +608,8 @@ fn temp_store(name: &str) -> PathBuf {
     dir
 }
 
-/// A one-shard durable store that flushes inline, one merge thread: each
-/// flush issues its seam operations in one order.
+/// A one-shard durable store that flushes inline: each flush issues its
+/// seam operations in one order.
 fn durable_opts(dir: &Path) -> DbOptions {
     DbOptions::at_path(dir)
         .page_size(256)
@@ -614,7 +617,6 @@ fn durable_opts(dir: &Path) -> DbOptions {
         .size_ratio(2)
         .merge_policy(MergePolicy::Leveling)
         .uniform_filters(8.0)
-        .compaction_threads(1)
         .shards(1)
 }
 

@@ -439,20 +439,13 @@ fn temp_dir(tag: &str, case: u64) -> PathBuf {
     dir
 }
 
-fn options(
-    base: DbOptions,
-    policy: MergePolicy,
-    size_ratio: usize,
-    threads: usize,
-    filters: Filters,
-) -> DbOptions {
+fn options(base: DbOptions, policy: MergePolicy, size_ratio: usize, filters: Filters) -> DbOptions {
     base.page_size(PAGE)
         .buffer_capacity(BUFFER)
         .size_ratio(size_ratio)
         .merge_policy(policy)
         .filter_policy(filters.policy())
         .shards(1)
-        .compaction_threads(threads)
 }
 
 /// Runs `ops` through the engine and the reference side by side, calling
@@ -495,16 +488,15 @@ fn replay(
 fn check_trace(
     policy: MergePolicy,
     size_ratio: usize,
-    threads: usize,
     on_files: Option<u64>,
     ops: &[Op],
 ) -> Result<(), TestCaseError> {
-    let dir = on_files.map(|case| temp_dir(&format!("{policy:?}-{threads}"), case));
+    let dir = on_files.map(|case| temp_dir(&format!("{policy:?}"), case));
     let base = match &dir {
         Some(dir) => DbOptions::at_path(dir),
         None => DbOptions::in_memory(),
     };
-    let db = Db::open(options(base, policy, size_ratio, threads, Filters::Uniform)).unwrap();
+    let db = Db::open(options(base, policy, size_ratio, Filters::Uniform)).unwrap();
     let mut reference = Reference::new(policy, size_ratio, Filters::Uniform);
     let checked = replay(&db, &mut reference, ops, |db, reference, _| {
         check_tree(db, dir.as_deref(), reference)
@@ -522,24 +514,21 @@ proptest! {
     #[test]
     fn leveling_flushes_lay_down_the_two_step_tree(
         ops in proptest::collection::vec(arb_op(), 1..400),
-        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        check_trace(MergePolicy::Leveling, 2, threads, None, &ops)?;
+        check_trace(MergePolicy::Leveling, 2, None, &ops)?;
     }
 
     #[test]
     fn tiering_flushes_lay_down_the_two_step_tree(
         ops in proptest::collection::vec(arb_op(), 1..400),
-        threads in prop_oneof![Just(1usize), Just(4usize)],
     ) {
-        check_trace(MergePolicy::Tiering, 3, threads, None, &ops)?;
+        check_trace(MergePolicy::Tiering, 3, None, &ops)?;
     }
 
     #[test]
     fn flushes_to_run_files_lay_down_the_two_step_tree(
         ops in proptest::collection::vec(arb_op(), 1..250),
         tiering in any::<bool>(),
-        threads in prop_oneof![Just(1usize), Just(4usize)],
         case in any::<u64>(),
     ) {
         let (policy, size_ratio) = if tiering {
@@ -547,7 +536,7 @@ proptest! {
         } else {
             (MergePolicy::Leveling, 3)
         };
-        check_trace(policy, size_ratio, threads, Some(case), &ops)?;
+        check_trace(policy, size_ratio, Some(case), &ops)?;
     }
 }
 
@@ -561,9 +550,7 @@ proptest! {
 /// The insert trace is what proves spills: keys mostly new, values of one
 /// size, so a level's bytes follow its key count. The mixed trace of the
 /// proptests (deletes, overwrites on 256 keys) rarely does, and is held to
-/// the first two checks. Monkey runs at four merge threads too: its filter
-/// for a fused merge depends on the keys that merge counts, and a
-/// partitioned merge counts them partition by partition.
+/// the first two checks.
 #[test]
 fn a_flush_writes_what_it_builds_and_reads_what_it_merges_away() {
     let inserts: Vec<Op> = (0..1500u32)
@@ -580,17 +567,13 @@ fn a_flush_writes_what_it_builds_and_reads_what_it_merges_away() {
         })
         .collect();
     for (policy, size_ratio) in [(MergePolicy::Leveling, 2), (MergePolicy::Tiering, 3)] {
-        for (filters, threads) in [
-            (Filters::Uniform, 1),
-            (Filters::Monkey, 1),
-            (Filters::Monkey, 4),
-        ] {
+        for filters in [Filters::Uniform, Filters::Monkey] {
             for (trace, ops) in [("inserts", &inserts), ("mixed", &mixed)] {
-                let opts = options(DbOptions::in_memory(), policy, size_ratio, threads, filters);
+                let opts = options(DbOptions::in_memory(), policy, size_ratio, filters);
                 let db = Db::open(opts).unwrap();
                 let mut reference = Reference::new(policy, size_ratio, filters);
                 let (mut flushes, mut spills, mut cheaper) = (0, 0, 0);
-                let at = format!("{policy:?}, {filters:?}, {threads} threads, {trace}");
+                let at = format!("{policy:?}, {filters:?}, {trace}");
                 replay(&db, &mut reference, ops, |db, reference, io| {
                     let at = format!("{at}, flush {flushes}");
                     check_tree(db, None, reference)?;

@@ -1,22 +1,19 @@
 //! The merge kernel against a trivial oracle.
 //!
 //! One kernel — `MergingIter` over `Source`s, a loser tree comparing keys
-//! where they lie — carries range scans, sequential merges and the workers
-//! of a parallel merge. For random source sets (a memtable vector plus 1–9
-//! runs, with cross-source duplicates, tombstones, keys that are prefixes
-//! of one another, empty sources, single-page and page-straddling runs)
-//! and random bounds:
+//! where they lie — carries range scans and merges. For random source sets
+//! (a memtable vector plus 1–9 runs, with cross-source duplicates,
+//! tombstones, keys that are prefixes of one another, empty sources,
+//! single-page and page-straddling runs) and random bounds:
 //!
 //! * the kernel's sequence is the oracle's: every key once, newest version,
 //!   in key order, from `lo` on;
-//! * a merge of the runs writes the oracle's sequence, and the same bytes at
-//!   one thread and at four;
+//! * a merge of the runs writes the oracle's sequence;
 //! * `Db::range` over a store built from the same writes yields the
 //!   oracle's live range.
 
-use monkey_lsm::compaction::build_run_from_sorted;
+use monkey_lsm::compaction::{build_run_from_sorted, merge_runs};
 use monkey_lsm::iter::{MergingIter, Source};
-use monkey_lsm::merge::merge_runs_with;
 use monkey_lsm::page::PageCursor;
 use monkey_lsm::{Db, DbOptions, Entry, EntryKind, MergePolicy, Run};
 use monkey_storage::Disk;
@@ -137,29 +134,21 @@ proptest! {
         let want: Vec<Entry> = oracle(&all).range(lo.clone()..).map(|(_, e)| e.clone()).collect();
         prop_assert_eq!(got, want);
 
-        // A merge of the runs: the oracle's sequence, the same bytes at one
-        // thread and at four.
+        // A merge of the runs: the oracle's sequence.
         let want: Vec<Entry> = oracle(&run_entries)
             .into_values()
             .filter(|e| !(drop_tombstones && e.is_tombstone()))
             .collect();
-        let mut outputs = Vec::new();
-        for threads in [1, 4] {
-            let disk = Disk::mem(page_size);
-            let inputs = build_runs(&disk, &run_entries);
-            let (out, _) = merge_runs_with(&disk, &inputs, drop_tombstones, 1, 8.0, threads).unwrap();
-            let pages = out.as_ref().map_or_else(Vec::new, |run| raw_pages(&disk, run));
-            let mut merged = Vec::new();
-            for page in &pages {
-                let mut cursor = PageCursor::new(page.clone()).unwrap();
-                while let Some(entry) = cursor.next_entry().unwrap() {
-                    merged.push(entry);
-                }
+        let out = merge_runs(&disk, &inputs, drop_tombstones, 1, 8.0).unwrap();
+        let pages = out.as_ref().map_or_else(Vec::new, |run| raw_pages(&disk, run));
+        let mut merged = Vec::new();
+        for page in &pages {
+            let mut cursor = PageCursor::new(page.clone()).unwrap();
+            while let Some(entry) = cursor.next_entry().unwrap() {
+                merged.push(entry);
             }
-            prop_assert_eq!(&merged, &want, "{} thread(s)", threads);
-            outputs.push(pages);
         }
-        prop_assert_eq!(&outputs[0], &outputs[1], "1 thread vs 4");
+        prop_assert_eq!(merged, want);
     }
 
     #[test]

@@ -180,11 +180,6 @@ pub struct TelemetryReport {
     pub immutable_queue_depth: u64,
     /// Gauge: writers currently blocked in a backpressure stall.
     pub stalled_writers: u64,
-    /// Gauge: key-range partitions of the most recent merge (1 = that
-    /// merge ran sequentially; 0 = no merge has run yet).
-    pub last_merge_partitions: u64,
-    /// Gauge: worker threads of the most recent merge (0 = none yet).
-    pub last_merge_threads: u64,
     /// Per-shard gauges; empty on a single-shard store (whose report and
     /// renderings stay byte-identical to the pre-shard engine).
     pub shards: Vec<ShardBreakdown>,
@@ -459,18 +454,6 @@ impl Row for TelemetryReport {
             Int(r.stalled_writers)
         })
         .gauge("monkey_stalled_writers Writers currently blocked in a backpressure stall (gauge)."),
-        col(
-            "last_merge_partitions",
-            "last merge partitions",
-            |r: &Self| Int(r.last_merge_partitions),
-        )
-        .gauge(
-            "monkey_last_merge_partitions Key-range partitions of the most recent merge (gauge).",
-        ),
-        col("last_merge_threads", "last merge threads", |r: &Self| {
-            Int(r.last_merge_threads)
-        })
-        .gauge("monkey_last_merge_threads Worker threads of the most recent merge (gauge)."),
         col("shards", "per-shard breakdown", |r| {
             match r.shards.is_empty() {
                 true => Absent,
@@ -841,8 +824,6 @@ mod tests {
             events_dropped: 0,
             immutable_queue_depth: 2,
             stalled_writers: 1,
-            last_merge_partitions: 4,
-            last_merge_threads: 2,
             shards: Vec::new(),
             io_backend: IoBackendReport {
                 kind: "mem".to_string(),
@@ -934,9 +915,6 @@ mod tests {
         assert!(text.contains("monkey_immutable_queue_depth 2"));
         assert!(text.contains("# TYPE monkey_stalled_writers gauge"));
         assert!(text.contains("monkey_stalled_writers 1"));
-        assert!(text.contains("# TYPE monkey_last_merge_partitions gauge"));
-        assert!(text.contains("monkey_last_merge_partitions 4"));
-        assert!(text.contains("monkey_last_merge_threads 2"));
         assert!(text.contains("monkey_events_dropped_total 0"));
     }
 

@@ -41,7 +41,8 @@ pub enum IoBackend {
 /// `monkey_io_backend_info` gauge report it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BackendInfo {
-    /// `"mem"` for a volatile disk, `"buffered"` for run files.
+    /// The [`Fs::kind`] of the filesystem the run files are on: `"mem"`
+    /// for a [`MemFs`], `"buffered"` for the [`OsFs`].
     pub kind: &'static str,
 }
 
@@ -85,10 +86,8 @@ impl Disk {
     }
 
     fn mem_with(page_size: usize, cache: Option<BlockCache>) -> Arc<Self> {
-        let fs = Arc::new(MemFs::new());
-        let backend = FileBackend::open(fs, "runs", page_size).expect("memory takes a directory");
-        let info = BackendInfo { kind: "mem" };
-        Self::new(backend, page_size, cache, info).expect("memory lists")
+        Self::file_on(Arc::new(MemFs::new()), "runs", page_size, cache)
+            .expect("memory takes a directory and lists it")
     }
 
     /// Opens a file-backed disk rooted at `dir`.
@@ -108,24 +107,17 @@ impl Disk {
         Self::file_on(Arc::new(OsFs), dir, page_size, cache)
     }
 
-    /// [`file_with`](Self::file_with), its run files reached through `fs`.
-    /// A directory that cannot be listed is an error: its runs are unknown.
+    /// [`file_with`](Self::file_with), its run files reached through `fs`
+    /// and labelled with its [`Fs::kind`]. A directory that cannot be
+    /// listed is an error: its runs are unknown.
     pub fn file_on(
         fs: Arc<dyn Fs>,
         dir: impl AsRef<Path>,
         page_size: usize,
         cache: Option<BlockCache>,
     ) -> Result<Arc<Self>> {
+        let info = BackendInfo { kind: fs.kind() };
         let backend = FileBackend::open(fs, dir.as_ref(), page_size)?;
-        Self::new(backend, page_size, cache, BackendInfo { kind: "buffered" })
-    }
-
-    fn new(
-        backend: FileBackend,
-        page_size: usize,
-        cache: Option<BlockCache>,
-        info: BackendInfo,
-    ) -> Result<Arc<Self>> {
         // Resume run-id allocation above any existing run (a directory
         // reopened over a previous database).
         let next = backend.list()?.last().map_or(0, |id| id + 1);

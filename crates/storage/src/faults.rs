@@ -215,6 +215,10 @@ impl<F: Fs> Fs for FlakyBackend<F> {
         self.maybe_fail(FaultKind::Writes, what)?;
         self.inner.sync_dir(dir)
     }
+
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
+    }
 }
 
 #[cfg(test)]
@@ -238,6 +242,7 @@ mod tests {
         b.read_at(&f, 0, &mut page).unwrap();
         assert_eq!(page, [0u8; 8]);
         assert_eq!(b.injected(), 0);
+        assert_eq!(b.kind(), "mem", "a plan reports the fs it wraps");
     }
 
     #[test]

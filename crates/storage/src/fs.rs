@@ -114,6 +114,10 @@ pub trait Fs: Send + Sync + 'static {
     /// Makes durable which files `dir` holds: every create, rename and
     /// remove in it so far survives a crash.
     fn sync_dir(&self, dir: &Path) -> io::Result<()>;
+
+    /// What a store on this filesystem reports as its I/O backend
+    /// ([`BackendInfo::kind`](crate::BackendInfo::kind)).
+    fn kind(&self) -> &'static str;
 }
 
 /// The operating system's filesystem.
@@ -190,6 +194,10 @@ impl Fs for OsFs {
 
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         File::open(dir)?.sync_all()
+    }
+
+    fn kind(&self) -> &'static str {
+        "buffered"
     }
 }
 
@@ -349,6 +357,10 @@ impl Fs for MemFs {
             true => Ok(()),
             false => Err(not_found(dir)),
         }
+    }
+
+    fn kind(&self) -> &'static str {
+        "mem"
     }
 }
 

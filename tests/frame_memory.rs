@@ -109,7 +109,6 @@ fn options(dir: &std::path::Path) -> DbOptions {
         .merge_policy(MergePolicy::Leveling)
         .uniform_filters(8.0)
         .shards(1)
-        .compaction_threads(1)
 }
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -285,6 +284,9 @@ impl Fs for FrameSampler {
     }
     fn sync_dir(&self, dir: &Path) -> std::io::Result<()> {
         OsFs.sync_dir(dir)
+    }
+    fn kind(&self) -> &'static str {
+        OsFs.kind()
     }
 }
 

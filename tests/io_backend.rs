@@ -128,7 +128,7 @@ fn check_backend_parity(
     let (on_mem_fs, kind_mem_fs) = run_trace(on_mem_fs.unwrap(), trace);
     let (mem, kind_mem) = run_trace(Db::open(shape(DbOptions::in_memory())).unwrap(), trace);
     proptest::prop_assert_eq!(kind_buf, "buffered");
-    proptest::prop_assert_eq!(kind_mem_fs, "buffered");
+    proptest::prop_assert_eq!(kind_mem_fs, "mem");
     proptest::prop_assert_eq!(kind_mem, "mem");
     proptest::prop_assert_eq!(
         fingerprint_dir(&OsFs, &dir),

@@ -390,6 +390,9 @@ impl Fs for ReadCounter {
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         OsFs.sync_dir(dir)
     }
+    fn kind(&self) -> &'static str {
+        OsFs.kind()
+    }
 }
 
 /// Positional reads a bounded scan of `[lo, hi)` issues: per run it

@@ -128,8 +128,7 @@ fn two_level_store(
             .size_ratio(4)
             .merge_policy(MergePolicy::Leveling)
             .uniform_filters(8.0)
-            .shards(1)
-            .compaction_threads(1),
+            .shards(1),
     )
     .unwrap();
     for i in 0..n {
@@ -212,6 +211,9 @@ impl Fs for Fetches {
     }
     fn sync_dir(&self, dir: &Path) -> io::Result<()> {
         self.inner.sync_dir(dir)
+    }
+    fn kind(&self) -> &'static str {
+        self.inner.kind()
     }
 }
 

@@ -766,8 +766,7 @@ const ONE_SHARD_VALUES: &str = concat!(
     "stalls: 0, stall_micros: 0, background_errors: 0, wal_group_commits: 1500, ",
     "wal_batched_appends: 1500, wal_syncs: 34 }, pipeline_gauges: PipelineGauges { ",
     "immutable_queue_depth: 0, stalled_writers: 0 } }\n",
-    "CompactionStats { flushes: 34, merges: 32, entries_rewritten: 7005, ",
-    "last_merge_partitions: 1, last_merge_threads: 1 }\n",
+    "CompactionStats { flushes: 34, merges: 32, entries_rewritten: 7005 }\n",
     "LookupStats { key_hashes: 234, filter_probes: 303, filter_negatives: 140, ",
     "filter_false_positives: 3 }\n",
     "L1 runs=1 entries=70 LevelLookupSnapshot { filter_probes: 159, ",
@@ -812,12 +811,10 @@ const ONE_SHARD_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_zero_result_lookup_ios{source}",
     "monkey_immutable_queue_depth",
     "monkey_stalled_writers",
-    "monkey_last_merge_partitions",
-    "monkey_last_merge_threads",
     "monkey_events_dropped_total",
 ];
 
-/// What a store of several shards adds, after `monkey_last_merge_threads`.
+/// What a store of several shards adds, after `monkey_stalled_writers`.
 const SHARD_ROWS_PROMETHEUS_SHAPE: &[&str] = &[
     "monkey_shard_gets_total{shard}",
     "monkey_shard_puts_total{shard}",
@@ -843,11 +840,11 @@ const ONE_SHARD_JSON_SHAPE: &str = concat!(
     "expected_zero_result_lookup_ios measured_zero_result_lookup_ios lookups ",
     "events seq ts_micros shard event fields records bytes merges deepest_level ",
     "duration_micros events_dropped immutable_queue_depth stalled_writers ",
-    "last_merge_partitions last_merge_threads io_backend kind",
+    "io_backend kind",
 );
 
 /// The keys a per-shard breakdown adds (those not seen earlier in the
-/// document), after `last_merge_threads`.
+/// document), after `stalled_writers`.
 const SHARD_ROWS_JSON_SHAPE: &str =
     " shards gets puts ranges disk_entries buffer_bytes page_reads page_writes";
 
@@ -868,15 +865,15 @@ fn four_shards_render_the_same_shape_plus_the_breakdown_rows() {
     let mut expected: Vec<&str> = ONE_SHARD_PROMETHEUS_SHAPE.to_vec();
     let at = expected
         .iter()
-        .position(|&row| row == "monkey_last_merge_threads")
+        .position(|&row| row == "monkey_stalled_writers")
         .unwrap();
     expected.splice(at + 1..at + 1, SHARD_ROWS_PROMETHEUS_SHAPE.iter().copied());
     assert_eq!(prometheus, expected);
     assert_eq!(
         json,
         ONE_SHARD_JSON_SHAPE.replace(
-            "last_merge_threads",
-            &format!("last_merge_threads{SHARD_ROWS_JSON_SHAPE}")
+            "stalled_writers",
+            &format!("stalled_writers{SHARD_ROWS_JSON_SHAPE}")
         )
     );
 }
